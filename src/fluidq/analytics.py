@@ -397,7 +397,8 @@ def _single_sink_backlog_report(
 
 
 def empirical_report(tagged: TaggedRun, arr: ArrivalProfile) -> DelayReport:
-    """Assemble the metric pair from per-packet sojourns of a tagged run."""
+    """Assemble the metric pair from the per-origin sojourn sums of a tagged
+    run."""
     counts = tagged.origin_count
     if np.any(counts == 0):
         missing = int(np.argmin(counts))

@@ -274,9 +274,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_conjecture)
 
     args = parser.parse_args(argv)
-    # subcommand-local seed defaults to the global one
-    if not hasattr(args, "seed") or args.seed is None:
-        args.seed = 0
     return args.fn(args)
 
 

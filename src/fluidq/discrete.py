@@ -1,18 +1,22 @@
-"""Integer-packet simulation with FIFO queues and per-packet timestamps.
+"""Integer-packet simulation with FIFO rows and delays by Little's law.
 
 Packets are whole units.  Per-step transfer and service budgets are the
 running floor of rate * dt: each link and each server banks only the
 fractional remainder, so a backlogged link realizes its set rate exactly in
-the long run while never bursting above it.
+the long run while never bursting above it.  A step moves packets one
+network layer at a time; a source short of supply splits it across its
+out-links in proportion to their budgets.
 
-For delay measurement, packets are tracked as exchangeability classes: all
-packets that entered the current node in the same step, carry the same
-ingress arrival stamp, and share an origin are statistically identical, so
-each node keeps a FIFO of per-step buckets holding integer counts per
-(stamp, origin) class.  Ties inside a bucket (packets that arrived
-together) are resolved by deterministic proportional splitting, which is
-one valid FIFO execution.  Untagged mass (initial backlog and arrivals
-after the measurement window) occupies queue space but carries no class.
+For delay measurement, packets are tracked as exchangeability classes: an
+origin, or a (window, origin) pair when arrivals are grouped in windows.  A
+node holding tagged packets keeps a FIFO of rows, one per step in which
+packets entered it, each a count per class plus an untagged column.  Ties
+inside a row are resolved by deterministic proportional splitting, which is
+one valid FIFO execution.  Untagged mass (initial backlog and arrivals after
+the measurement window) occupies queue space but carries no class; a node
+without tagged packets keeps no rows.  No packet carries a timestamp: a
+class's summed sojourn is dt times the sum over steps of its packets in the
+system (Little's law, L = lambda W).
 """
 from __future__ import annotations
 
@@ -63,183 +67,64 @@ def _allocate(amounts: np.ndarray, total: int) -> np.ndarray:
     base = np.floor(exact).astype(np.int64)
     rest = total - int(base.sum())
     if rest > 0:
-        frac = exact - base
-        order = np.lexsort((np.arange(len(amounts)), -frac))
+        order = np.argsort(base - exact, kind="stable")
         base[order[:rest]] += 1
     return np.minimum(base, amounts)
 
 
-class _Bucket:
-    """Packets that entered one node during one step: per-stamp origin
-    vectors for tagged mass plus an untagged scalar."""
-
-    __slots__ = ("classes", "untagged", "total")
-
-    def __init__(self):
-        self.classes: dict[int, np.ndarray] = {}
-        self.untagged = 0
-        self.total = 0
-
-    def add_class(self, stamp: int, vec: np.ndarray) -> None:
-        cur = self.classes.get(stamp)
-        if cur is None:
-            self.classes[stamp] = vec.copy()
-        else:
-            cur += vec
-        self.total += int(vec.sum())
-
-    def add_untagged(self, n: int) -> None:
-        self.untagged += n
-        self.total += n
+def _allocate_each(amounts, totals, weights, seg) -> np.ndarray:
+    """:func:`_allocate` on many segments in one pass: the entries with
+    segment index ``s`` (``seg`` is ascending) share ``totals[s]``, and
+    ``weights[s] > 0`` is their sum."""
+    exact = amounts * (totals / weights)[seg]
+    base = np.floor(exact).astype(np.int64)
+    rest = totals - np.bincount(seg, weights=base, minlength=totals.size)
+    order = np.lexsort((base - exact, seg))
+    rank = np.arange(seg.size) - np.searchsorted(seg, seg)
+    base[order[rank < rest[seg]]] += 1
+    return np.minimum(base, amounts)
 
 
-class _Parcel:
-    """An extracted batch of packets, keyed like a bucket."""
-
-    __slots__ = ("classes", "untagged", "total")
-
-    def __init__(self):
-        self.classes: dict[int, np.ndarray] = {}
-        self.untagged = 0
-        self.total = 0
-
-    def merge_class(self, stamp: int, vec: np.ndarray) -> None:
-        cur = self.classes.get(stamp)
-        if cur is None:
-            self.classes[stamp] = vec
-        else:
-            cur += vec
-        self.total += int(vec.sum())
-
-
-class _ClassFifo:
-    """FIFO of buckets for one node."""
-
-    __slots__ = ("buckets", "width")
-
-    def __init__(self, width: int):
-        self.buckets: deque[tuple[int, _Bucket]] = deque()
-        self.width = width
-
-    def push_class(self, step: int, stamp: int, vec: np.ndarray) -> None:
-        bucket = self._tail(step)
-        bucket.add_class(stamp, vec)
-
-    def push_untagged(self, step: int, n: int) -> None:
-        self._tail(step).add_untagged(n)
-
-    def push_parcel(self, step: int, parcel: "_Parcel") -> None:
-        bucket = self._tail(step)
-        for stamp, vec in parcel.classes.items():
-            bucket.add_class(stamp, vec)
-        bucket.add_untagged(parcel.untagged)
-
-    def _tail(self, step: int) -> _Bucket:
-        if not self.buckets or self.buckets[-1][0] != step:
-            self.buckets.append((step, _Bucket()))
-        return self.buckets[-1][1]
-
-    def pop(self, count: int) -> _Parcel:
-        parcel = _Parcel()
-        while count > 0:
-            _, bucket = self.buckets[0]
-            if bucket.total <= count:
-                count -= bucket.total
-                for stamp, vec in bucket.classes.items():
-                    parcel.merge_class(stamp, vec)
-                parcel.untagged += bucket.untagged
-                self.buckets.popleft()
-            else:
-                self._split_from(bucket, count, parcel)
-                count = 0
-        parcel.total = sum(int(v.sum()) for v in parcel.classes.values()) + parcel.untagged
-        return parcel
-
-    def _split_from(self, bucket: _Bucket, count: int, parcel: _Parcel) -> None:
-        """Take ``count`` packets out of a larger bucket, proportionally
-        across its classes (a deterministic resolution of FIFO ties)."""
-        stamps = sorted(bucket.classes)
-        cells = [bucket.classes[s] for s in stamps]
-        flat = np.concatenate(cells + [np.array([bucket.untagged], dtype=np.int64)])
-        take = _allocate(flat, count)
+def _take(row: np.ndarray, count: int) -> np.ndarray:
+    """Remove ``count`` packets from ``row`` in proportion to its entries
+    (a deterministic resolution of FIFO ties) and return them.  Where the
+    caps bind, the shortfall is topped up from the entries with the most
+    room left."""
+    if count >= row.sum():
+        take = row.copy()
+        row[:] = 0
+        return take
+    filled = np.flatnonzero(row)
+    if filled.size == 1:  # what _allocate gives, without the arithmetic
+        take = np.zeros_like(row)
+        take[filled] = count
+    else:
+        take = _allocate(row, count)
         short = count - int(take.sum())
-        if short > 0:  # caps bound the proportional shares; top up greedily
-            room = flat - take
-            order = np.argsort(-room, kind="stable")
-            for idx in order:
-                if short <= 0:
-                    break
-                extra = int(min(room[idx], short))
-                take[idx] += extra
-                short -= extra
-        pos = 0
-        for s, vec in zip(stamps, cells):
-            part = take[pos : pos + self.width]
-            if part.any():
-                parcel.merge_class(s, part.copy())
-                vec -= part
-                removed = int(part.sum())
-                bucket.total -= removed
-                if not vec.any():
-                    del bucket.classes[s]
-            pos += self.width
-        u = int(take[pos])
-        parcel.untagged += u
-        bucket.untagged -= u
-        bucket.total -= u
-
-
-def _split_parcel(parcel: _Parcel, grants: np.ndarray) -> list[_Parcel]:
-    """Split a parcel into one parcel per grant, proportionally per class."""
-    parts = [_Parcel() for _ in grants]
-    stamps = sorted(parcel.classes)
-    remaining_total = parcel.total
-    rem_classes = {s: parcel.classes[s] for s in stamps}
-    rem_untagged = parcel.untagged
-    for idx, g in enumerate(grants):
-        g = int(g)
-        if g <= 0:
-            continue
-        if g >= remaining_total:
-            for s, vec in rem_classes.items():
-                if vec.any():
-                    parts[idx].merge_class(s, vec)
-            parts[idx].untagged += rem_untagged
-            parts[idx].total = remaining_total
-            rem_classes = {}
-            rem_untagged = 0
-            remaining_total = 0
-            break
-        keys = [s for s, v in rem_classes.items() if v.any()]
-        cells = [rem_classes[s] for s in keys]
-        flat = np.concatenate(
-            cells + [np.array([rem_untagged], dtype=np.int64)]
-        ) if cells else np.array([rem_untagged], dtype=np.int64)
-        take = _allocate(flat, g)
-        short = g - int(take.sum())
         if short > 0:
-            room = flat - take
+            room = row - take
             order = np.argsort(-room, kind="stable")
-            for j in order:
-                if short <= 0:
-                    break
-                extra = int(min(room[j], short))
-                take[j] += extra
-                short -= extra
-        width = cells[0].size if cells else 0
-        pos = 0
-        for s, vec in zip(keys, cells):
-            part = take[pos : pos + width]
-            if part.any():
-                parts[idx].merge_class(s, part.copy())
-                vec -= part
-            pos += width
-        u = int(take[pos]) if pos < take.size else 0
-        parts[idx].untagged += u
-        rem_untagged -= u
-        parts[idx].total = g
-        remaining_total -= g
-    return parts
+            before = np.cumsum(room[order]) - room[order]
+            take[order] += np.clip(short - before, 0, room[order])
+    row -= take
+    return take
+
+
+@dataclass(frozen=True)
+class _Layer:
+    """Links leaving one network layer, grouped by source node (links are
+    sorted by layer, then source); per-source arrays index ``srcs``."""
+
+    lo: int  # node ids of the layer are lo..next_lo-1
+    links: slice
+    srcs: np.ndarray  # nodes with out-links, ascending
+    starts: np.ndarray  # first link of each source, within the slice
+    ends: np.ndarray
+    fanned: np.ndarray  # more than one out-link
+    src_of: np.ndarray  # per link: its source
+    dst_local: np.ndarray  # per link: destination index in the next layer
+    next_lo: int
+    next_width: int
 
 
 class _IntegerSim:
@@ -269,32 +154,57 @@ class _IntegerSim:
         if not np.allclose(q0, np.round(q0)):
             raise ValueError("integer mode requires an integral q0")
         self.q = np.round(q0).astype(np.int64)
+        self.mass = int(self.q.sum())
         self.arrival_bank = np.zeros(net.layer_sizes[0])
         self.link_bank = np.zeros(net.num_links)
         self.service_bank = np.zeros(net.layer_sizes[-1])
         self.egress_lo = net.node_id(net.num_layers - 1, 0)
-        if track_packets:
-            self.fifo = [_ClassFifo(self.n_origin) for _ in range(net.num_nodes)]
-            for nid in range(net.num_nodes):
-                if self.q[nid]:
-                    self.fifo[nid].push_untagged(-1, int(self.q[nid]))
-        self.origin_sum = np.zeros(self.n_origin)
-        self.origin_count = np.zeros(self.n_origin)
-        self.window_stats: dict[tuple[int, int], list[float]] = {}
-        self.outstanding = 0
-        self.rows: list[np.ndarray] = [self.q.astype(float)]
+        self.history: list[np.ndarray] = [self.q.astype(float)]
         self.applied: list[np.ndarray] = []
-        self.link_flow = np.zeros(net.num_links)
-        self.served_total = np.zeros(net.layer_sizes[-1])
+        self.link_flow = np.zeros(net.num_links, dtype=np.int64)
+        self.served_total = np.zeros(net.layer_sizes[-1], dtype=np.int64)
         self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
-        self._eye = np.eye(self.n_origin, dtype=np.int64)
-        self._transfer_nodes = []
+        self._layers = []
+        self._slot = np.full(net.num_nodes, -1)  # node -> index in its layer's srcs
         for l in range(net.num_layers - 1):
-            for nid in net.layer_nodes(l):
-                out = net.out_links[nid]
-                if out:
-                    ids = np.array(out, dtype=np.intp)
-                    self._transfer_nodes.append((nid, out, ids, net.link_dst[ids]))
+            ids = net.layer_links(l)
+            if not ids.size:
+                continue
+            srcs, starts, src_of = np.unique(
+                net.link_src[ids], return_index=True, return_inverse=True
+            )
+            ends = np.append(starts[1:], ids.size)
+            next_lo = net.node_id(l + 1, 0)
+            self._slot[srcs] = np.arange(srcs.size)
+            self._layers.append(
+                _Layer(
+                    net.node_id(l, 0), slice(int(ids[0]), int(ids[-1]) + 1),
+                    srcs, starts, ends, ends - starts > 1, src_of,
+                    net.link_dst[ids] - next_lo, next_lo, net.layer_sizes[l + 1],
+                )
+            )
+
+        # Tagged bookkeeping: classes are origins, or (window, origin) pairs
+        # at index window * n_origin + origin; FIFO rows carry one more
+        # column for untagged packets.  ``fifo`` maps each node holding
+        # tagged packets to its rows, and ``held`` counts them per node.
+        n_windows = 1
+        if window is not None:
+            n_windows = self._window_of(self._tag_steps - 1) + 1
+        self.n_class = n_windows * self.n_origin
+        self.fifo: dict[int, deque[np.ndarray]] = {}
+        self.held = np.zeros(net.num_nodes, dtype=np.int64)
+        self.born = np.zeros(self.n_class, dtype=np.int64)
+        self.departed = np.zeros(self.n_class, dtype=np.int64)
+        self.class_steps = np.zeros(self.n_class, dtype=np.int64)
+
+    def _window_of(self, k: int) -> int:
+        stamp = self.cfg.t0 + k * self.dt
+        return int((stamp - self.cfg.t0) / self.window) if self.window is not None else 0
+
+    @property
+    def outstanding(self) -> int:
+        return int(self.born.sum() - self.departed.sum())
 
     # -- one step ----------------------------------------------------------
 
@@ -310,113 +220,194 @@ class _IntegerSim:
         self.arrival_bank += self.arr.rates * self.dt
         born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
         self.arrival_bank -= born
-        self.q[: net.layer_sizes[0]] += born
         if self.track:
-            tagged = k < self._tag_steps
-            for i in range(self.n_origin):
-                n = int(born[i])
-                if not n:
-                    continue
-                if tagged:
-                    self.fifo[i].push_class(k, k, n * self._eye[i])
-                    self.outstanding += n
-                else:
-                    self.fifo[i].push_untagged(k, n)
+            self._arrive(k, born)
+        self.q[: net.layer_sizes[0]] += born
 
         self.link_bank += rates.values * self.dt
         demand = np.floor(self.link_bank + 1e-12).astype(np.int64)
         self.link_bank -= demand
-        for nid, out, out_ids, dsts in self._transfer_nodes:
-            want = demand[out_ids]
-            total_want = int(want.sum())
-            if not total_want:
-                continue
-            supply = int(self.q[nid])
-            if total_want <= supply:
-                grant = want
-            else:
-                grant = _allocate(want, supply)
-            moved = int(grant.sum())
-            if not moved:
-                continue
-            self.q[nid] -= moved
-            np.add.at(self.q, dsts, grant)
-            self.link_flow[out_ids] += grant
-            if self.track:
-                parcel = self.fifo[nid].pop(moved)
-                if len(out) == 1:
-                    self.fifo[dsts[0]].push_parcel(k, parcel)
-                elif not parcel.classes:
-                    # untagged mass only: counts suffice, no class split
-                    for pos in range(len(out)):
-                        if grant[pos]:
-                            self.fifo[dsts[pos]].push_untagged(k, int(grant[pos]))
-                else:
-                    for pos, part in enumerate(_split_parcel(parcel, grant)):
-                        if part.total:
-                            self.fifo[dsts[pos]].push_parcel(k, part)
+        for layer in self._layers:
+            self._transfer(layer, demand[layer.links])
 
         cap_f = self.service_bank + self.svc.rates * self.dt
         cap = np.floor(cap_f + 1e-12).astype(np.int64)
         self.service_bank = cap_f - cap
-        for j in range(net.layer_sizes[-1]):
-            nid = self.egress_lo + j
-            serve = int(min(self.q[nid], cap[j]))
-            if not serve:
-                continue
-            self.q[nid] -= serve
-            self.served_total[j] += serve
-            if self.track:
-                self._depart(nid, serve, t)
+        egress = self.q[self.egress_lo :]
+        serve = np.minimum(egress, cap)
+        egress -= serve
+        self.served_total += serve
+        if self.track:
+            for nid in [n for n in self.fifo if n >= self.egress_lo]:
+                count = int(serve[nid - self.egress_lo])
+                if count:
+                    self.departed += self._pop(nid, count)[:-1]
+            self.class_steps += self.born - self.departed
 
-        self.applied.append(rates.values.copy())
+        self.mass += int(born.sum()) - int(serve.sum())
+        residual = self.mass - int(self.q.sum())
+        if not residual == 0:
+            raise EngineError(f"mass balance violated at step {k}: residual {residual}")
         if self.keep_trajectory:
-            self.rows.append(self.q.astype(float))
+            self.applied.append(rates.values)
+            self.history.append(self.q.astype(float))
 
-    def _depart(self, nid: int, count: int, t: float) -> None:
-        parcel = self.fifo[nid].pop(count)
-        for stamp_step, vec in parcel.classes.items():
-            n = int(vec.sum())
-            if not n:
+    def _transfer(self, layer: _Layer, want: np.ndarray) -> None:
+        """Grant one layer's link budgets against its sources' backlogs and
+        move the packets to the next layer."""
+        if not want.any():
+            return
+        supply = self.q[layer.srcs]
+        total_want = np.add.reduceat(want, layer.starts)
+        short = total_want > supply
+        grant, moved = want, total_want
+        if short.any():
+            # a short source sends its whole supply down a single out-link
+            # and splits it in proportion to the budgets over several
+            grant = np.where(short[layer.src_of], supply[layer.src_of], want)
+            links = np.flatnonzero((short & layer.fanned)[layer.src_of])
+            if links.size:
+                srcs, seg = np.unique(layer.src_of[links], return_inverse=True)
+                grant[links] = _allocate_each(
+                    want[links], supply[srcs], total_want[srcs], seg
+                )
+            moved = np.add.reduceat(grant, layer.starts)
+        inflow = np.bincount(
+            layer.dst_local, weights=grant, minlength=layer.next_width
+        ).astype(np.int64)
+        if self.track:
+            self._move_tagged(layer, grant, moved, inflow)
+        self.q[layer.srcs] -= moved
+        self.q[layer.next_lo : layer.next_lo + layer.next_width] += inflow
+        self.link_flow[layer.links] += grant
+
+    # -- tagged bookkeeping --------------------------------------------------
+
+    def _pop(self, nid: int, count: int) -> np.ndarray:
+        """Take ``count`` packets off the head of a node's FIFO."""
+        rows = self.fifo[nid]
+        parcel = None
+        while count > 0:
+            row = rows[0]
+            n = int(row.sum())
+            if n <= count:
+                rows.popleft()
+            else:
+                row, n = _take(row, count), count
+            parcel = row if parcel is None else parcel + row
+            count -= n
+        tagged = int(parcel[:-1].sum())
+        if tagged:
+            self.held[nid] -= tagged
+            if not self.held[nid]:
+                del self.fifo[nid]  # what is left is untagged
+        return parcel
+
+    def _push(self, nid: int, tagged: np.ndarray | None, total: int) -> None:
+        """Append one step's inflow to a node's FIFO.  Inflow that brings a
+        node its first tagged packets opens the FIFO with one untagged row
+        for the backlog already there, so call before ``q`` counts it."""
+        row = np.zeros(self.n_class + 1, dtype=np.int64)
+        if tagged is not None:
+            row[:-1] = tagged
+        n_tagged = int(row.sum())
+        row[-1] = total - n_tagged
+        if nid not in self.fifo:
+            if not n_tagged:
+                return
+            self.fifo[nid] = deque()
+            if self.q[nid]:
+                self.fifo[nid].append(np.zeros_like(row))
+                self.fifo[nid][0][-1] = self.q[nid]
+        self.fifo[nid].append(row)
+        self.held[nid] += n_tagged
+
+    def _arrive(self, k: int, born: np.ndarray) -> None:
+        if k < self._tag_steps:
+            base = self._window_of(k) * self.n_origin
+            for i in np.flatnonzero(born):
+                tagged = np.zeros(self.n_class, dtype=np.int64)
+                tagged[base + i] = born[i]
+                self._push(int(i), tagged, int(born[i]))
+            self.born[base : base + self.n_origin] += born
+        else:
+            for nid in [n for n in self.fifo if n < self.n_origin]:
+                if born[nid]:
+                    self._push(nid, None, int(born[nid]))
+
+    def _move_tagged(self, layer: _Layer, grant, moved, inflow) -> None:
+        """Carry the tagged classes of one layer's transfers along: each
+        source pops its moved packets and splits them across its out-links
+        in grant order; the untagged remainder of every destination's
+        inflow follows from the totals."""
+        incoming = np.zeros((layer.next_width, self.n_class), dtype=np.int64)
+        for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
+            s = self._slot[nid]
+            if s < 0 or not moved[s]:
                 continue
-            stamp = self.cfg.t0 + stamp_step * self.dt
-            sojourn = t - stamp
-            self.origin_sum += sojourn * vec
-            self.origin_count += vec
-            self.outstanding -= n
-            if self.window is not None:
-                w = int((stamp - self.cfg.t0) / self.window)
-                for i in np.flatnonzero(vec):
-                    cell = self.window_stats.setdefault((int(i), w), [0.0, 0.0])
-                    cell[0] += sojourn * int(vec[i])
-                    cell[1] += int(vec[i])
+            parcel = self._pop(nid, int(moved[s]))
+            links = slice(layer.starts[s], layer.ends[s])
+            filled = np.flatnonzero(parcel)
+            if filled.size == 1:  # one class: every grant is all of it
+                if filled[0] < self.n_class:
+                    incoming[layer.dst_local[links], filled[0]] += grant[links]
+                continue
+            for pos in range(links.start, links.stop):
+                if grant[pos]:
+                    incoming[layer.dst_local[pos]] += _take(parcel, int(grant[pos]))[:-1]
+        lo = layer.next_lo
+        for dst in np.flatnonzero(incoming.any(axis=1)):
+            self._push(lo + int(dst), incoming[dst], int(inflow[dst]))
+        for nid in [n for n in self.fifo if lo <= n < lo + layer.next_width]:
+            if inflow[nid - lo] and not incoming[nid - lo].any():
+                self._push(nid, None, int(inflow[nid - lo]))
+
+    def check_classes(self) -> None:
+        """Exact tagged balance: per class, born = departed + in the FIFOs;
+        the per-node tagged counts sum to the outstanding packets; and every
+        FIFO holds exactly its node's backlog."""
+        in_fifo = np.zeros(self.n_class, dtype=np.int64)
+        for nid, rows in self.fifo.items():
+            held = sum(rows, np.zeros(self.n_class + 1, dtype=np.int64))
+            in_fifo += held[:-1]
+            residual = int(self.q[nid]) - int(held.sum())
+            if not residual == 0:
+                raise EngineError(f"FIFO of node {nid} off its backlog by {residual}")
+        residual = self.born - self.departed - in_fifo
+        if not np.all(residual == 0):
+            c = int(np.flatnonzero(residual)[0])
+            raise EngineError(
+                f"tagged balance violated for class {c}: residual {int(residual[c])}"
+            )
+        residual = self.outstanding - int(self.held.sum())
+        if not residual == 0:
+            raise EngineError(f"tagged packets held off outstanding by {residual}")
 
     # -- drivers -----------------------------------------------------------
 
     def run_horizon(self) -> int:
-        steps = int(math.ceil(self.cfg.horizon / self.dt - 1e-12))
-        for k in range(steps):
+        for k in range(self._tag_steps):
             self.step(k)
-        return steps
+        return self._tag_steps
 
     def trajectory(self) -> Trajectory:
-        queues = np.asarray(self.rows) if self.keep_trajectory else np.asarray(
-            [self.q.astype(float)]
-        )
-        applied = (
-            np.asarray(self.applied)
-            if self.applied
-            else np.empty((0, self.net.num_links))
-        )
+        queues = self.history if self.keep_trajectory else [self.q.astype(float)]
+        applied = np.asarray(self.applied, dtype=float).reshape(-1, self.net.num_links)
         return Trajectory(
-            self.cfg.t0,
-            self.dt,
-            queues,
-            applied,
-            self.link_flow,
-            self.served_total,
+            self.cfg.t0, self.dt, np.asarray(queues), applied,
+            self.link_flow.astype(float), self.served_total.astype(float),
             meta={"mode": "integer"},
         )
+
+    def tagged_stats(self):
+        """``(origin_sum, origin_count, window_stats)`` by Little's law."""
+        sums = self.dt * self.class_steps.reshape(-1, self.n_origin)
+        counts = self.departed.reshape(-1, self.n_origin).astype(float)
+        stats = {}
+        if self.window is not None:
+            for w, i in zip(*np.nonzero(counts)):
+                stats[(int(i), int(w))] = [float(sums[w, i]), float(counts[w, i])]
+        return sums.sum(axis=0), counts.sum(axis=0), stats
 
 
 def integer_run(
@@ -442,8 +433,9 @@ def tagged_run(
     keep_trajectory: bool = False,
     max_extension_steps: int | None = None,
 ) -> TaggedRun:
-    """Simulate with per-packet stamps until every packet that arrived within
-    ``[t0, t0 + horizon)`` has departed, extending past the horizon as needed.
+    """Simulate with FIFO-tracked packet classes until every packet that
+    arrived within ``[t0, t0 + horizon)`` has departed, extending past the
+    horizon as needed.
 
     Arrivals continue during the extension (the overload persists; only the
     measured window is bounded).
@@ -453,6 +445,7 @@ def tagged_run(
         keep_trajectory=keep_trajectory,
     )
     k = sim.run_horizon()
+    sim.check_classes()
     horizon_steps = k
     limit = max_extension_steps if max_extension_steps is not None else max(
         10_000, 100 * horizon_steps
@@ -465,14 +458,12 @@ def tagged_run(
             )
         sim.step(k)
         k += 1
+    sim.check_classes()
+    origin_sum, origin_count, window_stats = sim.tagged_stats()
     return TaggedRun(
-        t0=cfg.t0,
-        horizon=cfg.horizon,
-        dt=sim.dt,
-        origin_sum=sim.origin_sum,
-        origin_count=sim.origin_count,
+        cfg.t0, cfg.horizon, sim.dt, origin_sum, origin_count,
         extension=(k - horizon_steps) * sim.dt,
         window_width=window,
-        window_stats=sim.window_stats,
+        window_stats=window_stats,
         trajectory=sim.trajectory() if keep_trajectory else None,
     )

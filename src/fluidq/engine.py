@@ -275,7 +275,7 @@ def run(
             queues[k], rates.values, net, arr.rates, svc.rates, dt
         )
         balance = injected - served.sum() - (q_next.sum() - queues[k].sum())
-        if abs(balance) > 1e-9 * max(1.0, queues[k].sum() + injected):
+        if not abs(balance) <= 1e-9 * max(1.0, queues[k].sum() + injected):
             raise EngineError(f"mass balance violated at step {k}: residual {balance}")
         queues[k + 1] = q_next
         applied[k] = rates.values

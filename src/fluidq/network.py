@@ -97,6 +97,8 @@ class LayeredNetwork:
         self.link_index = {link.key: k for k, link in enumerate(ordered)}
         self.capacities = np.array([link.capacity for link in ordered], dtype=float)
         self.capacities.flags.writeable = False
+        #: every link has a finite capacity
+        self.bounded = not any(link.unbounded for link in ordered)
 
         # Per-node link lists and per-layer arrays used by the engine.
         self.out_links: tuple[tuple[int, ...], ...]
@@ -235,6 +237,10 @@ class RateAssignment:
             raise ValueError(
                 f"expected {net.num_links} rates, got shape {arr.shape}"
             )
+        finite = np.isfinite(arr)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"non-finite rate {arr[k]} on link {net.links[k].key}")
         if np.any(arr < 0):
             k = int(np.argmin(arr))
             raise ValueError(f"negative rate on link {net.links[k].key}")
@@ -282,7 +288,9 @@ class RateAssignment:
         return float(self.values[list(ids)].sum()) if ids else 0.0
 
     def capacity_violations(self, tol: float = 1e-9) -> list[tuple[int, int, int]]:
-        bad = np.flatnonzero(self.values > self.net.capacities + tol)
+        """Keys of the links whose rate is not within capacity (a NaN on
+        either side counts as a violation)."""
+        bad = np.flatnonzero(~(self.values <= self.net.capacities + tol))
         return [self.net.links[int(k)].key for k in bad]
 
     def __repr__(self) -> str:

@@ -353,7 +353,7 @@ class CallbackPolicy:
 
 def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
     """Every link at its capacity; undefined with unbounded links."""
-    if any(link.unbounded for link in net.links):
+    if not net.bounded:
         bad = next(link for link in net.links if link.unbounded)
         raise ValueError(
             f"max-link-rate undefined: link ({bad.layer + 1},{bad.src + 1},"
@@ -365,8 +365,15 @@ def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
 class MaxLinkRatePolicy:
     name = "max"
 
+    def __init__(self):
+        self._net = None
+        self._assignment = None
+
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return max_link_rate_rates(net)
+        if net is not self._net:
+            self._assignment = max_link_rate_rates(net)
+            self._net = net
+        return self._assignment
 
 
 def backpressure_rates(
@@ -375,7 +382,7 @@ def backpressure_rates(
     """Capacity on every link whose source backlog strictly exceeds its
     destination backlog, zero otherwise (egress service is handled by the
     engine's work-conserving servers)."""
-    if any(link.unbounded for link in net.links):
+    if not net.bounded:
         raise ValueError("backpressure undefined with unbounded capacities")
     active = state.q[net.link_src] > state.q[net.link_dst]
     return RateAssignment(net, np.where(active, net.capacities, 0.0))

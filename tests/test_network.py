@@ -172,6 +172,24 @@ def test_rate_assignment_mapping_and_errors(two_source_instance):
     assert over.capacity_violations() == [(0, 0, 0)]
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_assignment_rejects_non_finite_rates(two_source_instance, bad):
+    net = two_source_instance[0]
+    with pytest.raises(ValueError, match=r"non-finite rate .* on link \(0, 1, 0\)"):
+        RateAssignment(net, [1.0, bad])
+
+
+def test_capacity_violations_flag_nan_capacity():
+    net = LayeredNetwork([2, 1], [Link(0, 0, 0, 4.0), Link(0, 1, 0, math.nan)])
+    assert RateAssignment(net, [1.0, 1.0]).capacity_violations() == [(0, 1, 0)]
+
+
+def test_bounded_flag_tracks_unbounded_links():
+    assert single_sink(2, [4.0, 2.0]).bounded
+    assert not single_sink(2).bounded
+    assert not single_sink(2, [4.0, math.inf]).bounded
+
 def test_sim_config_guards(two_source_instance):
     net = two_source_instance[0]
     with pytest.raises(ValueError):
