@@ -4,8 +4,11 @@ Packets are whole units.  Per-step transfer and service budgets are the
 running floor of rate * dt: each link and each server banks only the
 fractional remainder, so a backlogged link realizes its set rate exactly in
 the long run while never bursting above it.  A step moves packets one
-network layer at a time; a source short of supply splits it across its
-out-links in proportion to their budgets.
+network layer at a time, on the index arrays of the network's shared
+:attr:`~fluidq.network.LayeredNetwork.plan`; a source short of supply
+splits it across its out-links in proportion to their budgets.  The
+policy's assignment is capacity-checked whenever it differs from the
+previous step's object, so a static policy is checked once per run.
 
 For delay measurement, packets are tracked as exchangeability classes: an
 origin, or a (window, origin) pair when arrivals are grouped in windows.  A
@@ -26,8 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineError, QueueState, Trajectory, _policy_rates
-from .network import ArrivalProfile, LayeredNetwork, ServiceProfile, SimConfig
+from .engine import EngineError, QueueState, Trajectory, _CapacityCheck, _policy_rates
+from .network import (
+    ArrivalProfile,
+    LayeredNetwork,
+    LayerPlan,
+    ServiceProfile,
+    SimConfig,
+)
 
 
 @dataclass
@@ -110,23 +119,6 @@ def _take(row: np.ndarray, count: int) -> np.ndarray:
     return take
 
 
-@dataclass(frozen=True)
-class _Layer:
-    """Links leaving one network layer, grouped by source node (links are
-    sorted by layer, then source); per-source arrays index ``srcs``."""
-
-    lo: int  # node ids of the layer are lo..next_lo-1
-    links: slice
-    srcs: np.ndarray  # nodes with out-links, ascending
-    starts: np.ndarray  # first link of each source, within the slice
-    ends: np.ndarray
-    fanned: np.ndarray  # more than one out-link
-    src_of: np.ndarray  # per link: its source
-    dst_local: np.ndarray  # per link: destination index in the next layer
-    next_lo: int
-    next_width: int
-
-
 class _IntegerSim:
     def __init__(
         self,
@@ -164,25 +156,10 @@ class _IntegerSim:
         self.link_flow = np.zeros(net.num_links, dtype=np.int64)
         self.served_total = np.zeros(net.layer_sizes[-1], dtype=np.int64)
         self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
-        self._layers = []
+        self._check = _CapacityCheck()
         self._slot = np.full(net.num_nodes, -1)  # node -> index in its layer's srcs
-        for l in range(net.num_layers - 1):
-            ids = net.layer_links(l)
-            if not ids.size:
-                continue
-            srcs, starts, src_of = np.unique(
-                net.link_src[ids], return_index=True, return_inverse=True
-            )
-            ends = np.append(starts[1:], ids.size)
-            next_lo = net.node_id(l + 1, 0)
-            self._slot[srcs] = np.arange(srcs.size)
-            self._layers.append(
-                _Layer(
-                    net.node_id(l, 0), slice(int(ids[0]), int(ids[-1]) + 1),
-                    srcs, starts, ends, ends - starts > 1, src_of,
-                    net.link_dst[ids] - next_lo, next_lo, net.layer_sizes[l + 1],
-                )
-            )
+        for layer in net.plan:
+            self._slot[layer.srcs] = np.arange(layer.srcs.size)
 
         # Tagged bookkeeping: classes are origins, or (window, origin) pairs
         # at index window * n_origin + origin; FIFO rows carry one more
@@ -212,10 +189,9 @@ class _IntegerSim:
         net = self.net
         t = self.cfg.t0 + k * self.dt
         state = QueueState(self.q.astype(float), t)
-        rates = _policy_rates(self.policy, state, net, self.arr, self.svc, self.dt)
-        bad = rates.capacity_violations()
-        if bad:
-            raise EngineError(f"policy rates exceed capacity on link {bad[0]}")
+        rates = self._check(
+            _policy_rates(self.policy, state, net, self.arr, self.svc, self.dt)
+        )
 
         self.arrival_bank += self.arr.rates * self.dt
         born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
@@ -227,7 +203,7 @@ class _IntegerSim:
         self.link_bank += rates.values * self.dt
         demand = np.floor(self.link_bank + 1e-12).astype(np.int64)
         self.link_bank -= demand
-        for layer in self._layers:
+        for layer in net.plan:
             self._transfer(layer, demand[layer.links])
 
         cap_f = self.service_bank + self.svc.rates * self.dt
@@ -252,7 +228,7 @@ class _IntegerSim:
             self.applied.append(rates.values)
             self.history.append(self.q.astype(float))
 
-    def _transfer(self, layer: _Layer, want: np.ndarray) -> None:
+    def _transfer(self, layer: LayerPlan, want: np.ndarray) -> None:
         """Grant one layer's link budgets against its sources' backlogs and
         move the packets to the next layer."""
         if not want.any():
@@ -265,7 +241,7 @@ class _IntegerSim:
             # a short source sends its whole supply down a single out-link
             # and splits it in proportion to the budgets over several
             grant = np.where(short[layer.src_of], supply[layer.src_of], want)
-            links = np.flatnonzero((short & layer.fanned)[layer.src_of])
+            links = np.flatnonzero(short[layer.src_of] & ~layer.single)
             if links.size:
                 srcs, seg = np.unique(layer.src_of[links], return_inverse=True)
                 grant[links] = _allocate_each(
@@ -335,7 +311,7 @@ class _IntegerSim:
                 if born[nid]:
                     self._push(nid, None, int(born[nid]))
 
-    def _move_tagged(self, layer: _Layer, grant, moved, inflow) -> None:
+    def _move_tagged(self, layer: LayerPlan, grant, moved, inflow) -> None:
         """Carry the tagged classes of one layer's transfers along: each
         source pops its moved packets and splits them across its out-links
         in grant order; the untagged remainder of every destination's

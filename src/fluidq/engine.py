@@ -179,29 +179,24 @@ def _advance(
     mu: np.ndarray,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler step.  Returns (q_next, sent_per_link, served_per_egress)."""
+    """One Euler step, one layer of the network's plan at a time.  Returns
+    (q_next, sent_per_link, served_per_egress)."""
     q = q.copy()
     n1 = net.layer_sizes[0]
     q[:n1] += lam * dt
     sent = np.zeros(net.num_links)
-    for l in range(net.num_layers - 1):
-        ids = net.layer_links(l)
-        if not ids.size:
-            continue
-        lo = net.node_id(l, 0)
-        width = net.layer_sizes[l]
-        src_local = net.link_src[ids] - lo
-        want = values[ids] * dt
-        desired = np.bincount(src_local, weights=want, minlength=width)
-        avail = q[lo : lo + width]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(desired > avail, avail / desired, 1.0)
-        scale = np.clip(np.nan_to_num(scale, nan=1.0, posinf=1.0), 0.0, 1.0)
-        x = want * scale[src_local]
-        shipped = np.bincount(src_local, weights=x, minlength=width)
-        q[lo : lo + width] = np.maximum(avail - shipped, 0.0)
-        np.add.at(q, net.link_dst[ids], x)
-        sent[ids] = x
+    for layer in net.plan:
+        want = values[layer.links] * dt
+        desired = np.bincount(layer.src_local, weights=want, minlength=layer.width)
+        avail = q[layer.lo : layer.next_lo]
+        # desired > avail >= 0 makes every quotient finite and in [0, 1)
+        scale = np.ones(layer.width)
+        np.divide(avail, desired, out=scale, where=desired > avail)
+        x = want * scale[layer.src_local]
+        shipped = np.bincount(layer.src_local, weights=x, minlength=layer.width)
+        q[layer.lo : layer.next_lo] = np.maximum(avail - shipped, 0.0)
+        np.add.at(q[layer.next_lo : layer.next_lo + layer.next_width], layer.dst_local, x)
+        sent[layer.links] = x
     egress_lo = net.node_id(net.num_layers - 1, 0)
     served = np.minimum(q[egress_lo:], mu * dt)
     q[egress_lo:] -= served
@@ -234,6 +229,23 @@ def _policy_rates(policy, state, net, arr, svc, dt) -> RateAssignment:
     return policy.rates(state, net, arr, svc, dt)
 
 
+class _CapacityCheck:
+    """Capacity check of a run's per-step assignments.  An assignment is
+    immutable, so one that the policy returns again (a static policy
+    returns the same object every step) is checked only the first time."""
+
+    def __init__(self):
+        self._last = None
+
+    def __call__(self, rates: RateAssignment) -> RateAssignment:
+        if rates is not self._last:
+            bad = rates.capacity_violations()
+            if bad:
+                raise EngineError(f"policy rates exceed capacity on link {bad[0]}")
+            self._last = rates
+        return rates
+
+
 def run(
     net: LayeredNetwork,
     arr: ArrivalProfile,
@@ -246,9 +258,13 @@ def run(
     ``policy`` is either a static :class:`RateAssignment` or any object
     exposing ``rates(state, net, arr, svc, dt)``; it is evaluated once per
     step on the recorded state at the step start (before that step's
-    arrivals).  In integer-packet mode (``cfg.discretize``) backlogs stay
-    integral and per-step transfers are rounded down with fractional
-    remainders banked per link.
+    arrivals).  Every assignment is checked against the capacities before
+    it is applied; one that is the very object of the previous step is not
+    checked again, so a static policy is checked once per run.  Each step
+    works through the network's :attr:`~fluidq.network.LayeredNetwork.plan`
+    one layer at a time.  In integer-packet mode (``cfg.discretize``)
+    backlogs stay integral and per-step transfers are rounded down with
+    fractional remainders banked per link.
     """
     ensure_valid(net, arr, svc)
     if cfg.discretize:
@@ -265,12 +281,10 @@ def run(
     served_total = np.zeros(net.layer_sizes[-1])
     queues[0] = q
     injected = arr.total * dt
+    checked = _CapacityCheck()
     for k in range(steps):
         state = QueueState(queues[k], cfg.t0 + k * dt)
-        rates = _policy_rates(policy, state, net, arr, svc, dt)
-        bad = rates.capacity_violations()
-        if bad:
-            raise EngineError(f"policy rates exceed capacity on link {bad[0]}")
+        rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
         q_next, sent, served = _advance(
             queues[k], rates.values, net, arr.rates, svc.rates, dt
         )

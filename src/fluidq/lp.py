@@ -175,4 +175,8 @@ def solve_lp(
         if basis[r] < width:
             x[basis[r]] = tableau[r, -1]
     x_real = np.maximum(x[:n], 0.0)
+    if n:
+        # pivoting leaves round-off (about 1e-13) on variables that are zero
+        # at the optimum; callers judge which ones carry flow
+        x_real[x_real < 1e-9 * x_real.max()] = 0.0
     return LPResult(OPTIMAL, x_real, float(c @ x_real))

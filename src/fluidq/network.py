@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,6 +169,16 @@ class LayeredNetwork:
             self.in_links[nid] for l in range(1, self.num_layers) for nid in self.layer_nodes(l)
         )
 
+    @cached_property
+    def plan(self) -> tuple["LayerPlan", ...]:
+        """One :class:`LayerPlan` per layer that has out-links, in layer
+        order; built on first use and shared by the policies and engines."""
+        return tuple(
+            LayerPlan.build(self, l)
+            for l in range(self.num_layers - 1)
+            if self._layer_links[l].size
+        )
+
     def __repr__(self) -> str:
         shape = "x".join(str(n) for n in self.layer_sizes)
         return f"LayeredNetwork({shape}, {self.num_links} links)"
@@ -179,6 +190,52 @@ class LayeredNetwork:
 
     def __hash__(self) -> int:
         return hash((self.layer_sizes, self.links))
+
+
+class LayerPlan(NamedTuple):
+    """Index arrays for the links leaving one network layer, so that a
+    per-step computation over the layer is a few whole-array operations.
+
+    Links are sorted by layer, then source, so the layer's links are one
+    slice of the link vector and each source's links one run inside it.
+    Per-link arrays are aligned with that slice; per-source arrays with
+    ``srcs``, the layer's nodes that have out-links.
+    """
+
+    index: int  # the layer l; its links enter layer l + 1
+    links: slice
+    lo: int  # node ids of layer l are lo .. next_lo - 1
+    width: int
+    next_lo: int  # node ids of layer l + 1 are next_lo .. next_lo + next_width - 1
+    next_width: int
+    srcs: np.ndarray  # node ids with out-links, ascending
+    starts: np.ndarray  # per source: its first link within the slice (reduceat starts)
+    ends: np.ndarray  # per source: one past its last link
+    src_of: np.ndarray  # per link: index of its source in ``srcs``
+    src_local: np.ndarray  # per link: source index within layer l
+    dst_local: np.ndarray  # per link: destination index within layer l + 1
+    single: np.ndarray  # per link: it is its source's only out-link
+    caps: np.ndarray  # per link: capacity
+
+    @classmethod
+    def build(cls, net: "LayeredNetwork", l: int) -> "LayerPlan":
+        ids = net.layer_links(l)
+        links = slice(int(ids[0]), int(ids[-1]) + 1)
+        lo, next_lo = net.node_id(l, 0), net.node_id(l + 1, 0)
+        srcs, starts, src_of = np.unique(
+            net.link_src[ids], return_index=True, return_inverse=True
+        )
+        ends = np.append(starts[1:], ids.size)
+        arrays = dict(
+            srcs=srcs, starts=starts, ends=ends, src_of=src_of,
+            src_local=net.link_src[ids] - lo, dst_local=net.link_dst[ids] - next_lo,
+            single=(ends - starts == 1)[src_of], caps=net.capacities[links],
+        )
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        return cls(
+            l, links, lo, net.layer_sizes[l], next_lo, net.layer_sizes[l + 1], **arrays
+        )
 
 
 def _readonly_vector(values: Sequence[float], name: str) -> np.ndarray:

@@ -24,15 +24,6 @@ from .network import (
 
 log = logging.getLogger("fluidq")
 
-_warned: set[str] = set()
-
-
-def _warn_once(message: str) -> None:
-    if message not in _warned:
-        _warned.add(message)
-        log.warning(message)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a min-delay membership check.
@@ -55,8 +46,8 @@ def as_gamma(values, num_layers: int) -> tuple[float, ...]:
     gamma = tuple(float(v) for v in values)
     if len(gamma) != num_layers:
         raise ValueError(f"gamma needs {num_layers} entries, got {len(gamma)}")
-    if any(not v > 0 for v in gamma):
-        raise ValueError("gamma entries must be positive")
+    if any(not (v > 0 and math.isfinite(v)) for v in gamma):
+        raise ValueError(f"gamma entries must be positive and finite, got {gamma}")
     return gamma
 
 
@@ -101,13 +92,13 @@ def check_min_delay_single_sink(
         return CheckResult(True, None, (1.0, float(lam.sum() / mu)))
     ratios = g / lam
     spread = _spread(ratios)
-    if spread > tol:
+    if not spread <= tol:
         return CheckResult(
             False,
             "rates are not proportional to arrival rates",
             residuals={"ratio_spread": spread},
         )
-    if g.sum() < mu - tol * max(1.0, mu):
+    if not g.sum() >= mu - tol * max(1.0, mu):
         return CheckResult(
             False,
             "total rate below the service rate (throughput lost)",
@@ -137,11 +128,11 @@ def check_min_delay_single_hop(
     residuals["ingress_ratio_spread"] = _spread(rows / arr.rates)
     residuals["egress_ratio_spread"] = _spread(cols / svc.rates)
     residuals["throughput_deficit"] = float(np.max(svc.rates - cols))
-    if residuals["ingress_ratio_spread"] > tol:
+    if not residuals["ingress_ratio_spread"] <= tol:
         return CheckResult(False, "ingress totals are not proportional to arrivals", None, residuals)
-    if residuals["egress_ratio_spread"] > tol:
+    if not residuals["egress_ratio_spread"] <= tol:
         return CheckResult(False, "egress totals are not proportional to service rates", None, residuals)
-    if residuals["throughput_deficit"] > tol * max(1.0, float(svc.rates.max())):
+    if not residuals["throughput_deficit"] <= tol * max(1.0, float(svc.rates.max())):
         return CheckResult(False, "an egress node is fed below its service rate", None, residuals)
     gamma = (float((arr.rates / rows).mean()), float((cols / svc.rates).mean()))
     return CheckResult(True, None, gamma, residuals)
@@ -206,7 +197,7 @@ def check_min_delay_layered(
         target = given[l] if given else float(r.mean())
         dev = float(np.max(np.abs(r - target)) / max(abs(target), 1e-300))
         residuals[f"layer_{l + 1}_ratio_spread"] = dev
-        if dev > tol:
+        if not dev <= tol:
             return CheckResult(
                 False, f"unequal ingress/egress ratios at layer {l + 1}", None, residuals
             )
@@ -215,7 +206,7 @@ def check_min_delay_layered(
     service = np.minimum(inflow[list(net.egress_nodes)], svc.rates).sum()
     best = min(arr.total, svc.total)
     residuals["throughput_deficit"] = float(best - service)
-    if service < best - tol * max(1.0, best):
+    if not service >= best - tol * max(1.0, best):
         return CheckResult(False, "maximum throughput not achieved", tuple(inferred), residuals)
     return CheckResult(True, None, tuple(inferred), residuals)
 
@@ -254,7 +245,7 @@ def construct_rate_proportional(
     _check_constructible(net)
     ratio = arr.total / svc.total
     prod = math.prod(gamma)
-    if abs(prod - ratio) > 1e-9 * max(1.0, ratio):
+    if not abs(prod - ratio) <= 1e-9 * max(1.0, ratio):
         raise ValueError(
             f"gamma product {prod:g} differs from total arrival/service ratio "
             f"{ratio:g}; the egress-layer clause cannot hold"
@@ -395,6 +386,56 @@ class BackpressurePolicy:
         return backpressure_rates(state, net, svc)
 
 
+_CLIP_WARNING = (
+    "queue-proportional rates hit capacity and were downscaled; "
+    "the throughput clause may be violated"
+)
+
+
+def _queue_proportional(state, net, svc, gamma, arr, dt) -> tuple[np.ndarray, bool]:
+    """Rate vector of :func:`queue_proportional_rates` and whether capacity
+    clipped it."""
+    if gamma is not None:
+        gamma = as_gamma(gamma, net.num_layers)
+    total_service = svc.total
+    values = np.zeros(net.num_links)
+    clipped = False
+    for layer in net.plan:
+        l = layer.index
+        shares = state.q[layer.lo : layer.next_lo].astype(float)
+        if l == 0 and arr is not None and dt > 0:
+            shares = shares + arr.rates * dt
+        if shares.sum() <= 0:
+            shares = np.ones(layer.width)
+
+        if net.is_single_sink():
+            budget = total_service
+            if gamma is not None:
+                budget = max(budget, shares.sum() / gamma[0])
+            values = proportional_fill(shares, net.capacities, budget)
+            return values, values.sum() < budget - 1e-9 * max(1.0, budget)
+
+        if gamma is not None:
+            node_egress = shares / gamma[l]
+            scale_up = total_service / node_egress.sum() if node_egress.sum() > 0 else 1.0
+            if scale_up > 1.0:
+                node_egress = node_egress * scale_up
+        else:
+            node_egress = total_service * shares / shares.sum()
+        mass = svc.rates if l == net.num_layers - 2 else np.ones(layer.next_width)
+        share = mass / mass.sum()
+        v = node_egress[layer.src_local] * np.where(layer.single, 1.0, share[layer.dst_local])
+        over = v > layer.caps
+        if over.any():
+            # each source keeps its split and scales down to its tightest link
+            factor = np.ones(layer.width)
+            np.minimum.at(factor, layer.src_local[over], layer.caps[over] / v[over])
+            v = v * factor[layer.src_local]
+            clipped = True
+        values[layer.links] = v
+    return values, clipped
+
+
 def queue_proportional_rates(
     state: QueueState,
     net: LayeredNetwork,
@@ -414,78 +455,43 @@ def queue_proportional_rates(
     without arrival-rate knowledge entering the proportions.  Per-link
     splits follow the proportional construction: service-rate shares into
     the egress layer, uniform elsewhere.  Rates that would exceed capacity
-    are waterfilled (single-sink) or proportionally downscaled with a
-    warning.
+    are waterfilled (single-sink) or proportionally downscaled per source
+    node, and every call that clips logs a warning.
+
+    Each layer is a handful of whole-array operations on the network's
+    :attr:`~fluidq.network.LayeredNetwork.plan`: a link's rate is its
+    source's egress times its destination share (times 1 on a source's
+    only out-link), and a source's downscale factor is the smallest
+    capacity-to-rate ratio over its links.
     """
-    if gamma is not None:
-        gamma = as_gamma(gamma, net.num_layers)
-    total_service = svc.total
-    values = np.zeros(net.num_links)
-    clipped = False
-    for l in range(net.num_layers - 1):
-        ids = list(net.layer_nodes(l))
-        shares = state.q[ids].astype(float).copy()
-        if l == 0 and arr is not None and dt > 0:
-            shares = shares + arr.rates * dt
-        if shares.sum() <= 0:
-            shares = np.ones(len(ids))
-        if gamma is not None:
-            node_egress = shares / gamma[l]
-            scale_up = total_service / node_egress.sum() if node_egress.sum() > 0 else 1.0
-            if scale_up > 1.0:
-                node_egress = node_egress * scale_up
-        else:
-            node_egress = total_service * shares / shares.sum()
-
-        if net.is_single_sink():
-            budget = total_service
-            if gamma is not None:
-                budget = max(budget, shares.sum() / gamma[0])
-            values = proportional_fill(shares, net.capacities, budget)
-            if values.sum() < budget - 1e-9 * max(1.0, budget):
-                _warn_once(
-                    "queue-proportional rates hit capacity and were downscaled; "
-                    "the throughput clause may be violated"
-                )
-            break
-
-        next_lo = net.node_id(l + 1, 0)
-        mass = (
-            svc.rates if l == net.num_layers - 2 else np.ones(net.layer_sizes[l + 1])
-        )
-        share = mass / mass.sum()
-        for local, nid in enumerate(ids):
-            out = net.out_links[nid]
-            if len(out) == 1:
-                values[out[0]] = node_egress[local]
-            else:
-                for lk in out:
-                    values[lk] = node_egress[local] * share[net.links[lk].dst]
-            factor = 1.0
-            for lk in out:
-                cap = net.links[lk].capacity
-                if values[lk] > cap:
-                    factor = min(factor, cap / values[lk])
-            if factor < 1.0:
-                clipped = True
-                for lk in out:
-                    values[lk] *= factor
+    values, clipped = _queue_proportional(state, net, svc, gamma, arr, dt)
     if clipped:
-        _warn_once(
-            "queue-proportional rates hit capacity and were downscaled; "
-            "the throughput clause may be violated"
-        )
+        log.warning(_CLIP_WARNING)
     return RateAssignment(net, values)
 
 
 class QueueProportionalPolicy:
+    """Queue-proportional control.  ``clipped_steps`` counts the steps on
+    the current network whose rates capacity clipped; the first of them
+    logs a warning, once per network."""
+
     name = "opt-queue"
 
     def __init__(self, gamma=None):
         self.gamma = gamma
+        self.clipped_steps = 0
+        self._net = None
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return queue_proportional_rates(state, net, svc, self.gamma, arr, dt)
+        if net is not self._net:
+            self._net = net
+            self.clipped_steps = 0
+        values, clipped = _queue_proportional(state, net, svc, self.gamma, arr, dt)
+        if clipped:
+            if not self.clipped_steps:
+                log.warning(_CLIP_WARNING)
+            self.clipped_steps += 1
+        return RateAssignment(net, values)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +537,7 @@ def check_min_delay_tree(
             lam_in = np.array([subtree_lam[net.link_src[k]] for k in in_ids])
             dev = _spread(lam_in / g_in)
             residuals[f"node_{l + 1}_{j + 1}_ratio_spread"] = dev
-            if dev > tol:
+            if not dev <= tol:
                 return CheckResult(
                     False,
                     f"link rates into layer {l + 1} node {j + 1} are not "
@@ -544,7 +550,7 @@ def check_min_delay_tree(
     service = np.minimum(inflow[egress_ids], svc.rates).sum()
     best = float(np.minimum(subtree_lam[egress_ids], svc.rates).sum())
     residuals["throughput_deficit"] = float(best - service)
-    if service < best - tol * max(1.0, best):
+    if not service >= best - tol * max(1.0, best):
         return CheckResult(False, "maximum throughput not achieved", None, residuals)
     return CheckResult(True, None, None, residuals)
 

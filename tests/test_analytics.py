@@ -356,9 +356,8 @@ def test_three_layer_path_delay_is_the_expected_linear_combination():
 def test_single_sink_queue_policy_warns_when_capacity_starves_budget(caplog):
     import logging
 
-    from fluidq.policies import _warned, queue_proportional_rates
+    from fluidq.policies import queue_proportional_rates
 
-    _warned.clear()
     net = single_sink(2, [0.5, 0.5])  # total capacity 1 < mu
     svc = ServiceProfile([4.0])
     state = QueueState(np.array([5.0, 5.0, 0.0]), 0.0)

@@ -138,3 +138,31 @@ def test_simplex_against_external_solver_on_random_instances():
         assert ours.status == lp.OPTIMAL and ref.status == 0
         assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
         solved += 1
+
+
+def test_overload_verdict_against_networkx_max_flow():
+    """Overloaded exactly when the max-flow from a source (arc capacity
+    lambda_i into each ingress) to a sink (mu_j out of each egress) falls
+    short of the total arrival rate."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for _ in range(20):
+        sizes = [int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 4)))]
+        caps = [rng.integers(1, 4, size=(a, b)) for a, b in zip(sizes, sizes[1:])]
+        net = full_connection(sizes, caps)
+        arr = ArrivalProfile(rng.integers(1, 5, size=sizes[0]).astype(float))
+        svc = ServiceProfile(rng.integers(1, 5, size=sizes[-1]).astype(float))
+        graph = nx.DiGraph()
+        egress_lo = net.num_nodes - sizes[-1]
+        for i, rate in enumerate(arr.rates):
+            graph.add_edge("s", i, capacity=float(rate))
+        for j, rate in enumerate(svc.rates):
+            graph.add_edge(egress_lo + j, "t", capacity=float(rate))
+        for k, cap in enumerate(net.capacities):
+            graph.add_edge(int(net.link_src[k]), int(net.link_dst[k]), capacity=float(cap))
+        flow = nx.maximum_flow_value(graph, "s", "t")
+        overloaded = overload_check(net, arr, svc).overloaded
+        assert overloaded == (flow < arr.total - 1e-9)
+        verdicts.add(overloaded)
+    assert verdicts == {True, False}

@@ -1,0 +1,295 @@
+"""The per-network layer plan and the whole-layer policy and fluid step
+built on it: plan structure, the vectorized queue-proportional rates
+against the per-node loop they replace, seeded trajectories pinned bit for
+bit, and the capacity check made once per distinct assignment."""
+import hashlib
+
+import numpy as np
+import pytest
+
+from fluidq import (
+    ArrivalProfile,
+    EngineError,
+    Link,
+    LayeredNetwork,
+    QueueState,
+    RateAssignment,
+    ServiceProfile,
+    SimConfig,
+    fan_in_tree,
+    full_connection,
+    queue_proportional_rates,
+    run,
+    tagged_run,
+)
+from fluidq.bench import make_policy, preset, sample_instance
+from fluidq.policies import StaticPolicy
+
+SEED = 20240811
+
+
+def _mixed_net(rng, sizes, capacity, fan=0.5):
+    """Random layered net whose layers mix fanned sources and sources with
+    a single out-link (each source fans out further with probability
+    ``fan``); every node keeps an in-link and an out-link."""
+    links = []
+    for l in range(len(sizes) - 1):
+        n, m = sizes[l], sizes[l + 1]
+        pairs = {(i, int(rng.integers(m))) for i in range(n)}
+        pairs |= {(int(rng.integers(n)), j) for j in range(m)}
+        for i in range(n):
+            if rng.random() < fan:
+                pairs |= {(i, int(j)) for j in rng.choice(m, size=min(m, 2), replace=False)}
+        for i, j in sorted(pairs):
+            links.append(Link(l, i, j, float(capacity(rng))))
+    return LayeredNetwork(sizes, links)
+
+
+def _reference_rates(state, net, svc, gamma=None, arr=None, dt=0.0):
+    """The per-node, per-link loop that ``queue_proportional_rates`` ran
+    before it was vectorized (multi-node egress layers only).  Returns the
+    rate vector and whether capacity clipped it."""
+    total_service = svc.total
+    values = np.zeros(net.num_links)
+    clipped = False
+    for l in range(net.num_layers - 1):
+        ids = list(net.layer_nodes(l))
+        shares = state.q[ids].astype(float).copy()
+        if l == 0 and arr is not None and dt > 0:
+            shares = shares + arr.rates * dt
+        if shares.sum() <= 0:
+            shares = np.ones(len(ids))
+        if gamma is not None:
+            node_egress = shares / gamma[l]
+            scale_up = total_service / node_egress.sum() if node_egress.sum() > 0 else 1.0
+            if scale_up > 1.0:
+                node_egress = node_egress * scale_up
+        else:
+            node_egress = total_service * shares / shares.sum()
+        mass = svc.rates if l == net.num_layers - 2 else np.ones(net.layer_sizes[l + 1])
+        share = mass / mass.sum()
+        for local, nid in enumerate(ids):
+            out = net.out_links[nid]
+            if len(out) == 1:
+                values[out[0]] = node_egress[local]
+            else:
+                for lk in out:
+                    values[lk] = node_egress[local] * share[net.links[lk].dst]
+            factor = 1.0
+            for lk in out:
+                cap = net.links[lk].capacity
+                if values[lk] > cap:
+                    factor = min(factor, cap / values[lk])
+            if factor < 1.0:
+                clipped = True
+                for lk in out:
+                    values[lk] *= factor
+    return values, clipped
+
+
+# ---------------------------------------------------------------------------
+# the plan
+
+
+def test_plan_is_built_lazily_once_and_matches_the_links():
+    rng = np.random.default_rng(3)
+    net = _mixed_net(rng, (5, 4, 3, 2), lambda r: r.uniform(1, 5))
+    assert "plan" not in vars(net)  # construction does not build it
+    plan = net.plan
+    assert net.plan is plan
+    assert [layer.index for layer in plan] == [0, 1, 2]
+    for layer in plan:
+        ids = net.layer_links(layer.index)
+        assert np.array_equal(np.arange(net.num_links)[layer.links], ids)
+        assert layer.lo == net.node_id(layer.index, 0)
+        assert layer.next_lo == net.node_id(layer.index + 1, 0)
+        assert np.array_equal(layer.lo + layer.src_local, net.link_src[ids])
+        assert np.array_equal(layer.next_lo + layer.dst_local, net.link_dst[ids])
+        assert np.array_equal(layer.srcs[layer.src_of], net.link_src[ids])
+        assert np.array_equal(layer.caps, net.capacities[ids])
+        degree = np.array([len(net.out_links[s]) for s in net.link_src[ids]])
+        assert np.array_equal(layer.single, degree == 1)
+        for s, src in enumerate(layer.srcs):
+            assert tuple(ids[layer.starts[s] : layer.ends[s]]) == net.out_links[src]
+        assert not layer.caps.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# vectorized queue-proportional rates against the per-node loop
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_queue_proportional_matches_per_node_loop(case):
+    rng = np.random.default_rng([SEED, case])
+    sizes = tuple(int(n) for n in rng.integers(2, 7, size=int(rng.integers(2, 5))))
+    if case % 3 == 0:  # fully connected: every source fanned
+        net = full_connection(sizes, float(rng.uniform(0.5, 6.0)))
+    else:  # mostly single out-links, or a mix
+        fan = 0.0 if case % 3 == 1 else 0.5
+        net = _mixed_net(rng, sizes, lambda r: r.uniform(0.5, 6.0), fan)
+    arr = ArrivalProfile(rng.integers(1, 10, size=sizes[0]).astype(float))
+    svc = ServiceProfile(rng.integers(1, 8, size=sizes[-1]).astype(float))
+    q = rng.uniform(0, 20, size=net.num_nodes) * (rng.random(net.num_nodes) < 0.7)
+    if case % 5 == 0:
+        q[:] = 0.0  # zero backlogs: arrivals smooth the ingress shares
+    gamma = None
+    if case % 2:
+        gamma = tuple(rng.uniform(0.3, 3.0, size=net.num_layers))
+    state = QueueState(q, 0.0)
+    dt = 0.0 if case % 7 == 0 else 0.01
+    expected, _ = _reference_rates(state, net, svc, gamma, arr, dt)
+    got = queue_proportional_rates(state, net, svc, gamma, arr, dt)
+    assert np.array_equal(got.values, expected)
+
+
+def test_queue_proportional_match_covers_clipping_and_single_links(caplog):
+    """On mixed nets with tight capacities the rates match the loop, many
+    calls clip, and a warning is logged exactly when the loop clipped."""
+    import logging
+
+    clipped_cases = singles = 0
+    for case in range(40):
+        rng = np.random.default_rng([SEED, 99, case])
+        net = _mixed_net(rng, (6, 5, 4), lambda r: r.uniform(0.2, 3.0))
+        arr = ArrivalProfile(rng.integers(1, 10, size=6).astype(float))
+        svc = ServiceProfile(rng.integers(2, 9, size=4).astype(float))
+        state = QueueState(rng.uniform(0, 9, size=net.num_nodes), 0.0)
+        expected, clipped = _reference_rates(state, net, svc, None, arr, 0.01)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fluidq"):
+            got = queue_proportional_rates(state, net, svc, None, arr, 0.01)
+        assert np.array_equal(got.values, expected)
+        assert bool(caplog.records) == clipped
+        clipped_cases += clipped
+        singles += any(layer.single.any() for layer in net.plan)
+    assert clipped_cases >= 10 and singles >= 30
+
+
+def test_queue_proportional_on_a_tree_matches_loop():
+    net = fan_in_tree([4, 2, 1], [[0, 0, 1, 1], [0, 0]], capacity=2.0)
+    arr = ArrivalProfile([3.0, 1.0, 4.0, 1.0])
+    svc = ServiceProfile([2.0])
+    for q in ([5.0, 1.0, 0.0, 2.0, 3.0, 0.5, 1.0], [0.0] * 7):
+        state = QueueState(np.array(q), 0.0)
+        expected, _ = _reference_rates(state, net, svc, None, arr, 0.1)
+        got = queue_proportional_rates(state, net, svc, None, arr, 0.1)
+        assert np.array_equal(got.values, expected)
+
+
+# ---------------------------------------------------------------------------
+# seeded trajectories pinned bit for bit
+
+
+def _digest(traj) -> str:
+    h = hashlib.sha256()
+    for part in (traj.queues, traj.rates, traj.link_flow, traj.served):
+        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (preset, mode, policy) -> digest of queues, rates, link flow and service,
+# recorded with the per-node policy loop and the fluid step it replaces
+PINNED = {
+    ("nsxnd", "fluid", "opt-queue"): "cc59b7a52a578c5c",
+    ("nsxnd", "fluid", "bp"): "7b107d015d01352c",
+    ("nsxnd", "fluid", "max"): "d43553c5271d82fc",
+    ("nsxnd", "fluid", "opt-static"): "1f1c233a97a1ddda",
+    ("nsxnd", "integer", "opt-queue"): "947e1509fbaf0554",
+    ("nsxnd", "integer", "bp"): "52abdb99dad83a01",
+    ("nsxnd", "integer", "max"): "a6a0eaf4678953e7",
+    ("nsxnd", "integer", "opt-static"): "58fac2f6a2b98814",
+    ("multistage-16x12x8x6", "fluid", "opt-queue"): "f11fe29819bb0229",
+    ("multistage-16x12x8x6", "fluid", "bp"): "d72fadbb0f30cd4c",
+    ("multistage-16x12x8x6", "fluid", "max"): "678d40c04bfb3f18",
+    ("multistage-16x12x8x6", "fluid", "opt-static"): "f29e9c38a1c84401",
+    ("multistage-16x12x8x6", "integer", "opt-queue"): "772f579e48809eb2",
+    ("multistage-16x12x8x6", "integer", "bp"): "3c8ca4c7e8cddcd8",
+    ("multistage-16x12x8x6", "integer", "max"): "42c496b6c9c5685f",
+    ("multistage-16x12x8x6", "integer", "opt-static"): "1304cc9f81894f92",
+}
+MODES = {
+    "fluid": SimConfig(horizon=0.6, dt=0.01),
+    "integer": SimConfig(horizon=30.0, dt=1.0, discretize=True),
+}
+
+
+def _pinned_run(family, mode, policy):
+    inst = sample_instance(preset(family), np.random.default_rng([SEED, 7]), 0)
+    return run(inst.net, inst.arr, inst.svc, make_policy(policy, inst), MODES[mode])
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids="/".join)
+def test_seeded_trajectories_are_bit_identical(key):
+    assert _digest(_pinned_run(*key)) == PINNED[key]
+
+
+# ---------------------------------------------------------------------------
+# capacity check once per distinct assignment
+
+
+@pytest.fixture
+def count_checks(monkeypatch):
+    calls = []
+    original = RateAssignment.capacity_violations
+
+    def counted(self, tol=1e-9):
+        calls.append(self)
+        return original(self, tol)
+
+    monkeypatch.setattr(RateAssignment, "capacity_violations", counted)
+    return calls
+
+
+def _small_instance():
+    net = full_connection([2, 2], 3.0)
+    return net, ArrivalProfile([2.0, 1.0]), ServiceProfile([1.0, 1.0])
+
+
+class _Alternating:
+    """Returns assignment a, a, b, b, a, a, ... (new objects only on change)."""
+
+    def __init__(self, a, b):
+        self.pair, self.calls = (a, b), 0
+
+    def rates(self, state, net, arr, svc, dt):
+        self.calls += 1
+        return self.pair[(self.calls - 1) // 2 % 2]
+
+
+@pytest.mark.parametrize("discretize", [False, True])
+def test_static_assignment_is_capacity_checked_once_per_run(count_checks, discretize):
+    net, arr, svc = _small_instance()
+    a = RateAssignment(net, [1.0, 0.5, 0.5, 1.0])
+    cfg = SimConfig(horizon=10.0, dt=1.0, discretize=discretize)
+    run(net, arr, svc, StaticPolicy(a), cfg)
+    assert count_checks == [a]
+    count_checks.clear()
+    run(net, arr, svc, a, cfg)  # a bare assignment too, once more per run
+    assert count_checks == [a]
+
+
+@pytest.mark.parametrize("discretize", [False, True])
+def test_changed_assignment_is_checked_again(count_checks, discretize):
+    net, arr, svc = _small_instance()
+    a = RateAssignment(net, [1.0, 0.5, 0.5, 1.0])
+    b = RateAssignment(net, [2.0, 0.0, 0.0, 2.0])
+    cfg = SimConfig(horizon=10.0, dt=1.0, discretize=discretize)
+    run(net, arr, svc, _Alternating(a, b), cfg)
+    assert count_checks == [a, b, a, b, a]
+
+
+@pytest.mark.parametrize("discretize", [False, True])
+def test_over_capacity_assignment_still_fails_after_a_good_one(discretize):
+    net, arr, svc = _small_instance()
+    good = RateAssignment(net, [1.0, 0.5, 0.5, 1.0])
+    bad = RateAssignment(net, [4.0, 0.0, 0.0, 1.0])  # 4 > capacity 3
+    cfg = SimConfig(horizon=10.0, dt=1.0, discretize=discretize)
+    with pytest.raises(EngineError, match="exceed capacity"):
+        run(net, arr, svc, _Alternating(good, bad), cfg)
+
+
+def test_tagged_run_checks_a_static_policy_once(count_checks):
+    net, arr, svc = _small_instance()
+    a = RateAssignment(net, [1.0, 0.5, 0.5, 1.0])
+    tagged_run(net, arr, svc, StaticPolicy(a), SimConfig(horizon=5.0, dt=1.0, discretize=True))
+    assert count_checks == [a]

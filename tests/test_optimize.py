@@ -15,6 +15,7 @@ from fluidq import (
     overload_check,
     run,
     single_sink,
+    throughput_tight_gamma,
 )
 from fluidq import lp
 
@@ -262,3 +263,33 @@ def test_objective_spec_validation():
         ObjectiveSpec("total_bandwidth", split_cap=0.0)
     with pytest.raises(ValueError):
         ObjectiveSpec("total_bandwidth", utilization_cap=1.5)
+
+
+def test_max_utilization_on_multistage_instance_matches_highs(monkeypatch):
+    """Round-off left on unused middle nodes used to fail the ratio check
+    (SimplexError) on this instance; the solver now snaps it to zero."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    from dataclasses import replace
+
+    from fluidq.bench import preset, sample_instance
+
+    cfg = replace(preset("multistage-16x12x8x6"), layer_sizes=(8, 6, 4, 3))
+    inst = sample_instance(cfg, np.random.default_rng([20240811, 1, 0]), 0)
+    problems = []
+    solve = lp.solve_lp
+
+    def capture(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+        problems.append((c, a_ub, b_ub, a_eq, b_eq))
+        return solve(c, a_ub, b_ub, a_eq, b_eq)
+
+    monkeypatch.setattr(lp, "solve_lp", capture)
+    rates, value = co_optimize(inst.net, inst.arr, inst.svc, ObjectiveSpec("max_utilization"))
+    c, a_ub, b_ub, a_eq, b_eq = problems[-1]
+    ref = scipy_opt.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    assert ref.status == 0
+    assert value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    # the value is what the returned rates realize
+    assert value == pytest.approx(float(np.max(rates.values / inst.net.capacities)), rel=1e-9)
+    gamma = throughput_tight_gamma(inst.arr, inst.svc, inst.net.num_layers)
+    assert check_min_delay_layered(inst.net, inst.arr, inst.svc, rates, gamma, tol=1e-8)
+

@@ -148,6 +148,37 @@ def test_layered_check_rejects_perturbed_link():
 # construction
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_gamma_must_be_positive_and_finite(bad):
+    net = full_connection([2, 2])
+    arr, svc = ArrivalProfile([6.0, 3.0]), ServiceProfile([2.0, 1.0])
+    rates = construct_rate_proportional(net, arr, svc, (3.0, 1.0))
+    with pytest.raises(ValueError, match="positive and finite"):
+        check_min_delay_layered(net, arr, svc, rates, gamma=(bad, 1.0))
+
+
+def test_checkers_fail_on_nan_deviations():
+    """A NaN arrival rate makes the ratio deviations NaN; every checker
+    must then fail instead of passing."""
+    net = full_connection([2, 2])
+    svc = ServiceProfile([2.0, 1.0])
+    rates = construct_rate_proportional(net, ArrivalProfile([6.0, 3.0]), svc, (3.0, 1.0))
+    nan_arr = ArrivalProfile([math.nan, 3.0])
+    assert not check_min_delay_layered(net, nan_arr, svc, rates).ok
+    assert not check_min_delay_single_hop(net, nan_arr, svc, rates).ok
+    sink = single_sink(2, [4.0, 2.0])
+    verdict = check_min_delay_single_sink(
+        sink, ArrivalProfile([8.0, math.nan]), ServiceProfile([2.0]),
+        single_sink_rates(sink, [2.0, 0.75]),
+    )
+    assert not verdict.ok and math.isnan(verdict.residuals["ratio_spread"])
+    tree = fan_in_tree([2, 1], [[0, 0]], 10.0)
+    assert not check_min_delay_tree(
+        tree, ArrivalProfile([math.nan, 1.0]), ServiceProfile([1.0]),
+        RateAssignment(tree, [1.0, 1.0]),
+    ).ok
+
+
 def test_construct_single_sink_identity():
     lam = np.array([4.0, 8.0])
     net = single_sink(2)
@@ -245,6 +276,47 @@ def test_queue_proportional_waterfills_capacity_on_single_sink():
     assert rates.values[0] == pytest.approx(1.0)  # saturated
     assert rates.values[1] == pytest.approx(2.0)  # picks up the slack
     assert rates.values.sum() == pytest.approx(3.0)
+
+
+def _clip_warnings(caplog):
+    return sum("throughput clause" in r.message for r in caplog.records)
+
+
+def test_each_clipping_run_logs_its_own_warning(caplog):
+    """Every run that clips logs a warning, not just the first in the
+    process; a policy logs once per network and counts the clipped steps."""
+    import logging
+
+    net = single_sink(2, [0.5, 0.5])  # total capacity 1 < mu
+    arr, svc = ArrivalProfile([3.0, 3.0]), ServiceProfile([4.0])
+    cfg = SimConfig(horizon=5.0, dt=1.0, discretize=True)
+    with caplog.at_level(logging.WARNING, logger="fluidq"):
+        for expected in (1, 2):
+            policy = QueueProportionalPolicy()
+            run(net, arr, svc, policy, cfg)
+            assert policy.clipped_steps == 5
+            assert _clip_warnings(caplog) == expected
+        other = single_sink(2, [0.5, 0.5])
+        run(other, arr, svc, policy, cfg)  # same policy, new network
+        assert policy.clipped_steps == 5
+        assert _clip_warnings(caplog) == 3
+
+
+def test_queue_proportional_rates_warns_on_every_clipped_call(caplog):
+    import logging
+
+    net = full_connection([2, 2], 0.5)  # per-link caps bind
+    svc = ServiceProfile([2.0, 2.0])
+    state = QueueState(np.array([4.0, 4.0, 0.0, 0.0]), 0.0)
+    with caplog.at_level(logging.WARNING, logger="fluidq"):
+        for _ in range(2):
+            rates = queue_proportional_rates(state, net, svc)
+            assert rates.values.max() == pytest.approx(0.5)
+    assert _clip_warnings(caplog) == 2
+    roomy = full_connection([2, 2], 10.0)
+    caplog.clear()
+    queue_proportional_rates(state, roomy, svc)
+    assert _clip_warnings(caplog) == 0
 
 
 # ---------------------------------------------------------------------------
