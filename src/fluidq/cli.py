@@ -20,6 +20,7 @@ from .engine import run
 from .network import RateAssignment, SimConfig, load
 from .optimize import (
     OBJECTIVE_KINDS,
+    InfeasibleError,
     ObjectiveSpec,
     balanced_growth_gamma,
     co_optimize,
@@ -156,7 +157,11 @@ def cmd_optimize(args) -> int:
         split_cap = doc.get("beta")
         utilization_cap = doc.get("theta")
     spec = ObjectiveSpec(args.objective, forced, split_cap, utilization_cap)
-    rates, value = co_optimize(net, arr, svc, spec, gamma)
+    try:
+        rates, value = co_optimize(net, arr, svc, spec, gamma)
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 1
     print(f"objective {args.objective} = {value:.9g}")
     payload = json.dumps(rates.to_dict(), indent=2, sort_keys=True)
     if args.out:

@@ -76,12 +76,23 @@ class ObjectiveSpec:
             raise ValueError("utilization cap must be in (0, 1]")
 
 
-def _node_in_out_columns(net: LayeredNetwork):
-    """Per node, the link-column index lists for ingress and egress."""
-    return (
-        [list(net.in_links[nid]) for nid in range(net.num_nodes)],
-        [list(net.out_links[nid]) for nid in range(net.num_nodes)],
-    )
+def _incidence(net: LayeredNetwork, width: int) -> np.ndarray:
+    """Node-by-column matrix of inflow minus outflow: +1 where a link
+    enters the node, -1 where it leaves; columns past the links are 0."""
+    a = np.zeros((net.num_nodes, width))
+    cols = np.arange(net.num_links)
+    a[net.link_dst, cols] = 1.0
+    a[net.link_src, cols] = -1.0
+    return a
+
+
+def _node_rhs(net: LayeredNetwork, ingress, egress) -> np.ndarray:
+    """Per-node vector holding ``ingress`` on layer 1, ``egress`` on the
+    last layer and 0 in between."""
+    rhs = np.zeros(net.num_nodes)
+    rhs[: net.layer_sizes[0]] = ingress
+    rhs[net.num_nodes - net.layer_sizes[-1] :] = egress
+    return rhs
 
 
 def overload_check(
@@ -91,49 +102,25 @@ def overload_check(
 
     Not overloaded means some g within the capacities ships every ingress
     node's arrivals while no node (middle or egress) receives more than it
-    can pass on; the witness returned satisfies that system to 1e-9.
-    Boundary-feasible instances count as not overloaded.
+    can pass on; the witness returned satisfies that system, capacities
+    included, to 1e-9.  Boundary-feasible instances count as not
+    overloaded.
     """
     ensure_valid(net, arr, svc)
     m = net.num_links
-    in_cols, out_cols = _node_in_out_columns(net)
-    a_ub: list[np.ndarray] = []
-    b_ub: list[float] = []
-    for i, nid in enumerate(net.ingress_nodes):
-        row = np.zeros(m)
-        row[out_cols[nid]] = -1.0
-        a_ub.append(row)
-        b_ub.append(-float(arr.rates[i]))
-    for l in range(1, net.num_layers - 1):
-        for nid in net.layer_nodes(l):
-            row = np.zeros(m)
-            row[in_cols[nid]] = 1.0
-            row[out_cols[nid]] -= 1.0
-            a_ub.append(row)
-            b_ub.append(0.0)
-    for j, nid in enumerate(net.egress_nodes):
-        row = np.zeros(m)
-        row[in_cols[nid]] = 1.0
-        a_ub.append(row)
-        b_ub.append(float(svc.rates[j]))
-    for k, link in enumerate(net.links):
-        if not link.unbounded:
-            row = np.zeros(m)
-            row[k] = 1.0
-            a_ub.append(row)
-            b_ub.append(link.capacity)
-    result = lp.solve_lp(np.zeros(m), a_ub=np.array(a_ub), b_ub=np.array(b_ub))
+    # one row per node: inflow - outflow <= -lambda_i / 0 / mu_j
+    a_ub = _incidence(net, m)
+    b_ub = _node_rhs(net, -arr.rates, svc.rates)
+    caps = net.capacities
+    result = lp.solve_lp(np.zeros(m), a_ub=a_ub, b_ub=b_ub, upper=caps)
     if result.status == lp.INFEASIBLE:
         return OverloadVerdict(
             True, None, "no rate vector within capacity can bound all backlogs"
         )
-    witness = RateAssignment(net, result.x)
-    residual = max(
-        (float(row @ result.x) - bb for row, bb in zip(a_ub, b_ub)), default=0.0
-    )
-    if residual > 1e-9 * max(1.0, arr.total):
+    residual = np.max(np.concatenate([a_ub @ result.x - b_ub, result.x - caps, -result.x]))
+    if not (residual <= 1e-9 * max(1.0, arr.total)):
         raise lp.SimplexError(f"witness violates the system by {residual:g}")
-    return OverloadVerdict(False, witness, "bounded-backlog rates exist")
+    return OverloadVerdict(False, RateAssignment(net, result.x), "bounded-backlog rates exist")
 
 
 def balanced_growth_gamma(
@@ -189,148 +176,120 @@ def co_optimize(
             gamma = throughput_tight_gamma(arr, svc, net.num_layers)
     gamma = as_gamma(gamma, net.num_layers)
     ratio = arr.total / svc.total
-    if abs(math.prod(gamma) - ratio) > 1e-9 * max(1.0, ratio):
+    if not (abs(math.prod(gamma) - ratio) <= 1e-9 * max(1.0, ratio)):
         raise InfeasibleError(
             f"gamma product {math.prod(gamma):g} is inconsistent with the "
             f"arrival/service ratio {ratio:g}; maximum throughput cannot hold"
         )
 
     m = net.num_links
-    in_cols, out_cols = _node_in_out_columns(net)
-    aux = 0
-    if objective.kind in ("max_utilization", "max_layer_growth"):
-        aux = 1
-    elif objective.kind == "max_overload_rate":
-        aux = 2  # free epigraph variable split into t+ and t-
+    # epigraph variable t >= max(...); a growth can be negative, so there
+    # t is free and split into t+ and t-
+    aux = {"max_utilization": 1, "max_overload_rate": 2, "max_layer_growth": 2}.get(
+        objective.kind, 0
+    )
     width = m + aux
+    node_layer = np.repeat(np.arange(net.num_layers), net.layer_sizes)
+    src_layer = node_layer[net.link_src]
+    incidence = _incidence(net, width)
 
-    a_eq: list[np.ndarray] = []
-    b_eq: list[float] = []
-    eq_names: list[str] = []
-    for i, nid in enumerate(net.ingress_nodes):
-        row = np.zeros(width)
-        row[out_cols[nid]] = 1.0
-        a_eq.append(row)
-        b_eq.append(float(arr.rates[i]) / gamma[0])
-        eq_names.append(f"ingress ratio at layer 1 node {i + 1}")
-    for l in range(1, net.num_layers - 1):
-        for nid in net.layer_nodes(l):
-            _, i = net.node_coords(nid)
-            row = np.zeros(width)
-            row[in_cols[nid]] = 1.0
-            row[out_cols[nid]] -= gamma[l]
-            a_eq.append(row)
-            b_eq.append(0.0)
-            eq_names.append(f"ratio at layer {l + 1} node {i + 1}")
-    for j, nid in enumerate(net.egress_nodes):
-        row = np.zeros(width)
-        row[in_cols[nid]] = 1.0
-        a_eq.append(row)
-        b_eq.append(gamma[-1] * float(svc.rates[j]))
-        eq_names.append(f"egress ratio at node {j + 1}")
+    # one ratio row per node: an ingress node sends lambda_i / gamma_1, a
+    # middle node of layer l receives gamma_l times what it sends, an
+    # egress node receives gamma_L * mu_j
+    a_eq = incidence.copy()
+    a_eq[net.link_src, np.arange(m)] = np.where(
+        src_layer == 0, 1.0, -np.asarray(gamma)[src_layer]
+    )
+    b_eq = _node_rhs(net, arr.rates / gamma[0], gamma[-1] * svc.rates)
+    coords = [net.node_coords(nid) for nid in range(net.num_nodes)]
+    eq_names = [
+        f"ingress ratio at layer 1 node {i + 1}" if l == 0
+        else f"egress ratio at node {i + 1}" if l == net.num_layers - 1
+        else f"ratio at layer {l + 1} node {i + 1}"
+        for l, i in coords
+    ]
+
+    # capacities (after the utilization cap) and forced zeros are bounds
+    upper = np.full(width, np.inf)
+    upper[:m] = net.capacities
+    if objective.utilization_cap is not None:
+        upper[:m] *= objective.utilization_cap
+    forced = set()
     for key in objective.forced_zero:
         if tuple(key) not in net.link_index:
             raise ValueError(f"forced-zero link {key} does not exist")
-        row = np.zeros(width)
-        row[net.link_index[tuple(key)]] = 1.0
-        a_eq.append(row)
-        b_eq.append(0.0)
-        eq_names.append(f"forced zero on link {tuple(key)}")
+        forced.add(net.link_index[tuple(key)])
+    upper[list(forced)] = 0.0
+    cap_name = "capacity of" if objective.utilization_cap is None else "utilization cap on"
+    bound_names = [
+        f"forced zero on link {link.key}" if k in forced else f"{cap_name} link {link.key}"
+        for k, link in enumerate(net.links)
+    ]
 
     a_ub: list[np.ndarray] = []
-    b_ub: list[float] = []
+    b_ub: list[np.ndarray] = []
     ub_names: list[str] = []
 
-    def add_ub(row, b, name):
-        a_ub.append(row)
-        b_ub.append(b)
-        ub_names.append(name)
+    def add_ub(rows, rhs, names):
+        a_ub.append(rows)
+        b_ub.append(rhs)
+        ub_names.extend(names)
 
-    for k, link in enumerate(net.links):
-        cap = link.capacity
-        if objective.utilization_cap is not None and not link.unbounded:
-            cap = min(cap, objective.utilization_cap * link.capacity)
-        if not math.isinf(cap):
-            row = np.zeros(width)
-            row[k] = 1.0
-            add_ub(row, cap, f"capacity of link {link.key}")
     if objective.split_cap is not None:
+        # g_k <= beta * (node inflow), where layer 1 nodes receive lambda_i
         beta = objective.split_cap
-        for k, link in enumerate(net.links):
-            row = np.zeros(width)
-            row[k] = 1.0
-            nid = net.link_src[k]
-            if link.layer == 0:
-                bound = beta * float(arr.rates[link.src])
-            else:
-                row[in_cols[nid]] -= beta
-                bound = 0.0
-            add_ub(row, bound, f"split cap on link {link.key}")
+        rows = np.zeros((m, width))
+        rows[:, :m] = np.eye(m) - beta * (incidence[net.link_src, :m] > 0)
+        first = src_layer == 0
+        rhs = np.zeros(m)
+        rhs[first] = beta * arr.rates[net.link_src[first]]
+        add_ub(rows, rhs, [f"split cap on link {link.key}" for link in net.links])
 
     c = np.zeros(width)
+    finite = np.flatnonzero(np.isfinite(net.capacities))
     if objective.kind == "total_bandwidth":
         c[:m] = 1.0
     elif objective.kind == "avg_utilization":
-        finite = [k for k, link in enumerate(net.links) if not link.unbounded]
-        if not finite:
+        if not finite.size:
             raise ValueError("average utilization needs at least one finite capacity")
-        for k in finite:
-            c[k] = 1.0 / (net.capacities[k] * len(finite))
+        c[finite] = 1.0 / (net.capacities[finite] * finite.size)
     elif objective.kind == "max_utilization":
         c[m] = 1.0
-        for k, link in enumerate(net.links):
-            if link.unbounded:
-                continue
-            row = np.zeros(width)
-            row[k] = 1.0
-            row[m] = -net.capacities[k]
-            add_ub(row, 0.0, f"utilization epigraph for link {link.key}")
+        rows = np.zeros((finite.size, width))
+        rows[np.arange(finite.size), finite] = 1.0
+        rows[:, m] = -net.capacities[finite]
+        add_ub(rows, np.zeros(finite.size), [
+            f"utilization epigraph for link {net.links[k].key}" for k in finite
+        ])
     elif objective.kind == "max_overload_rate":
-        c[m] = 1.0
-        c[m + 1] = -1.0
-        for nid in range(net.num_nodes):
-            l, i = net.node_coords(nid)
-            row = np.zeros(width)
-            rhs = 0.0
-            if l == 0:
-                rhs = -float(arr.rates[i])
-            else:
-                row[in_cols[nid]] = 1.0
-            if l == net.num_layers - 1:
-                rhs += float(svc.rates[i])
-            else:
-                row[out_cols[nid]] -= 1.0
-            row[m] = -1.0
-            row[m + 1] = 1.0
-            add_ub(row, rhs, f"overload epigraph at layer {l + 1} node {i + 1}")
+        c[m:] = (1.0, -1.0)
+        rows = incidence.copy()
+        rows[:, m:] = (-1.0, 1.0)
+        add_ub(rows, _node_rhs(net, -arr.rates, svc.rates), [
+            f"overload epigraph at layer {l + 1} node {i + 1}" for l, i in coords
+        ])
     elif objective.kind == "max_layer_growth":
-        c[m] = 1.0
-        for l in range(net.num_layers):
-            row = np.zeros(width)
-            rhs = 0.0
-            for nid in net.layer_nodes(l):
-                _, i = net.node_coords(nid)
-                if l == 0:
-                    rhs -= float(arr.rates[i])
-                else:
-                    row[in_cols[nid]] += 1.0
-                if l == net.num_layers - 1:
-                    rhs += float(svc.rates[i])
-                else:
-                    row[out_cols[nid]] -= 1.0
-            row[m] = -1.0
-            add_ub(row, rhs, f"growth epigraph at layer {l + 1}")
+        c[m:] = (1.0, -1.0)
+        starts = [net.layer_nodes(l).start for l in range(net.num_layers)]
+        rows = np.add.reduceat(incidence, starts, axis=0)
+        rows[:, m:] = (-1.0, 1.0)
+        rhs = np.zeros(net.num_layers)
+        rhs[0] = -arr.total
+        rhs[-1] = svc.total
+        add_ub(rows, rhs, [f"growth epigraph at layer {l + 1}" for l in range(net.num_layers)])
 
     result = lp.solve_lp(
         c,
-        a_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        a_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
+        a_ub=np.vstack(a_ub) if a_ub else None,
+        b_ub=np.concatenate(b_ub) if b_ub else None,
+        a_eq=a_eq,
+        b_eq=b_eq,
+        upper=upper,
     )
     if result.status == lp.INFEASIBLE:
         names = ub_names + eq_names
-        binding = [names[r] for r in result.infeasible_rows if r < len(names)]
+        binding = [names[r] for r in result.infeasible_rows]
+        binding += [bound_names[k] for k in result.infeasible_bounds if k < m]
         raise InfeasibleError("min-delay constraint system is infeasible", binding)
     if result.status != lp.OPTIMAL:
         raise InfeasibleError(f"solver returned {result.status}")
@@ -338,7 +297,7 @@ def co_optimize(
     verdict = check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
     if not verdict:
         raise lp.SimplexError(f"optimizer output fails the ratio check: {verdict.reason}")
-    if objective.kind == "max_overload_rate":
+    if aux == 2:
         value = float(result.x[m] - result.x[m + 1])
     elif aux:
         value = float(result.x[m])

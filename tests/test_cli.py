@@ -98,6 +98,28 @@ def test_optimize_with_constraints_file(tmp_path, capsys):
     assert payload["1:1:1"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_optimize_reports_infeasible_input_on_stderr(tmp_path, capsys):
+    from fluidq import full_connection
+
+    # the only source cannot reach d1 yet d1 must be fed mu_1
+    net = full_connection([1, 2])
+    arr, svc = ArrivalProfile([6.0]), ServiceProfile([2.0, 2.0])
+    net_path = tmp_path / "n.json"
+    save(net_path, net, arr, svc)
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps({"forced_zero": ["1:1:1"]}))
+    code = main([
+        "optimize", "--net", str(net_path), "--objective", "total_bandwidth",
+        "--constraints", str(cons),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "min-delay constraint system is infeasible" in captured.err
+    assert "forced zero on link (0, 0, 0)" in captured.err
+    assert "egress ratio at node 1" in captured.err
+
+
 def test_bench_and_conjecture_subcommands(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main([

@@ -6,14 +6,17 @@ import pytest
 
 from fluidq import (
     ArrivalProfile,
+    InfeasibleError,
     Link,
     LayeredNetwork,
+    ObjectiveSpec,
     RateAssignment,
     ServiceProfile,
     SimConfig,
     analytic_report,
     check_min_delay_single_hop,
     check_min_delay_single_sink,
+    co_optimize,
     full_connection,
     overload_check,
     packet_delay,
@@ -166,3 +169,258 @@ def test_overload_verdict_against_networkx_max_flow():
         assert overloaded == (flow < arr.total - 1e-9)
         verdicts.add(overloaded)
     assert verdicts == {True, False}
+
+
+def _highs_bounds(upper):
+    return [(0.0, None if np.isinf(u) else float(u)) for u in upper]
+
+
+def _highs_status(ref):
+    return {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[ref.status]
+
+
+#: HiGHS's presolve can report an unbounded LP as infeasible
+_NO_PRESOLVE = {"presolve": False}
+
+
+def test_bounded_simplex_against_external_solver_on_random_instances():
+    """Random LPs with inequality and equality rows (right-hand sides of
+    either sign) and upper bounds that are finite, infinite or 0: the
+    status always matches HiGHS, and so does the optimum."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        n_ub = int(rng.integers(0, 4))
+        n_eq = int(rng.integers(0, 3))
+        c = rng.integers(-3, 4, size=n).astype(float)
+        a_ub = rng.integers(-2, 3, size=(n_ub, n)).astype(float)
+        a_eq = rng.integers(-2, 3, size=(n_eq, n)).astype(float)
+        upper = rng.choice([0.0, 1.0, 2.5, 4.0, np.inf], size=n)
+        if rng.random() < 0.6:
+            # a point within the bounds satisfies every row
+            x0 = np.minimum(upper, rng.integers(0, 3, size=n))
+            b_ub = a_ub @ x0 + rng.integers(0, 2, size=n_ub)
+            b_eq = a_eq @ x0
+        else:
+            b_ub = rng.integers(-3, 6, size=n_ub).astype(float)
+            b_eq = rng.integers(-3, 6, size=n_eq).astype(float)
+        ours = lp.solve_lp(
+            c, a_ub if n_ub else None, b_ub if n_ub else None,
+            a_eq if n_eq else None, b_eq if n_eq else None, upper=upper,
+        )
+        ref = scipy_opt.linprog(
+            c, A_ub=a_ub if n_ub else None, b_ub=b_ub if n_ub else None,
+            A_eq=a_eq if n_eq else None, b_eq=b_eq if n_eq else None,
+            bounds=_highs_bounds(upper), method="highs", options=_NO_PRESOLVE,
+        )
+        assert ours.status == _highs_status(ref)
+        seen.add(ours.status)
+        if ours.status == lp.OPTIMAL:
+            assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+            x = ours.x
+            assert np.all(x >= 0.0) and np.all(x <= upper)
+            assert np.all(a_ub @ x <= b_ub + 1e-9)
+            assert np.allclose(a_eq @ x, b_eq, atol=1e-9)
+    assert seen == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+
+
+def test_bounds_alone_make_an_lp_infeasible():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    c, a_eq, b_eq = [1.0, 1.0], [[1.0, 1.0]], [5.0]
+    assert lp.solve_lp(c, a_eq=a_eq, b_eq=b_eq).status == lp.OPTIMAL
+    for upper, a_ub, b_ub in (
+        ([2.0, 2.0], None, None),
+        # x1 >= 3 written as -x1 <= -3, with x1 <= 2
+        ([2.0, np.inf], [[-1.0, 0.0]], [-3.0]),
+    ):
+        ours = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+        ref = scipy_opt.linprog(
+            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=_highs_bounds(upper), method="highs", options=_NO_PRESOLVE,
+        )
+        assert ours.status == _highs_status(ref) == lp.INFEASIBLE
+        assert ours.infeasible_rows
+        # raising x1's bound is what would help
+        assert 0 in ours.infeasible_bounds
+
+
+def test_bounded_lp_can_still_be_unbounded():
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    c, a_ub, b_ub, upper = [-1.0, -1.0], [[1.0, -1.0]], [1.0], [np.inf, 3.0]
+    # x2 is bounded, and x1 <= 1 + x2 only while x2 is; drop the bound
+    ours = lp.solve_lp(c, a_ub, b_ub, upper=upper)
+    assert ours.status == lp.OPTIMAL and ours.objective == pytest.approx(-7.0)
+    for upper in ([np.inf, np.inf], [5.0, np.inf]):
+        ours = lp.solve_lp(c, a_ub, b_ub, upper=upper)
+        ref = scipy_opt.linprog(
+            c, A_ub=a_ub, b_ub=b_ub, bounds=_highs_bounds(upper), method="highs",
+            options=_NO_PRESOLVE,
+        )
+        assert ours.status == _highs_status(ref) == lp.UNBOUNDED
+
+
+def test_optimum_reached_by_bound_flips_without_a_pivot(monkeypatch):
+    """Both variables stop at their own bounds before the row binds: the
+    solver flips them there and never pivots."""
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    pivots = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(args[2:]) or pivot(*args))
+    c, a_ub, b_ub, upper = [-1.0, -2.0], [[1.0, 1.0]], [10.0], [2.0, 3.0]
+    ours = lp.solve_lp(c, a_ub, b_ub, upper=upper)
+    assert pivots == []
+    assert ours.status == lp.OPTIMAL
+    assert np.array_equal(ours.x, [2.0, 3.0])
+    ref = scipy_opt.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=_highs_bounds(upper), method="highs")
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+def _highs_co_optimum(kind, net, lam, mu, spec):
+    """The min-delay co-optimization solved by HiGHS, written node by node
+    from the model: default per-layer ratios gamma, every ingress node
+    sends lambda_i / gamma_1, a middle node of layer l receives gamma_l
+    times what it sends, every egress node receives gamma_L * mu_j, and
+    0 <= g_k <= c_k (times the utilization cap; 0 when forced).  Returns
+    the HiGHS status (0 optimal, 2 infeasible) and the optimum."""
+    from scipy.optimize import linprog
+
+    layers = net.num_layers
+    total_lam, total_mu = float(lam.sum()), float(mu.sum())
+    if kind in ("max_overload_rate", "max_layer_growth"):
+        excess = total_lam - total_mu
+        gamma = [
+            (total_lam - (l - 1) / layers * excess) / (total_lam - l / layers * excess)
+            for l in range(1, layers + 1)
+        ]
+    else:
+        gamma = [total_lam / total_mu] + [1.0] * (layers - 1)
+    links = net.links
+    m = len(links)
+    width = m + (kind not in ("total_bandwidth", "avg_utilization"))
+
+    def out_of(l, i):
+        return [k for k, ln in enumerate(links) if ln.layer == l and ln.src == i]
+
+    def into(l, i):
+        return [k for k, ln in enumerate(links) if ln.layer == l - 1 and ln.dst == i]
+
+    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    growth = []  # per node: (row of inflow - outflow, constant part)
+    for l, size in enumerate(net.layer_sizes):
+        for i in range(size):
+            row = np.zeros(width)
+            grow = np.zeros(width)
+            const = 0.0
+            if l == 0:
+                row[out_of(l, i)] = 1.0
+                b_eq.append(lam[i] / gamma[0])
+                const += lam[i]
+            else:
+                row[into(l, i)] = 1.0
+                grow[into(l, i)] = 1.0
+                b_eq.append(gamma[-1] * mu[i] if l == layers - 1 else 0.0)
+            if l == layers - 1:
+                const -= mu[i]
+            else:
+                grow[out_of(l, i)] = -1.0
+                if l > 0:
+                    row[out_of(l, i)] = -gamma[l]
+            a_eq.append(row)
+            growth.append((l, grow, const))
+    forced = {tuple(key) for key in spec.forced_zero}
+    bounds = []
+    for k, ln in enumerate(links):
+        cap = ln.capacity * (spec.utilization_cap or 1.0)
+        bounds.append((0.0, 0.0 if ln.key in forced else None if np.isinf(cap) else cap))
+        if spec.split_cap is not None:
+            row = np.zeros(width)
+            row[k] = 1.0
+            if ln.layer == 0:
+                b_ub.append(spec.split_cap * lam[ln.src])
+            else:
+                row[into(ln.layer, ln.src)] -= spec.split_cap
+                b_ub.append(0.0)
+            a_ub.append(row)
+    finite = [k for k, ln in enumerate(links) if not ln.unbounded]
+    c = np.zeros(width)
+    if kind == "total_bandwidth":
+        c[:m] = 1.0
+    elif kind == "avg_utilization":
+        for k in finite:
+            c[k] = 1.0 / (links[k].capacity * len(finite))
+    else:
+        c[m] = 1.0
+        bounds.append((0.0, None) if kind == "max_utilization" else (None, None))
+    if kind == "max_utilization":
+        for k in finite:
+            row = np.zeros(width)
+            row[k] = 1.0
+            row[m] = -links[k].capacity
+            a_ub.append(row)
+            b_ub.append(0.0)
+    elif kind == "max_overload_rate":
+        for _, grow, const in growth:
+            grow = grow.copy()
+            grow[m] = -1.0
+            a_ub.append(grow)
+            b_ub.append(-const)
+    elif kind == "max_layer_growth":
+        for l in range(layers):
+            row = sum(g for gl, g, _ in growth if gl == l)
+            row[m] = -1.0
+            a_ub.append(row)
+            b_ub.append(-sum(const for gl, _, const in growth if gl == l))
+    res = linprog(
+        c, A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub if b_ub else None,
+        A_eq=np.array(a_eq), b_eq=b_eq, bounds=bounds, method="highs",
+    )
+    return res.status, (float(res.x[m] if width > m else res.fun) if res.status == 0 else None)
+
+
+def test_every_objective_against_external_solver_on_random_instances():
+    """All five objectives, with and without a utilization cap, a split cap
+    and a forced-zero link: the optimum matches HiGHS to 1e-6, and
+    InfeasibleError is raised exactly when HiGHS finds no solution."""
+    pytest.importorskip("scipy.optimize")
+    from fluidq.optimize import OBJECTIVE_KINDS
+
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(12):
+        sizes = [int(v) for v in rng.integers(1, 4, size=int(rng.integers(2, 5)))]
+        caps = [rng.integers(2, 9, size=(a, b)).astype(float) for a, b in zip(sizes, sizes[1:])]
+        for block in caps[1:]:
+            block[rng.random(block.shape) < 0.2] = np.inf
+        net = full_connection(sizes, caps)
+        lam = rng.integers(2, 9, size=sizes[0]).astype(float)
+        mu = rng.uniform(0.5, 2.0, size=sizes[-1])
+        arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
+        forced = (net.links[int(rng.integers(net.num_links))].key,)
+        variants = (
+            {},
+            {"utilization_cap": 0.5},
+            {"split_cap": 0.6},
+            {"forced_zero": forced},
+            {"utilization_cap": 0.7, "split_cap": 0.8, "forced_zero": forced},
+        )
+        for kind in OBJECTIVE_KINDS:
+            for extra in variants:
+                spec = ObjectiveSpec(kind, **extra)
+                status, best = _highs_co_optimum(kind, net, lam, mu, spec)
+                assert status in (0, 2)
+                outcomes.add(status)
+                if status == 2:
+                    with pytest.raises(InfeasibleError) as exc:
+                        co_optimize(net, arr, svc, spec)
+                    assert exc.value.binding
+                    continue
+                rates, value = co_optimize(net, arr, svc, spec)
+                assert value == pytest.approx(best, rel=1e-6, abs=1e-6), (kind, extra)
+                g = rates.values
+                bound = net.capacities * (spec.utilization_cap or 1.0)
+                assert np.all(g <= bound + 1e-9)
+                for key in spec.forced_zero:
+                    assert rates[key] == 0.0
+    assert outcomes == {0, 2}

@@ -58,6 +58,44 @@ def test_lp_negative_rhs_normalization():
     assert result.x[0] == pytest.approx(2.0)
 
 
+def test_lp_upper_bounds_replace_rows():
+    # the first test's problem with x <= 2 as a bound instead of a row
+    result = lp.solve_lp([-1.0, -2.0], a_ub=[[1, 1]], b_ub=[4], upper=[2.0, np.inf])
+    assert result.status == lp.OPTIMAL
+    assert np.allclose(result.x, [0, 4])
+    # y <= 3 binds: x takes the rest of the row
+    result = lp.solve_lp([-1.0, -2.0], a_ub=[[1, 1]], b_ub=[4], upper=[2.0, 3.0])
+    assert np.allclose(result.x, [1, 3])
+    assert result.objective == pytest.approx(-7.0)
+    # a bound of 0 fixes the variable
+    result = lp.solve_lp([-1.0, -2.0], a_ub=[[1, 1]], b_ub=[4], upper=[2.0, 0.0])
+    assert np.allclose(result.x, [2, 0])
+
+
+def test_lp_without_rows_goes_to_the_cheaper_end_of_each_range():
+    result = lp.solve_lp([-1.0, 2.0, 0.0], upper=[3.0, 4.0, np.inf])
+    assert result.status == lp.OPTIMAL
+    assert np.array_equal(result.x, [3.0, 0.0, 0.0])
+    assert result.objective == -3.0
+    assert lp.solve_lp([-1.0, 2.0]).status == lp.UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"c": [np.nan, 1.0], "a_ub": [[1, 1]], "b_ub": [1]},
+        {"c": [1.0, 1.0], "a_ub": [[1, np.inf]], "b_ub": [1]},
+        {"c": [1.0, 1.0], "a_eq": [[1, 1]], "b_eq": [np.nan]},
+        {"c": [1.0, 1.0], "a_ub": [[1, 1]], "b_ub": [1], "upper": [1.0, np.nan]},
+        {"c": [1.0, 1.0], "a_ub": [[1, 1]], "b_ub": [1], "upper": [1.0, -1.0]},
+        {"c": [1.0, 1.0], "a_ub": [[1, 1]], "b_ub": [1], "upper": [1.0]},
+    ],
+)
+def test_lp_rejects_non_finite_input_and_bad_bounds(kwargs):
+    with pytest.raises(ValueError):
+        lp.solve_lp(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # overload verdicts
 
@@ -101,6 +139,18 @@ def test_witness_keeps_queues_bounded():
     cfg = SimConfig(horizon=100.0, dt=0.01)
     traj = run(net, arr, svc, verdict.witness, cfg)
     assert traj.queues.max() <= 0.1  # transient only; nothing accumulates
+
+
+@pytest.mark.parametrize("bad", [np.nan, 5.0])
+def test_overload_witness_is_checked_against_rows_and_bounds(monkeypatch, bad):
+    """A witness with a NaN entry, or one above its link's capacity (a bound
+    of the LP, not a row), fails the residual check."""
+    net = single_sink(2, [4.0, 4.0])
+    arr, svc = ArrivalProfile([1.0, 1.0]), ServiceProfile([10.0])
+    x = np.array([bad, 1.0])
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: lp.LPResult(lp.OPTIMAL, x, 0.0))
+    with pytest.raises(lp.SimplexError, match="witness violates"):
+        overload_check(net, arr, svc)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +243,9 @@ def test_infeasible_routing_is_reported_with_binding_constraints():
     arr, svc = ArrivalProfile([6.0]), ServiceProfile([2.0, 2.0])
     # the only source cannot reach d1 yet d1 must be fed mu_1
     spec = ObjectiveSpec("total_bandwidth", forced_zero=((0, 0, 0),))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError) as exc:
         co_optimize(net, arr, svc, spec)
+    assert exc.value.binding
 
 
 def test_gamma_product_mismatch_is_rejected():
@@ -278,14 +329,17 @@ def test_max_utilization_on_multistage_instance_matches_highs(monkeypatch):
     problems = []
     solve = lp.solve_lp
 
-    def capture(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-        problems.append((c, a_ub, b_ub, a_eq, b_eq))
-        return solve(c, a_ub, b_ub, a_eq, b_eq)
+    def capture(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, upper=None):
+        problems.append((c, a_ub, b_ub, a_eq, b_eq, upper))
+        return solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
 
     monkeypatch.setattr(lp, "solve_lp", capture)
     rates, value = co_optimize(inst.net, inst.arr, inst.svc, ObjectiveSpec("max_utilization"))
-    c, a_ub, b_ub, a_eq, b_eq = problems[-1]
-    ref = scipy_opt.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    c, a_ub, b_ub, a_eq, b_eq, upper = problems[-1]
+    bounds = [(0.0, None if np.isinf(u) else u) for u in upper]
+    ref = scipy_opt.linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+    )
     assert ref.status == 0
     assert value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
     # the value is what the returned rates realize
