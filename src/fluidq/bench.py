@@ -245,8 +245,10 @@ def run_experiment(
     """One ResultRow per (instance, policy); deterministic given the seed.
 
     Per-instance failures are logged and skipped rather than aborting the
-    sweep.  When ``out_dir`` is given, writes ``results.{csv,json}`` plus
-    one empirical-CDF file per (policy, metric).
+    sweep, as is an instance whose optimal row has a nonpositive or NaN
+    delay; such instances have no rows in the result.  When ``out_dir`` is
+    given, writes ``results.{csv,json}`` plus one empirical-CDF file per
+    (policy, metric).
     """
     opt_name = next((p for p in cfg.policies if p.startswith("opt")), cfg.policies[0])
     jobs = [(cfg, k) for k in range(cfg.num_instances)]
@@ -264,7 +266,7 @@ def run_experiment(
     for k in sorted(raw):
         rows = raw[k]
         opt = next((r for r in rows if r[1] == opt_name), None)
-        if opt is None or opt[2] <= 0:
+        if opt is None or not (opt[2] > 0 and opt[3] > 0):
             log.warning("instance %d has no usable %s row; skipping", k, opt_name)
             continue
         for _, name, d_avg, d_max, fairness in rows:

@@ -197,6 +197,7 @@ def cmd_bench(args) -> int:
     )
     results = bench_mod.run_experiment(cfg, out_dir=args.out, fmt=args.format,
                                        workers=args.workers)
+    missing = cfg.num_instances - len({row.instance_id for row in results})
     by_policy: dict[str, list[float]] = {}
     for row in results:
         by_policy.setdefault(row.policy, []).append(row.ratio_avg_vs_opt)
@@ -205,6 +206,10 @@ def cmd_bench(args) -> int:
             f"{name}: mean d_avg ratio vs opt = {np.mean(ratios):.3f}, "
             f"max = {np.max(ratios):.3f}"
         )
+    if missing:
+        print(f"{missing} of {cfg.num_instances} instances produced no rows",
+              file=sys.stderr)
+        return 1
     return 0
 
 

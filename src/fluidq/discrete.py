@@ -11,15 +11,25 @@ policy's assignment is capacity-checked whenever it differs from the
 previous step's object, so a static policy is checked once per run.
 
 For delay measurement, packets are tracked as exchangeability classes: an
-origin, or a (window, origin) pair when arrivals are grouped in windows.  A
-node holding tagged packets keeps a FIFO of rows, one per step in which
-packets entered it, each a count per class plus an untagged column.  Ties
-inside a row are resolved by deterministic proportional splitting, which is
-one valid FIFO execution.  Untagged mass (initial backlog and arrivals after
-the measurement window) occupies queue space but carries no class; a node
-without tagged packets keeps no rows.  No packet carries a timestamp: a
-class's summed sojourn is dt times the sum over steps of its packets in the
-system (Little's law, L = lambda W).
+origin, or a (window, origin) pair when arrivals are grouped in windows.
+Untagged mass (initial backlog and arrivals after the measurement window)
+occupies queue space but carries no class.
+
+An ingress node's FIFO only ever holds single-class runs in arrival order:
+its untagged backlog, one run per class of its origin, then untagged
+arrivals after the horizon.  So it is kept as Newell's cumulative counts:
+the packets it has taken in (``in_pos``) and sent on (``out_pos``), and
+each class's interval of arrival positions.  A transfer of m packets
+sends positions [out_pos, out_pos + m), and each class's share of it is
+its overlap with that interval, which is exactly what popping the FIFO's
+head would give.  Past the ingress layer, a node holding tagged packets
+keeps a FIFO of rows, one per step in which packets entered it, each a
+count per class plus an untagged column; a node without tagged packets
+keeps no rows.  Ties inside a row, and in a parcel leaving a node over
+several links, are resolved by deterministic proportional splitting,
+which is one valid FIFO execution.  No packet carries a timestamp: a
+class's summed sojourn is dt times the sum over steps of its packets in
+the system (Little's law, L = lambda W).
 """
 from __future__ import annotations
 
@@ -163,14 +173,22 @@ class _IntegerSim:
 
         # Tagged bookkeeping: classes are origins, or (window, origin) pairs
         # at index window * n_origin + origin; FIFO rows carry one more
-        # column for untagged packets.  ``fifo`` maps each node holding
-        # tagged packets to its rows, and ``held`` counts them per node.
+        # column for untagged packets.  ``fifo`` maps each node past the
+        # ingress layer holding tagged packets to its rows, and ``held``
+        # counts tagged packets per node.  Ingress FIFOs are position
+        # counters instead of rows: node i has taken in ``in_pos[i]``
+        # packets and sent ``out_pos[i]``, and class c arrived at positions
+        # ``[cls_lo[c], cls_hi[c])`` of its origin.
         n_windows = 1
         if window is not None:
             n_windows = self._window_of(self._tag_steps - 1) + 1
         self.n_class = n_windows * self.n_origin
         self.fifo: dict[int, deque[np.ndarray]] = {}
         self.held = np.zeros(net.num_nodes, dtype=np.int64)
+        self.in_pos = self.q[: self.n_origin].copy()
+        self.out_pos = np.zeros(self.n_origin, dtype=np.int64)
+        self.cls_lo = np.zeros(self.n_class, dtype=np.int64)
+        self.cls_hi = np.zeros(self.n_class, dtype=np.int64)
         self.born = np.zeros(self.n_class, dtype=np.int64)
         self.departed = np.zeros(self.n_class, dtype=np.int64)
         self.class_steps = np.zeros(self.n_class, dtype=np.int64)
@@ -243,7 +261,10 @@ class _IntegerSim:
             grant = np.where(short[layer.src_of], supply[layer.src_of], want)
             links = np.flatnonzero(short[layer.src_of] & ~layer.single)
             if links.size:
-                srcs, seg = np.unique(layer.src_of[links], return_inverse=True)
+                # links run source by source, so their sources come in runs
+                of = layer.src_of[links]
+                first = np.concatenate(([True], of[1:] != of[:-1]))
+                srcs, seg = of[first], np.cumsum(first) - 1
                 grant[links] = _allocate_each(
                     want[links], supply[srcs], total_want[srcs], seg
                 )
@@ -299,29 +320,57 @@ class _IntegerSim:
         self.held[nid] += n_tagged
 
     def _arrive(self, k: int, born: np.ndarray) -> None:
+        """Count one step's arrivals into the ingress positions; within the
+        horizon they extend their origin's class of the current window."""
         if k < self._tag_steps:
             base = self._window_of(k) * self.n_origin
-            for i in np.flatnonzero(born):
-                tagged = np.zeros(self.n_class, dtype=np.int64)
-                tagged[base + i] = born[i]
-                self._push(int(i), tagged, int(born[i]))
-            self.born[base : base + self.n_origin] += born
-        else:
-            for nid in [n for n in self.fifo if n < self.n_origin]:
-                if born[nid]:
-                    self._push(nid, None, int(born[nid]))
+            cls = slice(base, base + self.n_origin)
+            fresh = self.born[cls] == 0
+            self.cls_lo[cls][fresh] = self.in_pos[fresh]
+            self.cls_hi[cls] = self.in_pos + born
+            self.born[cls] += born
+            self.held[: self.n_origin] += born
+        self.in_pos += born
+
+    def _overlap(self, lo, hi) -> np.ndarray:
+        """Tagged packets per (window, origin) among the ingress positions
+        ``[lo, hi)`` of each origin (``lo``/``hi`` are per origin)."""
+        c_lo = self.cls_lo.reshape(-1, self.n_origin)
+        c_hi = self.cls_hi.reshape(-1, self.n_origin)
+        return np.maximum(np.minimum(hi, c_hi) - np.maximum(lo, c_lo), 0)
+
+    def _parcels(self, layer: LayerPlan, moved):
+        """Yield ``(slot, parcel)`` for the sources of one layer whose moved
+        packets may be tagged, taking them off the head of their FIFOs (rows,
+        or at ingress the position counters)."""
+        if layer.index > 0:
+            for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
+                s = self._slot[nid]
+                if s >= 0 and moved[s]:
+                    yield s, self._pop(nid, int(moved[s]))
+            return
+        # Ingress: the moved packets are the positions [out_pos, out_pos +
+        # moved), and each class's share is its overlap with them.
+        srcs = layer.srcs
+        head = self.out_pos.copy()
+        self.out_pos[srcs] += moved
+        if not self.held[: self.n_origin].any():
+            return  # only untagged packets are left at ingress
+        tagged = self._overlap(head, self.out_pos)[:, srcs]
+        self.held[srcs] -= tagged.sum(axis=0)
+        for s in np.flatnonzero(tagged.any(axis=0)):
+            parcel = np.zeros(self.n_class + 1, dtype=np.int64)
+            parcel[srcs[s] : self.n_class : self.n_origin] = tagged[:, s]
+            parcel[-1] = moved[s] - tagged[:, s].sum()
+            yield s, parcel
 
     def _move_tagged(self, layer: LayerPlan, grant, moved, inflow) -> None:
         """Carry the tagged classes of one layer's transfers along: each
-        source pops its moved packets and splits them across its out-links
-        in grant order; the untagged remainder of every destination's
-        inflow follows from the totals."""
+        source's moved packets are split across its out-links in grant
+        order; the untagged remainder of every destination's inflow follows
+        from the totals."""
         incoming = np.zeros((layer.next_width, self.n_class), dtype=np.int64)
-        for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
-            s = self._slot[nid]
-            if s < 0 or not moved[s]:
-                continue
-            parcel = self._pop(nid, int(moved[s]))
+        for s, parcel in self._parcels(layer, moved):
             links = slice(layer.starts[s], layer.ends[s])
             filled = np.flatnonzero(parcel)
             if filled.size == 1:  # one class: every grant is all of it
@@ -339,10 +388,18 @@ class _IntegerSim:
                 self._push(nid, None, int(inflow[nid - lo]))
 
     def check_classes(self) -> None:
-        """Exact tagged balance: per class, born = departed + in the FIFOs;
-        the per-node tagged counts sum to the outstanding packets; and every
-        FIFO holds exactly its node's backlog."""
-        in_fifo = np.zeros(self.n_class, dtype=np.int64)
+        """Exact tagged balance: per class, born = departed + at ingress +
+        in the FIFOs; the per-node tagged counts (``held``) sum to the
+        outstanding packets; and the ingress counters and every FIFO hold
+        exactly their node's backlog."""
+        residual = self.in_pos - self.out_pos - self.q[: self.n_origin]
+        if not np.all(residual == 0):
+            i = int(np.flatnonzero(residual)[0])
+            raise EngineError(
+                f"ingress node {i} counters off its backlog by {int(residual[i])}"
+            )
+        at_ingress = self._overlap(self.out_pos, self.in_pos).ravel()
+        in_fifo = at_ingress.copy()
         for nid, rows in self.fifo.items():
             held = sum(rows, np.zeros(self.n_class + 1, dtype=np.int64))
             in_fifo += held[:-1]

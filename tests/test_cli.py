@@ -146,3 +146,51 @@ def test_simulate_tree_policy(tmp_path, capsys):
     code = main(["simulate", "--net", str(path), "--policy", "tree", "--horizon", "20"])
     assert code == 0
     assert "final backlog" in capsys.readouterr().out
+
+
+def _bench_with(monkeypatch, tmp_path, fake):
+    """Run a 3-instance sweep with ``bench.measure_policy`` replaced by
+    ``fake(real, instance, name, horizon, dt)``."""
+    from fluidq import bench
+
+    real = bench.measure_policy
+    monkeypatch.setattr(
+        bench, "measure_policy", lambda *args: fake(real, *args)
+    )
+    out = tmp_path / "bench"
+    code = main([
+        "--seed", "3", "--out", str(out), "bench", "--family", "nx1-sufficient",
+        "--instances", "3", "--horizon", "30",
+    ])
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    return code, rows
+
+
+def test_bench_counts_a_failed_instance_and_exits_nonzero(tmp_path, capsys, monkeypatch):
+    def fake(real, instance, *args):
+        if instance.instance_id == 1:
+            raise RuntimeError("injected failure")
+        return real(instance, *args)
+
+    code, rows = _bench_with(monkeypatch, tmp_path, fake)
+    assert code == 1
+    assert "1 of 3 instances produced no rows" in capsys.readouterr().err
+    assert sorted({row.split(",")[0] for row in rows}) == ["0", "2"]
+
+
+def test_bench_skips_a_nan_report_instead_of_writing_nan_ratios(
+    tmp_path, capsys, monkeypatch
+):
+    from dataclasses import replace
+
+    def fake(real, instance, *args):
+        report = real(instance, *args)
+        if instance.instance_id == 0:
+            return replace(report, d_avg=float("nan"), d_max=float("nan"))
+        return report
+
+    code, rows = _bench_with(monkeypatch, tmp_path, fake)
+    assert code == 1
+    assert "1 of 3 instances produced no rows" in capsys.readouterr().err
+    assert sorted({row.split(",")[0] for row in rows}) == ["1", "2"]
+    assert not any("nan" in row for row in rows)

@@ -206,3 +206,141 @@ def test_untagged_integer_run_keeps_exact_balance(two_source_instance):
     born = np.floor(arr.rates * 30.0 + 1e-9).sum()
     assert traj.queues[-1].sum() == traj.queues[0].sum() + born - traj.served.sum()
     assert not sim.fifo and sim.outstanding == 0
+
+
+# ---------------------------------------------------------------------------
+# Ingress corner cases.  Each case is pinned bit for bit to the values that
+# the FIFO-row ingress (before the position counters) recorded:
+# (origin_sum, origin_count, extension steps, sorted window_stats).
+
+
+def _ingress_case(name):
+    """``(net, arr, svc, policy, cfg, window)`` of one ingress corner case."""
+    from fluidq import ArrivalProfile, RateAssignment, ServiceProfile, single_sink
+
+    if name.startswith("nsxnd"):
+        # every ingress node fans out over 4 links and starts with a small
+        # untagged backlog, so its first parcels mix untagged and tagged
+        cfg = replace(preset("nsxnd"), layer_sizes=(8, 4))
+        inst = sample_instance(cfg, np.random.default_rng([SEED, 0]), 0)
+        q0 = np.full(inst.net.num_nodes, 2.0)
+        sim = SimConfig(horizon=3.0, dt=cfg.dt, q0=q0, discretize=True)
+        policy = make_policy(name.split(":")[1], inst)
+        return inst.net, inst.arr, inst.svc, policy, sim, 1.0
+    net = single_sink(2, [4.0, 2.0])
+    svc = ServiceProfile([2.0])
+    rates = RateAssignment.from_dict(net, {(0, 0, 0): 2.0, (0, 1, 0): 0.75})
+    if name == "refill":
+        # ingress 0 drains its backlog, then its arrivals (0.6 a step) and
+        # its link budget (0.75 a step) fall out of phase: it empties and
+        # refills several times within the horizon
+        rates = RateAssignment.from_dict(net, {(0, 0, 0): 0.75, (0, 1, 0): 0.75})
+        arr = ArrivalProfile([0.6, 3.0])
+        cfg = SimConfig(horizon=20.0, dt=1.0, q0=np.array([1.0, 0.0, 1.0]), discretize=True)
+        return net, arr, svc, rates, cfg, None
+    if name == "windowed-q0":
+        arr = ArrivalProfile([8.0, 3.0])
+        cfg = SimConfig(horizon=20.0, dt=0.5, q0=np.array([5.0, 2.0, 3.0]), discretize=True)
+        return net, arr, svc, rates, cfg, 5.0
+    if name == "after-horizon":
+        # both ingress nodes are overloaded, so untagged arrivals queue
+        # behind tagged packets once the horizon is over
+        arr = ArrivalProfile([8.0, 3.0])
+        cfg = SimConfig(horizon=10.0, dt=1.0, q0=np.array([3.0, 1.0, 2.0]), discretize=True)
+        return net, arr, svc, rates, cfg, None
+    raise KeyError(name)
+
+
+def _pinned_run(name):
+    net, arr, svc, policy, cfg, window = _ingress_case(name)
+    run = tagged_run(net, arr, svc, policy, cfg, window=window)
+    return (
+        run.origin_sum.tolist(), run.origin_count.tolist(),
+        round(run.extension / run.dt), sorted(run.window_stats.items()),
+    )
+
+
+def _stepped_case(name, steps):
+    net, arr, svc, policy, cfg, window = _ingress_case(name)
+    sim = _IntegerSim(net, arr, svc, policy, cfg, track_packets=True, window=window,
+                      keep_trajectory=False)
+    for k in range(steps):
+        sim.step(k)
+        yield sim
+
+
+INGRESS = {
+    "windowed-q0": ([7941.5, 3053.0], [160.0, 60.0], 190,
+                    [((0, 0), [635.0, 40.0]), ((0, 1), [1535.5, 40.0]),
+                     ((0, 2), [2435.5, 40.0]), ((0, 3), [3335.5, 40.0]),
+                     ((1, 0), [257.0, 15.0]), ((1, 1), [594.5, 15.0]),
+                     ((1, 2), [932.0, 15.0]), ((1, 3), [1269.5, 15.0])]),
+    "refill": ([5.0, 1830.0], [12.0, 60.0], 60, []),
+    "after-horizon": ([2029.0, 775.0], [80.0, 30.0], 48, []),
+    "nsxnd:opt-queue": ([550.0, 501.0, 706.0, 693.0, 517.0, 459.0, 703.0, 445.0],
+                        [231.0, 210.0, 297.0, 291.0, 216.0, 192.0, 294.0, 186.0], 6,
+                        [((0, 0), [69.0, 77.0]), ((0, 1), [181.0, 77.0]),
+                         ((0, 2), [300.0, 77.0]), ((1, 0), [64.0, 70.0]),
+                         ((1, 1), [165.0, 70.0]), ((1, 2), [272.0, 70.0]),
+                         ((2, 0), [87.0, 99.0]), ((2, 1), [232.0, 99.0]),
+                         ((2, 2), [387.0, 99.0]), ((3, 0), [86.0, 97.0]),
+                         ((3, 1), [228.0, 97.0]), ((3, 2), [379.0, 97.0]),
+                         ((4, 0), [66.0, 72.0]), ((4, 1), [171.0, 72.0]),
+                         ((4, 2), [280.0, 72.0]), ((5, 0), [58.0, 64.0]),
+                         ((5, 1), [152.0, 64.0]), ((5, 2), [249.0, 64.0]),
+                         ((6, 0), [88.0, 98.0]), ((6, 1), [230.0, 98.0]),
+                         ((6, 2), [385.0, 98.0]), ((7, 0), [57.0, 62.0]),
+                         ((7, 1), [146.0, 62.0]), ((7, 2), [242.0, 62.0])]),
+    "nsxnd:max": ([686.0, 617.0, 885.0, 866.0, 651.0, 571.0, 884.0, 557.0],
+                  [231.0, 210.0, 297.0, 291.0, 216.0, 192.0, 294.0, 186.0], 11,
+                  [((0, 0), [84.0, 77.0]), ((0, 1), [227.0, 77.0]),
+                   ((0, 2), [375.0, 77.0]), ((1, 0), [70.0, 70.0]),
+                   ((1, 1), [206.0, 70.0]), ((1, 2), [341.0, 70.0]),
+                   ((2, 0), [106.0, 99.0]), ((2, 1), [294.0, 99.0]),
+                   ((2, 2), [485.0, 99.0]), ((3, 0), [104.0, 97.0]),
+                   ((3, 1), [288.0, 97.0]), ((3, 2), [474.0, 97.0]),
+                   ((4, 0), [78.0, 72.0]), ((4, 1), [218.0, 72.0]),
+                   ((4, 2), [355.0, 72.0]), ((5, 0), [69.0, 64.0]),
+                   ((5, 1), [190.0, 64.0]), ((5, 2), [312.0, 64.0]),
+                   ((6, 0), [107.0, 98.0]), ((6, 1), [296.0, 98.0]),
+                   ((6, 2), [481.0, 98.0]), ((7, 0), [69.0, 62.0]),
+                   ((7, 1), [185.0, 62.0]), ((7, 2), [303.0, 62.0])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INGRESS))
+def test_ingress_corner_cases_match_fifo_rows_exactly(case):
+    assert _pinned_run(case) == INGRESS[case]
+
+
+def test_ingress_corner_cases_reach_their_corner():
+    backlog = [int(sim.q[0]) for sim in _stepped_case("refill", 20)]
+    first_empty = backlog.index(0)
+    assert 0 < max(backlog[first_empty:])  # empties, then refills in the horizon
+
+    *_, sim = _stepped_case("after-horizon", 10)
+    assert np.all(sim.q[:2] > 0) and sim.outstanding > 0
+
+    (sim,) = _stepped_case("nsxnd:opt-queue", 1)
+    ingress = sim.net.plan[0]
+    fanned = ingress.ends - ingress.starts > 1
+    assert np.any(fanned & (sim.out_pos > 2))  # a parcel took backlog and tagged
+    assert not any(nid < sim.n_origin for nid in sim.fifo)
+
+
+def test_class_balance_check_fires_on_corrupted_ingress_counters():
+    def sim_after_horizon():
+        *_, sim = _stepped_case("after-horizon", 10)
+        sim.check_classes()
+        return sim
+
+    sim = sim_after_horizon()
+    sim.out_pos[1] += 1
+    with pytest.raises(EngineError, match="ingress node 1 counters off its backlog by -1"):
+        sim.check_classes()
+
+    sim = sim_after_horizon()
+    assert sim.out_pos[0] < sim.cls_hi[0]  # class 0 still has packets at ingress
+    sim.cls_hi[0] -= 1
+    with pytest.raises(EngineError, match="class 0: residual 1"):
+        sim.check_classes()
