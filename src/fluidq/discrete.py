@@ -30,6 +30,13 @@ several links, are resolved by deterministic proportional splitting,
 which is one valid FIFO execution.  No packet carries a timestamp: a
 class's summed sojourn is dt times the sum over steps of its packets in
 the system (Little's law, L = lambda W).
+
+Past the horizon no packet is tagged, so once every tagged packet is at
+egress the rest of a tagged run depends on the egress service budgets
+alone: each egress FIFO holds exactly its node's backlog, and whatever
+arrives later queues behind it (Newell's departure curve).  From then on a
+tagged run serves only the egress layer, with the same budgets and pops,
+and skips the policy, the arrivals and the transfers.
 """
 from __future__ import annotations
 
@@ -62,6 +69,8 @@ class TaggedRun:
     window_width: float | None = None
     window_stats: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     trajectory: Trajectory | None = None
+    #: extension steps served by the egress drain, without stepping the network
+    drain_steps: int = 0
 
     def window_mean(self, window_index: int) -> float:
         """Mean sojourn over all tagged packets arriving in one window."""
@@ -416,6 +425,37 @@ class _IntegerSim:
         if not residual == 0:
             raise EngineError(f"tagged packets held off outstanding by {residual}")
 
+    def drain(self, steps: int) -> int:
+        """Serve the egress layer alone, for at most ``steps`` steps or until
+        no tagged packet is left; return the steps taken.
+
+        Call only past the horizon with every tagged packet at egress.  An
+        egress FIFO then holds exactly its node's backlog, and inflow only
+        queues behind it, so its departures are set by the service budgets
+        alone: serving the frozen backlog pops exactly the packets a full
+        step would.  Only the service banks, the egress backlogs and the
+        tagged counts advance: ``q`` above egress, the arrivals, the mass
+        and the served totals stay as they were, and the policy is not
+        called.
+        """
+        lo = self.egress_lo
+        egress = self.q[lo:]
+        budget = self.svc.rates * self.dt
+        for n in range(steps):
+            if not self.outstanding:
+                return n
+            cap_f = self.service_bank + budget
+            cap = np.floor(cap_f + 1e-12).astype(np.int64)
+            self.service_bank = cap_f - cap
+            serve = np.minimum(egress, cap)
+            egress -= serve
+            for nid in list(self.fifo):
+                count = int(serve[nid - lo])
+                if count:
+                    self.departed += self._pop(nid, count)[:-1]
+            self.class_steps += self.born - self.departed
+        return steps
+
     # -- drivers -----------------------------------------------------------
 
     def run_horizon(self) -> int:
@@ -468,10 +508,16 @@ def tagged_run(
 ) -> TaggedRun:
     """Simulate with FIFO-tracked packet classes until every packet that
     arrived within ``[t0, t0 + horizon)`` has departed, extending past the
-    horizon as needed.
+    horizon by at most ``max_extension_steps`` steps.
 
     Arrivals continue during the extension (the overload persists; only the
-    measured window is bounded).
+    measured window is bounded).  From the first extension step with every
+    tagged packet at egress, the rest of the run only serves the egress
+    layer (:meth:`_IntegerSim.drain`, counted in ``drain_steps``): no packet
+    is tagged after the horizon and none moves backward, so the departures
+    of the tagged packets follow from the egress service budgets alone.
+    The policy is not called on those steps.  With ``keep_trajectory`` every
+    step runs in full, so the trajectory shows the whole network.
     """
     sim = _IntegerSim(
         net, arr, svc, policy, cfg, track_packets=True, window=window,
@@ -483,12 +529,18 @@ def tagged_run(
     limit = max_extension_steps if max_extension_steps is not None else max(
         10_000, 100 * horizon_steps
     )
+    drain_steps = 0
     while sim.outstanding > 0:
-        if k - horizon_steps > limit:
+        if k - horizon_steps >= limit:
             raise EngineError(
                 f"{sim.outstanding} tagged packets still in flight after "
                 f"{limit} extension steps"
             )
+        if not keep_trajectory and not sim.held[: sim.egress_lo].any():
+            sim.check_classes()
+            drain_steps = sim.drain(horizon_steps + limit - k)
+            k += drain_steps
+            continue
         sim.step(k)
         k += 1
     sim.check_classes()
@@ -499,4 +551,5 @@ def tagged_run(
         window_width=window,
         window_stats=window_stats,
         trajectory=sim.trajectory() if keep_trajectory else None,
+        drain_steps=drain_steps,
     )

@@ -344,3 +344,85 @@ def test_class_balance_check_fires_on_corrupted_ingress_counters():
     sim.cls_hi[0] -= 1
     with pytest.raises(EngineError, match="class 0: residual 1"):
         sim.check_classes()
+
+
+# ---------------------------------------------------------------------------
+# Egress drain.  Once every tagged packet is at egress, tagged_run serves the
+# egress layer alone; keep_trajectory=True steps the whole network to the
+# end, so it is the full-step reference.
+
+DRAIN_FAMILIES = {
+    "nx1-limited": ("nx1-limited", None, 1.0),
+    "nsxnd-16x8": ("nsxnd", (16, 8), 2.0),
+    "tree": ("tree", None, 5.0),
+    "multistage-8x6x4x3": ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0),
+}
+
+
+def _drain_case(family, k):
+    """A seeded instance of one family with q0 drawn on every node."""
+    name, shape, horizon = DRAIN_FAMILIES[family]
+    cfg = replace(preset(name), horizon=horizon)
+    if shape is not None:
+        cfg = replace(cfg, layer_sizes=shape)
+    rng = np.random.default_rng([SEED, 6, k])
+    inst = sample_instance(cfg, rng, k)
+    q0 = rng.integers(0, 6, size=inst.net.num_nodes).astype(float)
+    return inst, SimConfig(horizon=horizon, dt=cfg.dt, q0=q0, discretize=True)
+
+
+@pytest.mark.parametrize("policy", ["opt-queue", "bp", "max"])
+@pytest.mark.parametrize("family", sorted(DRAIN_FAMILIES))
+def test_drain_matches_full_steps_exactly(family, policy):
+    drained = 0
+    for k in range(2):
+        inst, cfg = _drain_case(family, k)
+        for window in (None, cfg.horizon / 4):
+            fast, full = (
+                tagged_run(inst.net, inst.arr, inst.svc, make_policy(policy, inst), cfg,
+                           window=window, keep_trajectory=keep)
+                for keep in (False, True)
+            )
+            assert np.array_equal(fast.origin_sum, full.origin_sum)
+            assert np.array_equal(fast.origin_count, full.origin_count)
+            assert fast.window_stats == full.window_stats
+            assert fast.extension == full.extension
+            assert full.drain_steps == 0
+            assert fast.drain_steps <= round(fast.extension / fast.dt)
+            drained += fast.drain_steps
+    if policy != "opt-queue":
+        assert drained > 0  # the baselines' runs end in the drain
+
+
+def test_extension_cap_allows_exactly_its_steps(monkeypatch):
+    # every packet goes to an egress node that never serves: both paths stop
+    # after exactly max_extension_steps extension steps, with the same error
+    from fluidq import ArrivalProfile, RateAssignment, ServiceProfile, full_connection
+
+    net = full_connection((2, 2))
+    svc = ServiceProfile([1.0, 0.0])
+    rates = RateAssignment(net, np.array([0.0, 1.0, 0.0, 1.0]))
+    arr = ArrivalProfile([1.0, 1.0])
+    cfg = SimConfig(horizon=2.0, dt=1.0, discretize=True)
+
+    calls = []  # steps taken per call: 1 per full step, n per drain
+    step, drain = _IntegerSim.step, _IntegerSim.drain
+
+    def counted_step(sim, k):
+        calls.append(1)
+        step(sim, k)
+
+    def counted_drain(sim, steps):
+        calls.append(drain(sim, steps))
+        return calls[-1]
+
+    monkeypatch.setattr(_IntegerSim, "step", counted_step)
+    monkeypatch.setattr(_IntegerSim, "drain", counted_drain)
+    for keep, n_calls in ((True, 7), (False, 3)):
+        calls.clear()
+        with pytest.raises(EngineError) as err:
+            tagged_run(net, arr, svc, rates, cfg, keep_trajectory=keep,
+                       max_extension_steps=5)
+        assert str(err.value) == "4 tagged packets still in flight after 5 extension steps"
+        assert sum(calls) == 2 + 5
+        assert len(calls) == n_calls  # the drain takes all 5 extension steps at once
