@@ -48,12 +48,9 @@ from .optimize import (
 )
 from .policies import (
     BackpressurePolicy,
-    CallbackPolicy,
     CheckResult,
-    MaxLinkRatePolicy,
     QueueProportionalPolicy,
     StaticPolicy,
-    TreePolicy,
     backpressure_rates,
     check_min_delay_layered,
     check_min_delay_single_hop,

@@ -35,13 +35,13 @@ from .network import (
 from .optimize import throughput_tight_gamma
 from .policies import (
     BackpressurePolicy,
-    MaxLinkRatePolicy,
     QueueProportionalPolicy,
     StaticPolicy,
-    TreePolicy,
     check_min_delay_layered,
     construct_rate_proportional,
+    max_link_rate_rates,
     proportional_fill,
+    tree_rate_proportional,
 )
 
 log = logging.getLogger("fluidq")
@@ -59,6 +59,19 @@ TABLE_SHAPES = {
 RESULT_HEADER = (
     "instance_id,policy,d_avg,d_max,ratio_avg_vs_opt,ratio_max_vs_opt,fairness"
 )
+
+#: The policy registry: name -> ``build(instance, gamma)``.  Sweeps, the
+#: CLI and :func:`make_policy` all read it; ``tree`` aliases ``opt-tree``.
+POLICIES = {
+    "opt-queue": lambda inst, gamma: QueueProportionalPolicy(gamma),
+    "opt-static": lambda inst, gamma: StaticPolicy(_static_opt_rates(inst)),
+    "opt-tree": lambda inst, gamma: StaticPolicy(
+        tree_rate_proportional(inst.net, inst.arr, inst.svc)
+    ),
+    "bp": lambda inst, gamma: BackpressurePolicy(),
+    "max": lambda inst, gamma: StaticPolicy(max_link_rate_rates(inst.net)),
+}
+POLICIES["tree"] = POLICIES["opt-tree"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,15 @@ class ExperimentConfig:
             raise ValueError("empty lambda range")
         if not self.policies:
             raise ValueError("need at least one policy")
+        unknown = [p for p in self.policies if p not in POLICIES]
+        if unknown:
+            raise ValueError(
+                f"unknown policies {unknown}; known: {', '.join(POLICIES)}"
+            )
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 FAMILY_PRESETS = {
@@ -194,27 +216,19 @@ def _static_opt_rates(instance: Instance) -> RateAssignment:
         target = arr.rates * svc.total / arr.total
         caps = net.capacities
         if np.all(target <= caps + 1e-9):
-            values = np.zeros(net.num_links)
-            for k, link in enumerate(net.links):
-                values[k] = target[link.src]
-            return RateAssignment(net, values)
+            # ingress node ids are their layer-local indices
+            return RateAssignment(net, target[net.link_src])
         return RateAssignment(net, proportional_fill(arr.rates, caps, svc.total))
     gamma = throughput_tight_gamma(arr, svc, net.num_layers)
     return construct_rate_proportional(net, arr, svc, gamma)
 
 
-def make_policy(name: str, instance: Instance):
-    if name == "opt-queue":
-        return QueueProportionalPolicy()
-    if name == "opt-static":
-        return StaticPolicy(_static_opt_rates(instance))
-    if name == "opt-tree":
-        return TreePolicy(instance.net, instance.arr, instance.svc)
-    if name == "bp":
-        return BackpressurePolicy()
-    if name == "max":
-        return MaxLinkRatePolicy()
-    raise ValueError(f"unknown policy {name!r}")
+def make_policy(name: str, instance: Instance, gamma=None):
+    """A fresh policy object for ``name`` on ``instance``; ``gamma`` only
+    reaches queue-proportional control."""
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    return POLICIES[name](instance, gamma)
 
 
 def measure_policy(instance: Instance, name: str, horizon: float, dt: float) -> DelayReport:

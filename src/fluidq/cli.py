@@ -28,18 +28,14 @@ from .optimize import (
     throughput_tight_gamma,
 )
 from .policies import (
-    BackpressurePolicy,
-    MaxLinkRatePolicy,
-    QueueProportionalPolicy,
     StaticPolicy,
-    TreePolicy,
     check_min_delay_layered,
     check_min_delay_single_hop,
     check_min_delay_single_sink,
     check_min_delay_tree,
 )
 
-POLICY_HELP = "one of opt-static, opt-queue, bp, max, tree, custom:<file>"
+POLICY_HELP = f"one of {', '.join(bench_mod.POLICIES)}, custom:<file>"
 
 
 def _load_rates(net, path) -> RateAssignment:
@@ -59,21 +55,17 @@ def _parse_gamma(spec: str, net, arr, svc):
 
 
 def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
-    if name == "opt-static":
-        if rates_path is None:
-            raise SystemExit("opt-static needs --rates <file>")
-        return StaticPolicy(_load_rates(net, rates_path))
-    if name == "opt-queue":
-        return QueueProportionalPolicy(gamma)
-    if name == "bp":
-        return BackpressurePolicy()
-    if name == "max":
-        return MaxLinkRatePolicy()
-    if name == "tree":
-        return TreePolicy(net, arr, svc)
+    """Rate files are the CLI's own: ``custom:<file>`` and ``opt-static
+    --rates <file>`` run the loaded vector.  Every other name goes to the
+    policy registry, ``bench.make_policy``."""
     if name.startswith("custom:"):
-        return StaticPolicy(_load_rates(net, name.split(":", 1)[1]), name="custom")
-    raise SystemExit(f"unknown policy {name!r}; expected {POLICY_HELP}")
+        name, rates_path = "opt-static", name.split(":", 1)[1]
+    if name == "opt-static" and rates_path is not None:
+        return StaticPolicy(_load_rates(net, rates_path))
+    if name not in bench_mod.POLICIES:
+        raise SystemExit(f"unknown policy {name!r}; expected {POLICY_HELP}")
+    instance = bench_mod.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
+    return bench_mod.make_policy(name, instance, gamma)
 
 
 def cmd_simulate(args) -> int:
@@ -97,8 +89,7 @@ def cmd_simulate(args) -> int:
     final = traj.final
     print(f"simulated {traj.num_steps} steps of dt={traj.dt:g}")
     print("final backlog:", np.array2string(final.q, precision=3))
-    static = args.policy == "opt-static" or args.policy.startswith("custom:")
-    if args.report and static:
+    if args.report and isinstance(policy, StaticPolicy):
         report = analytic_report(net, arr, svc, policy.assignment, args.horizon, q0=q0)
         print(f"analytic d_avg = {report.d_avg:.6g}, d_max = {report.d_max:.6g}")
     if args.out:
@@ -188,13 +179,15 @@ def cmd_overload(args) -> int:
 def cmd_bench(args) -> int:
     from dataclasses import replace
 
-    cfg = bench_mod.preset(args.family)
-    cfg = replace(
-        cfg,
-        num_instances=args.instances,
-        seed=args.seed,
-        **({"horizon": args.horizon} if args.horizon else {}),
-    )
+    try:
+        cfg = replace(
+            bench_mod.preset(args.family),
+            num_instances=args.instances,
+            seed=args.seed,
+            **({"horizon": args.horizon} if args.horizon is not None else {}),
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bench: {exc}") from exc
     results = bench_mod.run_experiment(cfg, out_dir=args.out, fmt=args.format,
                                        workers=args.workers)
     missing = cfg.num_instances - len({row.instance_id for row in results})
@@ -238,7 +231,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="integrate the queueing dynamics")
     p.add_argument("--net", required=True)
     p.add_argument("--policy", required=True, help=POLICY_HELP)
-    p.add_argument("--rates", help="static rates JSON for opt-static")
+    p.add_argument("--rates", help="static rates JSON for opt-static (default: sweep rates)")
     p.add_argument("--gamma", help="balanced | tight | g1,g2,... | @file")
     p.add_argument("--horizon", "-T", type=float, required=True)
     p.add_argument("--dt", type=float)

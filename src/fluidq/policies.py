@@ -5,6 +5,10 @@ ingress/egress rate ratio; the per-layer ratios form the gamma vector.
 Queue-proportional control replaces arrival-rate knowledge with live
 backlogs and reaches the same delay asymptotically.  Backpressure and
 max-link-rate serve as baselines.
+
+A policy is any object with ``rates(state, net, arr, svc, dt)``.  Constant
+vectors (rate-proportional, tree, :func:`max_link_rate_rates`) run through
+:class:`StaticPolicy`; ``fluidq.bench.make_policy`` maps names to policies.
 """
 from __future__ import annotations
 
@@ -321,25 +325,13 @@ def proportional_fill(weights, caps, budget: float) -> np.ndarray:
 
 
 class StaticPolicy:
-    """Constant transmission rates."""
+    """Constant transmission rates, the same assignment every step."""
 
-    def __init__(self, rates: RateAssignment, name: str = "opt-static"):
+    def __init__(self, rates: RateAssignment):
         self.assignment = rates
-        self.name = name
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
         return self.assignment
-
-
-class CallbackPolicy:
-    """Arbitrary state-to-rates callback (must be re-entrant)."""
-
-    def __init__(self, fn, name: str = "custom"):
-        self.fn = fn
-        self.name = name
-
-    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return self.fn(state, net, arr, svc, dt)
 
 
 def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
@@ -351,20 +343,6 @@ def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
             f"{bad.dst + 1}) has unbounded capacity"
         )
     return RateAssignment(net, net.capacities)
-
-
-class MaxLinkRatePolicy:
-    name = "max"
-
-    def __init__(self):
-        self._net = None
-        self._assignment = None
-
-    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        if net is not self._net:
-            self._assignment = max_link_rate_rates(net)
-            self._net = net
-        return self._assignment
 
 
 def backpressure_rates(
@@ -380,7 +358,7 @@ def backpressure_rates(
 
 
 class BackpressurePolicy:
-    name = "bp"
+    """Backpressure baseline: :func:`backpressure_rates` every step."""
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
         return backpressure_rates(state, net, svc)
@@ -474,8 +452,6 @@ class QueueProportionalPolicy:
     """Queue-proportional control.  ``clipped_steps`` counts the steps on
     the current network whose rates capacity clipped; the first of them
     logs a warning, once per network."""
-
-    name = "opt-queue"
 
     def __init__(self, gamma=None):
         self.gamma = gamma
@@ -576,16 +552,6 @@ def tree_rate_proportional(
     if bad:
         raise ValueError(f"tree rates exceed capacity on link {bad[0]}")
     return assignment
-
-
-class TreePolicy:
-    name = "tree"
-
-    def __init__(self, net, arr, svc):
-        self._static = tree_rate_proportional(net, arr, svc)
-
-    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return self._static
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,17 @@ def test_experiment_config_validation():
         preset("no-such-family")
 
 
+def test_experiment_config_rejects_unknown_policies_and_nonpositive_steps():
+    # a typo used to fail every instance at run time, dropping the valid rows too
+    with pytest.raises(ValueError, match=r"unknown policies \['bpp'\]; known: opt-queue"):
+        ExperimentConfig("nx1", (4, 1), num_instances=2, horizon=5.0,
+                         policies=("opt-queue", "bpp"))
+    for field in ("horizon", "dt"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{field} must be positive"):
+                ExperimentConfig("nx1", (2, 1), **{field: value})
+
+
 def test_experiment_json_output(tmp_path):
     import json
 

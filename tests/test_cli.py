@@ -1,9 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from fluidq import ArrivalProfile, RateAssignment, ServiceProfile, save, single_sink
-from fluidq.cli import main
+from fluidq import (
+    ArrivalProfile,
+    QueueState,
+    RateAssignment,
+    ServiceProfile,
+    StaticPolicy,
+    bench,
+    fan_in_tree,
+    save,
+    single_sink,
+)
+from fluidq.cli import _make_policy, main
 
 
 @pytest.fixture
@@ -151,8 +162,6 @@ def test_simulate_tree_policy(tmp_path, capsys):
 def _bench_with(monkeypatch, tmp_path, fake):
     """Run a 3-instance sweep with ``bench.measure_policy`` replaced by
     ``fake(real, instance, name, horizon, dt)``."""
-    from fluidq import bench
-
     real = bench.measure_policy
     monkeypatch.setattr(
         bench, "measure_policy", lambda *args: fake(real, *args)
@@ -194,3 +203,73 @@ def test_bench_skips_a_nan_report_instead_of_writing_nan_ratios(
     assert "1 of 3 instances produced no rows" in capsys.readouterr().err
     assert sorted({row.split(",")[0] for row in rows}) == ["1", "2"]
     assert not any("nan" in row for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# one policy registry behind both front ends
+
+
+@pytest.fixture
+def tree_instance():
+    """A capacitated fan-in tree on which every registry name is defined."""
+    net = fan_in_tree([4, 2, 1], [[0, 0, 1, 1], [0, 0]], capacity=50.0)
+    return net, ArrivalProfile([3.0, 1.0, 2.0, 2.0]), ServiceProfile([4.0])
+
+
+@pytest.mark.parametrize("name", sorted(bench.POLICIES))
+def test_cli_and_bench_build_the_same_policy(name, tree_instance):
+    net, arr, svc = tree_instance
+    inst = bench.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
+    ours, theirs = _make_policy(name, net, arr, svc), bench.make_policy(name, inst)
+    assert type(ours) is type(theirs)
+    # uneven backlogs, so the dynamic policies' first step is not trivial
+    state = QueueState(np.arange(net.num_nodes, 0.0, -1.0), 0.0)
+    first = [p.rates(state, net, arr, svc, 1.0).values for p in (ours, theirs)]
+    assert np.array_equal(first[0], first[1])
+
+
+def test_tree_is_an_alias_of_opt_tree(tree_instance):
+    net, arr, svc = tree_instance
+    inst = bench.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
+    tree, opt_tree = (bench.make_policy(n, inst) for n in ("tree", "opt-tree"))
+    assert isinstance(tree, StaticPolicy) and isinstance(opt_tree, StaticPolicy)
+    assert np.array_equal(tree.assignment.values, opt_tree.assignment.values)
+
+
+def test_unknown_policy_lists_the_known_names(tree_instance, instance_doc):
+    net, arr, svc = tree_instance
+    inst = bench.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
+    known = "opt-queue, opt-static, opt-tree, bp, max, tree"
+    with pytest.raises(ValueError, match=f"unknown policy 'bpp'; known: {known}$"):
+        bench.make_policy("bpp", inst)
+    net_path, _ = instance_doc
+    with pytest.raises(SystemExit, match=f"expected one of {known}, custom:<file>$"):
+        main(["simulate", "--net", net_path, "--policy", "bpp", "--horizon", "5"])
+
+
+def test_custom_file_and_opt_static_rates_give_one_trajectory(tmp_path, instance_doc):
+    net_path, rates_path = instance_doc
+    texts = []
+    for tag, policy in (("custom", ["custom:" + rates_path]),
+                        ("static", ["opt-static", "--rates", rates_path])):
+        out = tmp_path / tag
+        assert main(["--out", str(out), "simulate", "--net", net_path, "--policy",
+                     *policy, "--horizon", "10", "--dt", "0.5"]) == 0
+        texts.append((out / "trajectory.csv").read_text())
+    assert texts[0] == texts[1]
+
+
+def test_opt_static_without_rates_and_max_report(capsys, instance_doc):
+    net_path, _ = instance_doc
+    assert main(["simulate", "--net", net_path, "--policy", "opt-static",
+                 "--horizon", "10", "--report"]) == 0
+    assert "analytic d_avg" in capsys.readouterr().out
+    assert main(["simulate", "--net", net_path, "--policy", "max",
+                 "--horizon", "10", "--report"]) == 0
+    assert "analytic d_avg" in capsys.readouterr().out
+
+
+def test_bench_rejects_a_zero_horizon(capsys):
+    with pytest.raises(SystemExit, match="horizon must be positive, got 0.0"):
+        main(["bench", "--family", "nx1-limited", "--instances", "1", "--horizon", "0"])
+    assert capsys.readouterr().out == ""

@@ -25,7 +25,7 @@ from fluidq import (
     single_sink,
     tree_rate_proportional,
 )
-from fluidq.policies import MaxLinkRatePolicy, QueueProportionalPolicy, proportional_fill
+from fluidq.policies import QueueProportionalPolicy, proportional_fill
 
 from conftest import single_sink_rates
 from test_analytics import random_min_delay_gamma
@@ -361,18 +361,6 @@ def test_max_link_rate_values_and_region_membership(two_source_instance):
     ).ok
     with pytest.raises(ValueError, match="unbounded"):
         max_link_rate_rates(single_sink(2))
-
-
-def test_max_link_rate_policy_builds_assignment_once_per_network(two_source_instance):
-    net, arr, svc, _ = two_source_instance
-    policy = MaxLinkRatePolicy()
-    state = QueueState(np.zeros(3), 0.0)
-    first = policy.rates(state, net, arr, svc, 1.0)
-    assert policy.rates(state, net, arr, svc, 1.0) is first
-    roomy = single_sink(2, [9.0, 4.0])
-    assert np.array_equal(policy.rates(state, roomy, arr, svc, 1.0).values, [9.0, 4.0])
-    with pytest.raises(ValueError, match=r"link \(1,1,1\) has unbounded capacity"):
-        policy.rates(state, single_sink(2), arr, svc, 1.0)
 
 
 # ---------------------------------------------------------------------------
