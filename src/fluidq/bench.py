@@ -41,6 +41,7 @@ from .policies import (
     construct_rate_proportional,
     max_link_rate_rates,
     proportional_fill,
+    require_bounded,
     tree_rate_proportional,
 )
 
@@ -60,6 +61,12 @@ RESULT_HEADER = (
     "instance_id,policy,d_avg,d_max,ratio_avg_vs_opt,ratio_max_vs_opt,fairness"
 )
 
+
+def _backpressure(net: LayeredNetwork) -> BackpressurePolicy:
+    require_bounded(net, "backpressure")
+    return BackpressurePolicy()
+
+
 #: The policy registry: name -> ``build(instance, gamma)``.  Sweeps, the
 #: CLI and :func:`make_policy` all read it; ``tree`` aliases ``opt-tree``.
 POLICIES = {
@@ -68,7 +75,7 @@ POLICIES = {
     "opt-tree": lambda inst, gamma: StaticPolicy(
         tree_rate_proportional(inst.net, inst.arr, inst.svc)
     ),
-    "bp": lambda inst, gamma: BackpressurePolicy(),
+    "bp": lambda inst, gamma: _backpressure(inst.net),
     "max": lambda inst, gamma: StaticPolicy(max_link_rate_rates(inst.net)),
 }
 POLICIES["tree"] = POLICIES["opt-tree"]

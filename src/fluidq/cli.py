@@ -29,6 +29,7 @@ from .optimize import (
 )
 from .policies import (
     StaticPolicy,
+    as_gamma,
     check_min_delay_layered,
     check_min_delay_single_hop,
     check_min_delay_single_sink,
@@ -50,8 +51,13 @@ def _parse_gamma(spec: str, net, arr, svc):
         return throughput_tight_gamma(arr, svc, net.num_layers)
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
-            return tuple(float(v) for v in json.load(fh))
-    return tuple(float(v) for v in spec.split(","))
+            values = json.load(fh)
+    else:
+        values = spec.split(",")
+    try:
+        return as_gamma(values, net.num_layers)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"--gamma: {exc}") from exc
 
 
 def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
@@ -60,15 +66,22 @@ def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
     policy registry, ``bench.make_policy``."""
     if name.startswith("custom:"):
         name, rates_path = "opt-static", name.split(":", 1)[1]
-    if name == "opt-static" and rates_path is not None:
-        return StaticPolicy(_load_rates(net, rates_path))
     if name not in bench_mod.POLICIES:
         raise SystemExit(f"unknown policy {name!r}; expected {POLICY_HELP}")
-    instance = bench_mod.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
-    return bench_mod.make_policy(name, instance, gamma)
+    try:
+        if name == "opt-static" and rates_path is not None:
+            return StaticPolicy(_load_rates(net, rates_path))
+        instance = bench_mod.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
+        return bench_mod.make_policy(name, instance, gamma)
+    except ValueError as exc:
+        raise SystemExit(f"policy {name}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
+    for flag, value, owner in (("--rates", args.rates, "opt-static"),
+                               ("--gamma", args.gamma, "opt-queue")):
+        if value and args.policy != owner:
+            raise SystemExit(f"{flag} applies to --policy {owner} only, not {args.policy}")
     net, arr, svc = load(args.net)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
     policy = _make_policy(args.policy, net, arr, svc, args.rates, gamma)

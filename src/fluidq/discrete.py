@@ -469,7 +469,6 @@ class _IntegerSim:
         return Trajectory(
             self.cfg.t0, self.dt, np.asarray(queues), applied,
             self.link_flow.astype(float), self.served_total.astype(float),
-            meta={"mode": "integer"},
         )
 
     def tagged_stats(self):

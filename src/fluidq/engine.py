@@ -67,7 +67,6 @@ class Trajectory:
         rates: np.ndarray,
         link_flow: np.ndarray,
         served: np.ndarray,
-        meta: dict | None = None,
     ):
         self.t0 = t0
         self.dt = dt
@@ -75,7 +74,6 @@ class Trajectory:
         self.rates = rates
         self.link_flow = link_flow
         self.served = served
-        self.meta = meta or {}
 
     @property
     def times(self) -> np.ndarray:

@@ -52,37 +52,34 @@ def _iterate(
     tableau: np.ndarray,
     basis: np.ndarray,
     allowed: int,
-    upper: np.ndarray | None = None,
-    flipped: np.ndarray | None = None,
+    upper: np.ndarray,
+    flipped: np.ndarray,
 ) -> str:
     """Run simplex pivots on a tableau whose last row is the reduced-cost
     row (rhs cell holds minus the objective, up to a constant).  Bland's
     rule: lowest-index entering column with negative reduced cost,
-    lowest-index basic variable on ratio ties.  ``upper`` (one bound per
-    column, or None when no column has a finite one) turns on the
-    bounded-variable ratio test; columns complemented to their bound are
-    marked in ``flipped``.  Returns OPTIMAL or UNBOUNDED."""
+    lowest-index basic variable on ratio ties.  ``upper`` holds one bound
+    per column (``inf`` for none) for the bounded-variable ratio test;
+    columns complemented to their bound are marked in ``flipped``.
+    Returns OPTIMAL or UNBOUNDED."""
     m = tableau.shape[0] - 1
     max_iter = 50 * (tableau.shape[1] + m) + 10_000
-    movable = None if upper is None else upper[:allowed] > 0.0
+    movable = upper[:allowed] > 0.0
     rhs = tableau[:m, -1]
     for _ in range(max_iter):
-        entering = tableau[-1, :allowed] < -_COST_TOL
-        if movable is not None:
-            entering &= movable
+        entering = (tableau[-1, :allowed] < -_COST_TOL) & movable
         col = int(entering.argmax())
         if not entering[col]:
             return OPTIMAL
         column = tableau[:m, col]
         ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=column > _PIVOT_TOL)
-        if upper is not None:
-            # a basic variable rising towards its own bound
-            bound = upper[basis]
-            rising = column < -_PIVOT_TOL
-            rising &= bound < np.inf
-            np.divide(bound - rhs, -column, out=ratios, where=rising)
+        # a basic variable rising towards its own bound
+        bound = upper[basis]
+        rising = column < -_PIVOT_TOL
+        rising &= bound < np.inf
+        np.divide(bound - rhs, -column, out=ratios, where=rising)
         best = ratios.min()
-        if upper is not None and upper[col] <= best and upper[col] < np.inf:
+        if upper[col] <= best and upper[col] < np.inf:
             _flip(tableau, col, upper[col])
             flipped[col] = not flipped[col]
             continue
@@ -185,11 +182,9 @@ def solve_lp(
     tableau[:m][negative] *= -1.0
     tableau[art_rows, basis[art_rows]] = 1.0
 
-    upper_all = None
+    upper_all = np.full(width, np.inf)
+    upper_all[:n] = bounds
     flipped = np.zeros(width, dtype=bool)
-    if np.any(bounds < np.inf):
-        upper_all = np.full(width, np.inf)
-        upper_all[:n] = bounds
 
     # phase 1: minimize the artificial sum
     tableau[-1, base:width] = 1.0

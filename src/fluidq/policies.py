@@ -3,8 +3,11 @@
 Rate-proportional control keeps every node of a layer at the same
 ingress/egress rate ratio; the per-layer ratios form the gamma vector.
 Queue-proportional control replaces arrival-rate knowledge with live
-backlogs and reaches the same delay asymptotically.  Backpressure and
-max-link-rate serve as baselines.
+backlogs and reaches the same delay asymptotically; it and the
+rate-proportional construction split a layer's egress over its links the
+same way (:func:`_layer_split`).  Backpressure and max-link-rate serve as
+baselines.  The N x 1 checker is the layered one on effective rates, and
+every checker but the single-hop one ends in the same throughput clause.
 
 A policy is any object with ``rates(state, net, arr, svc, dt)``.  Constant
 vectors (rate-proportional, tree, :func:`max_link_rate_rates`) run through
@@ -78,38 +81,18 @@ def check_min_delay_single_sink(
 
     The region is the union of the rate-proportional branch (all g_i in one
     proportion to lambda_i with total at least mu) and the drain branch
-    (every g_i at least lambda_i), intersected with the capacity box.
+    (every g_i at least lambda_i), intersected with the capacity box.  The
+    effective rates min(g_i, lambda_i) have one ratio to lambda_i exactly on
+    those branches, so past the capacity clause this is
+    :func:`check_min_delay_layered` on the effective flow.
     """
     if not net.is_single_sink():
         raise ValueError("check applies to N x 1 single-hop networks only")
-    n = net.layer_sizes[0]
-    g = np.zeros(n)
-    for k, link in enumerate(net.links):
-        g[link.src] = rates.values[k]
-    lam = arr.rates
-    mu = float(svc.rates[0])
-
     bad = rates.capacity_violations(tol)
     if bad:
         return CheckResult(False, f"capacity exceeded on link {bad[0]}")
-    if np.all(g >= lam - tol * np.maximum(1.0, lam)):
-        return CheckResult(True, None, (1.0, float(lam.sum() / mu)))
-    ratios = g / lam
-    spread = _spread(ratios)
-    if not spread <= tol:
-        return CheckResult(
-            False,
-            "rates are not proportional to arrival rates",
-            residuals={"ratio_spread": spread},
-        )
-    if not g.sum() >= mu - tol * max(1.0, mu):
-        return CheckResult(
-            False,
-            "total rate below the service rate (throughput lost)",
-            residuals={"throughput_deficit": float(mu - g.sum())},
-        )
-    gamma1 = float(lam.sum() / g.sum())
-    return CheckResult(True, None, (gamma1, float(g.sum() / mu)), {"ratio_spread": spread})
+    g_tilde, _, _, _ = effective_flow(net, arr, rates.values)
+    return _check_layered(net, arr, svc, g_tilde, None, tol)
 
 
 def check_min_delay_single_hop(
@@ -142,36 +125,6 @@ def check_min_delay_single_hop(
     return CheckResult(True, None, gamma, residuals)
 
 
-def _layer_ratios(
-    net: LayeredNetwork,
-    arr: ArrivalProfile,
-    svc: ServiceProfile,
-    values: np.ndarray,
-) -> list[np.ndarray | None]:
-    """Per-layer arrays of node ingress/egress ratios over the nodes that
-    carry flow.  Nodes with neither ingress nor egress rate are skipped (a
-    zero-flow node is equivalent to omitting its links, which the routing
-    model permits); a node with traffic to move but no egress rate marks
-    the whole layer as None."""
-    ingress = np.zeros(net.num_nodes)
-    egress = np.zeros(net.num_nodes)
-    np.add.at(ingress, net.link_dst, values)
-    np.add.at(egress, net.link_src, values)
-    ingress[list(net.ingress_nodes)] = arr.rates
-    out: list[np.ndarray | None] = []
-    for l in range(net.num_layers - 1):
-        ids = np.array(net.layer_nodes(l))
-        stuck = (egress[ids] <= 0) & (ingress[ids] > 0)
-        if np.any(stuck):
-            out.append(None)
-            continue
-        carrying = egress[ids] > 0
-        out.append(ingress[ids[carrying]] / egress[ids[carrying]])
-    egress_ids = list(net.egress_nodes)
-    out.append(ingress[egress_ids] / svc.rates)
-    return out
-
-
 def check_min_delay_layered(
     net: LayeredNetwork,
     arr: ArrivalProfile,
@@ -189,13 +142,34 @@ def check_min_delay_layered(
     A node with zero egress rate in a flow-carrying layer fails the check
     (its ratio is undefined).
     """
-    ratios = _layer_ratios(net, arr, svc, rates.values)
+    return _check_layered(net, arr, svc, rates.values, gamma, tol)
+
+
+def _check_layered(net, arr, svc, values, gamma, tol) -> CheckResult:
+    """:func:`check_min_delay_layered` on a bare (possibly NaN) vector.
+
+    A layer's ratios are taken over its nodes that carry flow: a node with
+    neither ingress nor egress rate is skipped (a zero-flow node is
+    equivalent to omitting its links, which the routing model permits).
+    The egress layer's ratios are ingress over service rate.
+    """
+    ingress = np.zeros(net.num_nodes)
+    egress = np.zeros(net.num_nodes)
+    np.add.at(ingress, net.link_dst, values)
+    np.add.at(egress, net.link_src, values)
+    ingress[list(net.ingress_nodes)] = arr.rates
     inferred: list[float] = []
     residuals = {}
     given = as_gamma(gamma, net.num_layers) if gamma is not None else None
-    for l, r in enumerate(ratios):
-        if r is None:
+    for l in range(net.num_layers):
+        ids = np.array(net.layer_nodes(l))
+        if l == net.num_layers - 1:
+            r = ingress[ids] / svc.rates
+        elif np.any((egress[ids] <= 0) & (ingress[ids] > 0)):
             return CheckResult(False, f"zero egress rate at a node of layer {l + 1}")
+        else:
+            carrying = ids[egress[ids] > 0]
+            r = ingress[carrying] / egress[carrying]
         if r.size == 0:
             return CheckResult(False, f"no flow through layer {l + 1}")
         target = given[l] if given else float(r.mean())
@@ -206,13 +180,19 @@ def check_min_delay_layered(
                 False, f"unequal ingress/egress ratios at layer {l + 1}", None, residuals
             )
         inferred.append(target)
-    _, inflow, _, _ = effective_flow(net, arr, rates.values)
-    service = np.minimum(inflow[list(net.egress_nodes)], svc.rates).sum()
     best = min(arr.total, svc.total)
+    return _throughput_clause(net, arr, svc, values, best, tuple(inferred), residuals, tol)
+
+
+def _throughput_clause(net, arr, svc, values, best, gamma, residuals, tol) -> CheckResult:
+    """Maximum throughput: on the effective flow of ``values`` the egress
+    layer serves at least ``best``."""
+    _, inflow, _, _ = effective_flow(net, arr, values)
+    service = np.minimum(inflow[list(net.egress_nodes)], svc.rates).sum()
     residuals["throughput_deficit"] = float(best - service)
     if not service >= best - tol * max(1.0, best):
-        return CheckResult(False, "maximum throughput not achieved", tuple(inferred), residuals)
-    return CheckResult(True, None, tuple(inferred), residuals)
+        return CheckResult(False, "maximum throughput not achieved", gamma, residuals)
+    return CheckResult(True, None, gamma, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +200,28 @@ def check_min_delay_layered(
 
 
 def _check_constructible(net: LayeredNetwork) -> None:
+    """Every layer is fully connected or gives each of its nodes exactly one
+    out-link; a layer without links (absent from the plan) is neither."""
+    planned = {layer.index: layer for layer in net.plan}
     for l in range(net.num_layers - 1):
-        full = net.layer_links(l).size == net.layer_sizes[l] * net.layer_sizes[l + 1]
-        unique = all(len(net.out_links[nid]) == 1 for nid in net.layer_nodes(l))
-        if not (full or unique):
+        layer = planned.get(l)
+        if layer is None or not (
+            layer.src_local.size == layer.width * layer.next_width
+            or np.array_equal(layer.src_local, np.arange(layer.width))
+        ):
             raise ValueError(
                 f"layers {l + 1}-{l + 2} are neither fully connected nor "
                 "single-child; no constructive split available"
             )
+
+
+def _layer_split(net: LayeredNetwork, layer, svc: ServiceProfile, node_egress) -> np.ndarray:
+    """Link rates of one plan layer from its nodes' egress totals: the whole
+    egress on a node's only out-link, otherwise shares of the next layer's
+    masses (service rates into the egress layer, uniform elsewhere)."""
+    mass = svc.rates if layer.index == net.num_layers - 2 else np.ones(layer.next_width)
+    share = mass / mass.sum()
+    return node_egress[layer.src_local] * np.where(layer.single, 1.0, share[layer.dst_local])
 
 
 def construct_rate_proportional(
@@ -235,15 +229,13 @@ def construct_rate_proportional(
     arr: ArrivalProfile,
     svc: ServiceProfile,
     gamma,
-    masses=None,
 ) -> RateAssignment:
     """Build a rate vector realizing the given per-layer ratios.
 
-    Each node's egress total is its ingress divided by gamma_l, split
-    across next-layer nodes in proportion to their egress masses: uniform
-    for middle layers (``masses`` overrides), service-rate shares for the
-    egress layer.  Requires full connection (or single-child nodes) between
-    adjacent layers and gamma consistent with maximum throughput.
+    Each node's egress total is its ingress divided by gamma_l, split by
+    :func:`_layer_split`; the next layer's ingress is the sum of the link
+    rates into each node.  Requires full connection (or single-child nodes)
+    between adjacent layers and gamma consistent with maximum throughput.
     """
     gamma = as_gamma(gamma, net.num_layers)
     _check_constructible(net)
@@ -254,41 +246,23 @@ def construct_rate_proportional(
             f"gamma product {prod:g} differs from total arrival/service ratio "
             f"{ratio:g}; the egress-layer clause cannot hold"
         )
+    if len(svc) != net.layer_sizes[-1] or np.any(svc.rates <= 0):
+        raise ValueError(f"bad egress masses for layer {net.num_layers}")
     values = np.zeros(net.num_links)
-    ingress = arr.rates.copy()
-    for l in range(net.num_layers - 1):
-        node_egress = ingress / gamma[l]
-        next_size = net.layer_sizes[l + 1]
-        if l == net.num_layers - 2:
-            mass = svc.rates
-        elif masses is not None and masses[l] is not None:
-            mass = np.asarray(masses[l], dtype=float)
-        else:
-            mass = np.ones(next_size)
-        if len(mass) != next_size or np.any(mass <= 0):
-            raise ValueError(f"bad egress masses for layer {l + 2}")
-        nxt = np.zeros(next_size)
-        for nid in net.layer_nodes(l):
-            _, i = net.node_coords(nid)
-            out = net.out_links[nid]
-            if len(out) == 1:
-                lk = out[0]
-                values[lk] = node_egress[i]
-                nxt[net.links[lk].dst] += node_egress[i]
-            else:
-                share = mass / mass.sum()
-                for lk in out:
-                    j = net.links[lk].dst
-                    values[lk] = node_egress[i] * share[j]
-                    nxt[j] += values[lk]
-        ingress = nxt
-    for k, link in enumerate(net.links):
-        if values[k] > link.capacity + 1e-9 * max(1.0, values[k]):
-            raise ValueError(
-                f"gamma infeasible against capacities: link "
-                f"({link.layer + 1},{link.src + 1},{link.dst + 1}) needs "
-                f"{values[k]:g} > capacity {link.capacity:g}"
-            )
+    ingress = arr.rates
+    for layer in net.plan:
+        v = _layer_split(net, layer, svc, ingress / gamma[layer.index])
+        values[layer.links] = v
+        ingress = np.bincount(layer.dst_local, weights=v, minlength=layer.next_width)
+    over = np.flatnonzero(values > net.capacities + 1e-9 * np.maximum(1.0, values))
+    if over.size:
+        k = int(over[0])
+        link = net.links[k]
+        raise ValueError(
+            f"gamma infeasible against capacities: link "
+            f"({link.layer + 1},{link.src + 1},{link.dst + 1}) needs "
+            f"{values[k]:g} > capacity {link.capacity:g}"
+        )
     return RateAssignment(net, values)
 
 
@@ -334,14 +308,19 @@ class StaticPolicy:
         return self.assignment
 
 
-def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
-    """Every link at its capacity; undefined with unbounded links."""
+def require_bounded(net: LayeredNetwork, what: str) -> None:
+    """Reject a network with an unbounded link: ``what`` needs capacities."""
     if not net.bounded:
         bad = next(link for link in net.links if link.unbounded)
         raise ValueError(
-            f"max-link-rate undefined: link ({bad.layer + 1},{bad.src + 1},"
+            f"{what} undefined: link ({bad.layer + 1},{bad.src + 1},"
             f"{bad.dst + 1}) has unbounded capacity"
         )
+
+
+def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
+    """Every link at its capacity; undefined with unbounded links."""
+    require_bounded(net, "max-link-rate")
     return RateAssignment(net, net.capacities)
 
 
@@ -351,8 +330,7 @@ def backpressure_rates(
     """Capacity on every link whose source backlog strictly exceeds its
     destination backlog, zero otherwise (egress service is handled by the
     engine's work-conserving servers)."""
-    if not net.bounded:
-        raise ValueError("backpressure undefined with unbounded capacities")
+    require_bounded(net, "backpressure")
     active = state.q[net.link_src] > state.q[net.link_dst]
     return RateAssignment(net, np.where(active, net.capacities, 0.0))
 
@@ -400,9 +378,7 @@ def _queue_proportional(state, net, svc, gamma, arr, dt) -> tuple[np.ndarray, bo
                 node_egress = node_egress * scale_up
         else:
             node_egress = total_service * shares / shares.sum()
-        mass = svc.rates if l == net.num_layers - 2 else np.ones(layer.next_width)
-        share = mass / mass.sum()
-        v = node_egress[layer.src_local] * np.where(layer.single, 1.0, share[layer.dst_local])
+        v = _layer_split(net, layer, svc, node_egress)
         over = v > layer.caps
         if over.any():
             # each source keeps its split and scales down to its tightest link
@@ -486,6 +462,13 @@ def parent_source_set(net: LayeredNetwork) -> list[frozenset[int]]:
     return [frozenset(s) for s in pss]
 
 
+def _subtree_arrivals(net: LayeredNetwork, arr: ArrivalProfile, what: str) -> np.ndarray:
+    """Per node, the total arrival rate of its ingress ancestors."""
+    if not net.is_fan_in_tree():
+        raise ValueError(f"{what} applies to fan-in tree topologies only")
+    return np.array([sum(arr.rates[i] for i in s) for s in parent_source_set(net)])
+
+
 def check_min_delay_tree(
     net: LayeredNetwork,
     arr: ArrivalProfile,
@@ -496,14 +479,10 @@ def check_min_delay_tree(
     """Tree condition: into every node, the parents' total subtree arrival
     rates stand in one proportion to the link rates (a per-destination
     constant), and maximum throughput is achieved."""
-    if not net.is_fan_in_tree():
-        raise ValueError("check applies to fan-in tree topologies only")
-    pss = parent_source_set(net)
-    subtree_lam = np.array([sum(arr.rates[i] for i in s) for s in pss])
+    subtree_lam = _subtree_arrivals(net, arr, "check")
     residuals = {}
     for l in range(1, net.num_layers):
-        for nid in net.layer_nodes(l):
-            _, j = net.node_coords(nid)
+        for j, nid in enumerate(net.layer_nodes(l)):
             in_ids = net.in_links[nid]
             g_in = rates.values[list(in_ids)]
             if np.any(g_in <= 0):
@@ -521,14 +500,8 @@ def check_min_delay_tree(
                     None,
                     residuals,
                 )
-    _, inflow, _, _ = effective_flow(net, arr, rates.values)
-    egress_ids = list(net.egress_nodes)
-    service = np.minimum(inflow[egress_ids], svc.rates).sum()
-    best = float(np.minimum(subtree_lam[egress_ids], svc.rates).sum())
-    residuals["throughput_deficit"] = float(best - service)
-    if not service >= best - tol * max(1.0, best):
-        return CheckResult(False, "maximum throughput not achieved", None, residuals)
-    return CheckResult(True, None, None, residuals)
+    best = float(np.minimum(subtree_lam[list(net.egress_nodes)], svc.rates).sum())
+    return _throughput_clause(net, arr, svc, rates.values, best, None, residuals, tol)
 
 
 def tree_rate_proportional(
@@ -537,17 +510,10 @@ def tree_rate_proportional(
     """Each link carries a common multiple of its source's subtree arrival
     rate, the multiple chosen as the smallest that feeds every egress node
     its achievable throughput."""
-    if not net.is_fan_in_tree():
-        raise ValueError("construction applies to fan-in tree topologies only")
-    pss = parent_source_set(net)
-    subtree_lam = np.array([sum(arr.rates[i] for i in s) for s in pss])
-    scale = 0.0
-    for j, nid in enumerate(net.egress_nodes):
-        reachable = subtree_lam[nid]
-        target = min(float(svc.rates[j]), reachable)
-        scale = max(scale, target / reachable)
-    values = np.array([scale * subtree_lam[net.link_src[k]] for k in range(net.num_links)])
-    assignment = RateAssignment(net, values)
+    subtree_lam = _subtree_arrivals(net, arr, "construction")
+    reachable = subtree_lam[-1]  # a fan-in tree has one egress node
+    scale = max(0.0, min(float(svc.rates[0]), reachable) / reachable)
+    assignment = RateAssignment(net, scale * subtree_lam[net.link_src])
     bad = assignment.capacity_violations()
     if bad:
         raise ValueError(f"tree rates exceed capacity on link {bad[0]}")

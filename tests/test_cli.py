@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fluidq import (
     StaticPolicy,
     bench,
     fan_in_tree,
+    load,
     save,
     single_sink,
 )
@@ -273,3 +275,38 @@ def test_bench_rejects_a_zero_horizon(capsys):
     with pytest.raises(SystemExit, match="horizon must be positive, got 0.0"):
         main(["bench", "--family", "nx1-limited", "--instances", "1", "--horizon", "0"])
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# simulate input errors end in one line, not a traceback
+
+FOURLAYER = os.path.join(os.path.dirname(__file__), "data", "fourlayer.json")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--policy", "max", "--rates", "r.json"],
+         "--rates applies to --policy opt-static only, not max"),
+        (["--policy", "bp", "--gamma", "1,1,1,1"],
+         "--gamma applies to --policy opt-queue only, not bp"),
+        (["--policy", "opt-queue", "--gamma", "1,2"], "--gamma: gamma needs 4 entries, got 2"),
+        (["--policy", "tree"],
+         "policy tree: construction applies to fan-in tree topologies only"),
+        (["--policy", "max"],
+         r"policy max: max-link-rate undefined: link \(1,1,1\) has unbounded capacity"),
+        (["--policy", "bp"],
+         r"policy bp: backpressure undefined: link \(1,1,1\) has unbounded capacity"),
+    ],
+)
+def test_simulate_input_errors_exit_with_one_line(extra, message, capsys):
+    with pytest.raises(SystemExit, match=f"^{message}$"):
+        main(["simulate", "--net", FOURLAYER, *extra, "--horizon", "2"])
+    assert capsys.readouterr().out == ""
+
+
+def test_bp_on_unbounded_links_fails_when_built():
+    net, arr, svc = load(FOURLAYER)
+    inst = bench.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
+    with pytest.raises(ValueError, match="backpressure undefined"):
+        bench.make_policy("bp", inst)

@@ -1,8 +1,12 @@
 """The per-network layer plan and the whole-layer policy and fluid step
-built on it: plan structure, the vectorized queue-proportional rates
-against the per-node loop they replace, seeded trajectories pinned bit for
-bit, and the capacity check made once per distinct assignment."""
+built on it: plan structure, the vectorized queue-proportional rates and
+rate-proportional construction against the per-node loops they replace,
+seeded trajectories pinned bit for bit, and the capacity check made once
+per distinct assignment."""
+import collections
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from fluidq import (
     RateAssignment,
     ServiceProfile,
     SimConfig,
+    construct_rate_proportional,
     fan_in_tree,
     full_connection,
     queue_proportional_rates,
@@ -174,6 +179,100 @@ def test_queue_proportional_on_a_tree_matches_loop():
         expected, _ = _reference_rates(state, net, svc, None, arr, 0.1)
         got = queue_proportional_rates(state, net, svc, None, arr, 0.1)
         assert np.array_equal(got.values, expected)
+
+
+# ---------------------------------------------------------------------------
+# rate-proportional construction on the plan against the per-node loop
+
+
+def _reference_construct(net, arr, svc, gamma):
+    """The per-node loop that ``construct_rate_proportional`` ran before it
+    was built on the plan.  Returns the rate vector or the rejection."""
+    for l in range(net.num_layers - 1):
+        full = net.layer_links(l).size == net.layer_sizes[l] * net.layer_sizes[l + 1]
+        unique = all(len(net.out_links[nid]) == 1 for nid in net.layer_nodes(l))
+        if not (full or unique):
+            return f"layers {l + 1}-{l + 2} are neither fully connected nor single-child"
+    ratio = arr.total / svc.total
+    if not abs(math.prod(gamma) - ratio) <= 1e-9 * max(1.0, ratio):
+        return "gamma product"
+    values = np.zeros(net.num_links)
+    ingress = arr.rates.copy()
+    for l in range(net.num_layers - 1):
+        node_egress = ingress / gamma[l]
+        next_size = net.layer_sizes[l + 1]
+        mass = svc.rates if l == net.num_layers - 2 else np.ones(next_size)
+        if len(mass) != next_size or np.any(mass <= 0):
+            return f"bad egress masses for layer {l + 2}"
+        nxt = np.zeros(next_size)
+        for nid in net.layer_nodes(l):
+            _, i = net.node_coords(nid)
+            out = net.out_links[nid]
+            if len(out) == 1:
+                values[out[0]] = node_egress[i]
+                nxt[net.links[out[0]].dst] += node_egress[i]
+            else:
+                share = mass / mass.sum()
+                for lk in out:
+                    j = net.links[lk].dst
+                    values[lk] = node_egress[i] * share[j]
+                    nxt[j] += values[lk]
+        ingress = nxt
+    for k, link in enumerate(net.links):
+        if values[k] > link.capacity + 1e-9 * max(1.0, values[k]):
+            return f"({link.layer + 1},{link.src + 1},{link.dst + 1}) needs"
+    return values
+
+
+def _random_fan_in_tree(rng, sizes, capacity):
+    parents = []
+    for n, m in zip(sizes[:-1], sizes[1:]):
+        p = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        rng.shuffle(p)
+        parents.append([int(v) for v in p])
+    return fan_in_tree(sizes, parents, capacity)
+
+
+def test_construct_rate_proportional_matches_per_node_loop():
+    """Bit-identical vectors and the same rejections on full connections,
+    fan-in trees and non-constructible nets (sparse layers, a layer with no
+    links, a zero service rate), with and without capacities."""
+    outcomes = collections.Counter()
+    for case in range(400):
+        rng = np.random.default_rng([SEED, 7, case])
+        num_layers = int(rng.integers(2, 6))
+        cap = float(rng.uniform(0.5, 20.0)) if case % 4 else math.inf
+        if case % 2:
+            sizes = tuple(int(n) for n in rng.integers(1, 7, size=num_layers))
+            net = full_connection(sizes, cap)
+            if case % 10 == 1:
+                empty = int(rng.integers(num_layers - 1))
+                keep = [ln for ln in net.links if rng.random() < 0.7 and ln.layer != empty]
+                net = LayeredNetwork(sizes, keep)
+        else:
+            sizes = tuple(sorted(rng.integers(1, 9, size=num_layers - 1), reverse=True)) + (1,)
+            net = _random_fan_in_tree(rng, sizes, cap)
+        arr = ArrivalProfile(rng.uniform(0.5, 10.0, size=sizes[0]).round(case % 3))
+        mu = rng.uniform(0.5, 10.0, size=sizes[-1]).round(case % 4)
+        if case % 10 == 3 and mu.size > 1:
+            mu[0] = 0.0
+        svc = ServiceProfile(mu)
+        gamma = rng.uniform(0.3, 3.0, size=num_layers)
+        if case % 13:  # consistent with maximum throughput
+            gamma[-1] = arr.total / svc.total / math.prod(gamma[:-1])
+        expected = _reference_construct(net, arr, svc, tuple(gamma))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                construct_rate_proportional(net, arr, svc, gamma)
+            outcomes[expected.split(" ")[0]] += 1
+        else:
+            got = construct_rate_proportional(net, arr, svc, gamma).values
+            assert got.tobytes() == expected.tobytes(), case
+            outcomes["built"] += 1
+    # every rejection kind is reached: split, gamma product, masses, capacity
+    assert outcomes["built"] >= 200
+    assert min(outcomes[k] for k in ("layers", "gamma", "bad")) >= 10
+    assert sum(n for k, n in outcomes.items() if k.startswith("(")) >= 30
 
 
 # ---------------------------------------------------------------------------

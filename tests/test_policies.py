@@ -54,7 +54,7 @@ def test_region_rejects_unbalanced_rates():
     arr, svc = ArrivalProfile(lam), ServiceProfile([9.0])
     result = check_min_delay_single_sink(net, arr, svc, single_sink_rates(net, [3.0, 5.0, 4.0]))
     assert not result.ok
-    assert "proportional" in result.reason
+    assert "unequal ingress/egress ratios at layer 1" in result.reason
 
 
 def test_region_rejects_capacity_and_throughput_violations(two_source_instance):
@@ -63,6 +63,58 @@ def test_region_rejects_capacity_and_throughput_violations(two_source_instance):
     assert "capacity" in check_min_delay_single_sink(net, arr, svc, over).reason
     starved = single_sink_rates(net, [1.0, 0.375])
     assert "throughput" in check_min_delay_single_sink(net, arr, svc, starved).reason
+
+
+def _nx1_region(lam, mu, caps, g):
+    """The N x 1 min-delay region stated directly: inside the capacity box,
+    and either the drain branch (every g_i >= lambda_i) or the proportional
+    branch (one ratio g_i / lambda_i, total at least mu).  Returns the
+    branch name, or None outside, and the branch's gamma."""
+    if np.any(g > caps):
+        return None, None
+    if np.all(g >= lam):
+        return "drain", (1.0, lam.sum() / mu)
+    c = g / lam
+    if np.ptp(c) <= 1e-12 * c.max() and g.sum() >= mu:
+        return "proportional", (lam.sum() / g.sum(), g.sum() / mu)
+    return None, None
+
+
+def test_single_sink_check_is_the_nx1_region():
+    """The layered wrapper agrees with the region on seeded draws that hit
+    both branches, zero-rate sources, g == lambda and sum g == mu exactly,
+    and the capacity box; its gamma is the branch's gamma."""
+    rng = np.random.default_rng(20240811)
+    seen = {"drain": 0, "proportional": 0, None: 0}
+    for case in range(2500):
+        n = int(rng.integers(1, 8))
+        lam = rng.integers(1, 12, size=n).astype(float)
+        caps = np.where(rng.random(n) < 0.5, math.inf, rng.uniform(0.5, 15.0, n))
+        mu = float(rng.uniform(0.2, 1.2) * lam.sum())
+        kind = case % 5
+        if kind == 0:  # drain, often with g == lambda exactly
+            g = lam * rng.choice([1.0, 1.5, 3.0], size=n)
+        elif kind == 1:  # proportional; half with sum g == mu exactly
+            c = float(rng.choice([0.25, 0.5, 0.75]))
+            g = c * lam
+            if case % 2:
+                mu = float(g.sum())
+        elif kind == 2:  # proportional but one source at zero
+            g = rng.uniform(0.1, 1.0) * lam
+            g[int(rng.integers(n))] = 0.0
+        elif kind == 3:  # unstructured
+            g = rng.uniform(0.0, 2.0, n) * lam
+        else:  # some sources pinned at their capacity
+            g = np.where(np.isinf(caps), lam, np.minimum(caps, lam * rng.uniform(0.5, 2.0)))
+        net = single_sink(n, caps)
+        arr, svc = ArrivalProfile(lam), ServiceProfile([mu])
+        branch, gamma = _nx1_region(lam, mu, caps, g)
+        result = check_min_delay_single_sink(net, arr, svc, single_sink_rates(net, g))
+        assert result.ok == (branch is not None), (case, lam, g, mu, result)
+        if branch is not None:
+            assert np.allclose(result.gamma, gamma, rtol=1e-9, atol=0.0), case
+        seen[branch] += 1
+    assert min(seen.values()) >= 200
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +223,7 @@ def test_checkers_fail_on_nan_deviations():
         sink, ArrivalProfile([8.0, math.nan]), ServiceProfile([2.0]),
         single_sink_rates(sink, [2.0, 0.75]),
     )
-    assert not verdict.ok and math.isnan(verdict.residuals["ratio_spread"])
+    assert not verdict.ok and math.isnan(verdict.residuals["layer_2_ratio_spread"])
     tree = fan_in_tree([2, 1], [[0, 0]], 10.0)
     assert not check_min_delay_tree(
         tree, ArrivalProfile([math.nan, 1.0]), ServiceProfile([1.0]),
