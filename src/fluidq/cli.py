@@ -40,8 +40,13 @@ POLICY_HELP = f"one of {', '.join(bench_mod.POLICIES)}, custom:<file>"
 
 
 def _load_rates(net, path) -> RateAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RateAssignment.from_dict(net, json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return RateAssignment.from_dict(net, json.load(fh))
+    except OSError as exc:
+        raise SystemExit(f"rates {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise SystemExit(f"rates {path}: {exc}") from exc
 
 
 def _parse_gamma(spec: str, net, arr, svc):
@@ -49,13 +54,15 @@ def _parse_gamma(spec: str, net, arr, svc):
         return balanced_growth_gamma(arr, svc, net.num_layers)
     if spec == "tight":
         return throughput_tight_gamma(arr, svc, net.num_layers)
-    if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            values = json.load(fh)
-    else:
-        values = spec.split(",")
     try:
+        if spec.startswith("@"):
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+        else:
+            values = spec.split(",")
         return as_gamma(values, net.num_layers)
+    except OSError as exc:
+        raise SystemExit(f"--gamma {spec}: {exc.strerror or exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"--gamma: {exc}") from exc
 
@@ -87,7 +94,13 @@ def cmd_simulate(args) -> int:
     policy = _make_policy(args.policy, net, arr, svc, args.rates, gamma)
     q0 = None
     if args.q0:
-        q0 = np.array([float(v) for v in args.q0.split(",")])
+        try:
+            values = [float(v) for v in args.q0.split(",")]
+            q0 = SimConfig(args.horizon, q0=values).initial_backlog(net)
+            if args.mode == "integer" and not np.allclose(q0, np.round(q0)):
+                raise ValueError("integer mode requires an integral q0")
+        except ValueError as exc:
+            raise SystemExit(f"--q0: {exc}") from exc
     cfg = SimConfig(
         horizon=args.horizon, dt=args.dt, q0=q0, discretize=args.mode == "integer"
     )
@@ -115,8 +128,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     net, arr, svc = load(args.net)
-    rates = _load_rates(net, args.rates)
-    gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
     kind = args.kind
     if kind == "auto":
         if net.is_single_sink():
@@ -127,14 +138,21 @@ def cmd_check(args) -> int:
             kind = "single-hop"
         else:
             kind = "layered"
-    if kind == "single-sink":
-        result = check_min_delay_single_sink(net, arr, svc, rates)
-    elif kind == "single-hop":
-        result = check_min_delay_single_hop(net, arr, svc, rates)
-    elif kind == "tree":
-        result = check_min_delay_tree(net, arr, svc, rates)
-    else:
-        result = check_min_delay_layered(net, arr, svc, rates, gamma)
+    if args.gamma and kind != "layered":
+        raise SystemExit(f"--gamma applies to --kind layered only, not {kind}")
+    rates = _load_rates(net, args.rates)
+    gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
+    try:
+        if kind == "single-sink":
+            result = check_min_delay_single_sink(net, arr, svc, rates)
+        elif kind == "single-hop":
+            result = check_min_delay_single_hop(net, arr, svc, rates)
+        elif kind == "tree":
+            result = check_min_delay_tree(net, arr, svc, rates)
+        else:
+            result = check_min_delay_layered(net, arr, svc, rates, gamma)
+    except ValueError as exc:
+        raise SystemExit(f"check --kind {kind}: {exc}") from exc
     if result.ok:
         print("in the min-delay region")
         if result.gamma:

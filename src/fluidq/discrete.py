@@ -85,25 +85,11 @@ class TaggedRun:
         return total / count
 
 
-def _allocate(amounts: np.ndarray, total: int) -> np.ndarray:
-    """Integer split of ``total`` proportional to ``amounts`` (largest
-    remainder, ties by position), each entry capped by ``amounts``."""
-    weight = amounts.sum()
-    if total <= 0 or weight <= 0:
-        return np.zeros(len(amounts), dtype=np.int64)
-    exact = amounts * (total / weight)
-    base = np.floor(exact).astype(np.int64)
-    rest = total - int(base.sum())
-    if rest > 0:
-        order = np.argsort(base - exact, kind="stable")
-        base[order[:rest]] += 1
-    return np.minimum(base, amounts)
-
-
 def _allocate_each(amounts, totals, weights, seg) -> np.ndarray:
-    """:func:`_allocate` on many segments in one pass: the entries with
-    segment index ``s`` (``seg`` is ascending) share ``totals[s]``, and
-    ``weights[s] > 0`` is their sum."""
+    """Integer split of ``totals[s]`` over the entries with segment index
+    ``s`` (``seg`` is ascending), in proportion to their ``amounts`` and
+    each capped by it: largest remainder, ties by position.  ``weights[s]
+    > 0`` is the segment's sum of ``amounts``."""
     exact = amounts * (totals / weights)[seg]
     base = np.floor(exact).astype(np.int64)
     rest = totals - np.bincount(seg, weights=base, minlength=totals.size)
@@ -113,27 +99,33 @@ def _allocate_each(amounts, totals, weights, seg) -> np.ndarray:
     return np.minimum(base, amounts)
 
 
-def _take(row: np.ndarray, count: int) -> np.ndarray:
+def _take(row: np.ndarray, count: int, total: int | None = None) -> np.ndarray:
     """Remove ``count`` packets from ``row`` in proportion to its entries
-    (a deterministic resolution of FIFO ties) and return them.  Where the
-    caps bind, the shortfall is topped up from the entries with the most
-    room left."""
-    if count >= row.sum():
+    (a deterministic resolution of FIFO ties) and return them.  ``total``
+    is ``row.sum()`` when the caller has it.
+
+    The split is the largest-remainder one, ties by position, capped by
+    the entries; where the caps bind, the shortfall is topped up from the
+    entries with the most room left."""
+    if total is None:
+        total = int(row.sum())
+    if count >= total:
         take = row.copy()
         row[:] = 0
         return take
-    filled = np.flatnonzero(row)
-    if filled.size == 1:  # what _allocate gives, without the arithmetic
-        take = np.zeros_like(row)
-        take[filled] = count
-    else:
-        take = _allocate(row, count)
-        short = count - int(take.sum())
-        if short > 0:
-            room = row - take
-            order = np.argsort(-room, kind="stable")
-            before = np.cumsum(room[order]) - room[order]
-            take[order] += np.clip(short - before, 0, room[order])
+    exact = row * (float(count) / float(total))  # numpy's int64 division, at any size
+    take = exact.astype(np.int64)  # floor: every entry is nonnegative
+    rest = count - int(take.sum())
+    if rest > 0:
+        order = np.argsort(take - exact, kind="stable")
+        take[order[:rest]] += 1
+    np.minimum(take, row, out=take)
+    short = count - int(take.sum())
+    if short > 0:  # caps bind only where products lose whole units (beyond 2**53)
+        room = row - take
+        order = np.argsort(-room, kind="stable")
+        before = np.cumsum(room[order]) - room[order]
+        take[order] += np.clip(short - before, 0, room[order])
     row -= take
     return take
 
@@ -150,6 +142,11 @@ class _IntegerSim:
         window: float | None = None,
         keep_trajectory: bool = True,
     ):
+        if np.any(arr.rates < 0) or np.any(svc.rates < 0) or np.any(net.capacities < 0):
+            raise ValueError(
+                "integer mode requires nonnegative arrival rates, service rates "
+                "and capacities"
+            )
         self.net = net
         self.arr = arr
         self.svc = svc
@@ -201,21 +198,19 @@ class _IntegerSim:
         self.born = np.zeros(self.n_class, dtype=np.int64)
         self.departed = np.zeros(self.n_class, dtype=np.int64)
         self.class_steps = np.zeros(self.n_class, dtype=np.int64)
+        #: tagged packets not yet departed, ``born.sum() - departed.sum()``
+        self.outstanding = 0
 
     def _window_of(self, k: int) -> int:
         stamp = self.cfg.t0 + k * self.dt
         return int((stamp - self.cfg.t0) / self.window) if self.window is not None else 0
-
-    @property
-    def outstanding(self) -> int:
-        return int(self.born.sum() - self.departed.sum())
 
     # -- one step ----------------------------------------------------------
 
     def step(self, k: int) -> None:
         net = self.net
         t = self.cfg.t0 + k * self.dt
-        state = QueueState(self.q.astype(float), t)
+        state = QueueState._trusted(self.q.astype(float), t)
         rates = self._check(
             _policy_rates(self.policy, state, net, self.arr, self.svc, self.dt)
         )
@@ -244,7 +239,7 @@ class _IntegerSim:
             for nid in [n for n in self.fifo if n >= self.egress_lo]:
                 count = int(serve[nid - self.egress_lo])
                 if count:
-                    self.departed += self._pop(nid, count)[:-1]
+                    self.departed += self._depart(nid, count)
             self.class_steps += self.born - self.departed
 
         self.mass += int(born.sum()) - int(serve.sum())
@@ -293,21 +288,29 @@ class _IntegerSim:
         """Take ``count`` packets off the head of a node's FIFO."""
         rows = self.fifo[nid]
         parcel = None
-        while count > 0:
+        left = count
+        while left > 0:
             row = rows[0]
             n = int(row.sum())
-            if n <= count:
+            if n <= left:
                 rows.popleft()
             else:
-                row, n = _take(row, count), count
+                row, n = _take(row, left, n), left
             parcel = row if parcel is None else parcel + row
-            count -= n
-        tagged = int(parcel[:-1].sum())
+            left -= n
+        tagged = count - int(parcel[-1])
         if tagged:
             self.held[nid] -= tagged
             if not self.held[nid]:
                 del self.fifo[nid]  # what is left is untagged
         return parcel
+
+    def _depart(self, nid: int, count: int) -> np.ndarray:
+        """Serve ``count`` packets off an egress FIFO; return its tagged
+        departures per class."""
+        parcel = self._pop(nid, count)
+        self.outstanding -= count - int(parcel[-1])
+        return parcel[:-1]
 
     def _push(self, nid: int, tagged: np.ndarray | None, total: int) -> None:
         """Append one step's inflow to a node's FIFO.  Inflow that brings a
@@ -339,6 +342,7 @@ class _IntegerSim:
             self.cls_hi[cls] = self.in_pos + born
             self.born[cls] += born
             self.held[: self.n_origin] += born
+            self.outstanding += int(born.sum())
         self.in_pos += born
 
     def _overlap(self, lo, hi) -> np.ndarray:
@@ -348,47 +352,65 @@ class _IntegerSim:
         c_hi = self.cls_hi.reshape(-1, self.n_origin)
         return np.maximum(np.minimum(hi, c_hi) - np.maximum(lo, c_lo), 0)
 
-    def _parcels(self, layer: LayerPlan, moved):
-        """Yield ``(slot, parcel)`` for the sources of one layer whose moved
-        packets may be tagged, taking them off the head of their FIFOs (rows,
-        or at ingress the position counters)."""
-        if layer.index > 0:
-            for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
-                s = self._slot[nid]
-                if s >= 0 and moved[s]:
-                    yield s, self._pop(nid, int(moved[s]))
-            return
-        # Ingress: the moved packets are the positions [out_pos, out_pos +
-        # moved), and each class's share is its overlap with them.
+    def _hand_off_ingress(self, layer: LayerPlan, grant, moved, incoming) -> None:
+        """Carry the tagged packets of the ingress layer's transfers into
+        ``incoming``.  The moved packets are the positions [out_pos, out_pos
+        + moved), and each class's share is its overlap with them.  A source
+        whose parcel holds one class, or that has one out-link, hands each
+        link its class shares times grant / moved exactly, so those sources
+        move in one fancy-indexed add (their (destination, class) pairs are
+        distinct); the other sources split their parcels link by link."""
         srcs = layer.srcs
         head = self.out_pos.copy()
         self.out_pos[srcs] += moved
         if not self.held[: self.n_origin].any():
             return  # only untagged packets are left at ingress
-        tagged = self._overlap(head, self.out_pos)[:, srcs]
-        self.held[srcs] -= tagged.sum(axis=0)
-        for s in np.flatnonzero(tagged.any(axis=0)):
+        tagged = self._overlap(head, self.out_pos)[:, srcs]  # window x source
+        n_tagged = tagged.sum(axis=0)
+        self.held[srcs] -= n_tagged
+        carried = n_tagged > 0
+        classes = np.count_nonzero(tagged, axis=0) + (moved > n_tagged)
+        whole = carried & ((classes == 1) | layer.single[layer.starts])
+        links = np.flatnonzero(whole[layer.src_of])
+        if links.size:
+            of = layer.src_of[links]
+            cols = np.arange(tagged.shape[0])[:, None] * self.n_origin + srcs[of]
+            incoming[layer.dst_local[links], cols] += tagged[:, of] * grant[links] // moved[of]
+        for s in np.flatnonzero(carried & ~whole):
             parcel = np.zeros(self.n_class + 1, dtype=np.int64)
             parcel[srcs[s] : self.n_class : self.n_origin] = tagged[:, s]
-            parcel[-1] = moved[s] - tagged[:, s].sum()
-            yield s, parcel
+            parcel[-1] = moved[s] - n_tagged[s]
+            self._split(layer, s, parcel, int(moved[s]), grant, incoming)
+
+    def _split(self, layer: LayerPlan, s: int, parcel, total: int, grant, incoming) -> None:
+        """Split one source's parcel of ``total`` packets across its
+        out-links in grant order."""
+        links = slice(layer.starts[s], layer.ends[s])
+        filled = np.flatnonzero(parcel)
+        if filled.size == 1:  # one class: every grant is all of it
+            if filled[0] < self.n_class:
+                incoming[layer.dst_local[links], filled[0]] += grant[links]
+            return
+        for pos in range(links.start, links.stop):
+            count = int(grant[pos])
+            if count:
+                incoming[layer.dst_local[pos]] += _take(parcel, count, total)[:-1]
+                total -= count
 
     def _move_tagged(self, layer: LayerPlan, grant, moved, inflow) -> None:
-        """Carry the tagged classes of one layer's transfers along: each
-        source's moved packets are split across its out-links in grant
-        order; the untagged remainder of every destination's inflow follows
-        from the totals."""
+        """Carry the tagged classes of one layer's transfers along, taking
+        each source's moved packets off the head of its FIFO (rows, or at
+        ingress the position counters); the untagged remainder of every
+        destination's inflow follows from the totals."""
         incoming = np.zeros((layer.next_width, self.n_class), dtype=np.int64)
-        for s, parcel in self._parcels(layer, moved):
-            links = slice(layer.starts[s], layer.ends[s])
-            filled = np.flatnonzero(parcel)
-            if filled.size == 1:  # one class: every grant is all of it
-                if filled[0] < self.n_class:
-                    incoming[layer.dst_local[links], filled[0]] += grant[links]
-                continue
-            for pos in range(links.start, links.stop):
-                if grant[pos]:
-                    incoming[layer.dst_local[pos]] += _take(parcel, int(grant[pos]))[:-1]
+        if layer.index == 0:
+            self._hand_off_ingress(layer, grant, moved, incoming)
+        else:
+            for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
+                s = self._slot[nid]
+                if s >= 0 and moved[s]:
+                    total = int(moved[s])
+                    self._split(layer, s, self._pop(nid, total), total, grant, incoming)
         lo = layer.next_lo
         for dst in np.flatnonzero(incoming.any(axis=1)):
             self._push(lo + int(dst), incoming[dst], int(inflow[dst]))
@@ -398,9 +420,9 @@ class _IntegerSim:
 
     def check_classes(self) -> None:
         """Exact tagged balance: per class, born = departed + at ingress +
-        in the FIFOs; the per-node tagged counts (``held``) sum to the
-        outstanding packets; and the ingress counters and every FIFO hold
-        exactly their node's backlog."""
+        in the FIFOs; the running ``outstanding`` count is born - departed,
+        and the per-node tagged counts (``held``) sum to it; and the
+        ingress counters and every FIFO hold exactly their node's backlog."""
         residual = self.in_pos - self.out_pos - self.q[: self.n_origin]
         if not np.all(residual == 0):
             i = int(np.flatnonzero(residual)[0])
@@ -421,6 +443,9 @@ class _IntegerSim:
             raise EngineError(
                 f"tagged balance violated for class {c}: residual {int(residual[c])}"
             )
+        residual = self.outstanding - int(self.born.sum() - self.departed.sum())
+        if not residual == 0:
+            raise EngineError(f"running outstanding count off born - departed by {residual}")
         residual = self.outstanding - int(self.held.sum())
         if not residual == 0:
             raise EngineError(f"tagged packets held off outstanding by {residual}")
@@ -441,9 +466,9 @@ class _IntegerSim:
         lo = self.egress_lo
         egress = self.q[lo:]
         budget = self.svc.rates * self.dt
-        for n in range(steps):
-            if not self.outstanding:
-                return n
+        left = self.born - self.departed  # per class, not yet departed
+        n = 0
+        while n < steps and self.outstanding:
             cap_f = self.service_bank + budget
             cap = np.floor(cap_f + 1e-12).astype(np.int64)
             self.service_bank = cap_f - cap
@@ -452,9 +477,11 @@ class _IntegerSim:
             for nid in list(self.fifo):
                 count = int(serve[nid - lo])
                 if count:
-                    self.departed += self._pop(nid, count)[:-1]
-            self.class_steps += self.born - self.departed
-        return steps
+                    left -= self._depart(nid, count)
+            self.class_steps += left
+            n += 1
+        self.departed = self.born - left
+        return n
 
     # -- drivers -----------------------------------------------------------
 

@@ -53,6 +53,15 @@ class QueueState:
             raise ValueError("backlogs must be nonnegative")
         object.__setattr__(self, "q", q)
 
+    @classmethod
+    def _trusted(cls, q: np.ndarray, t: float) -> "QueueState":
+        """A state on a float backlog vector the caller built and knows to
+        be nonnegative: no conversion and no sign scan."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "q", q)
+        object.__setattr__(state, "t", t)
+        return state
+
 
 class Trajectory:
     """Uniformly sampled solution of a run: queue states plus the rates

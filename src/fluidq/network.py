@@ -306,6 +306,18 @@ class RateAssignment:
         self.values.flags.writeable = False
 
     @classmethod
+    def _trusted(cls, net: LayeredNetwork, values: np.ndarray) -> "RateAssignment":
+        """An assignment on a fresh float vector of ``net.num_links``
+        rates that the caller built and no one else holds: no copy, and no
+        scan for non-finite or negative rates (a run's capacity check
+        still rejects a NaN)."""
+        rates = object.__new__(cls)
+        rates.net = net
+        rates.values = values
+        values.flags.writeable = False
+        return rates
+
+    @classmethod
     def zeros(cls, net: LayeredNetwork) -> "RateAssignment":
         return cls(net, np.zeros(net.num_links))
 

@@ -239,6 +239,8 @@ def construct_rate_proportional(
     """
     gamma = as_gamma(gamma, net.num_layers)
     _check_constructible(net)
+    if not svc.total > 0:
+        raise ValueError(f"total service rate of mu must be positive, got {svc.total:g}")
     ratio = arr.total / svc.total
     prod = math.prod(gamma)
     if not abs(prod - ratio) <= 1e-9 * max(1.0, ratio):
@@ -330,16 +332,22 @@ def backpressure_rates(
     """Capacity on every link whose source backlog strictly exceeds its
     destination backlog, zero otherwise (egress service is handled by the
     engine's work-conserving servers)."""
+    return RateAssignment(net, _backpressure(state, net))
+
+
+def _backpressure(state: QueueState, net: LayeredNetwork) -> np.ndarray:
+    """Rate vector of :func:`backpressure_rates`."""
     require_bounded(net, "backpressure")
     active = state.q[net.link_src] > state.q[net.link_dst]
-    return RateAssignment(net, np.where(active, net.capacities, 0.0))
+    return np.where(active, net.capacities, 0.0)
 
 
 class BackpressurePolicy:
-    """Backpressure baseline: :func:`backpressure_rates` every step."""
+    """Backpressure baseline: :func:`backpressure_rates` every step.  Its
+    rates are capacities or zeros, so they skip the constructor's scan."""
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return backpressure_rates(state, net, svc)
+        return RateAssignment._trusted(net, _backpressure(state, net))
 
 
 _CLIP_WARNING = (
@@ -443,7 +451,7 @@ class QueueProportionalPolicy:
             if not self.clipped_steps:
                 log.warning(_CLIP_WARNING)
             self.clipped_steps += 1
-        return RateAssignment(net, values)
+        return RateAssignment._trusted(net, values)
 
 
 # ---------------------------------------------------------------------------

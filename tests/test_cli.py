@@ -291,6 +291,8 @@ FOURLAYER = os.path.join(os.path.dirname(__file__), "data", "fourlayer.json")
         (["--policy", "bp", "--gamma", "1,1,1,1"],
          "--gamma applies to --policy opt-queue only, not bp"),
         (["--policy", "opt-queue", "--gamma", "1,2"], "--gamma: gamma needs 4 entries, got 2"),
+        (["--policy", "opt-queue", "--gamma", "@missing.json"],
+         "--gamma @missing.json: No such file or directory"),
         (["--policy", "tree"],
          "policy tree: construction applies to fan-in tree topologies only"),
         (["--policy", "max"],
@@ -303,6 +305,69 @@ def test_simulate_input_errors_exit_with_one_line(extra, message, capsys):
     with pytest.raises(SystemExit, match=f"^{message}$"):
         main(["simulate", "--net", FOURLAYER, *extra, "--horizon", "2"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("q0, message", [
+    ("1,2", "--q0: q0 has 2 entries, network has 12 nodes"),
+    ("1,x", "--q0: could not convert string to float: 'x'"),
+])
+def test_simulate_q0_errors_exit_with_one_line(q0, message, capsys):
+    with pytest.raises(SystemExit, match=f"^{message}$"):
+        main(["simulate", "--net", FOURLAYER, "--policy", "opt-queue", "--q0", q0,
+              "--horizon", "2"])
+    assert capsys.readouterr().out == ""
+
+
+def test_simulate_rejects_fractional_q0_in_integer_mode(capsys):
+    q0 = ",".join(["0.5"] + ["0"] * 11)
+    with pytest.raises(SystemExit, match="^--q0: integer mode requires an integral q0$"):
+        main(["simulate", "--net", FOURLAYER, "--policy", "opt-queue", "--mode", "integer",
+              "--q0", q0, "--horizon", "2"])
+    assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# check input errors end in one line too
+
+
+def test_check_missing_rates_file_exits_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit, match=f"^rates {missing}: No such file or directory$"):
+        main(["check", "--net", FOURLAYER, "--rates", str(missing)])
+    assert capsys.readouterr().out == ""
+
+
+def test_check_rates_for_nonexistent_link_exit_with_one_line(tmp_path, capsys):
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps({"9:9:9": 1.0}))
+    with pytest.raises(SystemExit,
+                       match=rf"^rates {rates}: rate given for nonexistent link \(8, 8, 8\)$"):
+        main(["check", "--net", FOURLAYER, "--rates", str(rates)])
+    assert capsys.readouterr().out == ""
+
+
+def test_check_tree_kind_on_full_connection_exits_with_one_line(tmp_path, capsys):
+    net, arr, svc = load(FOURLAYER)
+    rates = tmp_path / "rates.json"
+    rates.write_text(json.dumps(RateAssignment.zeros(net).to_dict()))
+    with pytest.raises(SystemExit,
+                       match="^check --kind tree: check applies to fan-in tree topologies only$"):
+        main(["check", "--net", FOURLAYER, "--rates", str(rates), "--kind", "tree"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", ["auto", "single-sink"])
+def test_check_rejects_gamma_outside_the_layered_kind(kind, capsys, instance_doc):
+    # single_sink(2, [4, 2]), lambda (8, 3), mu 2, rates (2, 0.75): the
+    # single-sink check would pass and print its own gamma, not 9, 9
+    net_path, rates_path = instance_doc
+    with pytest.raises(SystemExit,
+                       match="^--gamma applies to --kind layered only, not single-sink$"):
+        main(["check", "--net", net_path, "--rates", rates_path, "--kind", kind,
+              "--gamma", "9,9"])
+    assert capsys.readouterr().out == ""
+    assert main(["check", "--net", net_path, "--rates", rates_path, "--kind", "layered",
+                 "--gamma", "9,9"]) == 2
 
 
 def test_bp_on_unbounded_links_fails_when_built():

@@ -1,5 +1,6 @@
 """Integer-packet simulator: reference delays, split helpers, tagged
 bookkeeping and its balance checks."""
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from fluidq import EngineError, SimConfig, empirical_report, tagged_run
 from fluidq.bench import make_policy, preset, sample_instance
-from fluidq.discrete import _allocate, _allocate_each, _IntegerSim, _take
+from fluidq.discrete import _allocate_each, _IntegerSim, _take
 
 SEED = 20240811
 
@@ -78,10 +79,79 @@ def test_long_horizon_runs_match_reference_up_to_rounding(case):
 # Split helpers
 
 
+def _allocate(amounts, total):
+    """Reference split: ``total`` proportional to ``amounts`` (largest
+    remainder, ties by position), each entry capped by ``amounts``."""
+    weight = amounts.sum()
+    if total <= 0 or weight <= 0:
+        return np.zeros(len(amounts), dtype=np.int64)
+    exact = amounts * (total / weight)
+    base = np.floor(exact).astype(np.int64)
+    rest = total - int(base.sum())
+    if rest > 0:
+        order = np.argsort(base - exact, kind="stable")
+        base[order[:rest]] += 1
+    return np.minimum(base, amounts)
+
+
+def _reference_take(row, count):
+    """The multi-pass take the one-pass ``_take`` replaced: a shortcut for
+    single-class rows, else :func:`_allocate` plus a top-up where the caps
+    bind.  Returns ``(take, path)``, ``path`` naming the branch taken."""
+    if count >= row.sum():
+        take = row.copy()
+        row[:] = 0
+        return take, "whole"
+    filled = np.flatnonzero(row)
+    path = "split"
+    if filled.size == 1:
+        take = np.zeros_like(row)
+        take[filled] = count
+        path = "one-class"
+    else:
+        take = _allocate(row, count)
+        short = count - int(take.sum())
+        if short > 0:
+            room = row - take
+            order = np.argsort(-room, kind="stable")
+            before = np.cumsum(room[order]) - room[order]
+            take[order] += np.clip(short - before, 0, room[order])
+            path = "top-up"
+    row -= take
+    return take, "empty" if count == 0 else path
+
+
 def _random_row(rng, width):
     row = rng.integers(0, 50, size=width)
     row[rng.random(width) < 0.4] = 0
     return row.astype(np.int64)
+
+
+def test_take_matches_reference_bit_for_bit():
+    # Rows as FIFOs hold them: a few dozen classes of up to a few hundred
+    # packets, many of them empty.  The caps never bind there (the float
+    # products lose no whole unit), so the top-up is reached with rows of
+    # entries near 2**62, drawn with two filled entries or more: at that
+    # size the reference's single-class shortcut is a different formula
+    # from the general split, and the two differ by whole units.
+    rng = np.random.default_rng(9)
+    paths = {}
+    for n in range(100_000):
+        huge = n % 20 == 0
+        width = int(rng.integers(2 if huge else 1, 34))
+        row = rng.integers(0, 2**62 // width if huge else 300, size=width, dtype=np.int64)
+        row[rng.random(width) < rng.random()] = 0
+        if huge and np.count_nonzero(row) < 2:
+            row[:2] = 2**61 // width
+        total = int(row.sum())
+        count = int(rng.integers(0, total + 3))
+        ref_row, new_row = row.copy(), row.copy()
+        ref, path = _reference_take(ref_row, count)
+        take = _take(new_row, count, total if n % 2 else None)
+        assert take.dtype == ref.dtype and np.array_equal(take, ref), (row, count)
+        assert np.array_equal(new_row, ref_row)
+        paths[path] = paths.get(path, 0) + 1
+    assert set(paths) == {"whole", "one-class", "split", "top-up", "empty"}, paths
 
 
 def test_take_removes_count_proportionally():
@@ -195,6 +265,27 @@ def test_class_balance_check_fires_on_corrupted_fifo(two_source_instance):
     sim.held[nid] += 2
     with pytest.raises(EngineError, match="held off outstanding by -2"):
         sim.check_classes()
+
+
+def test_class_balance_check_fires_on_corrupted_outstanding_count(two_source_instance):
+    sim = _stepped_sim(two_source_instance)
+    assert sim.outstanding == int(sim.born.sum() - sim.departed.sum()) > 0
+    sim.outstanding += 1  # a departure the running count missed
+    with pytest.raises(EngineError, match="outstanding count off born - departed by 1"):
+        sim.check_classes()
+
+
+def test_integer_mode_rejects_negative_rates(two_source_instance):
+    # the policies hand the simulator unscanned rates, which are
+    # nonnegative only on nonnegative inputs
+    from fluidq import ArrivalProfile, ServiceProfile
+    from fluidq.policies import QueueProportionalPolicy
+
+    net, arr, svc, _ = two_source_instance
+    cfg = SimConfig(horizon=5.0, dt=1.0, discretize=True)
+    for bad_arr, bad_svc in ((arr, ServiceProfile([-1.0])), (ArrivalProfile([1.0, -1.0]), svc)):
+        with pytest.raises(ValueError, match="nonnegative arrival rates, service rates"):
+            tagged_run(net, bad_arr, bad_svc, QueueProportionalPolicy(), cfg)
 
 
 def test_untagged_integer_run_keeps_exact_balance(two_source_instance):
@@ -344,6 +435,49 @@ def test_class_balance_check_fires_on_corrupted_ingress_counters():
     sim.cls_hi[0] -= 1
     with pytest.raises(EngineError, match="class 0: residual 1"):
         sim.check_classes()
+
+
+# ---------------------------------------------------------------------------
+# Whole tagged runs, pinned.  SHA-256 over every run's origin_sum and
+# origin_count bytes, extension, drain_steps and window_stats (or its
+# failure message), recorded with the multi-pass take, the summed
+# outstanding count and the per-source ingress split that preceded the
+# one-pass versions.  Six seeded instances of each paper-sweep family, with
+# q0 on every node, each with and without windows.
+
+PINNED = {
+    ("nx1-limited", "opt-queue"): "ac9d8e7b612f0af2d9abde1b207593d3f1b213fc35efb3243e19a9b918837471",
+    ("nx1-limited", "bp"): "bcd9927e5a4b0afec2ea8cffba592706c9cc67df63e2966dfc1701d3d415a2fd",
+    ("nx1-limited", "max"): "b97b90c106d37531a420ba02a56f37a8bf636d267a65d2b303b9d38ba55c4988",
+    ("nsxnd-16x8", "opt-queue"): "83c4b8ebb17530c68325842c52f429f17b340b45340d390227b14e7926afec85",
+    ("nsxnd-16x8", "bp"): "13dd219d9530043d7a506876e4df792dea7ccabd08a9874720bc8cda1c1c1f67",
+    ("nsxnd-16x8", "max"): "3540df772c5ae8d51ec1ee4d73d4db533c040f655fcadb5f95d9aae6ce6c6dcb",
+    ("tree", "opt-tree"): "bd2dcd9446c857b4783ae4767cfe9e88ce1ed645dd7e7924610c5b860a156445",
+    ("tree", "bp"): "27f7c527bfa9270f16c96a538daf11f05f5ace578676f324ccf513558c0f7c60",
+    ("tree", "max"): "25f87003806b786c45a8458658f0c808f2133b34aa70fe41f604a4be265ae9e9",
+    ("multistage-8x6x4x3", "opt-queue"): "759ded648645de2dcae0e59e575d84e3e7005511c37c9cf02224e0eb64032532",
+    ("multistage-8x6x4x3", "bp"): "aadcb58a6e502e2b7e58c8d5146e13568084649dd82ebde672cb08de76661a0f",
+    ("multistage-8x6x4x3", "max"): "3396c364bb424ea953d9657b421e3f32988c3beca558fcf8f7ba231ff82b9f70",
+}
+
+
+@pytest.mark.parametrize("family, policy", sorted(PINNED), ids=str)
+def test_tagged_runs_match_pinned_digests(family, policy):
+    digest = hashlib.sha256()
+    for k in range(6):
+        inst, cfg = _drain_case(family, k)
+        for window in (None, cfg.horizon / 4):
+            try:
+                run = tagged_run(inst.net, inst.arr, inst.svc, make_policy(policy, inst), cfg,
+                                 window=window)
+            except EngineError as exc:
+                digest.update(str(exc).encode())
+                continue
+            digest.update(run.origin_sum.astype("<f8").tobytes())
+            digest.update(run.origin_count.astype("<f8").tobytes())
+            digest.update(repr((run.extension, run.drain_steps,
+                                sorted(run.window_stats.items()))).encode())
+    assert digest.hexdigest() == PINNED[family, policy]
 
 
 # ---------------------------------------------------------------------------

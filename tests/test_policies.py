@@ -231,6 +231,13 @@ def test_checkers_fail_on_nan_deviations():
     ).ok
 
 
+def test_construction_rejects_zero_total_service():
+    with pytest.raises(ValueError, match="total service rate of mu must be positive, got 0"):
+        construct_rate_proportional(
+            full_connection([2, 1]), ArrivalProfile([1.0, 1.0]), ServiceProfile([0.0]), (1, 1)
+        )
+
+
 def test_construct_single_sink_identity():
     lam = np.array([4.0, 8.0])
     net = single_sink(2)
@@ -398,6 +405,40 @@ def test_backpressure_requires_finite_capacity():
     net = single_sink(2)
     with pytest.raises(ValueError, match="unbounded"):
         backpressure_rates(QueueState(np.zeros(3), 0.0), net, ServiceProfile([1.0]))
+
+
+def test_public_constructors_reject_nan_and_negative_rates():
+    # the policy objects skip these scans inside a run; the public
+    # functions and the run's capacity check keep rejecting bad vectors
+    from fluidq import BackpressurePolicy, EngineError, Link, LayeredNetwork, tagged_run
+
+    state = QueueState(np.array([5.0, 2.0]), 0.0)
+    for cap, reason in ((math.nan, "non-finite rate nan"), (-1.0, "negative rate")):
+        net = LayeredNetwork([1, 1], [Link(0, 0, 0, cap)])
+        with pytest.raises(ValueError, match=reason):
+            backpressure_rates(state, net, ServiceProfile([1.0]))
+    net = full_connection([2, 2], 10.0)
+    q = np.array([1.0, 1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite rate nan"):
+        queue_proportional_rates(QueueState(q, 0.0), net, ServiceProfile([math.nan, 1.0]))
+    with pytest.raises(ValueError, match="negative rate"):
+        queue_proportional_rates(QueueState(q, 0.0), net, ServiceProfile([-1.0, -1.0]))
+    with pytest.raises(ValueError, match="non-finite rate nan"):
+        RateAssignment(net, [math.nan, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="negative rate"):
+        RateAssignment(net, [-1.0, 1.0, 1.0, 1.0])
+
+    nan_net = LayeredNetwork([2, 1], [Link(0, 0, 0, math.nan), Link(0, 1, 0, 1.0)])
+    arr = ArrivalProfile([1.0, 1.0])
+    runs = (
+        (nan_net, ServiceProfile([1.0]), BackpressurePolicy()),
+        (net, ServiceProfile([math.nan, 1.0]), QueueProportionalPolicy()),
+    )
+    for run_net, svc, policy in runs:
+        q0 = np.ones(run_net.num_nodes)
+        with pytest.raises(EngineError, match="policy rates exceed capacity"):
+            tagged_run(run_net, arr, svc, policy,
+                       SimConfig(horizon=3.0, dt=1.0, q0=q0, discretize=True))
 
 
 def test_max_link_rate_values_and_region_membership(two_source_instance):
