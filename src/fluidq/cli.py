@@ -164,26 +164,44 @@ def cmd_check(args) -> int:
     return 2
 
 
+def _load_objective(kind: str, net, path) -> ObjectiveSpec:
+    """The objective with the restrictions of a constraints file:
+    ``forced_zero`` (1-based "l:i:j" link keys), ``beta`` (split cap) and
+    ``theta`` (utilization cap)."""
+    if path is None:
+        return ObjectiveSpec(kind)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        forced = []
+        for key in doc.get("forced_zero", ()):
+            parts = str(key).split(":")
+            if len(parts) != 3 or not all(p.isdigit() for p in parts):
+                raise ValueError(f"bad link key {key!r}, expected 'l:i:j'")
+            link = tuple(int(p) - 1 for p in parts)
+            if link not in net.link_index:
+                raise ValueError(f"forced-zero link {key} does not exist")
+            forced.append(link)
+        return ObjectiveSpec(kind, tuple(forced), doc.get("beta"), doc.get("theta"))
+    except OSError as exc:
+        raise SystemExit(f"--constraints {path}: {exc.strerror or exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"--constraints {path}: {exc}") from exc
+
+
 def cmd_optimize(args) -> int:
     net, arr, svc = load(args.net)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
-    forced = ()
-    split_cap = None
-    utilization_cap = None
-    if args.constraints:
-        with open(args.constraints, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        forced = tuple(
-            tuple(int(p) - 1 for p in key.split(":")) for key in doc.get("forced_zero", ())
-        )
-        split_cap = doc.get("beta")
-        utilization_cap = doc.get("theta")
-    spec = ObjectiveSpec(args.objective, forced, split_cap, utilization_cap)
+    spec = _load_objective(args.objective, net, args.constraints)
     try:
         rates, value = co_optimize(net, arr, svc, spec, gamma)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        raise SystemExit(f"optimize --objective {args.objective}: {exc}") from exc
     print(f"objective {args.objective} = {value:.9g}")
     payload = json.dumps(rates.to_dict(), indent=2, sort_keys=True)
     if args.out:

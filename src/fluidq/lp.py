@@ -42,6 +42,9 @@ class LPResult:
     #: for infeasible problems, variables held at their upper bound where
     #: raising the bound would reduce the infeasibility
     infeasible_bounds: list[int] = field(default_factory=list)
+    #: basis exchanges over both phases, and bound flips made without one
+    pivots: int = 0
+    flips: int = 0
 
 
 class SimplexError(RuntimeError):
@@ -54,23 +57,24 @@ def _iterate(
     allowed: int,
     upper: np.ndarray,
     flipped: np.ndarray,
-) -> str:
+) -> tuple[str, int, int]:
     """Run simplex pivots on a tableau whose last row is the reduced-cost
     row (rhs cell holds minus the objective, up to a constant).  Bland's
     rule: lowest-index entering column with negative reduced cost,
     lowest-index basic variable on ratio ties.  ``upper`` holds one bound
     per column (``inf`` for none) for the bounded-variable ratio test;
     columns complemented to their bound are marked in ``flipped``.
-    Returns OPTIMAL or UNBOUNDED."""
+    Returns OPTIMAL or UNBOUNDED with the pivots and bound flips made."""
     m = tableau.shape[0] - 1
     max_iter = 50 * (tableau.shape[1] + m) + 10_000
     movable = upper[:allowed] > 0.0
     rhs = tableau[:m, -1]
+    pivots = flips = 0
     for _ in range(max_iter):
         entering = (tableau[-1, :allowed] < -_COST_TOL) & movable
         col = int(entering.argmax())
         if not entering[col]:
-            return OPTIMAL
+            return OPTIMAL, pivots, flips
         column = tableau[:m, col]
         ratios = np.divide(rhs, column, out=np.full(m, np.inf), where=column > _PIVOT_TOL)
         # a basic variable rising towards its own bound
@@ -82,9 +86,10 @@ def _iterate(
         if upper[col] <= best and upper[col] < np.inf:
             _flip(tableau, col, upper[col])
             flipped[col] = not flipped[col]
+            flips += 1
             continue
         if not best < np.inf:
-            return UNBOUNDED
+            return UNBOUNDED, pivots, flips
         ties = np.flatnonzero(ratios - best <= 1e-12 * max(1.0, abs(best)))
         row = int(ties[0] if ties.size == 1 else ties[np.argmin(basis[ties])])
         if column[row] < 0.0:
@@ -96,6 +101,7 @@ def _iterate(
             tableau[row, -1] += upper[leaving]
             flipped[leaving] = not flipped[leaving]
         _pivot(tableau, basis, row, col)
+        pivots += 1
     raise SimplexError("pivot limit exceeded")
 
 
@@ -189,7 +195,7 @@ def solve_lp(
     # phase 1: minimize the artificial sum
     tableau[-1, base:width] = 1.0
     tableau[-1] -= tableau[art_rows].sum(axis=0)
-    status = _iterate(tableau, basis, width, upper_all, flipped)
+    status, pivots, flips = _iterate(tableau, basis, width, upper_all, flipped)
     if status != OPTIMAL:
         raise SimplexError("phase 1 cannot be unbounded")
     feas_tol = 1e-9 * max(1.0, float(np.abs(b).max()))
@@ -204,6 +210,8 @@ def solve_lp(
             INFEASIBLE,
             infeasible_rows=bad,
             infeasible_bounds=np.flatnonzero(held & (d < -_COST_TOL)).tolist(),
+            pivots=pivots,
+            flips=flips,
         )
 
     # drive leftover artificials out of the basis where possible
@@ -211,6 +219,7 @@ def solve_lp(
         cols = np.flatnonzero(np.abs(tableau[r, :base]) > _PIVOT_TOL)
         if cols.size:
             _pivot(tableau, basis, r, int(cols[0]))
+            pivots += 1
 
     # phase 2 with the real costs, in each variable's current orientation
     # (x = u - x' costs -c per unit of x'); the objective is computed from
@@ -221,9 +230,11 @@ def solve_lp(
     cost -= cost[basis[real]] @ tableau[:m][real]
     tableau[-1] = cost
     # artificial columns sit beyond `allowed`, so they never re-enter
-    status = _iterate(tableau, basis, base, upper_all, flipped)
+    status, more_pivots, more_flips = _iterate(tableau, basis, base, upper_all, flipped)
+    pivots += more_pivots
+    flips += more_flips
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+        return LPResult(UNBOUNDED, pivots=pivots, flips=flips)
     x = np.zeros(width)
     x[basis] = tableau[:m, -1]
     x_real = np.clip(np.where(flipped[:n], bounds - x[:n], x[:n]), 0.0, bounds)
@@ -231,4 +242,4 @@ def solve_lp(
         # pivoting leaves round-off (about 1e-13) on variables that are zero
         # at the optimum; callers judge which ones carry flow
         x_real[x_real < 1e-9 * x_real.max()] = 0.0
-    return LPResult(OPTIMAL, x_real, float(c @ x_real))
+    return LPResult(OPTIMAL, x_real, float(c @ x_real), pivots=pivots, flips=flips)

@@ -76,10 +76,10 @@ class ObjectiveSpec:
             raise ValueError("utilization cap must be in (0, 1]")
 
 
-def _incidence(net: LayeredNetwork, width: int) -> np.ndarray:
-    """Node-by-column matrix of inflow minus outflow: +1 where a link
-    enters the node, -1 where it leaves; columns past the links are 0."""
-    a = np.zeros((net.num_nodes, width))
+def _incidence(net: LayeredNetwork) -> np.ndarray:
+    """Node-by-link matrix of inflow minus outflow: +1 where a link
+    enters the node, -1 where it leaves."""
+    a = np.zeros((net.num_nodes, net.num_links))
     cols = np.arange(net.num_links)
     a[net.link_dst, cols] = 1.0
     a[net.link_src, cols] = -1.0
@@ -109,7 +109,7 @@ def overload_check(
     ensure_valid(net, arr, svc)
     m = net.num_links
     # one row per node: inflow - outflow <= -lambda_i / 0 / mu_j
-    a_ub = _incidence(net, m)
+    a_ub = _incidence(net)
     b_ub = _node_rhs(net, -arr.rates, svc.rates)
     caps = net.capacities
     result = lp.solve_lp(np.zeros(m), a_ub=a_ub, b_ub=b_ub, upper=caps)
@@ -167,10 +167,24 @@ def co_optimize(
     min(total arrivals, total service)) and the growth-balancing objectives
     use the balanced-growth ratios.  Raises :class:`InfeasibleError` with
     the binding constraints when the system admits no rate vector.
+
+    ``max_utilization`` (min t with g_k <= c_k t) is solved in
+    Charnes-Cooper form: with s = 1/t and h = g s, each link's epigraph
+    row becomes the bound h_k <= c_k, every finite capacity (times the
+    utilization cap rho) becomes s >= 1/rho, and the ratio and split-cap
+    rows are homogenised in s = 1/rho + s'; the LP maximizes s' and
+    returns g = h / s at value 1 / s.  That LP is unbounded exactly when
+    the unbounded links alone can carry the demand; the value is then 0,
+    with the rates of one feasibility solve that holds every finite link
+    at 0.  ``max_overload_rate`` keeps an epigraph row only at middle
+    nodes: the ratio rows fix each ingress node's outflow and each egress
+    node's inflow, so their growths are constants and the largest of them,
+    t_lo, is a lower bound with t = t_lo + t', t' >= 0.
     """
     ensure_valid(net, arr, svc)
+    kind = objective.kind
     if gamma is None:
-        if objective.kind in ("max_overload_rate", "max_layer_growth"):
+        if kind in ("max_overload_rate", "max_layer_growth"):
             gamma = balanced_growth_gamma(arr, svc, net.num_layers)
         else:
             gamma = throughput_tight_gamma(arr, svc, net.num_layers)
@@ -183,15 +197,9 @@ def co_optimize(
         )
 
     m = net.num_links
-    # epigraph variable t >= max(...); a growth can be negative, so there
-    # t is free and split into t+ and t-
-    aux = {"max_utilization": 1, "max_overload_rate": 2, "max_layer_growth": 2}.get(
-        objective.kind, 0
-    )
-    width = m + aux
     node_layer = np.repeat(np.arange(net.num_layers), net.layer_sizes)
     src_layer = node_layer[net.link_src]
-    incidence = _incidence(net, width)
+    incidence = _incidence(net)
 
     # one ratio row per node: an ingress node sends lambda_i / gamma_1, a
     # middle node of layer l receives gamma_l times what it sends, an
@@ -210,97 +218,121 @@ def co_optimize(
     ]
 
     # capacities (after the utilization cap) and forced zeros are bounds
-    upper = np.full(width, np.inf)
-    upper[:m] = net.capacities
-    if objective.utilization_cap is not None:
-        upper[:m] *= objective.utilization_cap
     forced = set()
     for key in objective.forced_zero:
         if tuple(key) not in net.link_index:
             raise ValueError(f"forced-zero link {key} does not exist")
         forced.add(net.link_index[tuple(key)])
-    upper[list(forced)] = 0.0
+    caps = net.capacities.copy()
+    caps[list(forced)] = 0.0
+    upper = caps if objective.utilization_cap is None else caps * objective.utilization_cap
     cap_name = "capacity of" if objective.utilization_cap is None else "utilization cap on"
     bound_names = [
         f"forced zero on link {link.key}" if k in forced else f"{cap_name} link {link.key}"
         for k, link in enumerate(net.links)
     ]
 
-    a_ub: list[np.ndarray] = []
-    b_ub: list[np.ndarray] = []
+    a_ub = np.zeros((0, m))
+    b_ub = np.zeros(0)
     ub_names: list[str] = []
-
-    def add_ub(rows, rhs, names):
-        a_ub.append(rows)
-        b_ub.append(rhs)
-        ub_names.extend(names)
-
     if objective.split_cap is not None:
         # g_k <= beta * (node inflow), where layer 1 nodes receive lambda_i
         beta = objective.split_cap
-        rows = np.zeros((m, width))
-        rows[:, :m] = np.eye(m) - beta * (incidence[net.link_src, :m] > 0)
+        a_ub = np.eye(m) - beta * (incidence[net.link_src] > 0)
         first = src_layer == 0
-        rhs = np.zeros(m)
-        rhs[first] = beta * arr.rates[net.link_src[first]]
-        add_ub(rows, rhs, [f"split cap on link {link.key}" for link in net.links])
+        b_ub = np.zeros(m)
+        b_ub[first] = beta * arr.rates[net.link_src[first]]
+        ub_names = [f"split cap on link {link.key}" for link in net.links]
 
-    c = np.zeros(width)
+    def widen(a, *columns):
+        return np.column_stack((a, *columns))
+
+    def plain(x, optimum):
+        return x[:m], optimum
+
+    # each objective states its LP over g and its auxiliary columns, and
+    # reads the rates and the value off the solution
+    zero_eq, zero_ub = np.zeros(net.num_nodes), np.zeros(len(b_ub))
     finite = np.flatnonzero(np.isfinite(net.capacities))
-    if objective.kind == "total_bandwidth":
-        c[:m] = 1.0
-    elif objective.kind == "avg_utilization":
+    rows, rhs, names = a_ub, b_ub, ub_names
+    lp_eq, lp_b_eq, lp_upper = a_eq, b_eq, upper
+    read = plain
+    if kind == "total_bandwidth":
+        c = np.ones(m)
+    elif kind == "avg_utilization":
         if not finite.size:
             raise ValueError("average utilization needs at least one finite capacity")
+        c = np.zeros(m)
         c[finite] = 1.0 / (net.capacities[finite] * finite.size)
-    elif objective.kind == "max_utilization":
+    elif kind == "max_utilization":
+        # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
+        # rows homogenised in s = 1/rho + s'
+        rho = objective.utilization_cap or 1.0
+        c = np.zeros(m + 1)
+        c[m] = -1.0
+        rows, rhs = widen(a_ub, -b_ub), b_ub / rho
+        lp_eq, lp_b_eq = widen(a_eq, -b_eq), b_eq / rho
+        lp_upper = np.append(caps, np.inf)
+
+        def read(x, optimum):
+            s = 1.0 / rho + x[m]
+            return x[:m] / s, 1.0 / s
+    elif kind == "max_overload_rate":
+        # ingress and egress growths are fixed by the ratio rows; a middle
+        # node's growth (inflow - outflow) <= t_lo + t'
+        t_lo = max(
+            float(np.max(arr.rates - arr.rates / gamma[0])),
+            float(np.max(gamma[-1] * svc.rates - svc.rates)),
+        )
+        middle = slice(net.layer_sizes[0], net.num_nodes - net.layer_sizes[-1])
+        epigraph = incidence[middle]
+        c = np.zeros(m + 1)
         c[m] = 1.0
-        rows = np.zeros((finite.size, width))
-        rows[np.arange(finite.size), finite] = 1.0
-        rows[:, m] = -net.capacities[finite]
-        add_ub(rows, np.zeros(finite.size), [
-            f"utilization epigraph for link {net.links[k].key}" for k in finite
-        ])
-    elif objective.kind == "max_overload_rate":
-        c[m:] = (1.0, -1.0)
-        rows = incidence.copy()
-        rows[:, m:] = (-1.0, 1.0)
-        add_ub(rows, _node_rhs(net, -arr.rates, svc.rates), [
-            f"overload epigraph at layer {l + 1} node {i + 1}" for l, i in coords
-        ])
-    elif objective.kind == "max_layer_growth":
+        rows = np.vstack([widen(a_ub, zero_ub), widen(epigraph, np.full(len(epigraph), -1.0))])
+        rhs = np.concatenate([b_ub, np.full(len(epigraph), t_lo)])
+        names = ub_names + [
+            f"overload epigraph at layer {l + 1} node {i + 1}" for l, i in coords[middle]
+        ]
+        lp_eq, lp_upper = widen(a_eq, zero_eq), np.append(upper, np.inf)
+
+        def read(x, optimum):
+            return x[:m], t_lo + float(x[m])
+    else:  # max_layer_growth: t >= every layer's growth; t is free, t+ - t-
+        c = np.zeros(m + 2)
         c[m:] = (1.0, -1.0)
         starts = [net.layer_nodes(l).start for l in range(net.num_layers)]
-        rows = np.add.reduceat(incidence, starts, axis=0)
-        rows[:, m:] = (-1.0, 1.0)
-        rhs = np.zeros(net.num_layers)
-        rhs[0] = -arr.total
-        rhs[-1] = svc.total
-        add_ub(rows, rhs, [f"growth epigraph at layer {l + 1}" for l in range(net.num_layers)])
+        growth = np.add.reduceat(incidence, starts, axis=0)
+        layer_rhs = np.zeros(net.num_layers)
+        layer_rhs[0] = -arr.total
+        layer_rhs[-1] = svc.total
+        rows = np.vstack([
+            widen(a_ub, zero_ub, zero_ub),
+            widen(growth, np.full(net.num_layers, -1.0), np.ones(net.num_layers)),
+        ])
+        rhs = np.concatenate([b_ub, layer_rhs])
+        names = ub_names + [f"growth epigraph at layer {l + 1}" for l in range(net.num_layers)]
+        lp_eq, lp_upper = widen(a_eq, zero_eq, zero_eq), np.append(upper, (np.inf, np.inf))
 
-    result = lp.solve_lp(
-        c,
-        a_ub=np.vstack(a_ub) if a_ub else None,
-        b_ub=np.concatenate(b_ub) if b_ub else None,
-        a_eq=a_eq,
-        b_eq=b_eq,
-        upper=upper,
-    )
+        def read(x, optimum):
+            return x[:m], float(x[m] - x[m + 1])
+
+    result = lp.solve_lp(c, rows, rhs, lp_eq, lp_b_eq, upper=lp_upper)
+    if kind == "max_utilization" and result.status == lp.UNBOUNDED:
+        # t* = 0: the unbounded links alone can carry the demand
+        names, read = ub_names, plain
+        result = lp.solve_lp(
+            np.zeros(m), a_ub, b_ub, a_eq, b_eq, upper=np.where(np.isfinite(caps), 0.0, caps)
+        )
     if result.status == lp.INFEASIBLE:
-        names = ub_names + eq_names
+        names = names + eq_names
         binding = [names[r] for r in result.infeasible_rows]
         binding += [bound_names[k] for k in result.infeasible_bounds if k < m]
         raise InfeasibleError("min-delay constraint system is infeasible", binding)
     if result.status != lp.OPTIMAL:
         raise InfeasibleError(f"solver returned {result.status}")
-    rates = RateAssignment(net, result.x[:m])
+    g, value = read(result.x, result.objective)
+    rates = RateAssignment(net, g)
     verdict = check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
     if not verdict:
         raise lp.SimplexError(f"optimizer output fails the ratio check: {verdict.reason}")
-    if aux == 2:
-        value = float(result.x[m] - result.x[m + 1])
-    elif aux:
-        value = float(result.x[m])
-    else:
-        value = float(result.objective)
-    return rates, value
+    return rates, float(value)

@@ -375,3 +375,30 @@ def test_bp_on_unbounded_links_fails_when_built():
     inst = bench.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
     with pytest.raises(ValueError, match="backpressure undefined"):
         bench.make_policy("bp", inst)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ('{"forced_zero": [', "Expecting value: line 1 column 18 \\(char 17\\)"),
+    ('{"theta": 1.5}', "utilization cap must be in \\(0, 1\\]"),
+    ('{"forced_zero": ["9:9:9"]}', "forced-zero link 9:9:9 does not exist"),
+    ('{"forced_zero": ["1:1"]}', "bad link key '1:1', expected 'l:i:j'"),
+    ("[]", "expected a JSON object"),
+])
+def test_optimize_constraint_errors_exit_with_one_line(content, message, tmp_path, capsys):
+    cons = tmp_path / "cons.json"
+    if content is not None:
+        cons.write_text(content)
+    with pytest.raises(SystemExit, match=f"^--constraints {cons}: {message}$"):
+        main(["optimize", "--net", FOURLAYER, "--objective", "total_bandwidth",
+              "--constraints", str(cons)])
+    assert capsys.readouterr().out == ""
+
+
+def test_optimize_objective_errors_exit_with_one_line(capsys):
+    # every link of fourlayer.json is unbounded
+    with pytest.raises(SystemExit, match="^optimize --objective avg_utilization: average "
+                                         "utilization needs at least one finite capacity$"):
+        main(["optimize", "--net", FOURLAYER, "--objective", "avg_utilization"])
+    assert capsys.readouterr().out == ""
+

@@ -272,6 +272,7 @@ def test_optimum_reached_by_bound_flips_without_a_pivot(monkeypatch):
     ours = lp.solve_lp(c, a_ub, b_ub, upper=upper)
     assert pivots == []
     assert ours.status == lp.OPTIMAL
+    assert (ours.pivots, ours.flips) == (0, 2)
     assert np.array_equal(ours.x, [2.0, 3.0])
     ref = scipy_opt.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=_highs_bounds(upper), method="highs")
     assert ours.objective == pytest.approx(ref.fun, abs=1e-7)
@@ -382,17 +383,21 @@ def _highs_co_optimum(kind, net, lam, mu, spec):
 def test_every_objective_against_external_solver_on_random_instances():
     """All five objectives, with and without a utilization cap, a split cap
     and a forced-zero link: the optimum matches HiGHS to 1e-6, and
-    InfeasibleError is raised exactly when HiGHS finds no solution."""
+    InfeasibleError is raised exactly when HiGHS finds no solution.  The
+    later draws make most links unbounded, so that max_utilization reaches
+    t* = 0 (its Charnes-Cooper LP is unbounded), and 2-layer draws give
+    max_overload_rate no middle node."""
     pytest.importorskip("scipy.optimize")
     from fluidq.optimize import OBJECTIVE_KINDS
 
     rng = np.random.default_rng(31)
     outcomes = set()
-    for _ in range(12):
+    paths = set()
+    for trial in range(20):
         sizes = [int(v) for v in rng.integers(1, 4, size=int(rng.integers(2, 5)))]
         caps = [rng.integers(2, 9, size=(a, b)).astype(float) for a, b in zip(sizes, sizes[1:])]
-        for block in caps[1:]:
-            block[rng.random(block.shape) < 0.2] = np.inf
+        for block in caps[1:] if trial < 12 else caps:
+            block[rng.random(block.shape) < (0.2 if trial < 12 else 0.7)] = np.inf
         net = full_connection(sizes, caps)
         lam = rng.integers(2, 9, size=sizes[0]).astype(float)
         mu = rng.uniform(0.5, 2.0, size=sizes[-1])
@@ -408,6 +413,10 @@ def test_every_objective_against_external_solver_on_random_instances():
         for kind in OBJECTIVE_KINDS:
             for extra in variants:
                 spec = ObjectiveSpec(kind, **extra)
+                if kind == "avg_utilization" and np.all(np.isinf(net.capacities)):
+                    with pytest.raises(ValueError, match="finite capacity"):
+                        co_optimize(net, arr, svc, spec)
+                    continue
                 status, best = _highs_co_optimum(kind, net, lam, mu, spec)
                 assert status in (0, 2)
                 outcomes.add(status)
@@ -423,4 +432,11 @@ def test_every_objective_against_external_solver_on_random_instances():
                 assert np.all(g <= bound + 1e-9)
                 for key in spec.forced_zero:
                     assert rates[key] == 0.0
+                if kind == "max_utilization" and best == 0.0:
+                    paths.add("t* = 0")
+                    assert value == 0.0
+                    assert np.all(g[np.isfinite(net.capacities)] == 0.0)
+                if kind == "max_overload_rate":
+                    paths.add("middle nodes" if len(sizes) > 2 else "no middle node")
     assert outcomes == {0, 2}
+    assert paths == {"t* = 0", "middle nodes", "no middle node"}

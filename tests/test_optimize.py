@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fluidq import (
     co_optimize,
     construct_rate_proportional,
     full_connection,
+    load,
     overload_check,
     run,
     single_sink,
@@ -30,6 +33,9 @@ def test_lp_solves_small_problem():
     assert result.status == lp.OPTIMAL
     assert np.allclose(result.x, [0, 4])
     assert result.objective == pytest.approx(-8.0)
+    # Bland's rule: x enters (x = 2), then y (y = 2), then the slack of
+    # x <= 2, which drives x out
+    assert (result.pivots, result.flips) == (3, 0)
 
 
 def test_lp_handles_equalities_and_degenerate_rows():
@@ -335,15 +341,123 @@ def test_max_utilization_on_multistage_instance_matches_highs(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", capture)
     rates, value = co_optimize(inst.net, inst.arr, inst.svc, ObjectiveSpec("max_utilization"))
+    # the captured LP is the Charnes-Cooper one: maximize s' with s = 1 + s'
+    # (no utilization cap) and value 1 / s
     c, a_ub, b_ub, a_eq, b_eq, upper = problems[-1]
     bounds = [(0.0, None if np.isinf(u) else u) for u in upper]
     ref = scipy_opt.linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
     assert ref.status == 0
-    assert value == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert value == pytest.approx(1.0 / (1.0 + -ref.fun), rel=1e-9, abs=1e-12)
+    # and the epigraph form, min t with g_k <= c_k t, over the same ratio rows
+    net, m = inst.net, inst.net.num_links
+    finite = np.flatnonzero(np.isfinite(net.capacities))
+    epi = np.zeros((finite.size, m + 1))
+    epi[np.arange(finite.size), finite] = 1.0
+    epi[:, m] = -net.capacities[finite]
+    ratio_rows = np.column_stack([a_eq[:, :m], np.zeros(len(a_eq))])
+    caps = [(0.0, None if np.isinf(u) else u) for u in net.capacities]
+    epigraph = scipy_opt.linprog(
+        np.eye(m + 1)[m], A_ub=epi, b_ub=np.zeros(finite.size), A_eq=ratio_rows,
+        b_eq=-a_eq[:, m], bounds=caps + [(0.0, None)], method="highs",
+    )
+    assert epigraph.status == 0
+    assert value == pytest.approx(epigraph.fun, rel=1e-9, abs=1e-12)
     # the value is what the returned rates realize
     assert value == pytest.approx(float(np.max(rates.values / inst.net.capacities)), rel=1e-9)
     gamma = throughput_tight_gamma(inst.arr, inst.svc, inst.net.num_layers)
     assert check_min_delay_layered(inst.net, inst.arr, inst.svc, rates, gamma, tol=1e-8)
 
+
+
+def _capture_lps(monkeypatch):
+    """Record the rows of every ``lp.solve_lp`` call made by the optimizer."""
+    problems = []
+    solve = lp.solve_lp
+
+    def capture(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, upper=None):
+        problems.append({
+            "width": len(c),
+            "ub_rows": 0 if a_ub is None else len(a_ub),
+            "eq_rows": 0 if a_eq is None else len(a_eq),
+        })
+        return solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+
+    monkeypatch.setattr(lp, "solve_lp", capture)
+    return problems
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (3, 4, 2), (2, 3, 3, 2)])
+@pytest.mark.parametrize("split_cap", [None, 0.9])
+def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, sizes, split_cap):
+    """max_utilization has no epigraph row (its links' epigraphs are
+    bounds), and max_overload_rate has one only per middle node."""
+    net = full_connection(list(sizes), 6.0)
+    arr = ArrivalProfile([4.0, 3.0, 5.0][: sizes[0]])
+    svc = ServiceProfile([2.0, 1.5][: sizes[-1]])
+    m, nodes = net.num_links, net.num_nodes
+    split_rows = m if split_cap else 0
+    middle = nodes - sizes[0] - sizes[-1]
+    problems = _capture_lps(monkeypatch)
+    for kind, ub_rows in (("max_utilization", split_rows),
+                          ("max_overload_rate", split_rows + middle)):
+        problems.clear()
+        rates, value = co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
+        assert problems == [{"width": m + 1, "ub_rows": ub_rows, "eq_rows": nodes}]
+        gamma = (balanced_growth_gamma(arr, svc, len(sizes)) if kind == "max_overload_rate"
+                 else throughput_tight_gamma(arr, svc, len(sizes)))
+        assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
+        if kind == "max_utilization":
+            assert value == pytest.approx(float(np.max(rates.values / 6.0)), rel=1e-12)
+
+
+def test_max_utilization_is_zero_when_unbounded_links_carry_the_demand(monkeypatch):
+    """t* = 0: the Charnes-Cooper LP is unbounded, and the rates come from
+    one more solve that holds every finite link at 0."""
+    inf = np.inf
+    mixed = full_connection([2, 2, 2], [
+        np.array([[inf, 3.0], [3.0, inf]]), np.array([[inf, 2.0], [2.0, inf]]),
+    ])
+    # lambda_i / total lambda == mu_i / total mu, so the two unbounded
+    # paths carry the demand at the throughput-tight ratios
+    cases = [
+        load(os.path.join(os.path.dirname(__file__), "data", "fourlayer.json")),
+        (mixed, ArrivalProfile([4.0, 8.0]), ServiceProfile([1.0, 2.0])),
+    ]
+    problems = _capture_lps(monkeypatch)
+    for net, arr, svc in cases:
+        problems.clear()
+        rates, value = co_optimize(net, arr, svc, ObjectiveSpec("max_utilization"))
+        assert value == 0.0
+        assert len(problems) == 2
+        assert np.all(rates.values[np.isfinite(net.capacities)] == 0.0)
+        gamma = throughput_tight_gamma(arr, svc, net.num_layers)
+        assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
+
+
+_CAPPED = ("utilization cap on link (0, 1, 0)", "utilization cap on link (0, 1, 1)")
+_CAPPED_LAYER_2 = tuple(f"utilization cap on link (1, {i}, {j})" for i in (0, 1) for j in (0, 1))
+
+
+@pytest.mark.parametrize("kind, caps, binding", [
+    ("max_utilization", [4.0, 4.0],
+     ("ingress ratio at layer 1 node 2", "egress ratio at node 2") + _CAPPED),
+    ("max_overload_rate", [4.0, 4.0],
+     ("ingress ratio at layer 1 node 2", "egress ratio at node 1", "egress ratio at node 2")
+     + _CAPPED),
+    ("max_utilization", [np.inf, 3.0],
+     ("ingress ratio at layer 1 node 2", "egress ratio at node 1", "egress ratio at node 2")
+     + _CAPPED_LAYER_2),
+    ("max_overload_rate", [np.inf, 3.0],
+     ("ingress ratio at layer 1 node 2", "egress ratio at node 1", "egress ratio at node 2")
+     + _CAPPED_LAYER_2),
+])
+def test_binding_utilization_cap_names_the_capped_links(kind, caps, binding):
+    """Half the capacity cannot carry node 2's arrivals.  The names are
+    the ones the epigraph forms reported on these networks."""
+    net = full_connection([2, 2, 2], [np.full((2, 2), c) for c in caps])
+    arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
+    with pytest.raises(InfeasibleError) as exc:
+        co_optimize(net, arr, svc, ObjectiveSpec(kind, utilization_cap=0.5))
+    assert exc.value.binding == list(binding)
