@@ -105,8 +105,10 @@ def _take(row: np.ndarray, count: int, total: int | None = None) -> np.ndarray:
     is ``row.sum()`` when the caller has it.
 
     The split is the largest-remainder one, ties by position, capped by
-    the entries; where the caps bind, the shortfall is topped up from the
-    entries with the most room left."""
+    the entries.  Past 2**53 packets the float products lose whole units:
+    where the caps bind, the shortfall is topped up from the entries with
+    the most room left, and where the floors round up past ``count``, the
+    excess comes off the largest takes."""
     if total is None:
         total = int(row.sum())
     if count >= total:
@@ -126,6 +128,10 @@ def _take(row: np.ndarray, count: int, total: int | None = None) -> np.ndarray:
         order = np.argsort(-room, kind="stable")
         before = np.cumsum(room[order]) - room[order]
         take[order] += np.clip(short - before, 0, room[order])
+    elif short < 0:
+        order = np.argsort(-take, kind="stable")
+        before = np.cumsum(take[order]) - take[order]
+        take[order] -= np.clip(-short - before, 0, take[order])
     row -= take
     return take
 
@@ -153,6 +159,8 @@ class _IntegerSim:
         self.policy = policy
         self.cfg = cfg
         self.dt = cfg.resolved_dt()
+        self.arrival_budget = arr.rates * self.dt
+        self.service_budget = svc.rates * self.dt
         self.track = track_packets
         self.window = window
         self.keep_trajectory = keep_trajectory
@@ -173,6 +181,8 @@ class _IntegerSim:
         self.served_total = np.zeros(net.layer_sizes[-1], dtype=np.int64)
         self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
         self._check = _CapacityCheck()
+        self._rates = None  # the assignment whose link budgets are cached
+        self._link_budget = None
         self._slot = np.full(net.num_nodes, -1)  # node -> index in its layer's srcs
         for layer in net.plan:
             self._slot[layer.srcs] = np.arange(layer.srcs.size)
@@ -210,25 +220,29 @@ class _IntegerSim:
     def step(self, k: int) -> None:
         net = self.net
         t = self.cfg.t0 + k * self.dt
-        state = QueueState._trusted(self.q.astype(float), t)
+        # the last history row is a float copy of q
+        q = self.history[-1] if self.keep_trajectory else self.q.astype(float)
+        state = QueueState._trusted(q, t)
         rates = self._check(
             _policy_rates(self.policy, state, net, self.arr, self.svc, self.dt)
         )
+        if rates is not self._rates:
+            self._rates, self._link_budget = rates, rates.values * self.dt
 
-        self.arrival_bank += self.arr.rates * self.dt
+        self.arrival_bank += self.arrival_budget
         born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
         self.arrival_bank -= born
         if self.track:
             self._arrive(k, born)
         self.q[: net.layer_sizes[0]] += born
 
-        self.link_bank += rates.values * self.dt
+        self.link_bank += self._link_budget
         demand = np.floor(self.link_bank + 1e-12).astype(np.int64)
         self.link_bank -= demand
         for layer in net.plan:
             self._transfer(layer, demand[layer.links])
 
-        cap_f = self.service_bank + self.svc.rates * self.dt
+        cap_f = self.service_bank + self.service_budget
         cap = np.floor(cap_f + 1e-12).astype(np.int64)
         self.service_bank = cap_f - cap
         egress = self.q[self.egress_lo :]
@@ -246,6 +260,13 @@ class _IntegerSim:
         residual = self.mass - int(self.q.sum())
         if not residual == 0:
             raise EngineError(f"mass balance violated at step {k}: residual {residual}")
+        if self.q.min() < 0:
+            nid = int(np.argmin(self.q))
+            l, i = net.node_coords(nid)
+            raise EngineError(
+                f"negative backlog {int(self.q[nid])} at step {k} on "
+                f"(layer {l + 1}, node {i + 1})"
+            )
         if self.keep_trajectory:
             self.applied.append(rates.values)
             self.history.append(self.q.astype(float))
@@ -465,11 +486,10 @@ class _IntegerSim:
         """
         lo = self.egress_lo
         egress = self.q[lo:]
-        budget = self.svc.rates * self.dt
         left = self.born - self.departed  # per class, not yet departed
         n = 0
         while n < steps and self.outstanding:
-            cap_f = self.service_bank + budget
+            cap_f = self.service_bank + self.service_budget
             cap = np.floor(cap_f + 1e-12).astype(np.int64)
             self.service_bank = cap_f - cap
             serve = np.minimum(egress, cap)

@@ -8,6 +8,13 @@ ship at most what it holds plus what it received earlier in the same step
 egress links in proportion to their set rates.  Between queue-emptying
 events the dynamics are piecewise linear, so the scheme is exact there and
 first-order accurate across events.
+
+One kernel, :class:`_FluidStep`, runs the step for :func:`run` and
+:func:`step`.  It is built once per run on the network's plan, with the
+arrivals and service budgets precomputed.  It computes an assignment's
+per-layer budgets once for each new assignment object.  It skips the
+proportional split on a layer where no source is short, and it advances
+the backlog vector in place.
 """
 from __future__ import annotations
 
@@ -178,36 +185,56 @@ def effective_rates(
 # Fluid stepping
 
 
-def _advance(
-    q: np.ndarray,
-    values: np.ndarray,
-    net: LayeredNetwork,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler step, one layer of the network's plan at a time.  Returns
-    (q_next, sent_per_link, served_per_egress)."""
-    q = q.copy()
-    n1 = net.layer_sizes[0]
-    q[:n1] += lam * dt
-    sent = np.zeros(net.num_links)
-    for layer in net.plan:
-        want = values[layer.links] * dt
-        desired = np.bincount(layer.src_local, weights=want, minlength=layer.width)
-        avail = q[layer.lo : layer.next_lo]
-        # desired > avail >= 0 makes every quotient finite and in [0, 1)
-        scale = np.ones(layer.width)
-        np.divide(avail, desired, out=scale, where=desired > avail)
-        x = want * scale[layer.src_local]
-        shipped = np.bincount(layer.src_local, weights=x, minlength=layer.width)
-        q[layer.lo : layer.next_lo] = np.maximum(avail - shipped, 0.0)
-        np.add.at(q[layer.next_lo : layer.next_lo + layer.next_width], layer.dst_local, x)
-        sent[layer.links] = x
-    egress_lo = net.node_id(net.num_layers - 1, 0)
-    served = np.minimum(q[egress_lo:], mu * dt)
-    q[egress_lo:] -= served
-    return q, sent, served
+class _FluidStep:
+    """The fluid Euler step of one run, one layer of the network's plan at a
+    time.
+
+    Built once per run with the arrivals ``lambda * dt`` and the service
+    budgets ``mu * dt``.  An assignment's per-link budgets ``values * dt``
+    and their per-source sums are recomputed only when the assignment is
+    not the previous step's object (its values are read-only).  A layer
+    where no source is asked for more than it holds ships every budget as
+    it is; only a layer with a short source scales that source's budgets
+    down to its supply."""
+
+    def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, dt: float):
+        self.plan = net.plan
+        self.dt = dt
+        self.arrivals = arr.rates * dt
+        self.service = svc.rates * dt
+        self.egress_lo = net.node_id(net.num_layers - 1, 0)
+        self._rates = None
+        self._budgets = []
+
+    def __call__(self, q: np.ndarray, rates: RateAssignment, link_flow: np.ndarray) -> np.ndarray:
+        """Advance the backlogs ``q`` by one step in place, adding each
+        link's flow to ``link_flow``; return the service per egress node."""
+        if rates is not self._rates:
+            self._budgets = []
+            for layer in self.plan:
+                want = rates.values[layer.links] * self.dt
+                desired = np.bincount(layer.src_local, weights=want, minlength=layer.width)
+                self._budgets.append((want, desired))
+            self._rates = rates
+        q[: self.arrivals.size] += self.arrivals
+        for layer, (want, desired) in zip(self.plan, self._budgets):
+            avail = q[layer.lo : layer.next_lo]
+            short = desired > avail
+            if short.any():
+                # desired > avail >= 0 makes every quotient finite and in [0, 1)
+                scale = np.ones(layer.width)
+                np.divide(avail, desired, out=scale, where=short)
+                x = want * scale[layer.src_local]
+                shipped = np.bincount(layer.src_local, weights=x, minlength=layer.width)
+            else:
+                x, shipped = want, desired
+            q[layer.lo : layer.next_lo] = np.maximum(avail - shipped, 0.0)
+            np.add.at(q[layer.next_lo : layer.next_lo + layer.next_width], layer.dst_local, x)
+            link_flow[layer.links] += x
+        egress = q[self.egress_lo :]
+        served = np.minimum(egress, self.service)
+        egress -= served
+        return served
 
 
 def step(
@@ -226,8 +253,9 @@ def step(
     bad = rates.capacity_violations()
     if bad:
         raise EngineError(f"rates exceed capacity on link {bad[0]}")
-    q_next, _, _ = _advance(state.q, rates.values, net, arr.rates, svc.rates, dt)
-    return QueueState(q_next, state.t + dt)
+    q = state.q.copy()
+    _FluidStep(net, arr, svc, dt)(q, rates, np.zeros(net.num_links))
+    return QueueState(q, state.t + dt)
 
 
 def _policy_rates(policy, state, net, arr, svc, dt) -> RateAssignment:
@@ -281,25 +309,27 @@ def run(
 
     dt = cfg.resolved_dt()
     steps = math.ceil(cfg.horizon / dt - 1e-12)
-    q = cfg.initial_backlog(net)
     queues = np.empty((steps + 1, net.num_nodes))
     applied = np.empty((steps, net.num_links))
     link_flow = np.zeros(net.num_links)
     served_total = np.zeros(net.layer_sizes[-1])
-    queues[0] = q
+    queues[0] = cfg.initial_backlog(net)
+    mass = queues[0].sum()
     injected = arr.total * dt
+    advance = _FluidStep(net, arr, svc, dt)
     checked = _CapacityCheck()
     for k in range(steps):
-        state = QueueState(queues[k], cfg.t0 + k * dt)
+        # lambda, mu > 0 and nonnegative rates keep every row nonnegative
+        state = QueueState._trusted(queues[k], cfg.t0 + k * dt)
         rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
-        q_next, sent, served = _advance(
-            queues[k], rates.values, net, arr.rates, svc.rates, dt
-        )
-        balance = injected - served.sum() - (q_next.sum() - queues[k].sum())
-        if not abs(balance) <= 1e-9 * max(1.0, queues[k].sum() + injected):
+        q = queues[k + 1]
+        q[:] = queues[k]
+        served = advance(q, rates, link_flow)
+        total = q.sum()
+        balance = injected - served.sum() - (total - mass)
+        if not abs(balance) <= 1e-9 * max(1.0, mass + injected):
             raise EngineError(f"mass balance violated at step {k}: residual {balance}")
-        queues[k + 1] = q_next
+        mass = total
         applied[k] = rates.values
-        link_flow += sent
         served_total += served
     return Trajectory(cfg.t0, dt, queues, applied, link_flow, served_total)

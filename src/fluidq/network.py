@@ -359,8 +359,10 @@ class RateAssignment:
     def capacity_violations(self, tol: float = 1e-9) -> list[tuple[int, int, int]]:
         """Keys of the links whose rate is not within capacity (a NaN on
         either side counts as a violation)."""
-        bad = np.flatnonzero(~(self.values <= self.net.capacities + tol))
-        return [self.net.links[int(k)].key for k in bad]
+        within = self.values <= self.net.capacities + tol
+        if within.all():
+            return []
+        return [self.net.links[int(k)].key for k in np.flatnonzero(~within)]
 
     def __repr__(self) -> str:
         return f"RateAssignment({np.array2string(self.values, precision=4)})"

@@ -4,10 +4,11 @@ Rate-proportional control keeps every node of a layer at the same
 ingress/egress rate ratio; the per-layer ratios form the gamma vector.
 Queue-proportional control replaces arrival-rate knowledge with live
 backlogs and reaches the same delay asymptotically; it and the
-rate-proportional construction split a layer's egress over its links the
-same way (:func:`_layer_split`).  Backpressure and max-link-rate serve as
-baselines.  The N x 1 checker is the layered one on effective rates, and
-every checker but the single-hop one ends in the same throughput clause.
+rate-proportional construction split a layer's egress over its links with
+the same weights (:func:`_split_weights`).  Backpressure and max-link-rate
+serve as baselines.  The N x 1 checker is the layered one on effective
+rates, and every checker but the single-hop one ends in the same
+throughput clause.
 
 A policy is any object with ``rates(state, net, arr, svc, dt)``.  Constant
 vectors (rate-proportional, tree, :func:`max_link_rate_rates`) run through
@@ -215,13 +216,18 @@ def _check_constructible(net: LayeredNetwork) -> None:
             )
 
 
-def _layer_split(net: LayeredNetwork, layer, svc: ServiceProfile, node_egress) -> np.ndarray:
-    """Link rates of one plan layer from its nodes' egress totals: the whole
-    egress on a node's only out-link, otherwise shares of the next layer's
-    masses (service rates into the egress layer, uniform elsewhere)."""
-    mass = svc.rates if layer.index == net.num_layers - 2 else np.ones(layer.next_width)
-    share = mass / mass.sum()
-    return node_egress[layer.src_local] * np.where(layer.single, 1.0, share[layer.dst_local])
+def _split_weights(net: LayeredNetwork, svc: ServiceProfile) -> list[np.ndarray]:
+    """Per plan layer, each link's fraction of its source's egress total:
+    all of it on a node's only out-link, otherwise its destination's share
+    of the next layer's masses (service rates into the egress layer,
+    uniform elsewhere).  A layer's link rates are ``node_egress[src_local]``
+    times these."""
+    weights = []
+    for layer in net.plan:
+        mass = svc.rates if layer.index == net.num_layers - 2 else np.ones(layer.next_width)
+        share = mass / mass.sum()
+        weights.append(np.where(layer.single, 1.0, share[layer.dst_local]))
+    return weights
 
 
 def construct_rate_proportional(
@@ -233,7 +239,7 @@ def construct_rate_proportional(
     """Build a rate vector realizing the given per-layer ratios.
 
     Each node's egress total is its ingress divided by gamma_l, split by
-    :func:`_layer_split`; the next layer's ingress is the sum of the link
+    :func:`_split_weights`; the next layer's ingress is the sum of the link
     rates into each node.  Requires full connection (or single-child nodes)
     between adjacent layers and gamma consistent with maximum throughput.
     """
@@ -252,8 +258,8 @@ def construct_rate_proportional(
         raise ValueError(f"bad egress masses for layer {net.num_layers}")
     values = np.zeros(net.num_links)
     ingress = arr.rates
-    for layer in net.plan:
-        v = _layer_split(net, layer, svc, ingress / gamma[layer.index])
+    for layer, weight in zip(net.plan, _split_weights(net, svc)):
+        v = (ingress / gamma[layer.index])[layer.src_local] * weight
         values[layer.links] = v
         ingress = np.bincount(layer.dst_local, weights=v, minlength=layer.next_width)
     over = np.flatnonzero(values > net.capacities + 1e-9 * np.maximum(1.0, values))
@@ -356,15 +362,14 @@ _CLIP_WARNING = (
 )
 
 
-def _queue_proportional(state, net, svc, gamma, arr, dt) -> tuple[np.ndarray, bool]:
+def _queue_proportional(state, net, svc, gamma, arr, dt, weights) -> tuple[np.ndarray, bool]:
     """Rate vector of :func:`queue_proportional_rates` and whether capacity
-    clipped it."""
-    if gamma is not None:
-        gamma = as_gamma(gamma, net.num_layers)
+    clipped it, given the checked ``gamma`` (or None) and the layers'
+    :func:`_split_weights`."""
     total_service = svc.total
     values = np.zeros(net.num_links)
     clipped = False
-    for layer in net.plan:
+    for layer, weight in zip(net.plan, weights):
         l = layer.index
         shares = state.q[layer.lo : layer.next_lo].astype(float)
         if l == 0 and arr is not None and dt > 0:
@@ -386,7 +391,7 @@ def _queue_proportional(state, net, svc, gamma, arr, dt) -> tuple[np.ndarray, bo
                 node_egress = node_egress * scale_up
         else:
             node_egress = total_service * shares / shares.sum()
-        v = _layer_split(net, layer, svc, node_egress)
+        v = node_egress[layer.src_local] * weight
         over = v > layer.caps
         if over.any():
             # each source keeps its split and scales down to its tightest link
@@ -426,7 +431,10 @@ def queue_proportional_rates(
     only out-link), and a source's downscale factor is the smallest
     capacity-to-rate ratio over its links.
     """
-    values, clipped = _queue_proportional(state, net, svc, gamma, arr, dt)
+    if gamma is not None:
+        gamma = as_gamma(gamma, net.num_layers)
+    weights = _split_weights(net, svc)
+    values, clipped = _queue_proportional(state, net, svc, gamma, arr, dt, weights)
     if clipped:
         log.warning(_CLIP_WARNING)
     return RateAssignment(net, values)
@@ -435,18 +443,26 @@ def queue_proportional_rates(
 class QueueProportionalPolicy:
     """Queue-proportional control.  ``clipped_steps`` counts the steps on
     the current network whose rates capacity clipped; the first of them
-    logs a warning, once per network."""
+    logs a warning, once per network.  The checked gamma and the split
+    weights are kept for the current network and service profile."""
 
     def __init__(self, gamma=None):
         self.gamma = gamma
         self.clipped_steps = 0
-        self._net = None
+        self._net = self._svc = None
+        self._gamma = self._weights = None
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
         if net is not self._net:
-            self._net = net
+            gamma = None if self.gamma is None else as_gamma(self.gamma, net.num_layers)
+            self._net, self._svc, self._gamma = net, None, gamma
             self.clipped_steps = 0
-        values, clipped = _queue_proportional(state, net, svc, self.gamma, arr, dt)
+        if svc is not self._svc:
+            self._weights = _split_weights(net, svc)
+            self._svc = svc
+        values, clipped = _queue_proportional(
+            state, net, svc, self._gamma, arr, dt, self._weights
+        )
         if clipped:
             if not self.clipped_steps:
                 log.warning(_CLIP_WARNING)

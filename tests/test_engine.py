@@ -5,6 +5,7 @@ from fluidq import (
     ArrivalProfile,
     EngineError,
     PacketSinkError,
+    QueueProportionalPolicy,
     QueueState,
     RateAssignment,
     ServiceProfile,
@@ -16,8 +17,10 @@ from fluidq import (
     step,
 )
 from fluidq.engine import effective_flow
+from fluidq.policies import StaticPolicy
 
 from conftest import single_sink_rates
+from test_layer_plan import _Alternating, _mixed_net, _random_fan_in_tree
 
 
 def test_step_growth_at_backlogged_source():
@@ -213,3 +216,115 @@ def test_trajectory_csv_export(tmp_path, two_source_instance):
     assert lines[0] == "t,node_id,q"
     assert len(lines) == 1 + 3 * 3
     assert lines[1].startswith("0,1:1,")
+
+
+# ---------------------------------------------------------------------------
+# the fluid step kernel against the step it replaced
+
+
+def _reference_advance(q, values, net, lam, mu, dt):
+    """The fluid step that ``run`` and ``step`` used before the kernel: one
+    Euler step, one layer of the plan at a time, budgets and split computed
+    afresh.  Returns (q_next, sent_per_link, served_per_egress)."""
+    q = q.copy()
+    n1 = net.layer_sizes[0]
+    q[:n1] += lam * dt
+    sent = np.zeros(net.num_links)
+    for layer in net.plan:
+        want = values[layer.links] * dt
+        desired = np.bincount(layer.src_local, weights=want, minlength=layer.width)
+        avail = q[layer.lo : layer.next_lo]
+        scale = np.ones(layer.width)
+        np.divide(avail, desired, out=scale, where=desired > avail)
+        x = want * scale[layer.src_local]
+        shipped = np.bincount(layer.src_local, weights=x, minlength=layer.width)
+        q[layer.lo : layer.next_lo] = np.maximum(avail - shipped, 0.0)
+        np.add.at(q[layer.next_lo : layer.next_lo + layer.next_width], layer.dst_local, x)
+        sent[layer.links] = x
+    egress_lo = net.node_id(net.num_layers - 1, 0)
+    served = np.minimum(q[egress_lo:], mu * dt)
+    q[egress_lo:] -= served
+    return q, sent, served
+
+
+def _reference_run(net, arr, svc, policy, cfg):
+    dt = cfg.resolved_dt()
+    q = cfg.initial_backlog(net)
+    queues, applied = [q], []
+    link_flow = np.zeros(net.num_links)
+    served_total = np.zeros(net.layer_sizes[-1])
+    for k in range(round(cfg.horizon / dt)):
+        rates = policy.rates(QueueState(q, cfg.t0 + k * dt), net, arr, svc, dt)
+        q, sent, served = _reference_advance(q, rates.values, net, arr.rates, svc.rates, dt)
+        queues.append(q)
+        applied.append(rates.values)
+        link_flow += sent
+        served_total += served
+    return np.array(queues), np.array(applied), link_flow, served_total
+
+
+class _Fresh:
+    """A new assignment object with the same values every step."""
+
+    def __init__(self, rates):
+        self.values = rates.values
+
+    def rates(self, state, net, arr, svc, dt):
+        return RateAssignment(net, self.values)
+
+
+KERNEL_CASES = ("full", "tree", "ragged", "q0", "opt-queue", "opt-queue-gamma", "alternating", "fresh")
+
+
+def _kernel_case(name, seed):
+    """``(net, arr, svc, make_policy, cfg)`` of one seeded case; each call
+    of ``make_policy`` gives a policy in its initial state."""
+    rng = np.random.default_rng([20240811, KERNEL_CASES.index(name), seed])
+    if name == "tree":  # every link its source's only out-link
+        net = _random_fan_in_tree(rng, (6, 3, 2, 1), float(rng.uniform(2, 6)))
+    elif name == "ragged":  # a random link subset, no dangling node
+        net = _mixed_net(rng, (5, 4, 6, 3), lambda r: r.uniform(1, 6))
+    else:
+        net = full_connection((4, 3, 3), float(rng.uniform(1, 4)))
+    arr = ArrivalProfile(rng.uniform(1, 5, size=net.layer_sizes[0]))
+    svc = ServiceProfile(rng.uniform(0.5, 4, size=net.layer_sizes[-1]))
+    q0 = rng.uniform(0, 3, size=net.num_nodes) if name in ("q0", "opt-queue-gamma") else None
+    cfg = SimConfig(horizon=1.5, dt=0.05, q0=q0)
+    a = RateAssignment(net, rng.uniform(0, 1, size=net.num_links) * net.capacities)
+    b = RateAssignment(net, rng.uniform(0, 1, size=net.num_links) * net.capacities)
+    if name == "opt-queue":
+        return net, arr, svc, QueueProportionalPolicy, cfg
+    if name == "opt-queue-gamma":
+        gamma = tuple(rng.uniform(0.3, 3.0, size=net.num_layers))
+        return net, arr, svc, lambda: QueueProportionalPolicy(gamma), cfg
+    if name == "alternating":
+        return net, arr, svc, lambda: _Alternating(a, b), cfg
+    if name == "fresh":
+        return net, arr, svc, lambda: _Fresh(a), cfg
+    return net, arr, svc, lambda: StaticPolicy(a), cfg
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_run_matches_reference_step_bit_for_bit(name, seed):
+    net, arr, svc, make, cfg = _kernel_case(name, seed)
+    traj = run(net, arr, svc, make(), cfg)
+    queues, applied, link_flow, served = _reference_run(net, arr, svc, make(), cfg)
+    assert traj.queues.tobytes() == queues.tobytes()
+    assert traj.rates.tobytes() == applied.tobytes()
+    assert traj.link_flow.tobytes() == link_flow.tobytes()
+    assert traj.served.tobytes() == served.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_step_matches_reference_step_bit_for_bit(name, seed):
+    net, arr, svc, make, cfg = _kernel_case(name, seed)
+    policy, reference = make(), make()
+    state = QueueState(cfg.initial_backlog(net), 0.0)
+    q = state.q
+    for k in range(round(cfg.horizon / cfg.dt)):
+        state = step(state, policy.rates(state, net, arr, svc, cfg.dt), net, arr, svc, cfg.dt)
+        rates = reference.rates(QueueState(q, 0.0), net, arr, svc, cfg.dt)
+        q, _, _ = _reference_advance(q, rates.values, net, arr.rates, svc.rates, cfg.dt)
+        assert state.q.tobytes() == q.tobytes(), k

@@ -185,6 +185,14 @@ def test_capacity_violations_flag_nan_capacity():
     assert RateAssignment(net, [1.0, 1.0]).capacity_violations() == [(0, 1, 0)]
 
 
+def test_capacity_violations_flag_nan_rate_and_pass_rates_within_capacity():
+    net = single_sink(3, [4.0, 2.0, math.inf])
+    assert RateAssignment(net, [4.0, 2.0, 1e300]).capacity_violations() == []
+    # a trusted vector skips the constructor's finiteness scan
+    nan = RateAssignment._trusted(net, np.array([1.0, math.nan, 5.0]))
+    assert nan.capacity_violations() == [(0, 1, 0)]
+
+
 def test_bounded_flag_tracks_unbounded_links():
     assert single_sink(2, [4.0, 2.0]).bounded
     assert not single_sink(2).bounded
