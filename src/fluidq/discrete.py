@@ -3,12 +3,16 @@
 Packets are whole units.  Per-step transfer and service budgets are the
 running floor of rate * dt: each link and each server banks only the
 fractional remainder, so a backlogged link realizes its set rate exactly in
-the long run while never bursting above it.  A step moves packets one
-network layer at a time, on the index arrays of the network's shared
-:attr:`~fluidq.network.LayeredNetwork.plan`; a source short of supply
-splits it across its out-links in proportion to their budgets.  The
+the long run while never bursting above it.  One kernel,
+:meth:`_IntegerSim._send`, grants the budgets of a
+:class:`~fluidq.network.LayerPlan`, one layer or a run of consecutive
+layers; a source short of supply splits it across its out-links in
+proportion to their budgets.  A step calls it once per layer of the
+network's shared :attr:`~fluidq.network.LayeredNetwork.plan`.  The
 policy's assignment is capacity-checked whenever it differs from the
-previous step's object, so a static policy is checked once per run.
+previous step's object.  An untagged run of a static assignment instead
+advances along the diagonals of (layer, step) pairs, as the fluid engine
+does (:mod:`fluidq.engine`), with one kernel call per diagonal.
 
 For delay measurement, packets are tracked as exchangeability classes: an
 origin, or a (window, origin) pair when arrivals are grouped in windows.
@@ -46,7 +50,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EngineError, QueueState, Trajectory, _CapacityCheck, _policy_rates
+from .engine import (
+    EngineError,
+    QueueState,
+    Trajectory,
+    _CapacityCheck,
+    _policy_rates,
+    _static_rates,
+    _Wavefront,
+)
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
@@ -229,19 +241,39 @@ class _IntegerSim:
         if rates is not self._rates:
             self._rates, self._link_budget = rates, rates.values * self.dt
 
+        born = self._arrivals(k)
+        self.link_bank += self._link_budget
+        demand = np.floor(self.link_bank + 1e-12).astype(np.int64)
+        self.link_bank -= demand
+        for layer in net.plan:
+            self._land(layer, self._send(layer, demand[layer.links]))
+
+        serve = self._serve()
+        if self.track:
+            for nid in [n for n in self.fifo if n >= self.egress_lo]:
+                count = int(serve[nid - self.egress_lo])
+                if count:
+                    self.departed += self._depart(nid, count)
+            self.class_steps += self.born - self.departed
+        self._settle(k, int(born.sum()), serve, self.q)
+        if self.keep_trajectory:
+            self.applied.append(rates.values)
+            self.history.append(self.q.astype(float))
+
+    def _arrivals(self, k: int) -> np.ndarray:
+        """Bring in step ``k``'s whole arrivals at the ingress layer and
+        return them."""
         self.arrival_bank += self.arrival_budget
         born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
         self.arrival_bank -= born
         if self.track:
             self._arrive(k, born)
-        self.q[: net.layer_sizes[0]] += born
+        self.q[: born.size] += born
+        return born
 
-        self.link_bank += self._link_budget
-        demand = np.floor(self.link_bank + 1e-12).astype(np.int64)
-        self.link_bank -= demand
-        for layer in net.plan:
-            self._transfer(layer, demand[layer.links])
-
+    def _serve(self) -> np.ndarray:
+        """Serve one step's whole budgets at the egress layer and return
+        the service per egress node."""
         cap_f = self.service_bank + self.service_budget
         cap = np.floor(cap_f + 1e-12).astype(np.int64)
         self.service_bank = cap_f - cap
@@ -249,33 +281,30 @@ class _IntegerSim:
         serve = np.minimum(egress, cap)
         egress -= serve
         self.served_total += serve
-        if self.track:
-            for nid in [n for n in self.fifo if n >= self.egress_lo]:
-                count = int(serve[nid - self.egress_lo])
-                if count:
-                    self.departed += self._depart(nid, count)
-            self.class_steps += self.born - self.departed
+        return serve
 
-        self.mass += int(born.sum()) - int(serve.sum())
-        residual = self.mass - int(self.q.sum())
+    def _settle(self, k: int, born: int, serve: np.ndarray, q: np.ndarray) -> None:
+        """Mass balance and sign check of the backlogs ``q`` at the end of
+        step ``k``, which took in ``born`` packets and served ``serve``."""
+        self.mass += born - int(serve.sum())
+        residual = self.mass - int(q.sum())
         if not residual == 0:
             raise EngineError(f"mass balance violated at step {k}: residual {residual}")
-        if self.q.min() < 0:
-            nid = int(np.argmin(self.q))
-            l, i = net.node_coords(nid)
+        if q.min() < 0:
+            nid = int(np.argmin(q))
+            l, i = self.net.node_coords(nid)
             raise EngineError(
-                f"negative backlog {int(self.q[nid])} at step {k} on "
+                f"negative backlog {int(q[nid])} at step {k} on "
                 f"(layer {l + 1}, node {i + 1})"
             )
-        if self.keep_trajectory:
-            self.applied.append(rates.values)
-            self.history.append(self.q.astype(float))
 
-    def _transfer(self, layer: LayerPlan, want: np.ndarray) -> None:
-        """Grant one layer's link budgets against its sources' backlogs and
-        move the packets to the next layer."""
+    def _send(self, layer: LayerPlan, want: np.ndarray):
+        """Grant the link budgets ``want`` of a layer, or of a run of layers
+        taken together, against their sources' backlogs and take the
+        packets off the sources; return the inflow per destination, for
+        :meth:`_land`, or None when no link has a budget."""
         if not want.any():
-            return
+            return None
         supply = self.q[layer.srcs]
         total_want = np.add.reduceat(want, layer.starts)
         short = total_want > supply
@@ -300,8 +329,49 @@ class _IntegerSim:
         if self.track:
             self._move_tagged(layer, grant, moved, inflow)
         self.q[layer.srcs] -= moved
-        self.q[layer.next_lo : layer.next_lo + layer.next_width] += inflow
         self.link_flow[layer.links] += grant
+        return inflow
+
+    def _land(self, layer: LayerPlan, inflow) -> None:
+        if inflow is not None:
+            self.q[layer.next_lo : layer.next_lo + layer.next_width] += inflow
+
+    def run_static(self, rates) -> Trajectory:
+        """The untagged run of the horizon under the static ``rates``, one
+        diagonal of (layer, step) pairs at a time, as
+        :meth:`fluidq.engine._FluidStep.wavefront` runs it.  Every bank and
+        backlog meets the same operations in the same order as under
+        :meth:`step`, so the trajectory is the same to the bit."""
+        net = self.net
+        budget = self._check(rates).values * self.dt
+        front = _Wavefront(net)
+        steps, n = self._tag_steps, net.num_nodes
+        rows = np.empty((steps + 1, n), dtype=np.int64)
+        rows[0] = self.q
+        flat = rows.reshape(-1)
+        births = []
+        for t, k, span in front.diagonals(steps):
+            if k >= 0:
+                serve = self._serve()
+                rows[k + 1, self.egress_lo :] = self.q[self.egress_lo :]
+                self._settle(k, births[k], serve, rows[k + 1])
+            if t < steps:
+                births.append(int(self._arrivals(t).sum()))
+            if span is not None:
+                bank = self.link_bank[span.links]
+                bank += budget[span.links]
+                want = np.floor(bank + 1e-12).astype(np.int64)
+                bank -= want
+                inflow = self._send(span, want)
+                nodes = slice(span.lo, span.lo + span.width)
+                flat[(t + 1) * n + front.place[nodes]] = self.q[nodes]
+                self._land(span, inflow)
+        applied = np.empty((steps, net.num_links))
+        applied[:] = rates.values
+        return Trajectory(
+            self.cfg.t0, self.dt, rows.astype(float), applied,
+            self.link_flow.astype(float), self.served_total.astype(float),
+        )
 
     # -- tagged bookkeeping --------------------------------------------------
 
@@ -536,8 +606,18 @@ def integer_run(
     policy,
     cfg: SimConfig,
 ) -> Trajectory:
-    """Integer-packet run over the configured horizon (no packet tracking)."""
+    """Integer-packet run over the configured horizon (no packet tracking).
+
+    A bare :class:`~fluidq.network.RateAssignment` or a
+    :class:`~fluidq.engine.StaticPolicy` is read and capacity-checked once
+    and run along the diagonals of (layer, step) pairs
+    (:meth:`_IntegerSim.run_static`); any other policy is stepped one
+    layer at a time.  Both give the same trajectory to the bit and fail
+    with the same message at the same step."""
     sim = _IntegerSim(net, arr, svc, policy, cfg, track_packets=False)
+    static = _static_rates(policy)
+    if static is not None:
+        return sim.run_static(static)
     sim.run_horizon()
     return sim.trajectory()
 

@@ -9,12 +9,23 @@ egress links in proportion to their set rates.  Between queue-emptying
 events the dynamics are piecewise linear, so the scheme is exact there and
 first-order accurate across events.
 
-One kernel, :class:`_FluidStep`, runs the step for :func:`run` and
-:func:`step`.  It is built once per run on the network's plan, with the
-arrivals and service budgets precomputed.  It computes an assignment's
-per-layer budgets once for each new assignment object.  It skips the
-proportional split on a layer where no source is short, and it advances
-the backlog vector in place.
+One transfer kernel, :meth:`_FluidStep.send`, ships the link budgets of a
+:class:`~fluidq.network.LayerPlan`: one layer's links, or a run of
+consecutive layers' taken together.  :class:`_FluidStep` is built once per
+run, with the arrivals and service budgets precomputed, and computes an
+assignment's budgets once for each new assignment object.  The kernel
+skips the proportional split on a plan where no source is short, and it
+advances the backlog vector in place.
+
+It runs on two schedules.  A policy that reads the state gets one step at
+a time: the kernel is called once per layer of the network's plan, for
+:func:`run` and :func:`step` alike.  A static assignment (a bare
+:class:`RateAssignment` or a :class:`StaticPolicy`) ties the layers only
+through the inflow each passes downstream, so link layer l at step k and
+layer l + 1 at step k - 1 can move together: :func:`run` advances it
+along the diagonals t = k + l (the hyperplane method of Lamport, "The
+Parallel Execution of DO Loops", CACM 1974), one kernel call per
+diagonal, with the same bytes as the per-step schedule.
 """
 from __future__ import annotations
 
@@ -185,56 +196,147 @@ def effective_rates(
 # Fluid stepping
 
 
+class StaticPolicy:
+    """Constant transmission rates, the same assignment every step."""
+
+    def __init__(self, rates: RateAssignment):
+        self.assignment = rates
+
+    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
+        return self.assignment
+
+
+def _static_rates(policy) -> RateAssignment | None:
+    """The assignment of a bare :class:`RateAssignment` or a
+    :class:`StaticPolicy`, which no state can change; None for any other
+    policy."""
+    if isinstance(policy, RateAssignment):
+        return policy
+    if isinstance(policy, StaticPolicy):
+        return policy.assignment
+    return None
+
+
+class _Wavefront:
+    """The diagonals of a run that advances link layer l at step t - l on
+    diagonal t, and where each node's row lands: node n of layer l at the
+    end of step t - l is cell ``(t + 1) * num_nodes + place[n]`` of the
+    flattened trajectory."""
+
+    def __init__(self, net: LayeredNetwork):
+        self.net = net
+        layer_of = np.repeat(np.arange(net.num_layers), net.layer_sizes)
+        self.place = np.arange(net.num_nodes) - layer_of * net.num_nodes
+
+    def diagonals(self, steps: int):
+        """Per diagonal t: ``(t, k, span)`` with ``k`` the step whose egress
+        service it completes (negative before the first) and ``span`` the
+        plan of the link layers it advances, or None."""
+        last = self.net.num_layers - 2
+        for t in range(steps + last + 1):
+            a, b = max(0, t - steps + 1), min(t, last)
+            yield t, t - last - 1, self.net.plan_of(a, b) if a <= b else None
+
+
 class _FluidStep:
-    """The fluid Euler step of one run, one layer of the network's plan at a
-    time.
+    """The fluid Euler step of one run, and its transfer kernel.
 
     Built once per run with the arrivals ``lambda * dt`` and the service
     budgets ``mu * dt``.  An assignment's per-link budgets ``values * dt``
-    and their per-source sums are recomputed only when the assignment is
-    not the previous step's object (its values are read-only).  A layer
-    where no source is asked for more than it holds ships every budget as
-    it is; only a layer with a short source scales that source's budgets
-    down to its supply."""
+    and their per-node sums are recomputed only when the assignment is not
+    the previous step's object (its values are read-only).  The kernel
+    :meth:`send` ships the links of one :class:`~fluidq.network.LayerPlan`,
+    a layer or a run of layers; a plan where no source is asked for more
+    than it holds ships every budget as it is, and only a short source has
+    its budgets scaled down to its supply."""
 
     def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, dt: float):
         self.plan = net.plan
         self.dt = dt
         self.arrivals = arr.rates * dt
         self.service = svc.rates * dt
+        self.src = net.link_src
+        self.num_nodes = net.num_nodes
         self.egress_lo = net.node_id(net.num_layers - 1, 0)
         self._rates = None
-        self._budgets = []
 
-    def __call__(self, q: np.ndarray, rates: RateAssignment, link_flow: np.ndarray) -> np.ndarray:
-        """Advance the backlogs ``q`` by one step in place, adding each
-        link's flow to ``link_flow``; return the service per egress node."""
+    def budgets(self, rates: RateAssignment) -> None:
         if rates is not self._rates:
-            self._budgets = []
-            for layer in self.plan:
-                want = rates.values[layer.links] * self.dt
-                desired = np.bincount(layer.src_local, weights=want, minlength=layer.width)
-                self._budgets.append((want, desired))
+            self._want = rates.values * self.dt
+            self._desired = np.bincount(self.src, weights=self._want, minlength=self.num_nodes)
             self._rates = rates
-        q[: self.arrivals.size] += self.arrivals
-        for layer, (want, desired) in zip(self.plan, self._budgets):
-            avail = q[layer.lo : layer.next_lo]
-            short = desired > avail
-            if short.any():
-                # desired > avail >= 0 makes every quotient finite and in [0, 1)
-                scale = np.ones(layer.width)
-                np.divide(avail, desired, out=scale, where=short)
-                x = want * scale[layer.src_local]
-                shipped = np.bincount(layer.src_local, weights=x, minlength=layer.width)
-            else:
-                x, shipped = want, desired
-            q[layer.lo : layer.next_lo] = np.maximum(avail - shipped, 0.0)
-            np.add.at(q[layer.next_lo : layer.next_lo + layer.next_width], layer.dst_local, x)
-            link_flow[layer.links] += x
+
+    def send(self, q: np.ndarray, plan, link_flow: np.ndarray) -> np.ndarray:
+        """Ship the budgets of ``plan``'s links out of their sources in
+        ``q``, adding each link's flow to ``link_flow``; return the flows,
+        which the caller lands at the links' destinations."""
+        nodes = slice(plan.lo, plan.lo + plan.width)
+        want, desired = self._want[plan.links], self._desired[nodes]
+        avail = q[nodes]
+        short = desired > avail
+        if short.any():
+            # desired > avail >= 0 makes every quotient finite and in [0, 1)
+            scale = np.ones(plan.width)
+            np.divide(avail, desired, out=scale, where=short)
+            x = want * scale[plan.src_local]
+            shipped = np.bincount(plan.src_local, weights=x, minlength=plan.width)
+        else:
+            x, shipped = want, desired
+        q[nodes] = np.maximum(avail - shipped, 0.0)
+        link_flow[plan.links] += x
+        return x
+
+    @staticmethod
+    def land(q: np.ndarray, plan, x: np.ndarray) -> None:
+        """Add the flows ``x`` of ``plan``'s links to their destinations."""
+        np.add.at(q[plan.next_lo : plan.next_lo + plan.next_width], plan.dst_local, x)
+
+    def serve(self, q: np.ndarray) -> np.ndarray:
+        """Serve the egress backlogs of ``q`` in place; return the service
+        per egress node."""
         egress = q[self.egress_lo :]
         served = np.minimum(egress, self.service)
         egress -= served
         return served
+
+    def __call__(self, q: np.ndarray, rates: RateAssignment, link_flow: np.ndarray) -> np.ndarray:
+        """Advance the backlogs ``q`` by one step in place, one layer of the
+        plan at a time, adding each link's flow to ``link_flow``; return
+        the service per egress node."""
+        self.budgets(rates)
+        q[: self.arrivals.size] += self.arrivals
+        for layer in self.plan:
+            self.land(q, layer, self.send(q, layer, link_flow))
+        return self.serve(q)
+
+    def wavefront(self, net: LayeredNetwork, queues: np.ndarray, rates, link_flow, settle) -> None:
+        """Fill the rows of ``queues`` after its first under the static
+        ``rates``, one diagonal of (layer, step) pairs at a time.
+
+        On diagonal t the egress layer is served for step t - (L - 1), whose
+        row is then complete and goes to ``settle(k, served)``; the
+        arrivals of step t come in; and one :meth:`send` moves every link
+        layer l that has a step t - l, with each source's supply read
+        before any flow of the diagonal lands.  Each node's values and
+        flows meet the same operations in the same order as under
+        :meth:`__call__`, so every row is the same to the bit."""
+        self.budgets(rates)
+        front = _Wavefront(net)
+        steps, n = queues.shape[0] - 1, self.num_nodes
+        flat = queues.reshape(-1)
+        q = queues[0].copy()
+        for t, k, span in front.diagonals(steps):
+            if k >= 0:
+                served = self.serve(q)
+                queues[k + 1, self.egress_lo :] = q[self.egress_lo :]
+                settle(k, served)
+            if t < steps:
+                q[: self.arrivals.size] += self.arrivals
+            if span is not None:
+                x = self.send(q, span, link_flow)
+                nodes = slice(span.lo, span.lo + span.width)
+                flat[(t + 1) * n + front.place[nodes]] = q[nodes]
+                self.land(q, span, x)
 
 
 def step(
@@ -291,15 +393,25 @@ def run(
     """Integrate the dynamics under ``policy`` over ``[t0, t0 + horizon]``.
 
     ``policy`` is either a static :class:`RateAssignment` or any object
-    exposing ``rates(state, net, arr, svc, dt)``; it is evaluated once per
-    step on the recorded state at the step start (before that step's
-    arrivals).  Every assignment is checked against the capacities before
-    it is applied; one that is the very object of the previous step is not
-    checked again, so a static policy is checked once per run.  Each step
-    works through the network's :attr:`~fluidq.network.LayeredNetwork.plan`
-    one layer at a time.  In integer-packet mode (``cfg.discretize``)
-    backlogs stay integral and per-step transfers are rounded down with
-    fractional remainders banked per link.
+    exposing ``rates(state, net, arr, svc, dt)``.  Every assignment is
+    checked against the capacities before it is applied; one that is the
+    very object of the previous step is not checked again.  In
+    integer-packet mode (``cfg.discretize``) backlogs stay integral and
+    per-step transfers are rounded down with fractional remainders banked
+    per link.
+
+    A bare assignment or a :class:`StaticPolicy` is read once and checked
+    once, and the run advances along diagonals: on diagonal t the egress
+    layer is served for step t - (L - 1) and that step's row is checked,
+    the arrivals of step t come in, and one batched transfer moves each
+    link layer l at its own step t - l.  Any other policy is evaluated once
+    per step on the recorded state at the step start (before that step's
+    arrivals), and each step works through the network's
+    :attr:`~fluidq.network.LayeredNetwork.plan` one layer at a time.  Both
+    schedules give the same trajectory to the bit, and a mass-balance or
+    negative-backlog error names the same step and node; on the diagonal
+    schedule, with L > 2 layers, the upstream layers may have advanced up
+    to L - 2 further steps when it is raised.
     """
     ensure_valid(net, arr, svc)
     if cfg.discretize:
@@ -318,18 +430,27 @@ def run(
     injected = arr.total * dt
     advance = _FluidStep(net, arr, svc, dt)
     checked = _CapacityCheck()
+
+    def settle(k: int, served: np.ndarray) -> None:
+        nonlocal mass
+        total = queues[k + 1].sum()
+        balance = injected - served.sum() - (total - mass)
+        if not abs(balance) <= 1e-9 * max(1.0, mass + injected):
+            raise EngineError(f"mass balance violated at step {k}: residual {balance}")
+        mass = total
+        served_total[:] += served
+
+    static = _static_rates(policy)
+    if static is not None:
+        applied[:] = checked(static).values
+        advance.wavefront(net, queues, static, link_flow, settle)
+        return Trajectory(cfg.t0, dt, queues, applied, link_flow, served_total)
     for k in range(steps):
         # lambda, mu > 0 and nonnegative rates keep every row nonnegative
         state = QueueState._trusted(queues[k], cfg.t0 + k * dt)
         rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
         q = queues[k + 1]
         q[:] = queues[k]
-        served = advance(q, rates, link_flow)
-        total = q.sum()
-        balance = injected - served.sum() - (total - mass)
-        if not abs(balance) <= 1e-9 * max(1.0, mass + injected):
-            raise EngineError(f"mass balance violated at step {k}: residual {balance}")
-        mass = total
+        settle(k, advance(q, rates, link_flow))
         applied[k] = rates.values
-        served_total += served
     return Trajectory(cfg.t0, dt, queues, applied, link_flow, served_total)

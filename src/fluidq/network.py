@@ -174,10 +174,22 @@ class LayeredNetwork:
         """One :class:`LayerPlan` per layer that has out-links, in layer
         order; built on first use and shared by the policies and engines."""
         return tuple(
-            LayerPlan.build(self, l)
+            self.plan_of(l, l)
             for l in range(self.num_layers - 1)
             if self._layer_links[l].size
         )
+
+    def plan_of(self, first: int, last: int) -> "LayerPlan":
+        """The :class:`LayerPlan` of link layers ``first`` to ``last`` taken
+        together, built on first use and kept with the network."""
+        key = (first, last)
+        if key not in self._plans:
+            self._plans[key] = LayerPlan.build(self, first, last)
+        return self._plans[key]
+
+    @cached_property
+    def _plans(self) -> dict[tuple[int, int], "LayerPlan"]:
+        return {}
 
     def __repr__(self) -> str:
         shape = "x".join(str(n) for n in self.layer_sizes)
@@ -193,48 +205,52 @@ class LayeredNetwork:
 
 
 class LayerPlan(NamedTuple):
-    """Index arrays for the links leaving one network layer, so that a
-    per-step computation over the layer is a few whole-array operations.
+    """Index arrays for the links leaving one network layer, or a run of
+    consecutive layers taken together, so that a per-step computation over
+    them is a few whole-array operations.
 
-    Links are sorted by layer, then source, so the layer's links are one
-    slice of the link vector and each source's links one run inside it.
-    Per-link arrays are aligned with that slice; per-source arrays with
-    ``srcs``, the layer's nodes that have out-links.
+    Links are sorted by layer, then source, so the links are one slice of
+    the link vector and each source's links one run inside it.  Per-link
+    arrays are aligned with that slice; per-source arrays with ``srcs``,
+    the nodes that have out-links.  For a run of layers l .. m the sources
+    are the nodes of layers l .. m and the destinations those of layers
+    l + 1 .. m + 1.
     """
 
     index: int  # the layer l; its links enter layer l + 1
     links: slice
-    lo: int  # node ids of layer l are lo .. next_lo - 1
+    lo: int  # source node ids are lo .. lo + width - 1
     width: int
-    next_lo: int  # node ids of layer l + 1 are next_lo .. next_lo + next_width - 1
+    next_lo: int  # destination node ids are next_lo .. next_lo + next_width - 1
     next_width: int
     srcs: np.ndarray  # node ids with out-links, ascending
     starts: np.ndarray  # per source: its first link within the slice (reduceat starts)
     ends: np.ndarray  # per source: one past its last link
     src_of: np.ndarray  # per link: index of its source in ``srcs``
-    src_local: np.ndarray  # per link: source index within layer l
-    dst_local: np.ndarray  # per link: destination index within layer l + 1
+    src_local: np.ndarray  # per link: source index from lo
+    dst_local: np.ndarray  # per link: destination index from next_lo
     single: np.ndarray  # per link: it is its source's only out-link
     caps: np.ndarray  # per link: capacity
 
     @classmethod
-    def build(cls, net: "LayeredNetwork", l: int) -> "LayerPlan":
-        ids = net.layer_links(l)
-        links = slice(int(ids[0]), int(ids[-1]) + 1)
-        lo, next_lo = net.node_id(l, 0), net.node_id(l + 1, 0)
-        srcs, starts, src_of = np.unique(
-            net.link_src[ids], return_index=True, return_inverse=True
-        )
-        ends = np.append(starts[1:], ids.size)
+    def build(cls, net: "LayeredNetwork", first: int, last: int) -> "LayerPlan":
+        nodes = net._offsets
+        lo, next_lo = nodes[first], nodes[first + 1]
+        start, stop = np.searchsorted(net.link_src, [lo, nodes[last + 1]]).tolist()
+        links = slice(start, stop)
+        src = net.link_src[links]
+        srcs, starts, src_of = np.unique(src, return_index=True, return_inverse=True)
+        ends = np.searchsorted(src, srcs, side="right")
         arrays = dict(
             srcs=srcs, starts=starts, ends=ends, src_of=src_of,
-            src_local=net.link_src[ids] - lo, dst_local=net.link_dst[ids] - next_lo,
+            src_local=src - lo, dst_local=net.link_dst[links] - next_lo,
             single=(ends - starts == 1)[src_of], caps=net.capacities[links],
         )
         for arr in arrays.values():
             arr.flags.writeable = False
         return cls(
-            l, links, lo, net.layer_sizes[l], next_lo, net.layer_sizes[l + 1], **arrays
+            first, links, lo, nodes[last + 1] - lo, next_lo, nodes[last + 2] - next_lo,
+            **arrays,
         )
 
 
@@ -326,7 +342,8 @@ class RateAssignment:
         """Build from ``{(layer, src, dst): rate}`` with 0-based keys, or the
         file form ``{"l:i:j": rate}`` with 1-based indices."""
         values = np.zeros(net.num_links)
-        for key, rate in mapping.items():
+        for given, rate in mapping.items():
+            key = given
             if isinstance(key, str):
                 parts = key.split(":")
                 if len(parts) != 3:
@@ -334,7 +351,9 @@ class RateAssignment:
                 key = tuple(int(p) - 1 for p in parts)
             key = tuple(int(p) for p in key)
             if key not in net.link_index:
-                raise ValueError(f"rate given for nonexistent link {key}")
+                # named as given: a file key 1-based, a tuple 0-based
+                name = given if isinstance(given, str) else key
+                raise ValueError(f"rate given for nonexistent link {name}")
             values[net.link_index[key]] = float(rate)
         return cls(net, values)
 

@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,14 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective {self.kind!r}")
-        if self.split_cap is not None and not 0 < self.split_cap <= 1:
-            raise ValueError("split cap must be in (0, 1]")
-        if self.utilization_cap is not None and not 0 < self.utilization_cap <= 1:
-            raise ValueError("utilization cap must be in (0, 1]")
+        caps = {"split cap": self.split_cap, "utilization cap": self.utilization_cap}
+        for name, cap in caps.items():
+            if cap is None:
+                continue
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
+                raise ValueError(f"{name} must be a number in (0, 1], got {cap!r}")
+            if not 0 < cap <= 1:
+                raise ValueError(f"{name} must be in (0, 1]")
 
 
 def _incidence(net: LayeredNetwork) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import QueueState, effective_flow
+from .engine import QueueState, StaticPolicy, effective_flow
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
@@ -304,16 +304,6 @@ def proportional_fill(weights, caps, budget: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Policies
-
-
-class StaticPolicy:
-    """Constant transmission rates, the same assignment every step."""
-
-    def __init__(self, rates: RateAssignment):
-        self.assignment = rates
-
-    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return self.assignment
 
 
 def require_bounded(net: LayeredNetwork, what: str) -> None:

@@ -341,7 +341,7 @@ def test_check_rates_for_nonexistent_link_exit_with_one_line(tmp_path, capsys):
     rates = tmp_path / "rates.json"
     rates.write_text(json.dumps({"9:9:9": 1.0}))
     with pytest.raises(SystemExit,
-                       match=rf"^rates {rates}: rate given for nonexistent link \(8, 8, 8\)$"):
+                       match=rf"^rates {rates}: rate given for nonexistent link 9:9:9$"):
         main(["check", "--net", FOURLAYER, "--rates", str(rates)])
     assert capsys.readouterr().out == ""
 
@@ -381,6 +381,7 @@ def test_bp_on_unbounded_links_fails_when_built():
     (None, "No such file or directory"),
     ('{"forced_zero": [', "Expecting value: line 1 column 18 \\(char 17\\)"),
     ('{"theta": 1.5}', "utilization cap must be in \\(0, 1\\]"),
+    ('{"beta": "x"}', "split cap must be a number in \\(0, 1\\], got 'x'"),
     ('{"forced_zero": ["9:9:9"]}', "forced-zero link 9:9:9 does not exist"),
     ('{"forced_zero": ["1:1"]}', "bad link key '1:1', expected 'l:i:j'"),
     ("[]", "expected a JSON object"),

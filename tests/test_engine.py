@@ -4,6 +4,8 @@ import pytest
 from fluidq import (
     ArrivalProfile,
     EngineError,
+    LayeredNetwork,
+    Link,
     PacketSinkError,
     QueueProportionalPolicy,
     QueueState,
@@ -328,3 +330,102 @@ def test_step_matches_reference_step_bit_for_bit(name, seed):
         rates = reference.rates(QueueState(q, 0.0), net, arr, svc, cfg.dt)
         q, _, _ = _reference_advance(q, rates.values, net, arr.rates, svc.rates, cfg.dt)
         assert state.q.tobytes() == q.tobytes(), k
+
+
+# ---------------------------------------------------------------------------
+# the wavefront schedule of a static assignment against the per-step one
+
+
+def _integer_config(cfg):
+    """The integer-mode counterpart of a kernel case's configuration:
+    whole packets, unit steps and the initial backlog rounded."""
+    q0 = None if cfg.q0 is None else np.round(cfg.q0)
+    return SimConfig(horizon=12.0, dt=1.0, q0=q0, discretize=True)
+
+
+def _assert_same_trajectory(net, arr, svc, assignment, cfg):
+    """A static run (wavefront) and a run handed a fresh equal-valued
+    assignment each step (per-step schedule) agree to the byte."""
+    static = run(net, arr, svc, StaticPolicy(assignment), cfg)
+    fresh = run(net, arr, svc, _Fresh(assignment), cfg)
+    for field in ("queues", "rates", "link_flow", "served"):
+        assert getattr(static, field).tobytes() == getattr(fresh, field).tobytes(), field
+    return static
+
+
+@pytest.mark.parametrize("mode", ["fluid", "integer"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["full", "tree", "ragged", "q0"])
+def test_static_run_matches_per_step_schedule(name, seed, mode):
+    net, arr, svc, make, cfg = _kernel_case(name, seed)
+    if mode == "integer":
+        cfg = _integer_config(cfg)
+    _assert_same_trajectory(net, arr, svc, make().assignment, cfg)
+
+
+@pytest.mark.parametrize("discretize", [False, True])
+def test_static_run_matches_per_step_schedule_across_a_layer_without_links(
+    monkeypatch, discretize
+):
+    # link layer 1 has no links, so net.plan skips it; validation rejects
+    # the dangling nodes this leaves, and is switched off to reach the
+    # engines with such a plan
+    monkeypatch.setattr("fluidq.engine.ensure_valid", lambda net, arr, svc: None)
+    rng = np.random.default_rng(5)
+    links = [Link(0, i, j, 3.0) for i in range(3) for j in range(2)]
+    links += [Link(2, i, j, 2.0) for i in range(2) for j in range(2)]
+    net = LayeredNetwork((3, 2, 2, 2), links)
+    assert [layer.index for layer in net.plan] == [0, 2]
+    arr, svc = ArrivalProfile([2.0, 1.0, 3.0]), ServiceProfile([1.0, 0.5])
+    q0 = np.round(rng.uniform(0, 4, size=net.num_nodes))
+    assignment = RateAssignment(net, rng.uniform(0, 1, size=net.num_links) * net.capacities)
+    cfg = SimConfig(horizon=6.0, dt=1.0 if discretize else 0.25, q0=q0, discretize=discretize)
+    traj = _assert_same_trajectory(net, arr, svc, assignment, cfg)
+    assert traj.link_flow[6:].sum() > 0  # the last link layer moved packets
+
+
+@pytest.mark.parametrize("discretize", [False, True])
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_static_run_matches_per_step_schedule_with_fewer_steps_than_layers(steps, discretize):
+    rng = np.random.default_rng([11, steps])
+    net = full_connection((3, 2, 3, 2, 2), 4.0)
+    arr = ArrivalProfile(rng.uniform(1, 5, size=3))
+    svc = ServiceProfile(rng.uniform(0.5, 3, size=2))
+    q0 = np.round(rng.uniform(0, 5, size=net.num_nodes))
+    assignment = RateAssignment(net, rng.uniform(0, 1, size=net.num_links) * net.capacities)
+    dt = 1.0 if discretize else 0.1
+    cfg = SimConfig(horizon=steps * dt, dt=dt, q0=q0, discretize=discretize)
+    traj = _assert_same_trajectory(net, arr, svc, assignment, cfg)
+    assert traj.num_steps == steps
+
+
+def test_static_integer_run_fails_at_the_per_step_schedules_step_and_node(monkeypatch):
+    # every short source whose supply is 3 mod 4 has one packet more granted
+    # than it holds; the corruption depends only on the source's own
+    # numbers, so both schedules corrupt the same (step, source) pairs, and
+    # the wavefront must report the first one as the per-step schedule does
+    # although its upstream layers have run ahead
+    from fluidq import discrete
+
+    original = discrete._allocate_each
+
+    def misallocate(amounts, totals, weights, seg):
+        grant = original(amounts, totals, weights, seg)
+        first = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+        hit = totals[seg[first]] % 4 == 3
+        grant[first[hit]] += 1
+        return grant
+
+    monkeypatch.setattr(discrete, "_allocate_each", misallocate)
+    net = full_connection((3, 4, 2), 3.0)
+    arr, svc = ArrivalProfile([2.0, 1.5, 1.0]), ServiceProfile([1.0, 1.0])
+    cfg = SimConfig(horizon=20.0, dt=1.0, discretize=True)
+    assignment = RateAssignment(net, np.full(net.num_links, 3.0))
+    messages = []
+    for policy in (StaticPolicy(assignment), _Fresh(assignment)):
+        with pytest.raises(EngineError, match="negative backlog") as err:
+            run(net, arr, svc, policy, cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # a middle node: the ingress layer had run a step ahead when it was found
+    assert messages[0] == "negative backlog -1 at step 0 on (layer 2, node 1)"

@@ -119,6 +119,27 @@ def test_plan_is_built_lazily_once_and_matches_the_links():
         assert not layer.caps.flags.writeable
 
 
+def test_plan_of_a_run_of_layers_joins_the_layer_plans():
+    rng = np.random.default_rng(4)
+    net = _mixed_net(rng, (5, 4, 3, 2, 3), lambda r: r.uniform(1, 5))
+    assert net.plan_of(1, 1) is net.plan[1]  # the layer plans are the one-layer runs
+    run = net.plan_of(1, 3)
+    assert net.plan_of(1, 3) is run
+    layers = net.plan[1:4]
+    ids = np.concatenate([net.layer_links(layer.index) for layer in layers])
+    assert np.array_equal(np.arange(net.num_links)[run.links], ids)
+    assert (run.index, run.lo, run.next_lo) == (1, net.node_id(1, 0), net.node_id(2, 0))
+    assert run.lo + run.width == net.node_id(4, 0)
+    assert run.next_lo + run.next_width == net.num_nodes
+    assert np.array_equal(run.srcs, np.concatenate([layer.srcs for layer in layers]))
+    assert np.array_equal(run.single, np.concatenate([layer.single for layer in layers]))
+    assert np.array_equal(run.lo + run.src_local, net.link_src[ids])
+    assert np.array_equal(run.next_lo + run.dst_local, net.link_dst[ids])
+    assert np.array_equal(run.srcs[run.src_of], net.link_src[ids])
+    for s, src in enumerate(run.srcs):
+        assert tuple(ids[run.starts[s] : run.ends[s]]) == net.out_links[src]
+
+
 # ---------------------------------------------------------------------------
 # vectorized queue-proportional rates against the per-node loop
 

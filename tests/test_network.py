@@ -172,6 +172,17 @@ def test_rate_assignment_mapping_and_errors(two_source_instance):
     assert over.capacity_violations() == [(0, 0, 0)]
 
 
+def test_nonexistent_link_is_named_as_given(two_source_instance):
+    net = two_source_instance[0]
+    # a file key is 1-based, a tuple key 0-based
+    with pytest.raises(ValueError, match=r"^rate given for nonexistent link 9:9:9$"):
+        RateAssignment.from_dict(net, {"9:9:9": 1.0})
+    with pytest.raises(ValueError, match=r"^rate given for nonexistent link \(8, 8, 8\)$"):
+        RateAssignment.from_dict(net, {(8, 8, 8): 1.0})
+    with pytest.raises(ValueError, match=r"^rate given for nonexistent link \(0, 0, 1\)$"):
+        RateAssignment.from_dict(net, {(np.int64(0), 0, 1): 1.0})
+
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rate_assignment_rejects_non_finite_rates(two_source_instance, bad):

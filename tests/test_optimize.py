@@ -322,6 +322,18 @@ def test_objective_spec_validation():
         ObjectiveSpec("total_bandwidth", utilization_cap=1.5)
 
 
+@pytest.mark.parametrize("field", ["split_cap", "utilization_cap"])
+def test_objective_spec_caps_must_be_real_numbers(field):
+    name = field.replace("_", " ")
+    for bad in ("x", True, [0.5], 0.5j):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number in \(0, 1\], got "):
+            ObjectiveSpec("total_bandwidth", **{field: bad})
+    with pytest.raises(ValueError, match=rf"^{name} must be in \(0, 1\]$"):
+        ObjectiveSpec("total_bandwidth", **{field: float("nan")})
+    for good in (1, 0.5, np.float64(0.25)):
+        assert getattr(ObjectiveSpec("total_bandwidth", **{field: good}), field) == good
+
+
 def test_max_utilization_on_multistage_instance_matches_highs(monkeypatch):
     """Round-off left on unused middle nodes used to fail the ratio check
     (SimplexError) on this instance; the solver now snaps it to zero."""
