@@ -130,8 +130,8 @@ def path_weights(
             if layer == net.num_layers - 1:
                 acc[path] = acc.get(path, 0.0) + w
                 continue
-            out = net.out_links[nid]
-            total = float(g_tilde[list(out)].sum())
+            out = np.flatnonzero(net.link_src == nid)
+            total = float(g_tilde[out].sum())
             for lk in out:
                 flow = g_tilde[lk]
                 if flow <= 0:
@@ -170,7 +170,7 @@ def packet_delay(
 
     ``path`` lists one node index per layer.  ``source`` selects where the
     queue values come from: ``None`` assumes zero initial backlog (queues
-    grow linearly from t0 = 0), a :class:`QueueState` extrapolates from the
+    grow linearly from time 0), a :class:`QueueState` extrapolates from the
     given backlog under the set rates, and a :class:`Trajectory` looks
     backlogs up at the packet's own arrival instants.  Returns
     ``math.inf`` when the packet reaches a backlogged node with no egress
@@ -263,7 +263,7 @@ def analytic_report(
     egress_lo = net.node_id(net.num_layers - 1, 0)
     factor[egress_lo:] = rho[egress_lo:]
     for l in range(net.num_layers - 2, -1, -1):
-        ids = net.layer_links(l)
+        ids = net.plan_of(l, l).links
         src = net.link_src[ids]
         dst = net.link_dst[ids]
         flow = g_tilde[ids]

@@ -72,7 +72,6 @@ from .network import (
 class TaggedRun:
     """Sojourn statistics for the packets that arrived within the window."""
 
-    t0: float
     horizon: float
     dt: float
     origin_sum: np.ndarray
@@ -224,14 +223,13 @@ class _IntegerSim:
         self.outstanding = 0
 
     def _window_of(self, k: int) -> int:
-        stamp = self.cfg.t0 + k * self.dt
-        return int((stamp - self.cfg.t0) / self.window) if self.window is not None else 0
+        return int(k * self.dt / self.window) if self.window is not None else 0
 
     # -- one step ----------------------------------------------------------
 
     def step(self, k: int) -> None:
         net = self.net
-        t = self.cfg.t0 + k * self.dt
+        t = k * self.dt
         # the last history row is a float copy of q
         q = self.history[-1] if self.keep_trajectory else self.q.astype(float)
         state = QueueState._trusted(q, t)
@@ -369,7 +367,7 @@ class _IntegerSim:
         applied = np.empty((steps, net.num_links))
         applied[:] = rates.values
         return Trajectory(
-            self.cfg.t0, self.dt, rows.astype(float), applied,
+            self.dt, rows.astype(float), applied,
             self.link_flow.astype(float), self.served_total.astype(float),
         )
 
@@ -584,7 +582,7 @@ class _IntegerSim:
         queues = self.history if self.keep_trajectory else [self.q.astype(float)]
         applied = np.asarray(self.applied, dtype=float).reshape(-1, self.net.num_links)
         return Trajectory(
-            self.cfg.t0, self.dt, np.asarray(queues), applied,
+            self.dt, np.asarray(queues), applied,
             self.link_flow.astype(float), self.served_total.astype(float),
         )
 
@@ -633,7 +631,7 @@ def tagged_run(
     max_extension_steps: int | None = None,
 ) -> TaggedRun:
     """Simulate with FIFO-tracked packet classes until every packet that
-    arrived within ``[t0, t0 + horizon)`` has departed, extending past the
+    arrived within ``[0, horizon)`` has departed, extending past the
     horizon by at most ``max_extension_steps`` steps.
 
     Arrivals continue during the extension (the overload persists; only the
@@ -672,7 +670,7 @@ def tagged_run(
     sim.check_classes()
     origin_sum, origin_count, window_stats = sim.tagged_stats()
     return TaggedRun(
-        cfg.t0, cfg.horizon, sim.dt, origin_sum, origin_count,
+        cfg.horizon, sim.dt, origin_sum, origin_count,
         extension=(k - horizon_steps) * sim.dt,
         window_width=window,
         window_stats=window_stats,

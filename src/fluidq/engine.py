@@ -38,6 +38,7 @@ import numpy as np
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
+    Link,
     RateAssignment,
     ServiceProfile,
     SimConfig,
@@ -88,14 +89,12 @@ class Trajectory:
 
     def __init__(
         self,
-        t0: float,
         dt: float,
         queues: np.ndarray,
         rates: np.ndarray,
         link_flow: np.ndarray,
         served: np.ndarray,
     ):
-        self.t0 = t0
         self.dt = dt
         self.queues = queues
         self.rates = rates
@@ -104,14 +103,14 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.queues.shape[0])
+        return self.dt * np.arange(self.queues.shape[0])
 
     @property
     def num_steps(self) -> int:
         return self.rates.shape[0]
 
     def state(self, k: int) -> QueueState:
-        return QueueState(self.queues[k], self.t0 + k * self.dt)
+        return QueueState(self.queues[k], k * self.dt)
 
     @property
     def final(self) -> QueueState:
@@ -161,15 +160,14 @@ def effective_flow(
     sinks: list[tuple[int, int]] = []
     tol = 1e-12 * max(1.0, arr.total)
     for l in range(net.num_layers - 1):
-        ids = net.layer_links(l)
+        ids = net.plan_of(l, l).links
         lo = net.node_id(l, 0)
         hi = lo + net.layer_sizes[l]
         out_l = set_out[lo:hi]
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(out_l > 0, np.minimum(1.0, inflow[lo:hi] / out_l), 0.0)
-        if ids.size:
-            g_tilde[ids] = values[ids] * factor[net.link_src[ids] - lo]
-            np.add.at(inflow, net.link_dst[ids], g_tilde[ids])
+        g_tilde[ids] = values[ids] * factor[net.link_src[ids] - lo]
+        np.add.at(inflow, net.link_dst[ids], g_tilde[ids])
         for local, nid in enumerate(range(lo, hi)):
             if inflow[nid] > tol and out_l[local] <= 0:
                 sinks.append((l, local))
@@ -354,7 +352,7 @@ def step(
         raise EngineError("rate assignment belongs to a different network")
     bad = rates.capacity_violations()
     if bad:
-        raise EngineError(f"rates exceed capacity on link {bad[0]}")
+        raise EngineError(f"rates exceed capacity on link {Link(*bad[0]).name}")
     q = state.q.copy()
     _FluidStep(net, arr, svc, dt)(q, rates, np.zeros(net.num_links))
     return QueueState(q, state.t + dt)
@@ -378,7 +376,7 @@ class _CapacityCheck:
         if rates is not self._last:
             bad = rates.capacity_violations()
             if bad:
-                raise EngineError(f"policy rates exceed capacity on link {bad[0]}")
+                raise EngineError(f"policy rates exceed capacity on link {Link(*bad[0]).name}")
             self._last = rates
         return rates
 
@@ -390,7 +388,7 @@ def run(
     policy,
     cfg: SimConfig,
 ) -> Trajectory:
-    """Integrate the dynamics under ``policy`` over ``[t0, t0 + horizon]``.
+    """Integrate the dynamics under ``policy`` over ``[0, horizon]``.
 
     ``policy`` is either a static :class:`RateAssignment` or any object
     exposing ``rates(state, net, arr, svc, dt)``.  Every assignment is
@@ -444,13 +442,13 @@ def run(
     if static is not None:
         applied[:] = checked(static).values
         advance.wavefront(net, queues, static, link_flow, settle)
-        return Trajectory(cfg.t0, dt, queues, applied, link_flow, served_total)
+        return Trajectory(dt, queues, applied, link_flow, served_total)
     for k in range(steps):
         # lambda, mu > 0 and nonnegative rates keep every row nonnegative
-        state = QueueState._trusted(queues[k], cfg.t0 + k * dt)
+        state = QueueState._trusted(queues[k], k * dt)
         rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
         q = queues[k + 1]
         q[:] = queues[k]
         settle(k, advance(q, rates, link_flow))
         applied[k] = rates.values
-    return Trajectory(cfg.t0, dt, queues, applied, link_flow, served_total)
+    return Trajectory(dt, queues, applied, link_flow, served_total)

@@ -7,7 +7,10 @@ policies, the optimizer, the benchmark harness) consumes the types defined
 here.
 
 Indexing convention: node and layer indices are 0-based in code and 1-based
-in topology documents.
+in topology documents, and messages name a link in the document form
+``l:i:j`` (:attr:`Link.name`).  The adjacency is held once: per link its
+source and destination node ids, per node its degrees, and per layer its
+:class:`LayerPlan` (:meth:`LayeredNetwork.plan_of`).
 """
 from __future__ import annotations
 
@@ -55,6 +58,11 @@ class Link:
     def key(self) -> tuple[int, int, int]:
         return (self.layer, self.src, self.dst)
 
+    @property
+    def name(self) -> str:
+        """The file form ``l:i:j``, 1-based: how every message names a link."""
+        return f"{self.layer + 1}:{self.src + 1}:{self.dst + 1}"
+
 
 class LayeredNetwork:
     """Immutable layered topology with per-link capacities.
@@ -84,13 +92,13 @@ class LayeredNetwork:
         ordered: list[Link] = []
         for link in sorted(links):
             if not 0 <= link.layer < self.num_layers - 1:
-                raise ValueError(f"link {link.key}: layer out of range")
+                raise ValueError(f"link {link.name}: layer out of range")
             if not 0 <= link.src < sizes[link.layer]:
-                raise ValueError(f"link {link.key}: source index out of range")
+                raise ValueError(f"link {link.name}: source index out of range")
             if not 0 <= link.dst < sizes[link.layer + 1]:
-                raise ValueError(f"link {link.key}: destination index out of range")
+                raise ValueError(f"link {link.name}: destination index out of range")
             if link.key in seen:
-                raise ValueError(f"duplicate link {link.key}")
+                raise ValueError(f"duplicate link {link.name}")
             seen.add(link.key)
             ordered.append(link)
         self.links = tuple(ordered)
@@ -101,30 +109,16 @@ class LayeredNetwork:
         #: every link has a finite capacity
         self.bounded = not any(link.unbounded for link in ordered)
 
-        # Per-node link lists and per-layer arrays used by the engine.
-        self.out_links: tuple[tuple[int, ...], ...]
-        self.in_links: tuple[tuple[int, ...], ...]
-        out: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        into: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        src_nid = np.empty(self.num_links, dtype=np.intp)
-        dst_nid = np.empty(self.num_links, dtype=np.intp)
-        for k, link in enumerate(ordered):
-            s = self.node_id(link.layer, link.src)
-            d = self.node_id(link.layer + 1, link.dst)
-            src_nid[k] = s
-            dst_nid[k] = d
-            out[s].append(k)
-            into[d].append(k)
-        self.out_links = tuple(tuple(v) for v in out)
-        self.in_links = tuple(tuple(v) for v in into)
-        self.link_src = src_nid
-        self.link_dst = dst_nid
-        self.link_src.flags.writeable = False
-        self.link_dst.flags.writeable = False
-        self._layer_links = tuple(
-            np.array([k for k, ln in enumerate(ordered) if ln.layer == l], dtype=np.intp)
-            for l in range(self.num_layers - 1)
-        )
+        # the adjacency: each link's source and destination node ids, and
+        # each node's out- and in-degree
+        keys = np.array([link.key for link in ordered], dtype=np.intp).reshape(-1, 3)
+        first = np.array(offsets, dtype=np.intp)  # per layer: its first node id
+        self.link_src = first[keys[:, 0]] + keys[:, 1]
+        self.link_dst = first[keys[:, 0] + 1] + keys[:, 2]
+        self.out_degree = np.bincount(self.link_src, minlength=self.num_nodes)
+        self.in_degree = np.bincount(self.link_dst, minlength=self.num_nodes)
+        for arr in (self.link_src, self.link_dst, self.out_degree, self.in_degree):
+            arr.flags.writeable = False
 
     # -- node addressing ---------------------------------------------------
 
@@ -140,10 +134,6 @@ class LayeredNetwork:
     def layer_nodes(self, layer: int) -> range:
         return range(self._offsets[layer], self._offsets[layer + 1])
 
-    def layer_links(self, layer: int) -> np.ndarray:
-        """Indices of the links leaving ``layer`` (into ``layer + 1``)."""
-        return self._layer_links[layer]
-
     @property
     def ingress_nodes(self) -> range:
         return self.layer_nodes(0)
@@ -158,15 +148,11 @@ class LayeredNetwork:
     def is_fan_in_tree(self) -> bool:
         """True when every non-egress node has exactly one outgoing link and
         the (undirected) topology is connected, i.e. a tree."""
-        if self.layer_sizes[-1] != 1:
-            return False
-        for l in range(self.num_layers - 1):
-            for nid in self.layer_nodes(l):
-                if len(self.out_links[nid]) != 1:
-                    return False
         # single egress + unique out-edges => connected iff no node is isolated
-        return all(
-            self.in_links[nid] for l in range(1, self.num_layers) for nid in self.layer_nodes(l)
+        return (
+            self.layer_sizes[-1] == 1
+            and bool(np.all(self.out_degree[: self._offsets[-2]] == 1))
+            and bool(np.all(self.in_degree[self.layer_sizes[0] :] > 0))
         )
 
     @cached_property
@@ -176,7 +162,7 @@ class LayeredNetwork:
         return tuple(
             self.plan_of(l, l)
             for l in range(self.num_layers - 1)
-            if self._layer_links[l].size
+            if self.out_degree[self._offsets[l] : self._offsets[l + 1]].any()
         )
 
     def plan_of(self, first: int, last: int) -> "LayerPlan":
@@ -207,7 +193,9 @@ class LayeredNetwork:
 class LayerPlan(NamedTuple):
     """Index arrays for the links leaving one network layer, or a run of
     consecutive layers taken together, so that a per-step computation over
-    them is a few whole-array operations.
+    them is a few whole-array operations.  ``plan_of(l, l).links`` is the
+    network's only list of a layer's links; :attr:`LayeredNetwork.plan`
+    leaves out the layers without links.
 
     Links are sorted by layer, then source, so the links are one slice of
     the link vector and each source's links one run inside it.  Per-link
@@ -313,10 +301,10 @@ class RateAssignment:
         finite = np.isfinite(arr)
         if not finite.all():
             k = int(np.argmin(finite))
-            raise ValueError(f"non-finite rate {arr[k]} on link {net.links[k].key}")
+            raise ValueError(f"non-finite rate {arr[k]} on link {net.links[k].name}")
         if np.any(arr < 0):
             k = int(np.argmin(arr))
-            raise ValueError(f"negative rate on link {net.links[k].key}")
+            raise ValueError(f"negative rate on link {net.links[k].name}")
         self.net = net
         self.values = arr.copy()
         self.values.flags.writeable = False
@@ -359,21 +347,16 @@ class RateAssignment:
 
     def to_dict(self) -> dict[str, float]:
         """File form: 1-based ``"l:i:j"`` keys."""
-        return {
-            f"{ln.layer + 1}:{ln.src + 1}:{ln.dst + 1}": float(v)
-            for ln, v in zip(self.net.links, self.values)
-        }
+        return {ln.name: float(v) for ln, v in zip(self.net.links, self.values)}
 
     def __getitem__(self, key: tuple[int, int, int]) -> float:
         return float(self.values[self.net.link_index[tuple(key)]])
 
     def node_egress(self, node_id: int) -> float:
-        ids = self.net.out_links[node_id]
-        return float(self.values[list(ids)].sum()) if ids else 0.0
+        return float(self.values[self.net.link_src == node_id].sum())
 
     def node_ingress(self, node_id: int) -> float:
-        ids = self.net.in_links[node_id]
-        return float(self.values[list(ids)].sum()) if ids else 0.0
+        return float(self.values[self.net.link_dst == node_id].sum())
 
     def capacity_violations(self, tol: float = 1e-9) -> list[tuple[int, int, int]]:
         """Keys of the links whose rate is not within capacity (a NaN on
@@ -396,7 +379,6 @@ class SimConfig:
     """
 
     horizon: float
-    t0: float = 0.0
     dt: float | None = None
     q0: np.ndarray | None = None
     discretize: bool = False
@@ -450,23 +432,18 @@ def validate(net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile) -> l
     for j, mu in enumerate(svc.rates):
         if not mu > 0:
             errors.append(f"nonpositive rate: mu[{j + 1}] = {mu}")
-    for link in net.links:
-        if not link.capacity > 0:
-            errors.append(
-                f"nonpositive capacity: link ({link.layer + 1},{link.src + 1},"
-                f"{link.dst + 1}) capacity = {link.capacity}"
-            )
-    for l in range(net.num_layers):
-        for nid in net.layer_nodes(l):
-            _, i = net.node_coords(nid)
-            if l < net.num_layers - 1 and not net.out_links[nid]:
-                errors.append(
-                    f"dangling node: layer {l + 1} node {i + 1} has no egress link"
-                )
-            if l > 0 and not net.in_links[nid]:
-                errors.append(
-                    f"dangling node: layer {l + 1} node {i + 1} has no ingress link"
-                )
+    for k in np.flatnonzero(~(net.capacities > 0)):
+        link = net.links[k]
+        errors.append(f"nonpositive capacity: link {link.name} capacity = {link.capacity}")
+    no_out = net.out_degree == 0
+    no_out[net.egress_nodes.start :] = False
+    no_in = net.in_degree == 0
+    no_in[: net.layer_sizes[0]] = False
+    for nid in np.flatnonzero(no_out | no_in):
+        l, i = net.node_coords(int(nid))
+        for missing, kind in ((no_out, "egress"), (no_in, "ingress")):
+            if missing[nid]:
+                errors.append(f"dangling node: layer {l + 1} node {i + 1} has no {kind} link")
     return errors
 
 

@@ -158,6 +158,34 @@ def throughput_tight_gamma(
     return (arr.total / svc.total,) + (1.0,) * (num_layers - 1)
 
 
+def _constraint_names(
+    net: LayeredNetwork, objective: ObjectiveSpec, forced: set[int]
+) -> tuple[list[str], list[str]]:
+    """Names of :func:`co_optimize`'s LP rows (split caps, epigraph rows,
+    ratio rows) and link bounds, in its order, for an infeasible system."""
+    coords = [net.node_coords(nid) for nid in range(net.num_nodes)]
+    rows = []
+    if objective.split_cap is not None:
+        rows += [f"split cap on link {link.name}" for link in net.links]
+    if objective.kind == "max_overload_rate":
+        middle = coords[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
+        rows += [f"overload epigraph at layer {l + 1} node {i + 1}" for l, i in middle]
+    elif objective.kind == "max_layer_growth":
+        rows += [f"growth epigraph at layer {l + 1}" for l in range(net.num_layers)]
+    rows += [
+        f"ingress ratio at layer 1 node {i + 1}" if l == 0
+        else f"egress ratio at node {i + 1}" if l == net.num_layers - 1
+        else f"ratio at layer {l + 1} node {i + 1}"
+        for l, i in coords
+    ]
+    cap_name = "capacity of" if objective.utilization_cap is None else "utilization cap on"
+    bounds = [
+        f"forced zero on link {link.name}" if k in forced else f"{cap_name} link {link.name}"
+        for k, link in enumerate(net.links)
+    ]
+    return rows, bounds
+
+
 def co_optimize(
     net: LayeredNetwork,
     arr: ArrivalProfile,
@@ -214,13 +242,6 @@ def co_optimize(
         src_layer == 0, 1.0, -np.asarray(gamma)[src_layer]
     )
     b_eq = _node_rhs(net, arr.rates / gamma[0], gamma[-1] * svc.rates)
-    coords = [net.node_coords(nid) for nid in range(net.num_nodes)]
-    eq_names = [
-        f"ingress ratio at layer 1 node {i + 1}" if l == 0
-        else f"egress ratio at node {i + 1}" if l == net.num_layers - 1
-        else f"ratio at layer {l + 1} node {i + 1}"
-        for l, i in coords
-    ]
 
     # capacities (after the utilization cap) and forced zeros are bounds
     forced = set()
@@ -231,15 +252,9 @@ def co_optimize(
     caps = net.capacities.copy()
     caps[list(forced)] = 0.0
     upper = caps if objective.utilization_cap is None else caps * objective.utilization_cap
-    cap_name = "capacity of" if objective.utilization_cap is None else "utilization cap on"
-    bound_names = [
-        f"forced zero on link {link.key}" if k in forced else f"{cap_name} link {link.key}"
-        for k, link in enumerate(net.links)
-    ]
 
     a_ub = np.zeros((0, m))
     b_ub = np.zeros(0)
-    ub_names: list[str] = []
     if objective.split_cap is not None:
         # g_k <= beta * (node inflow), where layer 1 nodes receive lambda_i
         beta = objective.split_cap
@@ -247,7 +262,6 @@ def co_optimize(
         first = src_layer == 0
         b_ub = np.zeros(m)
         b_ub[first] = beta * arr.rates[net.link_src[first]]
-        ub_names = [f"split cap on link {link.key}" for link in net.links]
 
     def widen(a, *columns):
         return np.column_stack((a, *columns))
@@ -259,7 +273,7 @@ def co_optimize(
     # reads the rates and the value off the solution
     zero_eq, zero_ub = np.zeros(net.num_nodes), np.zeros(len(b_ub))
     finite = np.flatnonzero(np.isfinite(net.capacities))
-    rows, rhs, names = a_ub, b_ub, ub_names
+    rows, rhs = a_ub, b_ub
     lp_eq, lp_b_eq, lp_upper = a_eq, b_eq, upper
     read = plain
     if kind == "total_bandwidth":
@@ -295,9 +309,6 @@ def co_optimize(
         c[m] = 1.0
         rows = np.vstack([widen(a_ub, zero_ub), widen(epigraph, np.full(len(epigraph), -1.0))])
         rhs = np.concatenate([b_ub, np.full(len(epigraph), t_lo)])
-        names = ub_names + [
-            f"overload epigraph at layer {l + 1} node {i + 1}" for l, i in coords[middle]
-        ]
         lp_eq, lp_upper = widen(a_eq, zero_eq), np.append(upper, np.inf)
 
         def read(x, optimum):
@@ -315,7 +326,6 @@ def co_optimize(
             widen(growth, np.full(net.num_layers, -1.0), np.ones(net.num_layers)),
         ])
         rhs = np.concatenate([b_ub, layer_rhs])
-        names = ub_names + [f"growth epigraph at layer {l + 1}" for l in range(net.num_layers)]
         lp_eq, lp_upper = widen(a_eq, zero_eq, zero_eq), np.append(upper, (np.inf, np.inf))
 
         def read(x, optimum):
@@ -324,13 +334,13 @@ def co_optimize(
     result = lp.solve_lp(c, rows, rhs, lp_eq, lp_b_eq, upper=lp_upper)
     if kind == "max_utilization" and result.status == lp.UNBOUNDED:
         # t* = 0: the unbounded links alone can carry the demand
-        names, read = ub_names, plain
+        read = plain
         result = lp.solve_lp(
             np.zeros(m), a_ub, b_ub, a_eq, b_eq, upper=np.where(np.isfinite(caps), 0.0, caps)
         )
     if result.status == lp.INFEASIBLE:
-        names = names + eq_names
-        binding = [names[r] for r in result.infeasible_rows]
+        row_names, bound_names = _constraint_names(net, objective, forced)
+        binding = [row_names[r] for r in result.infeasible_rows]
         binding += [bound_names[k] for k in result.infeasible_bounds if k < m]
         raise InfeasibleError("min-delay constraint system is infeasible", binding)
     if result.status != lp.OPTIMAL:

@@ -26,6 +26,7 @@ from .engine import QueueState, StaticPolicy, effective_flow
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
+    Link,
     RateAssignment,
     ServiceProfile,
 )
@@ -91,7 +92,7 @@ def check_min_delay_single_sink(
         raise ValueError("check applies to N x 1 single-hop networks only")
     bad = rates.capacity_violations(tol)
     if bad:
-        return CheckResult(False, f"capacity exceeded on link {bad[0]}")
+        return CheckResult(False, f"capacity exceeded on link {Link(*bad[0]).name}")
     g_tilde, _, _, _ = effective_flow(net, arr, rates.values)
     return _check_layered(net, arr, svc, g_tilde, None, tol)
 
@@ -108,8 +109,9 @@ def check_min_delay_single_hop(
     rates, and every egress node fed at least its service rate."""
     if net.num_layers != 2:
         raise ValueError("check applies to 2-layer networks only")
-    rows = np.array([rates.node_egress(nid) for nid in net.ingress_nodes])
-    cols = np.array([rates.node_ingress(nid) for nid in net.egress_nodes])
+    n = net.layer_sizes[0]
+    rows = np.bincount(net.link_src, weights=rates.values, minlength=n)
+    cols = np.bincount(net.link_dst - n, weights=rates.values, minlength=net.layer_sizes[1])
     residuals = {}
     if np.any(rows <= 0):
         return CheckResult(False, "an ingress node has zero egress rate")
@@ -267,8 +269,7 @@ def construct_rate_proportional(
         k = int(over[0])
         link = net.links[k]
         raise ValueError(
-            f"gamma infeasible against capacities: link "
-            f"({link.layer + 1},{link.src + 1},{link.dst + 1}) needs "
+            f"gamma infeasible against capacities: link {link.name} needs "
             f"{values[k]:g} > capacity {link.capacity:g}"
         )
     return RateAssignment(net, values)
@@ -310,10 +311,7 @@ def require_bounded(net: LayeredNetwork, what: str) -> None:
     """Reject a network with an unbounded link: ``what`` needs capacities."""
     if not net.bounded:
         bad = next(link for link in net.links if link.unbounded)
-        raise ValueError(
-            f"{what} undefined: link ({bad.layer + 1},{bad.src + 1},"
-            f"{bad.dst + 1}) has unbounded capacity"
-        )
+        raise ValueError(f"{what} undefined: link {bad.name} has unbounded capacity")
 
 
 def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
@@ -470,17 +468,24 @@ def parent_source_set(net: LayeredNetwork) -> list[frozenset[int]]:
     pss: list[set[int]] = [set() for _ in range(net.num_nodes)]
     for i, nid in enumerate(net.ingress_nodes):
         pss[nid] = {i}
-    for l in range(net.num_layers - 1):
-        for lk in net.layer_links(l):
-            pss[net.link_dst[lk]] |= pss[net.link_src[lk]]
+    # links run in layer order, so a source's set is whole before it is read
+    for src, dst in zip(net.link_src.tolist(), net.link_dst.tolist()):
+        pss[dst] |= pss[src]
     return [frozenset(s) for s in pss]
 
 
 def _subtree_arrivals(net: LayeredNetwork, arr: ArrivalProfile, what: str) -> np.ndarray:
-    """Per node, the total arrival rate of its ingress ancestors."""
+    """Per node, the total arrival rate of its ingress ancestors: in a
+    fan-in tree, the sum over its parents, one layer at a time."""
     if not net.is_fan_in_tree():
         raise ValueError(f"{what} applies to fan-in tree topologies only")
-    return np.array([sum(arr.rates[i] for i in s) for s in parent_source_set(net)])
+    lam = np.zeros(net.num_nodes)
+    lam[: net.layer_sizes[0]] = arr.rates
+    for layer in net.plan:
+        lam[layer.next_lo : layer.next_lo + layer.next_width] = np.bincount(
+            layer.dst_local, weights=lam[net.link_src[layer.links]], minlength=layer.next_width
+        )
+    return lam
 
 
 def check_min_delay_tree(
@@ -495,21 +500,23 @@ def check_min_delay_tree(
     constant), and maximum throughput is achieved."""
     subtree_lam = _subtree_arrivals(net, arr, "check")
     residuals = {}
-    for l in range(1, net.num_layers):
-        for j, nid in enumerate(net.layer_nodes(l)):
-            in_ids = net.in_links[nid]
-            g_in = rates.values[list(in_ids)]
+    for layer in net.plan:
+        dest = layer.index + 2  # 1-based number of the layer the links enter
+        g = rates.values[layer.links]
+        lam = subtree_lam[net.link_src[layer.links]]
+        for j in range(layer.next_width):
+            into = layer.dst_local == j
+            g_in = g[into]
             if np.any(g_in <= 0):
                 return CheckResult(
-                    False, f"zero rate into layer {l + 1} node {j + 1}"
+                    False, f"zero rate into layer {dest} node {j + 1}"
                 )
-            lam_in = np.array([subtree_lam[net.link_src[k]] for k in in_ids])
-            dev = _spread(lam_in / g_in)
-            residuals[f"node_{l + 1}_{j + 1}_ratio_spread"] = dev
+            dev = _spread(lam[into] / g_in)
+            residuals[f"node_{dest}_{j + 1}_ratio_spread"] = dev
             if not dev <= tol:
                 return CheckResult(
                     False,
-                    f"link rates into layer {l + 1} node {j + 1} are not "
+                    f"link rates into layer {dest} node {j + 1} are not "
                     "proportional to their subtree arrival rates",
                     None,
                     residuals,
@@ -530,7 +537,7 @@ def tree_rate_proportional(
     assignment = RateAssignment(net, scale * subtree_lam[net.link_src])
     bad = assignment.capacity_violations()
     if bad:
-        raise ValueError(f"tree rates exceed capacity on link {bad[0]}")
+        raise ValueError(f"tree rates exceed capacity on link {Link(*bad[0]).name}")
     return assignment
 
 

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,29 @@ def two_source_instance():
 
 def rates_of(net, mapping):
     return RateAssignment.from_dict(net, mapping)
+
+
+class Adjacency(NamedTuple):
+    out: list[tuple[int, ...]]  # per node: its out-link ids, ascending
+    into: list[tuple[int, ...]]  # per node: its in-link ids, ascending
+    layers: list[np.ndarray]  # per link layer: its link ids, ascending
+
+
+def adjacency(net) -> Adjacency:
+    """Reference adjacency read off ``net.links`` and node addressing alone,
+    independent of the network's own link arrays and layer plans."""
+    out = [[] for _ in range(net.num_nodes)]
+    into = [[] for _ in range(net.num_nodes)]
+    layers = [[] for _ in range(net.num_layers - 1)]
+    for k, link in enumerate(net.links):
+        out[net.node_id(link.layer, link.src)].append(k)
+        into[net.node_id(link.layer + 1, link.dst)].append(k)
+        layers[link.layer].append(k)
+    return Adjacency(
+        [tuple(ids) for ids in out],
+        [tuple(ids) for ids in into],
+        [np.array(ids, dtype=np.intp) for ids in layers],
+    )
 
 
 def single_sink_rates(net, per_source):

@@ -129,7 +129,7 @@ def test_optimize_reports_infeasible_input_on_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "min-delay constraint system is infeasible" in captured.err
-    assert "forced zero on link (0, 0, 0)" in captured.err
+    assert "forced zero on link 1:1:1" in captured.err
     assert "egress ratio at node 1" in captured.err
 
 
@@ -296,9 +296,9 @@ FOURLAYER = os.path.join(os.path.dirname(__file__), "data", "fourlayer.json")
         (["--policy", "tree"],
          "policy tree: construction applies to fan-in tree topologies only"),
         (["--policy", "max"],
-         r"policy max: max-link-rate undefined: link \(1,1,1\) has unbounded capacity"),
+         "policy max: max-link-rate undefined: link 1:1:1 has unbounded capacity"),
         (["--policy", "bp"],
-         r"policy bp: backpressure undefined: link \(1,1,1\) has unbounded capacity"),
+         "policy bp: backpressure undefined: link 1:1:1 has unbounded capacity"),
     ],
 )
 def test_simulate_input_errors_exit_with_one_line(extra, message, capsys):

@@ -62,7 +62,7 @@ def test_step_rejects_bad_rates(two_source_instance):
     state = QueueState(np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         step(state, rates, net, arr, svc, -0.1)
-    with pytest.raises(EngineError, match=r"\(0, 0, 0\)"):
+    with pytest.raises(EngineError, match=r"on link 1:1:1$"):
         step(state, RateAssignment(net, [4.5, 0.0]), net, arr, svc, 0.1)
 
 
@@ -256,7 +256,7 @@ def _reference_run(net, arr, svc, policy, cfg):
     link_flow = np.zeros(net.num_links)
     served_total = np.zeros(net.layer_sizes[-1])
     for k in range(round(cfg.horizon / dt)):
-        rates = policy.rates(QueueState(q, cfg.t0 + k * dt), net, arr, svc, dt)
+        rates = policy.rates(QueueState(q, k * dt), net, arr, svc, dt)
         q, sent, served = _reference_advance(q, rates.values, net, arr.rates, svc.rates, dt)
         queues.append(q)
         applied.append(rates.values)

@@ -26,9 +26,22 @@ from fluidq import (
     queue_proportional_rates,
     run,
     tagged_run,
+    validate,
 )
 from fluidq.bench import make_policy, preset, sample_instance
-from fluidq.policies import StaticPolicy
+from fluidq.policies import (
+    CheckResult,
+    StaticPolicy,
+    _spread,
+    _subtree_arrivals,
+    _throughput_clause,
+    check_min_delay_single_hop,
+    check_min_delay_tree,
+    parent_source_set,
+    tree_rate_proportional,
+)
+
+from conftest import adjacency
 
 SEED = 20240811
 
@@ -57,6 +70,7 @@ def _reference_rates(state, net, svc, gamma=None, arr=None, dt=0.0):
     total_service = svc.total
     values = np.zeros(net.num_links)
     clipped = False
+    adj = adjacency(net)
     for l in range(net.num_layers - 1):
         ids = list(net.layer_nodes(l))
         shares = state.q[ids].astype(float).copy()
@@ -74,7 +88,7 @@ def _reference_rates(state, net, svc, gamma=None, arr=None, dt=0.0):
         mass = svc.rates if l == net.num_layers - 2 else np.ones(net.layer_sizes[l + 1])
         share = mass / mass.sum()
         for local, nid in enumerate(ids):
-            out = net.out_links[nid]
+            out = adj.out[nid]
             if len(out) == 1:
                 values[out[0]] = node_egress[local]
             else:
@@ -103,8 +117,9 @@ def test_plan_is_built_lazily_once_and_matches_the_links():
     plan = net.plan
     assert net.plan is plan
     assert [layer.index for layer in plan] == [0, 1, 2]
+    adj = adjacency(net)
     for layer in plan:
-        ids = net.layer_links(layer.index)
+        ids = adj.layers[layer.index]
         assert np.array_equal(np.arange(net.num_links)[layer.links], ids)
         assert layer.lo == net.node_id(layer.index, 0)
         assert layer.next_lo == net.node_id(layer.index + 1, 0)
@@ -112,10 +127,10 @@ def test_plan_is_built_lazily_once_and_matches_the_links():
         assert np.array_equal(layer.next_lo + layer.dst_local, net.link_dst[ids])
         assert np.array_equal(layer.srcs[layer.src_of], net.link_src[ids])
         assert np.array_equal(layer.caps, net.capacities[ids])
-        degree = np.array([len(net.out_links[s]) for s in net.link_src[ids]])
+        degree = np.array([len(adj.out[s]) for s in net.link_src[ids]])
         assert np.array_equal(layer.single, degree == 1)
         for s, src in enumerate(layer.srcs):
-            assert tuple(ids[layer.starts[s] : layer.ends[s]]) == net.out_links[src]
+            assert tuple(ids[layer.starts[s] : layer.ends[s]]) == adj.out[src]
         assert not layer.caps.flags.writeable
 
 
@@ -126,7 +141,8 @@ def test_plan_of_a_run_of_layers_joins_the_layer_plans():
     run = net.plan_of(1, 3)
     assert net.plan_of(1, 3) is run
     layers = net.plan[1:4]
-    ids = np.concatenate([net.layer_links(layer.index) for layer in layers])
+    adj = adjacency(net)
+    ids = np.concatenate([adj.layers[layer.index] for layer in layers])
     assert np.array_equal(np.arange(net.num_links)[run.links], ids)
     assert (run.index, run.lo, run.next_lo) == (1, net.node_id(1, 0), net.node_id(2, 0))
     assert run.lo + run.width == net.node_id(4, 0)
@@ -137,7 +153,7 @@ def test_plan_of_a_run_of_layers_joins_the_layer_plans():
     assert np.array_equal(run.next_lo + run.dst_local, net.link_dst[ids])
     assert np.array_equal(run.srcs[run.src_of], net.link_src[ids])
     for s, src in enumerate(run.srcs):
-        assert tuple(ids[run.starts[s] : run.ends[s]]) == net.out_links[src]
+        assert tuple(ids[run.starts[s] : run.ends[s]]) == adj.out[src]
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +225,10 @@ def test_queue_proportional_on_a_tree_matches_loop():
 def _reference_construct(net, arr, svc, gamma):
     """The per-node loop that ``construct_rate_proportional`` ran before it
     was built on the plan.  Returns the rate vector or the rejection."""
+    adj = adjacency(net)
     for l in range(net.num_layers - 1):
-        full = net.layer_links(l).size == net.layer_sizes[l] * net.layer_sizes[l + 1]
-        unique = all(len(net.out_links[nid]) == 1 for nid in net.layer_nodes(l))
+        full = adj.layers[l].size == net.layer_sizes[l] * net.layer_sizes[l + 1]
+        unique = all(len(adj.out[nid]) == 1 for nid in net.layer_nodes(l))
         if not (full or unique):
             return f"layers {l + 1}-{l + 2} are neither fully connected nor single-child"
     ratio = arr.total / svc.total
@@ -228,7 +245,7 @@ def _reference_construct(net, arr, svc, gamma):
         nxt = np.zeros(next_size)
         for nid in net.layer_nodes(l):
             _, i = net.node_coords(nid)
-            out = net.out_links[nid]
+            out = adj.out[nid]
             if len(out) == 1:
                 values[out[0]] = node_egress[i]
                 nxt[net.links[out[0]].dst] += node_egress[i]
@@ -241,7 +258,7 @@ def _reference_construct(net, arr, svc, gamma):
         ingress = nxt
     for k, link in enumerate(net.links):
         if values[k] > link.capacity + 1e-9 * max(1.0, values[k]):
-            return f"({link.layer + 1},{link.src + 1},{link.dst + 1}) needs"
+            return f"link {link.layer + 1}:{link.src + 1}:{link.dst + 1} needs"
     return values
 
 
@@ -293,7 +310,200 @@ def test_construct_rate_proportional_matches_per_node_loop():
     # every rejection kind is reached: split, gamma product, masses, capacity
     assert outcomes["built"] >= 200
     assert min(outcomes[k] for k in ("layers", "gamma", "bad")) >= 10
-    assert sum(n for k, n in outcomes.items() if k.startswith("(")) >= 30
+    assert outcomes["link"] >= 30
+
+
+# ---------------------------------------------------------------------------
+# oracles on the link arrays and the plan against per-node link lists
+
+
+def _reference_validate(net, adj):
+    """``validate``'s capacity and dangling-node messages, from per-node
+    link lists."""
+    errors = [
+        f"nonpositive capacity: link {ln.layer + 1}:{ln.src + 1}:{ln.dst + 1} "
+        f"capacity = {ln.capacity}"
+        for ln in net.links
+        if not ln.capacity > 0
+    ]
+    for l in range(net.num_layers):
+        for i, nid in enumerate(net.layer_nodes(l)):
+            if l < net.num_layers - 1 and not adj.out[nid]:
+                errors.append(f"dangling node: layer {l + 1} node {i + 1} has no egress link")
+            if l > 0 and not adj.into[nid]:
+                errors.append(f"dangling node: layer {l + 1} node {i + 1} has no ingress link")
+    return errors
+
+
+def _reference_is_fan_in_tree(net, adj):
+    inner = [nid for l in range(net.num_layers - 1) for nid in net.layer_nodes(l)]
+    fed = [nid for l in range(1, net.num_layers) for nid in net.layer_nodes(l)]
+    return (
+        net.layer_sizes[-1] == 1
+        and all(len(adj.out[nid]) == 1 for nid in inner)
+        and all(adj.into[nid] for nid in fed)
+    )
+
+
+def _reference_parent_sets(net):
+    pss = [set() for _ in range(net.num_nodes)]
+    for i, nid in enumerate(net.ingress_nodes):
+        pss[nid] = {i}
+    for ln in net.links:  # sorted by layer
+        pss[net.node_id(ln.layer + 1, ln.dst)] |= pss[net.node_id(ln.layer, ln.src)]
+    return [frozenset(s) for s in pss]
+
+
+def _reference_tree_check(net, arr, svc, rates, adj, lam, tol=1e-9):
+    residuals = {}
+    for l in range(1, net.num_layers):
+        for j, nid in enumerate(net.layer_nodes(l)):
+            into = list(adj.into[nid])
+            g_in = rates.values[into]
+            if np.any(g_in <= 0):
+                return CheckResult(False, f"zero rate into layer {l + 1} node {j + 1}")
+            lam_in = np.array([lam[net.node_id(l - 1, net.links[k].src)] for k in into])
+            dev = _spread(lam_in / g_in)
+            residuals[f"node_{l + 1}_{j + 1}_ratio_spread"] = dev
+            if not dev <= tol:
+                return CheckResult(
+                    False,
+                    f"link rates into layer {l + 1} node {j + 1} are not "
+                    "proportional to their subtree arrival rates",
+                    None,
+                    residuals,
+                )
+    best = float(np.minimum(lam[list(net.egress_nodes)], svc.rates).sum())
+    return _throughput_clause(net, arr, svc, rates.values, best, None, residuals, tol)
+
+
+def _reference_single_hop(arr, svc, rows, cols, tol=1e-9):
+    if np.any(rows <= 0):
+        return CheckResult(False, "an ingress node has zero egress rate")
+    residuals = {
+        "ingress_ratio_spread": _spread(rows / arr.rates),
+        "egress_ratio_spread": _spread(cols / svc.rates),
+        "throughput_deficit": float(np.max(svc.rates - cols)),
+    }
+    clauses = (
+        ("ingress_ratio_spread", tol, "ingress totals are not proportional to arrivals"),
+        ("egress_ratio_spread", tol, "egress totals are not proportional to service rates"),
+        ("throughput_deficit", tol * max(1.0, float(svc.rates.max())),
+         "an egress node is fed below its service rate"),
+    )
+    for key, bound, reason in clauses:
+        if not residuals[key] <= bound:
+            return CheckResult(False, reason, None, residuals)
+    gamma = (float((arr.rates / rows).mean()), float((cols / svc.rates).mean()))
+    return CheckResult(True, None, gamma, residuals)
+
+
+def _same_verdict(got, expected):
+    """Same verdict, reason and residual keys; residual values and gamma
+    within a few ulps (the sums behind them may run in another order)."""
+    assert (got.ok, got.reason) == (expected.ok, expected.reason)
+    assert list(got.residuals) == list(expected.residuals)
+    for key, value in expected.residuals.items():
+        assert got.residuals[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+    if expected.gamma is None:
+        assert got.gamma is None
+    else:
+        assert got.gamma == pytest.approx(expected.gamma, rel=1e-12)
+    return f"{got.ok}:{(got.reason or '').split(' ')[0]}"
+
+
+def _oracle_net(rng, case):
+    """A seeded full, mixed or fan-in-tree net.  One case in three has
+    nonpositive and NaN capacities and dangling nodes: links dropped, or
+    in a tree links moved to another child."""
+    num_layers = 2 if case % 4 == 0 else int(rng.integers(3, 6))
+    if case % 3 == 2:
+        sizes = tuple(sorted(rng.integers(1, 7, size=num_layers - 1), reverse=True)) + (1,)
+        net = _random_fan_in_tree(rng, sizes, math.inf)
+    else:
+        sizes = tuple(int(n) for n in rng.integers(1, 6, size=num_layers))
+        if case % 3 == 0:
+            net = full_connection(sizes, float(rng.uniform(1, 5)))
+        else:
+            net = _mixed_net(rng, sizes, lambda r: r.uniform(1, 5))
+    if case % 9 >= 6:
+        bad = rng.choice([0.0, -1.0, math.nan], size=net.num_links)
+        links = []
+        for k, ln in enumerate(net.links):
+            cap = float(bad[k]) if rng.random() < 0.2 else ln.capacity
+            if case % 3 == 2:  # one out-link per source: a moved link stays unique
+                dst = ln.dst if rng.random() < 0.7 else int(rng.integers(sizes[ln.layer + 1]))
+                links.append(Link(ln.layer, ln.src, dst, cap))
+            elif rng.random() < 0.8:
+                links.append(Link(ln.layer, ln.src, ln.dst, cap))
+        net = LayeredNetwork(sizes, links)
+    return net
+
+
+def test_topology_oracles_match_per_node_link_lists():
+    """``validate``, ``is_fan_in_tree``, ``node_egress``/``node_ingress``,
+    ``parent_source_set``, ``_subtree_arrivals`` and the tree and
+    single-hop checkers against the per-node link lists they read before
+    they moved onto the link arrays and the plan."""
+    outcomes = collections.Counter()
+    for case in range(180):
+        rng = np.random.default_rng([SEED, 13, case])
+        net = _oracle_net(rng, case)
+        adj = adjacency(net)
+        arr = ArrivalProfile(rng.uniform(0.5, 10.0, size=net.layer_sizes[0]).round(case % 2))
+        svc = ServiceProfile(rng.uniform(0.5, 10.0, size=net.layer_sizes[-1]))
+        expected = _reference_validate(net, adj)
+        assert validate(net, arr, svc) == expected, case
+        outcomes["dangling"] += any(e.startswith("dangling") for e in expected)
+        outcomes["capacity"] += any(e.startswith("nonpositive capacity") for e in expected)
+        tree = _reference_is_fan_in_tree(net, adj)
+        assert net.is_fan_in_tree() == tree, case
+        rates = RateAssignment(net, rng.uniform(0.0, 3.0, size=net.num_links))
+        for nid in range(net.num_nodes):
+            out, into = list(adj.out[nid]), list(adj.into[nid])
+            assert rates.node_egress(nid) == float(rates.values[out].sum()), case
+            assert rates.node_ingress(nid) == float(rates.values[into].sum()), case
+        if expected:
+            continue
+        if net.num_layers == 2:
+            lam, mu = arr.rates, svc.rates
+            candidates = [rates]
+            if net.num_links == lam.size * mu.size:  # rates proportional both ways
+                scale = 1.1 * max(1.0, mu.sum() / lam.sum()) / mu.sum()
+                candidates.append(RateAssignment(net, np.outer(lam, mu).ravel() * scale))
+            for g in candidates:
+                rows = np.array([g.values[list(adj.out[n])].sum() for n in net.ingress_nodes])
+                cols = np.array([g.values[list(adj.into[n])].sum() for n in net.egress_nodes])
+                got = check_min_delay_single_hop(net, arr, svc, g)
+                outcomes["hop " + _same_verdict(got, _reference_single_hop(arr, svc, rows, cols))] += 1
+        if not tree:
+            continue
+        pss = _reference_parent_sets(net)
+        assert parent_source_set(net) == pss, case
+        lam = np.array([sum(arr.rates[i] for i in s) for s in pss])
+        subtree = _subtree_arrivals(net, arr, "check")
+        if case % 2 == 0:  # integer arrival rates: every sum is exact
+            assert subtree.tobytes() == lam.tobytes(), case
+            if not net.bounded:  # the sampled trees; opt-tree ignores capacity there
+                scale = max(0.0, min(float(svc.rates[0]), lam[-1]) / lam[-1])
+                opt_tree = tree_rate_proportional(net, arr, svc).values
+                assert opt_tree.tobytes() == (scale * lam[net.link_src]).tobytes(), case
+                outcomes["opt-tree"] += 1
+        else:
+            assert subtree == pytest.approx(lam, rel=1e-14), case
+        good = lam[net.link_src] * float(rng.uniform(0.2, 2.0))
+        skewed, starved = good.copy(), good.copy()
+        skewed[int(rng.integers(net.num_links))] *= 1.5
+        starved[int(rng.integers(net.num_links))] = 0.0
+        for values in (good, skewed, starved):
+            g = RateAssignment(net, values)
+            got = check_min_delay_tree(net, arr, svc, g)
+            outcomes["tree " + _same_verdict(got, _reference_tree_check(net, arr, svc, g, adj, lam))] += 1
+    # every branch is reached: both injections, and each checker's verdicts
+    assert min(outcomes[k] for k in ("dangling", "capacity", "opt-tree")) >= 10, outcomes
+    for kind in ("hop True:", "hop False:ingress", "hop False:egress", "tree True:",
+                 "tree False:zero", "tree False:link", "tree False:maximum"):
+        assert outcomes[kind] >= 3, (kind, outcomes)
 
 
 # ---------------------------------------------------------------------------

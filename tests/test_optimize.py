@@ -448,8 +448,8 @@ def test_max_utilization_is_zero_when_unbounded_links_carry_the_demand(monkeypat
         assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
 
 
-_CAPPED = ("utilization cap on link (0, 1, 0)", "utilization cap on link (0, 1, 1)")
-_CAPPED_LAYER_2 = tuple(f"utilization cap on link (1, {i}, {j})" for i in (0, 1) for j in (0, 1))
+_CAPPED = ("utilization cap on link 1:2:1", "utilization cap on link 1:2:2")
+_CAPPED_LAYER_2 = tuple(f"utilization cap on link 2:{i}:{j}" for i in (1, 2) for j in (1, 2))
 
 
 @pytest.mark.parametrize("kind, caps, binding", [

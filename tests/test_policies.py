@@ -27,7 +27,7 @@ from fluidq import (
 )
 from fluidq.policies import QueueProportionalPolicy, proportional_fill
 
-from conftest import single_sink_rates
+from conftest import adjacency, single_sink_rates
 from test_analytics import random_min_delay_gamma
 
 
@@ -517,12 +517,13 @@ def test_layered_condition_implies_tree_condition():
         # choose mu so the egress clause closes with this gamma
         values = np.zeros(net.num_links)
         ingress = lam.copy()
+        adj = adjacency(net)
         for l in range(len(shape) - 1):
             egress = ingress / gamma[l]
             nxt = np.zeros(shape[l + 1])
             for nid in net.layer_nodes(l):
                 _, i = net.node_coords(nid)
-                lk = net.out_links[nid][0]
+                lk = adj.out[nid][0]
                 values[lk] = egress[i]
                 nxt[net.links[lk].dst] += egress[i]
             ingress = nxt
