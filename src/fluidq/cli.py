@@ -92,6 +92,10 @@ def cmd_simulate(args) -> int:
     net, arr, svc = load(args.net)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
     policy = _make_policy(args.policy, net, arr, svc, args.rates, gamma)
+    try:
+        SimConfig(args.horizon, args.dt, discretize=args.mode == "integer").resolved_dt()
+    except ValueError as exc:  # the message starts with the field it names
+        raise SystemExit(f"--{str(exc).split()[0]}: {exc}") from exc
     q0 = None
     if args.q0:
         try:

@@ -7,8 +7,11 @@ the long run while never bursting above it.  One kernel,
 :meth:`_IntegerSim._send`, grants the budgets of a
 :class:`~fluidq.network.LayerPlan`, one layer or a run of consecutive
 layers; a source short of supply splits it across its out-links in
-proportion to their budgets.  A step calls it once per layer of the
-network's shared :attr:`~fluidq.network.LayeredNetwork.plan`.  The
+proportion to their budgets (:func:`_allocate_each`), with the plan's
+source slots as segment ids and each link's offset from its source's
+first link as its rank, so no segment is rebuilt per step.  A step
+calls it once per layer of the network's shared
+:attr:`~fluidq.network.LayeredNetwork.plan`.  The
 policy's assignment is capacity-checked whenever it differs from the
 previous step's object.  An untagged run of a static assignment instead
 advances along the diagonals of (layer, step) pairs, as the fluid engine
@@ -96,17 +99,25 @@ class TaggedRun:
         return total / count
 
 
-def _allocate_each(amounts, totals, weights, seg) -> np.ndarray:
-    """Integer split of ``totals[s]`` over the entries with segment index
-    ``s`` (``seg`` is ascending), in proportion to their ``amounts`` and
-    each capped by it: largest remainder, ties by position.  ``weights[s]
-    > 0`` is the segment's sum of ``amounts``."""
-    exact = amounts * (totals / weights)[seg]
+def _allocate_each(amounts, totals, weights, seg, pos=None) -> np.ndarray:
+    """Integer split of ``totals[s]`` over the entries with segment id
+    ``s``, in proportion to their ``amounts`` and each capped by it:
+    largest remainder, ties by position.  ``seg`` is ascending, and
+    ``weights[s] > 0`` is the sum of ``amounts`` over segment ``s``.  Ids
+    need not be dense: :meth:`_IntegerSim._send` passes its plan's source
+    slots (:attr:`~fluidq.network.LayerPlan.src_of`), with ``totals`` and
+    ``weights`` for every source, and ``pos``, each entry's position in its
+    segment (its offset from its source's first link; found from ``seg``
+    when omitted).  The remainders are ranked only when some segment has
+    one to hand out."""
+    exact = amounts * (totals[seg] / weights[seg])
     base = np.floor(exact).astype(np.int64)
-    rest = totals - np.bincount(seg, weights=base, minlength=totals.size)
-    order = np.lexsort((base - exact, seg))
-    rank = np.arange(seg.size) - np.searchsorted(seg, seg)
-    base[order[rank < rest[seg]]] += 1
+    rest = (totals - np.bincount(seg, weights=base, minlength=totals.size))[seg]
+    if (rest > 0).any():
+        order = np.lexsort((base - exact, seg))
+        if pos is None:
+            pos = np.arange(seg.size) - np.searchsorted(seg, seg)
+        base[order[pos < rest]] += 1
     return np.minimum(base, amounts)
 
 
@@ -309,16 +320,16 @@ class _IntegerSim:
         grant, moved = want, total_want
         if short.any():
             # a short source sends its whole supply down a single out-link
-            # and splits it in proportion to the budgets over several
-            grant = np.where(short[layer.src_of], supply[layer.src_of], want)
-            links = np.flatnonzero(short[layer.src_of] & ~layer.single)
+            # and splits it in proportion to the budgets over several; its
+            # links are one run of the plan, so its slot is their segment
+            # and their offsets from its first link their ranks
+            short = short[layer.src_of]
+            grant = np.where(short, supply[layer.src_of], want)
+            links = np.flatnonzero(short & ~layer.single)
             if links.size:
-                # links run source by source, so their sources come in runs
-                of = layer.src_of[links]
-                first = np.concatenate(([True], of[1:] != of[:-1]))
-                srcs, seg = of[first], np.cumsum(first) - 1
+                seg = layer.src_of[links]
                 grant[links] = _allocate_each(
-                    want[links], supply[srcs], total_want[srcs], seg
+                    want[links], supply, total_want, seg, links - layer.starts[seg]
                 )
             moved = np.add.reduceat(grant, layer.starts)
         inflow = np.bincount(

@@ -68,8 +68,8 @@ class QueueState:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if np.any(q < 0):
-            raise ValueError("backlogs must be nonnegative")
+        if not np.all((q >= 0) & (q < math.inf)):
+            raise ValueError("backlogs must be finite and nonnegative")
         object.__setattr__(self, "q", q)
 
     @classmethod

@@ -375,7 +375,10 @@ class SimConfig:
     """Simulation window and stepping parameters.
 
     ``dt`` defaults to 0.01 in fluid mode and 1.0 in integer-packet mode.
-    ``q0`` is a per-node backlog vector (all zero when omitted).
+    ``q0`` is a per-node backlog vector (all zero when omitted).  The
+    engines read the step through :meth:`resolved_dt` and the backlog
+    through :meth:`initial_backlog`, which reject bad values; each message
+    starts with the field it names.
     """
 
     horizon: float
@@ -384,9 +387,12 @@ class SimConfig:
     discretize: bool = False
 
     def resolved_dt(self) -> float:
+        """The step length, after checking that it and the horizon are
+        finite and positive and that the step fits in the horizon."""
         dt = self.dt if self.dt is not None else (1.0 if self.discretize else 0.01)
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        for name, value in (("horizon", self.horizon), ("dt", dt)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
         return dt
@@ -399,6 +405,10 @@ class SimConfig:
             raise ValueError(
                 f"q0 has {q0.size} entries, network has {net.num_nodes} nodes"
             )
+        finite = np.isfinite(q0)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"q0 must be finite, got {q0[k]} at entry {k + 1}")
         if np.any(q0 < 0):
             raise ValueError("q0 must be nonnegative")
         return q0.copy()

@@ -4,8 +4,10 @@ Rate-proportional control keeps every node of a layer at the same
 ingress/egress rate ratio; the per-layer ratios form the gamma vector.
 Queue-proportional control replaces arrival-rate knowledge with live
 backlogs and reaches the same delay asymptotically; it and the
-rate-proportional construction split a layer's egress over its links with
-the same weights (:func:`_split_weights`).  Backpressure and max-link-rate
+rate-proportional construction split a node's egress over its links with
+the same per-link weights (:func:`_split_weights`).  Queue-proportional
+rates are evaluated on the whole network at once, with one backlog sum per
+plan layer (:class:`_QueueProportional`).  Backpressure and max-link-rate
 serve as baselines.  The N x 1 checker is the layered one on effective
 rates, and every checker but the single-hop one ends in the same
 throughput clause.
@@ -218,17 +220,17 @@ def _check_constructible(net: LayeredNetwork) -> None:
             )
 
 
-def _split_weights(net: LayeredNetwork, svc: ServiceProfile) -> list[np.ndarray]:
-    """Per plan layer, each link's fraction of its source's egress total:
-    all of it on a node's only out-link, otherwise its destination's share
-    of the next layer's masses (service rates into the egress layer,
-    uniform elsewhere).  A layer's link rates are ``node_egress[src_local]``
-    times these."""
-    weights = []
+def _split_weights(net: LayeredNetwork, svc: ServiceProfile) -> np.ndarray:
+    """Per link, its fraction of its source's egress total: all of it on a
+    node's only out-link, otherwise its destination's share of the next
+    layer's masses (service rates into the egress layer, uniform
+    elsewhere).  The link rates are ``node_egress[net.link_src]`` times
+    these."""
+    weights = np.empty(net.num_links)
     for layer in net.plan:
         mass = svc.rates if layer.index == net.num_layers - 2 else np.ones(layer.next_width)
         share = mass / mass.sum()
-        weights.append(np.where(layer.single, 1.0, share[layer.dst_local]))
+        weights[layer.links] = np.where(layer.single, 1.0, share[layer.dst_local])
     return weights
 
 
@@ -260,8 +262,9 @@ def construct_rate_proportional(
         raise ValueError(f"bad egress masses for layer {net.num_layers}")
     values = np.zeros(net.num_links)
     ingress = arr.rates
-    for layer, weight in zip(net.plan, _split_weights(net, svc)):
-        v = (ingress / gamma[layer.index])[layer.src_local] * weight
+    weights = _split_weights(net, svc)
+    for layer in net.plan:
+        v = (ingress / gamma[layer.index])[layer.src_local] * weights[layer.links]
         values[layer.links] = v
         ingress = np.bincount(layer.dst_local, weights=v, minlength=layer.next_width)
     over = np.flatnonzero(values > net.capacities + 1e-9 * np.maximum(1.0, values))
@@ -350,45 +353,79 @@ _CLIP_WARNING = (
 )
 
 
-def _queue_proportional(state, net, svc, gamma, arr, dt, weights) -> tuple[np.ndarray, bool]:
-    """Rate vector of :func:`queue_proportional_rates` and whether capacity
-    clipped it, given the checked ``gamma`` (or None) and the layers'
-    :func:`_split_weights`."""
-    total_service = svc.total
-    values = np.zeros(net.num_links)
-    clipped = False
-    for layer, weight in zip(net.plan, weights):
-        l = layer.index
-        shares = state.q[layer.lo : layer.next_lo].astype(float)
-        if l == 0 and arr is not None and dt > 0:
-            shares = shares + arr.rates * dt
-        if shares.sum() <= 0:
-            shares = np.ones(layer.width)
+class _QueueProportional:
+    """Rate vectors of :func:`queue_proportional_rates` on one network and
+    service profile, given the checked ``gamma`` (or None).  The per-link
+    :func:`_split_weights` and each node's plan layer are built once, so a
+    call is whole-network array operations and one sum per plan layer."""
 
-        if net.is_single_sink():
-            budget = total_service
-            if gamma is not None:
-                budget = max(budget, shares.sum() / gamma[0])
+    __slots__ = (
+        "net", "svc", "gamma", "total_service", "single_sink", "upper",
+        "weights", "layer_of", "node_gamma",
+    )
+
+    def __init__(self, net: LayeredNetwork, svc: ServiceProfile, gamma):
+        self.net, self.svc, self.gamma = net, svc, gamma
+        self.total_service = svc.total
+        self.single_sink = net.is_single_sink()
+        self.weights = _split_weights(net, svc)
+        self.upper = net.node_id(net.num_layers - 1, 0)  # nodes above egress
+        # per node above egress, the index of its layer in the plan; one
+        # past the last for a layer without links, whose nodes read a 1.0
+        # that no link gathers
+        self.layer_of = np.full(self.upper, len(net.plan))
+        for p, layer in enumerate(net.plan):
+            self.layer_of[layer.lo : layer.next_lo] = p
+        self.node_gamma = None
+        if gamma is not None:
+            per_layer = [gamma[layer.index] for layer in net.plan] + [1.0]
+            self.node_gamma = np.array(per_layer)[self.layer_of]
+
+    def __call__(self, state, arr, dt) -> tuple[np.ndarray, bool]:
+        """The rate vector for the backlogs of ``state`` and whether
+        capacity clipped it."""
+        net = self.net
+        shares = state.q[: self.upper].astype(float)
+        if arr is not None and dt > 0:
+            shares[: net.layer_sizes[0]] += arr.rates * dt
+        sums = []
+        for layer in net.plan:
+            nodes = slice(layer.lo, layer.next_lo)
+            total = shares[nodes].sum()
+            if total <= 0:
+                shares[nodes] = 1.0
+                total = shares[nodes].sum()
+            sums.append(total)
+
+        if self.single_sink:
+            if not sums:
+                return np.zeros(net.num_links), False
+            budget = self.total_service
+            if self.gamma is not None:
+                budget = max(budget, sums[0] / self.gamma[0])
             values = proportional_fill(shares, net.capacities, budget)
             return values, values.sum() < budget - 1e-9 * max(1.0, budget)
 
-        if gamma is not None:
-            node_egress = shares / gamma[l]
-            scale_up = total_service / node_egress.sum() if node_egress.sum() > 0 else 1.0
-            if scale_up > 1.0:
-                node_egress = node_egress * scale_up
+        if self.gamma is not None:
+            node_egress = shares / self.node_gamma
+            scale = [1.0] * (len(sums) + 1)
+            for p, layer in enumerate(net.plan):
+                total = node_egress[layer.lo : layer.next_lo].sum()
+                scale_up = self.total_service / total if total > 0 else 1.0
+                if scale_up > 1.0:
+                    scale[p] = scale_up
+            node_egress *= np.array(scale)[self.layer_of]
         else:
-            node_egress = total_service * shares / shares.sum()
-        v = node_egress[layer.src_local] * weight
-        over = v > layer.caps
-        if over.any():
+            node_egress = self.total_service * shares / np.array(sums + [1.0])[self.layer_of]
+        values = node_egress[net.link_src] * self.weights
+        over = values > net.capacities
+        clipped = bool(over.any())
+        if clipped:
             # each source keeps its split and scales down to its tightest link
-            factor = np.ones(layer.width)
-            np.minimum.at(factor, layer.src_local[over], layer.caps[over] / v[over])
-            v = v * factor[layer.src_local]
-            clipped = True
-        values[layer.links] = v
-    return values, clipped
+            factor = np.ones(self.upper)
+            np.minimum.at(factor, net.link_src[over], net.capacities[over] / values[over])
+            values *= factor[net.link_src]
+        return values, clipped
 
 
 def queue_proportional_rates(
@@ -413,16 +450,16 @@ def queue_proportional_rates(
     are waterfilled (single-sink) or proportionally downscaled per source
     node, and every call that clips logs a warning.
 
-    Each layer is a handful of whole-array operations on the network's
-    :attr:`~fluidq.network.LayeredNetwork.plan`: a link's rate is its
-    source's egress times its destination share (times 1 on a source's
-    only out-link), and a source's downscale factor is the smallest
-    capacity-to-rate ratio over its links.
+    Past one sum per layer of the network's
+    :attr:`~fluidq.network.LayeredNetwork.plan`, a call is whole-network
+    array operations: a link's rate is its source's egress times its
+    destination share (times 1 on a source's only out-link), and a
+    source's downscale factor is the smallest capacity-to-rate ratio over
+    its links.
     """
     if gamma is not None:
         gamma = as_gamma(gamma, net.num_layers)
-    weights = _split_weights(net, svc)
-    values, clipped = _queue_proportional(state, net, svc, gamma, arr, dt, weights)
+    values, clipped = _QueueProportional(net, svc, gamma)(state, arr, dt)
     if clipped:
         log.warning(_CLIP_WARNING)
     return RateAssignment(net, values)
@@ -431,26 +468,24 @@ def queue_proportional_rates(
 class QueueProportionalPolicy:
     """Queue-proportional control.  ``clipped_steps`` counts the steps on
     the current network whose rates capacity clipped; the first of them
-    logs a warning, once per network.  The checked gamma and the split
-    weights are kept for the current network and service profile."""
+    logs a warning, once per network.  The checked gamma and the arrays of
+    :class:`_QueueProportional` are kept for the current network and
+    service profile."""
 
     def __init__(self, gamma=None):
         self.gamma = gamma
         self.clipped_steps = 0
-        self._net = self._svc = None
-        self._gamma = self._weights = None
+        self._rates = None
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        if net is not self._net:
-            gamma = None if self.gamma is None else as_gamma(self.gamma, net.num_layers)
-            self._net, self._svc, self._gamma = net, None, gamma
+        rates = self._rates
+        if rates is None or net is not rates.net:
             self.clipped_steps = 0
-        if svc is not self._svc:
-            self._weights = _split_weights(net, svc)
-            self._svc = svc
-        values, clipped = _queue_proportional(
-            state, net, svc, self._gamma, arr, dt, self._weights
-        )
+            rates = None
+        if rates is None or svc is not rates.svc:
+            gamma = None if self.gamma is None else as_gamma(self.gamma, net.num_layers)
+            self._rates = rates = _QueueProportional(net, svc, gamma)
+        values, clipped = rates(state, arr, dt)
         if clipped:
             if not self.clipped_steps:
                 log.warning(_CLIP_WARNING)

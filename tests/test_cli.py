@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,22 @@ def test_simulate_q0_errors_exit_with_one_line(q0, message, capsys):
     with pytest.raises(SystemExit, match=f"^{message}$"):
         main(["simulate", "--net", FOURLAYER, "--policy", "opt-queue", "--q0", q0,
               "--horizon", "2"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--horizon", "nan"], "--horizon: horizon must be finite and positive, got nan"),
+    (["--horizon", "inf"], "--horizon: horizon must be finite and positive, got inf"),
+    (["--horizon", "-3"], "--horizon: horizon must be finite and positive, got -3.0"),
+    (["--horizon", "2", "--dt", "nan"], "--dt: dt must be finite and positive, got nan"),
+    (["--horizon", "2", "--q0", ",".join(["nan"] + ["0"] * 11)],
+     "--q0: q0 must be finite, got nan at entry 1"),
+    (["--horizon", "2", "--mode", "integer", "--q0", ",".join(["inf"] + ["0"] * 11)],
+     "--q0: q0 must be finite, got inf at entry 1"),
+])
+def test_simulate_config_errors_exit_with_one_line(extra, message, capsys):
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["simulate", "--net", FOURLAYER, "--policy", "opt-queue", *extra])
     assert capsys.readouterr().out == ""
 
 

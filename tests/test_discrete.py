@@ -6,7 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fluidq import EngineError, SimConfig, empirical_report, tagged_run
+from fluidq import (
+    ArrivalProfile,
+    EngineError,
+    LayeredNetwork,
+    Link,
+    ServiceProfile,
+    SimConfig,
+    empirical_report,
+    tagged_run,
+)
 from fluidq.bench import make_policy, preset, sample_instance
 from fluidq.discrete import _allocate_each, _IntegerSim, _take
 
@@ -233,6 +242,129 @@ def test_grant_split_matches_per_source_allocation():
             assert np.all(np.abs(grant[part] - exact) < 1.0)
 
 
+def _compacted_allocate_each(amounts, totals, weights, seg):
+    """``_allocate_each`` as it was, on dense segment ids."""
+    exact = amounts * (totals / weights)[seg]
+    base = np.floor(exact).astype(np.int64)
+    rest = totals - np.bincount(seg, weights=base, minlength=totals.size)
+    order = np.lexsort((base - exact, seg))
+    rank = np.arange(seg.size) - np.searchsorted(seg, seg)
+    base[order[rank < rest[seg]]] += 1
+    return np.minimum(base, amounts)
+
+
+def _compacted_grant(layer, want, supply):
+    """The grants of ``_IntegerSim._send`` as it computed them before the
+    plan's source slots: the short sources' links compacted into dense
+    segments each step.  Also returns whether a short source split over
+    several links had a remainder to hand out."""
+    total_want = np.add.reduceat(want, layer.starts)
+    short = total_want > supply
+    grant, remainder = want, False
+    if short.any():
+        grant = np.where(short[layer.src_of], supply[layer.src_of], want)
+        links = np.flatnonzero(short[layer.src_of] & ~layer.single)
+        if links.size:
+            of = layer.src_of[links]
+            first = np.concatenate(([True], of[1:] != of[:-1]))
+            srcs, seg = of[first], np.cumsum(first) - 1
+            grant[links] = _compacted_allocate_each(
+                want[links], supply[srcs], total_want[srcs], seg
+            )
+            floors = np.floor(want[links] * (supply[srcs] / total_want[srcs])[seg])
+            remainder = bool(np.any(supply[srcs] > np.bincount(seg, weights=floors)))
+    return grant, remainder
+
+
+def _split_net(rng):
+    """A random layered net whose sources mix single out-links with fans
+    over 1 to all next-layer nodes."""
+    sizes = tuple(int(n) for n in rng.integers(1, 10, size=int(rng.integers(2, 6))))
+    links = []
+    for l in range(len(sizes) - 1):
+        m = sizes[l + 1]
+        for i in range(sizes[l]):
+            k = 1 if rng.random() < 0.4 else int(rng.integers(1, m + 1))
+            links += [Link(l, i, int(j), 10.0) for j in rng.choice(m, size=k, replace=False)]
+    return LayeredNetwork(sizes, links)
+
+
+def test_plan_segment_split_matches_compacted_split():
+    """``_send`` splits a short source's supply on the plan's own source
+    slots, ranked by each link's offset from its source's first link, with
+    the ranking skipped when no remainder is left; on one-layer plans and
+    wavefront spans, with all, some or no sources short, it grants and
+    takes exactly what the compacted split did."""
+    seen = dict.fromkeys(
+        ["all short", "some short", "none short", "short single link", "span",
+         "remainder", "no remainder"], 0)
+    for case in range(240):
+        rng = np.random.default_rng([SEED, 14, case])
+        net = _split_net(rng)
+        sizes = net.layer_sizes
+        sim = _IntegerSim(
+            net, ArrivalProfile(np.ones(sizes[0])), ServiceProfile(np.ones(sizes[-1])),
+            None, SimConfig(horizon=1.0, discretize=True), track_packets=False,
+        )
+        first = int(rng.integers(net.num_layers - 1))
+        last = int(rng.integers(first, net.num_layers - 1))
+        span = net.plan_of(first, last)
+        seen["span"] += last > first
+        n = span.links.stop - span.links.start
+        regime = ("all short", "some short", "none short")[case % 3]
+        want = rng.integers(0 if case % 3 else 1, 9, size=n).astype(np.int64)
+        total = np.add.reduceat(want, span.starts)
+        if regime == "all short":
+            supply = np.floor(total * rng.random(total.size)).astype(np.int64)
+        elif regime == "some short":
+            supply = rng.integers(0, 2 * total + 1)
+        else:
+            supply = total + rng.integers(0, 4, size=total.size)
+        short = total > supply
+        seen["all short" if short.all() else "some short" if short.any() else "none short"] += 1
+        seen["short single link"] += bool((short & (span.ends - span.starts == 1)).any())
+        expected, remainder = _compacted_grant(span, want.copy(), supply)
+        if short.any():
+            seen["remainder" if remainder else "no remainder"] += 1
+        sim.q[:] = 0
+        sim.q[span.srcs] = supply
+        inflow = sim._send(span, want.copy())
+        assert np.array_equal(sim.link_flow[span.links], expected), case
+        assert np.array_equal(sim.q[span.srcs], supply - np.add.reduceat(expected, span.starts))
+        if inflow is not None:
+            assert np.array_equal(
+                inflow, np.bincount(span.dst_local, weights=expected, minlength=span.next_width)
+            )
+        else:
+            assert not expected.any()
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_allocate_each_on_source_slots_matches_dense_segments():
+    rng = np.random.default_rng([SEED, 15])
+    for _ in range(300):
+        sizes = rng.integers(1, 7, size=int(rng.integers(2, 9)))
+        slot = np.repeat(np.arange(sizes.size), sizes)
+        pos = np.arange(slot.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        want = rng.integers(1, 30, size=slot.size).astype(np.int64)
+        weights = np.bincount(slot, weights=want).astype(np.int64)
+        supply = rng.integers(0, weights)
+        keep = rng.random(sizes.size) < 0.6  # the short sources
+        links = np.flatnonzero(keep[slot])
+        if not links.size:
+            continue
+        seg = np.cumsum(keep) - 1
+        expected = _compacted_allocate_each(
+            want[links], supply[keep], weights[keep], seg[slot[links]]
+        )
+        for got in (
+            _allocate_each(want[links], supply, weights, slot[links], pos[links]),
+            _allocate_each(want[links], supply, weights, slot[links]),
+            _allocate_each(want[links], supply[keep], weights[keep], seg[slot[links]]),
+        ):
+            assert np.array_equal(got, expected)
+
+
 # ---------------------------------------------------------------------------
 # Tagged bookkeeping
 
@@ -311,8 +443,8 @@ def test_negative_backlog_fails_the_step_that_makes_it(monkeypatch):
     original = discrete._allocate_each
     calls = []
 
-    def misallocate(amounts, totals, weights, seg):
-        grant = original(amounts, totals, weights, seg)
+    def misallocate(amounts, totals, weights, seg, pos=None):
+        grant = original(amounts, totals, weights, seg, pos)
         if not calls:
             grant[np.flatnonzero((seg == 0) & (grant > 0))[0]] -= 1
             grant[np.flatnonzero(seg == 1)[0]] += 1

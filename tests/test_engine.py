@@ -409,8 +409,8 @@ def test_static_integer_run_fails_at_the_per_step_schedules_step_and_node(monkey
 
     original = discrete._allocate_each
 
-    def misallocate(amounts, totals, weights, seg):
-        grant = original(amounts, totals, weights, seg)
+    def misallocate(amounts, totals, weights, seg, pos=None):
+        grant = original(amounts, totals, weights, seg, pos)
         first = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
         hit = totals[seg[first]] % 4 == 3
         grant[first[hit]] += 1
@@ -429,3 +429,10 @@ def test_static_integer_run_fails_at_the_per_step_schedules_step_and_node(monkey
     assert messages[0] == messages[1]
     # a middle node: the ingress layer had run a step ahead when it was found
     assert messages[0] == "negative backlog -1 at step 0 on (layer 2, node 1)"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_queue_state_rejects_non_finite_and_negative_backlogs(bad):
+    with pytest.raises(ValueError, match="^backlogs must be finite and nonnegative$"):
+        QueueState(np.array([bad, 1.0]), 0.0)
+    assert QueueState(np.array([0.0, 1.0]), 0.0).q.tolist() == [0.0, 1.0]

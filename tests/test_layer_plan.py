@@ -31,6 +31,7 @@ from fluidq import (
 from fluidq.bench import make_policy, preset, sample_instance
 from fluidq.policies import (
     CheckResult,
+    QueueProportionalPolicy,
     StaticPolicy,
     _spread,
     _subtree_arrivals,
@@ -38,6 +39,7 @@ from fluidq.policies import (
     check_min_delay_single_hop,
     check_min_delay_tree,
     parent_source_set,
+    proportional_fill,
     tree_rate_proportional,
 )
 
@@ -216,6 +218,145 @@ def test_queue_proportional_on_a_tree_matches_loop():
         expected, _ = _reference_rates(state, net, svc, None, arr, 0.1)
         got = queue_proportional_rates(state, net, svc, None, arr, 0.1)
         assert np.array_equal(got.values, expected)
+
+
+def _per_layer_weights(net, svc):
+    """``_split_weights`` as it was, one array per plan layer."""
+    weights = []
+    for layer in net.plan:
+        mass = svc.rates if layer.index == net.num_layers - 2 else np.ones(layer.next_width)
+        share = mass / mass.sum()
+        weights.append(np.where(layer.single, 1.0, share[layer.dst_local]))
+    return weights
+
+
+def _per_layer_rates(state, net, svc, gamma, arr, dt, branches):
+    """``_queue_proportional`` as it ran one plan layer at a time, before
+    the whole-network arrays; ``branches`` collects the branches taken."""
+    weights = _per_layer_weights(net, svc)
+    total_service = svc.total
+    values = np.zeros(net.num_links)
+    clipped = False
+    for layer, weight in zip(net.plan, weights):
+        l = layer.index
+        shares = state.q[layer.lo : layer.next_lo].astype(float)
+        if l == 0 and arr is not None and dt > 0:
+            shares = shares + arr.rates * dt
+        if shares.sum() <= 0:
+            branches.add("zero-backlog layer")
+            shares = np.ones(layer.width)
+
+        if net.is_single_sink():
+            branches.add("single sink")
+            budget = total_service
+            if gamma is not None:
+                budget = max(budget, shares.sum() / gamma[0])
+            values = proportional_fill(shares, net.capacities, budget)
+            return values, values.sum() < budget - 1e-9 * max(1.0, budget)
+
+        if gamma is not None:
+            node_egress = shares / gamma[l]
+            scale_up = total_service / node_egress.sum() if node_egress.sum() > 0 else 1.0
+            if scale_up > 1.0:
+                branches.add("gamma scaled up")
+                node_egress = node_egress * scale_up
+            else:
+                branches.add("gamma as is")
+        else:
+            branches.add("no gamma")
+            node_egress = total_service * shares / shares.sum()
+        v = node_egress[layer.src_local] * weight
+        over = v > layer.caps
+        if over.any():
+            branches.add("capacity clip")
+            factor = np.ones(layer.width)
+            np.minimum.at(factor, layer.src_local[over], layer.caps[over] / v[over])
+            v = v * factor[layer.src_local]
+            clipped = True
+        values[layer.links] = v
+    return values, clipped
+
+
+def _ragged_net(rng, capacity):
+    """A multi-layer net of uneven layers, some of 9 to 13 nodes, so that
+    layers start at odd node offsets."""
+    sizes = [int(rng.integers(1, 6)) * 2 + 1]
+    for _ in range(int(rng.integers(2, 5))):
+        sizes.append(int(rng.integers(9, 14)) if rng.random() < 0.6 else int(rng.integers(1, 6)))
+    return _mixed_net(rng, tuple(sizes), capacity, fan=float(rng.uniform(0.2, 0.9)))
+
+
+def test_whole_network_queue_proportional_matches_per_layer_code(caplog):
+    """On 160 seeded nets (full, mixed, fan-in trees, ragged, single-sink)
+    the whole-network rates equal the per-layer ones bit for bit, through
+    the function and through the policy, with and without gamma, at dt = 0,
+    with zero-backlog layers and with capacity clipping."""
+    import logging
+
+    branches = set()
+    shapes = collections.Counter()
+    for case in range(160):
+        rng = np.random.default_rng([SEED, 14, case])
+        cap = lambda r, hi=float(rng.uniform(0.5, 8.0)): r.uniform(0.2, hi)
+        kind = case % 5
+        if kind == 0:
+            sizes = tuple(int(n) for n in rng.integers(2, 10, size=int(rng.integers(2, 6))))
+            net = full_connection(sizes, float(rng.uniform(0.5, 8.0)))
+        elif kind == 1:
+            sizes = tuple(int(n) for n in rng.integers(2, 8, size=int(rng.integers(3, 6))))
+            net = _mixed_net(rng, sizes, cap)
+        elif kind == 2:
+            sizes = sorted((int(n) for n in rng.integers(1, 12, size=3)), reverse=True)
+            net = _random_fan_in_tree(rng, tuple(sizes) + (1,), float(rng.uniform(1, 9)))
+        elif kind == 3:
+            net = _ragged_net(rng, cap)
+        else:
+            net = full_connection((int(rng.integers(2, 12)), 1), float(rng.uniform(1, 9)))
+        shapes[kind] += 1
+        shapes["wide layer at an odd offset"] += any(
+            net.layer_sizes[l] >= 9 and net.node_id(l, 0) % 2 for l in range(net.num_layers)
+        )
+        arr = ArrivalProfile(rng.uniform(0.5, 9.0, size=net.layer_sizes[0]))
+        svc = ServiceProfile(rng.uniform(0.5, 6.0, size=net.layer_sizes[-1]))
+        gamma = None
+        if case % 2:
+            gamma = tuple(float(g) for g in rng.uniform(0.2, 4.0, size=net.num_layers))
+        policy = QueueProportionalPolicy(gamma)
+        for step in range(4):
+            q = rng.uniform(0, 30, size=net.num_nodes) * (rng.random(net.num_nodes) < 0.8)
+            if step == 1 and case % 3:  # one layer without backlog
+                l = int(rng.integers(net.num_layers))
+                q[list(net.layer_nodes(l))] = 0.0
+            elif step == 1:  # no backlog anywhere
+                q[:] = 0.0
+            dt = (0.0, 0.01, 0.5, 0.0)[step]
+            state = QueueState(q, step * 0.1)
+            expected, clipped = _per_layer_rates(state, net, svc, gamma, arr, dt, branches)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="fluidq"):
+                got = queue_proportional_rates(state, net, svc, gamma, arr, dt)
+            assert np.array_equal(got.values, expected), (case, step)
+            assert bool(caplog.records) == bool(clipped)
+            stepped = policy.rates(state, net, arr, svc, dt)
+            assert np.array_equal(stepped.values, expected), (case, step)
+    assert branches == {
+        "zero-backlog layer", "single sink", "gamma scaled up", "gamma as is",
+        "no gamma", "capacity clip",
+    }
+    assert [shapes[kind] for kind in range(5)] == [32] * 5
+    assert shapes["wide layer at an odd offset"] >= 20
+
+
+def test_queue_proportional_policy_rebuilds_for_a_new_service_profile():
+    rng = np.random.default_rng([SEED, 15])
+    net = _ragged_net(rng, lambda r: r.uniform(2.0, 9.0))
+    arr = ArrivalProfile(rng.uniform(1, 5, size=net.layer_sizes[0]))
+    state = QueueState(rng.uniform(0, 9, size=net.num_nodes), 0.0)
+    policy = QueueProportionalPolicy()
+    for _ in range(3):
+        svc = ServiceProfile(rng.uniform(0.5, 6.0, size=net.layer_sizes[-1]))
+        expected, _ = _per_layer_rates(state, net, svc, None, arr, 0.1, set())
+        assert np.array_equal(policy.rates(state, net, arr, svc, 0.1).values, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -221,3 +222,27 @@ def test_sim_config_guards(two_source_instance):
         SimConfig(horizon=1.0, q0=np.zeros(2)).initial_backlog(net)
     assert SimConfig(horizon=1.0).resolved_dt() == 0.01
     assert SimConfig(horizon=10.0, discretize=True).resolved_dt() == 1.0
+
+
+@pytest.mark.parametrize("discretize", [False, True], ids=["fluid", "integer"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"horizon": math.nan}, "horizon must be finite and positive, got nan"),
+        ({"horizon": math.inf}, "horizon must be finite and positive, got inf"),
+        ({"horizon": -3.0}, "horizon must be finite and positive, got -3.0"),
+        ({"dt": math.nan}, "dt must be finite and positive, got nan"),
+        ({"dt": math.inf}, "dt must be finite and positive, got inf"),
+        ({"q0": [math.nan, 0.0, 0.0]}, "q0 must be finite, got nan at entry 1"),
+        ({"q0": [0.0, 0.0, math.inf]}, "q0 must be finite, got inf at entry 3"),
+    ],
+)
+def test_sim_config_rejects_non_finite_fields_before_a_run(
+    two_source_instance, fields, message, discretize
+):
+    from fluidq import run
+
+    net, arr, svc, rates = two_source_instance
+    cfg = SimConfig(**{"horizon": 4.0, "dt": 1.0, "discretize": discretize, **fields})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(net, arr, svc, rates, cfg)
