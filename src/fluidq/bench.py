@@ -107,10 +107,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown policies {unknown}; known: {', '.join(POLICIES)}"
             )
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        SimConfig(self.horizon, self.dt, discretize=True).resolved_dt()
 
 
 FAMILY_PRESETS = {

@@ -3,19 +3,18 @@
 Packets are whole units.  Per-step transfer and service budgets are the
 running floor of rate * dt: each link and each server banks only the
 fractional remainder, so a backlogged link realizes its set rate exactly in
-the long run while never bursting above it.  One kernel,
-:meth:`_IntegerSim._send`, grants the budgets of a
-:class:`~fluidq.network.LayerPlan`, one layer or a run of consecutive
-layers; a source short of supply splits it across its out-links in
-proportion to their budgets (:func:`_allocate_each`), with the plan's
-source slots as segment ids and each link's offset from its source's
-first link as its rank, so no segment is rebuilt per step.  A step
-calls it once per layer of the network's shared
-:attr:`~fluidq.network.LayeredNetwork.plan`.  The
-policy's assignment is capacity-checked whenever it differs from the
-previous step's object.  An untagged run of a static assignment instead
-advances along the diagonals of (layer, step) pairs, as the fluid engine
-does (:mod:`fluidq.engine`), with one kernel call per diagonal.
+the long run while never bursting above it.  :class:`_IntegerSim` is the
+integer kernel of :mod:`fluidq.engine`'s two schedules, with the fluid
+kernel's interface: :meth:`~_IntegerSim.demand` banks a plan's link
+budgets and returns their whole parts, :meth:`~_IntegerSim.send` grants
+them, and :meth:`~_IntegerSim.settle` checks each step's exact mass
+balance against the births :meth:`~_IntegerSim.arrive` kept for it and
+that no backlog is negative.  A source short of supply splits it across
+its out-links in proportion to their budgets (:func:`_allocate_each`),
+with the plan's source slots as segment ids and each link's offset from
+its source's first link as its rank, so no segment is rebuilt per step.
+An untagged run is :func:`fluidq.engine.run`; a tagged run steps the same
+kernel with :func:`fluidq.engine._advance` and follows the packets.
 
 For delay measurement, packets are tracked as exchangeability classes: an
 origin, or a (window, origin) pair when arrivals are grouped in windows.
@@ -57,10 +56,9 @@ from .engine import (
     EngineError,
     QueueState,
     Trajectory,
+    _advance,
     _CapacityCheck,
     _policy_rates,
-    _static_rates,
-    _Wavefront,
 )
 from .network import (
     ArrivalProfile,
@@ -104,7 +102,7 @@ def _allocate_each(amounts, totals, weights, seg, pos=None) -> np.ndarray:
     ``s``, in proportion to their ``amounts`` and each capped by it:
     largest remainder, ties by position.  ``seg`` is ascending, and
     ``weights[s] > 0`` is the sum of ``amounts`` over segment ``s``.  Ids
-    need not be dense: :meth:`_IntegerSim._send` passes its plan's source
+    need not be dense: :meth:`_IntegerSim.send` passes its plan's source
     slots (:attr:`~fluidq.network.LayerPlan.src_of`), with ``totals`` and
     ``weights`` for every source, and ``pos``, each entry's position in its
     segment (its offset from its source's first link; found from ``seg``
@@ -159,6 +157,10 @@ def _take(row: np.ndarray, count: int, total: int | None = None) -> np.ndarray:
 
 
 class _IntegerSim:
+    """The integer kernel of one run, which owns the integral backlogs
+    ``q``, and with ``track_packets`` the tagged bookkeeping and the steps
+    of a tagged run."""
+
     def __init__(
         self,
         net: LayeredNetwork,
@@ -179,7 +181,6 @@ class _IntegerSim:
         self.arr = arr
         self.svc = svc
         self.policy = policy
-        self.cfg = cfg
         self.dt = cfg.resolved_dt()
         self.arrival_budget = arr.rates * self.dt
         self.service_budget = svc.rates * self.dt
@@ -201,10 +202,10 @@ class _IntegerSim:
         self.applied: list[np.ndarray] = []
         self.link_flow = np.zeros(net.num_links, dtype=np.int64)
         self.served_total = np.zeros(net.layer_sizes[-1], dtype=np.int64)
+        self._births: deque[int] = deque()  # per step arrived, until settled
         self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
         self._check = _CapacityCheck()
         self._rates = None  # the assignment whose link budgets are cached
-        self._link_budget = None
         self._slot = np.full(net.num_nodes, -1)  # node -> index in its layer's srcs
         for layer in net.plan:
             self._slot[layer.srcs] = np.arange(layer.srcs.size)
@@ -236,82 +237,36 @@ class _IntegerSim:
     def _window_of(self, k: int) -> int:
         return int(k * self.dt / self.window) if self.window is not None else 0
 
-    # -- one step ----------------------------------------------------------
+    # -- the kernel of engine._advance and engine._run_diagonals -----------
 
-    def step(self, k: int) -> None:
-        net = self.net
-        t = k * self.dt
-        # the last history row is a float copy of q
-        q = self.history[-1] if self.keep_trajectory else self.q.astype(float)
-        state = QueueState._trusted(q, t)
-        rates = self._check(
-            _policy_rates(self.policy, state, net, self.arr, self.svc, self.dt)
-        )
+    def budgets(self, rates) -> None:
         if rates is not self._rates:
-            self._rates, self._link_budget = rates, rates.values * self.dt
+            self._rates, self._budget = rates, rates.values * self.dt
 
-        born = self._arrivals(k)
-        self.link_bank += self._link_budget
-        demand = np.floor(self.link_bank + 1e-12).astype(np.int64)
-        self.link_bank -= demand
-        for layer in net.plan:
-            self._land(layer, self._send(layer, demand[layer.links]))
+    def demand(self, plan: LayerPlan) -> np.ndarray:
+        """Bank the budgets of ``plan``'s links and return their whole
+        parts, which leave the banks."""
+        bank = self.link_bank[plan.links]  # a slice, so a view of the banks
+        bank += self._budget[plan.links]
+        want = np.floor(bank + 1e-12).astype(np.int64)
+        bank -= want
+        return want
 
-        serve = self._serve()
-        if self.track:
-            for nid in [n for n in self.fifo if n >= self.egress_lo]:
-                count = int(serve[nid - self.egress_lo])
-                if count:
-                    self.departed += self._depart(nid, count)
-            self.class_steps += self.born - self.departed
-        self._settle(k, int(born.sum()), serve, self.q)
-        if self.keep_trajectory:
-            self.applied.append(rates.values)
-            self.history.append(self.q.astype(float))
-
-    def _arrivals(self, k: int) -> np.ndarray:
-        """Bring in step ``k``'s whole arrivals at the ingress layer and
-        return them."""
+    def arrive(self, k: int) -> None:
+        """Bring in step ``k``'s whole arrivals at the ingress layer."""
         self.arrival_bank += self.arrival_budget
         born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
         self.arrival_bank -= born
         if self.track:
-            self._arrive(k, born)
+            self._tag_arrivals(k, born)
         self.q[: born.size] += born
-        return born
+        self._births.append(int(born.sum()))
 
-    def _serve(self) -> np.ndarray:
-        """Serve one step's whole budgets at the egress layer and return
-        the service per egress node."""
-        cap_f = self.service_bank + self.service_budget
-        cap = np.floor(cap_f + 1e-12).astype(np.int64)
-        self.service_bank = cap_f - cap
-        egress = self.q[self.egress_lo :]
-        serve = np.minimum(egress, cap)
-        egress -= serve
-        self.served_total += serve
-        return serve
-
-    def _settle(self, k: int, born: int, serve: np.ndarray, q: np.ndarray) -> None:
-        """Mass balance and sign check of the backlogs ``q`` at the end of
-        step ``k``, which took in ``born`` packets and served ``serve``."""
-        self.mass += born - int(serve.sum())
-        residual = self.mass - int(q.sum())
-        if not residual == 0:
-            raise EngineError(f"mass balance violated at step {k}: residual {residual}")
-        if q.min() < 0:
-            nid = int(np.argmin(q))
-            l, i = self.net.node_coords(nid)
-            raise EngineError(
-                f"negative backlog {int(q[nid])} at step {k} on "
-                f"(layer {l + 1}, node {i + 1})"
-            )
-
-    def _send(self, layer: LayerPlan, want: np.ndarray):
+    def send(self, layer: LayerPlan, want: np.ndarray):
         """Grant the link budgets ``want`` of a layer, or of a run of layers
         taken together, against their sources' backlogs and take the
         packets off the sources; return the inflow per destination, for
-        :meth:`_land`, or None when no link has a budget."""
+        :meth:`land`, or None when no link has a budget."""
         if not want.any():
             return None
         supply = self.q[layer.srcs]
@@ -341,46 +296,60 @@ class _IntegerSim:
         self.link_flow[layer.links] += grant
         return inflow
 
-    def _land(self, layer: LayerPlan, inflow) -> None:
+    def land(self, layer: LayerPlan, inflow) -> None:
         if inflow is not None:
             self.q[layer.next_lo : layer.next_lo + layer.next_width] += inflow
 
-    def run_static(self, rates) -> Trajectory:
-        """The untagged run of the horizon under the static ``rates``, one
-        diagonal of (layer, step) pairs at a time, as
-        :meth:`fluidq.engine._FluidStep.wavefront` runs it.  Every bank and
-        backlog meets the same operations in the same order as under
-        :meth:`step`, so the trajectory is the same to the bit."""
-        net = self.net
-        budget = self._check(rates).values * self.dt
-        front = _Wavefront(net)
-        steps, n = self._tag_steps, net.num_nodes
-        rows = np.empty((steps + 1, n), dtype=np.int64)
-        rows[0] = self.q
-        flat = rows.reshape(-1)
-        births = []
-        for t, k, span in front.diagonals(steps):
-            if k >= 0:
-                serve = self._serve()
-                rows[k + 1, self.egress_lo :] = self.q[self.egress_lo :]
-                self._settle(k, births[k], serve, rows[k + 1])
-            if t < steps:
-                births.append(int(self._arrivals(t).sum()))
-            if span is not None:
-                bank = self.link_bank[span.links]
-                bank += budget[span.links]
-                want = np.floor(bank + 1e-12).astype(np.int64)
-                bank -= want
-                inflow = self._send(span, want)
-                nodes = slice(span.lo, span.lo + span.width)
-                flat[(t + 1) * n + front.place[nodes]] = self.q[nodes]
-                self._land(span, inflow)
-        applied = np.empty((steps, net.num_links))
-        applied[:] = rates.values
-        return Trajectory(
-            self.dt, rows.astype(float), applied,
-            self.link_flow.astype(float), self.served_total.astype(float),
+    def serve(self) -> np.ndarray:
+        """Serve one step's whole budgets at the egress layer and return
+        the service per egress node."""
+        cap_f = self.service_bank + self.service_budget
+        cap = np.floor(cap_f + 1e-12).astype(np.int64)
+        self.service_bank = cap_f - cap
+        egress = self.q[self.egress_lo :]
+        serve = np.minimum(egress, cap)
+        egress -= serve
+        return serve
+
+    def settle(self, k: int, served: np.ndarray, row: np.ndarray) -> None:
+        """Mass balance and sign check of the backlogs ``row`` at the end
+        of step ``k``, which took in the births :meth:`arrive` kept for it
+        and served ``served``; count the service."""
+        self.mass += self._births.popleft() - int(served.sum())
+        residual = self.mass - int(row.sum())
+        if not residual == 0:
+            raise EngineError(f"mass balance violated at step {k}: residual {residual}")
+        if row.min() < 0:
+            nid = int(np.argmin(row))
+            l, i = self.net.node_coords(nid)
+            raise EngineError(
+                f"negative backlog {int(row[nid])} at step {k} on "
+                f"(layer {l + 1}, node {i + 1})"
+            )
+        self.served_total += served
+
+    def step(self, k: int) -> None:
+        """Step ``k`` of a tagged run: the policy's rates, one
+        :func:`~fluidq.engine._advance`, and the tagged departures at
+        egress."""
+        # the last history row is a float copy of q
+        q = self.history[-1] if self.keep_trajectory else self.q.astype(float)
+        state = QueueState._trusted(q, k * self.dt)
+        rates = self._check(
+            _policy_rates(self.policy, state, self.net, self.arr, self.svc, self.dt)
         )
+        self.budgets(rates)
+        serve = _advance(self, k)
+        if self.track:
+            for nid in [n for n in self.fifo if n >= self.egress_lo]:
+                count = int(serve[nid - self.egress_lo])
+                if count:
+                    self.departed += self._depart(nid, count)
+            self.class_steps += self.born - self.departed
+        self.settle(k, serve, self.q)
+        if self.keep_trajectory:
+            self.applied.append(rates.values)
+            self.history.append(self.q.astype(float))
 
     # -- tagged bookkeeping --------------------------------------------------
 
@@ -431,7 +400,7 @@ class _IntegerSim:
         self.fifo[nid].append(row)
         self.held[nid] += n_tagged
 
-    def _arrive(self, k: int, born: np.ndarray) -> None:
+    def _tag_arrivals(self, k: int, born: np.ndarray) -> None:
         """Count one step's arrivals into the ingress positions; within the
         horizon they extend their origin's class of the current window."""
         if k < self._tag_steps:
@@ -606,29 +575,6 @@ class _IntegerSim:
             for w, i in zip(*np.nonzero(counts)):
                 stats[(int(i), int(w))] = [float(sums[w, i]), float(counts[w, i])]
         return sums.sum(axis=0), counts.sum(axis=0), stats
-
-
-def integer_run(
-    net: LayeredNetwork,
-    arr: ArrivalProfile,
-    svc: ServiceProfile,
-    policy,
-    cfg: SimConfig,
-) -> Trajectory:
-    """Integer-packet run over the configured horizon (no packet tracking).
-
-    A bare :class:`~fluidq.network.RateAssignment` or a
-    :class:`~fluidq.engine.StaticPolicy` is read and capacity-checked once
-    and run along the diagonals of (layer, step) pairs
-    (:meth:`_IntegerSim.run_static`); any other policy is stepped one
-    layer at a time.  Both give the same trajectory to the bit and fail
-    with the same message at the same step."""
-    sim = _IntegerSim(net, arr, svc, policy, cfg, track_packets=False)
-    static = _static_rates(policy)
-    if static is not None:
-        return sim.run_static(static)
-    sim.run_horizon()
-    return sim.trajectory()
 
 
 def tagged_run(

@@ -9,23 +9,22 @@ egress links in proportion to their set rates.  Between queue-emptying
 events the dynamics are piecewise linear, so the scheme is exact there and
 first-order accurate across events.
 
-One transfer kernel, :meth:`_FluidStep.send`, ships the link budgets of a
+A kernel owns a run's backlog vector and ships the link budgets of a
 :class:`~fluidq.network.LayerPlan`: one layer's links, or a run of
-consecutive layers' taken together.  :class:`_FluidStep` is built once per
-run, with the arrivals and service budgets precomputed, and computes an
-assignment's budgets once for each new assignment object.  The kernel
-skips the proportional split on a plan where no source is short, and it
-advances the backlog vector in place.
+consecutive layers' taken together.  Fluid runs use :class:`_FluidStep`,
+integer-packet runs :class:`~fluidq.discrete._IntegerSim`; both expose
+``budgets``, ``demand``, ``arrive``, ``send``, ``land``, ``serve`` and
+``settle``, so one pair of schedules serves both.
 
-It runs on two schedules.  A policy that reads the state gets one step at
-a time: the kernel is called once per layer of the network's plan, for
-:func:`run` and :func:`step` alike.  A static assignment (a bare
-:class:`RateAssignment` or a :class:`StaticPolicy`) ties the layers only
-through the inflow each passes downstream, so link layer l at step k and
-layer l + 1 at step k - 1 can move together: :func:`run` advances it
-along the diagonals t = k + l (the hyperplane method of Lamport, "The
-Parallel Execution of DO Loops", CACM 1974), one kernel call per
-diagonal, with the same bytes as the per-step schedule.
+:func:`_advance` runs one step: for a policy that reads the state, for
+:func:`step` and for tagged runs, the layers of the network's plan move
+one at a time.  A static assignment (a bare :class:`RateAssignment` or a
+:class:`StaticPolicy`) ties the layers only through the inflow each
+passes downstream, so link layer l at step k and layer l + 1 at step
+k - 1 can move together: :func:`_run_diagonals` advances it along the
+diagonals t = k + l (the hyperplane method of Lamport, "The Parallel
+Execution of DO Loops", CACM 1974), one ``send`` per diagonal, with the
+same bytes as the per-step schedule.
 """
 from __future__ import annotations
 
@@ -215,62 +214,56 @@ def _static_rates(policy) -> RateAssignment | None:
     return None
 
 
-class _Wavefront:
-    """The diagonals of a run that advances link layer l at step t - l on
-    diagonal t, and where each node's row lands: node n of layer l at the
-    end of step t - l is cell ``(t + 1) * num_nodes + place[n]`` of the
-    flattened trajectory."""
-
-    def __init__(self, net: LayeredNetwork):
-        self.net = net
-        layer_of = np.repeat(np.arange(net.num_layers), net.layer_sizes)
-        self.place = np.arange(net.num_nodes) - layer_of * net.num_nodes
-
-    def diagonals(self, steps: int):
-        """Per diagonal t: ``(t, k, span)`` with ``k`` the step whose egress
-        service it completes (negative before the first) and ``span`` the
-        plan of the link layers it advances, or None."""
-        last = self.net.num_layers - 2
-        for t in range(steps + last + 1):
-            a, b = max(0, t - steps + 1), min(t, last)
-            yield t, t - last - 1, self.net.plan_of(a, b) if a <= b else None
-
-
 class _FluidStep:
-    """The fluid Euler step of one run, and its transfer kernel.
+    """The fluid kernel of one run: it owns the backlogs ``q``, the running
+    link flow and the served totals, and gives :func:`_advance` and
+    :func:`_run_diagonals` the steps they schedule.
 
     Built once per run with the arrivals ``lambda * dt`` and the service
     budgets ``mu * dt``.  An assignment's per-link budgets ``values * dt``
     and their per-node sums are recomputed only when the assignment is not
-    the previous step's object (its values are read-only).  The kernel
-    :meth:`send` ships the links of one :class:`~fluidq.network.LayerPlan`,
-    a layer or a run of layers; a plan where no source is asked for more
-    than it holds ships every budget as it is, and only a short source has
-    its budgets scaled down to its supply."""
+    the previous step's object (its values are read-only).  :meth:`send`
+    ships the links of one :class:`~fluidq.network.LayerPlan`, a layer or
+    a run of layers; a plan where no source is asked for more than it
+    holds ships every budget as it is, and only a short source has its
+    budgets scaled down to its supply."""
 
-    def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, dt: float):
-        self.plan = net.plan
+    def __init__(
+        self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, dt: float, q0
+    ):
+        self.net = net
         self.dt = dt
+        self.q = np.array(q0, dtype=float)
+        self.link_flow = np.zeros(net.num_links)
+        self.served_total = np.zeros(net.layer_sizes[-1])
         self.arrivals = arr.rates * dt
         self.service = svc.rates * dt
-        self.src = net.link_src
-        self.num_nodes = net.num_nodes
+        self.injected = arr.total * dt
+        self.mass = self.q.sum()
         self.egress_lo = net.node_id(net.num_layers - 1, 0)
         self._rates = None
 
     def budgets(self, rates: RateAssignment) -> None:
         if rates is not self._rates:
             self._want = rates.values * self.dt
-            self._desired = np.bincount(self.src, weights=self._want, minlength=self.num_nodes)
+            self._desired = np.bincount(
+                self.net.link_src, weights=self._want, minlength=self.net.num_nodes
+            )
             self._rates = rates
 
-    def send(self, q: np.ndarray, plan, link_flow: np.ndarray) -> np.ndarray:
-        """Ship the budgets of ``plan``'s links out of their sources in
-        ``q``, adding each link's flow to ``link_flow``; return the flows,
-        which the caller lands at the links' destinations."""
+    def demand(self, plan) -> np.ndarray:
+        return self._want[plan.links]
+
+    def arrive(self, k: int) -> None:
+        self.q[: self.arrivals.size] += self.arrivals
+
+    def send(self, plan, want: np.ndarray) -> np.ndarray:
+        """Ship the budgets ``want`` of ``plan``'s links out of their
+        sources, adding each link's flow to the running link flow; return
+        the flows, for :meth:`land`."""
         nodes = slice(plan.lo, plan.lo + plan.width)
-        want, desired = self._want[plan.links], self._desired[nodes]
-        avail = q[nodes]
+        desired = self._desired[nodes]
+        avail = self.q[nodes]
         short = desired > avail
         if short.any():
             # desired > avail >= 0 makes every quotient finite and in [0, 1)
@@ -280,61 +273,79 @@ class _FluidStep:
             shipped = np.bincount(plan.src_local, weights=x, minlength=plan.width)
         else:
             x, shipped = want, desired
-        q[nodes] = np.maximum(avail - shipped, 0.0)
-        link_flow[plan.links] += x
+        self.q[nodes] = np.maximum(avail - shipped, 0.0)
+        self.link_flow[plan.links] += x
         return x
 
-    @staticmethod
-    def land(q: np.ndarray, plan, x: np.ndarray) -> None:
+    def land(self, plan, x: np.ndarray) -> None:
         """Add the flows ``x`` of ``plan``'s links to their destinations."""
-        np.add.at(q[plan.next_lo : plan.next_lo + plan.next_width], plan.dst_local, x)
+        np.add.at(self.q[plan.next_lo : plan.next_lo + plan.next_width], plan.dst_local, x)
 
-    def serve(self, q: np.ndarray) -> np.ndarray:
-        """Serve the egress backlogs of ``q`` in place; return the service
-        per egress node."""
-        egress = q[self.egress_lo :]
+    def serve(self) -> np.ndarray:
+        """Serve the egress backlogs in place; return the service per
+        egress node."""
+        egress = self.q[self.egress_lo :]
         served = np.minimum(egress, self.service)
         egress -= served
         return served
 
-    def __call__(self, q: np.ndarray, rates: RateAssignment, link_flow: np.ndarray) -> np.ndarray:
-        """Advance the backlogs ``q`` by one step in place, one layer of the
-        plan at a time, adding each link's flow to ``link_flow``; return
-        the service per egress node."""
-        self.budgets(rates)
-        q[: self.arrivals.size] += self.arrivals
-        for layer in self.plan:
-            self.land(q, layer, self.send(q, layer, link_flow))
-        return self.serve(q)
+    def settle(self, k: int, served: np.ndarray, row: np.ndarray) -> None:
+        """Check the mass balance of step ``k``, whose complete row of
+        backlogs is ``row``, and count its service."""
+        total = row.sum()
+        balance = self.injected - served.sum() - (total - self.mass)
+        if not abs(balance) <= 1e-9 * max(1.0, self.mass + self.injected):
+            raise EngineError(f"mass balance violated at step {k}: residual {balance}")
+        self.mass = total
+        self.served_total += served
 
-    def wavefront(self, net: LayeredNetwork, queues: np.ndarray, rates, link_flow, settle) -> None:
-        """Fill the rows of ``queues`` after its first under the static
-        ``rates``, one diagonal of (layer, step) pairs at a time.
 
-        On diagonal t the egress layer is served for step t - (L - 1), whose
-        row is then complete and goes to ``settle(k, served)``; the
-        arrivals of step t come in; and one :meth:`send` moves every link
-        layer l that has a step t - l, with each source's supply read
-        before any flow of the diagonal lands.  Each node's values and
-        flows meet the same operations in the same order as under
-        :meth:`__call__`, so every row is the same to the bit."""
-        self.budgets(rates)
-        front = _Wavefront(net)
-        steps, n = queues.shape[0] - 1, self.num_nodes
-        flat = queues.reshape(-1)
-        q = queues[0].copy()
-        for t, k, span in front.diagonals(steps):
-            if k >= 0:
-                served = self.serve(q)
-                queues[k + 1, self.egress_lo :] = q[self.egress_lo :]
-                settle(k, served)
-            if t < steps:
-                q[: self.arrivals.size] += self.arrivals
-            if span is not None:
-                x = self.send(q, span, link_flow)
-                nodes = slice(span.lo, span.lo + span.width)
-                flat[(t + 1) * n + front.place[nodes]] = q[nodes]
-                self.land(q, span, x)
+def _advance(kernel, k: int) -> np.ndarray:
+    """Step ``k`` of a kernel (:class:`_FluidStep` or the integer
+    :class:`~fluidq.discrete._IntegerSim`) under its current budgets: the
+    arrivals come in, each layer of the plan ships its links' budgets and
+    lands them before the next layer reads its supply, and the egress layer
+    is served.  Returns the service per egress node."""
+    net = kernel.net
+    kernel.arrive(k)
+    want = kernel.demand(net.plan_of(0, net.num_layers - 2))
+    for layer in net.plan:
+        kernel.land(layer, kernel.send(layer, want[layer.links]))
+    return kernel.serve()
+
+
+def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray) -> None:
+    """Fill the rows of ``rows`` after its first under the kernel's static
+    budgets, one diagonal of (layer, step) pairs at a time.
+
+    On diagonal t the egress layer is served for step k = t - (L - 1),
+    whose row is then complete and goes to the kernel's ``settle``; the
+    arrivals of step t come in; and one ``send`` moves every link layer l
+    that has a step t - l, with each source's supply read before any flow
+    of the diagonal lands.  Node n of layer l at the end of step t - l is
+    cell ``(t + 1) * num_nodes + place[n]`` of the flattened rows, copied
+    between its shipment and the next inflow.  Each node's values and flows
+    meet the same operations in the same order as under :func:`_advance`,
+    so every row is the same to the bit."""
+    steps, n, last = rows.shape[0] - 1, net.num_nodes, net.num_layers - 2
+    place = np.arange(n) - np.repeat(np.arange(net.num_layers), net.layer_sizes) * n
+    flat = rows.reshape(-1)
+    lo = kernel.egress_lo
+    for t in range(steps + last + 1):
+        k = t - last - 1
+        if k >= 0:
+            served = kernel.serve()
+            rows[k + 1, lo:] = kernel.q[lo:]
+            kernel.settle(k, served, rows[k + 1])
+        if t < steps:
+            kernel.arrive(t)
+        a, b = max(0, t - steps + 1), min(t, last)
+        if a <= b:
+            span = net.plan_of(a, b)
+            x = kernel.send(span, kernel.demand(span))
+            nodes = slice(span.lo, span.lo + span.width)
+            flat[(t + 1) * n + place[nodes]] = kernel.q[nodes]
+            kernel.land(span, x)
 
 
 def step(
@@ -346,16 +357,17 @@ def step(
     dt: float,
 ) -> QueueState:
     """Advance the backlog vector by one step of length ``dt``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if rates.net is not net:
         raise EngineError("rate assignment belongs to a different network")
     bad = rates.capacity_violations()
     if bad:
         raise EngineError(f"rates exceed capacity on link {Link(*bad[0]).name}")
-    q = state.q.copy()
-    _FluidStep(net, arr, svc, dt)(q, rates, np.zeros(net.num_links))
-    return QueueState(q, state.t + dt)
+    kernel = _FluidStep(net, arr, svc, dt, state.q)
+    kernel.budgets(rates)
+    _advance(kernel, 0)
+    return QueueState(kernel.q, state.t + dt)
 
 
 def _policy_rates(policy, state, net, arr, svc, dt) -> RateAssignment:
@@ -393,62 +405,51 @@ def run(
     ``policy`` is either a static :class:`RateAssignment` or any object
     exposing ``rates(state, net, arr, svc, dt)``.  Every assignment is
     checked against the capacities before it is applied; one that is the
-    very object of the previous step is not checked again.  In
-    integer-packet mode (``cfg.discretize``) backlogs stay integral and
-    per-step transfers are rounded down with fractional remainders banked
-    per link.
+    very object of the previous step is not checked again.
+    ``cfg.discretize`` picks the kernel: in integer-packet mode backlogs
+    stay integral and per-step transfers are rounded down with fractional
+    remainders banked per link, and the rows are kept as integers until the
+    trajectory is built.
 
     A bare assignment or a :class:`StaticPolicy` is read once and checked
-    once, and the run advances along diagonals: on diagonal t the egress
-    layer is served for step t - (L - 1) and that step's row is checked,
-    the arrivals of step t come in, and one batched transfer moves each
-    link layer l at its own step t - l.  Any other policy is evaluated once
-    per step on the recorded state at the step start (before that step's
-    arrivals), and each step works through the network's
-    :attr:`~fluidq.network.LayeredNetwork.plan` one layer at a time.  Both
-    schedules give the same trajectory to the bit, and a mass-balance or
-    negative-backlog error names the same step and node; on the diagonal
-    schedule, with L > 2 layers, the upstream layers may have advanced up
-    to L - 2 further steps when it is raised.
+    once, and the run advances along diagonals (:func:`_run_diagonals`).
+    Any other policy is evaluated once per step on the recorded state at
+    the step start (before that step's arrivals), and each step is one
+    :func:`_advance`.  Both schedules give the same trajectory to the bit,
+    and a mass-balance or negative-backlog error names the same step and
+    node; on the diagonal schedule, with L > 2 layers, the upstream layers
+    may have advanced up to L - 2 further steps when it is raised.
     """
     ensure_valid(net, arr, svc)
     if cfg.discretize:
-        from . import discrete
+        from .discrete import _IntegerSim
 
-        return discrete.integer_run(net, arr, svc, policy, cfg)
-
-    dt = cfg.resolved_dt()
+        kernel = _IntegerSim(net, arr, svc, policy, cfg, track_packets=False)
+    else:
+        kernel = _FluidStep(net, arr, svc, cfg.resolved_dt(), cfg.initial_backlog(net))
+    dt = kernel.dt
     steps = math.ceil(cfg.horizon / dt - 1e-12)
-    queues = np.empty((steps + 1, net.num_nodes))
+    rows = np.empty((steps + 1, net.num_nodes), dtype=kernel.q.dtype)
+    rows[0] = kernel.q
     applied = np.empty((steps, net.num_links))
-    link_flow = np.zeros(net.num_links)
-    served_total = np.zeros(net.layer_sizes[-1])
-    queues[0] = cfg.initial_backlog(net)
-    mass = queues[0].sum()
-    injected = arr.total * dt
-    advance = _FluidStep(net, arr, svc, dt)
     checked = _CapacityCheck()
-
-    def settle(k: int, served: np.ndarray) -> None:
-        nonlocal mass
-        total = queues[k + 1].sum()
-        balance = injected - served.sum() - (total - mass)
-        if not abs(balance) <= 1e-9 * max(1.0, mass + injected):
-            raise EngineError(f"mass balance violated at step {k}: residual {balance}")
-        mass = total
-        served_total[:] += served
-
     static = _static_rates(policy)
     if static is not None:
         applied[:] = checked(static).values
-        advance.wavefront(net, queues, static, link_flow, settle)
-        return Trajectory(dt, queues, applied, link_flow, served_total)
-    for k in range(steps):
-        # lambda, mu > 0 and nonnegative rates keep every row nonnegative
-        state = QueueState._trusted(queues[k], k * dt)
-        rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
-        q = queues[k + 1]
-        q[:] = queues[k]
-        settle(k, advance(q, rates, link_flow))
-        applied[k] = rates.values
-    return Trajectory(dt, queues, applied, link_flow, served_total)
+        kernel.budgets(static)
+        _run_diagonals(kernel, net, rows)
+    else:
+        for k in range(steps):
+            # lambda, mu > 0 and nonnegative rates keep every row nonnegative
+            state = QueueState._trusted(rows[k].astype(float, copy=False), k * dt)
+            rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
+            kernel.budgets(rates)
+            served = _advance(kernel, k)
+            rows[k + 1] = kernel.q
+            kernel.settle(k, served, rows[k + 1])
+            applied[k] = rates.values
+    return Trajectory(
+        dt, rows.astype(float, copy=False), applied,
+        kernel.link_flow.astype(float, copy=False),
+        kernel.served_total.astype(float, copy=False),
+    )

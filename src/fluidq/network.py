@@ -218,7 +218,6 @@ class LayerPlan(NamedTuple):
     src_local: np.ndarray  # per link: source index from lo
     dst_local: np.ndarray  # per link: destination index from next_lo
     single: np.ndarray  # per link: it is its source's only out-link
-    caps: np.ndarray  # per link: capacity
 
     @classmethod
     def build(cls, net: "LayeredNetwork", first: int, last: int) -> "LayerPlan":
@@ -232,7 +231,7 @@ class LayerPlan(NamedTuple):
         arrays = dict(
             srcs=srcs, starts=starts, ends=ends, src_of=src_of,
             src_local=src - lo, dst_local=net.link_dst[links] - next_lo,
-            single=(ends - starts == 1)[src_of], caps=net.capacities[links],
+            single=(ends - starts == 1)[src_of],
         )
         for arr in arrays.values():
             arr.flags.writeable = False

@@ -155,9 +155,11 @@ def test_experiment_config_rejects_unknown_policies_and_nonpositive_steps():
         ExperimentConfig("nx1", (4, 1), num_instances=2, horizon=5.0,
                          policies=("opt-queue", "bpp"))
     for field in ("horizon", "dt"):
-        for value in (0.0, -1.0):
-            with pytest.raises(ValueError, match=f"{field} must be positive"):
+        for value in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got"):
                 ExperimentConfig("nx1", (2, 1), **{field: value})
+    with pytest.raises(ValueError, match="dt must not exceed the horizon"):
+        ExperimentConfig("nx1", (2, 1), horizon=1.0, dt=2.0)
 
 
 def test_experiment_json_output(tmp_path):

@@ -273,9 +273,18 @@ def test_opt_static_without_rates_and_max_report(capsys, instance_doc):
 
 
 def test_bench_rejects_a_zero_horizon(capsys):
-    with pytest.raises(SystemExit, match="horizon must be positive, got 0.0"):
+    with pytest.raises(SystemExit, match="horizon must be finite and positive, got 0.0"):
         main(["bench", "--family", "nx1-limited", "--instances", "1", "--horizon", "0"])
     assert capsys.readouterr().out == ""
+
+
+def test_bench_rejects_an_infinite_horizon_before_writing(capsys, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^bench: horizon must be finite and positive, got inf$"):
+        main(["--out", str(out), "bench", "--family", "nx1-limited", "--instances", "2",
+              "--horizon", "inf"])
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

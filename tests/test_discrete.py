@@ -18,6 +18,7 @@ from fluidq import (
 )
 from fluidq.bench import make_policy, preset, sample_instance
 from fluidq.discrete import _allocate_each, _IntegerSim, _take
+from fluidq.engine import run as engine_run
 
 SEED = 20240811
 
@@ -254,7 +255,7 @@ def _compacted_allocate_each(amounts, totals, weights, seg):
 
 
 def _compacted_grant(layer, want, supply):
-    """The grants of ``_IntegerSim._send`` as it computed them before the
+    """The grants of ``_IntegerSim.send`` as it computed them before the
     plan's source slots: the short sources' links compacted into dense
     segments each step.  Also returns whether a short source split over
     several links had a remainder to hand out."""
@@ -290,7 +291,7 @@ def _split_net(rng):
 
 
 def test_plan_segment_split_matches_compacted_split():
-    """``_send`` splits a short source's supply on the plan's own source
+    """``send`` splits a short source's supply on the plan's own source
     slots, ranked by each link's offset from its source's first link, with
     the ranking skipped when no remainder is left; on one-layer plans and
     wavefront spans, with all, some or no sources short, it grants and
@@ -328,7 +329,7 @@ def test_plan_segment_split_matches_compacted_split():
             seen["remainder" if remainder else "no remainder"] += 1
         sim.q[:] = 0
         sim.q[span.srcs] = supply
-        inflow = sim._send(span, want.copy())
+        inflow = sim.send(span, want.copy())
         assert np.array_equal(sim.link_flow[span.links], expected), case
         assert np.array_equal(sim.q[span.srcs], supply - np.add.reduceat(expected, span.starts))
         if inflow is not None:
@@ -484,6 +485,31 @@ def test_untagged_integer_run_keeps_exact_balance(two_source_instance):
     born = np.floor(arr.rates * 30.0 + 1e-9).sum()
     assert traj.queues[-1].sum() == traj.queues[0].sum() + born - traj.served.sum()
     assert not sim.fifo and sim.outstanding == 0
+
+
+@pytest.mark.parametrize("family", ["nsxnd", "tree", "multistage-16x12x8x6", "nx1-limited"])
+def test_tagged_trajectory_matches_untagged_run_over_the_horizon(family):
+    """A tagged run steps every policy one step at a time, and ``run``
+    takes a static one along the diagonals: over the horizon both give the
+    same queues and rates to the bit."""
+    cfg = preset(family)
+    schedules = set()
+    for k in range(3):
+        inst = sample_instance(cfg, np.random.default_rng([SEED, 15, k]), k)
+        sim = SimConfig(horizon=6.0, dt=cfg.dt, q0=inst.q0, discretize=True)
+        for name in cfg.policies:
+            policy = make_policy(name, inst)
+            schedules.add(type(policy).__name__)
+            tagged = tagged_run(
+                inst.net, inst.arr, inst.svc, policy, sim, keep_trajectory=True
+            ).trajectory
+            untagged = engine_run(inst.net, inst.arr, inst.svc, policy, sim)
+            steps = untagged.num_steps
+            assert steps == 6 and tagged.num_steps > steps
+            for got, want in ((tagged.queues[: steps + 1], untagged.queues),
+                              (tagged.rates[:steps], untagged.rates)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, name)
+    assert "StaticPolicy" in schedules and len(schedules) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,15 @@ def test_step_rejects_bad_rates(two_source_instance):
         step(state, RateAssignment(net, [4.5, 0.0]), net, arr, svc, 0.1)
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0])
+def test_step_rejects_a_dt_that_is_not_finite_and_positive(two_source_instance, dt):
+    # a NaN dt used to pass ``dt <= 0`` and fail later on the NaN backlogs
+    net, arr, svc, rates = two_source_instance
+    state = QueueState(np.ones(3), 0.0)
+    with pytest.raises(ValueError, match=rf"^dt must be finite and positive, got {dt}$"):
+        step(state, rates, net, arr, svc, dt)
+
+
 def test_run_growth_rates_match_flow_conservation(two_source_instance):
     net, arr, svc, rates = two_source_instance
     traj = run(net, arr, svc, rates, SimConfig(horizon=10.0, dt=0.01))

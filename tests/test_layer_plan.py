@@ -128,12 +128,12 @@ def test_plan_is_built_lazily_once_and_matches_the_links():
         assert np.array_equal(layer.lo + layer.src_local, net.link_src[ids])
         assert np.array_equal(layer.next_lo + layer.dst_local, net.link_dst[ids])
         assert np.array_equal(layer.srcs[layer.src_of], net.link_src[ids])
-        assert np.array_equal(layer.caps, net.capacities[ids])
+        assert np.array_equal(net.capacities[layer.links], net.capacities[ids])
         degree = np.array([len(adj.out[s]) for s in net.link_src[ids]])
         assert np.array_equal(layer.single, degree == 1)
         for s, src in enumerate(layer.srcs):
             assert tuple(ids[layer.starts[s] : layer.ends[s]]) == adj.out[src]
-        assert not layer.caps.flags.writeable
+        assert not any(a.flags.writeable for a in layer if isinstance(a, np.ndarray))
 
 
 def test_plan_of_a_run_of_layers_joins_the_layer_plans():
@@ -266,11 +266,12 @@ def _per_layer_rates(state, net, svc, gamma, arr, dt, branches):
             branches.add("no gamma")
             node_egress = total_service * shares / shares.sum()
         v = node_egress[layer.src_local] * weight
-        over = v > layer.caps
+        caps = net.capacities[layer.links]
+        over = v > caps
         if over.any():
             branches.add("capacity clip")
             factor = np.ones(layer.width)
-            np.minimum.at(factor, layer.src_local[over], layer.caps[over] / v[over])
+            np.minimum.at(factor, layer.src_local[over], caps[over] / v[over])
             v = v * factor[layer.src_local]
             clipped = True
         values[layer.links] = v
