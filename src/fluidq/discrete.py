@@ -28,16 +28,27 @@ the packets it has taken in (``in_pos``) and sent on (``out_pos``), and
 each class's interval of arrival positions.  A transfer of m packets
 sends positions [out_pos, out_pos + m), and each class's share of it is
 its overlap with that interval, which is exactly what popping the FIFO's
-head would give.  Past the ingress layer, a node holding tagged packets
-keeps a FIFO of rows, one per step in which packets entered it, each a
-count per class plus an untagged column; a node without tagged packets
-keeps no rows.  Ties inside a row, and in a parcel leaving a node over
-several links, are resolved by deterministic proportional splitting,
-which is one valid FIFO execution.  No packet carries a timestamp: a
-class's summed sojourn is dt times the sum over steps of its packets in
-the system (Little's law, L = lambda W).
+head would give.  Past the ingress layer, a node holding tagged mass keeps
+a FIFO of rows, one per step in which packets entered it, each an integer
+packet count and a float mass per class (untagged inflow joins an untagged
+last row); a node without tagged mass keeps no rows.
 
-Past the horizon no packet is tagged, so once every tagged packet is at
+Order within a step is not resolved: it is averaged.  A take of m packets
+from a row of n carries m/n of every class, the expected make-up of a
+uniformly random m-subset, and a source's parcel goes to its out-links in
+proportion to their grants, link j carrying grant_j / moved of it (one
+product over a layer's links).  Every later take is linear in a row's
+make-up, so a run gives each class's expected sojourn over uniformly random
+orders of each step's inflow; no origin loses every tie.  The per-class
+counts are Newell's cumulative curves (G. F. Newell, *Applications of
+Queueing Theory*, 1982), and no packet carries a timestamp: a class's
+summed sojourn is dt times the sum over steps of its mass in the system
+(Little's law, L = lambda W).  Totals stay integers, so ``q``, the grants,
+the link flow and the service are those of an untagged run.  A run ends
+when no ingress node holds a tagged packet and no row holds tagged mass,
+both integer counts, never a float threshold.
+
+Past the horizon no packet is tagged, so once every tagged row is at
 egress the rest of a tagged run depends on the egress service budgets
 alone: each egress FIFO holds exactly its node's backlog, and whatever
 arrives later queues behind it (Newell's departure curve).  From then on a
@@ -119,43 +130,6 @@ def _allocate_each(amounts, totals, weights, seg, pos=None) -> np.ndarray:
     return np.minimum(base, amounts)
 
 
-def _take(row: np.ndarray, count: int, total: int | None = None) -> np.ndarray:
-    """Remove ``count`` packets from ``row`` in proportion to its entries
-    (a deterministic resolution of FIFO ties) and return them.  ``total``
-    is ``row.sum()`` when the caller has it.
-
-    The split is the largest-remainder one, ties by position, capped by
-    the entries.  Past 2**53 packets the float products lose whole units:
-    where the caps bind, the shortfall is topped up from the entries with
-    the most room left, and where the floors round up past ``count``, the
-    excess comes off the largest takes."""
-    if total is None:
-        total = int(row.sum())
-    if count >= total:
-        take = row.copy()
-        row[:] = 0
-        return take
-    exact = row * (float(count) / float(total))  # numpy's int64 division, at any size
-    take = exact.astype(np.int64)  # floor: every entry is nonnegative
-    rest = count - int(take.sum())
-    if rest > 0:
-        order = np.argsort(take - exact, kind="stable")
-        take[order[:rest]] += 1
-    np.minimum(take, row, out=take)
-    short = count - int(take.sum())
-    if short > 0:  # caps bind only where products lose whole units (beyond 2**53)
-        room = row - take
-        order = np.argsort(-room, kind="stable")
-        before = np.cumsum(room[order]) - room[order]
-        take[order] += np.clip(short - before, 0, room[order])
-    elif short < 0:
-        order = np.argsort(-take, kind="stable")
-        before = np.cumsum(take[order]) - take[order]
-        take[order] -= np.clip(-short - before, 0, take[order])
-    row -= take
-    return take
-
-
 class _IntegerSim:
     """The integer kernel of one run, which owns the integral backlogs
     ``q``, and with ``track_packets`` the tagged bookkeeping and the steps
@@ -190,7 +164,7 @@ class _IntegerSim:
         self.n_origin = net.layer_sizes[0]
 
         q0 = cfg.initial_backlog(net)
-        if not np.allclose(q0, np.round(q0)):
+        if not np.all(q0 == np.round(q0)):
             raise ValueError("integer mode requires an integral q0")
         self.q = np.round(q0).astype(np.int64)
         self.mass = int(self.q.sum())
@@ -211,28 +185,28 @@ class _IntegerSim:
             self._slot[layer.srcs] = np.arange(layer.srcs.size)
 
         # Tagged bookkeeping: classes are origins, or (window, origin) pairs
-        # at index window * n_origin + origin; FIFO rows carry one more
-        # column for untagged packets.  ``fifo`` maps each node past the
-        # ingress layer holding tagged packets to its rows, and ``held``
-        # counts tagged packets per node.  Ingress FIFOs are position
-        # counters instead of rows: node i has taken in ``in_pos[i]``
-        # packets and sent ``out_pos[i]``, and class c arrived at positions
-        # ``[cls_lo[c], cls_hi[c])`` of its origin.
+        # at index window * n_origin + origin.  ``fifo`` maps each node past
+        # the ingress layer holding tagged mass to its rows, each a list
+        # [packets, class masses], the masses None in an untagged row.
+        # ``held`` counts per node the tagged packets at ingress and the
+        # tagged rows past it, so the run's end is an exact integer test.
+        # Ingress FIFOs are position counters instead of rows: node i has
+        # taken in ``in_pos[i]`` packets and sent ``out_pos[i]``, and class
+        # c arrived at positions ``[cls_lo[c], cls_hi[c])`` of its origin.
         n_windows = 1
         if window is not None:
             n_windows = self._window_of(self._tag_steps - 1) + 1
         self.n_class = n_windows * self.n_origin
-        self.fifo: dict[int, deque[np.ndarray]] = {}
+        self.fifo: dict[int, deque[list]] = {}
         self.held = np.zeros(net.num_nodes, dtype=np.int64)
         self.in_pos = self.q[: self.n_origin].copy()
         self.out_pos = np.zeros(self.n_origin, dtype=np.int64)
         self.cls_lo = np.zeros(self.n_class, dtype=np.int64)
         self.cls_hi = np.zeros(self.n_class, dtype=np.int64)
         self.born = np.zeros(self.n_class, dtype=np.int64)
-        self.departed = np.zeros(self.n_class, dtype=np.int64)
-        self.class_steps = np.zeros(self.n_class, dtype=np.int64)
-        #: tagged packets not yet departed, ``born.sum() - departed.sum()``
-        self.outstanding = 0
+        #: tagged mass per class not yet departed, born - departed
+        self.left = np.zeros(self.n_class)
+        self.class_steps = np.zeros(self.n_class)
 
     def _window_of(self, k: int) -> int:
         return int(k * self.dt / self.window) if self.window is not None else 0
@@ -341,11 +315,7 @@ class _IntegerSim:
         self.budgets(rates)
         serve = _advance(self, k)
         if self.track:
-            for nid in [n for n in self.fifo if n >= self.egress_lo]:
-                count = int(serve[nid - self.egress_lo])
-                if count:
-                    self.departed += self._depart(nid, count)
-            self.class_steps += self.born - self.departed
+            self._depart(serve)
         self.settle(k, serve, self.q)
         if self.keep_trajectory:
             self.applied.append(rates.values)
@@ -353,52 +323,65 @@ class _IntegerSim:
 
     # -- tagged bookkeeping --------------------------------------------------
 
-    def _pop(self, nid: int, count: int) -> np.ndarray:
-        """Take ``count`` packets off the head of a node's FIFO."""
+    def _pop(self, nid: int, count: int) -> np.ndarray | None:
+        """Take ``count`` packets off the head of a node's FIFO; return
+        their class masses, or None when they carry none.  A row of n
+        packets that gives up m < n of them gives up m/n of each class."""
         rows = self.fifo[nid]
         parcel = None
-        left = count
-        while left > 0:
+        while count:
             row = rows[0]
-            n = int(row.sum())
-            if n <= left:
+            n, mass = row
+            if n <= count:
                 rows.popleft()
+                count -= n
+                if mass is not None:
+                    self.held[nid] -= 1
             else:
-                row, n = _take(row, left, n), left
-            parcel = row if parcel is None else parcel + row
-            left -= n
-        tagged = count - int(parcel[-1])
-        if tagged:
-            self.held[nid] -= tagged
-            if not self.held[nid]:
-                del self.fifo[nid]  # what is left is untagged
+                row[0] = n - count
+                if mass is not None:
+                    mass = mass * (count / n)
+                    row[1] -= mass
+                count = 0
+            if mass is not None:
+                parcel = mass if parcel is None else parcel + mass
+        if not self.held[nid]:
+            del self.fifo[nid]  # what is left is untagged
         return parcel
 
-    def _depart(self, nid: int, count: int) -> np.ndarray:
-        """Serve ``count`` packets off an egress FIFO; return its tagged
-        departures per class."""
-        parcel = self._pop(nid, count)
-        self.outstanding -= count - int(parcel[-1])
-        return parcel[:-1]
-
-    def _push(self, nid: int, tagged: np.ndarray | None, total: int) -> None:
-        """Append one step's inflow to a node's FIFO.  Inflow that brings a
-        node its first tagged packets opens the FIFO with one untagged row
-        for the backlog already there, so call before ``q`` counts it."""
-        row = np.zeros(self.n_class + 1, dtype=np.int64)
-        if tagged is not None:
-            row[:-1] = tagged
-        n_tagged = int(row.sum())
-        row[-1] = total - n_tagged
-        if nid not in self.fifo:
-            if not n_tagged:
+    def _push(self, nid: int, mass: np.ndarray | None, total: int) -> None:
+        """Append one step's inflow of ``total`` packets, carrying the class
+        masses ``mass`` (None for none), to a node's FIFO.  Inflow that
+        brings a node its first tagged mass opens the FIFO with one untagged
+        row for the backlog already there, so call before ``q`` counts it.
+        Untagged inflow joins an untagged last row."""
+        rows = self.fifo.get(nid)
+        if rows is None:
+            if mass is None:
                 return
-            self.fifo[nid] = deque()
+            rows = self.fifo[nid] = deque()
             if self.q[nid]:
-                self.fifo[nid].append(np.zeros_like(row))
-                self.fifo[nid][0][-1] = self.q[nid]
-        self.fifo[nid].append(row)
-        self.held[nid] += n_tagged
+                rows.append([int(self.q[nid]), None])
+        if mass is not None:
+            rows.append([total, mass])
+            self.held[nid] += 1
+        elif rows[-1][1] is None:
+            rows[-1][0] += total
+        else:
+            rows.append([total, None])
+
+    def _depart(self, serve: np.ndarray) -> None:
+        """Serve each egress FIFO its node's ``serve``; the class masses
+        leave ``left``, whose remainder is each class's mass in the system
+        for the step (Little's law)."""
+        lo = self.egress_lo
+        for nid in [n for n in self.fifo if n >= lo]:
+            count = int(serve[nid - lo])
+            if count:
+                mass = self._pop(nid, count)
+                if mass is not None:
+                    self.left -= mass
+        self.class_steps += self.left
 
     def _tag_arrivals(self, k: int, born: np.ndarray) -> None:
         """Count one step's arrivals into the ingress positions; within the
@@ -410,8 +393,8 @@ class _IntegerSim:
             self.cls_lo[cls][fresh] = self.in_pos[fresh]
             self.cls_hi[cls] = self.in_pos + born
             self.born[cls] += born
+            self.left[cls] += born
             self.held[: self.n_origin] += born
-            self.outstanding += int(born.sum())
         self.in_pos += born
 
     def _overlap(self, lo, hi) -> np.ndarray:
@@ -421,134 +404,125 @@ class _IntegerSim:
         c_hi = self.cls_hi.reshape(-1, self.n_origin)
         return np.maximum(np.minimum(hi, c_hi) - np.maximum(lo, c_lo), 0)
 
-    def _hand_off_ingress(self, layer: LayerPlan, grant, moved, incoming) -> None:
-        """Carry the tagged packets of the ingress layer's transfers into
-        ``incoming``.  The moved packets are the positions [out_pos, out_pos
-        + moved), and each class's share is its overlap with them.  A source
-        whose parcel holds one class, or that has one out-link, hands each
-        link its class shares times grant / moved exactly, so those sources
-        move in one fancy-indexed add (their (destination, class) pairs are
-        distinct); the other sources split their parcels link by link."""
-        srcs = layer.srcs
-        head = self.out_pos.copy()
-        self.out_pos[srcs] += moved
-        if not self.held[: self.n_origin].any():
-            return  # only untagged packets are left at ingress
-        tagged = self._overlap(head, self.out_pos)[:, srcs]  # window x source
-        n_tagged = tagged.sum(axis=0)
-        self.held[srcs] -= n_tagged
-        carried = n_tagged > 0
-        classes = np.count_nonzero(tagged, axis=0) + (moved > n_tagged)
-        whole = carried & ((classes == 1) | layer.single[layer.starts])
-        links = np.flatnonzero(whole[layer.src_of])
-        if links.size:
-            of = layer.src_of[links]
-            cols = np.arange(tagged.shape[0])[:, None] * self.n_origin + srcs[of]
-            incoming[layer.dst_local[links], cols] += tagged[:, of] * grant[links] // moved[of]
-        for s in np.flatnonzero(carried & ~whole):
-            parcel = np.zeros(self.n_class + 1, dtype=np.int64)
-            parcel[srcs[s] : self.n_class : self.n_origin] = tagged[:, s]
-            parcel[-1] = moved[s] - n_tagged[s]
-            self._split(layer, s, parcel, int(moved[s]), grant, incoming)
-
-    def _split(self, layer: LayerPlan, s: int, parcel, total: int, grant, incoming) -> None:
-        """Split one source's parcel of ``total`` packets across its
-        out-links in grant order."""
-        links = slice(layer.starts[s], layer.ends[s])
-        filled = np.flatnonzero(parcel)
-        if filled.size == 1:  # one class: every grant is all of it
-            if filled[0] < self.n_class:
-                incoming[layer.dst_local[links], filled[0]] += grant[links]
-            return
-        for pos in range(links.start, links.stop):
-            count = int(grant[pos])
-            if count:
-                incoming[layer.dst_local[pos]] += _take(parcel, count, total)[:-1]
-                total -= count
-
     def _move_tagged(self, layer: LayerPlan, grant, moved, inflow) -> None:
-        """Carry the tagged classes of one layer's transfers along, taking
-        each source's moved packets off the head of its FIFO (rows, or at
-        ingress the position counters); the untagged remainder of every
-        destination's inflow follows from the totals."""
-        incoming = np.zeros((layer.next_width, self.n_class), dtype=np.int64)
+        """Carry the tagged class masses of one layer's transfers along.
+        Each source's moved packets leave the head of its FIFO (rows, or at
+        ingress the position counters) as one parcel, and link j carries
+        ``grant_j / moved`` of it: one product over the layer's links.  A
+        destination that receives tagged mass gets a tagged row; the
+        untagged remainder of every inflow follows from the totals."""
+        srcs, parcels = layer.srcs, None
         if layer.index == 0:
-            self._hand_off_ingress(layer, grant, moved, incoming)
+            # the moved packets are the positions [out_pos, out_pos + moved),
+            # and each class's share is its overlap with them
+            head = self.out_pos.copy()
+            self.out_pos[srcs] += moved
+            if self.held[: self.n_origin].any():
+                parcels = self._overlap(head, self.out_pos)[:, srcs].T  # source x window
+                self.held[srcs] -= parcels.sum(axis=1)
+                carried = parcels.any(axis=1)
         else:
             for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
                 s = self._slot[nid]
                 if s >= 0 and moved[s]:
-                    total = int(moved[s])
-                    self._split(layer, s, self._pop(nid, total), total, grant, incoming)
-        lo = layer.next_lo
-        for dst in np.flatnonzero(incoming.any(axis=1)):
-            self._push(lo + int(dst), incoming[dst], int(inflow[dst]))
+                    mass = self._pop(nid, int(moved[s]))
+                    if mass is not None:
+                        if parcels is None:
+                            parcels = np.zeros((srcs.size, self.n_class))
+                            carried = np.zeros(srcs.size, bool)
+                        parcels[s], carried[s] = mass, True
+        lo, hit = layer.next_lo, np.zeros(layer.next_width, bool)
+        if parcels is not None:
+            links = np.flatnonzero(carried[layer.src_of] & (grant > 0))
+            of, dst = layer.src_of[links], layer.dst_local[links]
+            part = parcels[of] * (grant[links] / moved[of])[:, None]  # per link
+            incoming = np.zeros((layer.next_width, self.n_class))
+            if layer.index == 0:
+                # an origin's classes are its own columns, so the (destination,
+                # class) pairs of the links are distinct
+                cols = np.arange(parcels.shape[1]) * self.n_origin + srcs[of][:, None]
+                incoming[dst[:, None], cols] = part
+            else:
+                np.add.at(incoming, dst, part)
+            hit[dst] = True
+            tagged = np.flatnonzero(hit)
+            for d, mass in zip(tagged.tolist(), incoming[tagged]):
+                self._push(lo + d, mass, int(inflow[d]))
         for nid in [n for n in self.fifo if lo <= n < lo + layer.next_width]:
-            if inflow[nid - lo] and not incoming[nid - lo].any():
+            if inflow[nid - lo] and not hit[nid - lo]:
                 self._push(nid, None, int(inflow[nid - lo]))
 
+    def tagged_mass(self) -> np.ndarray:
+        """Tagged mass per node: at ingress the packets still queued there,
+        past it the class masses of the node's rows."""
+        mass = np.zeros(self.net.num_nodes)
+        mass[: self.n_origin] = self._overlap(self.out_pos, self.in_pos).sum(axis=0)
+        for nid, rows in self.fifo.items():
+            mass[nid] = sum(float(m.sum()) for _, m in rows if m is not None)
+        return mass
+
     def check_classes(self) -> None:
-        """Exact tagged balance: per class, born = departed + at ingress +
-        in the FIFOs; the running ``outstanding`` count is born - departed,
-        and the per-node tagged counts (``held``) sum to it; and the
-        ingress counters and every FIFO hold exactly their node's backlog."""
+        """Tagged balance.  Exact: the ingress counters and every FIFO's row
+        totals hold their node's backlog, and ``held`` counts each ingress
+        node's tagged packets and each FIFO's tagged rows.  To float
+        rounding: per class, the mass at ingress and in the FIFOs equals
+        ``left`` (born - departed) within 1e-9 of the class's born count, or
+        of 1 when fewer were born."""
         residual = self.in_pos - self.out_pos - self.q[: self.n_origin]
         if not np.all(residual == 0):
             i = int(np.flatnonzero(residual)[0])
             raise EngineError(
                 f"ingress node {i} counters off its backlog by {int(residual[i])}"
             )
-        at_ingress = self._overlap(self.out_pos, self.in_pos).ravel()
-        in_fifo = at_ingress.copy()
+        at_ingress = self._overlap(self.out_pos, self.in_pos)
+        counted = np.zeros_like(self.held)
+        counted[: self.n_origin] = at_ingress.sum(axis=0)
+        mass = at_ingress.ravel().astype(float)
         for nid, rows in self.fifo.items():
-            held = sum(rows, np.zeros(self.n_class + 1, dtype=np.int64))
-            in_fifo += held[:-1]
-            residual = int(self.q[nid]) - int(held.sum())
+            residual = int(self.q[nid]) - sum(n for n, _ in rows)
             if not residual == 0:
                 raise EngineError(f"FIFO of node {nid} off its backlog by {residual}")
-        residual = self.born - self.departed - in_fifo
-        if not np.all(residual == 0):
-            c = int(np.flatnonzero(residual)[0])
+            for _, m in rows:
+                if m is not None:
+                    mass += m
+                    counted[nid] += 1
+        residual = self.left - mass
+        off = ~(np.abs(residual) <= 1e-9 * np.maximum(self.born, 1))  # NaN is off
+        if off.any():
+            c = int(np.argmax(off))
             raise EngineError(
-                f"tagged balance violated for class {c}: residual {int(residual[c])}"
+                f"tagged balance violated for class {c}: residual {residual[c]:.3g}"
             )
-        residual = self.outstanding - int(self.born.sum() - self.departed.sum())
-        if not residual == 0:
-            raise EngineError(f"running outstanding count off born - departed by {residual}")
-        residual = self.outstanding - int(self.held.sum())
-        if not residual == 0:
-            raise EngineError(f"tagged packets held off outstanding by {residual}")
+        residual = self.held - counted
+        if not np.all(residual == 0):
+            nid = int(np.flatnonzero(residual)[0])
+            raise EngineError(
+                f"tagged count of node {nid} off its packets or rows by {int(residual[nid])}"
+            )
 
     def drain(self, steps: int) -> int:
         """Serve the egress layer alone, for at most ``steps`` steps or until
-        no tagged packet is left; return the steps taken.
+        no tagged row is left; return the steps taken.
 
-        Call only past the horizon with every tagged packet at egress.  An
+        Call only past the horizon with every tagged row at egress.  An
         egress FIFO then holds exactly its node's backlog, and inflow only
         queues behind it, so its departures are set by the service budgets
         alone: serving the frozen backlog pops exactly the packets a full
-        step would.  Only the service banks, the egress backlogs and the
-        tagged counts advance: ``q`` above egress, the arrivals, the mass
-        and the served totals stay as they were, and the policy is not
-        called.
+        step would, through the same :meth:`_depart`.  Only the service
+        banks, the egress backlogs and the tagged masses advance: ``q``
+        above egress, the arrivals, the mass and the served totals stay as
+        they were, and the policy is not called.
         """
-        lo = self.egress_lo
-        egress = self.q[lo:]
-        left = self.born - self.departed  # per class, not yet departed
+        egress = self.q[self.egress_lo :]
         n = 0
-        while n < steps and self.outstanding:
+        while n < steps and self.fifo:  # every FIFO left is a tagged egress one
             cap_f = self.service_bank + self.service_budget
             cap = np.floor(cap_f + 1e-12).astype(np.int64)
             self.service_bank = cap_f - cap
             serve = np.minimum(egress, cap)
             egress -= serve
-            for nid in list(self.fifo):
-                count = int(serve[nid - lo])
-                if count:
-                    left -= self._depart(nid, count)
-            self.class_steps += left
+            self._depart(serve)
             n += 1
-        self.departed = self.born - left
         return n
 
     # -- drivers -----------------------------------------------------------
@@ -569,7 +543,7 @@ class _IntegerSim:
     def tagged_stats(self):
         """``(origin_sum, origin_count, window_stats)`` by Little's law."""
         sums = self.dt * self.class_steps.reshape(-1, self.n_origin)
-        counts = self.departed.reshape(-1, self.n_origin).astype(float)
+        counts = self.born.reshape(-1, self.n_origin).astype(float)
         stats = {}
         if self.window is not None:
             for w, i in zip(*np.nonzero(counts)):
@@ -589,11 +563,13 @@ def tagged_run(
 ) -> TaggedRun:
     """Simulate with FIFO-tracked packet classes until every packet that
     arrived within ``[0, horizon)`` has departed, extending past the
-    horizon by at most ``max_extension_steps`` steps.
+    horizon by at most ``max_extension_steps`` steps.  The run ends when no
+    ingress node holds a tagged packet and no FIFO row holds tagged mass,
+    both exact integer counts (``_IntegerSim.held``).
 
     Arrivals continue during the extension (the overload persists; only the
     measured window is bounded).  From the first extension step with every
-    tagged packet at egress, the rest of the run only serves the egress
+    tagged row at egress, the rest of the run only serves the egress
     layer (:meth:`_IntegerSim.drain`, counted in ``drain_steps``): no packet
     is tagged after the horizon and none moves backward, so the departures
     of the tagged packets follow from the egress service budgets alone.
@@ -611,11 +587,13 @@ def tagged_run(
         10_000, 100 * horizon_steps
     )
     drain_steps = 0
-    while sim.outstanding > 0:
+    while sim.held.any():
         if k - horizon_steps >= limit:
+            mass = sim.tagged_mass()
+            l, i = net.node_coords(int(np.argmax(mass)))
             raise EngineError(
-                f"{sim.outstanding} tagged packets still in flight after "
-                f"{limit} extension steps"
+                f"tagged mass {mass.sum():.3g} still in flight after {limit} "
+                f"extension steps, {mass.max():.3g} of it on (layer {l + 1}, node {i + 1})"
             )
         if not keep_trajectory and not sim.held[: sim.egress_lo].any():
             sim.check_classes()
