@@ -101,7 +101,7 @@ def cmd_simulate(args) -> int:
         try:
             values = [float(v) for v in args.q0.split(",")]
             q0 = SimConfig(args.horizon, q0=values).initial_backlog(net)
-            if args.mode == "integer" and not np.allclose(q0, np.round(q0)):
+            if args.mode == "integer" and not np.all(q0 == np.round(q0)):
                 raise ValueError("integer mode requires an integral q0")
         except ValueError as exc:
             raise SystemExit(f"--q0: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Integer-packet simulation with FIFO rows and delays by Little's law.
+"""Integer-packet simulation, and packet delays from Newell's cumulative curves.
 
 Packets are whole units.  Per-step transfer and service budgets are the
 running floor of rate * dt: each link and each server banks only the
@@ -13,47 +13,47 @@ that no backlog is negative.  A source short of supply splits it across
 its out-links in proportion to their budgets (:func:`_allocate_each`),
 with the plan's source slots as segment ids and each link's offset from
 its source's first link as its rank, so no segment is rebuilt per step.
-An untagged run is :func:`fluidq.engine.run`; a tagged run steps the same
-kernel with :func:`fluidq.engine._advance` and follows the packets.
+An untagged run is :func:`fluidq.engine.run`.
 
-For delay measurement, packets are tracked as exchangeability classes: an
-origin, or a (window, origin) pair when arrivals are grouped in windows.
-Untagged mass (initial backlog and arrivals after the measurement window)
-occupies queue space but carries no class.
+A tagged run (:func:`tagged_run`) is that untagged run and one pass over
+it.  Tags never feed back into ``q``, the grants or the service, so the
+kernel runs the steps as :func:`fluidq.engine._run_steps` does (a static
+policy along the diagonals), in chunks of at most ``_CHUNK`` steps, and
+records the running link flow and served totals after each step.  These
+give every node Newell's cumulative curves (G. F. Newell, *Applications of
+Queueing Theory*, 1982): A(k), the packets it has taken in by the end of
+step k (its initial backlog first), and D(k), those it has sent on or
+served.  Step k's inflow fills the FIFO positions [A(k-1), A(k)), and
+[D(k-1), D(k)) leave.
 
-An ingress node's FIFO only ever holds single-class runs in arrival order:
-its untagged backlog, one run per class of its origin, then untagged
-arrivals after the horizon.  So it is kept as Newell's cumulative counts:
-the packets it has taken in (``in_pos``) and sent on (``out_pos``), and
-each class's interval of arrival positions.  A transfer of m packets
-sends positions [out_pos, out_pos + m), and each class's share of it is
-its overlap with that interval, which is exactly what popping the FIFO's
-head would give.  Past the ingress layer, a node holding tagged mass keeps
-a FIFO of rows, one per step in which packets entered it, each an integer
-packet count and a float mass per class (untagged inflow joins an untagged
-last row); a node without tagged mass keeps no rows.
+Packets are tracked as exchangeability classes: an origin, or a (window,
+origin) pair when arrivals are grouped in windows.  Arrivals within the
+horizon are tagged with their class; the initial backlog and later
+arrivals carry none.  Each node's class content is a piecewise-linear
+cumulative curve over its FIFO positions (:class:`_Curves`): one step's
+inflow spreads its class masses evenly over its positions, so a take of m
+of its n packets carries m/n of each class, the expected make-up of a
+uniformly random m-subset.  Order within a step is averaged, not resolved,
+and no origin loses every tie.  A source's take is the difference of its
+curve between D(k-1) and D(k), and link j carries ``grant_j / moved`` of
+it; a destination's step inflow is the sum of its links' parts.  The pass
+works one layer at a time over a whole chunk, and each node carries only
+the rows of its curve not yet departed into the next chunk (untagged ones
+merged), so memory does not grow with the run's length and the outputs
+are the same to the bit whatever the chunk length.
 
-Order within a step is not resolved: it is averaged.  A take of m packets
-from a row of n carries m/n of every class, the expected make-up of a
-uniformly random m-subset, and a source's parcel goes to its out-links in
-proportion to their grants, link j carrying grant_j / moved of it (one
-product over a layer's links).  Every later take is linear in a row's
-make-up, so a run gives each class's expected sojourn over uniformly random
-orders of each step's inflow; no origin loses every tie.  The per-class
-counts are Newell's cumulative curves (G. F. Newell, *Applications of
-Queueing Theory*, 1982), and no packet carries a timestamp: a class's
-summed sojourn is dt times the sum over steps of its mass in the system
-(Little's law, L = lambda W).  Totals stay integers, so ``q``, the grants,
-the link flow and the service are those of an untagged run.  A run ends
-when no ingress node holds a tagged packet and no row holds tagged mass,
-both integer counts, never a float threshold.
-
-Past the horizon no packet is tagged, so once every tagged row is at
-egress the rest of a tagged run depends on the egress service budgets
-alone: each egress FIFO holds exactly its node's backlog, and whatever
-arrives later queues behind it (Newell's departure curve).  From then on a
-tagged run serves only the egress layer, with the same budgets and pops,
-and skips the policy, the arrivals and the transfers.
+A class's summed sojourn is dt times the sum over steps of its mass in the
+system, its births so far less the egress curves at D (Little's law,
+L = lambda W).  A second, integer curve counts each node's tagged
+positions, those of a step whose inflow carried tagged mass.  The run ends
+when, at every node, D has reached the end of its last tagged inflow: an
+integer test, never a float threshold.  No packet is tagged after the
+horizon, and once nothing tagged is left above egress the rest of the run
+depends on the egress service alone: each egress node's tagged positions
+leave ahead of any later inflow.  The extension then runs only the
+service-bank recurrence of :meth:`_IntegerSim.serve`, per egress node on
+scalar floats with the same operations in the same order, so its caps are
+bit-identical; the policy, the arrivals and the transfers are skipped.
 """
 from __future__ import annotations
 
@@ -63,21 +63,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (
-    EngineError,
-    QueueState,
-    Trajectory,
-    _advance,
-    _CapacityCheck,
-    _policy_rates,
-)
-from .network import (
-    ArrivalProfile,
-    LayeredNetwork,
-    LayerPlan,
-    ServiceProfile,
-    SimConfig,
-)
+from .engine import EngineError, Trajectory, _CapacityCheck, _run_steps
+from .network import ArrivalProfile, LayeredNetwork, LayerPlan, ServiceProfile, SimConfig
+
+#: steps per chunk of a tagged run, and per block of its egress extension
+_CHUNK = 64
 
 
 @dataclass
@@ -92,7 +82,7 @@ class TaggedRun:
     window_width: float | None = None
     window_stats: dict[tuple[int, int], list[float]] = field(default_factory=dict)
     trajectory: Trajectory | None = None
-    #: extension steps served by the egress drain, without stepping the network
+    #: extension steps that ran only the egress service recurrence
     drain_steps: int = 0
 
     def window_mean(self, window_index: int) -> float:
@@ -132,37 +122,19 @@ def _allocate_each(amounts, totals, weights, seg, pos=None) -> np.ndarray:
 
 class _IntegerSim:
     """The integer kernel of one run, which owns the integral backlogs
-    ``q``, and with ``track_packets`` the tagged bookkeeping and the steps
-    of a tagged run."""
+    ``q``, the running link flow and the served totals."""
 
-    def __init__(
-        self,
-        net: LayeredNetwork,
-        arr: ArrivalProfile,
-        svc: ServiceProfile,
-        policy,
-        cfg: SimConfig,
-        track_packets: bool,
-        window: float | None = None,
-        keep_trajectory: bool = True,
-    ):
+    def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile,
+                 cfg: SimConfig):
         if np.any(arr.rates < 0) or np.any(svc.rates < 0) or np.any(net.capacities < 0):
             raise ValueError(
                 "integer mode requires nonnegative arrival rates, service rates "
                 "and capacities"
             )
-        self.net = net
-        self.arr = arr
-        self.svc = svc
-        self.policy = policy
+        self.net, self.arr, self.svc = net, arr, svc
         self.dt = cfg.resolved_dt()
         self.arrival_budget = arr.rates * self.dt
         self.service_budget = svc.rates * self.dt
-        self.track = track_packets
-        self.window = window
-        self.keep_trajectory = keep_trajectory
-        self.n_origin = net.layer_sizes[0]
-
         q0 = cfg.initial_backlog(net)
         if not np.all(q0 == np.round(q0)):
             raise ValueError("integer mode requires an integral q0")
@@ -172,46 +144,10 @@ class _IntegerSim:
         self.link_bank = np.zeros(net.num_links)
         self.service_bank = np.zeros(net.layer_sizes[-1])
         self.egress_lo = net.node_id(net.num_layers - 1, 0)
-        self.history: list[np.ndarray] = [self.q.astype(float)]
-        self.applied: list[np.ndarray] = []
         self.link_flow = np.zeros(net.num_links, dtype=np.int64)
         self.served_total = np.zeros(net.layer_sizes[-1], dtype=np.int64)
         self._births: deque[int] = deque()  # per step arrived, until settled
-        self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
-        self._check = _CapacityCheck()
         self._rates = None  # the assignment whose link budgets are cached
-        self._slot = np.full(net.num_nodes, -1)  # node -> index in its layer's srcs
-        for layer in net.plan:
-            self._slot[layer.srcs] = np.arange(layer.srcs.size)
-
-        # Tagged bookkeeping: classes are origins, or (window, origin) pairs
-        # at index window * n_origin + origin.  ``fifo`` maps each node past
-        # the ingress layer holding tagged mass to its rows, each a list
-        # [packets, class masses], the masses None in an untagged row.
-        # ``held`` counts per node the tagged packets at ingress and the
-        # tagged rows past it, so the run's end is an exact integer test.
-        # Ingress FIFOs are position counters instead of rows: node i has
-        # taken in ``in_pos[i]`` packets and sent ``out_pos[i]``, and class
-        # c arrived at positions ``[cls_lo[c], cls_hi[c])`` of its origin.
-        n_windows = 1
-        if window is not None:
-            n_windows = self._window_of(self._tag_steps - 1) + 1
-        self.n_class = n_windows * self.n_origin
-        self.fifo: dict[int, deque[list]] = {}
-        self.held = np.zeros(net.num_nodes, dtype=np.int64)
-        self.in_pos = self.q[: self.n_origin].copy()
-        self.out_pos = np.zeros(self.n_origin, dtype=np.int64)
-        self.cls_lo = np.zeros(self.n_class, dtype=np.int64)
-        self.cls_hi = np.zeros(self.n_class, dtype=np.int64)
-        self.born = np.zeros(self.n_class, dtype=np.int64)
-        #: tagged mass per class not yet departed, born - departed
-        self.left = np.zeros(self.n_class)
-        self.class_steps = np.zeros(self.n_class)
-
-    def _window_of(self, k: int) -> int:
-        return int(k * self.dt / self.window) if self.window is not None else 0
-
-    # -- the kernel of engine._advance and engine._run_diagonals -----------
 
     def budgets(self, rates) -> None:
         if rates is not self._rates:
@@ -226,13 +162,11 @@ class _IntegerSim:
         bank -= want
         return want
 
-    def arrive(self, k: int) -> None:
-        """Bring in step ``k``'s whole arrivals at the ingress layer."""
+    def arrive(self) -> None:
+        """Bring in one step's whole arrivals at the ingress layer."""
         self.arrival_bank += self.arrival_budget
         born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
         self.arrival_bank -= born
-        if self.track:
-            self._tag_arrivals(k, born)
         self.q[: born.size] += born
         self._births.append(int(born.sum()))
 
@@ -264,8 +198,6 @@ class _IntegerSim:
         inflow = np.bincount(
             layer.dst_local, weights=grant, minlength=layer.next_width
         ).astype(np.int64)
-        if self.track:
-            self._move_tagged(layer, grant, moved, inflow)
         self.q[layer.srcs] -= moved
         self.link_flow[layer.links] += grant
         return inflow
@@ -302,248 +234,276 @@ class _IntegerSim:
             )
         self.served_total += served
 
-    def step(self, k: int) -> None:
-        """Step ``k`` of a tagged run: the policy's rates, one
-        :func:`~fluidq.engine._advance`, and the tagged departures at
-        egress."""
-        # the last history row is a float copy of q
-        q = self.history[-1] if self.keep_trajectory else self.q.astype(float)
-        state = QueueState._trusted(q, k * self.dt)
-        rates = self._check(
-            _policy_rates(self.policy, state, self.net, self.arr, self.svc, self.dt)
-        )
-        self.budgets(rates)
-        serve = _advance(self, k)
-        if self.track:
-            self._depart(serve)
-        self.settle(k, serve, self.q)
-        if self.keep_trajectory:
-            self.applied.append(rates.values)
-            self.history.append(self.q.astype(float))
 
-    # -- tagged bookkeeping --------------------------------------------------
+#: key offset between nodes in a :class:`_Curves` table; positions stay below it
+_SPAN = 2.0**40
 
-    def _pop(self, nid: int, count: int) -> np.ndarray | None:
-        """Take ``count`` packets off the head of a node's FIFO; return
-        their class masses, or None when they carry none.  A row of n
-        packets that gives up m < n of them gives up m/n of each class."""
-        rows = self.fifo[nid]
-        parcel = None
-        while count:
-            row = rows[0]
-            n, mass = row
-            if n <= count:
-                rows.popleft()
-                count -= n
-                if mass is not None:
-                    self.held[nid] -= 1
+
+class _Curves:
+    """Newell's cumulative curves of one layer's FIFOs past ingress.
+    ``table[w]`` holds node w's rows in position order, one per step of
+    inflow and one at its end, each as its key (``w * _SPAN`` plus its first
+    position), its mass per position and the node's masses below it, per
+    class and, in the last column, per tagged position (1 per position of
+    a step whose inflow carried tagged mass: an exact integer curve).  A
+    step without inflow leaves an empty row, hidden by the next at its key.
+    :meth:`at` drops the rows behind D now and then, and keeps runs of
+    untagged, flat, rows as their first, padding the front of shorter nodes
+    with lower keys.  ``end`` and ``end_mass`` are each node's totals,
+    ``done`` its departures D and ``gone`` its curves at D."""
+
+    def __init__(self, q0: np.ndarray, width: int):
+        w = q0.size
+        self.width, self.base = width, np.arange(w) * _SPAN
+        self.end, self.done = q0.copy(), np.zeros(w, np.int64)
+        self.end_mass, self.gone = np.zeros((2, w, width))
+        self.table = np.zeros((w, 1, 1 + 2 * width))  # the initial backlog is untagged
+        self.table[:, 0, 0] = self.base
+        self.room = 64  # the table width that makes :meth:`at` compact it
+
+    def extend(self, inc: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """Append a chunk's inflow: per step and node the packet counts
+        ``inc`` and masses ``mass``.  Returns each node's tagged positions
+        after each step."""
+        steps, width = inc.shape[0], self.width
+        ends = self.end + np.cumsum(inc, axis=0)
+        block = np.empty((steps + 1,) + self.end_mass.shape[:1] + (1 + 2 * width,))
+        block[0, :, 0] = self.base + self.end  # each row starts where the last ended
+        block[1:, :, 0] = self.base + ends
+        np.divide(mass, np.maximum(inc, 1)[..., None], out=block[:-1, :, 1 : 1 + width])
+        block[-1, :, 1 : 1 + width] = 0.0
+        below = block[:, :, 1 + width :]
+        np.cumsum(np.concatenate((self.end_mass[None], mass)), axis=0, out=below)
+        self.end, self.end_mass = ends[-1], below[-1].copy()
+        self.table = np.concatenate((self.table, block.swapaxes(0, 1)), axis=1)
+        return below[1:, :, -1]
+
+    def at(self, D: np.ndarray) -> np.ndarray:
+        """Advance the departures along ``D`` (step x node); return the
+        curves at D."""
+        flat = self.table.reshape(-1, self.table.shape[2])
+        key = self.base + D
+        idx = np.searchsorted(flat[:, 0], key, side="right") - 1
+        row = flat[idx]
+        val = row[..., 1 + self.width :]  # the curves at each row's start, plus its slope
+        val += (key - row[..., 0])[..., None] * row[..., 1 : 1 + self.width]
+        self.done, self.gone = D[-1], val[-1]
+        if self.table.shape[1] > self.room:
+            self._compact(idx[-1])
+        return val
+
+    def _compact(self, first: np.ndarray) -> None:
+        """Drop the rows before each node's row ``first`` (a flat index),
+        the one holding D, and keep each run of untagged rows as its
+        first."""
+        table, width = self.table, self.width
+        w, r = table.shape[:2]
+        flat = table[..., width] == 0  # untagged, so flat
+        keep = np.arange(r) >= (first - np.arange(w) * r)[:, None]
+        keep[:, 1:] &= ~(flat[:, 1:] & flat[:, :-1] & keep[:, :-1])
+        counts = keep.sum(axis=1)
+        room = int(counts.max())
+        new = np.zeros((w, room, table.shape[2]))
+        new[:, :, 0] = (self.base - 1.0)[:, None]  # padding, below every row's key
+        rank = np.cumsum(keep, axis=1) - 1 + (room - counts)[:, None]
+        new[np.nonzero(keep)[0], rank[keep]] = table[keep]
+        self.table, self.room = new, 2 * room + 64
+
+    def last_tagged(self) -> np.ndarray:
+        """Per node, the end of its last tagged row (0 without one)."""
+        tagged = self.table[:, :-1, self.width] > 0
+        ends = self.table[:, 1:, 0] - self.base[:, None]
+        return np.where(tagged, ends, 0).max(axis=1, initial=0).astype(np.int64)
+
+
+class _Tags:
+    """The tag pass of one run.  An ingress node queues its untagged
+    backlog, one run per class of its origin, then untagged arrivals, so
+    its curves are its classes' position intervals ``[lo, hi)`` (origin x
+    window), and its takes exact integer counts; past ingress, each layer
+    keeps :class:`_Curves`."""
+
+    def __init__(self, net: LayeredNetwork, q0: np.ndarray, dt: float, steps: int,
+                 window: float | None):
+        self.net, self.dt, self.steps, self.window = net, dt, steps, window
+        self.n_origin = n0 = net.layer_sizes[0]
+        windows = 1 if window is None else int((steps - 1) * dt / window) + 1
+        self.n_class = windows * n0
+        self.lo, self.hi = np.zeros((2, n0, windows), np.int64)
+        self.seen = np.zeros(windows, bool)
+        self.taken = np.zeros((n0, windows), np.int64)  # ingress curves at D
+        bounds = [net.node_id(l, 0) for l in range(net.num_layers)] + [net.num_nodes]
+        self.layers = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.plans = [net.plan_of(l, l) for l in range(net.num_layers - 1)]
+        self.srcs, self.src_starts = np.unique(net.link_src, return_index=True)
+        self.by_dst = np.argsort(net.link_dst, kind="stable")  # links by destination
+        self.dsts, self.dst_starts = np.unique(net.link_dst[self.by_dst], return_index=True)
+        self.curves = [_Curves(q0[nodes], self.n_class + 1) for nodes in self.layers[1:]]
+        self.q0 = q0
+        self.class_steps = np.zeros(self.n_class)
+
+    def _classes(self, counts: np.ndarray) -> np.ndarray:
+        """Per class, from (... x origin x window) to (... x class)."""
+        return np.swapaxes(counts, -1, -2).reshape(counts.shape[:-2] + (self.n_class,))
+
+    def _arrive(self, A: np.ndarray, start: int) -> None:
+        """Extend the class intervals by the arrivals within the horizon of
+        the steps from ``start`` (ingress inflow ``A``, step x origin)."""
+        if start >= self.steps:
+            return
+        k = np.arange(start, min(start + A.shape[0] - 1, self.steps))
+        w = (k * self.dt / self.window).astype(np.int64) if self.window else 0 * k
+        cut = np.flatnonzero(w[1:] != w[:-1]) + 1  # windows only grow with the step
+        first, last = np.concatenate(([0], cut)), np.concatenate((cut, [k.size]))
+        ws = w[first]
+        fresh = ~self.seen[ws]
+        self.lo[:, ws[fresh]] = A[first[fresh]].T
+        self.hi[:, ws] = A[last].T
+        self.seen[ws] = True
+
+    def consume(self, rows: np.ndarray, flows: np.ndarray, start: int):
+        """Carry the class masses along the chunk of steps from ``start``
+        whose backlogs, running link flow and served totals are ``rows`` and
+        ``flows`` (before the chunk and after each step).  Returns per step
+        each node's pending positions (at ingress up to its last tagged one,
+        past it the tagged ones) and the summed class mass in the system."""
+        net, n0, C = self.net, self.n_origin, self.n_class
+        F = flows[:, : net.num_links]
+        D = np.zeros_like(rows)  # departures per node
+        D[:, self.srcs] = np.add.reduceat(F, self.src_starts, axis=1)
+        D[:, self.layers[-1]] = flows[:, net.num_links :]
+        A = np.zeros_like(rows)  # inflow per node, the initial backlog first
+        A[:, self.dsts] = np.add.reduceat(F[:, self.by_dst], self.dst_starts, axis=1)
+        A += self.q0
+        A[:, :n0] = rows[:, :n0] + D[:, :n0]
+        self._arrive(A[:, :n0], start)
+        size = self.hi - self.lo
+        steps = rows.shape[0] - 1
+        inc = A[1:] - A[:-1]
+        ratio = (F[1:] - F[:-1]) / np.maximum((D[1:] - D[:-1])[:, net.link_src], 1)
+        taken = np.minimum(np.maximum(D[1:, :n0, None] - self.lo, 0), size)
+        takes = taken - np.concatenate((self.taken[None], taken[:-1]))
+        self.taken = taken[-1]
+        born = self._classes(np.minimum(np.maximum(A[1:, :n0, None] - self.lo, 0), size))
+        last = self.hi.max(axis=1, where=size > 0, initial=0)
+        pending = [np.maximum(last - D[1:, :n0], 0)]
+        for l, plan in enumerate(self.plans):
+            nodes, curves = self.layers[l + 1], self.curves[l]
+            mass = np.zeros((steps, plan.next_width, C + 1))
+            part = takes[:, plan.src_local] * ratio[:, plan.links, None]
+            if l == 0:
+                # an origin's classes are its own columns, so the
+                # (destination, class) pairs of the links are distinct
+                cols = np.arange(part.shape[2]) * n0 + plan.src_local[:, None]
+                mass[:, plan.dst_local[:, None], cols] = part
+                tagged = mass.any(axis=2)
             else:
-                row[0] = n - count
-                if mass is not None:
-                    mass = mass * (count / n)
-                    row[1] -= mass
-                count = 0
-            if mass is not None:
-                parcel = mass if parcel is None else parcel + mass
-        if not self.held[nid]:
-            del self.fifo[nid]  # what is left is untagged
-        return parcel
-
-    def _push(self, nid: int, mass: np.ndarray | None, total: int) -> None:
-        """Append one step's inflow of ``total`` packets, carrying the class
-        masses ``mass`` (None for none), to a node's FIFO.  Inflow that
-        brings a node its first tagged mass opens the FIFO with one untagged
-        row for the backlog already there, so call before ``q`` counts it.
-        Untagged inflow joins an untagged last row."""
-        rows = self.fifo.get(nid)
-        if rows is None:
-            if mass is None:
-                return
-            rows = self.fifo[nid] = deque()
-            if self.q[nid]:
-                rows.append([int(self.q[nid]), None])
-        if mass is not None:
-            rows.append([total, mass])
-            self.held[nid] += 1
-        elif rows[-1][1] is None:
-            rows[-1][0] += total
-        else:
-            rows.append([total, None])
-
-    def _depart(self, serve: np.ndarray) -> None:
-        """Serve each egress FIFO its node's ``serve``; the class masses
-        leave ``left``, whose remainder is each class's mass in the system
-        for the step (Little's law)."""
-        lo = self.egress_lo
-        for nid in [n for n in self.fifo if n >= lo]:
-            count = int(serve[nid - lo])
-            if count:
-                mass = self._pop(nid, count)
-                if mass is not None:
-                    self.left -= mass
-        self.class_steps += self.left
-
-    def _tag_arrivals(self, k: int, born: np.ndarray) -> None:
-        """Count one step's arrivals into the ingress positions; within the
-        horizon they extend their origin's class of the current window."""
-        if k < self._tag_steps:
-            base = self._window_of(k) * self.n_origin
-            cls = slice(base, base + self.n_origin)
-            fresh = self.born[cls] == 0
-            self.cls_lo[cls][fresh] = self.in_pos[fresh]
-            self.cls_hi[cls] = self.in_pos + born
-            self.born[cls] += born
-            self.left[cls] += born
-            self.held[: self.n_origin] += born
-        self.in_pos += born
-
-    def _overlap(self, lo, hi) -> np.ndarray:
-        """Tagged packets per (window, origin) among the ingress positions
-        ``[lo, hi)`` of each origin (``lo``/``hi`` are per origin)."""
-        c_lo = self.cls_lo.reshape(-1, self.n_origin)
-        c_hi = self.cls_hi.reshape(-1, self.n_origin)
-        return np.maximum(np.minimum(hi, c_hi) - np.maximum(lo, c_lo), 0)
-
-    def _move_tagged(self, layer: LayerPlan, grant, moved, inflow) -> None:
-        """Carry the tagged class masses of one layer's transfers along.
-        Each source's moved packets leave the head of its FIFO (rows, or at
-        ingress the position counters) as one parcel, and link j carries
-        ``grant_j / moved`` of it: one product over the layer's links.  A
-        destination that receives tagged mass gets a tagged row; the
-        untagged remainder of every inflow follows from the totals."""
-        srcs, parcels = layer.srcs, None
-        if layer.index == 0:
-            # the moved packets are the positions [out_pos, out_pos + moved),
-            # and each class's share is its overlap with them
-            head = self.out_pos.copy()
-            self.out_pos[srcs] += moved
-            if self.held[: self.n_origin].any():
-                parcels = self._overlap(head, self.out_pos)[:, srcs].T  # source x window
-                self.held[srcs] -= parcels.sum(axis=1)
-                carried = parcels.any(axis=1)
-        else:
-            for nid in [n for n in self.fifo if layer.lo <= n < layer.next_lo]:
-                s = self._slot[nid]
-                if s >= 0 and moved[s]:
-                    mass = self._pop(nid, int(moved[s]))
-                    if mass is not None:
-                        if parcels is None:
-                            parcels = np.zeros((srcs.size, self.n_class))
-                            carried = np.zeros(srcs.size, bool)
-                        parcels[s], carried[s] = mass, True
-        lo, hit = layer.next_lo, np.zeros(layer.next_width, bool)
-        if parcels is not None:
-            links = np.flatnonzero(carried[layer.src_of] & (grant > 0))
-            of, dst = layer.src_of[links], layer.dst_local[links]
-            part = parcels[of] * (grant[links] / moved[of])[:, None]  # per link
-            incoming = np.zeros((layer.next_width, self.n_class))
-            if layer.index == 0:
-                # an origin's classes are its own columns, so the (destination,
-                # class) pairs of the links are distinct
-                cols = np.arange(parcels.shape[1]) * self.n_origin + srcs[of][:, None]
-                incoming[dst[:, None], cols] = part
-            else:
-                np.add.at(incoming, dst, part)
-            hit[dst] = True
-            tagged = np.flatnonzero(hit)
-            for d, mass in zip(tagged.tolist(), incoming[tagged]):
-                self._push(lo + d, mass, int(inflow[d]))
-        for nid in [n for n in self.fifo if lo <= n < lo + layer.next_width]:
-            if inflow[nid - lo] and not hit[nid - lo]:
-                self._push(nid, None, int(inflow[nid - lo]))
-
-    def tagged_mass(self) -> np.ndarray:
-        """Tagged mass per node: at ingress the packets still queued there,
-        past it the class masses of the node's rows."""
-        mass = np.zeros(self.net.num_nodes)
-        mass[: self.n_origin] = self._overlap(self.out_pos, self.in_pos).sum(axis=0)
-        for nid, rows in self.fifo.items():
-            mass[nid] = sum(float(m.sum()) for _, m in rows if m is not None)
-        return mass
-
-    def check_classes(self) -> None:
-        """Tagged balance.  Exact: the ingress counters and every FIFO's row
-        totals hold their node's backlog, and ``held`` counts each ingress
-        node's tagged packets and each FIFO's tagged rows.  To float
-        rounding: per class, the mass at ingress and in the FIFOs equals
-        ``left`` (born - departed) within 1e-9 of the class's born count, or
-        of 1 when fewer were born."""
-        residual = self.in_pos - self.out_pos - self.q[: self.n_origin]
-        if not np.all(residual == 0):
+                np.add.at(mass.swapaxes(0, 1), plan.dst_local, part.swapaxes(0, 1))
+                tagged = mass[..., C] > 0
+            np.copyto(mass[..., C], inc[:, nodes], where=tagged)
+            tags = curves.extend(inc[:, nodes], mass)
+            gone = curves.gone
+            val = curves.at(D[1:, nodes])
+            takes = val - np.concatenate((gone[None], val[:-1]))
+            if not takes.min() >= 0:  # NaN fails
+                k, i, c = (int(x[0]) for x in np.nonzero(~(takes >= 0)))
+                raise EngineError(f"outflow {takes[k, i, c]:.3g} of column {c} from "
+                                  f"(layer {l + 2}, node {i + 1}) at step {start + k}")
+            pending.append(tags - val[..., C])
+        ends = np.concatenate([c.end for c in self.curves])
+        if not ends.max(initial=0) < _SPAN:
+            raise EngineError("more than 2**40 packets through one node")
+        residual = ends - D[-1, n0:] - rows[-1, n0:]
+        if residual.any():
             i = int(np.flatnonzero(residual)[0])
-            raise EngineError(
-                f"ingress node {i} counters off its backlog by {int(residual[i])}"
-            )
-        at_ingress = self._overlap(self.out_pos, self.in_pos)
-        counted = np.zeros_like(self.held)
-        counted[: self.n_origin] = at_ingress.sum(axis=0)
-        mass = at_ingress.ravel().astype(float)
-        for nid, rows in self.fifo.items():
-            residual = int(self.q[nid]) - sum(n for n, _ in rows)
-            if not residual == 0:
-                raise EngineError(f"FIFO of node {nid} off its backlog by {residual}")
-            for _, m in rows:
-                if m is not None:
-                    mass += m
-                    counted[nid] += 1
-        residual = self.left - mass
-        off = ~(np.abs(residual) <= 1e-9 * np.maximum(self.born, 1))  # NaN is off
+            l, j = net.node_coords(n0 + i)
+            raise EngineError(f"curves of (layer {l + 1}, node {j + 1}) off its backlog "
+                              f"by {int(residual[i])}")
+        self.rate = (D[-1] - D[0]) / steps  # each node's departures per step
+        return np.concatenate(pending, axis=1), self._count(born, val)
+
+    def _count(self, born: np.ndarray, val: np.ndarray) -> np.ndarray:
+        """Little's law: the summed class mass in the system after each step,
+        added in step order, from the births so far ``born`` (step x class)
+        and the egress curves ``val`` (step x node x column) at D."""
+        left = born - np.cumsum(val[..., : self.n_class], axis=1)[:, -1]
+        steps = np.cumsum(np.concatenate((self.class_steps[None], left)), axis=0)[1:]
+        self.class_steps = steps[-1]
+        return steps
+
+    def held(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The tagged mass not yet departed: per layer per node, and in
+        total per class."""
+        at_ingress = self.hi - self.lo - self.taken
+        past = [(c.end_mass - c.gone)[:, : self.n_class] for c in self.curves]
+        return [at_ingress.sum(axis=1)] + [h.sum(axis=1) for h in past], self._classes(
+            at_ingress) + sum(h.sum(axis=0) for h in past)
+
+    def check(self) -> None:
+        """Per class, the born count equals the mass departed plus the mass
+        in the system within 1e-9 of the born count (or of 1 when fewer
+        were born); a NaN fails."""
+        born = self._classes(self.hi - self.lo)
+        residual = born - self.curves[-1].gone[:, : self.n_class].sum(axis=0) - self.held()[1]
+        off = ~(np.abs(residual) <= 1e-9 * np.maximum(born, 1))
         if off.any():
             c = int(np.argmax(off))
-            raise EngineError(
-                f"tagged balance violated for class {c}: residual {residual[c]:.3g}"
-            )
-        residual = self.held - counted
-        if not np.all(residual == 0):
-            nid = int(np.flatnonzero(residual)[0])
-            raise EngineError(
-                f"tagged count of node {nid} off its packets or rows by {int(residual[nid])}"
-            )
+            raise EngineError(f"tagged balance violated for class {c}: residual {residual[c]:.3g}")
 
-    def drain(self, steps: int) -> int:
-        """Serve the egress layer alone, for at most ``steps`` steps or until
-        no tagged row is left; return the steps taken.
+    def drain(self, sim: _IntegerSim, steps: int) -> tuple[int, bool]:
+        """Serve the egress layer alone for at most ``steps`` steps, until its
+        tagged positions have left; return the steps and whether they have.
+        Past the horizon with nothing tagged above egress, each egress node
+        departs ahead of any later inflow, by its service bank recurrence
+        alone, run per node on scalar floats with the operations of
+        :meth:`_IntegerSim.serve`.  The kernel is left as it was."""
+        egress, lo = self.curves[-1], sim.egress_lo
+        target = egress.last_tagged()
+        state = {
+            int(n): [float(sim.service_bank[n]), float(sim.service_budget[n]),
+                     int(sim.q[lo + n]), int(egress.done[n]), int(target[n])]
+            for n in np.flatnonzero(target > egress.done)
+        }
+        born = self._classes(self.hi - self.lo)
+        taken = 0
+        while state and taken < steps:
+            size = min(_CHUNK, steps - taken)
+            D = np.repeat(egress.done[None], size, axis=0)
+            block = 0
+            for n, (bank, budget, backlog, done, end) in list(state.items()):
+                seq = []
+                for _ in range(size):
+                    if done >= end:
+                        break
+                    cap_f = bank + budget
+                    cap = math.floor(cap_f + 1e-12)
+                    bank = cap_f - cap
+                    served = backlog if backlog < cap else cap
+                    backlog -= served
+                    done += served
+                    seq.append(done)
+                D[: len(seq), n] = seq
+                D[len(seq) :, n] = done
+                block = max(block, len(seq))
+                state[n] = [bank, budget, backlog, done, end]
+                if done >= end:
+                    del state[n]
+            self._count(born, egress.at(D[:block]))
+            taken += block
+        return taken, not state
 
-        Call only past the horizon with every tagged row at egress.  An
-        egress FIFO then holds exactly its node's backlog, and inflow only
-        queues behind it, so its departures are set by the service budgets
-        alone: serving the frozen backlog pops exactly the packets a full
-        step would, through the same :meth:`_depart`.  Only the service
-        banks, the egress backlogs and the tagged masses advance: ``q``
-        above egress, the arrivals, the mass and the served totals stay as
-        they were, and the policy is not called.
-        """
-        egress = self.q[self.egress_lo :]
-        n = 0
-        while n < steps and self.fifo:  # every FIFO left is a tagged egress one
-            cap_f = self.service_bank + self.service_budget
-            cap = np.floor(cap_f + 1e-12).astype(np.int64)
-            self.service_bank = cap_f - cap
-            serve = np.minimum(egress, cap)
-            egress -= serve
-            self._depart(serve)
-            n += 1
-        return n
-
-    # -- drivers -----------------------------------------------------------
-
-    def run_horizon(self) -> int:
-        for k in range(self._tag_steps):
-            self.step(k)
-        return self._tag_steps
-
-    def trajectory(self) -> Trajectory:
-        queues = self.history if self.keep_trajectory else [self.q.astype(float)]
-        applied = np.asarray(self.applied, dtype=float).reshape(-1, self.net.num_links)
-        return Trajectory(
-            self.dt, np.asarray(queues), applied,
-            self.link_flow.astype(float), self.served_total.astype(float),
+    def in_flight(self, limit: int) -> EngineError:
+        mass = np.concatenate(self.held()[0])
+        l, i = self.net.node_coords(int(np.argmax(mass)))
+        return EngineError(
+            f"tagged mass {mass.sum():.3g} still in flight after {limit} "
+            f"extension steps, {mass.max():.3g} of it on (layer {l + 1}, node {i + 1})"
         )
 
-    def tagged_stats(self):
+    def stats(self):
         """``(origin_sum, origin_count, window_stats)`` by Little's law."""
         sums = self.dt * self.class_steps.reshape(-1, self.n_origin)
-        counts = self.born.reshape(-1, self.n_origin).astype(float)
+        counts = (self.hi - self.lo).T.astype(float)
         stats = {}
         if self.window is not None:
             for w, i in zip(*np.nonzero(counts)):
@@ -561,54 +521,80 @@ def tagged_run(
     keep_trajectory: bool = False,
     max_extension_steps: int | None = None,
 ) -> TaggedRun:
-    """Simulate with FIFO-tracked packet classes until every packet that
-    arrived within ``[0, horizon)`` has departed, extending past the
-    horizon by at most ``max_extension_steps`` steps.  The run ends when no
-    ingress node holds a tagged packet and no FIFO row holds tagged mass,
-    both exact integer counts (``_IntegerSim.held``).
+    """Simulate with tagged packet classes until every packet that arrived
+    within ``[0, horizon)`` has departed, extending past the horizon by at
+    most ``max_extension_steps`` steps.  The run ends at the first step
+    boundary past the horizon where every node's departures have reached
+    the end of its last tagged inflow, an exact integer test.
 
     Arrivals continue during the extension (the overload persists; only the
-    measured window is bounded).  From the first extension step with every
-    tagged row at egress, the rest of the run only serves the egress
-    layer (:meth:`_IntegerSim.drain`, counted in ``drain_steps``): no packet
-    is tagged after the horizon and none moves backward, so the departures
-    of the tagged packets follow from the egress service budgets alone.
-    The policy is not called on those steps.  With ``keep_trajectory`` every
-    step runs in full, so the trajectory shows the whole network.
+    measured window is bounded).  From the first extension step with
+    nothing tagged above egress, the run only serves the egress layer
+    (``drain_steps``): the tagged packets' departures follow from the
+    egress service alone, and the policy is not called.  With
+    ``keep_trajectory`` every step runs in full.
+
+    Past the horizon the kernel runs ahead in chunks sized to the pending
+    positions at the pace of the last chunk, and of at least 4, 8, 16, ...
+    steps.  Steps past the end or the switch to egress-only service only
+    cost time: until the last tagged packet leaves, a full step departs
+    at egress as the egress-only recurrence does.  The trajectory is cut
+    at the end.
     """
-    sim = _IntegerSim(
-        net, arr, svc, policy, cfg, track_packets=True, window=window,
-        keep_trajectory=keep_trajectory,
-    )
-    k = sim.run_horizon()
-    sim.check_classes()
-    horizon_steps = k
-    limit = max_extension_steps if max_extension_steps is not None else max(
-        10_000, 100 * horizon_steps
-    )
-    drain_steps = 0
-    while sim.held.any():
-        if k - horizon_steps >= limit:
-            mass = sim.tagged_mass()
-            l, i = net.node_coords(int(np.argmax(mass)))
-            raise EngineError(
-                f"tagged mass {mass.sum():.3g} still in flight after {limit} "
-                f"extension steps, {mass.max():.3g} of it on (layer {l + 1}, node {i + 1})"
-            )
-        if not keep_trajectory and not sim.held[: sim.egress_lo].any():
-            sim.check_classes()
-            drain_steps = sim.drain(horizon_steps + limit - k)
-            k += drain_steps
-            continue
-        sim.step(k)
-        k += 1
-    sim.check_classes()
-    origin_sum, origin_count, window_stats = sim.tagged_stats()
+    sim = _IntegerSim(net, arr, svc, cfg)
+    dt = sim.dt
+    steps = math.ceil(cfg.horizon / dt - 1e-12)
+    limit = max_extension_steps if max_extension_steps is not None else max(10_000, 100 * steps)
+    tags = _Tags(net, sim.q.copy(), dt, steps, window)
+    watch = net.num_nodes if keep_trajectory else sim.egress_lo
+    checked, kept = _CapacityCheck(), [(sim.q[None].copy(), np.empty((0, net.num_links)))]
+    k, grow, switch, end = 0, 4, None, None
+    pending = np.zeros(net.num_nodes)
+    while end is None:
+        if k < steps:
+            size = steps - k
+        else:
+            if k - steps >= limit:
+                raise tags.in_flight(limit)
+            rate = tags.rate[:watch]
+            ahead = math.ceil((pending[:watch] / np.where(rate >= 1, rate, np.inf)).max(initial=0))
+            size = max(ahead + net.num_layers - 1 if ahead else 0, grow)
+            grow *= 2
+        size = min(_CHUNK, steps + limit - k, size)
+        rows = np.empty((size + 1, net.num_nodes), dtype=np.int64)
+        flows = np.empty((size + 1, net.num_links + sim.served_total.size), dtype=np.int64)
+        rows[0], flows[0] = sim.q, np.concatenate([sim.link_flow, sim.served_total])
+        applied = np.empty((size, net.num_links))
+        _run_steps(sim, policy, checked, rows, applied, flows, start=k)
+        per_step, class_steps = tags.consume(rows, flows, k)
+        late = np.arange(k + 1, k + size + 1) >= steps
+        if switch is None and not keep_trajectory:
+            quiet = late & ~per_step[:, :watch].any(axis=1)
+            if quiet.any():
+                switch = k + 1 + int(np.argmax(quiet))
+        quiet = late & ~per_step.any(axis=1)
+        if quiet.any():
+            t = int(np.argmax(quiet))
+            end, tags.class_steps = k + 1 + t, class_steps[t]
+            rows, applied, flows = rows[: t + 2], applied[: t + 1], flows[: t + 2]
+        else:
+            k, pending = k + size, per_step[-1]
+        if keep_trajectory:
+            kept.append((rows[1:], applied))
+        if end is None and switch is not None:
+            taken, done = tags.drain(sim, steps + limit - k)
+            if not done:
+                raise tags.in_flight(limit)
+            end = k + taken
+    tags.check()
+    origin_sum, origin_count, window_stats = tags.stats()
+    trajectory = None
+    if keep_trajectory:
+        queues, rates = (np.concatenate(part) for part in zip(*kept))
+        flow, served = np.split(flows[-1].astype(float), [net.num_links])
+        trajectory = Trajectory(dt, queues.astype(float), rates, flow, served)
     return TaggedRun(
-        cfg.horizon, sim.dt, origin_sum, origin_count,
-        extension=(k - horizon_steps) * sim.dt,
-        window_width=window,
-        window_stats=window_stats,
-        trajectory=sim.trajectory() if keep_trajectory else None,
-        drain_steps=drain_steps,
+        cfg.horizon, dt, origin_sum, origin_count, extension=(end - steps) * dt,
+        window_width=window, window_stats=window_stats, trajectory=trajectory,
+        drain_steps=0 if switch is None else end - switch,
     )

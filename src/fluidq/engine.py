@@ -16,15 +16,16 @@ integer-packet runs :class:`~fluidq.discrete._IntegerSim`; both expose
 ``budgets``, ``demand``, ``arrive``, ``send``, ``land``, ``serve`` and
 ``settle``, so one pair of schedules serves both.
 
-:func:`_advance` runs one step: for a policy that reads the state, for
-:func:`step` and for tagged runs, the layers of the network's plan move
-one at a time.  A static assignment (a bare :class:`RateAssignment` or a
+:func:`_advance` runs one step: for a policy that reads the state and for
+:func:`step`, the layers of the network's plan move one at a time.  A
+static assignment (a bare :class:`RateAssignment` or a
 :class:`StaticPolicy`) ties the layers only through the inflow each
 passes downstream, so link layer l at step k and layer l + 1 at step
 k - 1 can move together: :func:`_run_diagonals` advances it along the
 diagonals t = k + l (the hyperplane method of Lamport, "The Parallel
 Execution of DO Loops", CACM 1974), one ``send`` per diagonal, with the
-same bytes as the per-step schedule.
+same bytes as the per-step schedule.  :func:`_run_steps` picks the
+schedule for :func:`run` and, chunk by chunk, for tagged runs.
 """
 from __future__ import annotations
 
@@ -231,7 +232,7 @@ class _FluidStep:
     def __init__(
         self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, dt: float, q0
     ):
-        self.net = net
+        self.net, self.arr, self.svc = net, arr, svc
         self.dt = dt
         self.q = np.array(q0, dtype=float)
         self.link_flow = np.zeros(net.num_links)
@@ -254,7 +255,7 @@ class _FluidStep:
     def demand(self, plan) -> np.ndarray:
         return self._want[plan.links]
 
-    def arrive(self, k: int) -> None:
+    def arrive(self) -> None:
         self.q[: self.arrivals.size] += self.arrivals
 
     def send(self, plan, want: np.ndarray) -> np.ndarray:
@@ -300,23 +301,24 @@ class _FluidStep:
         self.served_total += served
 
 
-def _advance(kernel, k: int) -> np.ndarray:
-    """Step ``k`` of a kernel (:class:`_FluidStep` or the integer
+def _advance(kernel) -> np.ndarray:
+    """One step of a kernel (:class:`_FluidStep` or the integer
     :class:`~fluidq.discrete._IntegerSim`) under its current budgets: the
     arrivals come in, each layer of the plan ships its links' budgets and
     lands them before the next layer reads its supply, and the egress layer
     is served.  Returns the service per egress node."""
     net = kernel.net
-    kernel.arrive(k)
+    kernel.arrive()
     want = kernel.demand(net.plan_of(0, net.num_layers - 2))
     for layer in net.plan:
         kernel.land(layer, kernel.send(layer, want[layer.links]))
     return kernel.serve()
 
 
-def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray) -> None:
+def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray, flows=None, start=0) -> None:
     """Fill the rows of ``rows`` after its first under the kernel's static
-    budgets, one diagonal of (layer, step) pairs at a time.
+    budgets, one diagonal of (layer, step) pairs at a time, for the steps
+    ``start``, ``start + 1``, ... of a run.
 
     On diagonal t the egress layer is served for step k = t - (L - 1),
     whose row is then complete and goes to the kernel's ``settle``; the
@@ -326,26 +328,71 @@ def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray) -> None:
     cell ``(t + 1) * num_nodes + place[n]`` of the flattened rows, copied
     between its shipment and the next inflow.  Each node's values and flows
     meet the same operations in the same order as under :func:`_advance`,
-    so every row is the same to the bit."""
+    so every row is the same to the bit.  With ``flows``, row k + 1 of it
+    gets the running link flow and then the served totals as they stand
+    after step k, by the same diagonal placement (a link takes its
+    source's layer)."""
     steps, n, last = rows.shape[0] - 1, net.num_nodes, net.num_layers - 2
     place = np.arange(n) - np.repeat(np.arange(net.num_layers), net.layer_sizes) * n
     flat = rows.reshape(-1)
+    if flows is not None:
+        width = flows.shape[1]
+        link_place = np.arange(net.num_links) + place[net.link_src] // n * width
+        flows_flat = flows.reshape(-1)
     lo = kernel.egress_lo
     for t in range(steps + last + 1):
         k = t - last - 1
         if k >= 0:
             served = kernel.serve()
             rows[k + 1, lo:] = kernel.q[lo:]
-            kernel.settle(k, served, rows[k + 1])
+            kernel.settle(start + k, served, rows[k + 1])
+            if flows is not None:
+                flows[k + 1, net.num_links :] = kernel.served_total
         if t < steps:
-            kernel.arrive(t)
+            kernel.arrive()
         a, b = max(0, t - steps + 1), min(t, last)
         if a <= b:
             span = net.plan_of(a, b)
             x = kernel.send(span, kernel.demand(span))
             nodes = slice(span.lo, span.lo + span.width)
             flat[(t + 1) * n + place[nodes]] = kernel.q[nodes]
+            if flows is not None:
+                flows_flat[(t + 1) * width + link_place[span.links]] = kernel.link_flow[span.links]
             kernel.land(span, x)
+
+
+def _run_steps(kernel, policy, checked, rows, applied, flows=None, start=0) -> None:
+    """Steps ``start`` .. ``start + len(applied) - 1`` of a run from the
+    backlogs ``rows[0]``: fill the later rows with the backlogs after each
+    step and ``applied`` with each step's rates, checked by ``checked``.
+    With ``flows``, row k + 1 of it gets the running link flow and the
+    served totals after step k (row 0 is the caller's).
+
+    A bare assignment or a :class:`StaticPolicy` is read once and checked
+    once, and the steps advance along diagonals (:func:`_run_diagonals`).
+    Any other policy is evaluated once per step on the recorded state at
+    the step start (before that step's arrivals), and each step is one
+    :func:`_advance`."""
+    net, dt = kernel.net, kernel.dt
+    static = _static_rates(policy)
+    if static is not None:
+        applied[:] = checked(static).values
+        kernel.budgets(static)
+        _run_diagonals(kernel, net, rows, flows, start)
+        return
+    for i in range(applied.shape[0]):
+        k = start + i
+        # lambda, mu > 0 and nonnegative rates keep every row nonnegative
+        state = QueueState._trusted(rows[i].astype(float, copy=False), k * dt)
+        rates = checked(_policy_rates(policy, state, net, kernel.arr, kernel.svc, dt))
+        kernel.budgets(rates)
+        served = _advance(kernel)
+        rows[i + 1] = kernel.q
+        kernel.settle(k, served, rows[i + 1])
+        applied[i] = rates.values
+        if flows is not None:
+            flows[i + 1, : net.num_links] = kernel.link_flow
+            flows[i + 1, net.num_links :] = kernel.served_total
 
 
 def step(
@@ -366,7 +413,7 @@ def step(
         raise EngineError(f"rates exceed capacity on link {Link(*bad[0]).name}")
     kernel = _FluidStep(net, arr, svc, dt, state.q)
     kernel.budgets(rates)
-    _advance(kernel, 0)
+    _advance(kernel)
     return QueueState(kernel.q, state.t + dt)
 
 
@@ -411,11 +458,9 @@ def run(
     remainders banked per link, and the rows are kept as integers until the
     trajectory is built.
 
-    A bare assignment or a :class:`StaticPolicy` is read once and checked
-    once, and the run advances along diagonals (:func:`_run_diagonals`).
-    Any other policy is evaluated once per step on the recorded state at
-    the step start (before that step's arrivals), and each step is one
-    :func:`_advance`.  Both schedules give the same trajectory to the bit,
+    The steps are :func:`_run_steps`: a bare assignment or a
+    :class:`StaticPolicy` advances along diagonals, any other policy one
+    :func:`_advance` per step.  Both schedules give the same trajectory to the bit,
     and a mass-balance or negative-backlog error names the same step and
     node; on the diagonal schedule, with L > 2 layers, the upstream layers
     may have advanced up to L - 2 further steps when it is raised.
@@ -424,7 +469,7 @@ def run(
     if cfg.discretize:
         from .discrete import _IntegerSim
 
-        kernel = _IntegerSim(net, arr, svc, policy, cfg, track_packets=False)
+        kernel = _IntegerSim(net, arr, svc, cfg)
     else:
         kernel = _FluidStep(net, arr, svc, cfg.resolved_dt(), cfg.initial_backlog(net))
     dt = kernel.dt
@@ -432,22 +477,7 @@ def run(
     rows = np.empty((steps + 1, net.num_nodes), dtype=kernel.q.dtype)
     rows[0] = kernel.q
     applied = np.empty((steps, net.num_links))
-    checked = _CapacityCheck()
-    static = _static_rates(policy)
-    if static is not None:
-        applied[:] = checked(static).values
-        kernel.budgets(static)
-        _run_diagonals(kernel, net, rows)
-    else:
-        for k in range(steps):
-            # lambda, mu > 0 and nonnegative rates keep every row nonnegative
-            state = QueueState._trusted(rows[k].astype(float, copy=False), k * dt)
-            rates = checked(_policy_rates(policy, state, net, arr, svc, dt))
-            kernel.budgets(rates)
-            served = _advance(kernel, k)
-            rows[k + 1] = kernel.q
-            kernel.settle(k, served, rows[k + 1])
-            applied[k] = rates.values
+    _run_steps(kernel, policy, _CapacityCheck(), rows, applied)
     return Trajectory(
         dt, rows.astype(float, copy=False), applied,
         kernel.link_flow.astype(float, copy=False),

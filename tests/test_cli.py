@@ -344,11 +344,15 @@ def test_simulate_config_errors_exit_with_one_line(extra, message, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_simulate_rejects_fractional_q0_in_integer_mode(capsys):
-    q0 = ",".join(["0.5"] + ["0"] * 11)
+@pytest.mark.parametrize("entry", ["0.5", "10.5", "100000.5"])
+@pytest.mark.parametrize("report", [[], ["--report"]])
+def test_simulate_rejects_fractional_q0_in_integer_mode(entry, report, capsys):
+    # exactly integral: a tolerance that grows with the value would pass
+    # 100000.5 on to the run, which rejects it with a traceback
+    q0 = ",".join([entry] + ["0"] * 11)
     with pytest.raises(SystemExit, match="^--q0: integer mode requires an integral q0$"):
         main(["simulate", "--net", FOURLAYER, "--policy", "opt-queue", "--mode", "integer",
-              "--q0", q0, "--horizon", "2"])
+              "--q0", q0, "--horizon", "2", *report])
     assert capsys.readouterr().out == ""
 
 

@@ -1,7 +1,6 @@
-"""Integer-packet simulator: reference delays, split helpers, tagged
-bookkeeping and its balance checks."""
+"""Integer-packet simulator: reference delays, split helpers, the tag
+pass over Newell's curves, its row-FIFO reference and its balance checks."""
 import hashlib
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -20,16 +19,21 @@ from fluidq import (
     single_sink,
     tagged_run,
 )
+from fluidq import discrete
 from fluidq.bench import make_policy, preset, sample_instance
-from fluidq.discrete import _allocate_each, _IntegerSim
+from fluidq.discrete import _allocate_each, _Curves, _IntegerSim, _Tags
+from fluidq.engine import _CapacityCheck, _run_steps
 from fluidq.engine import run as engine_run
+
+import fifo_reference
 
 SEED = 20240811
 
 # (family, layer sizes, horizon, instance, policy) -> (d_avg, extension
-# steps, tagged packets), recorded with the fractional FIFO rows (a take of m
-# packets from a row of n carries m/n of every class, and a parcel goes to
-# its links in proportion to the grants).
+# steps, tagged packets), recorded with the pass over Newell's curves (a take
+# of m packets of a step's n carries m/n of every class, and a take goes to
+# its links in proportion to the grants); the row-FIFO reference, which
+# applies the same rule, agrees with it to 1e-12 and gave d_avg within 5e-15.
 EXACT = {
     ("nx1-limited", None, 1.0, 0, "opt-queue"): (34.49618228341138, 63, 499),
     ("nx1-limited", None, 1.0, 0, "max"): (38.47723743306549, 98, 499),
@@ -38,17 +42,17 @@ EXACT = {
     ("nx1-limited", None, 1.0, 2, "opt-queue"): (31.813958439384933, 59, 538),
     ("nx1-limited", None, 1.0, 2, "max"): (34.25422385854542, 85, 538),
     ("nsxnd", (16, 8), 2.0, 0, "opt-queue"): (1.6253167452936286, 5, 2614),
-    ("nsxnd", (16, 8), 2.0, 0, "max"): (23.063121652639587, 318, 2614),
-    ("nsxnd", (16, 8), 2.0, 1, "opt-queue"): (1.6405359067078797, 5, 2700),
-    ("nsxnd", (16, 8), 2.0, 1, "max"): (8.110740740740747, 87, 2700),
+    ("nsxnd", (16, 8), 2.0, 0, "max"): (23.063121652639634, 318, 2614),
+    ("nsxnd", (16, 8), 2.0, 1, "opt-queue"): (1.6405359067078802, 5, 2700),
+    ("nsxnd", (16, 8), 2.0, 1, "max"): (8.110740740740741, 87, 2700),
     ("nsxnd", (16, 8), 2.0, 2, "opt-queue"): (1.6168507270599883, 5, 2798),
-    ("nsxnd", (16, 8), 2.0, 2, "max"): (23.74982130092936, 350, 2798),
-    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 0, "opt-queue"): (1.7740974922810138, 7, 638),
-    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 0, "max"): (1.9404388714733543, 8, 638),
-    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 1, "opt-queue"): (1.9790003704747299, 6, 650),
-    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 1, "max"): (22.718461538461558, 104, 650),
+    ("nsxnd", (16, 8), 2.0, 2, "max"): (23.74982130092924, 350, 2798),
+    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 0, "opt-queue"): (1.7740974922810142, 7, 638),
+    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 0, "max"): (1.9404388714733547, 8, 638),
+    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 1, "opt-queue"): (1.9790003704747294, 6, 650),
+    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 1, "max"): (22.71846153846154, 104, 650),
     ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 2, "opt-queue"): (1.7154025285889447, 7, 692),
-    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 2, "max"): (2.888728323699423, 9, 692),
+    ("multistage-16x12x8x6", (8, 6, 4, 3), 2.0, 2, "max"): (2.888728323699422, 9, 692),
 }
 
 # Longer horizons, same reference.  Rows then mix packets of several arrival
@@ -189,7 +193,7 @@ def test_plan_segment_split_matches_compacted_split():
         sizes = net.layer_sizes
         sim = _IntegerSim(
             net, ArrivalProfile(np.ones(sizes[0])), ServiceProfile(np.ones(sizes[-1])),
-            None, SimConfig(horizon=1.0, discretize=True), track_packets=False,
+            SimConfig(horizon=1.0, discretize=True),
         )
         first = int(rng.integers(net.num_layers - 1))
         last = int(rng.integers(first, net.num_layers - 1))
@@ -251,29 +255,40 @@ def test_allocate_each_on_source_slots_matches_dense_segments():
 
 
 # ---------------------------------------------------------------------------
-# Tagged bookkeeping
+# The tag pass
 
 
-def test_pop_takes_each_class_in_proportion(two_source_instance):
+def test_take_carries_each_class_in_proportion():
     # a take of m packets from a row of n carries m/n of each class; whole
-    # rows leave as they are, and the FIFO goes with its last tagged row
-    net, arr, svc, rates = two_source_instance
-    sim = _IntegerSim(net, arr, svc, rates, SimConfig(horizon=1.0, discretize=True),
-                      track_packets=True)
-    nid = sim.egress_lo
-    sim.fifo[nid] = deque([[4, None], [10, np.array([6.0, 2.0])], [5, np.array([5.0, 0.0])]])
-    sim.held[nid] = 2
-    assert sim._pop(nid, 3) is None
-    np.testing.assert_array_equal(sim._pop(nid, 6), [3.0, 1.0])
-    assert [n for n, _ in sim.fifo[nid]] == [5, 5] and sim.held[nid] == 2
-    np.testing.assert_array_equal(sim._pop(nid, 10), [8.0, 1.0])
-    assert nid not in sim.fifo and sim.held[nid] == 0
+    # rows leave as they are, and the last column counts tagged positions
+    curves = _Curves(np.array([4]), 3)
+    inc = np.array([[10], [5]])
+    mass = np.array([[[6.0, 2.0, 10.0]], [[5.0, 0.0, 5.0]]])
+    assert curves.extend(inc, mass).tolist() == [[10.0], [15.0]]
+    val = curves.at(np.array([[3], [9], [19]]))
+    takes = np.diff(val[:, 0], axis=0, prepend=0.0)
+    np.testing.assert_array_equal(takes, [[0, 0, 0], [3, 1, 5], [8, 1, 10]])
+    np.testing.assert_array_equal(curves.end_mass - curves.gone, np.zeros((1, 3)))
+
+
+def _recorded_inflow(monkeypatch):
+    """Per curves object, in order of creation, the (inflow, masses) of
+    every chunk the tag pass appends to it."""
+    seen = {}
+    extend = _Curves.extend
+
+    def record(self, inc, mass):
+        seen.setdefault(id(self), []).append((inc.copy(), mass.copy()))
+        return extend(self, inc, mass)
+
+    monkeypatch.setattr(_Curves, "extend", record)
+    return seen
 
 
 def test_parcel_goes_to_each_link_in_proportion_to_its_grant(monkeypatch):
     """A node that fans out over several links sends each of them the same
     class make-up per packet, since link j carries grant_j / moved of the
-    parcel: at ingress, where a parcel mixes the backlog and two windows'
+    take: at ingress, where a take mixes the backlog and two windows'
     classes, and past it, where it spans several partial rows.  A positional
     cut would send the oldest packets down the first link instead."""
     links = [Link(0, 0, 0, 5.0), Link(0, 0, 1, 5.0), Link(1, 0, 0, 5.0), Link(1, 1, 0, 5.0),
@@ -282,27 +297,19 @@ def test_parcel_goes_to_each_link_in_proportion_to_its_grant(monkeypatch):
     rates = RateAssignment(net, [1.5, 1.2, 1.5, 1.2, 1.2, 0.7, 1.2, 0.7])
     cfg = SimConfig(horizon=12.0, dt=1.0, q0=np.array([3.0, 0, 0, 2.0, 0, 0, 0]),
                     discretize=True)
-    sim = _IntegerSim(net, ArrivalProfile([3.0]), ServiceProfile([2.0]), rates, cfg,
-                      track_packets=True, window=1.0, keep_trajectory=False)
-    pushed = {}
-    push = _IntegerSim._push
-
-    def record(self, nid, mass, total):
-        if mass is not None:
-            pushed[nid] = (mass.copy(), total)
-        push(self, nid, mass, total)
-
-    monkeypatch.setattr(_IntegerSim, "_push", record)
-    mixed = {0: 0, 2: 0}
-    for k in range(16):
-        pushed.clear()
-        sim.step(k)
-        sim.check_classes()
-        for layer, (a, b) in {0: (1, 2), 2: (4, 5)}.items():
-            if a in pushed and b in pushed:
-                (mass_a, n_a), (mass_b, n_b) = pushed[a], pushed[b]
-                np.testing.assert_allclose(mass_a / n_a, mass_b / n_b, rtol=1e-12)
-                mixed[layer] += np.count_nonzero(mass_a) > 1 or mass_a.sum() < n_a
+    seen = _recorded_inflow(monkeypatch)
+    monkeypatch.setattr(discrete, "_CHUNK", 5)
+    tagged_run(net, ArrivalProfile([3.0]), ServiceProfile([2.0]), rates, cfg, window=1.0)
+    layers = list(seen.values())  # layers 2 to 5
+    mixed = {}
+    for layer in (0, 2):  # the two destinations of the fanned nodes
+        mixed[layer] = 0
+        for inc, mass in layers[layer]:
+            for k in np.flatnonzero((inc > 0).all(axis=1)):
+                classes = mass[k, :, :-1]
+                np.testing.assert_allclose(classes[0] / inc[k, 0], classes[1] / inc[k, 1],
+                                           rtol=1e-12)
+                mixed[layer] += np.count_nonzero(classes[0]) > 1 or classes[0].sum() < inc[k, 0]
     assert mixed[0] >= 5 and mixed[2] >= 5, mixed
 
 
@@ -324,69 +331,90 @@ def test_window_stats_add_up_to_origin_totals(two_source_instance):
     assert late > early  # overloaded: later arrivals wait longer
 
 
-def _stepped_sim(instance, steps=6):
+def _pass(instance, steps=6, q0=(4.0, 1.0, 2.0), window=None):
+    """The kernel and the tag pass of a run of the two-source instance,
+    ``steps`` steps in, and a function that runs and consumes one more
+    chunk of the given length."""
     net, arr, svc, rates = instance
-    cfg = SimConfig(horizon=10.0, dt=1.0, q0=np.array([4.0, 1.0, 2.0]), discretize=True)
-    sim = _IntegerSim(net, arr, svc, rates, cfg, track_packets=True, keep_trajectory=False)
-    for k in range(steps):
-        sim.step(k)
-    sim.check_classes()
-    return sim
+    cfg = SimConfig(horizon=10.0, dt=1.0, q0=np.array(q0), discretize=True)
+    sim = _IntegerSim(net, arr, svc, cfg)
+    tags = _Tags(net, sim.q.copy(), sim.dt, 10, window)
+    at = [0]
+
+    def chunk(size, corrupt=None):
+        rows = np.empty((size + 1, net.num_nodes), np.int64)
+        flows = np.empty((size + 1, net.num_links + 1), np.int64)
+        rows[0], flows[0] = sim.q, np.concatenate([sim.link_flow, sim.served_total])
+        _run_steps(sim, rates, _CapacityCheck(), rows, np.empty((size, net.num_links)),
+                   flows, start=at[0])
+        if corrupt is not None:
+            corrupt(rows, flows)
+        tags.consume(rows, flows, at[0])
+        at[0] += size
+
+    chunk(steps)
+    tags.check()
+    return sim, tags, chunk
 
 
 def test_mass_balance_check_fires_on_corrupted_backlog(two_source_instance):
-    sim = _stepped_sim(two_source_instance)
+    sim, _, chunk = _pass(two_source_instance)
     sim.q[1] += 1
     with pytest.raises(EngineError, match="mass balance violated at step 6: residual -1"):
-        sim.step(6)
+        chunk(1)
 
 
-def _tagged_row(sim):
-    """``(node, row)`` of the first FIFO row that holds tagged mass."""
-    return next((nid, row) for nid, rows in sim.fifo.items() for row in rows
-                if row[1] is not None)
+def test_node_balance_check_fires_on_corrupted_curves_or_flows(two_source_instance):
+    # each node's cumulative inflow on its curves, less its departures,
+    # holds its backlog, checked exactly every chunk
+    _, tags, chunk = _pass(two_source_instance)
+    tags.curves[0].end[0] += 1
+    with pytest.raises(EngineError, match=r"curves of \(layer 2, node 1\) off its backlog by 1$"):
+        chunk(1)
+
+    # one served packet the flows missed
+    _, _, chunk = _pass(two_source_instance)
+
+    def unserved(rows, flows):
+        flows[-1, -1] -= 1
+
+    with pytest.raises(EngineError, match=r"curves of \(layer 2, node 1\) off its backlog by 1$"):
+        chunk(2, unserved)
 
 
-def test_class_balance_check_fires_on_corrupted_fifo(two_source_instance):
-    sim = _stepped_sim(two_source_instance)
-    nid, row = _tagged_row(sim)
-    row[0] += 1  # a row total one packet above its node's backlog
-    with pytest.raises(EngineError, match=f"FIFO of node {nid} off its backlog by -1"):
-        sim.check_classes()
-
-    # a class mass off born - departed: beyond the tolerance of 1e-9 of the
-    # class's born count it fires, within it it does not
-    sim = _stepped_sim(two_source_instance)
-    _, (_, mass) = _tagged_row(sim)
-    c = int(np.flatnonzero(mass)[0])
-    mass[c] += 0.5e-9 * sim.born[c]
-    sim.check_classes()
-    mass[c] += 0.25
+def test_class_balance_check_fires_on_corrupted_mass(two_source_instance):
+    # per class, born = departed + in the system: beyond the tolerance of
+    # 1e-9 of the class's born count it fires, within it it does not
+    _, tags, _ = _pass(two_source_instance)
+    held = tags.curves[0].end_mass
+    c = int(np.flatnonzero(held[0, :-1] - tags.curves[0].gone[0, :-1])[0])
+    born = tags.hi - tags.lo
+    held[0, c] += 0.5e-9 * born[c, 0]
+    tags.check()
+    held[0, c] += 0.25
     with pytest.raises(EngineError, match=f"class {c}: residual -0.25"):
-        sim.check_classes()
+        tags.check()
+    held[0, c] = np.nan
+    with pytest.raises(EngineError, match=f"class {c}: residual nan"):
+        tags.check()
 
-    # an empty row with (zero) class masses is a tagged row the count missed
-    sim = _stepped_sim(two_source_instance)
-    nid, _ = _tagged_row(sim)
-    sim.fifo[nid].append([0, np.zeros(sim.n_class)])
-    with pytest.raises(EngineError, match=f"tagged count of node {nid} off .* by -1$"):
-        sim.check_classes()
+    # an ingress curve at D one packet short of its departures
+    _, tags, _ = _pass(two_source_instance)
+    assert 0 < tags.taken[1, 0] < tags.hi[1, 0] - tags.lo[1, 0]  # class 1 leaves ingress
+    tags.taken[1, 0] -= 1
+    with pytest.raises(EngineError, match="class 1: residual -1$"):
+        tags.check()
 
 
-def test_class_balance_check_fires_on_corrupted_outstanding_count(two_source_instance):
-    # the running per-class mass not yet departed (born - departed)
-    sim = _stepped_sim(two_source_instance)
-    c = int(np.flatnonzero(sim.left)[0])
-    sim.left[c] += 1.0  # a departure the running mass missed
-    with pytest.raises(EngineError, match=f"class {c}: residual 1$"):
-        sim.check_classes()
-
-    # the running count of tagged rows, on which the run's end rests
-    sim = _stepped_sim(two_source_instance)
-    nid, _ = _tagged_row(sim)
-    sim.held[nid] += 2
-    with pytest.raises(EngineError, match=f"tagged count of node {nid} off .* by 2$"):
-        sim.check_classes()
+def test_outflow_check_fires_on_a_negative_class_take(two_source_instance):
+    # the class curves of the egress node mirrored below zero: the next
+    # take of each class is negative
+    _, tags, chunk = _pass(two_source_instance)
+    table = tags.curves[0].table  # key, rate and below per class and tagged
+    table[..., [1, 2, 4, 5]] *= -1.0
+    with pytest.raises(EngineError, match=r"outflow -[0-9.]+ of column 0 from \(layer 2, node 1\) "
+                                          r"at step 6$"):
+        chunk(4)
 
 
 def test_negative_backlog_fails_the_step_that_makes_it(monkeypatch):
@@ -434,12 +462,10 @@ def test_integer_mode_rejects_negative_rates(two_source_instance):
 def test_untagged_integer_run_keeps_exact_balance(two_source_instance):
     net, arr, svc, rates = two_source_instance
     cfg = SimConfig(horizon=30.0, dt=1.0, q0=np.array([4.0, 1.0, 2.0]), discretize=True)
-    sim = _IntegerSim(net, arr, svc, rates, cfg, track_packets=False)
-    sim.run_horizon()
-    traj = sim.trajectory()
+    traj = engine_run(net, arr, svc, rates, cfg)
     born = np.floor(arr.rates * 30.0 + 1e-9).sum()
     assert traj.queues[-1].sum() == traj.queues[0].sum() + born - traj.served.sum()
-    assert not sim.fifo and not sim.held.any()
+    assert np.all(traj.queues == np.round(traj.queues))
 
 
 @pytest.mark.parametrize("family", ["nsxnd", "tree", "multistage-16x12x8x6", "nx1-limited"])
@@ -490,10 +516,11 @@ def test_in_flight_error_names_the_mass_left_and_where():
             tagged_run(inst.net, inst.arr, inst.svc, make_policy("max", inst), sim_cfg,
                        max_extension_steps=1)
         messages.add(str(err.value))
-    # the same run stepped by hand to the cap: the horizon and one more step
-    sim = _IntegerSim(inst.net, inst.arr, inst.svc, make_policy("max", inst), sim_cfg,
-                      track_packets=True, keep_trajectory=False)
-    sim.step(sim.run_horizon())
+    # the same run stepped by hand to the cap by the row-FIFO reference:
+    # the horizon and one more step
+    sim = fifo_reference.FifoSim(inst.net, inst.arr, inst.svc, make_policy("max", inst), sim_cfg)
+    for k in range(sim._tag_steps + 1):
+        sim.step(k)
     mass = sim.tagged_mass()
     assert mass.sum() == pytest.approx(sim.left.sum(), rel=1e-12) and mass.sum() > 0
     l, i = inst.net.node_coords(int(np.argmax(mass)))
@@ -526,9 +553,9 @@ def test_static_max_delays_are_balanced_as_the_closed_form_says(family):
 
 # ---------------------------------------------------------------------------
 # Ingress corner cases.  Each case is pinned bit for bit to the values
-# recorded with the fractional FIFO rows and the per-layer proportional
-# parcel split: (origin_sum, origin_count, extension steps, sorted
-# window_stats).
+# recorded with the pass over Newell's curves, after it matched the row-FIFO
+# reference (test_ingress_cases_match_row_fifo_reference): (origin_sum,
+# origin_count, extension steps, sorted window_stats).
 
 
 def _ingress_case(name):
@@ -578,51 +605,51 @@ def _pinned_run(name):
 
 
 def _stepped_case(name, steps):
+    """The row-FIFO reference stepped through one ingress corner case."""
     net, arr, svc, policy, cfg, window = _ingress_case(name)
-    sim = _IntegerSim(net, arr, svc, policy, cfg, track_packets=True, window=window,
-                      keep_trajectory=False)
+    sim = fifo_reference.FifoSim(net, arr, svc, policy, cfg, window)
     for k in range(steps):
         sim.step(k)
         yield sim
 
 
 INGRESS = {
-    "windowed-q0": ([7955.0, 3040.0], [160.0, 60.0], 191,
-     [((0, 0), [638.75, 40.0]), ((0, 1), [1538.75, 40.0]), ((0, 2), [2438.75, 40.0]),
-      ((0, 3), [3338.75, 40.0]), ((1, 0), [253.75, 15.0]), ((1, 1), [591.25, 15.0]),
-      ((1, 2), [928.75, 15.0]), ((1, 3), [1266.25, 15.0])]),
+    "after-horizon": ([2029.9999999999998, 775.0000000000001], [80.0, 30.0], 49, []),
+    "nsxnd:max": ([685.5437033485857, 624.4102511653098, 890.3441381198727, 864.8671072725144,
+       645.1736476610167, 573.446475511226, 875.4598611753584, 552.6817911624386],
+      [231.0, 210.0, 297.0, 291.0, 216.0, 192.0, 294.0, 186.0], 11,
+      [((0, 0), [82.66756261331119, 77.0]), ((0, 1), [228.23219501396608, 77.0]),
+       ((0, 2), [374.6439457213085, 77.0]), ((1, 0), [74.76183857133717, 70.0]),
+       ((1, 1), [208.04851899108073, 70.0]), ((1, 2), [341.5998936028918, 70.0]),
+       ((2, 0), [105.09515474185467, 99.0]), ((2, 1), [297.2249568928636, 99.0]),
+       ((2, 2), [488.0240264851544, 99.0]), ((3, 0), [104.03034183615863, 97.0]),
+       ((3, 1), [288.0236832078254, 97.0]), ((3, 2), [472.81308222853045, 97.0]),
+       ((4, 0), [76.51539873712406, 72.0]), ((4, 1), [215.24935749789364, 72.0]),
+       ((4, 2), [353.4088914259991, 72.0]), ((5, 0), [67.97247646776574, 64.0]),
+       ((5, 1), [191.3327622203499, 64.0]), ((5, 2), [314.1412368231103, 64.0]),
+       ((6, 0), [104.66657399987203, 98.0]), ((6, 1), [291.75660246248384, 98.0]),
+       ((6, 2), [479.0366847130025, 98.0]), ((7, 0), [66.21762844889864, 62.0]),
+       ((7, 1), [184.131923713537, 62.0]), ((7, 2), [302.33223900000297, 62.0])]),
+    "nsxnd:opt-queue": ([551.8743156635742, 502.7239347980466, 704.391844808868, 692.2765083369238,
+       518.7607060113849, 460.52660507236345, 698.3446585583508, 446.54206015059304],
+      [231.0, 210.0, 297.0, 291.0, 216.0, 192.0, 294.0, 186.0], 6,
+      [((0, 0), [69.19037037037037, 77.0]), ((0, 1), [181.5806613756614, 77.0]),
+       ((0, 2), [301.10328391754246, 77.0]), ((1, 0), [64.18142857142855, 70.0]),
+       ((1, 1), [165.5048469387755, 70.0]), ((1, 2), [273.0376592878426, 70.0]),
+       ((2, 0), [87.25256410256401, 99.0]), ((2, 1), [230.73626373626374, 99.0]),
+       ((2, 2), [386.40301697004014, 99.0]), ((3, 0), [86.23547008547008, 97.0]),
+       ((3, 1), [227.6850885225885, 97.0]), ((3, 2), [378.3559497288653, 97.0]),
+       ((4, 0), [66.18279693486592, 72.0]), ((4, 1), [171.53134920634918, 72.0]),
+       ((4, 2), [281.0465598701697, 72.0]), ((5, 0), [58.162083333333335, 64.0]),
+       ((5, 1), [152.42939814814815, 64.0]), ((5, 2), [249.93512359088197, 64.0]),
+       ((6, 0), [86.24999999999999, 98.0]), ((6, 1), [229.67599206349206, 98.0]),
+       ((6, 2), [382.4186664948588, 98.0]), ((7, 0), [57.17111111111106, 62.0]),
+       ((7, 1), [146.47353174603174, 62.0]), ((7, 2), [242.89741729345025, 62.0])]),
     "refill": ([5.0, 1830.0], [12.0, 60.0], 60, []),
-    "after-horizon": ([2029.9999999999998, 774.9999999999999], [80.0, 30.0], 49, []),
-    "nsxnd:opt-queue": ([551.8743156635742, 502.7239347980467, 704.3918448088679, 692.2765083369239,
-      518.7607060113849, 460.5266050723634, 698.3446585583508, 446.5420601505931],
-     [231.0, 210.0, 297.0, 291.0, 216.0, 192.0, 294.0, 186.0], 6,
-     [((0, 0), [69.19037037037037, 77.0]), ((0, 1), [181.5806613756614, 77.0]),
-      ((0, 2), [301.10328391754246, 77.0]), ((1, 0), [64.18142857142857, 70.0]),
-      ((1, 1), [165.5048469387755, 70.0]), ((1, 2), [273.0376592878426, 70.0]),
-      ((2, 0), [87.25256410256398, 99.0]), ((2, 1), [230.73626373626377, 99.0]),
-      ((2, 2), [386.4030169700401, 99.0]), ((3, 0), [86.23547008547008, 97.0]),
-      ((3, 1), [227.6850885225885, 97.0]), ((3, 2), [378.35594972886537, 97.0]),
-      ((4, 0), [66.18279693486592, 72.0]), ((4, 1), [171.53134920634923, 72.0]),
-      ((4, 2), [281.0465598701697, 72.0]), ((5, 0), [58.162083333333335, 64.0]),
-      ((5, 1), [152.42939814814812, 64.0]), ((5, 2), [249.93512359088197, 64.0]),
-      ((6, 0), [86.24999999999987, 98.0]), ((6, 1), [229.67599206349206, 98.0]),
-      ((6, 2), [382.4186664948588, 98.0]), ((7, 0), [57.17111111111112, 62.0]),
-      ((7, 1), [146.4735317460317, 62.0]), ((7, 2), [242.89741729345027, 62.0])]),
-    "nsxnd:max": ([685.543703348586, 624.4102511653095, 890.3441381198727, 864.8671072725144,
-      645.1736476610167, 573.4464755112258, 875.4598611753584, 552.6817911624386],
-     [231.0, 210.0, 297.0, 291.0, 216.0, 192.0, 294.0, 186.0], 11,
-     [((0, 0), [82.66756261331119, 77.0]), ((0, 1), [228.23219501396616, 77.0]),
-      ((0, 2), [374.64394572130857, 77.0]), ((1, 0), [74.76183857133717, 70.0]),
-      ((1, 1), [208.0485189910807, 70.0]), ((1, 2), [341.59989360289177, 70.0]),
-      ((2, 0), [105.09515474185469, 99.0]), ((2, 1), [297.22495689286353, 99.0]),
-      ((2, 2), [488.0240264851545, 99.0]), ((3, 0), [104.03034183615861, 97.0]),
-      ((3, 1), [288.0236832078254, 97.0]), ((3, 2), [472.81308222853045, 97.0]),
-      ((4, 0), [76.51539873712387, 72.0]), ((4, 1), [215.24935749789367, 72.0]),
-      ((4, 2), [353.4088914259992, 72.0]), ((5, 0), [67.9724764677657, 64.0]),
-      ((5, 1), [191.33276222034982, 64.0]), ((5, 2), [314.1412368231103, 64.0]),
-      ((6, 0), [104.66657399987204, 98.0]), ((6, 1), [291.7566024624838, 98.0]),
-      ((6, 2), [479.0366847130025, 98.0]), ((7, 0), [66.21762844889864, 62.0]),
-      ((7, 1), [184.131923713537, 62.0]), ((7, 2), [302.33223900000297, 62.0])]),
+    "windowed-q0": ([7955.0, 3040.0], [160.0, 60.0], 191,
+      [((0, 0), [638.75, 40.0]), ((0, 1), [1538.75, 40.0]), ((0, 2), [2438.75, 40.0]),
+       ((0, 3), [3338.75, 40.0]), ((1, 0), [253.75, 15.0]), ((1, 1), [591.25, 15.0]),
+       ((1, 2), [928.75, 15.0]), ((1, 3), [1266.25, 15.0])]),
 }
 
 
@@ -646,45 +673,27 @@ def test_ingress_corner_cases_reach_their_corner():
     assert not any(nid < sim.n_origin for nid in sim.fifo)
 
 
-def test_class_balance_check_fires_on_corrupted_ingress_counters():
-    def sim_after_horizon():
-        *_, sim = _stepped_case("after-horizon", 10)
-        sim.check_classes()
-        return sim
-
-    sim = sim_after_horizon()
-    sim.out_pos[1] += 1
-    with pytest.raises(EngineError, match="ingress node 1 counters off its backlog by -1"):
-        sim.check_classes()
-
-    sim = sim_after_horizon()
-    assert sim.out_pos[0] < sim.cls_hi[0]  # class 0 still has packets at ingress
-    sim.cls_hi[0] -= 1
-    with pytest.raises(EngineError, match="class 0: residual 1"):
-        sim.check_classes()
-
-
 # ---------------------------------------------------------------------------
 # Whole tagged runs, pinned.  SHA-256 over every run's origin_sum and
 # origin_count bytes, extension, drain_steps and window_stats (or its
-# failure message), recorded with the fractional FIFO rows, the per-layer
-# proportional parcel split and the end of a run at its last tagged row.
-# Six seeded instances of each paper-sweep family, with q0 on every node,
-# each with and without windows.
+# failure message), recorded with the pass over Newell's curves after it
+# matched the row-FIFO reference on the same runs
+# (test_tag_pass_matches_row_fifo_reference).  Six seeded instances of each
+# paper-sweep family, with q0 on every node, each with and without windows.
 
 PINNED = {
-    ("nx1-limited", "opt-queue"): "d82b1500c5e3a98f80ae2c6c964423513bd6c9a0e70b50f0820e80043495ee75",
-    ("nx1-limited", "bp"): "bdc0e4bdaa69bd6528fcfe232a14c4864b5eb2a9141ee15092b946a137ff6b77",
-    ("nx1-limited", "max"): "b291c064f60b182b65f1084ac18b2fca7a537fff4bbb145d26e8adce41868897",
-    ("nsxnd-16x8", "opt-queue"): "a4fcbf81f41839a6d6736fd521da6c4e3c1f7e025c4d8eb4b10818d6a16c4924",
-    ("nsxnd-16x8", "bp"): "d6b3a8d1fbcb65f5747df60fc353675753c0d2a0be8c8ea6b132778ec1a293ac",
-    ("nsxnd-16x8", "max"): "c6e1b74b1b6f76aeb598d812eb767b227cf8685c472633ef2ff2fcb783a46f17",
-    ("tree", "opt-tree"): "106ed8f9c1eae0d16d4049b8879711a4394808f849637f8a686ac89558f6776f",
-    ("tree", "bp"): "1240d04f6aedb516724b04a80a4a04b37894cdf66f7f720b684746dec5bd0c16",
-    ("tree", "max"): "451aeb3e9293fbfb3ae9d3034179ca511222b074028e1e7d0de7e32b0ea61472",
-    ("multistage-8x6x4x3", "opt-queue"): "f3e2b49c019760672c81495305253af4b4947ced69638b18110353fc70577f1f",
-    ("multistage-8x6x4x3", "bp"): "8614368ee5a231fa44a0d5b26237826d81638e0f4589bb3a7d0af32e9d17e377",
-    ("multistage-8x6x4x3", "max"): "11a4b2be58f9695b036a12a77e7f0e5c5cf5fd483c0107c5a71c0ae696e5bbe9",
+    ("multistage-8x6x4x3", "bp"): "67e5b20e407b68e3eee2a14a63b443c83ef7cd8074e9185eeedddd3682c0a8dd",
+    ("multistage-8x6x4x3", "max"): "e3f1ea656a3f6ba8fb6dadb5623f5d957d28f9827fa81670b814b5baa226b7f5",
+    ("multistage-8x6x4x3", "opt-queue"): "b428c61a46e358250e31b155f2060a3af4721441c72adc7fffce83af1b86abe5",
+    ("nsxnd-16x8", "bp"): "54e24b3c80532b51514643cafb083e509ac8a3d021616bbcae5086156ef2f01f",
+    ("nsxnd-16x8", "max"): "07a2ebd921b603f7c0266d87144af04148aee9f7242ddf99bad59dac37e9bcd6",
+    ("nsxnd-16x8", "opt-queue"): "520f7b7c1afe05f804d47cab2a7303c661eb4870ab430287c31301a111d67d47",
+    ("nx1-limited", "bp"): "6a38f98f8abe89388ab8e5bf542f137d1ad8dec6fb44a09d82626d3a64f24d87",
+    ("nx1-limited", "max"): "b8a07ab0dcbe6e640373b594d5f21c886d0e8d178abb40c8e016f1bff35c8ff1",
+    ("nx1-limited", "opt-queue"): "431819fe237a4a22542849313d10e6407ab6cc4986dd80376047a05055855bc9",
+    ("tree", "bp"): "72309037bc7c60712da7401c1649db52c4e2491c8f76cb79d017d66ba41a4034",
+    ("tree", "max"): "26fab82e573a30624d617d303938dd8f98915dad8ab1d53e111eaa90c71fe18d",
+    ("tree", "opt-tree"): "1eeac36385fad20f552a0764634202de326e2b281d26be2f8b5ff9648b3ba11d",
 }
 
 
@@ -766,19 +775,20 @@ def test_extension_cap_allows_exactly_its_steps(monkeypatch):
     arr = ArrivalProfile([1.0, 1.0])
     cfg = SimConfig(horizon=2.0, dt=1.0, discretize=True)
 
-    calls = []  # steps taken per call: 1 per full step, n per drain
-    step, drain = _IntegerSim.step, _IntegerSim.drain
+    calls = []  # steps taken per call: 1 per full step (its settle), n per drain
+    settle, drain = _IntegerSim.settle, _Tags.drain
 
-    def counted_step(sim, k):
+    def counted_settle(sim, k, served, row):
         calls.append(1)
-        step(sim, k)
+        settle(sim, k, served, row)
 
-    def counted_drain(sim, steps):
-        calls.append(drain(sim, steps))
-        return calls[-1]
+    def counted_drain(tags, sim, steps):
+        taken, done = drain(tags, sim, steps)
+        calls.append(taken)
+        return taken, done
 
-    monkeypatch.setattr(_IntegerSim, "step", counted_step)
-    monkeypatch.setattr(_IntegerSim, "drain", counted_drain)
+    monkeypatch.setattr(_IntegerSim, "settle", counted_settle)
+    monkeypatch.setattr(_Tags, "drain", counted_drain)
     for keep, n_calls in ((True, 7), (False, 3)):
         calls.clear()
         with pytest.raises(EngineError) as err:
@@ -789,3 +799,111 @@ def test_extension_cap_allows_exactly_its_steps(monkeypatch):
         )
         assert sum(calls) == 2 + 5
         assert len(calls) == n_calls  # the drain takes all 5 extension steps at once
+
+
+# ---------------------------------------------------------------------------
+# The row-FIFO reference (tests/fifo_reference.py): the per-step bookkeeping
+# the tag pass replaced.  Both carry m/n of a row's classes per take and
+# split each take over the links in proportion to the grants, so they agree
+# up to float rounding, and exactly on everything counted in integers.
+
+
+def _outcome(simulate, *args, **kwargs):
+    try:
+        return simulate(*args, **kwargs)
+    except EngineError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(net, arr, svc, policy, cfg, window):
+    got = _outcome(tagged_run, net, arr, svc, policy, cfg, window=window)
+    want = _outcome(fifo_reference.tagged_run, net, arr, svc, policy, cfg, window=window)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want  # the cap's message
+        return
+    np.testing.assert_array_equal(got.origin_count, want.origin_count)
+    assert (got.extension, got.drain_steps) == (want.extension, want.drain_steps)
+    np.testing.assert_allclose(got.origin_sum, want.origin_sum, rtol=1e-12, atol=0)
+    assert got.window_stats.keys() == want.window_stats.keys()
+    for key, (total, count) in want.window_stats.items():
+        assert got.window_stats[key][1] == count
+        assert got.window_stats[key][0] == pytest.approx(total, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("family, policy", sorted(PINNED), ids=str)
+def test_tag_pass_matches_row_fifo_reference(family, policy):
+    for k in range(6):
+        inst, cfg = _drain_case(family, k)
+        for window in (None, cfg.horizon / 4):
+            _assert_matches_reference(inst.net, inst.arr, inst.svc, make_policy(policy, inst),
+                                      cfg, window)
+
+
+@pytest.mark.parametrize("case", sorted(INGRESS))
+def test_ingress_cases_match_row_fifo_reference(case):
+    net, arr, svc, policy, cfg, window = _ingress_case(case)
+    for w in (window, None if window else cfg.horizon / 4):
+        _assert_matches_reference(net, arr, svc, policy, cfg, w)
+
+
+def test_row_fifo_reference_reaches_the_cap():
+    # the cap's message is compared above only if some case reaches it
+    inst, cfg = _drain_case("tree", 0)
+    for policy in ("bp", "max"):
+        run = _outcome(fifo_reference.tagged_run, inst.net, inst.arr, inst.svc,
+                       make_policy(policy, inst), cfg, max_extension_steps=3)
+        assert run.startswith("tagged mass ") and run == _outcome(
+            tagged_run, inst.net, inst.arr, inst.svc, make_policy(policy, inst), cfg,
+            max_extension_steps=3)
+
+
+# ---------------------------------------------------------------------------
+# Chunks.  The kernel runs in chunks of at most discrete._CHUNK steps, and
+# the pass consumes each as a whole; the outputs do not depend on where the
+# chunks end.
+
+
+def _run_bytes(run):
+    return (run.origin_sum.tobytes(), run.origin_count.tobytes(), run.extension,
+            run.drain_steps, sorted(run.window_stats.items()))
+
+
+@pytest.mark.parametrize("family", sorted(DRAIN_FAMILIES))
+def test_outputs_do_not_depend_on_chunk_length(family, monkeypatch):
+    for k in range(2):
+        inst, cfg = _drain_case(family, k)
+        for policy in preset(DRAIN_FAMILIES[family][0]).policies:
+            for window in (None, cfg.horizon / 4):
+                seen = set()
+                for chunk in (1, 7, 10**9):
+                    monkeypatch.setattr(discrete, "_CHUNK", chunk)
+                    run = _outcome(tagged_run, inst.net, inst.arr, inst.svc,
+                                   make_policy(policy, inst), cfg, window=window)
+                    seen.add(run if isinstance(run, str) else repr(_run_bytes(run)))
+                assert len(seen) == 1, (k, policy, window)
+
+
+def test_one_chunk_of_the_whole_run_matches_single_steps(two_source_instance):
+    """The pass fed a whole run at once, or one step at a time, or 7 steps
+    at a time, leaves the same class sums, and the same pending positions
+    after the horizon (within it they count to the chunk's last arrival),
+    to the bit."""
+    net, arr, svc, rates = two_source_instance
+    cfg = SimConfig(horizon=12.0, dt=1.0, q0=np.array([4.0, 1.0, 2.0]), discretize=True)
+    steps = round(tagged_run(net, arr, svc, rates, cfg, window=4.0).extension) + 12
+    sim = _IntegerSim(net, arr, svc, cfg)
+    rows = np.empty((steps + 1, net.num_nodes), np.int64)
+    flows = np.empty((steps + 1, net.num_links + 1), np.int64)
+    rows[0], flows[0] = sim.q, 0
+    _run_steps(sim, rates, _CapacityCheck(), rows, np.empty((steps, net.num_links)), flows)
+    results = []
+    for size in (1, 7, steps):
+        tags = _Tags(net, rows[0].copy(), 1.0, 12, 4.0)
+        pending = []
+        for k in range(0, steps, size):
+            part, _ = tags.consume(rows[k : k + size + 1], flows[k : k + size + 1], k)
+            pending.append(part)
+        tags.check()
+        results.append((tags.class_steps.tobytes(), np.concatenate(pending)[11:].tobytes()))
+        assert not np.concatenate(pending)[-1].any()  # every tagged packet has left
+    assert results[0] == results[1] == results[2]
