@@ -17,7 +17,7 @@ from . import bench as bench_mod
 from .analytics import analytic_report, empirical_report
 from .discrete import tagged_run
 from .engine import run
-from .network import RateAssignment, SimConfig, load
+from .network import RateAssignment, SimConfig, full_connection, load
 from .optimize import (
     OBJECTIVE_KINDS,
     InfeasibleError,
@@ -100,9 +100,8 @@ def cmd_simulate(args) -> int:
     if args.q0:
         try:
             values = [float(v) for v in args.q0.split(",")]
-            q0 = SimConfig(args.horizon, q0=values).initial_backlog(net)
-            if args.mode == "integer" and not np.all(q0 == np.round(q0)):
-                raise ValueError("integer mode requires an integral q0")
+            q0 = SimConfig(args.horizon, q0=values,
+                           discretize=args.mode == "integer").initial_backlog(net)
         except ValueError as exc:
             raise SystemExit(f"--q0: {exc}") from exc
     cfg = SimConfig(
@@ -260,7 +259,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    layers = tuple(int(v) for v in args.layers.split(","))
+    try:
+        layers = tuple(int(v) for v in args.layers.split(","))
+        full_connection(layers)
+    except ValueError as exc:
+        raise SystemExit(f"--layers {args.layers}: {exc}") from exc
+    if args.samples < 1:
+        raise SystemExit(f"--samples must be positive, got {args.samples}")
     agree, bad = bench_mod.conjecture_sweep(
         args.samples, seed=args.seed, layer_sizes=layers, out_dir=args.out
     )

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,10 +135,8 @@ class _IntegerSim:
         self.dt = cfg.resolved_dt()
         self.arrival_budget = arr.rates * self.dt
         self.service_budget = svc.rates * self.dt
-        q0 = cfg.initial_backlog(net)
-        if not np.all(q0 == np.round(q0)):
-            raise ValueError("integer mode requires an integral q0")
-        self.q = np.round(q0).astype(np.int64)
+        # integral even when tagged_run is handed a fluid-mode cfg
+        self.q = replace(cfg, discretize=True).initial_backlog(net).astype(np.int64)
         self.mass = int(self.q.sum())
         self.arrival_bank = np.zeros(net.layer_sizes[0])
         self.link_bank = np.zeros(net.num_links)
@@ -543,7 +541,7 @@ def tagged_run(
     """
     sim = _IntegerSim(net, arr, svc, cfg)
     dt = sim.dt
-    steps = math.ceil(cfg.horizon / dt - 1e-12)
+    steps = cfg.num_steps()
     limit = max_extension_steps if max_extension_steps is not None else max(10_000, 100 * steps)
     tags = _Tags(net, sim.q.copy(), dt, steps, window)
     watch = net.num_nodes if keep_trajectory else sim.egress_lo

@@ -473,7 +473,7 @@ def run(
     else:
         kernel = _FluidStep(net, arr, svc, cfg.resolved_dt(), cfg.initial_backlog(net))
     dt = kernel.dt
-    steps = math.ceil(cfg.horizon / dt - 1e-12)
+    steps = cfg.num_steps()
     rows = np.empty((steps + 1, net.num_nodes), dtype=kernel.q.dtype)
     rows[0] = kernel.q
     applied = np.empty((steps, net.num_links))

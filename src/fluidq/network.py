@@ -375,9 +375,10 @@ class SimConfig:
 
     ``dt`` defaults to 0.01 in fluid mode and 1.0 in integer-packet mode.
     ``q0`` is a per-node backlog vector (all zero when omitted).  The
-    engines read the step through :meth:`resolved_dt` and the backlog
-    through :meth:`initial_backlog`, which reject bad values; each message
-    starts with the field it names.
+    engines read the step through :meth:`resolved_dt`, the step count
+    through :meth:`num_steps` and the backlog through
+    :meth:`initial_backlog`, which reject bad values; each message starts
+    with the field it names, except the integer-mode q0 one.
     """
 
     horizon: float
@@ -396,6 +397,11 @@ class SimConfig:
             raise ValueError("dt must not exceed the horizon")
         return dt
 
+    def num_steps(self) -> int:
+        """Steps of :meth:`resolved_dt` that cover the horizon; a last
+        partial step counts, a round-off excess of the quotient does not."""
+        return math.ceil(self.horizon / self.resolved_dt() - 1e-12)
+
     def initial_backlog(self, net: LayeredNetwork) -> np.ndarray:
         if self.q0 is None:
             return np.zeros(net.num_nodes)
@@ -410,6 +416,8 @@ class SimConfig:
             raise ValueError(f"q0 must be finite, got {q0[k]} at entry {k + 1}")
         if np.any(q0 < 0):
             raise ValueError("q0 must be nonnegative")
+        if self.discretize and not np.all(q0 == np.round(q0)):
+            raise ValueError("integer mode requires an integral q0")
         return q0.copy()
 
 

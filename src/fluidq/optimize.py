@@ -161,17 +161,12 @@ def throughput_tight_gamma(
 def _constraint_names(
     net: LayeredNetwork, objective: ObjectiveSpec, forced: set[int]
 ) -> tuple[list[str], list[str]]:
-    """Names of :func:`co_optimize`'s LP rows (split caps, epigraph rows,
-    ratio rows) and link bounds, in its order, for an infeasible system."""
+    """Names of the gamma system's rows (split caps, then ratio rows) and
+    link bounds, in :func:`co_optimize`'s order, for an infeasible system."""
     coords = [net.node_coords(nid) for nid in range(net.num_nodes)]
     rows = []
     if objective.split_cap is not None:
         rows += [f"split cap on link {link.name}" for link in net.links]
-    if objective.kind == "max_overload_rate":
-        middle = coords[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
-        rows += [f"overload epigraph at layer {l + 1} node {i + 1}" for l, i in middle]
-    elif objective.kind == "max_layer_growth":
-        rows += [f"growth epigraph at layer {l + 1}" for l in range(net.num_layers)]
     rows += [
         f"ingress ratio at layer 1 node {i + 1}" if l == 0
         else f"egress ratio at node {i + 1}" if l == net.num_layers - 1
@@ -198,8 +193,14 @@ def co_optimize(
     When ``gamma`` is omitted, bandwidth/utilization objectives use the
     throughput-tight ratios (smallest flow volume that still serves
     min(total arrivals, total service)) and the growth-balancing objectives
-    use the balanced-growth ratios.  Raises :class:`InfeasibleError` with
-    the binding constraints when the system admits no rate vector.
+    use the balanced-growth ratios.
+
+    The *gamma system* is the ratio rows, split caps and the capacity,
+    utilization-cap and forced-zero bounds for one gamma.  Its ratio rows
+    fix every layer's total flow, so ``total_bandwidth``,
+    ``max_layer_growth`` and, without middle nodes, ``max_overload_rate``
+    are constant on the family: they solve the system at zero cost and read
+    the value (sum of g, largest layer growth, t_lo below) off its rates.
 
     ``max_utilization`` (min t with g_k <= c_k t) is solved in
     Charnes-Cooper form: with s = 1/t and h = g s, each link's epigraph
@@ -213,6 +214,13 @@ def co_optimize(
     nodes: the ratio rows fix each ingress node's outflow and each egress
     node's inflow, so their growths are constants and the largest of them,
     t_lo, is a lower bound with t = t_lo + t', t' >= 0.
+
+    An infeasible system raises :class:`InfeasibleError` naming the
+    constraints its phase 1 cannot satisfy.  That phase 1 is the gamma
+    system's for every objective (the cost does not enter it, and the
+    Charnes-Cooper one is the system scaled by 1/rho with s' at 0), and an
+    infeasible overload epigraph is solved again as the bare system, so
+    every objective given the same gamma names the same list.
     """
     ensure_valid(net, arr, svc)
     kind = objective.kind
@@ -247,7 +255,8 @@ def co_optimize(
     forced = set()
     for key in objective.forced_zero:
         if tuple(key) not in net.link_index:
-            raise ValueError(f"forced-zero link {key} does not exist")
+            name = ":".join(str(v + 1) for v in key)
+            raise ValueError(f"forced-zero link {name} does not exist")
         forced.add(net.link_index[tuple(key)])
     caps = net.capacities.copy()
     caps[list(forced)] = 0.0
@@ -263,89 +272,79 @@ def co_optimize(
         b_ub = np.zeros(m)
         b_ub[first] = beta * arr.rates[net.link_src[first]]
 
-    def widen(a, *columns):
-        return np.column_stack((a, *columns))
+    def solve_system(c=np.zeros(m), bounds=upper):
+        return lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq, upper=bounds)
 
-    def plain(x, optimum):
-        return x[:m], optimum
+    def widen(a, column):
+        return np.column_stack((a, np.broadcast_to(column, len(a))))
 
-    # each objective states its LP over g and its auxiliary columns, and
-    # reads the rates and the value off the solution
-    zero_eq, zero_ub = np.zeros(net.num_nodes), np.zeros(len(b_ub))
-    finite = np.flatnonzero(np.isfinite(net.capacities))
-    rows, rhs = a_ub, b_ub
-    lp_eq, lp_b_eq, lp_upper = a_eq, b_eq, upper
-    read = plain
-    if kind == "total_bandwidth":
-        c = np.ones(m)
-    elif kind == "avg_utilization":
-        if not finite.size:
-            raise ValueError("average utilization needs at least one finite capacity")
-        c = np.zeros(m)
-        c[finite] = 1.0 / (net.capacities[finite] * finite.size)
-    elif kind == "max_utilization":
-        # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
-        # rows homogenised in s = 1/rho + s'
-        rho = objective.utilization_cap or 1.0
-        c = np.zeros(m + 1)
-        c[m] = -1.0
-        rows, rhs = widen(a_ub, -b_ub), b_ub / rho
-        lp_eq, lp_b_eq = widen(a_eq, -b_eq), b_eq / rho
-        lp_upper = np.append(caps, np.inf)
-
-        def read(x, optimum):
-            s = 1.0 / rho + x[m]
-            return x[:m] / s, 1.0 / s
-    elif kind == "max_overload_rate":
-        # ingress and egress growths are fixed by the ratio rows; a middle
-        # node's growth (inflow - outflow) <= t_lo + t'
+    if kind == "max_overload_rate":
+        # the ratio rows fix each ingress node's outflow and each egress
+        # node's inflow, so their growths are constants; the largest is t_lo
         t_lo = max(
             float(np.max(arr.rates - arr.rates / gamma[0])),
             float(np.max(gamma[-1] * svc.rates - svc.rates)),
         )
-        middle = slice(net.layer_sizes[0], net.num_nodes - net.layer_sizes[-1])
-        epigraph = incidence[middle]
-        c = np.zeros(m + 1)
-        c[m] = 1.0
-        rows = np.vstack([widen(a_ub, zero_ub), widen(epigraph, np.full(len(epigraph), -1.0))])
-        rhs = np.concatenate([b_ub, np.full(len(epigraph), t_lo)])
-        lp_eq, lp_upper = widen(a_eq, zero_eq), np.append(upper, np.inf)
 
-        def read(x, optimum):
-            return x[:m], t_lo + float(x[m])
-    else:  # max_layer_growth: t >= every layer's growth; t is free, t+ - t-
-        c = np.zeros(m + 2)
-        c[m:] = (1.0, -1.0)
-        starts = [net.layer_nodes(l).start for l in range(net.num_layers)]
-        growth = np.add.reduceat(incidence, starts, axis=0)
-        layer_rhs = np.zeros(net.num_layers)
-        layer_rhs[0] = -arr.total
-        layer_rhs[-1] = svc.total
-        rows = np.vstack([
-            widen(a_ub, zero_ub, zero_ub),
-            widen(growth, np.full(net.num_layers, -1.0), np.ones(net.num_layers)),
-        ])
-        rhs = np.concatenate([b_ub, layer_rhs])
-        lp_eq, lp_upper = widen(a_eq, zero_eq, zero_eq), np.append(upper, (np.inf, np.inf))
-
-        def read(x, optimum):
-            return x[:m], float(x[m] - x[m + 1])
-
-    result = lp.solve_lp(c, rows, rhs, lp_eq, lp_b_eq, upper=lp_upper)
-    if kind == "max_utilization" and result.status == lp.UNBOUNDED:
-        # t* = 0: the unbounded links alone can carry the demand
-        read = plain
+    # each objective solves the gamma system or its own LP over g and one
+    # auxiliary column, then reads the rates and the value off the solution
+    if kind == "avg_utilization":
+        finite = np.flatnonzero(np.isfinite(net.capacities))
+        if not finite.size:
+            raise ValueError("average utilization needs at least one finite capacity")
+        c = np.zeros(m)
+        c[finite] = 1.0 / (net.capacities[finite] * finite.size)
+        result = solve_system(c)
+    elif kind == "max_utilization":
+        # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
+        # rows homogenised in s = 1/rho + s'
+        rho = objective.utilization_cap or 1.0
         result = lp.solve_lp(
-            np.zeros(m), a_ub, b_ub, a_eq, b_eq, upper=np.where(np.isfinite(caps), 0.0, caps)
+            np.append(np.zeros(m), -1.0), widen(a_ub, -b_ub), b_ub / rho,
+            widen(a_eq, -b_eq), b_eq / rho, upper=np.append(caps, np.inf),
         )
+        if result.status == lp.UNBOUNDED:
+            # t* = 0: the unbounded links alone can carry the demand
+            result = solve_system(bounds=np.where(np.isfinite(caps), 0.0, caps))
+    elif kind == "max_overload_rate" and net.num_layers > 2:
+        # a middle node's growth (inflow - outflow) <= t_lo + t'
+        epigraph = incidence[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
+        result = lp.solve_lp(
+            np.append(np.zeros(m), 1.0),
+            np.vstack([widen(a_ub, 0.0), widen(epigraph, -1.0)]),
+            np.concatenate([b_ub, np.full(len(epigraph), t_lo)]),
+            widen(a_eq, 0.0), b_eq, upper=np.append(upper, np.inf),
+        )
+        if result.status == lp.INFEASIBLE:
+            result = solve_system()
+    else:
+        # gamma fixes the value: any member of the family attains it
+        result = solve_system()
+
     if result.status == lp.INFEASIBLE:
         row_names, bound_names = _constraint_names(net, objective, forced)
         binding = [row_names[r] for r in result.infeasible_rows]
-        binding += [bound_names[k] for k in result.infeasible_bounds if k < m]
+        binding += [bound_names[k] for k in result.infeasible_bounds]
         raise InfeasibleError("min-delay constraint system is infeasible", binding)
     if result.status != lp.OPTIMAL:
         raise InfeasibleError(f"solver returned {result.status}")
-    g, value = read(result.x, result.objective)
+    g = result.x[:m]
+    if kind == "avg_utilization":
+        value = result.objective
+    elif kind == "max_utilization" and result.x.size > m:
+        s = 1.0 / rho + result.x[m]
+        g, value = g / s, 1.0 / s
+    elif kind == "max_utilization":  # t* = 0
+        value = 0.0
+    elif kind == "max_overload_rate":  # no t' column without middle nodes
+        value = t_lo + float(result.x[m:].sum())
+    elif kind == "total_bandwidth":
+        value = g.sum()
+    else:
+        # a node grows at inflow - outflow, with lambda_i entering layer 1
+        # and mu_j leaving the last layer
+        growth = incidence @ g - _node_rhs(net, -arr.rates, svc.rates)
+        value = np.max(np.add.reduceat(growth, np.cumsum(net.layer_sizes) - net.layer_sizes))
     rates = RateAssignment(net, g)
     verdict = check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
     if not verdict:

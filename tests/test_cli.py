@@ -433,3 +433,15 @@ def test_optimize_objective_errors_exit_with_one_line(capsys):
         main(["optimize", "--net", FOURLAYER, "--objective", "avg_utilization"])
     assert capsys.readouterr().out == ""
 
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--layers", "2"], "--layers 2: a layered network needs at least 2 layers"),
+    (["--layers", "2,x"], "--layers 2,x: invalid literal for int() with base 10: 'x'"),
+    (["--layers", "0,2"], "--layers 0,2: layer sizes must be positive, got (0, 2)"),
+    (["--samples", "-1"], "--samples must be positive, got -1"),
+])
+def test_conjecture_input_errors_exit_with_one_line(extra, message, capsys):
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        main(["conjecture", *extra])
+    assert capsys.readouterr().out == ""

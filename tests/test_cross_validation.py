@@ -14,6 +14,7 @@ from fluidq import (
     ServiceProfile,
     SimConfig,
     analytic_report,
+    balanced_growth_gamma,
     check_min_delay_single_hop,
     check_min_delay_single_sink,
     co_optimize,
@@ -22,6 +23,7 @@ from fluidq import (
     packet_delay,
     run,
     single_sink,
+    throughput_tight_gamma,
 )
 from fluidq import lp
 
@@ -440,3 +442,57 @@ def test_every_objective_against_external_solver_on_random_instances():
                     paths.add("middle nodes" if len(sizes) > 2 else "no middle node")
     assert outcomes == {0, 2}
     assert paths == {"t* = 0", "middle nodes", "no middle node"}
+
+
+def test_objectives_given_one_gamma_name_one_binding_list():
+    """Infeasibility is a property of the gamma system (ratio rows, split
+    caps, capacity or utilization-cap bounds), not of the objective: on
+    seeded draws of 2-3 layer full connections with finite capacities,
+    all five objectives given the same gamma raise InfeasibleError with
+    the same binding list exactly when HiGHS finds that system
+    infeasible, and succeed otherwise.  HiGHS checks the throughput-tight
+    system as total_bandwidth and the balanced-growth one as
+    max_layer_growth, whose epigraph column is free."""
+    pytest.importorskip("scipy.optimize")
+    from fluidq.optimize import OBJECTIVE_KINDS
+
+    variants = (
+        {},
+        {"utilization_cap": 0.5},
+        {"split_cap": 0.6},
+        {"utilization_cap": 0.7, "split_cap": 0.8},
+    )
+    rng = np.random.default_rng(1)
+    infeasible = 0
+    for trial in range(12):
+        sizes = [int(v) for v in rng.integers(1, 4, size=int(rng.integers(2, 4)))]
+        caps = [rng.integers(1, 7, size=(a, b)).astype(float) for a, b in zip(sizes, sizes[1:])]
+        net = full_connection(sizes, caps)
+        lam = rng.integers(2, 9, size=sizes[0]).astype(float)
+        mu = rng.uniform(0.5, 3.0, size=sizes[-1])
+        arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
+        systems = (
+            ("total_bandwidth", throughput_tight_gamma(arr, svc, len(sizes))),
+            ("max_layer_growth", balanced_growth_gamma(arr, svc, len(sizes))),
+        )
+        for highs_kind, gamma in systems:
+            for extra in variants:
+                spec = ObjectiveSpec(highs_kind, **extra)
+                status, _ = _highs_co_optimum(highs_kind, net, lam, mu, spec)
+                assert status in (0, 2)
+                bindings = {}
+                for kind in OBJECTIVE_KINDS:
+                    try:
+                        co_optimize(net, arr, svc, ObjectiveSpec(kind, **extra), gamma)
+                    except InfeasibleError as exc:
+                        bindings[kind] = exc.binding
+                    else:
+                        bindings[kind] = None
+                if status == 0:
+                    assert all(b is None for b in bindings.values()), (trial, extra, bindings)
+                    continue
+                infeasible += 1
+                first = bindings["total_bandwidth"]
+                assert first, (trial, extra)
+                assert all(b == first for b in bindings.values()), (trial, gamma, extra, bindings)
+    assert infeasible >= 40

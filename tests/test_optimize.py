@@ -244,6 +244,14 @@ def test_forced_zero_reroutes_while_preserving_clauses():
     assert check_min_delay_layered(net, arr, svc, rates, tol=1e-8).ok
 
 
+def test_nonexistent_forced_zero_link_is_named_in_file_form():
+    net = full_connection([2, 2], 5.0)
+    arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
+    spec = ObjectiveSpec("total_bandwidth", forced_zero=((8, 8, 8),))
+    with pytest.raises(ValueError, match="^forced-zero link 9:9:9 does not exist$"):
+        co_optimize(net, arr, svc, spec)
+
+
 def test_infeasible_routing_is_reported_with_binding_constraints():
     net = full_connection([1, 2])
     arr, svc = ArrivalProfile([6.0]), ServiceProfile([2.0, 2.0])
@@ -404,7 +412,9 @@ def _capture_lps(monkeypatch):
 @pytest.mark.parametrize("split_cap", [None, 0.9])
 def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, sizes, split_cap):
     """max_utilization has no epigraph row (its links' epigraphs are
-    bounds), and max_overload_rate has one only per middle node."""
+    bounds), and max_overload_rate has one only per middle node.  Without
+    middle nodes gamma fixes max_overload_rate at t_lo, so it solves the
+    gamma system alone: no t' column and no epigraph row."""
     net = full_connection(list(sizes), 6.0)
     arr = ArrivalProfile([4.0, 3.0, 5.0][: sizes[0]])
     svc = ServiceProfile([2.0, 1.5][: sizes[-1]])
@@ -412,11 +422,11 @@ def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, s
     split_rows = m if split_cap else 0
     middle = nodes - sizes[0] - sizes[-1]
     problems = _capture_lps(monkeypatch)
-    for kind, ub_rows in (("max_utilization", split_rows),
-                          ("max_overload_rate", split_rows + middle)):
+    for kind, width, ub_rows in (("max_utilization", m + 1, split_rows),
+                                 ("max_overload_rate", m + (middle > 0), split_rows + middle)):
         problems.clear()
         rates, value = co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
-        assert problems == [{"width": m + 1, "ub_rows": ub_rows, "eq_rows": nodes}]
+        assert problems == [{"width": width, "ub_rows": ub_rows, "eq_rows": nodes}]
         gamma = (balanced_growth_gamma(arr, svc, len(sizes)) if kind == "max_overload_rate"
                  else throughput_tight_gamma(arr, svc, len(sizes)))
         assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
@@ -467,7 +477,10 @@ _CAPPED_LAYER_2 = tuple(f"utilization cap on link 2:{i}:{j}" for i in (1, 2) for
 ])
 def test_binding_utilization_cap_names_the_capped_links(kind, caps, binding):
     """Half the capacity cannot carry node 2's arrivals.  The names are
-    the ones the epigraph forms reported on these networks."""
+    the ones the gamma system's own phase 1 reports on these networks:
+    the Charnes-Cooper phase 1 for max_utilization, and for
+    max_overload_rate the zero-cost solve of the system that follows its
+    infeasible epigraph LP."""
     net = full_connection([2, 2, 2], [np.full((2, 2), c) for c in caps])
     arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
     with pytest.raises(InfeasibleError) as exc:
