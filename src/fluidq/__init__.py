@@ -3,7 +3,6 @@
 from .analytics import (
     AnalyticScopeError,
     DelayReport,
-    PathWeightTable,
     analytic_report,
     empirical_report,
     packet_delay,

@@ -6,9 +6,10 @@ once set rates are replaced by their effective counterparts, so a packet
 entering a node at time ``tau`` leaves it at ``tau * inflow/outflow``.  The
 per-ingress average over an arrival window of length T is then
 ``(T/2) * (product of per-hop inflow/outflow ratios - 1)``, path-weighted
-by the per-hop splitting fractions.  Nonzero initial backlog introduces
-queue-emptying breakpoints; that case is integrated piecewise (single-sink
-topologies only).
+by the per-hop splitting fractions.  Nonzero initial backlog (single-sink
+topologies only) adds the instants where queues empty: each source's delay
+is then linear between the points of one breakpoint grid, and its average
+is one trapezoid sum over that grid.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ from .network import (
     LayeredNetwork,
     RateAssignment,
     ServiceProfile,
+    SimConfig,
+    require_finite_positive,
 )
 
 INFINITE_DELAY = math.inf
@@ -69,20 +72,6 @@ class DelayReport:
         return self.d_max / self.d_avg if self.d_avg else 1.0
 
 
-@dataclass(frozen=True)
-class PathWeightTable:
-    """Per ingress node, the fraction of its packets taking each path.
-
-    Paths are tuples of per-layer node indices; weights per ingress sum to
-    one and are positive only along links that actually carry flow.
-    """
-
-    weights: dict[int, dict[tuple[int, ...], float]]
-
-    def for_ingress(self, i: int) -> dict[tuple[int, ...], float]:
-        return self.weights[i]
-
-
 # ---------------------------------------------------------------------------
 # Per-node ratios under static rates, zero initial backlog
 
@@ -95,51 +84,43 @@ def _node_ratios(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective flow statistics: (rho, g_tilde, eff_out).
 
-    ``rho[node]`` is the time-dilation factor a packet sees at the node
-    (inflow over realized outflow, at least 1); infinite where traffic
-    reaches a node with no egress rate.
+    ``rho[node]`` is the time-dilation factor a packet sees at the node:
+    inflow over realized outflow (the service rate at egress), at least 1,
+    and infinite where traffic reaches a node with no outflow.
     """
-    g_tilde, inflow, set_out, sinks = effective_flow(net, arr, values)
+    g_tilde, inflow, set_out, _ = effective_flow(net, arr, values)
     eff_out = np.minimum(set_out, inflow)
-    rho = np.ones(net.num_nodes)
-    egress_lo = net.node_id(net.num_layers - 1, 0)
-    for nid in range(egress_lo):
-        if eff_out[nid] > 0:
-            rho[nid] = max(inflow[nid] / eff_out[nid], 1.0)
-        elif inflow[nid] > 0:
-            rho[nid] = INFINITE_DELAY
-    for j, nid in enumerate(range(egress_lo, net.num_nodes)):
-        rho[nid] = max(inflow[nid] / svc.rates[j], 1.0)
-    return rho, g_tilde, eff_out
+    out = eff_out.copy()
+    out[net.node_id(net.num_layers - 1, 0):] = svc.rates
+    rho = np.where(inflow > 0, INFINITE_DELAY, 1.0)
+    np.divide(inflow, out, out=rho, where=out > 0)
+    return np.maximum(rho, 1.0), g_tilde, eff_out
 
 
 def path_weights(
     net: LayeredNetwork, arr: ArrivalProfile, rates: RateAssignment
-) -> PathWeightTable:
-    """Product of per-hop splitting fractions along every flow-carrying path."""
+) -> dict[int, dict[tuple[int, ...], float]]:
+    """Per ingress node, the fraction of its packets taking each path (a
+    tuple of per-layer node indices): the product of the effective splitting
+    fractions along it.  Only flow-carrying paths appear."""
     g_tilde, inflow, set_out, sinks = effective_flow(net, arr, rates.values)
     if sinks:
         raise PacketSinkError(sinks)
     table: dict[int, dict[tuple[int, ...], float]] = {}
     for i in range(net.layer_sizes[0]):
-        acc: dict[tuple[int, ...], float] = {}
+        table[i] = acc = {}
         stack = [((i,), net.node_id(0, i), 1.0)]
         while stack:
             path, nid, w = stack.pop()
-            layer = len(path) - 1
-            if layer == net.num_layers - 1:
-                acc[path] = acc.get(path, 0.0) + w
+            if len(path) == net.num_layers:
+                acc[path] = w
                 continue
             out = np.flatnonzero(net.link_src == nid)
             total = float(g_tilde[out].sum())
-            for lk in out:
-                flow = g_tilde[lk]
-                if flow <= 0:
-                    continue
-                link = net.links[lk]
-                stack.append((path + (link.dst,), net.link_dst[lk], w * flow / total))
-        table[i] = acc
-    return PathWeightTable(table)
+            for lk in out[g_tilde[out] > 0]:
+                step = (net.links[lk].dst,)
+                stack.append((path + step, net.link_dst[lk], w * g_tilde[lk] / total))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +226,19 @@ def analytic_report(
 
     Covers any layered topology with zero initial backlog; nonzero initial
     backlog is supported for single-sink (N x 1) networks only, where the
-    piecewise-linear dynamics are integrated in closed form.
+    piecewise-linear dynamics are integrated in closed form.  ``q0`` is a
+    per-node backlog vector, checked by :meth:`SimConfig.initial_backlog`.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if q0 is not None and np.any(np.asarray(q0) > 0):
-        if not net.is_single_sink():
-            raise AnalyticScopeError(
-                "analytic metrics with initial backlog cover single-sink "
-                "networks only; use the tagged simulation instead"
-            )
-        return _single_sink_backlog_report(net, arr, svc, rates.values, q0, horizon)
+    require_finite_positive("horizon", horizon)
+    if q0 is not None:
+        q0 = SimConfig(horizon, q0=q0).initial_backlog(net)
+        if q0.any():
+            if not net.is_single_sink():
+                raise AnalyticScopeError(
+                    "analytic metrics with initial backlog cover single-sink "
+                    "networks only; use the tagged simulation instead"
+                )
+            return _single_sink_backlog_report(net, arr, svc, rates.values, q0, horizon)
 
     rho, g_tilde, eff_out = _node_ratios(net, arr, svc, rates.values)
     differs = bool(np.max(np.abs(g_tilde - rates.values)) > 1e-12)
@@ -286,109 +269,63 @@ def analytic_report(
     return DelayReport.from_d_bar(d_bar, arr, "analytic", effective_differs=differs)
 
 
-def _piecewise_queue(q0: float, segments: list[tuple[float, float, float]]):
-    """Evolve ``q' = slope`` with clamping at zero over constant-slope
-    segments ``(a, b, slope)``; returns knots [(t, q)] covering [a0, b_last]."""
-    knots = [(segments[0][0], q0)]
+def _piecewise_queue(q0: float, cuts: np.ndarray, slopes: np.ndarray):
+    """Evolve ``q' = slopes[k]`` on ``[cuts[k], cuts[k + 1]]`` with clamping
+    at zero; returns the knot times and backlogs, covering the cuts and
+    every instant the queue empties."""
+    times, backlogs = [cuts[0]], [q0]
     q = q0
-    for a, b, slope in segments:
-        if q <= 0 and slope <= 0:
-            q = 0.0
-            knots.append((b, 0.0))
-            continue
+    for a, b, slope in zip(cuts[:-1], cuts[1:], slopes):
         end = q + slope * (b - a)
-        if end < 0:
-            t_hit = a + q / (-slope)
-            knots.append((t_hit, 0.0))
-            knots.append((b, 0.0))
-            q = 0.0
-        else:
-            knots.append((b, end))
-            q = end
-    return knots
+        if end < 0 and q > 0:
+            times.append(a + q / -slope)
+            backlogs.append(0.0)
+        q = max(0.0, end)
+        times.append(b)
+        backlogs.append(q)
+    return np.array(times), np.array(backlogs)
 
 
-def _eval_knots(knots, t: float) -> float:
-    ts = [k[0] for k in knots]
-    qs = [k[1] for k in knots]
-    return float(np.interp(t, ts, qs))
-
-
-def _single_sink_backlog_report(
-    net: LayeredNetwork,
-    arr: ArrivalProfile,
-    svc: ServiceProfile,
-    values: np.ndarray,
-    q0,
-    horizon: float,
-) -> DelayReport:
+def _single_sink_backlog_report(net, arr, svc, values, q0, horizon) -> DelayReport:
     n = net.layer_sizes[0]
     lam = arr.rates
     mu = float(svc.rates[0])
-    q0 = np.asarray(q0, dtype=float)
     g = np.zeros(n)
-    for k, link in enumerate(net.links):
-        g[link.src] = values[k]
+    g[net.link_src] = values
     q0_s = q0[:n]
-    q0_d = float(q0[n])
+    live = g > 0
 
-    # Ingress queues are linear until (possibly) draining; after draining a
-    # source forwards its arrival rate.
+    # Ingress queues are linear until they drain at t*; after draining a
+    # source forwards its arrival rate.  The window's last packet waits
+    # ``wait`` at its source, so the sink queue is followed to T + max wait.
+    drains = lam < g
     t_star = np.full(n, math.inf)
-    for i in range(n):
-        if g[i] <= 0:
-            continue
-        if lam[i] < g[i]:
-            t_star[i] = q0_s[i] / (g[i] - lam[i])
+    t_star[drains] = q0_s[drains] / (g - lam)[drains]
+    wait = np.maximum(0.0, q0_s[live] + (lam - g)[live] * horizon) / g[live]
+    t_end = horizon + wait.max(initial=0.0)
 
     # Sink inflow is piecewise constant with breaks where sources drain.
-    breaks = sorted({float(ts) for ts in t_star if math.isfinite(ts) and ts > 0})
-    t_end_needed = horizon
-    for i in range(n):
-        if g[i] > 0:
-            wait_T = max(0.0, (q0_s[i] + (lam[i] - g[i]) * horizon)) / g[i]
-            t_end_needed = max(t_end_needed, horizon + wait_T)
-    cuts = [0.0] + [b for b in breaks if b < t_end_needed] + [t_end_needed * 1.0 + 1.0]
-    segments = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        inflow = sum(g[i] if a < t_star[i] else lam[i] for i in range(n))
-        segments.append((a, b, inflow - mu))
-    sink_knots = _piecewise_queue(q0_d, segments)
-    knot_times = [k[0] for k in sink_knots]
+    breaks = np.unique(t_star[(t_star > 0) & (t_star < t_end)])
+    cuts = np.concatenate(([0.0], breaks, [t_end + 1.0]))
+    inflow = np.where(cuts[:-1, None] < t_star, g, lam).sum(axis=1)
+    knot_t, knot_q = _piecewise_queue(float(q0[n]), cuts, inflow - mu)
 
-    d_bar = np.zeros(n)
-    for i in range(n):
-        if g[i] <= 0:
-            d_bar[i] = INFINITE_DELAY
-            continue
-        # departure instant from the source as a function of arrival time
-        drained = min(t_star[i], horizon)
-
-        def depart(t: float) -> float:
-            if t < t_star[i]:
-                return t * lam[i] / g[i] + q0_s[i] / g[i]
-            return t
-
-        def delay_at(t: float) -> float:
-            tau = depart(t)
-            return (tau - t) + _eval_knots(sink_knots, tau) / mu
-
-        # breakpoints: source drain plus preimages of sink-queue knots
-        points = {0.0, horizon}
-        if 0.0 < drained < horizon:
-            points.add(float(drained))
-        for kt in knot_times:
-            if t_star[i] > 0 and g[i] > 0:
-                t_pre = (kt - q0_s[i] / g[i]) * g[i] / lam[i]
-                if 0.0 < t_pre < min(t_star[i], horizon):
-                    points.add(float(t_pre))
-            if t_star[i] < kt < horizon:
-                points.add(float(kt))
-        grid = sorted(points)
-        total = 0.0
-        for a, b in zip(grid[:-1], grid[1:]):
-            total += 0.5 * (delay_at(a) + delay_at(b)) * (b - a)
-        d_bar[i] = total / horizon
+    # A packet arriving at t leaves its source at tau(t) and then waits
+    # Q(tau)/mu, so its delay is linear between the points of one grid per
+    # live source: the drain instant min(t*, T), the preimages of the sink
+    # knots before it and the knots after it.  Clipping folds every other
+    # point onto one already there; the first knot (0) clips to 0 and the
+    # last (past the window) to T.
+    lam_l, g_l, q_l, t_star_l = (v[live, None] for v in (lam, g, q0_s, t_star))
+    drained = np.minimum(t_star_l, horizon)
+    pre = np.clip((knot_t - q_l / g_l) * g_l / lam_l, 0.0, drained)
+    post = np.clip(knot_t, drained, horizon)
+    grid = np.sort(np.hstack([pre, drained, post]), axis=1)
+    tau = np.where(grid < t_star_l, grid * lam_l / g_l + q_l / g_l, grid)
+    delay = (tau - grid) + np.interp(tau, knot_t, knot_q) / mu
+    area = (0.5 * (delay[:, :-1] + delay[:, 1:]) * np.diff(grid, axis=1)).sum(axis=1)
+    d_bar = np.full(n, INFINITE_DELAY)
+    d_bar[live] = area / horizon
     return DelayReport.from_d_bar(d_bar, arr, "analytic")
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .analytics import analytic_report, empirical_report
+from .analytics import AnalyticScopeError, analytic_report, empirical_report
 from .discrete import tagged_run
 from .engine import run
 from .network import RateAssignment, SimConfig, full_connection, load
@@ -114,12 +114,17 @@ def cmd_simulate(args) -> int:
         if tr.extension:
             print(f"horizon extended by {tr.extension:g} to drain tagged packets")
         return 0
+    report = None
+    if args.report and isinstance(policy, StaticPolicy):
+        try:
+            report = analytic_report(net, arr, svc, policy.assignment, args.horizon, q0=q0)
+        except AnalyticScopeError as exc:
+            raise SystemExit(f"--report: {exc}") from exc
     traj = run(net, arr, svc, policy, cfg)
     final = traj.final
     print(f"simulated {traj.num_steps} steps of dt={traj.dt:g}")
     print("final backlog:", np.array2string(final.q, precision=3))
-    if args.report and isinstance(policy, StaticPolicy):
-        report = analytic_report(net, arr, svc, policy.assignment, args.horizon, q0=q0)
+    if report is not None:
         print(f"analytic d_avg = {report.d_avg:.6g}, d_max = {report.d_max:.6g}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -168,9 +168,8 @@ def effective_flow(
             factor = np.where(out_l > 0, np.minimum(1.0, inflow[lo:hi] / out_l), 0.0)
         g_tilde[ids] = values[ids] * factor[net.link_src[ids] - lo]
         np.add.at(inflow, net.link_dst[ids], g_tilde[ids])
-        for local, nid in enumerate(range(lo, hi)):
-            if inflow[nid] > tol and out_l[local] <= 0:
-                sinks.append((l, local))
+        stuck = np.flatnonzero((inflow[lo:hi] > tol) & (out_l <= 0))
+        sinks += [(l, int(local)) for local in stuck]
     return g_tilde, inflow, set_out, sinks
 
 

@@ -64,6 +64,17 @@ class Link:
         return f"{self.layer + 1}:{self.src + 1}:{self.dst + 1}"
 
 
+def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
+    """Layer sizes as ints, after checking that there are at least two and
+    that each is positive."""
+    sizes = tuple(int(n) for n in layer_sizes)
+    if len(sizes) < 2:
+        raise ValueError("a layered network needs at least 2 layers")
+    if any(n <= 0 for n in sizes):
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
+    return sizes
+
+
 class LayeredNetwork:
     """Immutable layered topology with per-link capacities.
 
@@ -74,11 +85,7 @@ class LayeredNetwork:
     """
 
     def __init__(self, layer_sizes: Sequence[int], links: Iterable[Link]):
-        sizes = tuple(int(n) for n in layer_sizes)
-        if len(sizes) < 2:
-            raise ValueError("a layered network needs at least 2 layers")
-        if any(n <= 0 for n in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
+        sizes = _checked_sizes(layer_sizes)
         self.layer_sizes = sizes
         self.num_layers = len(sizes)
         self.num_nodes = sum(sizes)
@@ -369,6 +376,13 @@ class RateAssignment:
         return f"RateAssignment({np.array2string(self.values, precision=4)})"
 
 
+def require_finite_positive(name: str, value: float) -> None:
+    """Reject a value that is not finite and positive (NaN included); the
+    message starts with ``name``."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass
 class SimConfig:
     """Simulation window and stepping parameters.
@@ -390,9 +404,8 @@ class SimConfig:
         """The step length, after checking that it and the horizon are
         finite and positive and that the step fits in the horizon."""
         dt = self.dt if self.dt is not None else (1.0 if self.discretize else 0.01)
-        for name, value in (("horizon", self.horizon), ("dt", dt)):
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        require_finite_positive("horizon", self.horizon)
+        require_finite_positive("dt", dt)
         if dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
         return dt
@@ -483,7 +496,7 @@ def full_connection(
     pair, or an array of per-link values for a layer pair (shape
     ``(N_l, N_{l+1})`` or anything broadcastable to it).
     """
-    sizes = [int(n) for n in layer_sizes]
+    sizes = _checked_sizes(layer_sizes)
     caps = capacity
     if np.isscalar(caps):
         caps = [caps] * (len(sizes) - 1)
@@ -501,8 +514,7 @@ def full_connection(
 def single_sink(num_sources: int, capacities=UNBOUNDED) -> LayeredNetwork:
     """N x 1 single-hop network; ``capacities`` is a scalar or one value per
     source link."""
-    caps = np.broadcast_to(np.asarray(capacities, dtype=float), (num_sources,))
-    return full_connection([num_sources, 1], [caps.reshape(-1, 1)])
+    return full_connection([num_sources, 1], [np.reshape(capacities, (-1, 1))])
 
 
 def fan_in_tree(

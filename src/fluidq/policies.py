@@ -31,6 +31,7 @@ from .network import (
     Link,
     RateAssignment,
     ServiceProfile,
+    require_finite_positive,
 )
 
 log = logging.getLogger("fluidq")
@@ -584,8 +585,7 @@ def initial_backlog_weights(arr: ArrivalProfile, q0, horizon: float) -> np.ndarr
     """Rate-split weights for a single-sink network with initial backlog:
     w_i = sqrt(lambda_i (lambda_i + q0_i / T)).  Pairwise rate ratios are
     w_i / w_j, collapsing to lambda_i / lambda_j as q0/T vanishes."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    require_finite_positive("horizon", horizon)
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != arr.rates.shape:
         raise ValueError("q0 must give one backlog per ingress node")

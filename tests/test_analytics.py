@@ -17,6 +17,7 @@ from fluidq import (
     full_connection,
     packet_delay,
     path_weights,
+    run,
     single_sink,
     tagged_run,
 )
@@ -163,7 +164,7 @@ def test_analytic_metrics_infinite_for_stranded_traffic():
 def test_path_weights_single_path_network():
     net = full_connection([1, 1])
     table = path_weights(net, ArrivalProfile([2.0]), RateAssignment(net, [1.5]))
-    assert table.for_ingress(0) == {(0, 0): 1.0}
+    assert table[0] == {(0, 0): 1.0}
 
 
 def test_path_weights_equal_splits_multistage():
@@ -172,7 +173,7 @@ def test_path_weights_equal_splits_multistage():
     rates = RateAssignment(net, np.ones(net.num_links))
     table = path_weights(net, arr, rates)
     for i in range(2):
-        weights = table.for_ingress(i)
+        weights = table[i]
         assert len(weights) == 4
         assert all(w == pytest.approx(0.25) for w in weights.values())
         assert sum(weights.values()) == pytest.approx(1.0)
@@ -183,7 +184,7 @@ def test_path_weights_follow_effective_splits():
     arr = ArrivalProfile([4.0, 8.0])
     rates = RateAssignment(net, [4.0, 4.0, 5.0, 15.0])
     table = path_weights(net, arr, rates)
-    w = table.for_ingress(1)
+    w = table[1]
     assert w[(1, 0)] == pytest.approx(0.25)
     assert w[(1, 1)] == pytest.approx(0.75)
 
@@ -262,6 +263,77 @@ def test_backlog_report_matches_simulation():
     assert abs(report.d_max - empirical.d_max) <= 0.05 * empirical.d_max
 
 
+@pytest.mark.parametrize("case, seed", [
+    ("draining", 1), ("growing", 2), ("unserved", 3), ("sink-only", 4),
+])
+def test_backlog_report_matches_fluid_run_packet_by_packet(case, seed):
+    """The N x 1 backlog form against the fluid run: each ingress's delay
+    averaged over midpoint arrival instants of the window, each delay read
+    off the simulated backlogs by ``packet_delay``."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(1.0, 6.0, size=3)
+    q0 = np.append(rng.uniform(5.0, 30.0, size=3), rng.uniform(0.0, 20.0))
+    mu, horizon = 0.7 * lam.sum(), 40.0
+    if case == "draining":  # every source empties inside the window
+        g = lam * rng.uniform(1.3, 2.0, size=3)
+        assert np.all(q0[:3] / (g - lam) < horizon)
+    elif case == "growing":
+        g = lam * rng.uniform(0.3, 0.8, size=3)
+    elif case == "unserved":  # infinite on both routes
+        g = lam * rng.uniform(0.5, 1.5, size=3)
+        g[1] = 0.0
+    else:  # the sink alone is backlogged, and empties inside the window
+        g = lam * rng.uniform(0.3, 0.6, size=3)
+        q0[:3] = 0.0
+        assert q0[3] / (mu - g.sum()) < horizon
+    net = single_sink(3)
+    arr, svc, rates = ArrivalProfile(lam), ServiceProfile([mu]), RateAssignment(net, g)
+    analytic = analytic_report(net, arr, svc, rates, horizon, q0=q0).d_bar
+
+    # run until the window's last packet has left its source
+    served = g > 0
+    wait = np.maximum(q0[:3] + (lam - g) * horizon, 0.0)[served] / g[served]
+    traj = run(net, arr, svc, rates, SimConfig(horizon + wait.max() + 1.0, dt=0.02, q0=q0))
+    arrivals = (np.arange(400) + 0.5) * horizon / 400
+    simulated = np.array([
+        np.mean([packet_delay(net, arr, svc, rates, (i, 0), t, source=traj) for t in arrivals])
+        for i in range(3)
+    ])
+    np.testing.assert_array_equal(np.isinf(simulated), np.isinf(analytic))
+    assert np.isinf(analytic).any() == (case == "unserved")
+    finite = np.isfinite(analytic)
+    np.testing.assert_allclose(simulated[finite], analytic[finite], rtol=1e-5)
+
+
+def _backlog_instance():
+    net = single_sink(2)
+    rates = single_sink_rates(net, [4.0, 3.0])
+    return net, ArrivalProfile([3.0, 7.0]), ServiceProfile([4.0]), rates
+
+
+@pytest.mark.parametrize("q0", [None, [37.0, 11.0, 5.0]])
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -3.0])
+def test_analytic_report_rejects_a_horizon_that_is_not_finite_and_positive(horizon, q0):
+    net, arr, svc, rates = _backlog_instance()
+    with pytest.raises(ValueError, match=f"^horizon must be finite and positive, got {horizon}$"):
+        analytic_report(net, arr, svc, rates, horizon, q0=q0)
+
+
+@pytest.mark.parametrize("q0, message", [
+    ([37.0, math.nan, 5.0], "q0 must be finite, got nan at entry 2"),
+    ([37.0, 11.0, math.inf], "q0 must be finite, got inf at entry 3"),
+    ([-30.0, 11.0, 5.0], "q0 must be nonnegative"),
+    ([37.0, 11.0, 5.0, 1.0], "q0 has 4 entries, network has 3 nodes"),
+    ([37.0, 11.0], "q0 has 2 entries, network has 3 nodes"),
+])
+def test_analytic_report_checks_q0_like_the_simulation(q0, message):
+    net, arr, svc, rates = _backlog_instance()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        analytic_report(net, arr, svc, rates, 60.0, q0=q0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(60.0, q0=q0).initial_backlog(net)
+
+
 def test_backlog_adjusted_weights_contract():
     arr = ArrivalProfile([4.0, 8.0])
     # zero backlog collapses to the arrival rates
@@ -275,6 +347,8 @@ def test_backlog_adjusted_weights_contract():
     assert w_long[0] / w_long[1] == pytest.approx(0.5, abs=1e-8)
     with pytest.raises(ValueError):
         initial_backlog_weights(arr, [1.0, 1.0], 0.0)
+    with pytest.raises(ValueError, match="^horizon must be finite and positive, got nan$"):
+        initial_backlog_weights(arr, [1.0, 1.0], math.nan)
     with pytest.raises(ValueError):
         initial_backlog_weights(arr, [1.0], 5.0)
 

@@ -344,6 +344,16 @@ def test_simulate_config_errors_exit_with_one_line(extra, message, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_simulate_report_outside_the_closed_form_exits_with_one_line(capsys):
+    # initial backlog on a multi-sink network: no closed form, checked before the run
+    q0 = ",".join(["1"] + ["0"] * 11)
+    with pytest.raises(SystemExit, match="^--report: analytic metrics with initial backlog "
+                                         "cover single-sink networks only; "):
+        main(["simulate", "--net", FOURLAYER, "--policy", "opt-static", "--horizon", "5",
+              "--q0", q0, "--report"])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("entry", ["0.5", "10.5", "100000.5"])
 @pytest.mark.parametrize("report", [[], ["--report"]])
 def test_simulate_rejects_fractional_q0_in_integer_mode(entry, report, capsys):
@@ -439,6 +449,8 @@ def test_optimize_objective_errors_exit_with_one_line(capsys):
     (["--layers", "2"], "--layers 2: a layered network needs at least 2 layers"),
     (["--layers", "2,x"], "--layers 2,x: invalid literal for int() with base 10: 'x'"),
     (["--layers", "0,2"], "--layers 0,2: layer sizes must be positive, got (0, 2)"),
+    (["--layers=2,-1"], "--layers 2,-1: layer sizes must be positive, got (2, -1)"),
+    (["--layers=-2,2"], "--layers -2,2: layer sizes must be positive, got (-2, 2)"),
     (["--samples", "-1"], "--samples must be positive, got -1"),
 ])
 def test_conjecture_input_errors_exit_with_one_line(extra, message, capsys):

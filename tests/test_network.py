@@ -212,6 +212,19 @@ def test_bounded_flag_tracks_unbounded_links():
     assert not single_sink(2).bounded
     assert not single_sink(2, [4.0, math.inf]).bounded
 
+@pytest.mark.parametrize("sizes", [(2, -1), (-2, 2), (0, 2)])
+def test_full_connection_rejects_nonpositive_layer_sizes_before_shaping_capacities(sizes):
+    message = re.escape(f"layer sizes must be positive, got {sizes}")
+    for capacity in (math.inf, [np.ones((2, 2))]):
+        with pytest.raises(ValueError, match=message):
+            full_connection(sizes, capacity)
+
+
+def test_single_sink_rejects_a_nonpositive_source_count():
+    with pytest.raises(ValueError, match=re.escape("layer sizes must be positive, got (-1, 1)")):
+        single_sink(-1)
+
+
 def test_sim_config_guards(two_source_instance):
     net = two_source_instance[0]
     with pytest.raises(ValueError):
