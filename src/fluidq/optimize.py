@@ -1,11 +1,13 @@
 """Overload detection and LP co-optimization under min-delay constraints.
 
 Overload means no static rate vector within the capacities can keep every
-buffer bounded: the defining inequality system is checked by LP
-feasibility.  With the per-layer ratio vector gamma fixed, the min-delay
-conditions are linear in the rates, so any piecewise-linear secondary
-objective (bandwidth, utilization, buffer growth) can be co-optimized over
-them.
+buffer bounded.  The defining inequality system is feasible exactly when
+a max-flow from the arrivals over the links to the egress service carries
+the total arrival rate, so Dinic's blocking flows decide it, and an
+overloaded verdict names the minimum cut.  With the per-layer ratio vector
+gamma fixed, the min-delay conditions are linear in the rates, so any
+piecewise-linear secondary objective (bandwidth, utilization, buffer
+growth) can be co-optimized over them by LP.
 """
 from __future__ import annotations
 
@@ -100,32 +102,137 @@ def _node_rhs(net: LayeredNetwork, ingress, egress) -> np.ndarray:
     return rhs
 
 
+def _max_flow(
+    net: LayeredNetwork, lam: np.ndarray, mu: np.ndarray
+) -> tuple[float, np.ndarray, list[int]]:
+    """Dinic's blocking flows from a source with an arc of capacity
+    lambda_i into each ingress node, over the links, to a sink with an arc
+    of capacity mu_j out of each egress node.
+
+    Returns the flow value, the flow on every link, and the forward arcs
+    (numbered lambda arcs, then links, then mu arcs) that cross the minimum
+    cut closest to the source: from the nodes the last breadth-first search
+    reached to those it did not.  Arc 2k is forward arc k and arc 2k + 1
+    its reverse, so ``a ^ 1`` pairs them and the flow on arc k is the
+    residual of its reverse, which is how an unbounded link reports a
+    finite flow.
+    """
+    n = net.num_nodes
+    source, sink = n, n + 1
+    n0, n_egress = net.layer_sizes[0], net.layer_sizes[-1]
+    tail = [source] * n0 + net.link_src.tolist() + list(range(n - n_egress, n))
+    head = list(range(n0)) + net.link_dst.tolist() + [sink] * n_egress
+    to = [0] * (2 * len(tail))
+    to[::2] = head
+    to[1::2] = tail
+    res = [0.0] * len(to)
+    res[::2] = lam.tolist() + net.capacities.tolist() + mu.tolist()
+    out = [[] for _ in range(n + 2)]
+    for a, v in enumerate(to):
+        out[v].append(a ^ 1)
+
+    while True:
+        # level graph: breadth-first distances from the source in the
+        # residual graph
+        level = [-1] * (n + 2)
+        level[source] = 0
+        frontier = [source]
+        for u in frontier:
+            step = level[u] + 1
+            for a in out[u]:
+                v = to[a]
+                if level[v] < 0 and res[a] > 0:
+                    level[v] = step
+                    frontier.append(v)
+        if level[sink] < 0:
+            break
+        # blocking flow: an iterative depth-first search along the level
+        # graph, each node resuming at its current arc
+        current = [0] * (n + 2)
+        path = []
+        u = source
+        while True:
+            if u == sink:
+                on_path = [res[a] for a in path]
+                bottleneck = min(on_path)
+                for a in path:
+                    res[a] -= bottleneck
+                    res[a ^ 1] += bottleneck
+                # the first bottleneck arc's residual is now exactly 0:
+                # resume at its tail
+                k = on_path.index(bottleneck)
+                u = to[path[k] ^ 1]
+                del path[k:]
+            arcs, step = out[u], level[u] + 1
+            for i in range(current[u], len(arcs)):
+                a = arcs[i]
+                if res[a] > 0 and level[to[a]] == step:
+                    current[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                if u == source:
+                    break
+                # dead end: no path to the sink continues through u
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                current[u] += 1
+
+    cut = [k for k, (u, v) in enumerate(zip(tail, head)) if level[u] >= 0 > level[v]]
+    links = slice(2 * n0 + 1, 2 * (n0 + net.num_links), 2)
+    return sum(res[1 : 2 * n0 : 2]), np.array(res[links]), cut
+
+
+def _cut_name(net: LayeredNetwork, k: int) -> str:
+    """File form of forward arc k of :func:`_max_flow`'s graph."""
+    n0 = net.layer_sizes[0]
+    if k < n0:
+        return f"lambda[{k + 1}]"
+    if k < n0 + net.num_links:
+        return net.links[k - n0].name
+    return f"mu[{k - n0 - net.num_links + 1}]"
+
+
 def overload_check(
     net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile
 ) -> OverloadVerdict:
-    """LP feasibility of the bounded-backlog inequality system.
+    """Max-flow decision of the bounded-backlog inequality system.
 
     Not overloaded means some g within the capacities ships every ingress
     node's arrivals while no node (middle or egress) receives more than it
-    can pass on; the witness returned satisfies that system, capacities
-    included, to 1e-9.  Boundary-feasible instances count as not
-    overloaded.
+    can pass on.  That holds exactly when the max flow from a source (arc
+    lambda_i into each ingress node) over the links to a sink (arc mu_j
+    out of each egress node) reaches the total arrival rate: such a flow
+    meets the system, and any g that meets it thins layer by layer into
+    such a flow.  The flow is Dinic's and must come within
+    1e-9 * max(1, total) of the total; boundary-feasible instances count as
+    not overloaded.
+
+    The witness is the link flow, checked against the system, capacities
+    included, to the same tolerance.  An overloaded verdict's detail names
+    the minimum cut closest to the source (lambda[i], links as l:i:j,
+    mu[j]) and its capacity, which equals the max flow.
     """
     ensure_valid(net, arr, svc)
-    m = net.num_links
+    if not np.isfinite(arr.total + svc.total):
+        raise ValueError("the overload check needs finite lambda and mu")
+    value, x, cut = _max_flow(net, arr.rates, svc.rates)
+    tol = 1e-9 * max(1.0, arr.total)
+    if not arr.total - value <= tol:
+        cap = np.concatenate([arr.rates, net.capacities, svc.rates])[cut].sum()
+        arcs = ", ".join(_cut_name(net, k) for k in cut)
+        return OverloadVerdict(
+            True, None, f"minimum cut {cap:.9g} < total arrival rate {arr.total:.9g}: {arcs}"
+        )
     # one row per node: inflow - outflow <= -lambda_i / 0 / mu_j
     a_ub = _incidence(net)
     b_ub = _node_rhs(net, -arr.rates, svc.rates)
     caps = net.capacities
-    result = lp.solve_lp(np.zeros(m), a_ub=a_ub, b_ub=b_ub, upper=caps)
-    if result.status == lp.INFEASIBLE:
-        return OverloadVerdict(
-            True, None, "no rate vector within capacity can bound all backlogs"
-        )
-    residual = np.max(np.concatenate([a_ub @ result.x - b_ub, result.x - caps, -result.x]))
-    if not (residual <= 1e-9 * max(1.0, arr.total)):
+    residual = np.max(np.concatenate([a_ub @ x - b_ub, x - caps, -x]))
+    if not (residual <= tol):
         raise lp.SimplexError(f"witness violates the system by {residual:g}")
-    return OverloadVerdict(False, RateAssignment(net, result.x), "bounded-backlog rates exist")
+    return OverloadVerdict(False, RateAssignment(net, x), "bounded-backlog rates exist")
 
 
 def balanced_growth_gamma(

@@ -589,7 +589,7 @@ def initial_backlog_weights(arr: ArrivalProfile, q0, horizon: float) -> np.ndarr
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != arr.rates.shape:
         raise ValueError("q0 must give one backlog per ingress node")
-    if np.any(q0 < 0):
-        raise ValueError("q0 must be nonnegative")
+    if not np.all(np.isfinite(q0) & (q0 >= 0)):
+        raise ValueError("q0 must be finite and nonnegative")
     lam = arr.rates
     return np.sqrt(lam * (lam + q0 / horizon))

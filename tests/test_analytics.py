@@ -353,6 +353,12 @@ def test_backlog_adjusted_weights_contract():
         initial_backlog_weights(arr, [1.0], 5.0)
 
 
+@pytest.mark.parametrize("q0", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0], [-1.0, 0.0]])
+def test_backlog_adjusted_weights_reject_q0_not_finite_and_nonnegative(q0):
+    with pytest.raises(ValueError, match="^q0 must be finite and nonnegative$"):
+        initial_backlog_weights(ArrivalProfile([4.0, 8.0]), q0, 10.0)
+
+
 def test_backlog_analytic_restricted_to_single_sink():
     net = full_connection([2, 2])
     arr, svc = ArrivalProfile([2.0, 2.0]), ServiceProfile([1.0, 1.0])

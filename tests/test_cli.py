@@ -71,6 +71,27 @@ def test_overload_verdict(capsys, instance_doc):
     assert "overloaded" in capsys.readouterr().out
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_overload_names_the_minimum_cut(capsys):
+    # lambda (3, 7) over unbounded links into one egress node of mu = 4
+    assert main(["overload", "--net", os.path.join(DATA, "nx1.json")]) == 0
+    assert capsys.readouterr().out == (
+        "overloaded\nminimum cut 4 < total arrival rate 10: mu[1]\n"
+    )
+
+
+def test_overload_verbose_prints_the_witness(capsys):
+    assert main(["overload", "--net", os.path.join(DATA, "threelayer.json"), "--verbose"]) == 0
+    out = capsys.readouterr().out
+    head, _, doc = out.partition("{")
+    assert head == "not overloaded\nbounded-backlog rates exist\n"
+    assert json.loads("{" + doc) == {
+        "1:1:1": 2.0, "1:1:2": 1.0, "1:2:2": 1.0, "2:1:1": 2.0, "2:2:1": 0.0, "2:2:2": 2.0,
+    }
+
+
 def test_optimize_emits_loadable_rates(tmp_path, capsys, instance_doc):
     net_path, _ = instance_doc
     # unbounded variant so the bandwidth optimum is interior
@@ -290,7 +311,7 @@ def test_bench_rejects_an_infinite_horizon_before_writing(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # simulate input errors end in one line, not a traceback
 
-FOURLAYER = os.path.join(os.path.dirname(__file__), "data", "fourlayer.json")
+FOURLAYER = os.path.join(DATA, "fourlayer.json")
 
 
 @pytest.mark.parametrize(

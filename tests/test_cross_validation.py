@@ -1,6 +1,10 @@
 """Cross-checks of one implementation route against an independent one:
-closed forms vs simulation, membership checks vs value suboptimality, and
-the in-tree simplex vs an external solver."""
+closed forms vs simulation, membership checks vs value suboptimality, the
+in-tree simplex vs an external solver, and the max-flow overload verdict vs
+the LP feasibility system and networkx."""
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from fluidq import (
     throughput_tight_gamma,
 )
 from fluidq import lp
+from fluidq.bench import preset, sample_instance
 
 from conftest import single_sink_rates
 
@@ -113,6 +118,7 @@ def test_overload_check_detects_middle_layer_cut():
     svc = ServiceProfile([4.0, 4.0])
     verdict = overload_check(net, arr, svc)
     assert verdict.overloaded  # 2.5 in, at most 2 through the middle
+    assert verdict.detail == "minimum cut 2 < total arrival rate 2.5: 2:1:1, 2:1:2"
     roomier = LayeredNetwork(
         [2, 1, 2],
         [Link(0, 0, 0, 10.0), Link(0, 1, 0, 10.0), Link(1, 0, 0, 2.0), Link(1, 0, 1, 2.0)],
@@ -145,10 +151,102 @@ def test_simplex_against_external_solver_on_random_instances():
         solved += 1
 
 
+def _lp_overloaded(net, arr, svc) -> bool:
+    """The LP reference for the overload verdict: no g in [0, c] with
+    inflow - outflow at most -lambda_i at each ingress node, 0 at each
+    middle node and mu_j at each egress node."""
+    a_ub = np.zeros((net.num_nodes, net.num_links))
+    cols = np.arange(net.num_links)
+    a_ub[net.link_dst, cols] = 1.0
+    a_ub[net.link_src, cols] = -1.0
+    b_ub = np.zeros(net.num_nodes)
+    b_ub[: net.layer_sizes[0]] = -arr.rates
+    b_ub[net.num_nodes - net.layer_sizes[-1] :] = svc.rates
+    result = lp.solve_lp(np.zeros(net.num_links), a_ub=a_ub, b_ub=b_ub, upper=net.capacities)
+    assert result.status in (lp.OPTIMAL, lp.INFEASIBLE)
+    return result.status == lp.INFEASIBLE
+
+
+def _flow_graph(nx, net, arr, svc):
+    """Source "s" with arc lambda_i into each ingress node, the links, and
+    arc mu_j from each egress node to sink "t"."""
+    graph = nx.DiGraph()
+    egress_lo = net.num_nodes - net.layer_sizes[-1]
+    for i, rate in enumerate(arr.rates):
+        graph.add_edge("s", i, capacity=float(rate))
+    for j, rate in enumerate(svc.rates):
+        graph.add_edge(egress_lo + j, "t", capacity=float(rate))
+    for k, cap in enumerate(net.capacities):
+        # networkx reads an edge without a capacity as unbounded
+        attrs = {} if np.isinf(cap) else {"capacity": float(cap)}
+        graph.add_edge(int(net.link_src[k]), int(net.link_dst[k]), **attrs)
+    return graph
+
+
+def _named_cut(net, detail):
+    """Cut capacity and arcs, as graph edges, read off an overloaded
+    verdict's detail."""
+    match = re.fullmatch(r"minimum cut (\S+) < total arrival rate \S+: (.+)", detail)
+    assert match, detail
+    egress_lo = net.num_nodes - net.layer_sizes[-1]
+    edges = []
+    for name in match[2].split(", "):
+        if name.startswith("lambda["):
+            edges.append(("s", int(name[7:-1]) - 1))
+        elif name.startswith("mu["):
+            edges.append((egress_lo + int(name[3:-1]) - 1, "t"))
+        else:
+            k = net.link_index[tuple(int(v) - 1 for v in name.split(":"))]
+            edges.append((int(net.link_src[k]), int(net.link_dst[k])))
+    return float(match[1]), edges
+
+
+def _check_overloaded(nx, net, arr, svc, verdict, closest=False):
+    """The named arcs separate source from sink, their capacities sum to the
+    max flow (networkx), which is below the total arrival rate; with
+    ``closest``, they are the arcs leaving the nodes that networkx's own max
+    flow leaves reachable from the source."""
+    graph = _flow_graph(nx, net, arr, svc)
+    value, flows = nx.maximum_flow(graph, "s", "t")
+    printed, edges = _named_cut(net, verdict.detail)
+    capacity = sum(graph.edges[e]["capacity"] for e in edges)
+    assert capacity == pytest.approx(value, rel=1e-9, abs=1e-9)
+    assert printed == pytest.approx(value, rel=1e-8)
+    assert value < arr.total - 1e-9 * max(1.0, arr.total)
+    if closest:
+        residual = nx.DiGraph()
+        for u, v, data in graph.edges(data=True):
+            if flows[u][v] < data.get("capacity", np.inf):
+                residual.add_edge(u, v)
+            if flows[u][v] > 0:
+                residual.add_edge(v, u)
+        side = nx.descendants(residual, "s") | {"s"}
+        assert sorted(edges, key=str) == sorted(
+            [(u, v) for u, v in graph.edges if u in side and v not in side], key=str
+        )
+    graph.remove_edges_from(edges)
+    assert not nx.has_path(graph, "s", "t")
+
+
+def _check_witness(net, arr, svc, verdict):
+    """The witness ships lambda_i out of each ingress node, conserves flow
+    at middle nodes, keeps egress inflow within mu_j and stays in [0, c]."""
+    x = verdict.witness.values
+    tol = 1e-9 * max(1.0, arr.total)
+    n0, n_egress = net.layer_sizes[0], net.layer_sizes[-1]
+    inflow = np.bincount(net.link_dst, x, minlength=net.num_nodes)
+    outflow = np.bincount(net.link_src, x, minlength=net.num_nodes)
+    assert np.all(x >= 0) and np.all(x <= net.capacities + tol)
+    assert np.abs(outflow[:n0] - arr.rates).max() <= tol
+    middle = slice(n0, net.num_nodes - n_egress)
+    assert np.all(np.abs(inflow[middle] - outflow[middle]) <= tol)
+    assert np.all(inflow[net.num_nodes - n_egress :] <= svc.rates + tol)
+
+
 def test_overload_verdict_against_networkx_max_flow():
     """Overloaded exactly when the max-flow from a source (arc capacity
     lambda_i into each ingress) to a sink (mu_j out of each egress) falls
-    short of the total arrival rate."""
+    short of the total arrival rate; the LP reference agrees."""
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(7)
     verdicts = set()
@@ -158,19 +256,79 @@ def test_overload_verdict_against_networkx_max_flow():
         net = full_connection(sizes, caps)
         arr = ArrivalProfile(rng.integers(1, 5, size=sizes[0]).astype(float))
         svc = ServiceProfile(rng.integers(1, 5, size=sizes[-1]).astype(float))
-        graph = nx.DiGraph()
-        egress_lo = net.num_nodes - sizes[-1]
-        for i, rate in enumerate(arr.rates):
-            graph.add_edge("s", i, capacity=float(rate))
-        for j, rate in enumerate(svc.rates):
-            graph.add_edge(egress_lo + j, "t", capacity=float(rate))
-        for k, cap in enumerate(net.capacities):
-            graph.add_edge(int(net.link_src[k]), int(net.link_dst[k]), capacity=float(cap))
-        flow = nx.maximum_flow_value(graph, "s", "t")
+        flow = nx.maximum_flow_value(_flow_graph(nx, net, arr, svc), "s", "t")
         overloaded = overload_check(net, arr, svc).overloaded
         assert overloaded == (flow < arr.total - 1e-9)
+        assert overloaded == _lp_overloaded(net, arr, svc)
         verdicts.add(overloaded)
     assert verdicts == {True, False}
+
+
+#: the optimizer benchmark's families: bench presets at these layer sizes
+OPTIMIZER_FAMILIES = (
+    ("nsxnd", (16, 8)),
+    ("multistage-16x12x8x6", (8, 6, 4, 3)),
+    ("multistage-12x12x12x12x12", (6, 6, 6, 6, 6)),
+    ("tree", None),
+    ("nx1-limited", None),
+)
+
+
+@pytest.mark.parametrize("seed", [20240811, 41, 7])
+def test_overload_verdict_against_lp_on_optimizer_families(seed):
+    """Eight seeded draws of each family, keyed (seed, family, draw) as the
+    optimizer benchmark keys them: the verdict matches the LP reference,
+    and each overloaded one names the minimum cut closest to the source."""
+    nx = pytest.importorskip("networkx")
+    for stream, (name, sizes) in enumerate(OPTIMIZER_FAMILIES):
+        cfg = preset(name)
+        if sizes is not None:
+            cfg = dataclasses.replace(cfg, layer_sizes=sizes)
+        for k in range(8):
+            inst = sample_instance(cfg, np.random.default_rng([seed, stream, k]), k)
+            verdict = overload_check(inst.net, inst.arr, inst.svc)
+            assert verdict.overloaded == _lp_overloaded(inst.net, inst.arr, inst.svc)
+            if verdict.overloaded:
+                _check_overloaded(nx, inst.net, inst.arr, inst.svc, verdict, closest=True)
+            else:
+                _check_witness(inst.net, inst.arr, inst.svc, verdict)
+
+
+def test_overload_verdict_against_lp_on_fractional_full_connections():
+    """Random full connections with fractional rates and capacities, a
+    fifth of the links unbounded: verdicts match the LP reference and
+    networkx, witnesses meet the system, and named cuts carry the max flow."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(20)
+    counts = {True: 0, False: 0}
+    for _ in range(240):
+        sizes = [int(n) for n in rng.integers(1, 5, size=int(rng.integers(2, 5)))]
+        caps = [
+            np.where(rng.random((a, b)) < 0.2, np.inf, rng.uniform(0.2, 3.0, size=(a, b)))
+            for a, b in zip(sizes, sizes[1:])
+        ]
+        net = full_connection(sizes, caps)
+        arr = ArrivalProfile(rng.uniform(0.2, 4.0, size=sizes[0]))
+        svc = ServiceProfile(rng.uniform(0.2, 4.0, size=sizes[-1]))
+        verdict = overload_check(net, arr, svc)
+        assert verdict.overloaded == _lp_overloaded(net, arr, svc)
+        if verdict.overloaded:
+            _check_overloaded(nx, net, arr, svc, verdict)
+        else:
+            _check_witness(net, arr, svc, verdict)
+        counts[verdict.overloaded] += 1
+    assert min(counts.values()) >= 40
+
+
+def test_overload_check_on_a_long_chain():
+    """A 1200-layer single-node chain: the search is iterative, so depth
+    does not hit the recursion limit."""
+    net = full_connection([1] * 1200, 5.0)
+    verdict = overload_check(net, ArrivalProfile([3.0]), ServiceProfile([4.0]))
+    assert not verdict.overloaded
+    assert np.all(verdict.witness.values == 3.0)
+    verdict = overload_check(net, ArrivalProfile([6.0]), ServiceProfile([5.5]))
+    assert verdict.detail == "minimum cut 5 < total arrival rate 6: 1:1:1"
 
 
 def _highs_bounds(upper):

@@ -20,7 +20,7 @@ from fluidq import (
     single_sink,
     throughput_tight_gamma,
 )
-from fluidq import lp
+from fluidq import lp, optimize
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +149,22 @@ def test_witness_keeps_queues_bounded():
 
 @pytest.mark.parametrize("bad", [np.nan, 5.0])
 def test_overload_witness_is_checked_against_rows_and_bounds(monkeypatch, bad):
-    """A witness with a NaN entry, or one above its link's capacity (a bound
-    of the LP, not a row), fails the residual check."""
+    """A max flow that reaches the total arrival rate but carries a NaN link
+    flow, or one above its link's capacity (a bound, not a row), fails the
+    residual check."""
     net = single_sink(2, [4.0, 4.0])
     arr, svc = ArrivalProfile([1.0, 1.0]), ServiceProfile([10.0])
     x = np.array([bad, 1.0])
-    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: lp.LPResult(lp.OPTIMAL, x, 0.0))
+    monkeypatch.setattr(optimize, "_max_flow", lambda *a: (arr.total, x, []))
     with pytest.raises(lp.SimplexError, match="witness violates"):
         overload_check(net, arr, svc)
+
+
+def test_overload_check_rejects_infinite_rates():
+    net = single_sink(1)
+    for arr, svc in [([np.inf], [1.0]), ([1.0], [np.inf])]:
+        with pytest.raises(ValueError, match="finite lambda and mu"):
+            overload_check(net, ArrivalProfile(arr), ServiceProfile(svc))
 
 
 # ---------------------------------------------------------------------------
