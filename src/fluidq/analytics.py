@@ -27,6 +27,7 @@ from .network import (
     RateAssignment,
     ServiceProfile,
     SimConfig,
+    ensure_valid,
     require_finite_positive,
 )
 
@@ -228,7 +229,9 @@ def analytic_report(
     backlog is supported for single-sink (N x 1) networks only, where the
     piecewise-linear dynamics are integrated in closed form.  ``q0`` is a
     per-node backlog vector, checked by :meth:`SimConfig.initial_backlog`.
+    The instance goes through :func:`ensure_valid` first.
     """
+    ensure_valid(net, arr, svc)
     require_finite_positive("horizon", horizon)
     if q0 is not None:
         q0 = SimConfig(horizon, q0=q0).initial_backlog(net)

@@ -10,14 +10,15 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import bench as bench_mod
-from .analytics import AnalyticScopeError, analytic_report, empirical_report
+from .analytics import analytic_report, empirical_report
 from .discrete import tagged_run
 from .engine import run
-from .network import RateAssignment, SimConfig, full_connection, load
+from .network import RateAssignment, SimConfig, full_connection, load, require_finite_positive
 from .optimize import (
     OBJECTIVE_KINDS,
     InfeasibleError,
@@ -39,14 +40,27 @@ from .policies import (
 POLICY_HELP = f"one of {', '.join(bench_mod.POLICIES)}, custom:<file>"
 
 
-def _load_rates(net, path) -> RateAssignment:
+@contextmanager
+def _one_line(prefix: str):
+    """End an input error raised inside the block in one line,
+    ``prefix: message``, not a traceback: an ``OSError`` by its
+    ``strerror``, a ``ValueError`` or ``TypeError`` by its text."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return RateAssignment.from_dict(net, json.load(fh))
+        yield
     except OSError as exc:
-        raise SystemExit(f"rates {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
-        raise SystemExit(f"rates {path}: {exc}") from exc
+        raise SystemExit(f"{prefix}: {exc.strerror or exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"{prefix}: {exc}") from exc
+
+
+def _load_net(path):
+    with _one_line(f"--net {path}"):
+        return load(path)
+
+
+def _load_rates(net, path) -> RateAssignment:
+    with _one_line(f"rates {path}"), open(path, "r", encoding="utf-8") as fh:
+        return RateAssignment.from_dict(net, json.load(fh))
 
 
 def _parse_gamma(spec: str, net, arr, svc):
@@ -54,17 +68,13 @@ def _parse_gamma(spec: str, net, arr, svc):
         return balanced_growth_gamma(arr, svc, net.num_layers)
     if spec == "tight":
         return throughput_tight_gamma(arr, svc, net.num_layers)
-    try:
-        if spec.startswith("@"):
-            with open(spec[1:], "r", encoding="utf-8") as fh:
-                values = json.load(fh)
-        else:
-            values = spec.split(",")
+    if spec.startswith("@"):
+        with _one_line(f"--gamma {spec}"), open(spec[1:], "r", encoding="utf-8") as fh:
+            values = json.load(fh)
+    else:
+        values = spec.split(",")
+    with _one_line("--gamma"):
         return as_gamma(values, net.num_layers)
-    except OSError as exc:
-        raise SystemExit(f"--gamma {spec}: {exc.strerror or exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"--gamma: {exc}") from exc
 
 
 def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
@@ -75,13 +85,11 @@ def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
         name, rates_path = "opt-static", name.split(":", 1)[1]
     if name not in bench_mod.POLICIES:
         raise SystemExit(f"unknown policy {name!r}; expected {POLICY_HELP}")
-    try:
-        if name == "opt-static" and rates_path is not None:
-            return StaticPolicy(_load_rates(net, rates_path))
+    if name == "opt-static" and rates_path is not None:
+        return StaticPolicy(_load_rates(net, rates_path))
+    with _one_line(f"policy {name}"):
         instance = bench_mod.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
         return bench_mod.make_policy(name, instance, gamma)
-    except ValueError as exc:
-        raise SystemExit(f"policy {name}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -89,24 +97,19 @@ def cmd_simulate(args) -> int:
                                ("--gamma", args.gamma, "opt-queue")):
         if value and args.policy != owner:
             raise SystemExit(f"{flag} applies to --policy {owner} only, not {args.policy}")
-    net, arr, svc = load(args.net)
+    net, arr, svc = _load_net(args.net)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
     policy = _make_policy(args.policy, net, arr, svc, args.rates, gamma)
-    try:
-        SimConfig(args.horizon, args.dt, discretize=args.mode == "integer").resolved_dt()
-    except ValueError as exc:  # the message starts with the field it names
-        raise SystemExit(f"--{str(exc).split()[0]}: {exc}") from exc
+    cfg = SimConfig(args.horizon, args.dt, discretize=args.mode == "integer")
+    with _one_line("--horizon"):
+        require_finite_positive("horizon", args.horizon)
+    with _one_line("--dt"):
+        cfg.resolved_dt()
     q0 = None
     if args.q0:
-        try:
-            values = [float(v) for v in args.q0.split(",")]
-            q0 = SimConfig(args.horizon, q0=values,
-                           discretize=args.mode == "integer").initial_backlog(net)
-        except ValueError as exc:
-            raise SystemExit(f"--q0: {exc}") from exc
-    cfg = SimConfig(
-        horizon=args.horizon, dt=args.dt, q0=q0, discretize=args.mode == "integer"
-    )
+        with _one_line("--q0"):
+            cfg.q0 = [float(v) for v in args.q0.split(",")]
+            q0 = cfg.initial_backlog(net)
     if args.mode == "integer" and args.report:
         tr = tagged_run(net, arr, svc, policy, cfg)
         report = empirical_report(tr, arr)
@@ -116,10 +119,8 @@ def cmd_simulate(args) -> int:
         return 0
     report = None
     if args.report and isinstance(policy, StaticPolicy):
-        try:
+        with _one_line("--report"):
             report = analytic_report(net, arr, svc, policy.assignment, args.horizon, q0=q0)
-        except AnalyticScopeError as exc:
-            raise SystemExit(f"--report: {exc}") from exc
     traj = run(net, arr, svc, policy, cfg)
     final = traj.final
     print(f"simulated {traj.num_steps} steps of dt={traj.dt:g}")
@@ -135,7 +136,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    net, arr, svc = load(args.net)
+    net, arr, svc = _load_net(args.net)
     kind = args.kind
     if kind == "auto":
         if net.is_single_sink():
@@ -150,7 +151,7 @@ def cmd_check(args) -> int:
         raise SystemExit(f"--gamma applies to --kind layered only, not {kind}")
     rates = _load_rates(net, args.rates)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
-    try:
+    with _one_line(f"check --kind {kind}"):
         if kind == "single-sink":
             result = check_min_delay_single_sink(net, arr, svc, rates)
         elif kind == "single-hop":
@@ -159,8 +160,6 @@ def cmd_check(args) -> int:
             result = check_min_delay_tree(net, arr, svc, rates)
         else:
             result = check_min_delay_layered(net, arr, svc, rates, gamma)
-    except ValueError as exc:
-        raise SystemExit(f"check --kind {kind}: {exc}") from exc
     if result.ok:
         print("in the min-delay region")
         if result.gamma:
@@ -178,9 +177,8 @@ def _load_objective(kind: str, net, path) -> ObjectiveSpec:
     ``theta`` (utilization cap)."""
     if path is None:
         return ObjectiveSpec(kind)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    with _one_line(f"--constraints {path}"), open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
         forced = []
@@ -193,23 +191,18 @@ def _load_objective(kind: str, net, path) -> ObjectiveSpec:
                 raise ValueError(f"forced-zero link {key} does not exist")
             forced.append(link)
         return ObjectiveSpec(kind, tuple(forced), doc.get("beta"), doc.get("theta"))
-    except OSError as exc:
-        raise SystemExit(f"--constraints {path}: {exc.strerror or exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"--constraints {path}: {exc}") from exc
 
 
 def cmd_optimize(args) -> int:
-    net, arr, svc = load(args.net)
+    net, arr, svc = _load_net(args.net)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
     spec = _load_objective(args.objective, net, args.constraints)
     try:
-        rates, value = co_optimize(net, arr, svc, spec, gamma)
+        with _one_line(f"optimize --objective {args.objective}"):
+            rates, value = co_optimize(net, arr, svc, spec, gamma)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        raise SystemExit(f"optimize --objective {args.objective}: {exc}") from exc
     print(f"objective {args.objective} = {value:.9g}")
     payload = json.dumps(rates.to_dict(), indent=2, sort_keys=True)
     if args.out:
@@ -224,7 +217,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_overload(args) -> int:
-    net, arr, svc = load(args.net)
+    net, arr, svc = _load_net(args.net)
     verdict = overload_check(net, arr, svc)
     print("overloaded" if verdict.overloaded else "not overloaded")
     print(verdict.detail)
@@ -236,15 +229,13 @@ def cmd_overload(args) -> int:
 def cmd_bench(args) -> int:
     from dataclasses import replace
 
-    try:
+    with _one_line("bench"):
         cfg = replace(
             bench_mod.preset(args.family),
             num_instances=args.instances,
             seed=args.seed,
             **({"horizon": args.horizon} if args.horizon is not None else {}),
         )
-    except ValueError as exc:
-        raise SystemExit(f"bench: {exc}") from exc
     results = bench_mod.run_experiment(cfg, out_dir=args.out, fmt=args.format,
                                        workers=args.workers)
     missing = cfg.num_instances - len({row.instance_id for row in results})
@@ -264,11 +255,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    try:
+    with _one_line(f"--layers {args.layers}"):
         layers = tuple(int(v) for v in args.layers.split(","))
         full_connection(layers)
-    except ValueError as exc:
-        raise SystemExit(f"--layers {args.layers}: {exc}") from exc
     if args.samples < 1:
         raise SystemExit(f"--samples must be positive, got {args.samples}")
     agree, bad = bench_mod.conjecture_sweep(

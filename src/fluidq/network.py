@@ -184,6 +184,24 @@ class LayeredNetwork:
     def _plans(self) -> dict[tuple[int, int], "LayerPlan"]:
         return {}
 
+    @cached_property
+    def _defects(self) -> tuple[str, ...]:
+        """:func:`validate`'s messages on the network itself, found once."""
+        errors = []
+        for k in np.flatnonzero(~(self.capacities > 0)):
+            link = self.links[k]
+            errors.append(f"nonpositive capacity: link {link.name} capacity = {link.capacity}")
+        no_out = self.out_degree == 0
+        no_out[self.egress_nodes.start :] = False
+        no_in = self.in_degree == 0
+        no_in[: self.layer_sizes[0]] = False
+        for nid in np.flatnonzero(no_out | no_in):
+            l, i = self.node_coords(int(nid))
+            for missing, kind in ((no_out, "egress"), (no_in, "ingress")):
+                if missing[nid]:
+                    errors.append(f"dangling node: layer {l + 1} node {i + 1} has no {kind} link")
+        return tuple(errors)
+
     def __repr__(self) -> str:
         shape = "x".join(str(n) for n in self.layer_sizes)
         return f"LayeredNetwork({shape}, {self.num_links} links)"
@@ -443,37 +461,25 @@ def validate(net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile) -> l
 
     Returns an empty list when the instance is consistent, otherwise one
     message per violation with node/link coordinates (1-based, matching the
-    document convention).
+    document convention).  Every rate must be finite and positive: +inf
+    reads ``non-finite rate``, NaN and the rest ``nonpositive rate``.  The
+    network's own defects (capacities, dangling nodes) are found once.
     """
     errors: list[str] = []
-    if len(arr) != net.layer_sizes[0]:
-        errors.append(
-            "dimension mismatch: lambda has "
-            f"{len(arr)} entries but the ingress layer has {net.layer_sizes[0]} nodes"
-        )
-    if len(svc) != net.layer_sizes[-1]:
-        errors.append(
-            "dimension mismatch: mu has "
-            f"{len(svc)} entries but the egress layer has {net.layer_sizes[-1]} nodes"
-        )
-    for i, lam in enumerate(arr.rates):
-        if not lam > 0:
-            errors.append(f"nonpositive rate: lambda[{i + 1}] = {lam}")
-    for j, mu in enumerate(svc.rates):
-        if not mu > 0:
-            errors.append(f"nonpositive rate: mu[{j + 1}] = {mu}")
-    for k in np.flatnonzero(~(net.capacities > 0)):
-        link = net.links[k]
-        errors.append(f"nonpositive capacity: link {link.name} capacity = {link.capacity}")
-    no_out = net.out_degree == 0
-    no_out[net.egress_nodes.start :] = False
-    no_in = net.in_degree == 0
-    no_in[: net.layer_sizes[0]] = False
-    for nid in np.flatnonzero(no_out | no_in):
-        l, i = net.node_coords(int(nid))
-        for missing, kind in ((no_out, "egress"), (no_in, "ingress")):
-            if missing[nid]:
-                errors.append(f"dangling node: layer {l + 1} node {i + 1} has no {kind} link")
+    profiles = (("lambda", arr, "ingress", net.layer_sizes[0]),
+                ("mu", svc, "egress", net.layer_sizes[-1]))
+    for name, prof, layer, n in profiles:
+        if len(prof) != n:
+            errors.append(
+                f"dimension mismatch: {name} has {len(prof)} entries but the {layer} "
+                f"layer has {n} nodes"
+            )
+    for name, prof, _, _ in profiles:
+        for i, v in enumerate(prof.rates.tolist()):
+            if not 0 < v < math.inf:
+                kind = "non-finite" if v == math.inf else "nonpositive"
+                errors.append(f"{kind} rate: {name}[{i + 1}] = {v}")
+    errors.extend(net._defects)
     return errors
 
 
@@ -605,9 +611,9 @@ def load(path) -> tuple[LayeredNetwork, ArrivalProfile, ServiceProfile]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text.strip():
-        raise NetworkFormatError(f"{path}: empty document")
+        raise NetworkFormatError("empty document")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+        raise NetworkFormatError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
     return doc_to_network(doc)

@@ -215,8 +215,6 @@ def overload_check(
     mu[j]) and its capacity, which equals the max flow.
     """
     ensure_valid(net, arr, svc)
-    if not np.isfinite(arr.total + svc.total):
-        raise ValueError("the overload check needs finite lambda and mu")
     value, x, cut = _max_flow(net, arr.rates, svc.rates)
     tol = 1e-9 * max(1.0, arr.total)
     if not arr.total - value <= tol:
@@ -250,7 +248,7 @@ def balanced_growth_gamma(
     for l in range(1, num_layers + 1):
         upper = lam_sum - (l - 1) / num_layers * excess
         lower = lam_sum - l / num_layers * excess
-        if lower <= 0 or upper <= 0:
+        if not (lower > 0 and upper > 0):
             raise ValueError("balanced-growth ratios undefined: nonpositive layer total")
         gamma.append(upper / lower)
     return tuple(gamma)
@@ -262,6 +260,8 @@ def throughput_tight_gamma(
     """Ratios that keep every layer's total egress at exactly the total
     service rate: all backlog accumulates at the ingress layer and no link
     bandwidth is spent beyond what throughput needs."""
+    if not svc.total > 0:
+        raise ValueError(f"total service rate of mu must be positive, got {svc.total:g}")
     return (arr.total / svc.total,) + (1.0,) * (num_layers - 1)
 
 

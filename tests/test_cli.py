@@ -18,6 +18,7 @@ from fluidq import (
     single_sink,
 )
 from fluidq.cli import _make_policy, main
+from fluidq.network import network_to_doc
 
 
 @pytest.fixture
@@ -384,6 +385,41 @@ def test_simulate_rejects_fractional_q0_in_integer_mode(entry, report, capsys):
     with pytest.raises(SystemExit, match="^--q0: integer mode requires an integral q0$"):
         main(["simulate", "--net", FOURLAYER, "--policy", "opt-queue", "--mode", "integer",
               "--q0", q0, "--horizon", "2", *report])
+    assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# a bad --net file ends in one line in every subcommand that reads one
+
+NET_COMMANDS = {
+    "simulate": ["--policy", "opt-static", "--horizon", "2"],
+    "check": ["--rates", "rates.json"],
+    "optimize": ["--objective", "total_bandwidth"],
+    "overload": [],
+}
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("  \n", "empty document"),
+    ('{\n  "layers":\n', "parse error at line 3: Expecting value"),
+    ("INVALID", "non-finite rate: lambda[1] = inf"),
+], ids=["missing", "empty", "unparsable", "invalid"])
+@pytest.mark.parametrize("command", sorted(NET_COMMANDS))
+def test_bad_net_file_exits_with_one_line(command, content, message, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    if content == "INVALID":
+        doc = network_to_doc(single_sink(3), ArrivalProfile([1.0, 2.0, 2.0]),
+                             ServiceProfile([1.0]))
+        text = json.dumps({**doc, "lambda": [float("inf"), 2, 2]})
+        assert '"lambda": [Infinity, 2, 2]' in text
+        path.write_text(text)
+    elif content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--net", str(path), *NET_COMMANDS[command]])
+    assert exc.value.code == f"--net {path}: {message}"
+    assert exc.value.code.count(str(path)) == 1
     assert capsys.readouterr().out == ""
 
 

@@ -12,13 +12,18 @@ from fluidq import (
     LayeredNetwork,
     Link,
     NetworkFormatError,
+    ObjectiveSpec,
     RateAssignment,
     ServiceProfile,
     SimConfig,
     ValidationError,
+    analytic_report,
+    co_optimize,
     fan_in_tree,
     full_connection,
     load,
+    overload_check,
+    run,
     save,
     single_sink,
     validate,
@@ -57,6 +62,47 @@ def test_validate_reports_nonpositive_values():
     joined = "\n".join(errors)
     assert "nonpositive capacity" in joined
     assert "lambda[2]" in joined and "mu[1]" in joined
+
+
+GATED_ENTRIES = {
+    "run-fluid": lambda net, arr, svc: run(net, arr, svc, RateAssignment.zeros(net),
+                                           SimConfig(1.0)),
+    "run-integer": lambda net, arr, svc: run(net, arr, svc, RateAssignment.zeros(net),
+                                             SimConfig(2.0, discretize=True)),
+    "analytic_report": lambda net, arr, svc: analytic_report(
+        net, arr, svc, RateAssignment(net, [1.0, 1.0]), 2.0),
+    "analytic_report-q0": lambda net, arr, svc: analytic_report(
+        net, arr, svc, RateAssignment(net, [1.0, 1.0]), 2.0, q0=[5.0, 1.0, 0.0]),
+    "overload_check": overload_check,
+    "co_optimize": lambda net, arr, svc: co_optimize(
+        net, arr, svc, ObjectiveSpec("total_bandwidth")),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("name", ["lambda", "mu"])
+@pytest.mark.parametrize("entry", sorted(GATED_ENTRIES))
+def test_every_entry_rejects_a_rate_that_is_not_finite_and_positive(entry, name, value):
+    net = single_sink(2, [4.0, 4.0])
+    lam, mu = [2.0, 3.0], [2.0]
+    (lam if name == "lambda" else mu)[0] = value
+    arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
+    kind = "non-finite" if value == math.inf else "nonpositive"
+    message = f"{kind} rate: {name}[1] = {value}"
+    assert validate(net, arr, svc) == [message]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        GATED_ENTRIES[entry](net, arr, svc)
+
+
+def test_validate_judges_the_rates_on_every_call_before_the_network_defects():
+    net = single_sink(2, [4.0, 0.0])
+    good = (ArrivalProfile([1.0, 2.0]), ServiceProfile([1.0]))
+    defects = ["nonpositive capacity: link 1:2:1 capacity = 0.0"]
+    assert validate(net, *good) == defects
+    assert validate(net, ArrivalProfile([math.inf, 2.0]), ServiceProfile([1.0])) == [
+        "non-finite rate: lambda[1] = inf", *defects
+    ]
+    assert validate(net, *good) == defects
 
 
 def test_construction_rejects_structural_errors():

@@ -163,7 +163,7 @@ def test_overload_witness_is_checked_against_rows_and_bounds(monkeypatch, bad):
 def test_overload_check_rejects_infinite_rates():
     net = single_sink(1)
     for arr, svc in [([np.inf], [1.0]), ([1.0], [np.inf])]:
-        with pytest.raises(ValueError, match="finite lambda and mu"):
+        with pytest.raises(ValueError, match="non-finite rate"):
             overload_check(net, ArrivalProfile(arr), ServiceProfile(svc))
 
 
@@ -187,6 +187,17 @@ def test_balanced_gamma_worked_values():
         1.0,
         1.0,
     )
+
+
+def test_balanced_gamma_rejects_a_nan_total():
+    # NaN passes a "<= 0" test; the ratios would all be NaN
+    with pytest.raises(ValueError, match="balanced-growth ratios undefined"):
+        balanced_growth_gamma(ArrivalProfile([np.nan, 1.0]), ServiceProfile([1.0]), 3)
+
+
+def test_tight_gamma_rejects_a_zero_service_total():
+    with pytest.raises(ValueError, match="^total service rate of mu must be positive, got 0$"):
+        throughput_tight_gamma(ArrivalProfile([2.0]), ServiceProfile([0.0]), 2)
 
 
 def test_balanced_gamma_equalizes_layer_growth():
