@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import TaggedRun
-from .engine import PacketSinkError, QueueState, Trajectory, effective_flow
+from .engine import QueueState, Trajectory, effective_flow, effective_rates
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
@@ -28,6 +28,7 @@ from .network import (
     ServiceProfile,
     SimConfig,
     ensure_valid,
+    node_growth,
     require_finite_positive,
 )
 
@@ -104,9 +105,9 @@ def path_weights(
     """Per ingress node, the fraction of its packets taking each path (a
     tuple of per-layer node indices): the product of the effective splitting
     fractions along it.  Only flow-carrying paths appear."""
-    g_tilde, inflow, set_out, sinks = effective_flow(net, arr, rates.values)
-    if sinks:
-        raise PacketSinkError(sinks)
+    g_tilde = effective_rates(net, arr, rates).values
+    plan = net.plan_of(0, net.num_layers - 2)
+    runs = dict(zip(plan.srcs.tolist(), zip(plan.starts.tolist(), plan.ends.tolist())))
     table: dict[int, dict[tuple[int, ...], float]] = {}
     for i in range(net.layer_sizes[0]):
         table[i] = acc = {}
@@ -116,7 +117,7 @@ def path_weights(
             if len(path) == net.num_layers:
                 acc[path] = w
                 continue
-            out = np.flatnonzero(net.link_src == nid)
+            out = np.arange(*runs.get(nid, (0, 0)))  # its run of out-links
             total = float(g_tilde[out].sum())
             for lk in out[g_tilde[out] > 0]:
                 step = (net.links[lk].dst,)
@@ -126,17 +127,6 @@ def path_weights(
 
 # ---------------------------------------------------------------------------
 # Single-packet delay
-
-
-def _set_growth(net, arr, svc, values) -> np.ndarray:
-    """Queue growth rate per node if every set rate were fully realized."""
-    growth = np.zeros(net.num_nodes)
-    growth[list(net.ingress_nodes)] = arr.rates
-    np.add.at(growth, net.link_dst, values)
-    np.add.at(growth, net.link_src, -values)
-    egress_lo = net.node_id(net.num_layers - 1, 0)
-    growth[egress_lo:] -= svc.rates
-    return growth
 
 
 def packet_delay(
@@ -153,8 +143,9 @@ def packet_delay(
     ``path`` lists one node index per layer.  ``source`` selects where the
     queue values come from: ``None`` assumes zero initial backlog (queues
     grow linearly from time 0), a :class:`QueueState` extrapolates from the
-    given backlog under the set rates, and a :class:`Trajectory` looks
-    backlogs up at the packet's own arrival instants.  Returns
+    given backlog at the set rates' :func:`~fluidq.network.node_growth`,
+    and a :class:`Trajectory` looks backlogs up at the packet's own arrival
+    instants; a backlog drains at the set egress total.  Returns
     ``math.inf`` when the packet reaches a backlogged node with no egress
     rate.
     """
@@ -174,27 +165,21 @@ def packet_delay(
                 return INFINITE_DELAY
         return t * (factor - 1.0)
 
-    set_out = np.zeros(net.num_nodes)
-    np.add.at(set_out, net.link_src, rates.values)
-    growth = _set_growth(net, arr, svc, rates.values)
-
     if isinstance(source, Trajectory):
         times = source.times
 
         def backlog(nid: int, at: float) -> float:
             return float(np.interp(at, times, source.queues[:, nid]))
-
-        start = t
     elif isinstance(source, QueueState):
+        growth = node_growth(net, arr, svc, rates.values)
 
         def backlog(nid: int, at: float) -> float:
             return max(0.0, float(source.q[nid] + growth[nid] * (at - source.t)))
-
-        start = t
     else:
         raise TypeError("source must be None, a QueueState, or a Trajectory")
 
-    now = start
+    set_out = np.bincount(net.link_src, weights=rates.values, minlength=net.num_nodes)
+    now = t
     total = 0.0
     egress_layer = net.num_layers - 1
     for l, idx in enumerate(path):

@@ -213,16 +213,12 @@ def sample_instance(cfg: ExperimentConfig, rng: np.random.Generator, instance_id
 
 
 def _static_opt_rates(instance: Instance) -> RateAssignment:
-    """Rate-proportional static vector for an instance, falling back to a
-    capacity-aware waterfill on single-sink networks with tight capacity."""
+    """Rate-proportional static vector for an instance: on a single-sink
+    network the capacity-aware waterfill of the total service rate in
+    proportion to the arrivals (link k leaves ingress node k)."""
     net, arr, svc = instance.net, instance.arr, instance.svc
     if net.is_single_sink():
-        target = arr.rates * svc.total / arr.total
-        caps = net.capacities
-        if np.all(target <= caps + 1e-9):
-            # ingress node ids are their layer-local indices
-            return RateAssignment(net, target[net.link_src])
-        return RateAssignment(net, proportional_fill(arr.rates, caps, svc.total))
+        return RateAssignment(net, proportional_fill(arr.rates, net.capacities, svc.total))
     gamma = throughput_tight_gamma(arr, svc, net.num_layers)
     return construct_rate_proportional(net, arr, svc, gamma)
 

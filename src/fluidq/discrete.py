@@ -333,7 +333,7 @@ class _Tags:
         bounds = [net.node_id(l, 0) for l in range(net.num_layers)] + [net.num_nodes]
         self.layers = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.plans = [net.plan_of(l, l) for l in range(net.num_layers - 1)]
-        self.srcs, self.src_starts = np.unique(net.link_src, return_index=True)
+        self.links = net.plan_of(0, net.num_layers - 2)  # every link, a run per source
         self.by_dst = np.argsort(net.link_dst, kind="stable")  # links by destination
         self.dsts, self.dst_starts = np.unique(net.link_dst[self.by_dst], return_index=True)
         self.curves = [_Curves(q0[nodes], self.n_class + 1) for nodes in self.layers[1:]]
@@ -368,7 +368,7 @@ class _Tags:
         net, n0, C = self.net, self.n_origin, self.n_class
         F = flows[:, : net.num_links]
         D = np.zeros_like(rows)  # departures per node
-        D[:, self.srcs] = np.add.reduceat(F, self.src_starts, axis=1)
+        D[:, self.links.srcs] = np.add.reduceat(F, self.links.starts, axis=1)
         D[:, self.layers[-1]] = flows[:, net.num_links :]
         A = np.zeros_like(rows)  # inflow per node, the initial backlog first
         A[:, self.dsts] = np.add.reduceat(F[:, self.by_dst], self.dst_starts, axis=1)

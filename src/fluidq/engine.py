@@ -149,26 +149,27 @@ def effective_flow(
     rates.  Returns ``(g_tilde, inflow, set_out, sinks)`` where ``inflow``
     counts external arrivals for ingress nodes and effective upstream flow
     elsewhere, ``set_out`` is each node's total set egress rate, and
-    ``sinks`` lists nodes with positive inflow but zero egress rate.
+    ``sinks`` lists nodes with positive inflow but zero egress rate, in a
+    layer without links too.  Each per-node link sum is one ``bincount``.
     """
     values = np.asarray(values, dtype=float)
     inflow = np.zeros(net.num_nodes)
-    inflow[list(net.ingress_nodes)] = arr.rates
-    set_out = np.zeros(net.num_nodes)
-    np.add.at(set_out, net.link_src, values)
+    inflow[: net.layer_sizes[0]] = arr.rates
+    set_out = np.bincount(net.link_src, weights=values, minlength=net.num_nodes)
     g_tilde = np.zeros_like(values)
     sinks: list[tuple[int, int]] = []
     tol = 1e-12 * max(1.0, arr.total)
     for l in range(net.num_layers - 1):
-        ids = net.plan_of(l, l).links
-        lo = net.node_id(l, 0)
-        hi = lo + net.layer_sizes[l]
-        out_l = set_out[lo:hi]
+        plan = net.plan_of(l, l)
+        nodes = slice(plan.lo, plan.lo + plan.width)
+        out_l = set_out[nodes]
         with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(out_l > 0, np.minimum(1.0, inflow[lo:hi] / out_l), 0.0)
-        g_tilde[ids] = values[ids] * factor[net.link_src[ids] - lo]
-        np.add.at(inflow, net.link_dst[ids], g_tilde[ids])
-        stuck = np.flatnonzero((inflow[lo:hi] > tol) & (out_l <= 0))
+            factor = np.where(out_l > 0, np.minimum(1.0, inflow[nodes] / out_l), 0.0)
+        g_tilde[plan.links] = values[plan.links] * factor[plan.src_local]
+        inflow[plan.next_lo : plan.next_lo + plan.next_width] = np.bincount(
+            plan.dst_local, weights=g_tilde[plan.links], minlength=plan.next_width
+        )
+        stuck = np.flatnonzero((inflow[nodes] > tol) & (out_l <= 0))
         sinks += [(l, int(local)) for local in stuck]
     return g_tilde, inflow, set_out, sinks
 

@@ -489,6 +489,21 @@ def ensure_valid(net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile) 
         raise ValidationError(errors)
 
 
+def node_growth(
+    net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, values: np.ndarray
+) -> np.ndarray:
+    """Backlog growth rate per node if every link rate of ``values`` were
+    fully realized: inflow minus outflow, with lambda_i entering layer 1
+    and mu_j leaving the last layer.  The one home of node balance; each
+    link sum is one ``bincount`` in link order."""
+    n = net.num_nodes
+    growth = np.bincount(net.link_dst, weights=values, minlength=n)
+    growth -= np.bincount(net.link_src, weights=values, minlength=n)
+    growth[: net.layer_sizes[0]] += arr.rates
+    growth[n - net.layer_sizes[-1] :] -= svc.rates
+    return growth
+
+
 # ---------------------------------------------------------------------------
 # Builders
 
@@ -571,6 +586,8 @@ def network_to_doc(
 
 
 def doc_to_network(doc: Mapping) -> tuple[LayeredNetwork, ArrivalProfile, ServiceProfile]:
+    if not isinstance(doc, Mapping):
+        raise NetworkFormatError(f"document must be a JSON object, got {type(doc).__name__}")
     for key in ("layers", "links", "lambda", "mu"):
         if key not in doc:
             raise NetworkFormatError(f"missing field {key!r}")

@@ -24,6 +24,7 @@ from .network import (
     RateAssignment,
     ServiceProfile,
     ensure_valid,
+    node_growth,
 )
 from .policies import as_gamma, check_min_delay_layered
 
@@ -91,15 +92,6 @@ def _incidence(net: LayeredNetwork) -> np.ndarray:
     a[net.link_dst, cols] = 1.0
     a[net.link_src, cols] = -1.0
     return a
-
-
-def _node_rhs(net: LayeredNetwork, ingress, egress) -> np.ndarray:
-    """Per-node vector holding ``ingress`` on layer 1, ``egress`` on the
-    last layer and 0 in between."""
-    rhs = np.zeros(net.num_nodes)
-    rhs[: net.layer_sizes[0]] = ingress
-    rhs[net.num_nodes - net.layer_sizes[-1] :] = egress
-    return rhs
 
 
 def _max_flow(
@@ -209,8 +201,9 @@ def overload_check(
     1e-9 * max(1, total) of the total; boundary-feasible instances count as
     not overloaded.
 
-    The witness is the link flow, checked against the system, capacities
-    included, to the same tolerance.  An overloaded verdict's detail names
+    The witness is the link flow, checked against the system to the same
+    tolerance: no node's :func:`~fluidq.network.node_growth` is positive
+    and every link is within capacity.  An overloaded verdict's detail names
     the minimum cut closest to the source (lambda[i], links as l:i:j,
     mu[j]) and its capacity, which equals the max flow.
     """
@@ -223,11 +216,7 @@ def overload_check(
         return OverloadVerdict(
             True, None, f"minimum cut {cap:.9g} < total arrival rate {arr.total:.9g}: {arcs}"
         )
-    # one row per node: inflow - outflow <= -lambda_i / 0 / mu_j
-    a_ub = _incidence(net)
-    b_ub = _node_rhs(net, -arr.rates, svc.rates)
-    caps = net.capacities
-    residual = np.max(np.concatenate([a_ub @ x - b_ub, x - caps, -x]))
+    residual = np.max(np.concatenate([node_growth(net, arr, svc, x), x - net.capacities, -x]))
     if not (residual <= tol):
         raise lp.SimplexError(f"witness violates the system by {residual:g}")
     return OverloadVerdict(False, RateAssignment(net, x), "bounded-backlog rates exist")
@@ -356,7 +345,9 @@ def co_optimize(
     a_eq[net.link_src, np.arange(m)] = np.where(
         src_layer == 0, 1.0, -np.asarray(gamma)[src_layer]
     )
-    b_eq = _node_rhs(net, arr.rates / gamma[0], gamma[-1] * svc.rates)
+    b_eq = np.zeros(net.num_nodes)
+    b_eq[: net.layer_sizes[0]] = arr.rates / gamma[0]
+    b_eq[net.num_nodes - net.layer_sizes[-1] :] = gamma[-1] * svc.rates
 
     # capacities (after the utilization cap) and forced zeros are bounds
     forced = set()
@@ -448,9 +439,7 @@ def co_optimize(
     elif kind == "total_bandwidth":
         value = g.sum()
     else:
-        # a node grows at inflow - outflow, with lambda_i entering layer 1
-        # and mu_j leaving the last layer
-        growth = incidence @ g - _node_rhs(net, -arr.rates, svc.rates)
+        growth = node_growth(net, arr, svc, g)
         value = np.max(np.add.reduceat(growth, np.cumsum(net.layer_sizes) - net.layer_sizes))
     rates = RateAssignment(net, g)
     verdict = check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)

@@ -7,10 +7,11 @@ backlogs and reaches the same delay asymptotically; it and the
 rate-proportional construction split a node's egress over its links with
 the same per-link weights (:func:`_split_weights`).  Queue-proportional
 rates are evaluated on the whole network at once, with one backlog sum per
-plan layer (:class:`_QueueProportional`).  Backpressure and max-link-rate
-serve as baselines.  The N x 1 checker is the layered one on effective
-rates, and every checker but the single-hop one ends in the same
-throughput clause.
+plan layer and one minimum per source's run of links for a capacity clip
+(:class:`_QueueProportional`).  Backpressure and max-link-rate serve as
+baselines.  The N x 1 checker is the layered one on effective rates, and
+every checker but the single-hop one ends in the same throughput clause,
+with each node's link sums one ``bincount``.
 
 A policy is any object with ``rates(state, net, arr, svc, dt)``.  Constant
 vectors (rate-proportional, tree, :func:`max_link_rate_rates`) run through
@@ -159,23 +160,22 @@ def _check_layered(net, arr, svc, values, gamma, tol) -> CheckResult:
     equivalent to omitting its links, which the routing model permits).
     The egress layer's ratios are ingress over service rate.
     """
-    ingress = np.zeros(net.num_nodes)
-    egress = np.zeros(net.num_nodes)
-    np.add.at(ingress, net.link_dst, values)
-    np.add.at(egress, net.link_src, values)
-    ingress[list(net.ingress_nodes)] = arr.rates
+    ingress = np.bincount(net.link_dst, weights=values, minlength=net.num_nodes)
+    egress = np.bincount(net.link_src, weights=values, minlength=net.num_nodes)
+    ingress[: net.layer_sizes[0]] = arr.rates
     inferred: list[float] = []
     residuals = {}
     given = as_gamma(gamma, net.num_layers) if gamma is not None else None
     for l in range(net.num_layers):
-        ids = np.array(net.layer_nodes(l))
+        nodes = net.layer_nodes(l)
+        into, out = ingress[nodes.start : nodes.stop], egress[nodes.start : nodes.stop]
         if l == net.num_layers - 1:
-            r = ingress[ids] / svc.rates
-        elif np.any((egress[ids] <= 0) & (ingress[ids] > 0)):
+            r = into / svc.rates
+        elif np.any((out <= 0) & (into > 0)):
             return CheckResult(False, f"zero egress rate at a node of layer {l + 1}")
         else:
-            carrying = ids[egress[ids] > 0]
-            r = ingress[carrying] / egress[carrying]
+            carrying = out > 0
+            r = into[carrying] / out[carrying]
         if r.size == 0:
             return CheckResult(False, f"no flow through layer {l + 1}")
         target = given[l] if given else float(r.mean())
@@ -422,10 +422,12 @@ class _QueueProportional:
         over = values > net.capacities
         clipped = bool(over.any())
         if clipped:
-            # each source keeps its split and scales down to its tightest link
-            factor = np.ones(self.upper)
-            np.minimum.at(factor, net.link_src[over], net.capacities[over] / values[over])
-            values *= factor[net.link_src]
+            # each source keeps its split and scales down to its tightest
+            # link: the smallest capacity-to-rate ratio over its run of links
+            ratio = np.ones(net.num_links)
+            np.divide(net.capacities, values, out=ratio, where=over)
+            plan = net.plan_of(0, net.num_layers - 2)
+            values *= np.minimum.reduceat(ratio, plan.starts)[plan.src_of]
         return values, clipped
 
 

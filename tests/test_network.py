@@ -155,6 +155,14 @@ def test_load_rejects_empty_and_malformed_files(tmp_path):
         load(missing)
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"x"', "[]"])
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    with pytest.raises(NetworkFormatError, match="must be a JSON object"):
+        load(path)
+
+
 def test_unbounded_capacity_is_structural(tmp_path):
     doc = {
         "layers": [1, 1],
