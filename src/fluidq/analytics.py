@@ -233,12 +233,11 @@ def analytic_report(
     factor = np.zeros(net.num_nodes)
     egress_lo = net.node_id(net.num_layers - 1, 0)
     factor[egress_lo:] = rho[egress_lo:]
-    for l in range(net.num_layers - 2, -1, -1):
-        ids = net.plan_of(l, l).links
-        src = net.link_src[ids]
-        dst = net.link_dst[ids]
-        flow = g_tilde[ids]
-        for nid in net.layer_nodes(l):
+    for layer in reversed(net.plan):
+        src = net.link_src[layer.links]
+        dst = net.link_dst[layer.links]
+        flow = g_tilde[layer.links]
+        for nid in net.layer_nodes(layer.index):
             mask = src == nid
             if math.isinf(rho[nid]):
                 factor[nid] = INFINITE_DELAY

@@ -127,6 +127,9 @@ def cmd_simulate(args) -> int:
     print("final backlog:", np.array2string(final.q, precision=3))
     if report is not None:
         print(f"analytic d_avg = {report.d_avg:.6g}, d_max = {report.d_max:.6g}")
+    elif args.report:
+        print(f"no analytic metrics: policy {args.policy} is dynamic and has no closed "
+              "form; --mode integer --report gives empirical metrics")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "trajectory.csv")

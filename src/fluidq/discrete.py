@@ -98,7 +98,7 @@ class TaggedRun:
         return total / count
 
 
-def _allocate_each(amounts, totals, weights, seg, pos=None) -> np.ndarray:
+def _allocate_each(amounts, totals, weights, seg, pos) -> np.ndarray:
     """Integer split of ``totals[s]`` over the entries with segment id
     ``s``, in proportion to their ``amounts`` and each capped by it:
     largest remainder, ties by position.  ``seg`` is ascending, and
@@ -106,16 +106,13 @@ def _allocate_each(amounts, totals, weights, seg, pos=None) -> np.ndarray:
     need not be dense: :meth:`_IntegerSim.send` passes its plan's source
     slots (:attr:`~fluidq.network.LayerPlan.src_of`), with ``totals`` and
     ``weights`` for every source, and ``pos``, each entry's position in its
-    segment (its offset from its source's first link; found from ``seg``
-    when omitted).  The remainders are ranked only when some segment has
-    one to hand out."""
+    segment (its offset from its source's first link).  The remainders are
+    ranked only when some segment has one to hand out."""
     exact = amounts * (totals[seg] / weights[seg])
     base = np.floor(exact).astype(np.int64)
     rest = (totals - np.bincount(seg, weights=base, minlength=totals.size))[seg]
     if (rest > 0).any():
         order = np.lexsort((base - exact, seg))
-        if pos is None:
-            pos = np.arange(seg.size) - np.searchsorted(seg, seg)
         base[order[pos < rest]] += 1
     return np.minimum(base, amounts)
 
@@ -332,7 +329,6 @@ class _Tags:
         self.taken = np.zeros((n0, windows), np.int64)  # ingress curves at D
         bounds = [net.node_id(l, 0) for l in range(net.num_layers)] + [net.num_nodes]
         self.layers = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.plans = [net.plan_of(l, l) for l in range(net.num_layers - 1)]
         self.links = net.plan_of(0, net.num_layers - 2)  # every link, a run per source
         self.by_dst = np.argsort(net.link_dst, kind="stable")  # links by destination
         self.dsts, self.dst_starts = np.unique(net.link_dst[self.by_dst], return_index=True)
@@ -385,7 +381,7 @@ class _Tags:
         born = self._classes(np.minimum(np.maximum(A[1:, :n0, None] - self.lo, 0), size))
         last = self.hi.max(axis=1, where=size > 0, initial=0)
         pending = [np.maximum(last - D[1:, :n0], 0)]
-        for l, plan in enumerate(self.plans):
+        for l, plan in enumerate(net.plan):
             nodes, curves = self.layers[l + 1], self.curves[l]
             mass = np.zeros((steps, plan.next_width, C + 1))
             part = takes[:, plan.src_local] * ratio[:, plan.links, None]
@@ -545,7 +541,7 @@ def tagged_run(
     limit = max_extension_steps if max_extension_steps is not None else max(10_000, 100 * steps)
     tags = _Tags(net, sim.q.copy(), dt, steps, window)
     watch = net.num_nodes if keep_trajectory else sim.egress_lo
-    checked, kept = _CapacityCheck(), [(sim.q[None].copy(), np.empty((0, net.num_links)))]
+    checked, kept = _CapacityCheck(net), [(sim.q[None].copy(), np.empty((0, net.num_links)))]
     k, grow, switch, end = 0, 4, None, None
     pending = np.zeros(net.num_nodes)
     while end is None:

@@ -159,8 +159,7 @@ def effective_flow(
     g_tilde = np.zeros_like(values)
     sinks: list[tuple[int, int]] = []
     tol = 1e-12 * max(1.0, arr.total)
-    for l in range(net.num_layers - 1):
-        plan = net.plan_of(l, l)
+    for l, plan in enumerate(net.plan):
         nodes = slice(plan.lo, plan.lo + plan.width)
         out_l = set_out[nodes]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -424,15 +423,19 @@ def _policy_rates(policy, state, net, arr, svc, dt) -> RateAssignment:
 
 
 class _CapacityCheck:
-    """Capacity check of a run's per-step assignments.  An assignment is
-    immutable, so one that the policy returns again (a static policy
+    """Check of a run's per-step assignments on the run's network ``net``:
+    each must belong to it and keep within its capacities.  An assignment
+    is immutable, so one that the policy returns again (a static policy
     returns the same object every step) is checked only the first time."""
 
-    def __init__(self):
+    def __init__(self, net: LayeredNetwork):
+        self.net = net
         self._last = None
 
     def __call__(self, rates: RateAssignment) -> RateAssignment:
         if rates is not self._last:
+            if rates.net is not self.net:
+                raise EngineError("rate assignment belongs to a different network")
             bad = rates.capacity_violations()
             if bad:
                 raise EngineError(f"policy rates exceed capacity on link {Link(*bad[0]).name}")
@@ -451,8 +454,9 @@ def run(
 
     ``policy`` is either a static :class:`RateAssignment` or any object
     exposing ``rates(state, net, arr, svc, dt)``.  Every assignment is
-    checked against the capacities before it is applied; one that is the
-    very object of the previous step is not checked again.
+    checked to belong to ``net`` and to keep within its capacities before
+    it is applied; one that is the very object of the previous step is not
+    checked again.
     ``cfg.discretize`` picks the kernel: in integer-packet mode backlogs
     stay integral and per-step transfers are rounded down with fractional
     remainders banked per link, and the rows are kept as integers until the
@@ -477,7 +481,7 @@ def run(
     rows = np.empty((steps + 1, net.num_nodes), dtype=kernel.q.dtype)
     rows[0] = kernel.q
     applied = np.empty((steps, net.num_links))
-    _run_steps(kernel, policy, _CapacityCheck(), rows, applied)
+    _run_steps(kernel, policy, _CapacityCheck(net), rows, applied)
     return Trajectory(
         dt, rows.astype(float, copy=False), applied,
         kernel.link_flow.astype(float, copy=False),

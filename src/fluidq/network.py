@@ -9,8 +9,8 @@ here.
 Indexing convention: node and layer indices are 0-based in code and 1-based
 in topology documents, and messages name a link in the document form
 ``l:i:j`` (:attr:`Link.name`).  The adjacency is held once: per link its
-source and destination node ids, per node its degrees, and per layer its
-:class:`LayerPlan` (:meth:`LayeredNetwork.plan_of`).
+source and destination node ids, per node its degrees, and per link layer
+l its :class:`LayerPlan` ``plan[l]`` (:attr:`LayeredNetwork.plan`).
 """
 from __future__ import annotations
 
@@ -164,13 +164,10 @@ class LayeredNetwork:
 
     @cached_property
     def plan(self) -> tuple["LayerPlan", ...]:
-        """One :class:`LayerPlan` per layer that has out-links, in layer
-        order; built on first use and shared by the policies and engines."""
-        return tuple(
-            self.plan_of(l, l)
-            for l in range(self.num_layers - 1)
-            if self.out_degree[self._offsets[l] : self._offsets[l + 1]].any()
-        )
+        """One :class:`LayerPlan` per link layer, so ``plan[l]`` is link
+        layer l (``plan_of(l, l)``), empty for a layer without links;
+        built on first use and shared by the policies and engines."""
+        return tuple(self.plan_of(l, l) for l in range(self.num_layers - 1))
 
     def plan_of(self, first: int, last: int) -> "LayerPlan":
         """The :class:`LayerPlan` of link layers ``first`` to ``last`` taken
@@ -218,9 +215,9 @@ class LayeredNetwork:
 class LayerPlan(NamedTuple):
     """Index arrays for the links leaving one network layer, or a run of
     consecutive layers taken together, so that a per-step computation over
-    them is a few whole-array operations.  ``plan_of(l, l).links`` is the
-    network's only list of a layer's links; :attr:`LayeredNetwork.plan`
-    leaves out the layers without links.
+    them is a few whole-array operations.  ``plan[l].links`` is the
+    network's only list of link layer l's links; a layer without links has
+    an empty slice and empty arrays.
 
     Links are sorted by layer, then source, so the links are one slice of
     the link vector and each source's links one run inside it.  Per-link

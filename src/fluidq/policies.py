@@ -207,14 +207,13 @@ def _throughput_clause(net, arr, svc, values, best, gamma, residuals, tol) -> Ch
 
 def _check_constructible(net: LayeredNetwork) -> None:
     """Every layer is fully connected or gives each of its nodes exactly one
-    out-link; a layer without links (absent from the plan) is neither."""
-    planned = {layer.index: layer for layer in net.plan}
-    for l in range(net.num_layers - 1):
-        layer = planned.get(l)
-        if layer is None or not (
+    out-link; a layer without links is neither."""
+    for layer in net.plan:
+        if not (
             layer.src_local.size == layer.width * layer.next_width
             or np.array_equal(layer.src_local, np.arange(layer.width))
         ):
+            l = layer.index
             raise ValueError(
                 f"layers {l + 1}-{l + 2} are neither fully connected nor "
                 "single-child; no constructive split available"
@@ -357,8 +356,8 @@ _CLIP_WARNING = (
 class _QueueProportional:
     """Rate vectors of :func:`queue_proportional_rates` on one network and
     service profile, given the checked ``gamma`` (or None).  The per-link
-    :func:`_split_weights` and each node's plan layer are built once, so a
-    call is whole-network array operations and one sum per plan layer."""
+    :func:`_split_weights` and each node's layer are built once, so a call
+    is whole-network array operations and one sum per link layer."""
 
     __slots__ = (
         "net", "svc", "gamma", "total_service", "single_sink", "upper",
@@ -371,16 +370,11 @@ class _QueueProportional:
         self.single_sink = net.is_single_sink()
         self.weights = _split_weights(net, svc)
         self.upper = net.node_id(net.num_layers - 1, 0)  # nodes above egress
-        # per node above egress, the index of its layer in the plan; one
-        # past the last for a layer without links, whose nodes read a 1.0
-        # that no link gathers
-        self.layer_of = np.full(self.upper, len(net.plan))
-        for p, layer in enumerate(net.plan):
-            self.layer_of[layer.lo : layer.next_lo] = p
+        # per node above egress, its layer, which indexes the plan
+        self.layer_of = np.repeat(np.arange(net.num_layers - 1), net.layer_sizes[:-1])
         self.node_gamma = None
         if gamma is not None:
-            per_layer = [gamma[layer.index] for layer in net.plan] + [1.0]
-            self.node_gamma = np.array(per_layer)[self.layer_of]
+            self.node_gamma = np.asarray(gamma)[self.layer_of]
 
     def __call__(self, state, arr, dt) -> tuple[np.ndarray, bool]:
         """The rate vector for the backlogs of ``state`` and whether
@@ -399,7 +393,7 @@ class _QueueProportional:
             sums.append(total)
 
         if self.single_sink:
-            if not sums:
+            if not net.num_links:
                 return np.zeros(net.num_links), False
             budget = self.total_service
             if self.gamma is not None:
@@ -409,15 +403,15 @@ class _QueueProportional:
 
         if self.gamma is not None:
             node_egress = shares / self.node_gamma
-            scale = [1.0] * (len(sums) + 1)
-            for p, layer in enumerate(net.plan):
+            scale = [1.0] * len(sums)
+            for layer in net.plan:
                 total = node_egress[layer.lo : layer.next_lo].sum()
                 scale_up = self.total_service / total if total > 0 else 1.0
                 if scale_up > 1.0:
-                    scale[p] = scale_up
+                    scale[layer.index] = scale_up
             node_egress *= np.array(scale)[self.layer_of]
         else:
-            node_egress = self.total_service * shares / np.array(sums + [1.0])[self.layer_of]
+            node_egress = self.total_service * shares / np.array(sums)[self.layer_of]
         values = node_egress[net.link_src] * self.weights
         over = values > net.capacities
         clipped = bool(over.any())

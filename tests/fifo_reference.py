@@ -40,7 +40,7 @@ class FifoSim(_IntegerSim):
         self.policy, self.window = policy, window
         self.n_origin = net.layer_sizes[0]
         self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
-        self._capacity = _CapacityCheck()
+        self._capacity = _CapacityCheck(net)
         self._slot = np.full(net.num_nodes, -1)  # node -> index in its layer's srcs
         for layer in net.plan:
             self._slot[layer.srcs] = np.arange(layer.srcs.size)

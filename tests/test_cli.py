@@ -376,6 +376,29 @@ def test_simulate_report_outside_the_closed_form_exits_with_one_line(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("policy", ["opt-queue", "bp"])
+def test_simulate_report_of_a_dynamic_policy_says_why_it_has_no_metrics(policy, capsys):
+    net = FOURLAYER if policy == "opt-queue" else os.path.join(DATA, "bounded.json")
+    assert main(["simulate", "--net", net, "--policy", policy, "--horizon", "5",
+                 "--report"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("final backlog:")
+    assert lines[2:] == [
+        f"no analytic metrics: policy {policy} is dynamic and has no closed form; "
+        "--mode integer --report gives empirical metrics"
+    ]
+
+
+@pytest.mark.parametrize("policy", ["bp", "max"])
+def test_simulate_bp_and_max_on_a_bounded_network(policy, capsys):
+    net = os.path.join(DATA, "bounded.json")
+    assert main(["simulate", "--net", net, "--policy", policy, "--horizon", "5"]) == 0
+    assert "final backlog" in capsys.readouterr().out
+    assert main(["simulate", "--net", net, "--policy", policy, "--horizon", "5",
+                 "--mode", "integer", "--report"]) == 0
+    assert "empirical d_avg" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("entry", ["0.5", "10.5", "100000.5"])
 @pytest.mark.parametrize("report", [[], ["--report"]])
 def test_simulate_rejects_fractional_q0_in_integer_mode(entry, report, capsys):

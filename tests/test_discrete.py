@@ -119,8 +119,8 @@ def test_grant_split_matches_per_source_allocation():
         want[np.bincount(seg, weights=want)[seg] == 0] += 1  # no empty budget
         weights = np.bincount(seg, weights=want).astype(np.int64)
         supply = rng.integers(0, weights)  # short of every budget
-        grant = _allocate_each(want, supply, weights, seg)
         starts = np.concatenate([[0], np.cumsum(sizes)])
+        grant = _allocate_each(want, supply, weights, seg, np.arange(seg.size) - starts[seg])
         for s in range(sizes.size):
             part = slice(starts[s], starts[s + 1])
             reference = _allocate(want[part], int(supply[s]))
@@ -248,8 +248,7 @@ def test_allocate_each_on_source_slots_matches_dense_segments():
         )
         for got in (
             _allocate_each(want[links], supply, weights, slot[links], pos[links]),
-            _allocate_each(want[links], supply, weights, slot[links]),
-            _allocate_each(want[links], supply[keep], weights[keep], seg[slot[links]]),
+            _allocate_each(want[links], supply[keep], weights[keep], seg[slot[links]], pos[links]),
         ):
             assert np.array_equal(got, expected)
 
@@ -345,7 +344,7 @@ def _pass(instance, steps=6, q0=(4.0, 1.0, 2.0), window=None):
         rows = np.empty((size + 1, net.num_nodes), np.int64)
         flows = np.empty((size + 1, net.num_links + 1), np.int64)
         rows[0], flows[0] = sim.q, np.concatenate([sim.link_flow, sim.served_total])
-        _run_steps(sim, rates, _CapacityCheck(), rows, np.empty((size, net.num_links)),
+        _run_steps(sim, rates, _CapacityCheck(net), rows, np.empty((size, net.num_links)),
                    flows, start=at[0])
         if corrupt is not None:
             corrupt(rows, flows)
@@ -895,7 +894,7 @@ def test_one_chunk_of_the_whole_run_matches_single_steps(two_source_instance):
     rows = np.empty((steps + 1, net.num_nodes), np.int64)
     flows = np.empty((steps + 1, net.num_links + 1), np.int64)
     rows[0], flows[0] = sim.q, 0
-    _run_steps(sim, rates, _CapacityCheck(), rows, np.empty((steps, net.num_links)), flows)
+    _run_steps(sim, rates, _CapacityCheck(net), rows, np.empty((steps, net.num_links)), flows)
     results = []
     for size in (1, 7, steps):
         tags = _Tags(net, rows[0].copy(), 1.0, 12, 4.0)

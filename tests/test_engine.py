@@ -18,6 +18,7 @@ from fluidq import (
     single_sink,
     step,
 )
+from fluidq.discrete import tagged_run
 from fluidq.engine import effective_flow
 from fluidq.policies import StaticPolicy
 
@@ -73,6 +74,31 @@ def test_step_rejects_a_dt_that_is_not_finite_and_positive(two_source_instance, 
     state = QueueState(np.ones(3), 0.0)
     with pytest.raises(ValueError, match=rf"^dt must be finite and positive, got {dt}$"):
         step(state, rates, net, arr, svc, dt)
+
+
+class _ForeignPolicy:
+    """A dynamic policy that returns an assignment built on another
+    network."""
+
+    def __init__(self, assignment):
+        self.assignment = assignment
+
+    def rates(self, state, net, arr, svc, dt):
+        return self.assignment
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+@pytest.mark.parametrize("mode", ["fluid", "integer", "tagged"])
+def test_runs_reject_an_assignment_of_another_network(mode, dynamic):
+    # within the other network's capacities, but four times over the run's
+    net = full_connection((2, 2), 1.0)
+    foreign = RateAssignment(full_connection((2, 2), 10.0), [5.0] * 4)
+    policy = _ForeignPolicy(foreign) if dynamic else foreign
+    arr, svc = ArrivalProfile([3.0, 3.0]), ServiceProfile([2.0, 2.0])
+    cfg = SimConfig(horizon=5.0, dt=1.0, discretize=mode != "fluid")
+    simulate = tagged_run if mode == "tagged" else run
+    with pytest.raises(EngineError, match="^rate assignment belongs to a different network$"):
+        simulate(net, arr, svc, policy, cfg)
 
 
 def test_run_growth_rates_match_flow_conservation(two_source_instance):
@@ -376,7 +402,7 @@ def test_static_run_matches_per_step_schedule(name, seed, mode):
 def test_static_run_matches_per_step_schedule_across_a_layer_without_links(
     monkeypatch, discretize
 ):
-    # link layer 1 has no links, so net.plan skips it; validation rejects
+    # link layer 1 has no links, so its plan is empty; validation rejects
     # the dangling nodes this leaves, and is switched off to reach the
     # engines with such a plan
     monkeypatch.setattr("fluidq.engine.ensure_valid", lambda net, arr, svc: None)
@@ -384,7 +410,8 @@ def test_static_run_matches_per_step_schedule_across_a_layer_without_links(
     links = [Link(0, i, j, 3.0) for i in range(3) for j in range(2)]
     links += [Link(2, i, j, 2.0) for i in range(2) for j in range(2)]
     net = LayeredNetwork((3, 2, 2, 2), links)
-    assert [layer.index for layer in net.plan] == [0, 2]
+    assert [layer.index for layer in net.plan] == [0, 1, 2]
+    assert net.plan[1].links == slice(6, 6)
     arr, svc = ArrivalProfile([2.0, 1.0, 3.0]), ServiceProfile([1.0, 0.5])
     q0 = np.round(rng.uniform(0, 4, size=net.num_nodes))
     assignment = RateAssignment(net, rng.uniform(0, 1, size=net.num_links) * net.capacities)

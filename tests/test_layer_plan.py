@@ -25,9 +25,11 @@ from fluidq import (
     full_connection,
     queue_proportional_rates,
     run,
+    single_sink,
     tagged_run,
     validate,
 )
+from fluidq.engine import effective_flow
 from fluidq.bench import make_policy, preset, sample_instance
 from fluidq.policies import (
     CheckResult,
@@ -134,6 +136,70 @@ def test_plan_is_built_lazily_once_and_matches_the_links():
         for s, src in enumerate(layer.srcs):
             assert tuple(ids[layer.starts[s] : layer.ends[s]]) == adj.out[src]
         assert not any(a.flags.writeable for a in layer if isinstance(a, np.ndarray))
+
+
+def _linkless_layer_net():
+    """A 3-2-2-2 network whose link layer 1 has no links (validation
+    rejects it for the dangling nodes)."""
+    links = [Link(0, i, j, 3.0) for i in range(3) for j in range(2)]
+    links += [Link(2, i, j, 2.0) for i in range(2) for j in range(2)]
+    return LayeredNetwork((3, 2, 2, 2), links)
+
+
+@pytest.mark.parametrize("name", ["full", "tree", "nx1", "linkless"])
+def test_plan_entry_l_is_link_layer_l(name):
+    net = {
+        "full": lambda: full_connection((3, 4, 2), 5.0),
+        "tree": lambda: fan_in_tree((4, 2, 1), [[0, 0, 1, 1], [0, 0]]),
+        "nx1": lambda: single_sink(3, [1.0, 2.0, 3.0]),
+        "linkless": _linkless_layer_net,
+    }[name]()
+    assert len(net.plan) == net.num_layers - 1
+    for l, layer in enumerate(net.plan):
+        assert layer.index == l
+        assert layer is net.plan_of(l, l)
+        assert (layer.lo, layer.next_lo) == (net.node_id(l, 0), net.node_id(l + 1, 0))
+    if name == "linkless":
+        empty = net.plan[1]
+        assert empty.links == slice(6, 6)
+        assert empty.srcs.size == empty.src_local.size == empty.single.size == 0
+
+
+def test_closed_forms_on_a_layer_without_links_keep_their_values():
+    """``effective_flow`` and ``queue_proportional_rates`` on the
+    linkless-layer network give the values recorded when the plan still
+    left that layer out."""
+    net = _linkless_layer_net()
+    arr, svc = ArrivalProfile([2.0, 1.0, 3.0]), ServiceProfile([1.0, 0.5])
+    values = np.array([1.0, 0.5, 2.0, 0.25, 1.5, 0.75, 1.0, 0.5, 0.25, 2.0])
+    g_tilde, inflow, set_out, sinks = effective_flow(net, arr, values)
+    assert g_tilde.tolist() == [
+        1.0, 0.5, 0.8888888888888888, 0.1111111111111111, 1.5, 0.75, 0.0, 0.0, 0.0, 0.0
+    ]
+    assert inflow.tolist() == [2.0, 1.0, 3.0, 3.388888888888889, 1.3611111111111112,
+                               0.0, 0.0, 0.0, 0.0]
+    assert set_out.tolist() == [1.5, 2.25, 2.25, 0.0, 0.0, 1.5, 2.25, 0.0, 0.0]
+    assert sinks == [(1, 0), (1, 1)]
+
+    gamma = (2.0, 1.5, 1.0, 1.0)
+    q = QueueState(np.array([3.0, 1.0, 2.0, 4.0, 1.0, 2.0, 5.0, 0.0, 0.0]), 0.0)
+    zero = QueueState(np.zeros(net.num_nodes), 0.0)
+    third, sixth = 0.3333333333333333, 0.6666666666666666
+    sevenths = [0.2857142857142857, 0.14285714285714285, 0.7142857142857142,
+                0.3571428571428571]
+    cases = [
+        ((q, None), [0.375, 0.375, 0.125, 0.125, 0.25, 0.25] + sevenths),
+        ((q, None, arr, 0.5),
+         [third, third, 0.125, 0.125, 0.2916666666666667, 0.2916666666666667] + sevenths),
+        ((q, gamma), [0.75, 0.75, 0.25, 0.25, 0.5, 0.5, 1.3333333333333333, sixth, 2.0, 1.0]),
+        ((q, gamma, arr, 0.5),
+         [1.0, 1.0, 0.375, 0.375, 0.875, 0.875, 1.3333333333333333, sixth, 2.0, 1.0]),
+        ((zero, None), [0.25] * 6 + [0.5, 0.25, 0.5, 0.25]),
+        ((zero, gamma), [0.25] * 6 + [sixth, third, sixth, third]),
+    ]
+    for (state, g, *smoothing), expected in cases:
+        got = queue_proportional_rates(state, net, svc, g, *smoothing)
+        assert got.values.tolist() == expected, (g, smoothing)
 
 
 def test_plan_of_a_run_of_layers_joins_the_layer_plans():
