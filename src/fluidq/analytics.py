@@ -24,9 +24,11 @@ from .engine import QueueState, Trajectory, effective_flow, effective_rates
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
+    Link,
     RateAssignment,
     ServiceProfile,
     SimConfig,
+    _require_network,
     ensure_valid,
     node_growth,
     require_finite_positive,
@@ -149,12 +151,13 @@ def packet_delay(
     ``math.inf`` when the packet reaches a backlogged node with no egress
     rate.
     """
+    _require_network(net, rates)
     path = tuple(int(p) for p in path)
     if len(path) != net.num_layers:
         raise ValueError("path must name one node per layer")
     for l in range(net.num_layers - 1):
         if (l, path[l], path[l + 1]) not in net.link_index:
-            raise ValueError(f"path uses nonexistent link ({l}, {path[l]}, {path[l + 1]})")
+            raise ValueError(f"path uses nonexistent link {Link(l, path[l], path[l + 1]).name}")
 
     if source is None:
         rho, _, _ = _node_ratios(net, arr, svc, rates.values)
@@ -217,6 +220,7 @@ def analytic_report(
     The instance goes through :func:`ensure_valid` first.
     """
     ensure_valid(net, arr, svc)
+    _require_network(net, rates)
     require_finite_positive("horizon", horizon)
     if q0 is not None:
         q0 = SimConfig(horizon, q0=q0).initial_backlog(net)

@@ -62,20 +62,16 @@ RESULT_HEADER = (
 )
 
 
-def _backpressure(net: LayeredNetwork) -> BackpressurePolicy:
-    require_bounded(net, "backpressure")
-    return BackpressurePolicy()
-
-
 #: The policy registry: name -> ``build(instance, gamma)``.  Sweeps, the
 #: CLI and :func:`make_policy` all read it; ``tree`` aliases ``opt-tree``.
+#: ``bp`` and ``max`` reject an unbounded network when they are built.
 POLICIES = {
     "opt-queue": lambda inst, gamma: QueueProportionalPolicy(gamma),
     "opt-static": lambda inst, gamma: StaticPolicy(_static_opt_rates(inst)),
     "opt-tree": lambda inst, gamma: StaticPolicy(
         tree_rate_proportional(inst.net, inst.arr, inst.svc)
     ),
-    "bp": lambda inst, gamma: _backpressure(inst.net),
+    "bp": lambda inst, gamma: require_bounded(inst.net, "backpressure") or BackpressurePolicy(),
     "max": lambda inst, gamma: StaticPolicy(max_link_rate_rates(inst.net)),
 }
 POLICIES["tree"] = POLICIES["opt-tree"]

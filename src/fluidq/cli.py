@@ -92,6 +92,13 @@ def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
         return bench_mod.make_policy(name, instance, gamma)
 
 
+def _write_trajectory(traj, net, out) -> None:
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "trajectory.csv")
+    traj.to_csv(net, path)
+    print(f"trajectory written to {path}")
+
+
 def cmd_simulate(args) -> int:
     for flag, value, owner in (("--rates", args.rates, "opt-static"),
                                ("--gamma", args.gamma, "opt-queue")):
@@ -111,11 +118,14 @@ def cmd_simulate(args) -> int:
             cfg.q0 = [float(v) for v in args.q0.split(",")]
             q0 = cfg.initial_backlog(net)
     if args.mode == "integer" and args.report:
-        tr = tagged_run(net, arr, svc, policy, cfg)
+        # with --out the trajectory covers the extension steps too
+        tr = tagged_run(net, arr, svc, policy, cfg, keep_trajectory=bool(args.out))
         report = empirical_report(tr, arr)
         print(f"empirical d_avg = {report.d_avg:.6g}, d_max = {report.d_max:.6g}")
         if tr.extension:
             print(f"horizon extended by {tr.extension:g} to drain tagged packets")
+        if args.out:
+            _write_trajectory(tr.trajectory, net, args.out)
         return 0
     report = None
     if args.report and isinstance(policy, StaticPolicy):
@@ -131,10 +141,7 @@ def cmd_simulate(args) -> int:
         print(f"no analytic metrics: policy {args.policy} is dynamic and has no closed "
               "form; --mode integer --report gives empirical metrics")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "trajectory.csv")
-        traj.to_csv(net, path)
-        print(f"trajectory written to {path}")
+        _write_trajectory(traj, net, args.out)
     return 0
 
 

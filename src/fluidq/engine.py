@@ -42,6 +42,7 @@ from .network import (
     RateAssignment,
     ServiceProfile,
     SimConfig,
+    _require_network,
     ensure_valid,
 )
 
@@ -183,6 +184,7 @@ def effective_rates(
     :class:`PacketSinkError` when traffic reaches a node with no egress
     rate.
     """
+    _require_network(net, rates)
     g_tilde, _, _, sinks = effective_flow(net, arr, rates.values)
     if sinks:
         raise PacketSinkError(sinks)
@@ -383,7 +385,7 @@ def _run_steps(kernel, policy, checked, rows, applied, flows=None, start=0) -> N
         k = start + i
         # lambda, mu > 0 and nonnegative rates keep every row nonnegative
         state = QueueState._trusted(rows[i].astype(float, copy=False), k * dt)
-        rates = checked(_policy_rates(policy, state, net, kernel.arr, kernel.svc, dt))
+        rates = checked(policy.rates(state, net, kernel.arr, kernel.svc, dt))
         kernel.budgets(rates)
         served = _advance(kernel)
         rows[i + 1] = kernel.q
@@ -414,12 +416,6 @@ def step(
     kernel.budgets(rates)
     _advance(kernel)
     return QueueState(kernel.q, state.t + dt)
-
-
-def _policy_rates(policy, state, net, arr, svc, dt) -> RateAssignment:
-    if isinstance(policy, RateAssignment):
-        return policy
-    return policy.rates(state, net, arr, svc, dt)
 
 
 class _CapacityCheck:

@@ -273,37 +273,35 @@ def _readonly_vector(values: Sequence[float], name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ArrivalProfile:
+class _RateProfile:
+    """A read-only, non-empty vector of rates, named ``_vector`` in
+    messages.  Profiles of different kinds never compare equal."""
+
+    rates: np.ndarray
+
+    def __init__(self, rates: Sequence[float]):
+        object.__setattr__(self, "rates", _readonly_vector(rates, self._vector))
+
+    @property
+    def total(self) -> float:
+        return float(self.rates.sum())
+
+    def __len__(self) -> int:
+        return self.rates.size
+
+
+@dataclass(frozen=True, init=False)
+class ArrivalProfile(_RateProfile):
     """External packet arrival rates at the ingress layer (packets/time)."""
 
-    rates: np.ndarray
-
-    def __init__(self, rates: Sequence[float]):
-        object.__setattr__(self, "rates", _readonly_vector(rates, "lambda"))
-
-    @property
-    def total(self) -> float:
-        return float(self.rates.sum())
-
-    def __len__(self) -> int:
-        return self.rates.size
+    _vector = "lambda"
 
 
-@dataclass(frozen=True)
-class ServiceProfile:
+@dataclass(frozen=True, init=False)
+class ServiceProfile(_RateProfile):
     """Maximum work-conserving service rates at the egress layer."""
 
-    rates: np.ndarray
-
-    def __init__(self, rates: Sequence[float]):
-        object.__setattr__(self, "rates", _readonly_vector(rates, "mu"))
-
-    @property
-    def total(self) -> float:
-        return float(self.rates.sum())
-
-    def __len__(self) -> int:
-        return self.rates.size
+    _vector = "mu"
 
 
 class RateAssignment:
@@ -389,6 +387,14 @@ class RateAssignment:
 
     def __repr__(self) -> str:
         return f"RateAssignment({np.array2string(self.values, precision=4)})"
+
+
+def _require_network(net: LayeredNetwork, rates: RateAssignment) -> None:
+    """Reject an assignment built on another network object, as a run
+    does: the closed forms and the checkers read its vector by ``net``'s
+    links."""
+    if rates.net is not net:
+        raise ValueError("rate assignment belongs to a different network")
 
 
 def require_finite_positive(name: str, value: float) -> None:

@@ -5,17 +5,18 @@ ingress/egress rate ratio; the per-layer ratios form the gamma vector.
 Queue-proportional control replaces arrival-rate knowledge with live
 backlogs and reaches the same delay asymptotically; it and the
 rate-proportional construction split a node's egress over its links with
-the same per-link weights (:func:`_split_weights`).  Queue-proportional
-rates are evaluated on the whole network at once, with one backlog sum per
-plan layer and one minimum per source's run of links for a capacity clip
-(:class:`_QueueProportional`).  Backpressure and max-link-rate serve as
-baselines.  The N x 1 checker is the layered one on effective rates, and
-every checker but the single-hop one ends in the same throughput clause,
-with each node's link sums one ``bincount``.
+the same per-link weights (:func:`_split_weights`).  Backpressure and
+max-link-rate serve as baselines.  The N x 1 checker is the layered one on
+effective rates, and every checker but the single-hop one ends in the same
+throughput clause, with each node's link sums one ``bincount``.
 
-A policy is any object with ``rates(state, net, arr, svc, dt)``.  Constant
-vectors (rate-proportional, tree, :func:`max_link_rate_rates`) run through
-:class:`StaticPolicy`; ``fluidq.bench.make_policy`` maps names to policies.
+A policy is any object with ``rates(state, net, arr, svc, dt)``.  Each
+dynamic rule lives in its policy class (:class:`QueueProportionalPolicy`,
+:class:`BackpressurePolicy`); :func:`queue_proportional_rates` and
+:func:`backpressure_rates` are one call of a fresh policy object, validated.
+Constant vectors (rate-proportional, tree, :func:`max_link_rate_rates`) run
+through :class:`StaticPolicy`; ``fluidq.bench.make_policy`` maps names to
+policies.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .network import (
     Link,
     RateAssignment,
     ServiceProfile,
+    _require_network,
     require_finite_positive,
 )
 
@@ -92,6 +94,7 @@ def check_min_delay_single_sink(
     those branches, so past the capacity clause this is
     :func:`check_min_delay_layered` on the effective flow.
     """
+    _require_network(net, rates)
     if not net.is_single_sink():
         raise ValueError("check applies to N x 1 single-hop networks only")
     bad = rates.capacity_violations(tol)
@@ -111,6 +114,7 @@ def check_min_delay_single_hop(
     """Sufficient condition for single-hop networks: per-ingress totals
     proportional to arrivals, per-egress totals proportional to service
     rates, and every egress node fed at least its service rate."""
+    _require_network(net, rates)
     if net.num_layers != 2:
         raise ValueError("check applies to 2-layer networks only")
     n = net.layer_sizes[0]
@@ -149,6 +153,7 @@ def check_min_delay_layered(
     A node with zero egress rate in a flow-carrying layer fails the check
     (its ratio is undefined).
     """
+    _require_network(net, rates)
     return _check_layered(net, arr, svc, rates.values, gamma, tol)
 
 
@@ -323,28 +328,25 @@ def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
     return RateAssignment(net, net.capacities)
 
 
+class BackpressurePolicy:
+    """Backpressure baseline: capacity on every link whose source backlog
+    strictly exceeds its destination backlog, zero otherwise (egress
+    service is handled by the engine's work-conserving servers); undefined
+    with unbounded links.  Its rates are capacities or zeros, so they skip
+    the constructor's scan."""
+
+    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
+        require_bounded(net, "backpressure")
+        active = state.q[net.link_src] > state.q[net.link_dst]
+        return RateAssignment._trusted(net, np.where(active, net.capacities, 0.0))
+
+
 def backpressure_rates(
     state: QueueState, net: LayeredNetwork, svc: ServiceProfile
 ) -> RateAssignment:
-    """Capacity on every link whose source backlog strictly exceeds its
-    destination backlog, zero otherwise (egress service is handled by the
-    engine's work-conserving servers)."""
-    return RateAssignment(net, _backpressure(state, net))
-
-
-def _backpressure(state: QueueState, net: LayeredNetwork) -> np.ndarray:
-    """Rate vector of :func:`backpressure_rates`."""
-    require_bounded(net, "backpressure")
-    active = state.q[net.link_src] > state.q[net.link_dst]
-    return np.where(active, net.capacities, 0.0)
-
-
-class BackpressurePolicy:
-    """Backpressure baseline: :func:`backpressure_rates` every step.  Its
-    rates are capacities or zeros, so they skip the constructor's scan."""
-
-    def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        return RateAssignment._trusted(net, _backpressure(state, net))
+    """The rates of a fresh :class:`BackpressurePolicy` for ``state``,
+    through the validating constructor."""
+    return RateAssignment(net, BackpressurePolicy().rates(state, net, None, svc, 0.0).values)
 
 
 _CLIP_WARNING = (
@@ -353,87 +355,9 @@ _CLIP_WARNING = (
 )
 
 
-class _QueueProportional:
-    """Rate vectors of :func:`queue_proportional_rates` on one network and
-    service profile, given the checked ``gamma`` (or None).  The per-link
-    :func:`_split_weights` and each node's layer are built once, so a call
-    is whole-network array operations and one sum per link layer."""
-
-    __slots__ = (
-        "net", "svc", "gamma", "total_service", "single_sink", "upper",
-        "weights", "layer_of", "node_gamma",
-    )
-
-    def __init__(self, net: LayeredNetwork, svc: ServiceProfile, gamma):
-        self.net, self.svc, self.gamma = net, svc, gamma
-        self.total_service = svc.total
-        self.single_sink = net.is_single_sink()
-        self.weights = _split_weights(net, svc)
-        self.upper = net.node_id(net.num_layers - 1, 0)  # nodes above egress
-        # per node above egress, its layer, which indexes the plan
-        self.layer_of = np.repeat(np.arange(net.num_layers - 1), net.layer_sizes[:-1])
-        self.node_gamma = None
-        if gamma is not None:
-            self.node_gamma = np.asarray(gamma)[self.layer_of]
-
-    def __call__(self, state, arr, dt) -> tuple[np.ndarray, bool]:
-        """The rate vector for the backlogs of ``state`` and whether
-        capacity clipped it."""
-        net = self.net
-        shares = state.q[: self.upper].astype(float)
-        if arr is not None and dt > 0:
-            shares[: net.layer_sizes[0]] += arr.rates * dt
-        sums = []
-        for layer in net.plan:
-            nodes = slice(layer.lo, layer.next_lo)
-            total = shares[nodes].sum()
-            if total <= 0:
-                shares[nodes] = 1.0
-                total = shares[nodes].sum()
-            sums.append(total)
-
-        if self.single_sink:
-            if not net.num_links:
-                return np.zeros(net.num_links), False
-            budget = self.total_service
-            if self.gamma is not None:
-                budget = max(budget, sums[0] / self.gamma[0])
-            values = proportional_fill(shares, net.capacities, budget)
-            return values, values.sum() < budget - 1e-9 * max(1.0, budget)
-
-        if self.gamma is not None:
-            node_egress = shares / self.node_gamma
-            scale = [1.0] * len(sums)
-            for layer in net.plan:
-                total = node_egress[layer.lo : layer.next_lo].sum()
-                scale_up = self.total_service / total if total > 0 else 1.0
-                if scale_up > 1.0:
-                    scale[layer.index] = scale_up
-            node_egress *= np.array(scale)[self.layer_of]
-        else:
-            node_egress = self.total_service * shares / np.array(sums)[self.layer_of]
-        values = node_egress[net.link_src] * self.weights
-        over = values > net.capacities
-        clipped = bool(over.any())
-        if clipped:
-            # each source keeps its split and scales down to its tightest
-            # link: the smallest capacity-to-rate ratio over its run of links
-            ratio = np.ones(net.num_links)
-            np.divide(net.capacities, values, out=ratio, where=over)
-            plan = net.plan_of(0, net.num_layers - 2)
-            values *= np.minimum.reduceat(ratio, plan.starts)[plan.src_of]
-        return values, clipped
-
-
-def queue_proportional_rates(
-    state: QueueState,
-    net: LayeredNetwork,
-    svc: ServiceProfile,
-    gamma=None,
-    arr: ArrivalProfile | None = None,
-    dt: float = 0.0,
-) -> RateAssignment:
-    """Egress rates proportional to live backlogs within each layer.
+class QueueProportionalPolicy:
+    """Queue-proportional control: egress rates proportional to live
+    backlogs within each layer.
 
     Without ``gamma`` each layer's total egress budget is exactly the
     downstream service requirement (the minimal throughput-preserving
@@ -445,49 +369,98 @@ def queue_proportional_rates(
     splits follow the proportional construction: service-rate shares into
     the egress layer, uniform elsewhere.  Rates that would exceed capacity
     are waterfilled (single-sink) or proportionally downscaled per source
-    node, and every call that clips logs a warning.
+    node, to its tightest link.
 
-    Past one sum per layer of the network's
-    :attr:`~fluidq.network.LayeredNetwork.plan`, a call is whole-network
-    array operations: a link's rate is its source's egress times its
-    destination share (times 1 on a source's only out-link), and a
-    source's downscale factor is the smallest capacity-to-rate ratio over
-    its links.
-    """
-    if gamma is not None:
-        gamma = as_gamma(gamma, net.num_layers)
-    values, clipped = _QueueProportional(net, svc, gamma)(state, arr, dt)
-    if clipped:
-        log.warning(_CLIP_WARNING)
-    return RateAssignment(net, values)
-
-
-class QueueProportionalPolicy:
-    """Queue-proportional control.  ``clipped_steps`` counts the steps on
-    the current network whose rates capacity clipped; the first of them
-    logs a warning, once per network.  The checked gamma and the arrays of
-    :class:`_QueueProportional` are kept for the current network and
-    service profile."""
+    The checked gamma, the per-link :func:`_split_weights` and each node's
+    layer are built once per network and service profile, so a step is
+    whole-network array operations and one sum per link layer.
+    ``clipped_steps`` counts the steps on the current network whose rates
+    capacity clipped; the first of them logs a warning, once per
+    network."""
 
     def __init__(self, gamma=None):
         self.gamma = gamma
         self.clipped_steps = 0
-        self._rates = None
+        self._net = self._svc = None
+
+    def _build(self, net: LayeredNetwork, svc: ServiceProfile) -> None:
+        """The arrays of ``net`` and ``svc``; a new network restarts the
+        clip count."""
+        if net is not self._net:
+            self.clipped_steps = 0
+        gamma = None if self.gamma is None else as_gamma(self.gamma, net.num_layers)
+        # per node above egress, its layer, which indexes the plan
+        layer_of = np.repeat(np.arange(net.num_layers - 1), net.layer_sizes[:-1])
+        self._weights, self._total = _split_weights(net, svc), svc.total
+        self._checked, self._layer_of = gamma, layer_of
+        self._node_gamma = None if gamma is None else np.asarray(gamma)[layer_of]
+        self._net, self._svc = net, svc
 
     def rates(self, state, net, arr, svc, dt) -> RateAssignment:
-        rates = self._rates
-        if rates is None or net is not rates.net:
-            self.clipped_steps = 0
-            rates = None
-        if rates is None or svc is not rates.svc:
-            gamma = None if self.gamma is None else as_gamma(self.gamma, net.num_layers)
-            self._rates = rates = _QueueProportional(net, svc, gamma)
-        values, clipped = rates(state, arr, dt)
+        if net is not self._net or svc is not self._svc:
+            self._build(net, svc)
+        gamma, layer_of, total_service = self._checked, self._layer_of, self._total
+        shares = state.q[: layer_of.size].astype(float)
+        if arr is not None and dt > 0:
+            shares[: net.layer_sizes[0]] += arr.rates * dt
+        sums = []
+        for layer in net.plan:
+            nodes = slice(layer.lo, layer.next_lo)
+            total = shares[nodes].sum()
+            if total <= 0:
+                shares[nodes] = 1.0
+                total = shares[nodes].sum()
+            sums.append(total)
+
+        if net.is_single_sink():
+            if not net.num_links:
+                return RateAssignment._trusted(net, np.zeros(0))
+            budget = total_service
+            if gamma is not None:
+                budget = max(budget, sums[0] / gamma[0])
+            values = proportional_fill(shares, net.capacities, budget)
+            clipped = values.sum() < budget - 1e-9 * max(1.0, budget)
+        else:
+            if gamma is not None:
+                node_egress = shares / self._node_gamma
+                scale = np.ones(len(sums))
+                for layer in net.plan:
+                    total = node_egress[layer.lo : layer.next_lo].sum()
+                    if total > 0:
+                        scale[layer.index] = max(1.0, total_service / total)
+                node_egress *= scale[layer_of]
+            else:
+                node_egress = total_service * shares / np.array(sums)[layer_of]
+            values = node_egress[net.link_src] * self._weights
+            over = values > net.capacities
+            clipped = over.any()
+            if clipped:
+                # each source keeps its split and scales down to its tightest
+                # link: the smallest capacity-to-rate ratio over its run of links
+                ratio = np.ones(net.num_links)
+                np.divide(net.capacities, values, out=ratio, where=over)
+                plan = net.plan_of(0, net.num_layers - 2)
+                values *= np.minimum.reduceat(ratio, plan.starts)[plan.src_of]
         if clipped:
             if not self.clipped_steps:
                 log.warning(_CLIP_WARNING)
             self.clipped_steps += 1
         return RateAssignment._trusted(net, values)
+
+
+def queue_proportional_rates(
+    state: QueueState,
+    net: LayeredNetwork,
+    svc: ServiceProfile,
+    gamma=None,
+    arr: ArrivalProfile | None = None,
+    dt: float = 0.0,
+) -> RateAssignment:
+    """The rates of a fresh :class:`QueueProportionalPolicy` for ``state``,
+    through the validating constructor; every call that clips logs a
+    warning."""
+    policy = QueueProportionalPolicy(gamma)
+    return RateAssignment(net, policy.rates(state, net, arr, svc, dt).values)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +503,7 @@ def check_min_delay_tree(
     """Tree condition: into every node, the parents' total subtree arrival
     rates stand in one proportion to the link rates (a per-destination
     constant), and maximum throughput is achieved."""
+    _require_network(net, rates)
     subtree_lam = _subtree_arrivals(net, arr, "check")
     residuals = {}
     for layer in net.plan:

@@ -27,8 +27,9 @@ from collections import deque
 
 import numpy as np
 
+from fluidq import RateAssignment, StaticPolicy
 from fluidq.discrete import TaggedRun, _IntegerSim
-from fluidq.engine import EngineError, QueueState, _advance, _CapacityCheck, _policy_rates
+from fluidq.engine import EngineError, QueueState, _advance, _CapacityCheck
 
 
 class FifoSim(_IntegerSim):
@@ -37,6 +38,8 @@ class FifoSim(_IntegerSim):
 
     def __init__(self, net, arr, svc, policy, cfg, window=None):
         super().__init__(net, arr, svc, cfg)
+        if isinstance(policy, RateAssignment):
+            policy = StaticPolicy(policy)
         self.policy, self.window = policy, window
         self.n_origin = net.layer_sizes[0]
         self._tag_steps = int(math.ceil(cfg.horizon / self.dt - 1e-12))
@@ -84,9 +87,7 @@ class FifoSim(_IntegerSim):
         """Step ``k``: the policy's rates, one engine step and the tagged
         departures at egress."""
         state = QueueState._trusted(self.q.astype(float), k * self.dt)
-        rates = self._capacity(
-            _policy_rates(self.policy, state, self.net, self.arr, self.svc, self.dt)
-        )
+        rates = self._capacity(self.policy.rates(state, self.net, self.arr, self.svc, self.dt))
         self.budgets(rates)
         self.k = k
         serve = _advance(self)

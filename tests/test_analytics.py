@@ -13,7 +13,13 @@ from fluidq import (
     SimConfig,
     analytic_report,
     construct_rate_proportional,
+    check_min_delay_layered,
+    check_min_delay_single_hop,
+    check_min_delay_single_sink,
+    check_min_delay_tree,
+    effective_rates,
     empirical_report,
+    fan_in_tree,
     full_connection,
     packet_delay,
     path_weights,
@@ -80,6 +86,49 @@ def test_packet_delay_rejects_bad_paths(two_source_instance):
     tree_net = full_connection([2, 2])
     with pytest.raises(TypeError):
         packet_delay(net, arr, svc, rates, (0, 0), 1.0, source="nope")
+
+
+def test_packet_delay_names_a_missing_link_in_the_file_form():
+    net = fan_in_tree((2, 2, 1), [[0, 1], [0, 0]])
+    arr, svc = ArrivalProfile([1.0, 1.0]), ServiceProfile([1.0])
+    rates = RateAssignment(net, np.ones(net.num_links))
+    with pytest.raises(ValueError, match=r"^path uses nonexistent link 1:1:2$"):
+        packet_delay(net, arr, svc, rates, (0, 1, 0), 1.0)
+
+
+def _foreign_cases():
+    """Per function, a call on network ``b`` with an assignment of ``a``,
+    an equal-shaped network with other capacities, or of another shape."""
+    a, b = full_connection((2, 2), 10.0), full_connection((2, 2), 1.0)
+    arr, svc = ArrivalProfile([4.0, 4.0]), ServiceProfile([1.0, 1.0])
+    g = RateAssignment(a, [3.0] * 4)
+    wide = full_connection((3, 2), 10.0)
+    sink, other_sink = single_sink(2, 1.0), single_sink(2, 10.0)
+    tree = fan_in_tree((2, 1), [[0, 0]], 1.0)
+    one = ServiceProfile([1.0])
+    return {
+        "analytic_report": lambda: analytic_report(b, arr, svc, g, 10.0),
+        "packet_delay": lambda: packet_delay(b, arr, svc, g, (0, 0), 1.0),
+        "path_weights": lambda: path_weights(b, arr, g),
+        "effective_rates": lambda: effective_rates(b, arr, g),
+        "single_hop": lambda: check_min_delay_single_hop(b, arr, svc, g),
+        "layered": lambda: check_min_delay_layered(b, arr, svc, g),
+        "layered_3x2": lambda: check_min_delay_layered(
+            wide, ArrivalProfile([1.0, 1.0, 1.0]), svc, g
+        ),
+        "single_sink": lambda: check_min_delay_single_sink(
+            sink, arr, one, RateAssignment(other_sink, [1.0, 1.0])
+        ),
+        "tree": lambda: check_min_delay_tree(
+            tree, arr, one, RateAssignment(fan_in_tree((2, 1), [[0, 0]], 1.0), [1.0, 1.0])
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_foreign_cases()))
+def test_closed_forms_and_checkers_reject_an_assignment_of_another_network(name):
+    with pytest.raises(ValueError, match="^rate assignment belongs to a different network$"):
+        _foreign_cases()[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from fluidq import (
     QueueState,
     RateAssignment,
     ServiceProfile,
+    SimConfig,
     StaticPolicy,
     bench,
     fan_in_tree,
     load,
     save,
     single_sink,
+    tagged_run,
 )
 from fluidq.cli import _make_policy, main
 from fluidq.network import network_to_doc
@@ -537,3 +539,23 @@ def test_conjecture_input_errors_exit_with_one_line(extra, message, capsys):
     with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
         main(["conjecture", *extra])
     assert capsys.readouterr().out == ""
+
+
+def test_simulate_integer_report_writes_the_trajectory_through_the_extension(
+    tmp_path, capsys
+):
+    out = tmp_path / "int"
+    assert main(["--out", str(out), "simulate", "--net", FOURLAYER, "--policy", "opt-queue",
+                 "--horizon", "5", "--mode", "integer", "--report"]) == 0
+    text = capsys.readouterr().out
+    path = out / "trajectory.csv"
+    assert f"trajectory written to {path}" in text
+    extension = float(re.search(r"horizon extended by (\S+) ", text).group(1))
+    assert extension > 0
+    net, arr, svc = load(FOURLAYER)
+    policy = bench.make_policy("opt-queue", bench.Instance(0, net, arr, svc, None))
+    tr = tagged_run(net, arr, svc, policy, SimConfig(5.0, discretize=True),
+                    keep_trajectory=True)
+    rows = path.read_text().splitlines()
+    assert len(rows) == 1 + tr.trajectory.queues.size
+    assert rows[-1].startswith(f"{5 + extension:g},")
