@@ -191,8 +191,16 @@ def _load_objective(kind: str, net, path) -> ObjectiveSpec:
         doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
+        unknown = sorted(set(doc) - {"forced_zero", "beta", "theta"})
+        if unknown:
+            raise ValueError(
+                f"unknown key {unknown[0]!r}; the known keys are forced_zero, beta and theta"
+            )
+        keys = doc.get("forced_zero", [])
+        if not isinstance(keys, list):
+            raise ValueError(f"forced_zero must be a list of 'l:i:j' link keys, got {keys!r}")
         forced = []
-        for key in doc.get("forced_zero", ()):
+        for key in keys:
             parts = str(key).split(":")
             if len(parts) != 3 or not all(p.isdigit() for p in parts):
                 raise ValueError(f"bad link key {key!r}, expected 'l:i:j'")

@@ -122,6 +122,19 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def clip_to_bounds(x: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """``x`` clipped into ``[0, upper]``, with round-off snapped to zero.
+
+    Pivoting (or a max-flow's cancelling pushes) leaves about 1e-13 on
+    variables that are zero at the optimum; entries below 1e-9 of the
+    largest become exactly 0, so callers can judge which ones carry flow.
+    """
+    x = np.clip(x, 0.0, upper)
+    if x.size:
+        x[x < 1e-9 * x.max()] = 0.0
+    return x
+
+
 def _finite(name: str, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
@@ -237,9 +250,5 @@ def solve_lp(
         return LPResult(UNBOUNDED, pivots=pivots, flips=flips)
     x = np.zeros(width)
     x[basis] = tableau[:m, -1]
-    x_real = np.clip(np.where(flipped[:n], bounds - x[:n], x[:n]), 0.0, bounds)
-    if n:
-        # pivoting leaves round-off (about 1e-13) on variables that are zero
-        # at the optimum; callers judge which ones carry flow
-        x_real[x_real < 1e-9 * x_real.max()] = 0.0
+    x_real = clip_to_bounds(np.where(flipped[:n], bounds - x[:n], x[:n]), bounds)
     return LPResult(OPTIMAL, x_real, float(c @ x_real), pivots=pivots, flips=flips)

@@ -1,13 +1,19 @@
-"""Overload detection and LP co-optimization under min-delay constraints.
+"""Overload detection and co-optimization under min-delay constraints.
 
 Overload means no static rate vector within the capacities can keep every
 buffer bounded.  The defining inequality system is feasible exactly when
 a max-flow from the arrivals over the links to the egress service carries
 the total arrival rate, so Dinic's blocking flows decide it, and an
-overloaded verdict names the minimum cut.  With the per-layer ratio vector
-gamma fixed, the min-delay conditions are linear in the rates, so any
-piecewise-linear secondary objective (bandwidth, utilization, buffer
-growth) can be co-optimized over them by LP.
+overloaded verdict names the minimum cut.
+
+With the per-layer ratio vector gamma fixed, the min-delay conditions are
+linear in the rates.  Without split caps they are flow conservation on
+links scaled by gamma_1 ... gamma_l, so the same max-flow decides them for
+every secondary objective and an infeasible system names its minimum cut;
+the objectives whose value gamma fixes (total bandwidth, layer growth)
+read it off the flow's rates.  The other piecewise-linear objectives
+(utilization, per-node overload) are co-optimized over the conditions by
+LP.
 """
 from __future__ import annotations
 
@@ -95,11 +101,12 @@ def _incidence(net: LayeredNetwork) -> np.ndarray:
 
 
 def _max_flow(
-    net: LayeredNetwork, lam: np.ndarray, mu: np.ndarray
+    net: LayeredNetwork, lam: np.ndarray, mu: np.ndarray, caps: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, list[int]]:
     """Dinic's blocking flows from a source with an arc of capacity
-    lambda_i into each ingress node, over the links, to a sink with an arc
-    of capacity mu_j out of each egress node.
+    lambda_i into each ingress node, over the links (capacity ``caps``,
+    by default the network's), to a sink with an arc of capacity mu_j out
+    of each egress node.
 
     Returns the flow value, the flow on every link, and the forward arcs
     (numbered lambda arcs, then links, then mu arcs) that cross the minimum
@@ -118,7 +125,8 @@ def _max_flow(
     to[::2] = head
     to[1::2] = tail
     res = [0.0] * len(to)
-    res[::2] = lam.tolist() + net.capacities.tolist() + mu.tolist()
+    caps = net.capacities if caps is None else caps
+    res[::2] = lam.tolist() + caps.tolist() + mu.tolist()
     out = [[] for _ in range(n + 2)]
     for a, v in enumerate(to):
         out[v].append(a ^ 1)
@@ -258,7 +266,8 @@ def _constraint_names(
     net: LayeredNetwork, objective: ObjectiveSpec, forced: set[int]
 ) -> tuple[list[str], list[str]]:
     """Names of the gamma system's rows (split caps, then ratio rows) and
-    link bounds, in :func:`co_optimize`'s order, for an infeasible system."""
+    link bounds, in :func:`co_optimize`'s order: the words in which an
+    infeasible system's cut or phase 1, and a broken bound, are named."""
     coords = [net.node_coords(nid) for nid in range(net.num_nodes)]
     rows = []
     if objective.split_cap is not None:
@@ -277,6 +286,45 @@ def _constraint_names(
     return rows, bounds
 
 
+def _flow_rates(
+    net: LayeredNetwork,
+    arr: ArrivalProfile,
+    svc: ServiceProfile,
+    scale: np.ndarray,
+    upper: np.ndarray,
+    objective: ObjectiveSpec,
+    forced: set[int],
+) -> np.ndarray:
+    """Rates of a gamma system without split caps, from one max-flow.
+
+    ``scale`` holds s_l = gamma_1 ... gamma_l for each link of source
+    layer l.  With f = g * s the ratio rows say that each ingress node
+    sends lambda_i, each middle node sends what it receives and each
+    egress node receives mu_j * total lambda / total mu: a flow of value
+    total lambda, on link capacities ``upper`` * s (Gale, "A theorem on
+    flows in networks", Pacific J. Math. 1957).  A flow short of the total
+    by more than 1e-9 * max(1, total) raises :class:`InfeasibleError`
+    naming the minimum cut closest to the source in the gamma system's
+    words: lambda arcs as ingress ratio rows, links as their capacity,
+    utilization-cap or forced-zero bounds, and demand arcs as egress ratio
+    rows.  Otherwise the rates are f / s, clipped to [0, upper] as the
+    simplex clips its solutions.
+    """
+    caps = upper * scale
+    demand = svc.rates * (arr.total / svc.total)
+    value, f, cut = _max_flow(net, arr.rates, demand, caps)
+    if not arr.total - value <= 1e-9 * max(1.0, arr.total):
+        rows, bounds = _constraint_names(net, objective, forced)
+        arcs = rows[: net.layer_sizes[0]] + bounds + rows[net.num_nodes - net.layer_sizes[-1] :]
+        cap = np.concatenate([arr.rates, caps, demand])[cut].sum()
+        raise InfeasibleError(
+            f"min-delay constraint system is infeasible: minimum cut {cap:.9g} "
+            f"< total arrival rate {arr.total:.9g}",
+            [arcs[k] for k in cut],
+        )
+    return lp.clip_to_bounds(f / scale, upper)
+
+
 def co_optimize(
     net: LayeredNetwork,
     arr: ArrivalProfile,
@@ -292,13 +340,20 @@ def co_optimize(
     use the balanced-growth ratios.
 
     The *gamma system* is the ratio rows, split caps and the capacity,
-    utilization-cap and forced-zero bounds for one gamma.  Its ratio rows
-    fix every layer's total flow, so ``total_bandwidth``,
-    ``max_layer_growth`` and, without middle nodes, ``max_overload_rate``
-    are constant on the family: they solve the system at zero cost and read
-    the value (sum of g, largest layer growth, t_lo below) off its rates.
+    utilization-cap and forced-zero bounds for one gamma.  Without a split
+    cap it is a flow on links scaled by s_l = gamma_1 ... gamma_l
+    (:func:`_flow_rates`), so one max-flow decides it for every objective:
+    an infeasible system raises :class:`InfeasibleError` naming the
+    minimum cut, and a feasible one gives rates.  The ratio rows fix every
+    layer's total flow, so ``total_bandwidth``, ``max_layer_growth`` and,
+    without middle nodes, ``max_overload_rate`` are constant on the
+    family: they read the value (sum of g, largest layer growth, t_lo
+    below) off the flow's rates and solve no LP.
 
-    ``max_utilization`` (min t with g_k <= c_k t) is solved in
+    The other objectives then solve an LP over a system known to be
+    feasible, so an infeasible LP raises :class:`~fluidq.lp.SimplexError`.
+    ``avg_utilization`` minimizes the mean of g_k / c_k over the finite
+    links.  ``max_utilization`` (min t with g_k <= c_k t) is solved in
     Charnes-Cooper form: with s = 1/t and h = g s, each link's epigraph
     row becomes the bound h_k <= c_k, every finite capacity (times the
     utilization cap rho) becomes s >= 1/rho, and the ratio and split-cap
@@ -311,12 +366,18 @@ def co_optimize(
     node's inflow, so their growths are constants and the largest of them,
     t_lo, is a lower bound with t = t_lo + t', t' >= 0.
 
-    An infeasible system raises :class:`InfeasibleError` naming the
-    constraints its phase 1 cannot satisfy.  That phase 1 is the gamma
-    system's for every objective (the cost does not enter it, and the
-    Charnes-Cooper one is the system scaled by 1/rho with s' at 0), and an
-    infeasible overload epigraph is solved again as the bare system, so
-    every objective given the same gamma names the same list.
+    A split cap (g_k <= beta * node inflow) is no flow bound, so with one
+    every objective solves an LP (the fixed-value ones the bare system at
+    zero cost), and an infeasible system names the constraints its phase 1
+    cannot satisfy.  That phase 1 is the gamma system's for every
+    objective (the cost does not enter it, and the Charnes-Cooper one is
+    the system scaled by 1/rho with s' at 0), and an infeasible overload
+    epigraph is solved again as the bare system, so every objective given
+    the same gamma names the same list.
+
+    Every output is judged against its capacity, utilization-cap and
+    forced-zero bounds and by the ratio check; a failure of either raises
+    :class:`~fluidq.lp.SimplexError`.
     """
     ensure_valid(net, arr, svc)
     kind = objective.kind
@@ -336,18 +397,6 @@ def co_optimize(
     m = net.num_links
     node_layer = np.repeat(np.arange(net.num_layers), net.layer_sizes)
     src_layer = node_layer[net.link_src]
-    incidence = _incidence(net)
-
-    # one ratio row per node: an ingress node sends lambda_i / gamma_1, a
-    # middle node of layer l receives gamma_l times what it sends, an
-    # egress node receives gamma_L * mu_j
-    a_eq = incidence.copy()
-    a_eq[net.link_src, np.arange(m)] = np.where(
-        src_layer == 0, 1.0, -np.asarray(gamma)[src_layer]
-    )
-    b_eq = np.zeros(net.num_nodes)
-    b_eq[: net.layer_sizes[0]] = arr.rates / gamma[0]
-    b_eq[net.num_nodes - net.layer_sizes[-1] :] = gamma[-1] * svc.rates
 
     # capacities (after the utilization cap) and forced zeros are bounds
     forced = set()
@@ -359,74 +408,96 @@ def co_optimize(
     caps = net.capacities.copy()
     caps[list(forced)] = 0.0
     upper = caps if objective.utilization_cap is None else caps * objective.utilization_cap
-
-    a_ub = np.zeros((0, m))
-    b_ub = np.zeros(0)
-    if objective.split_cap is not None:
-        # g_k <= beta * (node inflow), where layer 1 nodes receive lambda_i
-        beta = objective.split_cap
-        a_ub = np.eye(m) - beta * (incidence[net.link_src] > 0)
-        first = src_layer == 0
-        b_ub = np.zeros(m)
-        b_ub[first] = beta * arr.rates[net.link_src[first]]
-
-    def solve_system(c=np.zeros(m), bounds=upper):
-        return lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq, upper=bounds)
-
-    def widen(a, column):
-        return np.column_stack((a, np.broadcast_to(column, len(a))))
-
-    if kind == "max_overload_rate":
+    if kind == "avg_utilization":
+        finite = np.flatnonzero(np.isfinite(net.capacities))
+        if not finite.size:
+            raise ValueError("average utilization needs at least one finite capacity")
+    elif kind == "max_overload_rate":
         # the ratio rows fix each ingress node's outflow and each egress
         # node's inflow, so their growths are constants; the largest is t_lo
         t_lo = max(
             float(np.max(arr.rates - arr.rates / gamma[0])),
             float(np.max(gamma[-1] * svc.rates - svc.rates)),
         )
+    # gamma fixes these values: any member of the family attains them
+    fixed = kind in ("total_bandwidth", "max_layer_growth") or (
+        kind == "max_overload_rate" and net.num_layers == 2
+    )
 
-    # each objective solves the gamma system or its own LP over g and one
-    # auxiliary column, then reads the rates and the value off the solution
-    if kind == "avg_utilization":
-        finite = np.flatnonzero(np.isfinite(net.capacities))
-        if not finite.size:
-            raise ValueError("average utilization needs at least one finite capacity")
-        c = np.zeros(m)
-        c[finite] = 1.0 / (net.capacities[finite] * finite.size)
-        result = solve_system(c)
-    elif kind == "max_utilization":
-        # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
-        # rows homogenised in s = 1/rho + s'
-        rho = objective.utilization_cap or 1.0
-        result = lp.solve_lp(
-            np.append(np.zeros(m), -1.0), widen(a_ub, -b_ub), b_ub / rho,
-            widen(a_eq, -b_eq), b_eq / rho, upper=np.append(caps, np.inf),
+    flow = objective.split_cap is None
+    if flow:
+        g = _flow_rates(net, arr, svc, np.cumprod(gamma)[src_layer], upper, objective, forced)
+    if not (flow and fixed):
+        incidence = _incidence(net)
+        # one ratio row per node: an ingress node sends lambda_i / gamma_1, a
+        # middle node of layer l receives gamma_l times what it sends, an
+        # egress node receives gamma_L * mu_j
+        a_eq = incidence.copy()
+        a_eq[net.link_src, np.arange(m)] = np.where(
+            src_layer == 0, 1.0, -np.asarray(gamma)[src_layer]
         )
-        if result.status == lp.UNBOUNDED:
-            # t* = 0: the unbounded links alone can carry the demand
-            result = solve_system(bounds=np.where(np.isfinite(caps), 0.0, caps))
-    elif kind == "max_overload_rate" and net.num_layers > 2:
-        # a middle node's growth (inflow - outflow) <= t_lo + t'
-        epigraph = incidence[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
-        result = lp.solve_lp(
-            np.append(np.zeros(m), 1.0),
-            np.vstack([widen(a_ub, 0.0), widen(epigraph, -1.0)]),
-            np.concatenate([b_ub, np.full(len(epigraph), t_lo)]),
-            widen(a_eq, 0.0), b_eq, upper=np.append(upper, np.inf),
-        )
-        if result.status == lp.INFEASIBLE:
+        b_eq = np.zeros(net.num_nodes)
+        b_eq[: net.layer_sizes[0]] = arr.rates / gamma[0]
+        b_eq[net.num_nodes - net.layer_sizes[-1] :] = gamma[-1] * svc.rates
+
+        a_ub = np.zeros((0, m))
+        b_ub = np.zeros(0)
+        if not flow:
+            # g_k <= beta * (node inflow), where layer 1 nodes receive lambda_i
+            beta = objective.split_cap
+            a_ub = np.eye(m) - beta * (incidence[net.link_src] > 0)
+            first = src_layer == 0
+            b_ub = np.zeros(m)
+            b_ub[first] = beta * arr.rates[net.link_src[first]]
+
+        def solve_system(c=np.zeros(m), bounds=upper):
+            return lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq, upper=bounds)
+
+        def widen(a, column):
+            return np.column_stack((a, np.broadcast_to(column, len(a))))
+
+        # each objective solves the gamma system or its own LP over g and
+        # one auxiliary column, then reads the rates and the value off it
+        if kind == "avg_utilization":
+            c = np.zeros(m)
+            c[finite] = 1.0 / (net.capacities[finite] * finite.size)
+            result = solve_system(c)
+        elif kind == "max_utilization":
+            # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
+            # rows homogenised in s = 1/rho + s'
+            rho = objective.utilization_cap or 1.0
+            result = lp.solve_lp(
+                np.append(np.zeros(m), -1.0), widen(a_ub, -b_ub), b_ub / rho,
+                widen(a_eq, -b_eq), b_eq / rho, upper=np.append(caps, np.inf),
+            )
+            if result.status == lp.UNBOUNDED:
+                # t* = 0: the unbounded links alone can carry the demand
+                result = solve_system(bounds=np.where(np.isfinite(caps), 0.0, caps))
+        elif not fixed:  # max_overload_rate with middle nodes
+            # a middle node's growth (inflow - outflow) <= t_lo + t'
+            epigraph = incidence[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
+            result = lp.solve_lp(
+                np.append(np.zeros(m), 1.0),
+                np.vstack([widen(a_ub, 0.0), widen(epigraph, -1.0)]),
+                np.concatenate([b_ub, np.full(len(epigraph), t_lo)]),
+                widen(a_eq, 0.0), b_eq, upper=np.append(upper, np.inf),
+            )
+            if result.status == lp.INFEASIBLE and not flow:
+                result = solve_system()
+        else:
             result = solve_system()
-    else:
-        # gamma fixes the value: any member of the family attains it
-        result = solve_system()
 
-    if result.status == lp.INFEASIBLE:
-        row_names, bound_names = _constraint_names(net, objective, forced)
-        binding = [row_names[r] for r in result.infeasible_rows]
-        binding += [bound_names[k] for k in result.infeasible_bounds]
-        raise InfeasibleError("min-delay constraint system is infeasible", binding)
-    if result.status != lp.OPTIMAL:
-        raise InfeasibleError(f"solver returned {result.status}")
-    g = result.x[:m]
+        if result.status == lp.INFEASIBLE and flow:
+            raise lp.SimplexError(f"{kind} LP is infeasible on a feasible flow system")
+        if result.status == lp.INFEASIBLE:
+            row_names, bound_names = _constraint_names(net, objective, forced)
+            binding = [row_names[r] for r in result.infeasible_rows]
+            binding += [bound_names[k] for k in result.infeasible_bounds]
+            raise InfeasibleError("min-delay constraint system is infeasible", binding)
+        if result.status != lp.OPTIMAL:
+            raise InfeasibleError(f"solver returned {result.status}")
+        g = result.x[:m]
+
     if kind == "avg_utilization":
         value = result.objective
     elif kind == "max_utilization" and result.x.size > m:
@@ -435,12 +506,19 @@ def co_optimize(
     elif kind == "max_utilization":  # t* = 0
         value = 0.0
     elif kind == "max_overload_rate":  # no t' column without middle nodes
-        value = t_lo + float(result.x[m:].sum())
+        value = t_lo if fixed else t_lo + float(result.x[m:].sum())
     elif kind == "total_bandwidth":
         value = g.sum()
     else:
         growth = node_growth(net, arr, svc, g)
         value = np.max(np.add.reduceat(growth, np.cumsum(net.layer_sizes) - net.layer_sizes))
+
+    tol = 1e-9 * max(1.0, arr.total)
+    outside = ~((g >= -tol) & (g <= upper + tol))
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        bound = _constraint_names(net, objective, forced)[1][k]
+        raise lp.SimplexError(f"optimizer output breaks the {bound}: rate {g[k]:g}")
     rates = RateAssignment(net, g)
     verdict = check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
     if not verdict:

@@ -139,7 +139,8 @@ def test_optimize_with_constraints_file(tmp_path, capsys):
 def test_optimize_reports_infeasible_input_on_stderr(tmp_path, capsys):
     from fluidq import full_connection
 
-    # the only source cannot reach d1 yet d1 must be fed mu_1
+    # the only source cannot reach d1 yet d1 must be fed mu_1: the minimum
+    # cut is the forced-zero link and d2's demand
     net = full_connection([1, 2])
     arr, svc = ArrivalProfile([6.0]), ServiceProfile([2.0, 2.0])
     net_path = tmp_path / "n.json"
@@ -154,8 +155,8 @@ def test_optimize_reports_infeasible_input_on_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "min-delay constraint system is infeasible" in captured.err
-    assert "forced zero on link 1:1:1" in captured.err
-    assert "egress ratio at node 1" in captured.err
+    assert "minimum cut 3 < total arrival rate 6" in captured.err
+    assert "forced zero on link 1:1:1; egress ratio at node 2" in captured.err
 
 
 def test_bench_and_conjecture_subcommands(tmp_path, capsys):
@@ -507,6 +508,11 @@ def test_bp_on_unbounded_links_fails_when_built():
     ('{"forced_zero": ["9:9:9"]}', "forced-zero link 9:9:9 does not exist"),
     ('{"forced_zero": ["1:1"]}', "bad link key '1:1', expected 'l:i:j'"),
     ("[]", "expected a JSON object"),
+    ('{"utilization_cap": 0.01}',
+     "unknown key 'utilization_cap'; the known keys are forced_zero, beta and theta"),
+    ('{"theta": 0.5, "split_cap": 0.5}',
+     "unknown key 'split_cap'; the known keys are forced_zero, beta and theta"),
+    ('{"forced_zero": "1:1:1"}', "forced_zero must be a list of 'l:i:j' link keys, got '1:1:1'"),
 ])
 def test_optimize_constraint_errors_exit_with_one_line(content, message, tmp_path, capsys):
     cons = tmp_path / "cons.json"
@@ -515,6 +521,28 @@ def test_optimize_constraint_errors_exit_with_one_line(content, message, tmp_pat
     with pytest.raises(SystemExit, match=f"^--constraints {cons}: {message}$"):
         main(["optimize", "--net", FOURLAYER, "--objective", "total_bandwidth",
               "--constraints", str(cons)])
+    assert capsys.readouterr().out == ""
+
+
+def test_optimize_constraints_file_keys_decide_the_outcome(tmp_path, capsys):
+    """On a bounded network a utilization cap of 0.01 is infeasible.  Under
+    its file key ``theta`` the optimizer says so; under a key the file does
+    not know, the run stops before optimizing, where it used to run
+    uncapped and exit 0."""
+    net = os.path.join(DATA, "bounded.json")
+    cons = tmp_path / "cons.json"
+    args = ["optimize", "--net", net, "--objective", "max_utilization", "--constraints", str(cons)]
+    cons.write_text('{"theta": 1}')
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("objective max_utilization = 0.5\n")
+    cons.write_text('{"theta": 0.01}')
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infeasible: min-delay constraint system is infeasible: ")
+    cons.write_text('{"utilization_cap": 0.01}')
+    with pytest.raises(SystemExit, match="unknown key 'utilization_cap'"):
+        main(args)
     assert capsys.readouterr().out == ""
 
 

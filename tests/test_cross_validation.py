@@ -30,6 +30,7 @@ from fluidq import (
     throughput_tight_gamma,
 )
 from fluidq import lp
+from fluidq.optimize import OBJECTIVE_KINDS
 from fluidq.bench import preset, sample_instance
 
 from conftest import single_sink_rates
@@ -202,17 +203,22 @@ def _named_cut(net, detail):
 
 
 def _check_overloaded(nx, net, arr, svc, verdict, closest=False):
-    """The named arcs separate source from sink, their capacities sum to the
-    max flow (networkx), which is below the total arrival rate; with
-    ``closest``, they are the arcs leaving the nodes that networkx's own max
-    flow leaves reachable from the source."""
-    graph = _flow_graph(nx, net, arr, svc)
-    value, flows = nx.maximum_flow(graph, "s", "t")
+    """The overloaded verdict's named arcs are a minimum cut (see
+    :func:`_check_cut`) of the overload flow graph."""
     printed, edges = _named_cut(net, verdict.detail)
+    _check_cut(nx, _flow_graph(nx, net, arr, svc), edges, printed, arr.total, closest)
+
+
+def _check_cut(nx, graph, edges, printed, total, closest=False):
+    """The named arcs separate source from sink, their capacities sum to the
+    max flow (networkx), which is below the total arrival rate and is the
+    printed cut capacity; with ``closest``, they are the arcs leaving the
+    nodes that networkx's own max flow leaves reachable from the source."""
+    value, flows = nx.maximum_flow(graph, "s", "t")
     capacity = sum(graph.edges[e]["capacity"] for e in edges)
     assert capacity == pytest.approx(value, rel=1e-9, abs=1e-9)
     assert printed == pytest.approx(value, rel=1e-8)
-    assert value < arr.total - 1e-9 * max(1.0, arr.total)
+    assert value < total - 1e-9 * max(1.0, total)
     if closest:
         residual = nx.DiGraph()
         for u, v, data in graph.edges(data=True):
@@ -654,3 +660,172 @@ def test_objectives_given_one_gamma_name_one_binding_list():
                 assert first, (trial, extra)
                 assert all(b == first for b in bindings.values()), (trial, gamma, extra, bindings)
     assert infeasible >= 40
+
+
+def _default_gamma(kind, arr, svc, layers):
+    if kind in ("max_overload_rate", "max_layer_growth"):
+        return balanced_growth_gamma(arr, svc, layers)
+    return throughput_tight_gamma(arr, svc, layers)
+
+
+def _gamma_flow_graph(nx, net, lam, mu, gamma, spec):
+    """The gamma system without split caps as a flow, written from the
+    model: source "s" with arc lambda_i into each ingress node, each link
+    of layer l at its bound (capacity times the utilization cap, 0 when
+    forced) times gamma_1 ... gamma_l, and arc mu_j * total lambda / total
+    mu from each egress node to sink "t"."""
+    graph = nx.DiGraph()
+    egress_lo = net.num_nodes - net.layer_sizes[-1]
+    for i, rate in enumerate(lam):
+        graph.add_edge("s", i, capacity=float(rate))
+    for j, rate in enumerate(mu):
+        graph.add_edge(egress_lo + j, "t", capacity=float(rate * lam.sum() / mu.sum()))
+    forced = {tuple(key) for key in spec.forced_zero}
+    for ln in net.links:
+        scale = float(np.prod(gamma[: ln.layer + 1]))
+        cap = 0.0 if ln.key in forced else ln.capacity * (spec.utilization_cap or 1.0) * scale
+        attrs = {} if np.isinf(cap) else {"capacity": cap}
+        graph.add_edge(net.node_id(ln.layer, ln.src), net.node_id(ln.layer + 1, ln.dst), **attrs)
+    return graph
+
+
+def _gamma_cut_edges(net, spec, binding):
+    """The graph edges an infeasible gamma system's binding names denote;
+    each link is named by the bound it has under ``spec``."""
+    egress_lo = net.num_nodes - net.layer_sizes[-1]
+    forced = {tuple(key) for key in spec.forced_zero}
+    edges = []
+    for name in binding:
+        if match := re.fullmatch(r"ingress ratio at layer 1 node (\d+)", name):
+            edges.append(("s", int(match[1]) - 1))
+        elif match := re.fullmatch(r"egress ratio at node (\d+)", name):
+            edges.append((egress_lo + int(match[1]) - 1, "t"))
+        else:
+            match = re.fullmatch(r"(.+) link (\d+):(\d+):(\d+)", name)
+            assert match, name
+            key = tuple(int(v) - 1 for v in match.group(2, 3, 4))
+            bound = ("forced zero on" if key in forced else
+                     "capacity of" if spec.utilization_cap is None else "utilization cap on")
+            assert match[1] == bound, name
+            k = net.link_index[key]
+            edges.append((int(net.link_src[k]), int(net.link_dst[k])))
+    return edges
+
+
+def _check_gamma_cut(nx, net, arr, svc, gamma, spec, exc):
+    """An infeasible gamma system's named cut is a minimum cut of its flow
+    closest to the source, with the printed capacity."""
+    match = re.search(r": minimum cut (\S+) < total arrival rate ", str(exc))
+    assert match, str(exc)
+    graph = _gamma_flow_graph(nx, net, arr.rates, svc.rates, gamma, spec)
+    edges = _gamma_cut_edges(net, spec, exc.binding)
+    _check_cut(nx, graph, edges, float(match[1]), arr.total, closest=True)
+
+
+def _simplex_fixed_value(kind, net, arr, svc, gamma):
+    """The value gamma fixes, read off the in-tree simplex's zero-cost
+    solve of the gamma system, its ratio rows written node by node."""
+    lam, mu = arr.rates, svc.rates
+    n0, egress_lo = net.layer_sizes[0], net.num_nodes - net.layer_sizes[-1]
+    a_eq = np.zeros((net.num_nodes, net.num_links))
+    for k, ln in enumerate(net.links):
+        a_eq[net.node_id(ln.layer, ln.src), k] = 1.0 if ln.layer == 0 else -gamma[ln.layer]
+        a_eq[net.node_id(ln.layer + 1, ln.dst), k] = 1.0
+    b_eq = np.zeros(net.num_nodes)
+    b_eq[:n0] = lam / gamma[0]
+    b_eq[egress_lo:] = gamma[-1] * mu
+    result = lp.solve_lp(np.zeros(net.num_links), a_eq=a_eq, b_eq=b_eq, upper=net.capacities)
+    assert result.status == lp.OPTIMAL
+    g = result.x
+    inflow = np.bincount(net.link_dst, g, minlength=net.num_nodes)
+    outflow = np.bincount(net.link_src, g, minlength=net.num_nodes)
+    inflow[:n0] = lam
+    outflow[egress_lo:] = mu
+    growth = inflow - outflow
+    if kind == "total_bandwidth":
+        return float(g.sum())
+    if kind == "max_overload_rate":
+        return float(growth.max())
+    return max(float(growth[net.layer_nodes(l).start : net.layer_nodes(l).stop].sum())
+               for l in range(net.num_layers))
+
+
+@pytest.mark.parametrize("seed", [20240811, 41, 7])
+def test_flow_verdicts_and_values_against_the_lp_on_optimizer_families(seed):
+    """Every objective on eight seeded draws of each optimizer family,
+    keyed as the optimizer benchmark keys them: InfeasibleError exactly
+    when HiGHS finds the system infeasible, and then the named cut is a
+    minimum cut of the scaled flow (networkx) closest to the source; a
+    feasible value is HiGHS's optimum, and the values gamma fixes are
+    within 1e-12 relative of the in-tree simplex's solve of the system."""
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy.optimize")
+    outcomes = {"infeasible": 0, "fixed": 0, "lp": 0}
+    for stream, (name, sizes) in enumerate(OPTIMIZER_FAMILIES):
+        cfg = preset(name)
+        if sizes is not None:
+            cfg = dataclasses.replace(cfg, layer_sizes=sizes)
+        for k in range(8):
+            inst = sample_instance(cfg, np.random.default_rng([seed, stream, k]), k)
+            net, arr, svc = inst.net, inst.arr, inst.svc
+            for kind in OBJECTIVE_KINDS:
+                spec = ObjectiveSpec(kind)
+                gamma = _default_gamma(kind, arr, svc, net.num_layers)
+                status, best = _highs_co_optimum(kind, net, arr.rates, svc.rates, spec)
+                assert status in (0, 2)
+                if status == 2:
+                    with pytest.raises(InfeasibleError) as exc:
+                        co_optimize(net, arr, svc, spec)
+                    _check_gamma_cut(nx, net, arr, svc, gamma, spec, exc.value)
+                    outcomes["infeasible"] += 1
+                    continue
+                _, value = co_optimize(net, arr, svc, spec)
+                assert value == pytest.approx(best, rel=1e-6, abs=1e-6), (name, k, kind)
+                if kind in ("total_bandwidth", "max_layer_growth") or (
+                    kind == "max_overload_rate" and net.num_layers == 2
+                ):
+                    ref = _simplex_fixed_value(kind, net, arr, svc, gamma)
+                    assert abs(value - ref) <= 1e-12 * abs(ref), (name, k, kind, value, ref)
+                    outcomes["fixed"] += 1
+                else:
+                    outcomes["lp"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_named_cut_of_an_infeasible_gamma_system_is_a_minimum_cut():
+    """Random full connections with fractional rates and capacities, a
+    fifth of the links unbounded, under a utilization cap, a forced-zero
+    link, both or neither: the flow's verdict is HiGHS's, and each
+    infeasible system names a minimum cut of its scaled flow (networkx),
+    closest to the source, in the gamma system's words.  Every kind of
+    name turns up."""
+    nx = pytest.importorskip("networkx")
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(25)
+    seen = set()
+    for trial in range(160):
+        sizes = [int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 5)))]
+        caps = [
+            np.where(rng.random((a, b)) < 0.2, np.inf, rng.uniform(0.5, 4.0, size=(a, b)))
+            for a, b in zip(sizes, sizes[1:])
+        ]
+        net = full_connection(sizes, caps)
+        arr = ArrivalProfile(rng.uniform(0.5, 4.0, size=sizes[0]))
+        svc = ServiceProfile(rng.uniform(0.5, 4.0, size=sizes[-1]))
+        forced = (net.links[int(rng.integers(net.num_links))].key,)
+        extra = ({}, {"utilization_cap": 0.6}, {"forced_zero": forced},
+                 {"utilization_cap": 0.8, "forced_zero": forced})[trial % 4]
+        kind = ("total_bandwidth", "max_layer_growth")[trial // 4 % 2]
+        spec = ObjectiveSpec(kind, **extra)
+        status, _ = _highs_co_optimum(kind, net, arr.rates, svc.rates, spec)
+        assert status in (0, 2)
+        try:
+            co_optimize(net, arr, svc, spec)
+        except InfeasibleError as exc:
+            assert status == 2, (trial, spec)
+            gamma = _default_gamma(kind, arr, svc, net.num_layers)
+            _check_gamma_cut(nx, net, arr, svc, gamma, spec, exc)
+            seen.update(re.sub(r" (at|on|of) .*", "", name) for name in exc.binding)
+        else:
+            assert status == 0, (trial, spec)
+    assert seen == {"ingress ratio", "egress ratio", "capacity", "utilization cap", "forced zero"}

@@ -432,8 +432,9 @@ def _capture_lps(monkeypatch):
 def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, sizes, split_cap):
     """max_utilization has no epigraph row (its links' epigraphs are
     bounds), and max_overload_rate has one only per middle node.  Without
-    middle nodes gamma fixes max_overload_rate at t_lo, so it solves the
-    gamma system alone: no t' column and no epigraph row."""
+    middle nodes gamma fixes max_overload_rate at t_lo: with a split cap it
+    solves the gamma system alone (no t' column and no epigraph row), and
+    without one the max-flow gives its rates and no LP runs."""
     net = full_connection(list(sizes), 6.0)
     arr = ArrivalProfile([4.0, 3.0, 5.0][: sizes[0]])
     svc = ServiceProfile([2.0, 1.5][: sizes[-1]])
@@ -445,7 +446,9 @@ def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, s
                                  ("max_overload_rate", m + (middle > 0), split_rows + middle)):
         problems.clear()
         rates, value = co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
-        assert problems == [{"width": width, "ub_rows": ub_rows, "eq_rows": nodes}]
+        flow_only = kind == "max_overload_rate" and not middle and split_cap is None
+        expected = [] if flow_only else [{"width": width, "ub_rows": ub_rows, "eq_rows": nodes}]
+        assert problems == expected
         gamma = (balanced_growth_gamma(arr, svc, len(sizes)) if kind == "max_overload_rate"
                  else throughput_tight_gamma(arr, svc, len(sizes)))
         assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
@@ -482,26 +485,87 @@ _CAPPED_LAYER_2 = tuple(f"utilization cap on link 2:{i}:{j}" for i in (1, 2) for
 
 
 @pytest.mark.parametrize("kind, caps, binding", [
-    ("max_utilization", [4.0, 4.0],
-     ("ingress ratio at layer 1 node 2", "egress ratio at node 2") + _CAPPED),
-    ("max_overload_rate", [4.0, 4.0],
-     ("ingress ratio at layer 1 node 2", "egress ratio at node 1", "egress ratio at node 2")
-     + _CAPPED),
-    ("max_utilization", [np.inf, 3.0],
-     ("ingress ratio at layer 1 node 2", "egress ratio at node 1", "egress ratio at node 2")
-     + _CAPPED_LAYER_2),
-    ("max_overload_rate", [np.inf, 3.0],
-     ("ingress ratio at layer 1 node 2", "egress ratio at node 1", "egress ratio at node 2")
-     + _CAPPED_LAYER_2),
+    ("max_utilization", [4.0, 4.0], ("ingress ratio at layer 1 node 1",) + _CAPPED),
+    ("max_overload_rate", [4.0, 4.0], ("ingress ratio at layer 1 node 1",) + _CAPPED),
+    ("max_utilization", [np.inf, 3.0], _CAPPED_LAYER_2),
+    ("max_overload_rate", [np.inf, 3.0], _CAPPED_LAYER_2),
 ])
 def test_binding_utilization_cap_names_the_capped_links(kind, caps, binding):
     """Half the capacity cannot carry node 2's arrivals.  The names are
-    the ones the gamma system's own phase 1 reports on these networks:
-    the Charnes-Cooper phase 1 for max_utilization, and for
-    max_overload_rate the zero-cost solve of the system that follows its
-    infeasible epigraph LP."""
+    the minimum cut of the gamma system's flow closest to the source: node
+    1's arrivals and node 2's capped out-links, or the whole capped second
+    layer when the first is unbounded."""
     net = full_connection([2, 2, 2], [np.full((2, 2), c) for c in caps])
     arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
     with pytest.raises(InfeasibleError) as exc:
         co_optimize(net, arr, svc, ObjectiveSpec(kind, utilization_cap=0.5))
     assert exc.value.binding == list(binding)
+
+
+def test_fixed_gamma_objectives_solve_no_lp(monkeypatch):
+    """total_bandwidth, max_layer_growth and, without middle nodes,
+    max_overload_rate read their value off the max-flow's rates, feasible
+    or not: no ``lp.solve_lp`` call.  A split cap is no flow bound, so with
+    one each solves the gamma system by one LP."""
+    cases = [
+        (full_connection([2, 2, 2], 4.0), ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])),
+        (full_connection([3, 2], 6.0), ArrivalProfile([4.0, 3.0, 5.0]), ServiceProfile([2.0, 1.5])),
+        # node 2's arrivals exceed its out-links: infeasible
+        (full_connection([2, 2], [np.array([[4.0, 4.0], [1.0, 1.0]])]), ArrivalProfile([1.0, 8.0]),
+         ServiceProfile([2.0, 2.0])),
+    ]
+    problems = _capture_lps(monkeypatch)
+    outcomes = set()
+    for net, arr, svc in cases:
+        kinds = ["total_bandwidth", "max_layer_growth"]
+        if net.num_layers == 2:
+            kinds.append("max_overload_rate")
+        for kind in kinds:
+            for split_cap, calls in ((None, 0), (1.0, 1)):
+                problems.clear()
+                try:
+                    co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
+                    outcomes.add("feasible")
+                except InfeasibleError:
+                    outcomes.add("infeasible")
+                assert len(problems) == calls, (kind, split_cap)
+    assert outcomes == {"feasible", "infeasible"}
+
+
+def test_optimizer_output_is_judged_against_its_bounds(monkeypatch):
+    """A rate outside [0, bound] fails on both routes, named by its bound:
+    a NaN link flow from the max-flow, and simplex rates above a
+    utilization cap or on a forced-zero link."""
+    net = full_connection([2, 2], 4.0)
+    arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
+    max_flow = optimize._max_flow
+
+    def nan_flow(*args):
+        value, f, cut = max_flow(*args)
+        f[0] = np.nan
+        return value, f, cut
+
+    monkeypatch.setattr(optimize, "_max_flow", nan_flow)
+    with pytest.raises(lp.SimplexError,
+                       match="^optimizer output breaks the capacity of link 1:1:1: rate nan$"):
+        co_optimize(net, arr, svc, ObjectiveSpec("total_bandwidth"))
+    monkeypatch.setattr(
+        lp, "solve_lp", lambda *args, **kwargs: lp.LPResult(lp.OPTIMAL, np.full(4, 3.0), 0.0)
+    )
+    for extra, bound in (({"utilization_cap": 0.5}, "utilization cap on"),
+                         ({"forced_zero": ((0, 0, 0),)}, "forced zero on")):
+        spec = ObjectiveSpec("total_bandwidth", split_cap=0.9, **extra)
+        with pytest.raises(lp.SimplexError,
+                           match=f"^optimizer output breaks the {bound} link 1:1:1: rate 3$"):
+            co_optimize(net, arr, svc, spec)
+
+
+def test_lp_objectives_raise_simplex_error_when_the_lp_contradicts_the_flow(monkeypatch):
+    """The LP objectives run on a system the max-flow found feasible, so an
+    infeasible LP is the solver's fault, not the input's."""
+    net = full_connection([2, 2, 2], 4.0)
+    arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
+    monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: lp.LPResult(lp.INFEASIBLE))
+    for kind in ("avg_utilization", "max_utilization", "max_overload_rate"):
+        with pytest.raises(lp.SimplexError, match=f"^{kind} LP is infeasible on a feasible"):
+            co_optimize(net, arr, svc, ObjectiveSpec(kind))
