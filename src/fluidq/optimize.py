@@ -11,9 +11,11 @@ linear in the rates.  Without split caps they are flow conservation on
 links scaled by gamma_1 ... gamma_l, so the same max-flow decides them for
 every secondary objective and an infeasible system names its minimum cut;
 the objectives whose value gamma fixes (total bandwidth, layer growth)
-read it off the flow's rates.  The other piecewise-linear objectives
-(utilization, per-node overload) are co-optimized over the conditions by
-LP.
+read it off the flow's rates, and the largest link utilization is found by
+Newton's method over max-flows with every link scaled by the utilization.
+Average utilization and per-node overload with middle nodes are
+co-optimized over the conditions by LP, as is every objective under a
+split cap.
 """
 from __future__ import annotations
 
@@ -88,6 +90,24 @@ class ObjectiveSpec:
                 raise ValueError(f"{name} must be a number in (0, 1], got {cap!r}")
             if not 0 < cap <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")
+        if not isinstance(self.forced_zero, tuple):
+            raise ValueError(
+                f"forced_zero must be a tuple of (l, i, j) link keys, got {self.forced_zero!r}"
+            )
+        for key in self.forced_zero:
+            if not (isinstance(key, tuple) and len(key) == 3 and all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+                for v in key
+            )):
+                raise ValueError(
+                    f"forced-zero link key must be three nonnegative ints (l, i, j), got {key!r}"
+                )
+
+
+def _tol(total: float) -> float:
+    """Slack of the flow's shortfall test and of every bound check:
+    1e-9 * max(1, total arrival rate)."""
+    return 1e-9 * max(1.0, total)
 
 
 def _incidence(net: LayeredNetwork) -> np.ndarray:
@@ -108,13 +128,14 @@ def _max_flow(
     by default the network's), to a sink with an arc of capacity mu_j out
     of each egress node.
 
-    Returns the flow value, the flow on every link, and the forward arcs
-    (numbered lambda arcs, then links, then mu arcs) that cross the minimum
-    cut closest to the source: from the nodes the last breadth-first search
-    reached to those it did not.  Arc 2k is forward arc k and arc 2k + 1
-    its reverse, so ``a ^ 1`` pairs them and the flow on arc k is the
-    residual of its reverse, which is how an unbounded link reports a
-    finite flow.
+    Returns the flow value, the flow on every link, and the cut: empty when
+    the flow comes within :func:`_tol` of the total of ``lam``, otherwise
+    the forward arcs (numbered lambda arcs, then links, then mu arcs) that
+    cross the minimum cut closest to the source, from the nodes the last
+    breadth-first search reached to those it did not.  Arc 2k is forward
+    arc k and arc 2k + 1 its reverse, so ``a ^ 1`` pairs them and the flow
+    on arc k is the residual of its reverse, which is how an unbounded link
+    reports a finite flow.
     """
     n = net.num_nodes
     source, sink = n, n + 1
@@ -179,9 +200,13 @@ def _max_flow(
                 u = to[path.pop() ^ 1]
                 current[u] += 1
 
-    cut = [k for k, (u, v) in enumerate(zip(tail, head)) if level[u] >= 0 > level[v]]
+    value = sum(res[1 : 2 * n0 : 2])
+    total = float(lam.sum())
+    cut = []
+    if not total - value <= _tol(total):
+        cut = [k for k, (u, v) in enumerate(zip(tail, head)) if level[u] >= 0 > level[v]]
     links = slice(2 * n0 + 1, 2 * (n0 + net.num_links), 2)
-    return sum(res[1 : 2 * n0 : 2]), np.array(res[links]), cut
+    return value, np.array(res[links]), cut
 
 
 def _cut_name(net: LayeredNetwork, k: int) -> str:
@@ -205,9 +230,8 @@ def overload_check(
     lambda_i into each ingress node) over the links to a sink (arc mu_j
     out of each egress node) reaches the total arrival rate: such a flow
     meets the system, and any g that meets it thins layer by layer into
-    such a flow.  The flow is Dinic's and must come within
-    1e-9 * max(1, total) of the total; boundary-feasible instances count as
-    not overloaded.
+    such a flow.  The flow is Dinic's and must come within :func:`_tol` of
+    the total; boundary-feasible instances count as not overloaded.
 
     The witness is the link flow, checked against the system to the same
     tolerance: no node's :func:`~fluidq.network.node_growth` is positive
@@ -216,16 +240,15 @@ def overload_check(
     mu[j]) and its capacity, which equals the max flow.
     """
     ensure_valid(net, arr, svc)
-    value, x, cut = _max_flow(net, arr.rates, svc.rates)
-    tol = 1e-9 * max(1.0, arr.total)
-    if not arr.total - value <= tol:
+    _, x, cut = _max_flow(net, arr.rates, svc.rates)
+    if cut:
         cap = np.concatenate([arr.rates, net.capacities, svc.rates])[cut].sum()
         arcs = ", ".join(_cut_name(net, k) for k in cut)
         return OverloadVerdict(
             True, None, f"minimum cut {cap:.9g} < total arrival rate {arr.total:.9g}: {arcs}"
         )
     residual = np.max(np.concatenate([node_growth(net, arr, svc, x), x - net.capacities, -x]))
-    if not (residual <= tol):
+    if not (residual <= _tol(arr.total)):
         raise lp.SimplexError(f"witness violates the system by {residual:g}")
     return OverloadVerdict(False, RateAssignment(net, x), "bounded-backlog rates exist")
 
@@ -303,17 +326,17 @@ def _flow_rates(
     egress node receives mu_j * total lambda / total mu: a flow of value
     total lambda, on link capacities ``upper`` * s (Gale, "A theorem on
     flows in networks", Pacific J. Math. 1957).  A flow short of the total
-    by more than 1e-9 * max(1, total) raises :class:`InfeasibleError`
-    naming the minimum cut closest to the source in the gamma system's
-    words: lambda arcs as ingress ratio rows, links as their capacity,
-    utilization-cap or forced-zero bounds, and demand arcs as egress ratio
-    rows.  Otherwise the rates are f / s, clipped to [0, upper] as the
-    simplex clips its solutions.
+    by more than :func:`_tol` raises :class:`InfeasibleError` naming the
+    minimum cut closest to the source in the gamma system's words: lambda
+    arcs as ingress ratio rows, links as their capacity, utilization-cap or
+    forced-zero bounds, and demand arcs as egress ratio rows.  Otherwise
+    the rates are f / s, clipped to [0, upper] as the simplex clips its
+    solutions.
     """
     caps = upper * scale
     demand = svc.rates * (arr.total / svc.total)
-    value, f, cut = _max_flow(net, arr.rates, demand, caps)
-    if not arr.total - value <= 1e-9 * max(1.0, arr.total):
+    _, f, cut = _max_flow(net, arr.rates, demand, caps)
+    if cut:
         rows, bounds = _constraint_names(net, objective, forced)
         arcs = rows[: net.layer_sizes[0]] + bounds + rows[net.num_nodes - net.layer_sizes[-1] :]
         cap = np.concatenate([arr.rates, caps, demand])[cut].sum()
@@ -323,6 +346,49 @@ def _flow_rates(
             [arcs[k] for k in cut],
         )
     return lp.clip_to_bounds(f / scale, upper)
+
+
+def _least_utilization(
+    net: LayeredNetwork,
+    arr: ArrivalProfile,
+    svc: ServiceProfile,
+    scale: np.ndarray,
+    caps: np.ndarray,
+    rho: float,
+) -> tuple[float, np.ndarray]:
+    """The least t <= ``rho`` at which the gamma system without split caps
+    holds with g_k <= c_k t on every finite link, and rates that attain it.
+
+    At t the link arcs of :func:`_flow_rates`' flow have capacity
+    c_k t s_l (unbounded links stay unbounded, forced-zero ones 0).  A flow
+    short of the total has a minimum cut of capacity A + t B, and no t
+    below (total - A) / B can carry the total, so Newton's method steps
+    there from t = 0 (Dinkelbach, "On nonlinear fractional programming",
+    Management Sci. 1967; Radzik, "Newton's method for fractional
+    combinatorial optimization", FOCS 1992).  It stops at the first flow
+    that reaches the total: its rates attain t, and the cut before it
+    proves that no smaller t is feasible.  The caller has found the system
+    feasible at ``rho``, so every cut has B > 0 and each step raises t; a
+    step that does not raises :class:`~fluidq.lp.SimplexError`.
+    """
+    demand = svc.rates * (arr.total / svc.total)
+    bounded = np.isfinite(caps)
+    caps_b, scale_b = caps[bounded], scale[bounded]
+    link_caps = caps * scale
+    # each arc's cut capacity A + t B: constant part and slope in t
+    const = np.concatenate([arr.rates, np.zeros(net.num_links), demand])
+    slope = np.concatenate([np.zeros(arr.rates.size), link_caps, np.zeros(demand.size)])
+    t = 0.0
+    while True:
+        link_caps[bounded] = caps_b * t * scale_b
+        _, f, cut = _max_flow(net, arr.rates, demand, link_caps)
+        if not cut:
+            return t, lp.clip_to_bounds(f / scale, caps * rho)
+        b = slope[cut].sum()
+        step = min((arr.total - const[cut].sum()) / b, rho) if b > 0 else t
+        if not step > t:
+            raise lp.SimplexError(f"max_utilization Newton step stalls at t = {float(t)!r}")
+        t = step
 
 
 def co_optimize(
@@ -348,20 +414,15 @@ def co_optimize(
     layer's total flow, so ``total_bandwidth``, ``max_layer_growth`` and,
     without middle nodes, ``max_overload_rate`` are constant on the
     family: they read the value (sum of g, largest layer growth, t_lo
-    below) off the flow's rates and solve no LP.
+    below) off the flow's rates and solve no LP.  ``max_utilization`` (min
+    t with g_k <= c_k t, t <= the utilization cap rho) is the least link
+    scale at which the flow still carries the total, found by Newton's
+    method over max-flows (:func:`_least_utilization`), with no LP either.
 
     The other objectives then solve an LP over a system known to be
     feasible, so an infeasible LP raises :class:`~fluidq.lp.SimplexError`.
     ``avg_utilization`` minimizes the mean of g_k / c_k over the finite
-    links.  ``max_utilization`` (min t with g_k <= c_k t) is solved in
-    Charnes-Cooper form: with s = 1/t and h = g s, each link's epigraph
-    row becomes the bound h_k <= c_k, every finite capacity (times the
-    utilization cap rho) becomes s >= 1/rho, and the ratio and split-cap
-    rows are homogenised in s = 1/rho + s'; the LP maximizes s' and
-    returns g = h / s at value 1 / s.  That LP is unbounded exactly when
-    the unbounded links alone can carry the demand; the value is then 0,
-    with the rates of one feasibility solve that holds every finite link
-    at 0.  ``max_overload_rate`` keeps an epigraph row only at middle
+    links.  ``max_overload_rate`` keeps an epigraph row only at middle
     nodes: the ratio rows fix each ingress node's outflow and each egress
     node's inflow, so their growths are constants and the largest of them,
     t_lo, is a lower bound with t = t_lo + t', t' >= 0.
@@ -369,11 +430,19 @@ def co_optimize(
     A split cap (g_k <= beta * node inflow) is no flow bound, so with one
     every objective solves an LP (the fixed-value ones the bare system at
     zero cost), and an infeasible system names the constraints its phase 1
-    cannot satisfy.  That phase 1 is the gamma system's for every
-    objective (the cost does not enter it, and the Charnes-Cooper one is
-    the system scaled by 1/rho with s' at 0), and an infeasible overload
-    epigraph is solved again as the bare system, so every objective given
-    the same gamma names the same list.
+    cannot satisfy.  There ``max_utilization`` is solved in Charnes-Cooper
+    form: with s = 1/t and h = g s, each link's epigraph row becomes the
+    bound h_k <= c_k, every finite capacity (times rho) becomes s >= 1/rho,
+    and the ratio and split-cap rows are homogenised in s = 1/rho + s'; the
+    LP maximizes s' and returns g = h / s at value 1 / s.  That LP is
+    unbounded exactly when the unbounded links alone can carry the demand;
+    the value is then 0, with the rates of one feasibility solve that holds
+    every finite link at 0, and an infeasible one raises
+    :class:`~fluidq.lp.SimplexError`.  The phase 1 is the gamma system's
+    for every objective (the cost does not enter it, and the
+    Charnes-Cooper one is the system scaled by 1/rho with s' at 0), and an
+    infeasible overload epigraph is solved again as the bare system, so
+    every objective given the same gamma names the same list.
 
     Every output is judged against its capacity, utilization-cap and
     forced-zero bounds and by the ratio check; a failure of either raises
@@ -425,9 +494,11 @@ def co_optimize(
     )
 
     flow = objective.split_cap is None
+    rho = objective.utilization_cap or 1.0
     if flow:
-        g = _flow_rates(net, arr, svc, np.cumprod(gamma)[src_layer], upper, objective, forced)
-    if not (flow and fixed):
+        scale = np.cumprod(gamma)[src_layer]
+        g = _flow_rates(net, arr, svc, scale, upper, objective, forced)
+    if not (flow and (fixed or kind == "max_utilization")):
         incidence = _incidence(net)
         # one ratio row per node: an ingress node sends lambda_i / gamma_1, a
         # middle node of layer l receives gamma_l times what it sends, an
@@ -457,7 +528,9 @@ def co_optimize(
             return np.column_stack((a, np.broadcast_to(column, len(a))))
 
         # each objective solves the gamma system or its own LP over g and
-        # one auxiliary column, then reads the rates and the value off it
+        # one auxiliary column, then reads the rates and the value off it;
+        # only a split-cap system can still turn out infeasible
+        feasible = flow
         if kind == "avg_utilization":
             c = np.zeros(m)
             c[finite] = 1.0 / (net.capacities[finite] * finite.size)
@@ -465,14 +538,15 @@ def co_optimize(
         elif kind == "max_utilization":
             # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
             # rows homogenised in s = 1/rho + s'
-            rho = objective.utilization_cap or 1.0
             result = lp.solve_lp(
                 np.append(np.zeros(m), -1.0), widen(a_ub, -b_ub), b_ub / rho,
                 widen(a_eq, -b_eq), b_eq / rho, upper=np.append(caps, np.inf),
             )
             if result.status == lp.UNBOUNDED:
-                # t* = 0: the unbounded links alone can carry the demand
+                # t* = 0: the unbounded links alone can carry the demand, so
+                # the system is feasible with every finite link at 0
                 result = solve_system(bounds=np.where(np.isfinite(caps), 0.0, caps))
+                feasible = True
         elif not fixed:  # max_overload_rate with middle nodes
             # a middle node's growth (inflow - outflow) <= t_lo + t'
             epigraph = incidence[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
@@ -487,8 +561,8 @@ def co_optimize(
         else:
             result = solve_system()
 
-        if result.status == lp.INFEASIBLE and flow:
-            raise lp.SimplexError(f"{kind} LP is infeasible on a feasible flow system")
+        if result.status == lp.INFEASIBLE and feasible:
+            raise lp.SimplexError(f"{kind} LP is infeasible on a feasible gamma system")
         if result.status == lp.INFEASIBLE:
             row_names, bound_names = _constraint_names(net, objective, forced)
             binding = [row_names[r] for r in result.infeasible_rows]
@@ -500,6 +574,8 @@ def co_optimize(
 
     if kind == "avg_utilization":
         value = result.objective
+    elif kind == "max_utilization" and flow:
+        value, g = _least_utilization(net, arr, svc, scale, caps, rho)
     elif kind == "max_utilization" and result.x.size > m:
         s = 1.0 / rho + result.x[m]
         g, value = g / s, 1.0 / s
@@ -513,7 +589,7 @@ def co_optimize(
         growth = node_growth(net, arr, svc, g)
         value = np.max(np.add.reduceat(growth, np.cumsum(net.layer_sizes) - net.layer_sizes))
 
-    tol = 1e-9 * max(1.0, arr.total)
+    tol = _tol(arr.total)
     outside = ~((g >= -tol) & (g <= upper + tol))
     if np.any(outside):
         k = int(np.argmax(outside))

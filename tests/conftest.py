@@ -55,3 +55,17 @@ def single_sink_rates(net, per_source):
     for k, link in enumerate(net.links):
         values[k] = per_source[link.src]
     return RateAssignment(net, values)
+
+
+def ratio_rows(net, arr, svc, gamma):
+    """The gamma system's ratio rows, written node by node: an ingress
+    node sends lambda_i / gamma_1, a middle node of layer l receives
+    gamma_l times what it sends, an egress node receives gamma_L * mu_j."""
+    a_eq = np.zeros((net.num_nodes, net.num_links))
+    for k, ln in enumerate(net.links):
+        a_eq[net.node_id(ln.layer, ln.src), k] = 1.0 if ln.layer == 0 else -gamma[ln.layer]
+        a_eq[net.node_id(ln.layer + 1, ln.dst), k] = 1.0
+    b_eq = np.zeros(net.num_nodes)
+    b_eq[: net.layer_sizes[0]] = arr.rates / gamma[0]
+    b_eq[net.num_nodes - net.layer_sizes[-1] :] = gamma[-1] * svc.rates
+    return a_eq, b_eq

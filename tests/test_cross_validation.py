@@ -29,11 +29,11 @@ from fluidq import (
     single_sink,
     throughput_tight_gamma,
 )
-from fluidq import lp
+from fluidq import lp, optimize
 from fluidq.optimize import OBJECTIVE_KINDS
 from fluidq.bench import preset, sample_instance
 
-from conftest import single_sink_rates
+from conftest import ratio_rows, single_sink_rates
 
 
 def test_region_failure_means_strictly_higher_delay():
@@ -724,16 +724,10 @@ def _check_gamma_cut(nx, net, arr, svc, gamma, spec, exc):
 
 def _simplex_fixed_value(kind, net, arr, svc, gamma):
     """The value gamma fixes, read off the in-tree simplex's zero-cost
-    solve of the gamma system, its ratio rows written node by node."""
+    solve of the gamma system."""
     lam, mu = arr.rates, svc.rates
     n0, egress_lo = net.layer_sizes[0], net.num_nodes - net.layer_sizes[-1]
-    a_eq = np.zeros((net.num_nodes, net.num_links))
-    for k, ln in enumerate(net.links):
-        a_eq[net.node_id(ln.layer, ln.src), k] = 1.0 if ln.layer == 0 else -gamma[ln.layer]
-        a_eq[net.node_id(ln.layer + 1, ln.dst), k] = 1.0
-    b_eq = np.zeros(net.num_nodes)
-    b_eq[:n0] = lam / gamma[0]
-    b_eq[egress_lo:] = gamma[-1] * mu
+    a_eq, b_eq = ratio_rows(net, arr, svc, gamma)
     result = lp.solve_lp(np.zeros(net.num_links), a_eq=a_eq, b_eq=b_eq, upper=net.capacities)
     assert result.status == lp.OPTIMAL
     g = result.x
@@ -789,6 +783,82 @@ def test_flow_verdicts_and_values_against_the_lp_on_optimizer_families(seed):
                     outcomes["fixed"] += 1
                 else:
                     outcomes["lp"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _charnes_cooper_value(net, arr, svc, gamma):
+    """Least largest link utilization over the gamma system, by the
+    in-tree simplex in Charnes-Cooper form: with s = 1/t and h = g s,
+    maximize s' over h_k <= c_k and the ratio rows homogenised in
+    s = 1 + s', at value 1 / s; 0 when that LP is unbounded."""
+    a_eq, b_eq = ratio_rows(net, arr, svc, gamma)
+    m = net.num_links
+    result = lp.solve_lp(
+        -np.eye(m + 1)[m], a_eq=np.column_stack([a_eq, -b_eq]), b_eq=b_eq,
+        upper=np.append(net.capacities, np.inf),
+    )
+    if result.status == lp.UNBOUNDED:
+        return 0.0
+    assert result.status == lp.OPTIMAL
+    return 1.0 / (1.0 + result.x[m])
+
+
+@pytest.mark.parametrize("seed", [20240811, 41, 7])
+def test_max_utilization_by_newton_on_optimizer_families(seed, monkeypatch):
+    """max_utilization on the 40 optimizer inputs: no LP call, one
+    feasibility flow and then at most 7 Newton flows (3 to 5 per input
+    at these seeds).  An infeasible system raises the feasibility flow's
+    verdict after that one flow, exactly when HiGHS finds none.  A
+    feasible value t* is within 1e-12 relative of the Charnes-Cooper
+    simplex and 1e-9 of HiGHS's epigraph LP, and the cut of the last flow
+    short of the total has capacity total lambda at t*, so no smaller t
+    can carry the total."""
+    pytest.importorskip("scipy.optimize")
+    calls = []
+    max_flow, solve = optimize._max_flow, lp.solve_lp
+
+    def recorded(*args):
+        out = max_flow(*args)
+        calls.append(out[2])
+        return out
+
+    monkeypatch.setattr(optimize, "_max_flow", recorded)
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append("lp") or solve(*a, **k))
+    spec = ObjectiveSpec("max_utilization")
+    outcomes = {"infeasible": 0, "feasible": 0}
+    for stream, (name, sizes) in enumerate(OPTIMIZER_FAMILIES):
+        cfg = preset(name)
+        if sizes is not None:
+            cfg = dataclasses.replace(cfg, layer_sizes=sizes)
+        for k in range(8):
+            inst = sample_instance(cfg, np.random.default_rng([seed, stream, k]), k)
+            net, arr, svc = inst.net, inst.arr, inst.svc
+            status, best = _highs_co_optimum("max_utilization", net, arr.rates, svc.rates, spec)
+            calls.clear()
+            try:
+                _, value = co_optimize(net, arr, svc, spec)
+            except InfeasibleError:
+                assert len(calls) == 1 and calls[0] != "lp" and calls[0], (name, k)
+                assert status == 2
+                outcomes["infeasible"] += 1
+                continue
+            flows = list(calls)
+            assert "lp" not in flows, (name, k)
+            assert 2 <= len(flows) <= 8, (name, k, len(flows))
+            assert status == 0
+            assert abs(value - best) <= 1e-9, (name, k, value, best)
+            gamma = throughput_tight_gamma(arr, svc, net.num_layers)
+            ref = _charnes_cooper_value(net, arr, svc, gamma)
+            assert abs(value - ref) <= 1e-12 * abs(ref), (name, k, value, ref)
+            # the cut of the last short flow, at t*, in the flow graph
+            # written from the model
+            cut = [c for c in flows[1:] if c][-1]
+            scale = np.cumprod(gamma)[[ln.layer for ln in net.links]]
+            arcs = np.concatenate([
+                arr.rates, net.capacities * value * scale, svc.rates * arr.total / svc.total,
+            ])
+            assert abs(arcs[cut].sum() - arr.total) <= 1e-12 * arr.total, (name, k)
+            outcomes["feasible"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from fluidq import (
     throughput_tight_gamma,
 )
 from fluidq import lp, optimize
+
+from conftest import ratio_rows
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +352,23 @@ def test_objective_spec_validation():
         ObjectiveSpec("total_bandwidth", utilization_cap=1.5)
 
 
+def test_objective_spec_rejects_a_malformed_forced_zero():
+    """A string was formatted character by character, and a short key was
+    named as a link that does not exist."""
+    with pytest.raises(
+        ValueError, match=r"^forced_zero must be a tuple of \(l, i, j\) link keys, got '1:1:1'$"
+    ):
+        ObjectiveSpec("total_bandwidth", forced_zero="1:1:1")
+    for bad in ((0, 0), (-1, 0, 0), (0, 0, True), (0, 0, 0.0), [0, 0, 0]):
+        with pytest.raises(ValueError, match=(
+            r"^forced-zero link key must be three nonnegative ints \(l, i, j\), got "
+            + re.escape(repr(bad)) + "$"
+        )):
+            ObjectiveSpec("total_bandwidth", forced_zero=(bad,))
+    key = (np.int64(0), 1, 1)
+    assert ObjectiveSpec("total_bandwidth", forced_zero=(key,)).forced_zero == (key,)
+
+
 @pytest.mark.parametrize("field", ["split_cap", "utilization_cap"])
 def test_objective_spec_caps_must_be_real_numbers(field):
     name = field.replace("_", " ")
@@ -361,9 +381,12 @@ def test_objective_spec_caps_must_be_real_numbers(field):
         assert getattr(ObjectiveSpec("total_bandwidth", **{field: good}), field) == good
 
 
-def test_max_utilization_on_multistage_instance_matches_highs(monkeypatch):
+def test_max_utilization_on_multistage_instance_matches_highs():
     """Round-off left on unused middle nodes used to fail the ratio check
-    (SimplexError) on this instance; the solver now snaps it to zero."""
+    (SimplexError) on this instance; the rates are now snapped to zero.
+    The value is HiGHS's optimum of the epigraph form, min t with
+    g_k <= c_k t over the throughput-tight ratio rows, both written here
+    from the instance."""
     scipy_opt = pytest.importorskip("scipy.optimize")
     from dataclasses import replace
 
@@ -371,43 +394,25 @@ def test_max_utilization_on_multistage_instance_matches_highs(monkeypatch):
 
     cfg = replace(preset("multistage-16x12x8x6"), layer_sizes=(8, 6, 4, 3))
     inst = sample_instance(cfg, np.random.default_rng([20240811, 1, 0]), 0)
-    problems = []
-    solve = lp.solve_lp
-
-    def capture(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, *, upper=None):
-        problems.append((c, a_ub, b_ub, a_eq, b_eq, upper))
-        return solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
-
-    monkeypatch.setattr(lp, "solve_lp", capture)
     rates, value = co_optimize(inst.net, inst.arr, inst.svc, ObjectiveSpec("max_utilization"))
-    # the captured LP is the Charnes-Cooper one: maximize s' with s = 1 + s'
-    # (no utilization cap) and value 1 / s
-    c, a_ub, b_ub, a_eq, b_eq, upper = problems[-1]
-    bounds = [(0.0, None if np.isinf(u) else u) for u in upper]
-    ref = scipy_opt.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    assert ref.status == 0
-    assert value == pytest.approx(1.0 / (1.0 + -ref.fun), rel=1e-9, abs=1e-12)
-    # and the epigraph form, min t with g_k <= c_k t, over the same ratio rows
     net, m = inst.net, inst.net.num_links
+    gamma = throughput_tight_gamma(inst.arr, inst.svc, net.num_layers)
+    a_eq, b_eq = ratio_rows(net, inst.arr, inst.svc, gamma)
     finite = np.flatnonzero(np.isfinite(net.capacities))
     epi = np.zeros((finite.size, m + 1))
     epi[np.arange(finite.size), finite] = 1.0
     epi[:, m] = -net.capacities[finite]
-    ratio_rows = np.column_stack([a_eq[:, :m], np.zeros(len(a_eq))])
     caps = [(0.0, None if np.isinf(u) else u) for u in net.capacities]
     epigraph = scipy_opt.linprog(
-        np.eye(m + 1)[m], A_ub=epi, b_ub=np.zeros(finite.size), A_eq=ratio_rows,
-        b_eq=-a_eq[:, m], bounds=caps + [(0.0, None)], method="highs",
+        np.eye(m + 1)[m], A_ub=epi, b_ub=np.zeros(finite.size),
+        A_eq=np.column_stack([a_eq, np.zeros(len(a_eq))]), b_eq=b_eq,
+        bounds=caps + [(0.0, None)], method="highs",
     )
     assert epigraph.status == 0
     assert value == pytest.approx(epigraph.fun, rel=1e-9, abs=1e-12)
     # the value is what the returned rates realize
     assert value == pytest.approx(float(np.max(rates.values / inst.net.capacities)), rel=1e-9)
-    gamma = throughput_tight_gamma(inst.arr, inst.svc, inst.net.num_layers)
     assert check_min_delay_layered(inst.net, inst.arr, inst.svc, rates, gamma, tol=1e-8)
-
 
 
 def _capture_lps(monkeypatch):
@@ -430,11 +435,13 @@ def _capture_lps(monkeypatch):
 @pytest.mark.parametrize("sizes", [(3, 2), (3, 4, 2), (2, 3, 3, 2)])
 @pytest.mark.parametrize("split_cap", [None, 0.9])
 def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, sizes, split_cap):
-    """max_utilization has no epigraph row (its links' epigraphs are
-    bounds), and max_overload_rate has one only per middle node.  Without
-    middle nodes gamma fixes max_overload_rate at t_lo: with a split cap it
-    solves the gamma system alone (no t' column and no epigraph row), and
-    without one the max-flow gives its rates and no LP runs."""
+    """Under a split cap max_utilization's LP has no epigraph row (its
+    links' epigraphs are bounds); without one Newton's method over
+    max-flows solves it and no LP runs.  max_overload_rate has an epigraph
+    row only per middle node.  Without middle nodes gamma fixes
+    max_overload_rate at t_lo: with a split cap it solves the gamma system
+    alone (no t' column and no epigraph row), and without one the max-flow
+    gives its rates and no LP runs."""
     net = full_connection(list(sizes), 6.0)
     arr = ArrivalProfile([4.0, 3.0, 5.0][: sizes[0]])
     svc = ServiceProfile([2.0, 1.5][: sizes[-1]])
@@ -446,7 +453,7 @@ def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, s
                                  ("max_overload_rate", m + (middle > 0), split_rows + middle)):
         problems.clear()
         rates, value = co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
-        flow_only = kind == "max_overload_rate" and not middle and split_cap is None
+        flow_only = split_cap is None and (kind == "max_utilization" or not middle)
         expected = [] if flow_only else [{"width": width, "ub_rows": ub_rows, "eq_rows": nodes}]
         assert problems == expected
         gamma = (balanced_growth_gamma(arr, svc, len(sizes)) if kind == "max_overload_rate"
@@ -457,8 +464,8 @@ def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, s
 
 
 def test_max_utilization_is_zero_when_unbounded_links_carry_the_demand(monkeypatch):
-    """t* = 0: the Charnes-Cooper LP is unbounded, and the rates come from
-    one more solve that holds every finite link at 0."""
+    """t* = 0: the first Newton flow, with every finite link at capacity 0,
+    already carries the demand; no LP runs."""
     inf = np.inf
     mixed = full_connection([2, 2, 2], [
         np.array([[inf, 3.0], [3.0, inf]]), np.array([[inf, 2.0], [2.0, inf]]),
@@ -474,10 +481,55 @@ def test_max_utilization_is_zero_when_unbounded_links_carry_the_demand(monkeypat
         problems.clear()
         rates, value = co_optimize(net, arr, svc, ObjectiveSpec("max_utilization"))
         assert value == 0.0
-        assert len(problems) == 2
+        assert problems == []
         assert np.all(rates.values[np.isfinite(net.capacities)] == 0.0)
         gamma = throughput_tight_gamma(arr, svc, net.num_layers)
         assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
+
+
+@pytest.mark.parametrize("cut, t, calls", [([0], "0.0", 2), ([0, 1, 2], "0.0", 2), ([2], "1.0", 3)])
+def test_max_utilization_newton_step_never_spins(monkeypatch, cut, t, calls):
+    """After the feasibility flow at t = rho, a Newton flow that falls short
+    with a cut holding no link (B = 0), a cut whose line A + t B already
+    carries the total at t, or any short flow at t = rho contradicts that
+    flow: SimplexError, not another step."""
+    net = full_connection([2, 2], 4.0)
+    arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
+    max_flow = optimize._max_flow
+    seen = []
+
+    def short_after_the_first(*args):
+        seen.append(args)
+        if len(seen) == 1:
+            return max_flow(*args)
+        return 0.0, np.zeros(net.num_links), cut
+
+    monkeypatch.setattr(optimize, "_max_flow", short_after_the_first)
+    with pytest.raises(lp.SimplexError, match=f"^max_utilization Newton step stalls at t = {t}$"):
+        co_optimize(net, arr, svc, ObjectiveSpec("max_utilization"))
+    assert len(seen) == calls
+
+
+def test_infeasible_utilization_cap_is_decided_before_any_newton_step(monkeypatch):
+    """An infeasible utilization cap raises the feasibility flow's minimum
+    cut, the words total_bandwidth names for the same system, after one
+    max-flow and no LP."""
+    net, arr, svc = load(os.path.join(os.path.dirname(__file__), "data", "bounded.json"))
+    problems = _capture_lps(monkeypatch)
+    max_flow = optimize._max_flow
+    flows = []
+    monkeypatch.setattr(optimize, "_max_flow", lambda *a: flows.append(a) or max_flow(*a))
+    errors = {}
+    for kind in ("total_bandwidth", "max_utilization"):
+        flows.clear()
+        with pytest.raises(InfeasibleError) as exc:
+            co_optimize(net, arr, svc, ObjectiveSpec(kind, utilization_cap=0.01))
+        errors[kind] = str(exc.value)
+        assert len(flows) == 1 and problems == []
+        assert exc.value.binding == [
+            f"utilization cap on link 2:{i}:{j}" for i in (1, 2) for j in (1, 2)
+        ]
+    assert errors["max_utilization"] == errors["total_bandwidth"]
 
 
 _CAPPED = ("utilization cap on link 1:2:1", "utilization cap on link 1:2:2")
@@ -562,10 +614,17 @@ def test_optimizer_output_is_judged_against_its_bounds(monkeypatch):
 
 def test_lp_objectives_raise_simplex_error_when_the_lp_contradicts_the_flow(monkeypatch):
     """The LP objectives run on a system the max-flow found feasible, so an
-    infeasible LP is the solver's fault, not the input's."""
+    infeasible LP is the solver's fault, not the input's.  max_utilization
+    runs no LP without a split cap; with one, an unbounded Charnes-Cooper
+    LP proves the system feasible (t* = 0), so an infeasible solve of it
+    with every finite link at 0 is the solver's fault too."""
     net = full_connection([2, 2, 2], 4.0)
     arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
     monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: lp.LPResult(lp.INFEASIBLE))
-    for kind in ("avg_utilization", "max_utilization", "max_overload_rate"):
+    for kind in ("avg_utilization", "max_overload_rate"):
         with pytest.raises(lp.SimplexError, match=f"^{kind} LP is infeasible on a feasible"):
             co_optimize(net, arr, svc, ObjectiveSpec(kind))
+    answers = iter([lp.LPResult(lp.UNBOUNDED), lp.LPResult(lp.INFEASIBLE)])
+    monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: next(answers))
+    with pytest.raises(lp.SimplexError, match="^max_utilization LP is infeasible on a feasible"):
+        co_optimize(net, arr, svc, ObjectiveSpec("max_utilization", split_cap=0.9))
