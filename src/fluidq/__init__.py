@@ -52,7 +52,6 @@ from .policies import (
     StaticPolicy,
     backpressure_rates,
     check_min_delay_layered,
-    check_min_delay_single_hop,
     check_min_delay_single_sink,
     check_min_delay_tree,
     construct_rate_proportional,

@@ -32,7 +32,6 @@ from .policies import (
     StaticPolicy,
     as_gamma,
     check_min_delay_layered,
-    check_min_delay_single_hop,
     check_min_delay_single_sink,
     check_min_delay_tree,
 )
@@ -153,8 +152,6 @@ def cmd_check(args) -> int:
             kind = "single-sink"
         elif net.is_fan_in_tree():
             kind = "tree"
-        elif net.num_layers == 2:
-            kind = "single-hop"
         else:
             kind = "layered"
     if args.gamma and kind != "layered":
@@ -164,8 +161,6 @@ def cmd_check(args) -> int:
     with _one_line(f"check --kind {kind}"):
         if kind == "single-sink":
             result = check_min_delay_single_sink(net, arr, svc, rates)
-        elif kind == "single-hop":
-            result = check_min_delay_single_hop(net, arr, svc, rates)
         elif kind == "tree":
             result = check_min_delay_tree(net, arr, svc, rates)
         else:
@@ -316,7 +311,7 @@ def main(argv=None) -> int:
     p.add_argument("--gamma")
     p.add_argument(
         "--kind",
-        choices=("auto", "single-sink", "single-hop", "layered", "tree"),
+        choices=("auto", "single-sink", "layered", "tree"),
         default="auto",
     )
     p.set_defaults(fn=cmd_check)

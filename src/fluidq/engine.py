@@ -404,7 +404,14 @@ def step(
     svc: ServiceProfile,
     dt: float,
 ) -> QueueState:
-    """Advance the backlog vector by one step of length ``dt``."""
+    """Advance the backlog vector by one step of length ``dt``.  The
+    instance goes through :func:`ensure_valid` first, and the backlog must
+    have one entry per node."""
+    ensure_valid(net, arr, svc)
+    if state.q.shape != (net.num_nodes,):
+        raise ValueError(
+            f"backlog has {state.q.size} entries, network has {net.num_nodes} nodes"
+        )
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if rates.net is not net:

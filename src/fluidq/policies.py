@@ -7,8 +7,9 @@ backlogs and reaches the same delay asymptotically; it and the
 rate-proportional construction split a node's egress over its links with
 the same per-link weights (:func:`_split_weights`).  Backpressure and
 max-link-rate serve as baselines.  The N x 1 checker is the layered one on
-effective rates, and every checker but the single-hop one ends in the same
-throughput clause, with each node's link sums one ``bincount``.
+effective rates, a 2-layer network is judged by the layered one as it is,
+and every checker ends in the same throughput clause, with each node's
+link sums one ``bincount``.
 
 A policy is any object with ``rates(state, net, arr, svc, dt)``.  Each
 dynamic rule lives in its policy class (:class:`QueueProportionalPolicy`,
@@ -102,38 +103,6 @@ def check_min_delay_single_sink(
         return CheckResult(False, f"capacity exceeded on link {Link(*bad[0]).name}")
     g_tilde, _, _, _ = effective_flow(net, arr, rates.values)
     return _check_layered(net, arr, svc, g_tilde, None, tol)
-
-
-def check_min_delay_single_hop(
-    net: LayeredNetwork,
-    arr: ArrivalProfile,
-    svc: ServiceProfile,
-    rates: RateAssignment,
-    tol: float = 1e-9,
-) -> CheckResult:
-    """Sufficient condition for single-hop networks: per-ingress totals
-    proportional to arrivals, per-egress totals proportional to service
-    rates, and every egress node fed at least its service rate."""
-    _require_network(net, rates)
-    if net.num_layers != 2:
-        raise ValueError("check applies to 2-layer networks only")
-    n = net.layer_sizes[0]
-    rows = np.bincount(net.link_src, weights=rates.values, minlength=n)
-    cols = np.bincount(net.link_dst - n, weights=rates.values, minlength=net.layer_sizes[1])
-    residuals = {}
-    if np.any(rows <= 0):
-        return CheckResult(False, "an ingress node has zero egress rate")
-    residuals["ingress_ratio_spread"] = _spread(rows / arr.rates)
-    residuals["egress_ratio_spread"] = _spread(cols / svc.rates)
-    residuals["throughput_deficit"] = float(np.max(svc.rates - cols))
-    if not residuals["ingress_ratio_spread"] <= tol:
-        return CheckResult(False, "ingress totals are not proportional to arrivals", None, residuals)
-    if not residuals["egress_ratio_spread"] <= tol:
-        return CheckResult(False, "egress totals are not proportional to service rates", None, residuals)
-    if not residuals["throughput_deficit"] <= tol * max(1.0, float(svc.rates.max())):
-        return CheckResult(False, "an egress node is fed below its service rate", None, residuals)
-    gamma = (float((arr.rates / rows).mean()), float((cols / svc.rates).mean()))
-    return CheckResult(True, None, gamma, residuals)
 
 
 def check_min_delay_layered(

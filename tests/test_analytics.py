@@ -14,7 +14,6 @@ from fluidq import (
     analytic_report,
     construct_rate_proportional,
     check_min_delay_layered,
-    check_min_delay_single_hop,
     check_min_delay_single_sink,
     check_min_delay_tree,
     effective_rates,
@@ -111,7 +110,6 @@ def _foreign_cases():
         "packet_delay": lambda: packet_delay(b, arr, svc, g, (0, 0), 1.0),
         "path_weights": lambda: path_weights(b, arr, g),
         "effective_rates": lambda: effective_rates(b, arr, g),
-        "single_hop": lambda: check_min_delay_single_hop(b, arr, svc, g),
         "layered": lambda: check_min_delay_layered(b, arr, svc, g),
         "layered_3x2": lambda: check_min_delay_layered(
             wide, ArrivalProfile([1.0, 1.0, 1.0]), svc, g

@@ -493,6 +493,27 @@ def test_check_rejects_gamma_outside_the_layered_kind(kind, capsys, instance_doc
                  "--gamma", "9,9"]) == 2
 
 
+def test_check_judges_a_two_layer_network_by_the_layered_check(tmp_path, capsys):
+    # --kind auto picks the layered check on a 2 x 2 network, so --gamma applies
+    twohop = os.path.join(DATA, "twohop.json")
+    out = tmp_path / "hop"
+    assert main(["--out", str(out), "optimize", "--net", twohop,
+                 "--objective", "total_bandwidth"]) == 0
+    capsys.readouterr()
+    rates = str(out / "rates.json")
+    for extra in ([], ["--gamma", "tight"]):
+        assert main(["check", "--net", twohop, "--rates", rates, *extra]) == 0
+        assert capsys.readouterr().out == "in the min-delay region\ngamma: 2.4, 1\n"
+
+
+def test_check_refuses_the_single_hop_kind(capsys, instance_doc):
+    net_path, rates_path = instance_doc
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--net", net_path, "--rates", rates_path, "--kind", "single-hop"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'single-hop'" in capsys.readouterr().err
+
+
 def test_bp_on_unbounded_links_fails_when_built():
     net, arr, svc = load(FOURLAYER)
     inst = bench.Instance(0, net, arr, svc, np.zeros(net.num_nodes))

@@ -19,7 +19,7 @@ from fluidq import (
     SimConfig,
     analytic_report,
     balanced_growth_gamma,
-    check_min_delay_single_hop,
+    check_min_delay_layered,
     check_min_delay_single_sink,
     co_optimize,
     full_connection,
@@ -49,9 +49,9 @@ def test_region_failure_means_strictly_higher_delay():
     assert report.d_max > report.d_avg
 
 
-def test_single_hop_clear_failures_cost_delay():
-    """Vectors that fail the single-hop condition beyond the resolution
-    band are measurably worse than the closed-form minimum."""
+def test_two_layer_clear_failures_cost_delay():
+    """Vectors on a 2 x 2 network that fail the layered condition beyond
+    the resolution band are measurably worse than the closed-form minimum."""
     rng = np.random.default_rng(91)
     net = full_connection([2, 2])
     lam = np.array([5.0, 9.0])
@@ -65,8 +65,8 @@ def test_single_hop_clear_failures_cost_delay():
         rows = np.array([rates.node_egress(n) for n in net.ingress_nodes])
         if np.any(rows > lam):  # stay in the family where (12) is necessary
             continue
-        strict = check_min_delay_single_hop(net, arr, svc, rates, tol=1e-9)
-        loose = check_min_delay_single_hop(net, arr, svc, rates, tol=1e-2)
+        strict = check_min_delay_layered(net, arr, svc, rates, tol=1e-9)
+        loose = check_min_delay_layered(net, arr, svc, rates, tol=1e-2)
         if strict.ok or loose.ok:
             continue
         report = analytic_report(net, arr, svc, rates, horizon=50.0)

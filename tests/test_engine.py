@@ -12,6 +12,7 @@ from fluidq import (
     RateAssignment,
     ServiceProfile,
     SimConfig,
+    ValidationError,
     effective_rates,
     full_connection,
     run,
@@ -74,6 +75,31 @@ def test_step_rejects_a_dt_that_is_not_finite_and_positive(two_source_instance, 
     state = QueueState(np.ones(3), 0.0)
     with pytest.raises(ValueError, match=rf"^dt must be finite and positive, got {dt}$"):
         step(state, rates, net, arr, svc, dt)
+
+
+@pytest.mark.parametrize("lam, message", [
+    # an extra arrival rate used to land on an egress node: q = [1, 1, 6, 1]
+    ((3.0, 3.0, 5.0),
+     "^dimension mismatch: lambda has 3 entries but the ingress layer has 2 nodes$"),
+    # a negative one used to drain its node: q = [1, 0, 0, 0]
+    ((3.0, -3.0), r"^nonpositive rate: lambda\[2\] = -3.0$"),
+])
+def test_step_validates_the_instance(lam, message):
+    net = full_connection([2, 2], 10.0)
+    rates = RateAssignment(net, np.ones(4))
+    state = QueueState(np.zeros(4), 0.0)
+    with pytest.raises(ValidationError, match=message):
+        step(state, rates, net, ArrivalProfile(lam), ServiceProfile([1.0, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize("size", [5, 3])
+def test_step_rejects_a_backlog_of_another_length(size):
+    # 5 entries used to end in a numpy broadcast error, 3 in an IndexError
+    net = full_connection([2, 2], 10.0)
+    rates = RateAssignment(net, np.ones(4))
+    arr, svc = ArrivalProfile([3.0, 3.0]), ServiceProfile([1.0, 1.0])
+    with pytest.raises(ValueError, match=f"^backlog has {size} entries, network has 4 nodes$"):
+        step(QueueState(np.zeros(size), 0.0), rates, net, arr, svc, 1.0)
 
 
 class _ForeignPolicy:

@@ -20,6 +20,8 @@ from fluidq import (
     RateAssignment,
     ServiceProfile,
     SimConfig,
+    analytic_report,
+    check_min_delay_layered,
     construct_rate_proportional,
     fan_in_tree,
     full_connection,
@@ -38,7 +40,6 @@ from fluidq.policies import (
     _spread,
     _subtree_arrivals,
     _throughput_clause,
-    check_min_delay_single_hop,
     check_min_delay_tree,
     parent_source_set,
     proportional_fill,
@@ -586,6 +587,10 @@ def _reference_tree_check(net, arr, svc, rates, adj, lam, tol=1e-9):
 
 
 def _reference_single_hop(arr, svc, rows, cols, tol=1e-9):
+    """The specialised single-hop rule that 2-layer networks were judged by
+    before the layered check took them over: ingress totals ``rows``
+    proportional to lambda, egress totals ``cols`` proportional to mu, and
+    every egress node fed at least its service rate."""
     if np.any(rows <= 0):
         return CheckResult(False, "an ingress node has zero egress rate")
     residuals = {
@@ -650,9 +655,9 @@ def _oracle_net(rng, case):
 
 def test_topology_oracles_match_per_node_link_lists():
     """``validate``, ``is_fan_in_tree``, ``node_egress``/``node_ingress``,
-    ``parent_source_set``, ``_subtree_arrivals`` and the tree and
-    single-hop checkers against the per-node link lists they read before
-    they moved onto the link arrays and the plan."""
+    ``parent_source_set``, ``_subtree_arrivals`` and the tree checker
+    against the per-node link lists they read before they moved onto the
+    link arrays and the plan."""
     outcomes = collections.Counter()
     for case in range(180):
         rng = np.random.default_rng([SEED, 13, case])
@@ -673,17 +678,6 @@ def test_topology_oracles_match_per_node_link_lists():
             assert rates.node_ingress(nid) == float(rates.values[into].sum()), case
         if expected:
             continue
-        if net.num_layers == 2:
-            lam, mu = arr.rates, svc.rates
-            candidates = [rates]
-            if net.num_links == lam.size * mu.size:  # rates proportional both ways
-                scale = 1.1 * max(1.0, mu.sum() / lam.sum()) / mu.sum()
-                candidates.append(RateAssignment(net, np.outer(lam, mu).ravel() * scale))
-            for g in candidates:
-                rows = np.array([g.values[list(adj.out[n])].sum() for n in net.ingress_nodes])
-                cols = np.array([g.values[list(adj.into[n])].sum() for n in net.egress_nodes])
-                got = check_min_delay_single_hop(net, arr, svc, g)
-                outcomes["hop " + _same_verdict(got, _reference_single_hop(arr, svc, rows, cols))] += 1
         if not tree:
             continue
         pss = _reference_parent_sets(net)
@@ -709,9 +703,89 @@ def test_topology_oracles_match_per_node_link_lists():
             outcomes["tree " + _same_verdict(got, _reference_tree_check(net, arr, svc, g, adj, lam))] += 1
     # every branch is reached: both injections, and each checker's verdicts
     assert min(outcomes[k] for k in ("dangling", "capacity", "opt-tree")) >= 10, outcomes
-    for kind in ("hop True:", "hop False:ingress", "hop False:egress", "tree True:",
-                 "tree False:zero", "tree False:link", "tree False:maximum"):
+    for kind in ("tree True:", "tree False:zero", "tree False:link", "tree False:maximum"):
         assert outcomes[kind] >= 3, (kind, outcomes)
+
+
+def _two_layer_draw(rng, case):
+    """A seeded 2-layer instance and rate vector on 1-5 by 1-5 nodes, fully
+    or partly connected, with finite capacities above the rates or none.
+    Rates are drawn first; in two cases of three lambda and mu are then
+    read off their row and column totals at random ratios c and d, so the
+    vector is rate-proportional, or it is with one link zeroed or scaled
+    (by as little as 1 + 1e-6).
+    The third case draws lambda, mu and the rates independently."""
+    n, m = (int(x) for x in rng.integers(1, 6, size=2))
+    if case % 2:
+        pairs = [(i, j) for i in range(n) for j in range(m)]
+    else:
+        pairs = sorted(
+            {(i, int(rng.integers(m))) for i in range(n)}
+            | {(int(rng.integers(n)), j) for j in range(m)}
+            | {(i, j) for i in range(n) for j in range(m) if rng.random() < 0.3}
+        )
+    flow = rng.uniform(0.1, 3.0, size=len(pairs))
+    kind = case % 3
+    if kind == 2:
+        flow[rng.random(len(pairs)) < 0.2] = 0.0
+    caps = np.full(len(pairs), math.inf)
+    if case % 4 < 2:
+        caps = flow * rng.uniform(2.0, 3.0, size=len(pairs)) + 0.1  # above any scaled link
+    net = LayeredNetwork((n, m), [Link(0, i, j, float(c)) for (i, j), c in zip(pairs, caps)])
+    rows = np.bincount(net.link_src, weights=flow, minlength=n)
+    cols = np.bincount(net.link_dst - n, weights=flow, minlength=m)
+    if kind == 2:
+        lam, mu = rng.uniform(0.5, 10.0, size=n), rng.uniform(0.5, 10.0, size=m)
+    else:
+        c, d = np.exp(rng.uniform(-1.5, 1.5, size=2))
+        if case % 5 == 0:
+            d = 1.0  # egress nodes fed exactly their service rates
+        lam, mu = rows / c, cols / d
+        if kind == 1:
+            k = int(rng.integers(len(pairs)))
+            scale = 1.0 + 1e-6 if case % 11 == 0 else rng.uniform(1.2, 2.0)
+            flow[k] = 0.0 if case % 7 == 0 else flow[k] * scale
+    return net, ArrivalProfile(lam), ServiceProfile(mu), RateAssignment(net, flow)
+
+
+def test_layered_check_on_two_layer_networks_matches_the_single_hop_rule():
+    """The layered check on 2-layer networks against the single-hop rule it
+    replaced (:func:`_reference_single_hop`).  Overloaded (sum lambda >= sum
+    mu): the same verdict and the same gamma.  Underloaded: it accepts every
+    vector the rule accepts, and a vector that only it accepts serves every
+    arrival at once, so its analytic d_avg is the minimum, 0."""
+    outcomes = collections.Counter()
+    for case in range(600):
+        rng = np.random.default_rng([SEED, 27, case])
+        net, arr, svc, g = _two_layer_draw(rng, case)
+        adj = adjacency(net)
+        rows = np.array([g.values[list(adj.out[n])].sum() for n in net.ingress_nodes])
+        cols = np.array([g.values[list(adj.into[n])].sum() for n in net.egress_nodes])
+        expected = _reference_single_hop(arr, svc, rows, cols)
+        got = check_min_delay_layered(net, arr, svc, g)
+        load = "over" if arr.total >= svc.total else "under"
+        if load == "over" or expected.ok:
+            assert got.ok == expected.ok, (case, got, expected)
+            assert got.gamma == expected.gamma or not got.ok, (case, got, expected)
+        elif got.ok:
+            report = analytic_report(net, arr, svc, g, horizon=10.0)
+            assert report.d_avg <= 1e-9, (case, report)
+            outcomes["under, only the layered check accepts"] += 1
+        shape = "full" if net.num_links == net.layer_sizes[0] * net.layer_sizes[1] else "partial"
+        bound = "bounded" if net.bounded else "unbounded"
+        outcomes[f"{load} {got.ok} {shape} {bound}"] += 1
+        reason = " ".join((expected.reason or "").split(" ")[:2])
+        outcomes[f"{load} {expected.ok} {reason}"] += 1
+    # every branch is reached: each load, verdict, shape and capacity, and
+    # each clause of the reference rule
+    for load in ("over", "under"):
+        for ok in (True, False):
+            for shape in ("full", "partial"):
+                for bound in ("bounded", "unbounded"):
+                    assert outcomes[f"{load} {ok} {shape} {bound}"] >= 3, outcomes
+        for reason in ("an ingress", "ingress totals", "egress totals", "an egress"):
+            assert outcomes[f"{load} False {reason}"] >= 3, (load, reason, outcomes)
+    assert outcomes["under, only the layered check accepts"] >= 10, outcomes
 
 
 # ---------------------------------------------------------------------------

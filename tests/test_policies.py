@@ -12,7 +12,6 @@ from fluidq import (
     analytic_report,
     backpressure_rates,
     check_min_delay_layered,
-    check_min_delay_single_hop,
     check_min_delay_single_sink,
     check_min_delay_tree,
     construct_rate_proportional,
@@ -118,7 +117,7 @@ def test_single_sink_check_is_the_nx1_region():
 
 
 # ---------------------------------------------------------------------------
-# single-hop condition
+# 2-layer networks: the layered condition
 
 
 def _outer_product_rates(net, lam, mu, scale=1.0):
@@ -128,38 +127,38 @@ def _outer_product_rates(net, lam, mu, scale=1.0):
     return RateAssignment(net, values)
 
 
-def test_single_hop_accepts_outer_product_construction():
+def test_two_layer_check_accepts_outer_product_construction():
     net = full_connection([2, 2])
     lam, mu = np.array([4.0, 8.0]), np.array([3.0, 2.0])
     arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
-    result = check_min_delay_single_hop(net, arr, svc, _outer_product_rates(net, lam, mu))
+    result = check_min_delay_layered(net, arr, svc, _outer_product_rates(net, lam, mu))
     assert result.ok
     # ingress ratio gamma_1 = sum(lam)/sum(mu), egress fed exactly mu
     assert result.gamma[0] == pytest.approx(lam.sum() / mu.sum())
     assert result.gamma[1] == pytest.approx(1.0)
 
 
-def test_single_hop_rejects_wrong_egress_ratio():
+def test_two_layer_check_rejects_wrong_egress_ratio():
     net = full_connection([2, 2])
     lam, mu = np.array([4.0, 8.0]), np.array([3.0, 2.0])
     arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
     values = _outer_product_rates(net, lam, mu).values.copy()
     values[2] += 0.5
     values[3] -= 0.5  # row sums intact, column sums now off mu proportions
-    result = check_min_delay_single_hop(net, arr, svc, RateAssignment(net, values))
+    result = check_min_delay_layered(net, arr, svc, RateAssignment(net, values))
     assert not result.ok
-    assert "egress totals" in result.reason
-    assert result.residuals["egress_ratio_spread"] > 1e-3
+    assert result.reason == "unequal ingress/egress ratios at layer 2"
+    assert result.residuals["layer_2_ratio_spread"] > 1e-3
 
 
-def test_single_hop_rejects_starved_egress():
+def test_two_layer_check_rejects_starved_egress():
     net = full_connection([2, 2])
     lam, mu = np.array([4.0, 8.0]), np.array([3.0, 2.0])
     arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
-    result = check_min_delay_single_hop(
+    result = check_min_delay_layered(
         net, arr, svc, _outer_product_rates(net, lam, mu, scale=0.5)
     )
-    assert not result.ok and "below its service rate" in result.reason
+    assert not result.ok and result.reason == "maximum throughput not achieved"
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +216,6 @@ def test_checkers_fail_on_nan_deviations():
     rates = construct_rate_proportional(net, ArrivalProfile([6.0, 3.0]), svc, (3.0, 1.0))
     nan_arr = ArrivalProfile([math.nan, 3.0])
     assert not check_min_delay_layered(net, nan_arr, svc, rates).ok
-    assert not check_min_delay_single_hop(net, nan_arr, svc, rates).ok
     sink = single_sink(2, [4.0, 2.0])
     verdict = check_min_delay_single_sink(
         sink, ArrivalProfile([8.0, math.nan]), ServiceProfile([2.0]),
