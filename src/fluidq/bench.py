@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +263,10 @@ def run_experiment(
     jobs = [(cfg, k) for k in range(cfg.num_instances)]
     raw: dict[int, list[tuple]] = {}
     if workers > 1:
+        # imported here: the process pool loads multiprocessing, which a
+        # serial sweep does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, jobs))
     else:

@@ -18,7 +18,14 @@ from . import bench as bench_mod
 from .analytics import analytic_report, empirical_report
 from .discrete import tagged_run
 from .engine import run
-from .network import RateAssignment, SimConfig, full_connection, load, require_finite_positive
+from .network import (
+    Link,
+    RateAssignment,
+    SimConfig,
+    full_connection,
+    load,
+    require_finite_positive,
+)
 from .optimize import (
     OBJECTIVE_KINDS,
     InfeasibleError,
@@ -29,6 +36,7 @@ from .optimize import (
     throughput_tight_gamma,
 )
 from .policies import (
+    CheckResult,
     StaticPolicy,
     as_gamma,
     check_min_delay_layered,
@@ -62,6 +70,12 @@ def _load_rates(net, path) -> RateAssignment:
         return RateAssignment.from_dict(net, json.load(fh))
 
 
+def _over_capacity(rates: RateAssignment) -> str | None:
+    """Name of the first link whose rate exceeds its capacity, if any."""
+    bad = rates.capacity_violations()
+    return Link(*bad[0]).name if bad else None
+
+
 def _parse_gamma(spec: str, net, arr, svc):
     if spec == "balanced":
         return balanced_growth_gamma(arr, svc, net.num_layers)
@@ -85,7 +99,11 @@ def _make_policy(name: str, net, arr, svc, rates_path=None, gamma=None):
     if name not in bench_mod.POLICIES:
         raise SystemExit(f"unknown policy {name!r}; expected {POLICY_HELP}")
     if name == "opt-static" and rates_path is not None:
-        return StaticPolicy(_load_rates(net, rates_path))
+        rates = _load_rates(net, rates_path)
+        link = _over_capacity(rates)
+        if link:
+            raise SystemExit(f"rates {rates_path}: rates exceed capacity on link {link}")
+        return StaticPolicy(rates)
     with _one_line(f"policy {name}"):
         instance = bench_mod.Instance(0, net, arr, svc, np.zeros(net.num_nodes))
         return bench_mod.make_policy(name, instance, gamma)
@@ -158,8 +176,13 @@ def cmd_check(args) -> int:
         raise SystemExit(f"--gamma applies to --kind layered only, not {kind}")
     rates = _load_rates(net, args.rates)
     gamma = _parse_gamma(args.gamma, net, arr, svc) if args.gamma else None
+    link = _over_capacity(rates)
     with _one_line(f"check --kind {kind}"):
-        if kind == "single-sink":
+        if link:
+            # the single-sink checker's capacity clause, for every kind: the
+            # layered and tree checkers judge flows, not the capacity box
+            result = CheckResult(False, f"capacity exceeded on link {link}")
+        elif kind == "single-sink":
             result = check_min_delay_single_sink(net, arr, svc, rates)
         elif kind == "tree":
             result = check_min_delay_tree(net, arr, svc, rates)

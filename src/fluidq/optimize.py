@@ -10,12 +10,14 @@ With the per-layer ratio vector gamma fixed, the min-delay conditions are
 linear in the rates.  Without split caps they are flow conservation on
 links scaled by gamma_1 ... gamma_l, so the same max-flow decides them for
 every secondary objective and an infeasible system names its minimum cut;
-the objectives whose value gamma fixes (total bandwidth, layer growth)
-read it off the flow's rates, and the largest link utilization is found by
-Newton's method over max-flows with every link scaled by the utilization.
-Average utilization and per-node overload with middle nodes are
-co-optimized over the conditions by LP, as is every objective under a
-split cap.
+the objectives whose value gamma fixes (total bandwidth, layer growth, and
+every objective when each node has one out-link) read it off the flow's
+rates.  The largest link utilization, and the largest node overload when
+every middle layer has gamma_l > 1, are found by Newton's method over
+max-flows that scale link or node-arc capacities with the value, each flow
+resuming the last.  Average utilization, and per-node overload under a
+middle gamma_l <= 1, are co-optimized over the conditions by LP, as is
+every objective under a split cap.
 """
 from __future__ import annotations
 
@@ -120,93 +122,139 @@ def _incidence(net: LayeredNetwork) -> np.ndarray:
     return a
 
 
+class _FlowGraph:
+    """Dinic's residual graph from a source with an arc of capacity
+    lambda_i into each ingress node, over the links (capacity ``caps``), to
+    a sink with an arc of capacity mu_j out of each egress node.
+
+    Forward arcs are numbered lambda arcs, then links, then mu arcs, then,
+    when ``node_caps`` is given, one node arc per middle node: that node's
+    out-links leave from a twin node, which the node arc of capacity
+    ``node_caps[v]`` reaches from it, so the arc bounds the node's
+    throughput.  Arc 2k is forward arc k and arc 2k + 1 its reverse, so
+    ``a ^ 1`` pairs them and the flow on arc k is the residual of its
+    reverse, which is how an unbounded link reports a finite flow.
+
+    :meth:`raise_caps` raises forward arcs' capacities and keeps the flow,
+    which stays feasible, so the next :meth:`run` resumes from it (Gallo,
+    Grigoriadis and Tarjan, "A fast parametric maximum flow algorithm",
+    SIAM J. Comput. 1989).
+    """
+
+    def __init__(self, net, lam, mu, caps, node_caps=None):
+        n = net.num_nodes
+        n0, egress_lo = net.layer_sizes[0], n - net.layer_sizes[-1]
+        self.source, self.sink = n, n + 1
+        self.n0, self.total = n0, float(lam.sum())
+        self.links = slice(2 * n0 + 1, 2 * (n0 + net.num_links), 2)
+        tail = [n] * n0 + net.link_src.tolist() + list(range(egress_lo, n))
+        head = list(range(n0)) + net.link_dst.tolist() + [n + 1] * (n - egress_lo)
+        self.cap = lam.tolist() + caps.tolist() + mu.tolist()
+        self.num_vertices = n + 2
+        if node_caps is not None:
+            # the twin of middle node v is vertex v + shift
+            middle, shift = range(n0, egress_lo), n + 2 - n0
+            tail[n0 : n0 + net.num_links] = [
+                v + shift if v in middle else v for v in tail[n0 : n0 + net.num_links]
+            ]
+            tail += middle
+            head += [v + shift for v in middle]
+            self.cap += node_caps.tolist()
+            self.num_vertices += len(middle)
+        self.tail, self.head = tail, head
+        self.to = [0] * (2 * len(tail))
+        self.to[::2] = head
+        self.to[1::2] = tail
+        self.res = [0.0] * len(self.to)
+        self.res[::2] = self.cap
+        self.out = [[] for _ in range(self.num_vertices)]
+        for a, v in enumerate(self.to):
+            self.out[v].append(a ^ 1)
+
+    def raise_caps(self, arcs, caps) -> None:
+        """Set forward arcs ``arcs`` to capacities ``caps``, each at least
+        its current one: their residuals rise by the difference."""
+        res, cap = self.res, self.cap
+        for k, c in zip(arcs, caps):
+            res[2 * k] += c - cap[k]
+            cap[k] = c
+
+    def run(self) -> tuple[float, np.ndarray, list[int]]:
+        """Augment the current flow to a maximum one by blocking flows.
+
+        Returns the flow value, the flow on every link, and the cut: empty
+        when the flow comes within :func:`_tol` of the total of lambda,
+        otherwise the forward arcs that cross the minimum cut closest to
+        the source, from the vertices the last breadth-first search reached
+        to those it did not.  Every maximum flow leaves the same vertices
+        reachable, so a resumed run names the same cut as a fresh one.
+        """
+        to, res, out = self.to, self.res, self.out
+        source, sink, size = self.source, self.sink, self.num_vertices
+        while True:
+            # level graph: breadth-first distances from the source in the
+            # residual graph
+            level = [-1] * size
+            level[source] = 0
+            frontier = [source]
+            for u in frontier:
+                step = level[u] + 1
+                for a in out[u]:
+                    v = to[a]
+                    if level[v] < 0 and res[a] > 0:
+                        level[v] = step
+                        frontier.append(v)
+            if level[sink] < 0:
+                break
+            # blocking flow: an iterative depth-first search along the level
+            # graph, each vertex resuming at its current arc
+            current = [0] * size
+            path = []
+            u = source
+            while True:
+                if u == sink:
+                    on_path = [res[a] for a in path]
+                    bottleneck = min(on_path)
+                    for a in path:
+                        res[a] -= bottleneck
+                        res[a ^ 1] += bottleneck
+                    # the first bottleneck arc's residual is now exactly 0:
+                    # resume at its tail
+                    k = on_path.index(bottleneck)
+                    u = to[path[k] ^ 1]
+                    del path[k:]
+                arcs, step = out[u], level[u] + 1
+                for i in range(current[u], len(arcs)):
+                    a = arcs[i]
+                    if res[a] > 0 and level[to[a]] == step:
+                        current[u] = i
+                        path.append(a)
+                        u = to[a]
+                        break
+                else:
+                    if u == source:
+                        break
+                    # dead end: no path to the sink continues through u
+                    level[u] = -1
+                    u = to[path.pop() ^ 1]
+                    current[u] += 1
+
+        value = sum(res[1 : 2 * self.n0 : 2])
+        cut = []
+        if not self.total - value <= _tol(self.total):
+            cut = [
+                k for k, (u, v) in enumerate(zip(self.tail, self.head))
+                if level[u] >= 0 > level[v]
+            ]
+        return value, np.array(res[self.links]), cut
+
+
 def _max_flow(
     net: LayeredNetwork, lam: np.ndarray, mu: np.ndarray, caps: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, list[int]]:
-    """Dinic's blocking flows from a source with an arc of capacity
-    lambda_i into each ingress node, over the links (capacity ``caps``,
-    by default the network's), to a sink with an arc of capacity mu_j out
-    of each egress node.
-
-    Returns the flow value, the flow on every link, and the cut: empty when
-    the flow comes within :func:`_tol` of the total of ``lam``, otherwise
-    the forward arcs (numbered lambda arcs, then links, then mu arcs) that
-    cross the minimum cut closest to the source, from the nodes the last
-    breadth-first search reached to those it did not.  Arc 2k is forward
-    arc k and arc 2k + 1 its reverse, so ``a ^ 1`` pairs them and the flow
-    on arc k is the residual of its reverse, which is how an unbounded link
-    reports a finite flow.
-    """
-    n = net.num_nodes
-    source, sink = n, n + 1
-    n0, n_egress = net.layer_sizes[0], net.layer_sizes[-1]
-    tail = [source] * n0 + net.link_src.tolist() + list(range(n - n_egress, n))
-    head = list(range(n0)) + net.link_dst.tolist() + [sink] * n_egress
-    to = [0] * (2 * len(tail))
-    to[::2] = head
-    to[1::2] = tail
-    res = [0.0] * len(to)
-    caps = net.capacities if caps is None else caps
-    res[::2] = lam.tolist() + caps.tolist() + mu.tolist()
-    out = [[] for _ in range(n + 2)]
-    for a, v in enumerate(to):
-        out[v].append(a ^ 1)
-
-    while True:
-        # level graph: breadth-first distances from the source in the
-        # residual graph
-        level = [-1] * (n + 2)
-        level[source] = 0
-        frontier = [source]
-        for u in frontier:
-            step = level[u] + 1
-            for a in out[u]:
-                v = to[a]
-                if level[v] < 0 and res[a] > 0:
-                    level[v] = step
-                    frontier.append(v)
-        if level[sink] < 0:
-            break
-        # blocking flow: an iterative depth-first search along the level
-        # graph, each node resuming at its current arc
-        current = [0] * (n + 2)
-        path = []
-        u = source
-        while True:
-            if u == sink:
-                on_path = [res[a] for a in path]
-                bottleneck = min(on_path)
-                for a in path:
-                    res[a] -= bottleneck
-                    res[a ^ 1] += bottleneck
-                # the first bottleneck arc's residual is now exactly 0:
-                # resume at its tail
-                k = on_path.index(bottleneck)
-                u = to[path[k] ^ 1]
-                del path[k:]
-            arcs, step = out[u], level[u] + 1
-            for i in range(current[u], len(arcs)):
-                a = arcs[i]
-                if res[a] > 0 and level[to[a]] == step:
-                    current[u] = i
-                    path.append(a)
-                    u = to[a]
-                    break
-            else:
-                if u == source:
-                    break
-                # dead end: no path to the sink continues through u
-                level[u] = -1
-                u = to[path.pop() ^ 1]
-                current[u] += 1
-
-    value = sum(res[1 : 2 * n0 : 2])
-    total = float(lam.sum())
-    cut = []
-    if not total - value <= _tol(total):
-        cut = [k for k, (u, v) in enumerate(zip(tail, head)) if level[u] >= 0 > level[v]]
-    links = slice(2 * n0 + 1, 2 * (n0 + net.num_links), 2)
-    return value, np.array(res[links]), cut
+    """One :meth:`_FlowGraph.run` from zero flow, on link capacities
+    ``caps`` (by default the network's)."""
+    return _FlowGraph(net, lam, mu, net.capacities if caps is None else caps).run()
 
 
 def _cut_name(net: LayeredNetwork, k: int) -> str:
@@ -348,6 +396,42 @@ def _flow_rates(
     return lp.clip_to_bounds(f / scale, upper)
 
 
+def _newton(
+    graph: _FlowGraph, arcs: np.ndarray, slope: np.ndarray, t: float, kind: str,
+    t_max: float = math.inf,
+) -> tuple[float, np.ndarray]:
+    """The least t >= the given one, and at most ``t_max``, at which
+    ``graph`` carries its total with forward arcs ``arcs`` at capacity
+    ``slope`` * t, and the link flow that carries it.
+
+    A flow short of the total has a minimum cut of capacity A + t B (B the
+    slopes of its arcs), and no t below (total - A) / B can carry the
+    total, so Newton's method steps there (Dinkelbach, "On nonlinear
+    fractional programming", Management Sci. 1967; Radzik, "Newton's
+    method for fractional combinatorial optimization", FOCS 1992).  Each
+    step raises the arcs' capacities and resumes the last flow.  It stops
+    at the first flow that reaches the total: its rates attain t, and the
+    cut before it proves that no smaller t is feasible.  The caller has
+    found the system feasible at ``t_max``, so every cut has B > 0 and each
+    step raises t; a step that does not raises
+    :class:`~fluidq.lp.SimplexError`.
+    """
+    const = np.array(graph.cap)
+    const[arcs] = 0.0
+    slopes = np.zeros(const.size)
+    slopes[arcs] = slope
+    while True:
+        graph.raise_caps(arcs.tolist(), (slope * t).tolist())
+        _, f, cut = graph.run()
+        if not cut:
+            return t, f
+        b = slopes[cut].sum()
+        step = min((graph.total - const[cut].sum()) / b, t_max) if b > 0 else t
+        if not step > t:
+            raise lp.SimplexError(f"{kind} Newton step stalls at t = {float(t)!r}")
+        t = step
+
+
 def _least_utilization(
     net: LayeredNetwork,
     arr: ArrivalProfile,
@@ -360,35 +444,50 @@ def _least_utilization(
     holds with g_k <= c_k t on every finite link, and rates that attain it.
 
     At t the link arcs of :func:`_flow_rates`' flow have capacity
-    c_k t s_l (unbounded links stay unbounded, forced-zero ones 0).  A flow
-    short of the total has a minimum cut of capacity A + t B, and no t
-    below (total - A) / B can carry the total, so Newton's method steps
-    there from t = 0 (Dinkelbach, "On nonlinear fractional programming",
-    Management Sci. 1967; Radzik, "Newton's method for fractional
-    combinatorial optimization", FOCS 1992).  It stops at the first flow
-    that reaches the total: its rates attain t, and the cut before it
-    proves that no smaller t is feasible.  The caller has found the system
-    feasible at ``rho``, so every cut has B > 0 and each step raises t; a
-    step that does not raises :class:`~fluidq.lp.SimplexError`.
+    c_k t s_l (unbounded links stay unbounded, forced-zero ones 0), so
+    :func:`_newton` finds it from t = 0.
     """
     demand = svc.rates * (arr.total / svc.total)
-    bounded = np.isfinite(caps)
-    caps_b, scale_b = caps[bounded], scale[bounded]
+    bounded = np.flatnonzero(np.isfinite(caps))
     link_caps = caps * scale
-    # each arc's cut capacity A + t B: constant part and slope in t
-    const = np.concatenate([arr.rates, np.zeros(net.num_links), demand])
-    slope = np.concatenate([np.zeros(arr.rates.size), link_caps, np.zeros(demand.size)])
-    t = 0.0
-    while True:
-        link_caps[bounded] = caps_b * t * scale_b
-        _, f, cut = _max_flow(net, arr.rates, demand, link_caps)
-        if not cut:
-            return t, lp.clip_to_bounds(f / scale, caps * rho)
-        b = slope[cut].sum()
-        step = min((arr.total - const[cut].sum()) / b, rho) if b > 0 else t
-        if not step > t:
-            raise lp.SimplexError(f"max_utilization Newton step stalls at t = {float(t)!r}")
-        t = step
+    link_caps[bounded] = 0.0
+    graph = _FlowGraph(net, arr.rates, demand, link_caps)
+    slope = caps[bounded] * scale[bounded]
+    arcs = net.layer_sizes[0] + bounded
+    t, f = _newton(graph, arcs, slope, 0.0, "max_utilization", rho)
+    return t, lp.clip_to_bounds(f / scale, caps * rho)
+
+
+def _least_overload(
+    net: LayeredNetwork,
+    arr: ArrivalProfile,
+    svc: ServiceProfile,
+    scale: np.ndarray,
+    upper: np.ndarray,
+    gamma: tuple[float, ...],
+    t_lo: float,
+) -> tuple[float, np.ndarray]:
+    """The least t >= ``t_lo`` at which the gamma system without split
+    caps holds with every middle node's growth at most t, when every
+    middle layer has gamma_l > 1, and rates that attain it.
+
+    A middle node of layer l receives gamma_l times what it sends, so it
+    grows by (1 - 1/gamma_l) times its inflow, and growth <= t bounds its
+    inflow by t / (1 - 1/gamma_l).  In :func:`_flow_rates`' flow its
+    inflow arrives scaled by s_(l-1), so that bound is a node arc of
+    capacity s_(l-1) t / (1 - 1/gamma_l), and :func:`_newton` finds t from
+    t_lo (from 0 when t_lo < 0: no growth is negative).
+    """
+    n0, n_egress = net.layer_sizes[0], net.layer_sizes[-1]
+    demand = svc.rates * (arr.total / svc.total)
+    layer = np.repeat(np.arange(net.num_layers), net.layer_sizes)[n0 : net.num_nodes - n_egress]
+    ratio = np.asarray(gamma)[layer]
+    slope = np.cumprod(gamma)[layer - 1] / (1.0 - 1.0 / ratio)
+    graph = _FlowGraph(net, arr.rates, demand, upper * scale, np.zeros(slope.size))
+    first = n0 + net.num_links + n_egress
+    arcs = np.arange(first, first + slope.size)
+    t, f = _newton(graph, arcs, slope, max(t_lo, 0.0), "max_overload_rate")
+    return t, lp.clip_to_bounds(f / scale, upper)
 
 
 def co_optimize(
@@ -413,19 +512,27 @@ def co_optimize(
     minimum cut, and a feasible one gives rates.  The ratio rows fix every
     layer's total flow, so ``total_bandwidth``, ``max_layer_growth`` and,
     without middle nodes, ``max_overload_rate`` are constant on the
-    family: they read the value (sum of g, largest layer growth, t_lo
-    below) off the flow's rates and solve no LP.  ``max_utilization`` (min
-    t with g_k <= c_k t, t <= the utilization cap rho) is the least link
-    scale at which the flow still carries the total, found by Newton's
-    method over max-flows (:func:`_least_utilization`), with no LP either.
+    family; when every non-egress node has exactly one out-link they fix
+    every rate, so every objective is.  Such values are read off the
+    flow's rates (sum of g, largest layer growth, largest node growth but
+    at least t_lo below, mean or largest g_k / c_k over the finite links)
+    with no LP.  ``max_utilization`` (min t with g_k <= c_k t, t <= the
+    utilization cap rho) is the least link scale at which the flow still
+    carries the total, found by Newton's method over max-flows
+    (:func:`_least_utilization`).  ``max_overload_rate`` with middle nodes
+    is the least bound t on node growth: the ratio rows fix each ingress
+    node's outflow and each egress node's inflow, so their growths are
+    constants and the largest of them, t_lo, is a lower bound, and when
+    every middle layer has gamma_l > 1 a middle node's growth is
+    (1 - 1/gamma_l) times its inflow, so the bound is a node capacity and
+    Newton's method finds t from t_lo (:func:`_least_overload`).  Neither
+    solves an LP.
 
     The other objectives then solve an LP over a system known to be
     feasible, so an infeasible LP raises :class:`~fluidq.lp.SimplexError`.
     ``avg_utilization`` minimizes the mean of g_k / c_k over the finite
-    links.  ``max_overload_rate`` keeps an epigraph row only at middle
-    nodes: the ratio rows fix each ingress node's outflow and each egress
-    node's inflow, so their growths are constants and the largest of them,
-    t_lo, is a lower bound with t = t_lo + t', t' >= 0.
+    links.  ``max_overload_rate`` under a middle gamma_l <= 1 keeps an
+    epigraph row only at middle nodes, with t = t_lo + t', t' >= 0.
 
     A split cap (g_k <= beta * node inflow) is no flow bound, so with one
     every objective solves an LP (the fixed-value ones the bare system at
@@ -464,6 +571,7 @@ def co_optimize(
         )
 
     m = net.num_links
+    n0, egress_lo = net.layer_sizes[0], net.num_nodes - net.layer_sizes[-1]
     node_layer = np.repeat(np.arange(net.num_layers), net.layer_sizes)
     src_layer = node_layer[net.link_src]
 
@@ -477,20 +585,22 @@ def co_optimize(
     caps = net.capacities.copy()
     caps[list(forced)] = 0.0
     upper = caps if objective.utilization_cap is None else caps * objective.utilization_cap
-    if kind == "avg_utilization":
-        finite = np.flatnonzero(np.isfinite(net.capacities))
-        if not finite.size:
-            raise ValueError("average utilization needs at least one finite capacity")
-    elif kind == "max_overload_rate":
+    finite = np.flatnonzero(np.isfinite(net.capacities))
+    if kind == "avg_utilization" and not finite.size:
+        raise ValueError("average utilization needs at least one finite capacity")
+    if kind == "max_overload_rate":
         # the ratio rows fix each ingress node's outflow and each egress
         # node's inflow, so their growths are constants; the largest is t_lo
         t_lo = max(
             float(np.max(arr.rates - arr.rates / gamma[0])),
             float(np.max(gamma[-1] * svc.rates - svc.rates)),
         )
-    # gamma fixes these values: any member of the family attains them
-    fixed = kind in ("total_bandwidth", "max_layer_growth") or (
-        kind == "max_overload_rate" and net.num_layers == 2
+    # gamma fixes these values: any member of the family attains them.
+    # With one out-link per non-egress node the ratio rows fix every rate,
+    # so the family has one member and fixes every value.
+    fixed = bool(np.all(net.out_degree[:egress_lo] == 1)) or (
+        kind in ("total_bandwidth", "max_layer_growth")
+        or (kind == "max_overload_rate" and net.num_layers == 2)
     )
 
     flow = objective.split_cap is None
@@ -498,7 +608,11 @@ def co_optimize(
     if flow:
         scale = np.cumprod(gamma)[src_layer]
         g = _flow_rates(net, arr, svc, scale, upper, objective, forced)
-    if not (flow and (fixed or kind == "max_utilization")):
+    if flow and not fixed and kind == "max_utilization":
+        value, g = _least_utilization(net, arr, svc, scale, caps, rho)
+    elif flow and not fixed and kind == "max_overload_rate" and all(v > 1 for v in gamma[1:-1]):
+        value, g = _least_overload(net, arr, svc, scale, upper, gamma, t_lo)
+    elif not (flow and fixed):
         incidence = _incidence(net)
         # one ratio row per node: an ingress node sends lambda_i / gamma_1, a
         # middle node of layer l receives gamma_l times what it sends, an
@@ -508,8 +622,8 @@ def co_optimize(
             src_layer == 0, 1.0, -np.asarray(gamma)[src_layer]
         )
         b_eq = np.zeros(net.num_nodes)
-        b_eq[: net.layer_sizes[0]] = arr.rates / gamma[0]
-        b_eq[net.num_nodes - net.layer_sizes[-1] :] = gamma[-1] * svc.rates
+        b_eq[:n0] = arr.rates / gamma[0]
+        b_eq[egress_lo:] = gamma[-1] * svc.rates
 
         a_ub = np.zeros((0, m))
         b_ub = np.zeros(0)
@@ -531,7 +645,9 @@ def co_optimize(
         # one auxiliary column, then reads the rates and the value off it;
         # only a split-cap system can still turn out infeasible
         feasible = flow
-        if kind == "avg_utilization":
+        if fixed:
+            result = solve_system()
+        elif kind == "avg_utilization":
             c = np.zeros(m)
             c[finite] = 1.0 / (net.capacities[finite] * finite.size)
             result = solve_system(c)
@@ -547,9 +663,9 @@ def co_optimize(
                 # the system is feasible with every finite link at 0
                 result = solve_system(bounds=np.where(np.isfinite(caps), 0.0, caps))
                 feasible = True
-        elif not fixed:  # max_overload_rate with middle nodes
+        else:  # max_overload_rate with middle nodes
             # a middle node's growth (inflow - outflow) <= t_lo + t'
-            epigraph = incidence[net.layer_sizes[0] : net.num_nodes - net.layer_sizes[-1]]
+            epigraph = incidence[n0:egress_lo]
             result = lp.solve_lp(
                 np.append(np.zeros(m), 1.0),
                 np.vstack([widen(a_ub, 0.0), widen(epigraph, -1.0)]),
@@ -558,8 +674,6 @@ def co_optimize(
             )
             if result.status == lp.INFEASIBLE and not flow:
                 result = solve_system()
-        else:
-            result = solve_system()
 
         if result.status == lp.INFEASIBLE and feasible:
             raise lp.SimplexError(f"{kind} LP is infeasible on a feasible gamma system")
@@ -571,23 +685,31 @@ def co_optimize(
         if result.status != lp.OPTIMAL:
             raise InfeasibleError(f"solver returned {result.status}")
         g = result.x[:m]
+        if fixed:
+            pass  # read off g below, like the flow's rates
+        elif kind == "avg_utilization":
+            value = result.objective
+        elif kind == "max_utilization" and result.x.size > m:
+            s = 1.0 / rho + result.x[m]
+            g, value = g / s, 1.0 / s
+        elif kind == "max_utilization":  # t* = 0
+            value = 0.0
+        else:
+            value = t_lo + float(result.x[m])
 
-    if kind == "avg_utilization":
-        value = result.objective
-    elif kind == "max_utilization" and flow:
-        value, g = _least_utilization(net, arr, svc, scale, caps, rho)
-    elif kind == "max_utilization" and result.x.size > m:
-        s = 1.0 / rho + result.x[m]
-        g, value = g / s, 1.0 / s
-    elif kind == "max_utilization":  # t* = 0
-        value = 0.0
-    elif kind == "max_overload_rate":  # no t' column without middle nodes
-        value = t_lo if fixed else t_lo + float(result.x[m:].sum())
-    elif kind == "total_bandwidth":
-        value = g.sum()
-    else:
+    if fixed:
         growth = node_growth(net, arr, svc, g)
-        value = np.max(np.add.reduceat(growth, np.cumsum(net.layer_sizes) - net.layer_sizes))
+        utilization = g[finite] / net.capacities[finite]
+        if kind == "total_bandwidth":
+            value = g.sum()
+        elif kind == "max_layer_growth":
+            value = np.max(np.add.reduceat(growth, np.cumsum(net.layer_sizes) - net.layer_sizes))
+        elif kind == "max_overload_rate":  # t_lo without middle nodes
+            value = np.max(growth[n0:egress_lo], initial=t_lo)
+        elif kind == "avg_utilization":
+            value = np.mean(utilization)
+        else:
+            value = np.max(utilization, initial=0.0)
 
     tol = _tol(arr.total)
     outside = ~((g >= -tol) & (g <= upper + tol))

@@ -506,6 +506,46 @@ def test_check_judges_a_two_layer_network_by_the_layered_check(tmp_path, capsys)
         assert capsys.readouterr().out == "in the min-delay region\ngamma: 2.4, 1\n"
 
 
+OVER_CAPACITY = {"1:1:1": 4, "1:1:2": 2.6666666666666665, "1:2:1": 8, "1:2:2": 5.333333333333333}
+
+
+@pytest.mark.parametrize("kind", ["auto", "layered", "tree", "single-sink"])
+def test_check_names_a_rate_over_capacity_for_every_kind(kind, tmp_path, capsys):
+    """twohop.json has capacity 3 on every link.  These rates meet the
+    layered check's ratio and throughput clauses (gamma 0.6, 4), but
+    1:1:1 and others exceed their capacity: every kind answers with the
+    single-sink checker's words and exit 2."""
+    rates = tmp_path / "over.json"
+    rates.write_text(json.dumps(OVER_CAPACITY))
+    twohop = os.path.join(DATA, "twohop.json")
+    assert main(["check", "--net", twohop, "--rates", str(rates), "--kind", kind]) == 2
+    assert capsys.readouterr().out == (
+        "outside the min-delay region: capacity exceeded on link 1:1:1\n"
+    )
+
+
+@pytest.mark.parametrize("policy", [["custom:{}"], ["opt-static", "--rates", "{}"]])
+@pytest.mark.parametrize("mode", [[], ["--mode", "integer", "--report"]])
+def test_simulate_rates_over_capacity_exit_with_one_line(policy, mode, tmp_path, capsys):
+    """A rate file over a capacity ended in an EngineError traceback."""
+    rates = tmp_path / "over.json"
+    rates.write_text(json.dumps(OVER_CAPACITY))
+    twohop = os.path.join(DATA, "twohop.json")
+    with pytest.raises(SystemExit,
+                       match=f"^rates {rates}: rates exceed capacity on link 1:1:1$"):
+        main(["simulate", "--net", twohop, "--policy", *[p.format(rates) for p in policy],
+              "--horizon", "5", *mode])
+    assert capsys.readouterr().out == ""
+
+
+def test_optimize_max_overload_rate_where_a_middle_node_binds(capsys):
+    """midgrowth.json: middle node 2 of layer 2 can receive at most 2, so
+    node 1 receives 13 and grows by 13 (1 - 1/1.5), above t_lo = 2.5."""
+    assert main(["optimize", "--net", os.path.join(DATA, "midgrowth.json"),
+                 "--objective", "max_overload_rate"]) == 0
+    assert capsys.readouterr().out.startswith("objective max_overload_rate = 4.33333333\n")
+
+
 def test_check_refuses_the_single_hop_kind(capsys, instance_doc):
     net_path, rates_path = instance_doc
     with pytest.raises(SystemExit) as exc:

@@ -30,6 +30,7 @@ from fluidq import (
     throughput_tight_gamma,
 )
 from fluidq import lp, optimize
+from fluidq.network import node_growth
 from fluidq.optimize import OBJECTIVE_KINDS
 from fluidq.bench import preset, sample_instance
 
@@ -807,25 +808,26 @@ def _charnes_cooper_value(net, arr, svc, gamma):
 def test_max_utilization_by_newton_on_optimizer_families(seed, monkeypatch):
     """max_utilization on the 40 optimizer inputs: no LP call, one
     feasibility flow and then at most 7 Newton flows (3 to 5 per input
-    at these seeds).  An infeasible system raises the feasibility flow's
-    verdict after that one flow, exactly when HiGHS finds none.  A
-    feasible value t* is within 1e-12 relative of the Charnes-Cooper
-    simplex and 1e-9 of HiGHS's epigraph LP, and the cut of the last flow
-    short of the total has capacity total lambda at t*, so no smaller t
-    can carry the total."""
+    at these seeds), none on a network with one out-link per node, whose
+    value is read off the feasibility flow.  An infeasible system raises
+    the feasibility flow's verdict after that one flow, exactly when HiGHS
+    finds none.  A feasible value t* is within 1e-12 relative of the
+    Charnes-Cooper simplex and 1e-9 of HiGHS's epigraph LP, and the cut of
+    the last flow short of the total has capacity total lambda at t*, so
+    no smaller t can carry the total."""
     pytest.importorskip("scipy.optimize")
     calls = []
-    max_flow, solve = optimize._max_flow, lp.solve_lp
+    run, solve = optimize._FlowGraph.run, lp.solve_lp
 
-    def recorded(*args):
-        out = max_flow(*args)
+    def recorded(graph):
+        out = run(graph)
         calls.append(out[2])
         return out
 
-    monkeypatch.setattr(optimize, "_max_flow", recorded)
+    monkeypatch.setattr(optimize._FlowGraph, "run", recorded)
     monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append("lp") or solve(*a, **k))
     spec = ObjectiveSpec("max_utilization")
-    outcomes = {"infeasible": 0, "feasible": 0}
+    outcomes = {"infeasible": 0, "feasible": 0, "single": 0}
     for stream, (name, sizes) in enumerate(OPTIMIZER_FAMILIES):
         cfg = preset(name)
         if sizes is not None:
@@ -844,12 +846,16 @@ def test_max_utilization_by_newton_on_optimizer_families(seed, monkeypatch):
                 continue
             flows = list(calls)
             assert "lp" not in flows, (name, k)
-            assert 2 <= len(flows) <= 8, (name, k, len(flows))
             assert status == 0
             assert abs(value - best) <= 1e-9, (name, k, value, best)
             gamma = throughput_tight_gamma(arr, svc, net.num_layers)
             ref = _charnes_cooper_value(net, arr, svc, gamma)
             assert abs(value - ref) <= 1e-12 * abs(ref), (name, k, value, ref)
+            if _single_out_link(net):
+                assert flows == [[]], (name, k)
+                outcomes["single"] += 1
+                continue
+            assert 2 <= len(flows) <= 8, (name, k, len(flows))
             # the cut of the last short flow, at t*, in the flow graph
             # written from the model
             cut = [c for c in flows[1:] if c][-1]
@@ -860,6 +866,120 @@ def test_max_utilization_by_newton_on_optimizer_families(seed, monkeypatch):
             assert abs(arcs[cut].sum() - arr.total) <= 1e-12 * arr.total, (name, k)
             outcomes["feasible"] += 1
     assert min(outcomes.values()) > 0, outcomes
+
+
+def _single_out_link(net):
+    return bool(np.all(net.out_degree[: net.num_nodes - net.layer_sizes[-1]] == 1))
+
+
+def _epigraph_overload_value(net, arr, svc, gamma):
+    """Least largest node growth over the gamma system, by the in-tree
+    simplex: minimize t = t+ - t- over (g, t+, t-) with every node's
+    growth (lambda_i in at an ingress node, mu_j out at an egress node) at
+    most t, the ratio rows and 0 <= g <= c, all written from the model."""
+    a_eq, b_eq = ratio_rows(net, arr, svc, gamma)
+    m, n = net.num_links, net.num_nodes
+    a_ub = np.zeros((n, m + 2))
+    b_ub = np.zeros(n)
+    for k, ln in enumerate(net.links):
+        a_ub[net.node_id(ln.layer + 1, ln.dst), k] += 1.0
+        a_ub[net.node_id(ln.layer, ln.src), k] -= 1.0
+    a_ub[:, m : m + 2] = [-1.0, 1.0]
+    b_ub[: net.layer_sizes[0]] = -arr.rates
+    b_ub[n - net.layer_sizes[-1] :] = svc.rates
+    result = lp.solve_lp(
+        np.append(np.zeros(m), [1.0, -1.0]), a_ub, b_ub, np.column_stack([a_eq, np.zeros((n, 2))]),
+        b_eq, upper=np.append(net.capacities, [np.inf, np.inf]),
+    )
+    assert result.status == lp.OPTIMAL
+    return float(result.x[m] - result.x[m + 1])
+
+
+def _check_overload_route(net, arr, svc, calls):
+    """max_overload_rate under the balanced-growth gamma on one input, with
+    ``calls`` recording the solve_lp calls.  Returns "infeasible"; "no
+    middle node", where gamma fixes the value at t_lo; "lp"
+    when a middle gamma_l <= 1 keeps the epigraph LP; "single" on a
+    network with one out-link per node, whose value is read off the
+    feasibility flow; otherwise "t_lo" when Newton's method stops at t_lo,
+    or "binds" when a middle node's bound lifts the value above it.  The
+    verdict and value are HiGHS's, the value is within 1e-12 relative of
+    the in-tree epigraph simplex, only the "lp" route calls solve_lp, and
+    the rates attain the value."""
+    spec = ObjectiveSpec("max_overload_rate")
+    status, best = _highs_co_optimum(spec.kind, net, arr.rates, svc.rates, spec)
+    assert status in (0, 2)
+    calls.clear()
+    try:
+        rates, value = co_optimize(net, arr, svc, spec)
+    except InfeasibleError:
+        assert status == 2
+        return "infeasible"
+    gamma = balanced_growth_gamma(arr, svc, net.num_layers)
+    t_lo = max(float(np.max(arr.rates - arr.rates / gamma[0])),
+               float(np.max(gamma[-1] * svc.rates - svc.rates)))
+    route = ("single" if _single_out_link(net) else
+             "no middle node" if net.num_layers == 2 else
+             "lp" if min(gamma[1:-1]) <= 1 else
+             "binds" if value > t_lo + 1e-9 * max(1.0, abs(t_lo)) else "t_lo")
+    assert (calls != []) == (route == "lp"), (route, calls)
+    assert status == 0
+    ref = _epigraph_overload_value(net, arr, svc, gamma)
+    assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (value, ref)
+    assert abs(value - best) <= 1e-9 * max(1.0, abs(best)), (value, best)
+    growth = node_growth(net, arr, svc, rates.values)
+    assert abs(float(growth.max()) - value) <= 1e-9 * arr.total, (growth.max(), value)
+    return route
+
+
+@pytest.mark.parametrize("seed", [20240811, 41, 7])
+def test_max_overload_rate_by_newton_on_optimizer_families(seed, monkeypatch):
+    """max_overload_rate on the 40 optimizer inputs, where the balanced-
+    growth gamma has every middle gamma_l > 1: no LP call, the verdict and
+    value are HiGHS's, and the value is within 1e-12 relative of an
+    epigraph LP over every node's growth solved by the in-tree simplex
+    (:func:`_check_overload_route`)."""
+    pytest.importorskip("scipy.optimize")
+    calls = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append("lp") or solve(*a, **k))
+    outcomes = {}
+    for stream, (name, sizes) in enumerate(OPTIMIZER_FAMILIES):
+        cfg = preset(name)
+        if sizes is not None:
+            cfg = dataclasses.replace(cfg, layer_sizes=sizes)
+        for k in range(8):
+            inst = sample_instance(cfg, np.random.default_rng([seed, stream, k]), k)
+            route = _check_overload_route(inst.net, inst.arr, inst.svc, calls)
+            outcomes[route] = outcomes.get(route, 0) + 1
+    assert "lp" not in outcomes and outcomes["t_lo"] > 0, outcomes
+
+
+def test_max_overload_rate_by_newton_on_random_full_connections(monkeypatch):
+    """400 seeded 3-4 layer full connections, a fifth of the links
+    unbounded, overloaded or not: max_overload_rate agrees with HiGHS and
+    the in-tree epigraph simplex on every route, Newton's method on node
+    arcs calls no LP, and the node arcs bind (t* > t_lo) on at least 30
+    draws."""
+    pytest.importorskip("scipy.optimize")
+    calls = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append("lp") or solve(*a, **k))
+    rng = np.random.default_rng(28)
+    outcomes = {}
+    for _ in range(400):
+        sizes = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(3, 5)))]
+        caps = [
+            np.where(rng.random((a, b)) < 0.2, np.inf, rng.uniform(0.2, 8.0, size=(a, b)))
+            for a, b in zip(sizes, sizes[1:])
+        ]
+        net = full_connection(sizes, caps)
+        arr = ArrivalProfile(rng.uniform(1.0, 8.0, size=sizes[0]))
+        svc = ServiceProfile(rng.uniform(0.2, 2.0, size=sizes[-1]))
+        route = _check_overload_route(net, arr, svc, calls)
+        outcomes[route] = outcomes.get(route, 0) + 1
+    assert outcomes["binds"] >= 30, outcomes
+    assert set(outcomes) == {"infeasible", "lp", "single", "t_lo", "binds"}, outcomes
 
 
 def test_named_cut_of_an_infeasible_gamma_system_is_a_minimum_cut():
@@ -899,3 +1019,42 @@ def test_named_cut_of_an_infeasible_gamma_system_is_a_minimum_cut():
         else:
             assert status == 0, (trial, spec)
     assert seen == {"ingress ratio", "egress ratio", "capacity", "utilization cap", "forced zero"}
+
+
+def test_single_out_link_networks_read_every_objective_off_the_flow(monkeypatch):
+    """With one out-link per non-egress node (a fan-in tree, an N x 1
+    network) the ratio rows fix every rate, so each objective is read off
+    the one feasibility flow: no LP, no Newton flow, and HiGHS's optimum.
+    full_connection([2, 2, 1, 2]) has one out-link at each layer-2 node but
+    two at every other node, so its rates are not fixed: max_utilization
+    and max_overload_rate take Newton's flows and avg_utilization its LP."""
+    pytest.importorskip("scipy.optimize")
+    tree = LayeredNetwork((4, 2, 1), [
+        Link(0, 0, 0, 1.0), Link(0, 1, 0, 2.0), Link(0, 2, 1, 3.0), Link(0, 3, 1, 4.0),
+        Link(1, 0, 0, 2.0), Link(1, 1, 0),
+    ])
+    mixed = full_connection([2, 2, 1, 2], [np.full((2, 2), 6.0), np.array([[9.0], [3.0]]),
+                                           np.full((1, 2), 12.0)])
+    cases = (
+        (tree, ArrivalProfile([1.0, 2.0, 3.0, 4.0]), ServiceProfile([4.0]), True),
+        (single_sink(3, [4.0, 4.0, 5.0]), ArrivalProfile([1.0, 2.0, 6.0]), ServiceProfile([4.0]), True),
+        (mixed, ArrivalProfile([4.0, 8.0]), ServiceProfile([2.0, 3.0]), False),
+    )
+    calls = []
+    run, solve = optimize._FlowGraph.run, lp.solve_lp
+    monkeypatch.setattr(optimize._FlowGraph, "run", lambda g: calls.append("flow") or run(g))
+    monkeypatch.setattr(lp, "solve_lp", lambda *a, **k: calls.append("lp") or solve(*a, **k))
+    for net, arr, svc, single in cases:
+        for kind in OBJECTIVE_KINDS:
+            spec = ObjectiveSpec(kind)
+            status, best = _highs_co_optimum(kind, net, arr.rates, svc.rates, spec)
+            assert status == 0
+            calls.clear()
+            _, value = co_optimize(net, arr, svc, spec)
+            assert value == pytest.approx(best, rel=1e-9, abs=1e-12), (net, kind)
+            if single:
+                assert calls == ["flow"], (net, kind, calls)
+            elif kind == "avg_utilization":
+                assert calls == ["flow", "lp"]
+            elif kind in ("max_utilization", "max_overload_rate"):
+                assert calls.count("flow") > 1 and "lp" not in calls, (kind, calls)

@@ -436,12 +436,12 @@ def _capture_lps(monkeypatch):
 @pytest.mark.parametrize("split_cap", [None, 0.9])
 def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, sizes, split_cap):
     """Under a split cap max_utilization's LP has no epigraph row (its
-    links' epigraphs are bounds); without one Newton's method over
-    max-flows solves it and no LP runs.  max_overload_rate has an epigraph
-    row only per middle node.  Without middle nodes gamma fixes
-    max_overload_rate at t_lo: with a split cap it solves the gamma system
-    alone (no t' column and no epigraph row), and without one the max-flow
-    gives its rates and no LP runs."""
+    links' epigraphs are bounds) and max_overload_rate has an epigraph row
+    only per middle node.  Without a split cap Newton's method over
+    max-flows solves both (the balanced-growth gamma of these overloaded
+    instances has every middle gamma_l > 1) and no LP runs.  Without
+    middle nodes gamma fixes max_overload_rate at t_lo: with a split cap
+    it solves the gamma system alone (no t' column and no epigraph row)."""
     net = full_connection(list(sizes), 6.0)
     arr = ArrivalProfile([4.0, 3.0, 5.0][: sizes[0]])
     svc = ServiceProfile([2.0, 1.5][: sizes[-1]])
@@ -453,14 +453,37 @@ def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, s
                                  ("max_overload_rate", m + (middle > 0), split_rows + middle)):
         problems.clear()
         rates, value = co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
-        flow_only = split_cap is None and (kind == "max_utilization" or not middle)
-        expected = [] if flow_only else [{"width": width, "ub_rows": ub_rows, "eq_rows": nodes}]
+        expected = [] if split_cap is None else [{"width": width, "ub_rows": ub_rows, "eq_rows": nodes}]
         assert problems == expected
         gamma = (balanced_growth_gamma(arr, svc, len(sizes)) if kind == "max_overload_rate"
                  else throughput_tight_gamma(arr, svc, len(sizes)))
         assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
         if kind == "max_utilization":
             assert value == pytest.approx(float(np.max(rates.values / 6.0)), rel=1e-12)
+
+
+def test_max_overload_rate_keeps_its_lp_under_a_middle_gamma_at_most_one(monkeypatch):
+    """A middle node of a layer with gamma_l <= 1 grows by
+    (1 - 1/gamma_l) * inflow <= 0, which no node arc can bound, so the
+    throughput-tight gamma (1 past layer 1) keeps the epigraph LP with one
+    row per middle node; the balanced-growth gamma solves none."""
+    net = full_connection([3, 4, 2], 6.0)
+    arr, svc = ArrivalProfile([4.0, 3.0, 5.0]), ServiceProfile([2.0, 1.5])
+    problems = _capture_lps(monkeypatch)
+    spec = ObjectiveSpec("max_overload_rate")
+    values = {}
+    for name, gamma, expected in (
+        ("tight", throughput_tight_gamma(arr, svc, 3),
+         [{"width": net.num_links + 1, "ub_rows": 4, "eq_rows": net.num_nodes}]),
+        ("balanced", balanced_growth_gamma(arr, svc, 3), []),
+    ):
+        problems.clear()
+        rates, values[name] = co_optimize(net, arr, svc, spec, gamma)
+        assert problems == expected, name
+        assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
+    # tight: no middle node grows, so the value is t_lo, node 3's
+    # ingress growth 5 - 5 / gamma_1
+    assert values["tight"] == pytest.approx(5.0 - 5.0 / (12.0 / 3.5), rel=1e-12)
 
 
 def test_max_utilization_is_zero_when_unbounded_links_carry_the_demand(monkeypatch):
@@ -487,6 +510,22 @@ def test_max_utilization_is_zero_when_unbounded_links_carry_the_demand(monkeypat
         assert check_min_delay_layered(net, arr, svc, rates, gamma, tol=1e-8)
 
 
+def _short_after_the_first_flow(monkeypatch, net, cut):
+    """Let the feasibility flow run, then answer every later flow short of
+    the total with ``cut``; returns the list of graphs run."""
+    run = optimize._FlowGraph.run
+    seen = []
+
+    def short_after_the_first(graph):
+        seen.append(graph)
+        if len(seen) == 1:
+            return run(graph)
+        return 0.0, np.zeros(net.num_links), cut
+
+    monkeypatch.setattr(optimize._FlowGraph, "run", short_after_the_first)
+    return seen
+
+
 @pytest.mark.parametrize("cut, t, calls", [([0], "0.0", 2), ([0, 1, 2], "0.0", 2), ([2], "1.0", 3)])
 def test_max_utilization_newton_step_never_spins(monkeypatch, cut, t, calls):
     """After the feasibility flow at t = rho, a Newton flow that falls short
@@ -495,18 +534,32 @@ def test_max_utilization_newton_step_never_spins(monkeypatch, cut, t, calls):
     flow: SimplexError, not another step."""
     net = full_connection([2, 2], 4.0)
     arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
-    max_flow = optimize._max_flow
-    seen = []
-
-    def short_after_the_first(*args):
-        seen.append(args)
-        if len(seen) == 1:
-            return max_flow(*args)
-        return 0.0, np.zeros(net.num_links), cut
-
-    monkeypatch.setattr(optimize, "_max_flow", short_after_the_first)
+    seen = _short_after_the_first_flow(monkeypatch, net, cut)
     with pytest.raises(lp.SimplexError, match=f"^max_utilization Newton step stalls at t = {t}$"):
         co_optimize(net, arr, svc, ObjectiveSpec("max_utilization"))
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("cut, at, calls", [
+    ([0], "t_lo", 2), ([0, 1, 12], "t_lo", 2), ([12], "step", 3),
+])
+def test_max_overload_newton_step_never_spins(monkeypatch, cut, at, calls):
+    """max_overload_rate's Newton flows on full_connection([2, 2, 2]): arc
+    12 is the node arc of middle node 1.  A short cut without a node arc
+    (B = 0), one whose line already carries the total at t (all lambda
+    arcs), or the same cut again after its step contradicts the
+    feasibility flow: SimplexError, not another step."""
+    net = full_connection([2, 2, 2], 4.0)
+    arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
+    gamma = balanced_growth_gamma(arr, svc, 3)
+    t = max(8.0 - 8.0 / gamma[0], gamma[2] * 4.0 - 4.0)
+    if at == "step":
+        # the node arc's capacity is s_1 t / (1 - 1/gamma_2)
+        t = arr.total / (gamma[0] / (1.0 - 1.0 / gamma[1]))
+    seen = _short_after_the_first_flow(monkeypatch, net, cut)
+    with pytest.raises(lp.SimplexError,
+                       match=f"^max_overload_rate Newton step stalls at t = {re.escape(repr(t))}$"):
+        co_optimize(net, arr, svc, ObjectiveSpec("max_overload_rate"))
     assert len(seen) == calls
 
 
@@ -615,15 +668,18 @@ def test_optimizer_output_is_judged_against_its_bounds(monkeypatch):
 def test_lp_objectives_raise_simplex_error_when_the_lp_contradicts_the_flow(monkeypatch):
     """The LP objectives run on a system the max-flow found feasible, so an
     infeasible LP is the solver's fault, not the input's.  max_utilization
-    runs no LP without a split cap; with one, an unbounded Charnes-Cooper
+    runs no LP without a split cap, nor does max_overload_rate when every
+    middle gamma_l > 1; with one, an unbounded Charnes-Cooper
     LP proves the system feasible (t* = 0), so an infeasible solve of it
     with every finite link at 0 is the solver's fault too."""
     net = full_connection([2, 2, 2], 4.0)
     arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
     monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: lp.LPResult(lp.INFEASIBLE))
-    for kind in ("avg_utilization", "max_overload_rate"):
+    # max_overload_rate keeps its LP under a middle gamma_l <= 1
+    tight = throughput_tight_gamma(arr, svc, 3)
+    for kind, gamma in (("avg_utilization", None), ("max_overload_rate", tight)):
         with pytest.raises(lp.SimplexError, match=f"^{kind} LP is infeasible on a feasible"):
-            co_optimize(net, arr, svc, ObjectiveSpec(kind))
+            co_optimize(net, arr, svc, ObjectiveSpec(kind), gamma)
     answers = iter([lp.LPResult(lp.UNBOUNDED), lp.LPResult(lp.INFEASIBLE)])
     monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: next(answers))
     with pytest.raises(lp.SimplexError, match="^max_utilization LP is infeasible on a feasible"):
