@@ -24,12 +24,12 @@ from .engine import QueueState, Trajectory, effective_flow, effective_rates
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
-    Link,
     RateAssignment,
     ServiceProfile,
     SimConfig,
     _require_network,
     ensure_valid,
+    key_name,
     node_growth,
     require_finite_positive,
 )
@@ -122,8 +122,9 @@ def path_weights(
             out = np.arange(*runs.get(nid, (0, 0)))  # its run of out-links
             total = float(g_tilde[out].sum())
             for lk in out[g_tilde[out] > 0]:
-                step = (net.links[lk].dst,)
-                stack.append((path + step, net.link_dst[lk], w * g_tilde[lk] / total))
+                dst = int(net.link_dst[lk])
+                step = (dst - net.node_id(len(path), 0),)
+                stack.append((path + step, dst, w * g_tilde[lk] / total))
     return table
 
 
@@ -157,7 +158,7 @@ def packet_delay(
         raise ValueError("path must name one node per layer")
     for l in range(net.num_layers - 1):
         if (l, path[l], path[l + 1]) not in net.link_index:
-            raise ValueError(f"path uses nonexistent link {Link(l, path[l], path[l + 1]).name}")
+            raise ValueError(f"path uses nonexistent link {key_name((l, path[l], path[l + 1]))}")
 
     if source is None:
         rho, _, _ = _node_ratios(net, arr, svc, rates.values)

@@ -19,10 +19,10 @@ from .analytics import analytic_report, empirical_report
 from .discrete import tagged_run
 from .engine import run
 from .network import (
-    Link,
     RateAssignment,
     SimConfig,
     full_connection,
+    key_name,
     load,
     require_finite_positive,
 )
@@ -73,7 +73,7 @@ def _load_rates(net, path) -> RateAssignment:
 def _over_capacity(rates: RateAssignment) -> str | None:
     """Name of the first link whose rate exceeds its capacity, if any."""
     bad = rates.capacity_violations()
-    return Link(*bad[0]).name if bad else None
+    return key_name(bad[0]) if bad else None
 
 
 def _parse_gamma(spec: str, net, arr, svc):

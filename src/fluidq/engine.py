@@ -38,12 +38,12 @@ import numpy as np
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
-    Link,
     RateAssignment,
     ServiceProfile,
     SimConfig,
     _require_network,
     ensure_valid,
+    key_name,
 )
 
 
@@ -418,7 +418,7 @@ def step(
         raise EngineError("rate assignment belongs to a different network")
     bad = rates.capacity_violations()
     if bad:
-        raise EngineError(f"rates exceed capacity on link {Link(*bad[0]).name}")
+        raise EngineError(f"rates exceed capacity on link {key_name(bad[0])}")
     kernel = _FluidStep(net, arr, svc, dt, state.q)
     kernel.budgets(rates)
     _advance(kernel)
@@ -441,7 +441,7 @@ class _CapacityCheck:
                 raise EngineError("rate assignment belongs to a different network")
             bad = rates.capacity_violations()
             if bad:
-                raise EngineError(f"policy rates exceed capacity on link {Link(*bad[0]).name}")
+                raise EngineError(f"policy rates exceed capacity on link {key_name(bad[0])}")
             self._last = rates
         return rates
 

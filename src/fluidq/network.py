@@ -8,14 +8,19 @@ here.
 
 Indexing convention: node and layer indices are 0-based in code and 1-based
 in topology documents, and messages name a link in the document form
-``l:i:j`` (:attr:`Link.name`).  The adjacency is held once: per link its
-source and destination node ids, per node its degrees, and per link layer
-l its :class:`LayerPlan` ``plan[l]`` (:attr:`LayeredNetwork.plan`).
+``l:i:j`` (:func:`key_name`).  The network is held as arrays, once: per
+link its source and destination node ids and its capacity, per node its
+degrees, and per link layer l its :class:`LayerPlan` ``plan[l]``
+(:attr:`LayeredNetwork.plan`).  The builders pass link arrays in; the
+:class:`Link` tuple :attr:`LayeredNetwork.links` is a view of them built on
+first read.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -39,6 +44,13 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def key_name(key: Sequence[int]) -> str:
+    """The file form ``l:i:j``, 1-based, of a 0-based link key: how every
+    message names a link."""
+    layer, src, dst = key
+    return f"{layer + 1}:{src + 1}:{dst + 1}"
+
+
 @dataclass(frozen=True, order=True)
 class Link:
     """Directed link from node ``src`` of layer ``layer`` to node ``dst`` of
@@ -60,14 +72,33 @@ class Link:
 
     @property
     def name(self) -> str:
-        """The file form ``l:i:j``, 1-based: how every message names a link."""
-        return f"{self.layer + 1}:{self.src + 1}:{self.dst + 1}"
+        return key_name(self.key)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, within
+    the range of the link arrays."""
+    # a plain int skips the slower abstract-class test
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not -(2**62) < value < 2**62:
+        raise ValueError(f"{what} out of range, got {value!r}")
+    return int(value)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float: a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
-    """Layer sizes as ints, after checking that there are at least two and
-    that each is positive."""
-    sizes = tuple(int(n) for n in layer_sizes)
+    """Layer sizes as ints, after checking that each is an integer, that
+    there are at least two and that each is positive."""
+    sizes = tuple(_integer(n, f"layer size {k + 1}") for k, n in enumerate(layer_sizes))
     if len(sizes) < 2:
         raise ValueError("a layered network needs at least 2 layers")
     if any(n <= 0 for n in sizes):
@@ -76,56 +107,105 @@ def _checked_sizes(layer_sizes: Sequence[int]) -> tuple[int, ...]:
 
 
 class LayeredNetwork:
-    """Immutable layered topology with per-link capacities.
+    """Immutable layered topology with per-link capacities, held as link
+    arrays sorted by (layer, source, destination).
 
-    Structural errors (bad indices, duplicate links, fewer than two layers)
-    are rejected at construction.  Value-level problems (nonpositive
+    Structural errors (non-integer or out-of-range indices, duplicate
+    links, fewer than two layers) are rejected at construction, for the
+    first bad link in that order.  Value-level problems (nonpositive
     capacities, dangling nodes) are reported by :func:`validate` so that a
-    loaded document can be diagnosed in full.
+    loaded document can be diagnosed in full.  ``links``, ``link_index``
+    and ``link_names`` are views of the arrays, built on first read;
+    nothing that builds or runs on a network reads them, and only
+    messages read ``link_names``.
     """
 
     def __init__(self, layer_sizes: Sequence[int], links: Iterable[Link]):
         sizes = _checked_sizes(layer_sizes)
+        keys, caps = [], []
+        for k, link in enumerate(links, 1):
+            key = zip(("layer", "src", "dst"), link.key)
+            keys.append([_integer(value, f"links[{k}].{field}") for field, value in key])
+            caps.append(_number(link.capacity, f"links[{k}].capacity"))
+        columns = np.array(keys, dtype=np.intp).reshape(-1, 3).T
+        self._build(sizes, *columns, np.array(caps, dtype=float))
+
+    @classmethod
+    def _from_arrays(cls, sizes: tuple[int, ...], layer, src, dst, capacity) -> "LayeredNetwork":
+        """The network of layer sizes ``sizes`` (as :func:`_checked_sizes`
+        returns them) and the links ``(layer[k], src[k], dst[k])`` with
+        capacity ``capacity[k]``, given as three integer arrays and a float
+        array of equal length, in any link order."""
+        net = object.__new__(cls)
+        net._build(sizes, layer, src, dst, capacity)
+        return net
+
+    def _build(self, sizes: tuple[int, ...], layer, src, dst, capacity) -> None:
         self.layer_sizes = sizes
         self.num_layers = len(sizes)
         self.num_nodes = sum(sizes)
+        self._offsets = (0, *itertools.accumulate(sizes))
+        first = np.array(self._offsets, dtype=np.intp)  # per layer: its first node id
 
-        offsets = [0]
-        for n in sizes:
-            offsets.append(offsets[-1] + n)
-        self._offsets = tuple(offsets)
+        order = np.lexsort((dst, src, layer))
+        layer, src, dst = layer[order], src[order], dst[order]
+        size = np.array(sizes, dtype=np.intp)
+        bad_layer = (layer < 0) | (layer >= self.num_layers - 1)
+        at = np.where(bad_layer, 0, layer)
+        bad_src = (src < 0) | (src >= size[at])
+        bad_dst = (dst < 0) | (dst >= size[at + 1])
+        duplicate = np.zeros(layer.size, dtype=bool)
+        duplicate[1:] = (layer[1:] == layer[:-1]) & (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        bad = bad_layer | bad_src | bad_dst | duplicate
+        if bad.any():  # the first bad link, by its first failed test
+            k = int(np.argmax(bad))
+            name = key_name((int(layer[k]), int(src[k]), int(dst[k])))
+            ranges = ((bad_layer, "layer"), (bad_src, "source index"),
+                      (bad_dst, "destination index"))
+            what = next((what for flags, what in ranges if flags[k]), None)
+            if what:
+                raise ValueError(f"link {name}: {what} out of range")
+            raise ValueError(f"duplicate link {name}")
 
-        seen: set[tuple[int, int, int]] = set()
-        ordered: list[Link] = []
-        for link in sorted(links):
-            if not 0 <= link.layer < self.num_layers - 1:
-                raise ValueError(f"link {link.name}: layer out of range")
-            if not 0 <= link.src < sizes[link.layer]:
-                raise ValueError(f"link {link.name}: source index out of range")
-            if not 0 <= link.dst < sizes[link.layer + 1]:
-                raise ValueError(f"link {link.name}: destination index out of range")
-            if link.key in seen:
-                raise ValueError(f"duplicate link {link.name}")
-            seen.add(link.key)
-            ordered.append(link)
-        self.links = tuple(ordered)
-        self.num_links = len(ordered)
-        self.link_index = {link.key: k for k, link in enumerate(ordered)}
-        self.capacities = np.array([link.capacity for link in ordered], dtype=float)
-        self.capacities.flags.writeable = False
+        self.num_links = int(layer.size)
+        self.capacities = np.asarray(capacity, dtype=float)[order]
         #: every link has a finite capacity
-        self.bounded = not any(link.unbounded for link in ordered)
+        self.bounded = not np.isinf(self.capacities).any()
 
         # the adjacency: each link's source and destination node ids, and
         # each node's out- and in-degree
-        keys = np.array([link.key for link in ordered], dtype=np.intp).reshape(-1, 3)
-        first = np.array(offsets, dtype=np.intp)  # per layer: its first node id
-        self.link_src = first[keys[:, 0]] + keys[:, 1]
-        self.link_dst = first[keys[:, 0] + 1] + keys[:, 2]
+        self.link_src = first[layer] + src
+        self.link_dst = first[layer + 1] + dst
         self.out_degree = np.bincount(self.link_src, minlength=self.num_nodes)
         self.in_degree = np.bincount(self.link_dst, minlength=self.num_nodes)
-        for arr in (self.link_src, self.link_dst, self.out_degree, self.in_degree):
+        for arr in (self.capacities, self.link_src, self.link_dst,
+                    self.out_degree, self.in_degree):
             arr.flags.writeable = False
+
+    # -- links as keys -----------------------------------------------------
+
+    def _key_columns(self) -> np.ndarray:
+        """Per link its 0-based (layer, src, dst) key, as three rows."""
+        first = np.array(self._offsets, dtype=np.intp)
+        layer = np.searchsorted(first, self.link_src, side="right") - 1
+        return np.stack((layer, self.link_src - first[layer], self.link_dst - first[layer + 1]))
+
+    @cached_property
+    def links(self) -> tuple[Link, ...]:
+        """Every link as a :class:`Link`, in link order: a view of the
+        arrays, built on first read."""
+        return tuple(map(Link, *self._key_columns().tolist(), self.capacities.tolist()))
+
+    @cached_property
+    def link_index(self) -> dict[tuple[int, int, int], int]:
+        """Position of each link by its 0-based key, built on first read."""
+        return {key: k for k, key in enumerate(zip(*self._key_columns().tolist()))}
+
+    @cached_property
+    def link_names(self) -> tuple[str, ...]:
+        """The file form ``l:i:j`` of every link, in link order: how
+        messages name links, built on first read."""
+        return tuple(map(key_name, self._key_columns().T.tolist()))
 
     # -- node addressing ---------------------------------------------------
 
@@ -185,9 +265,9 @@ class LayeredNetwork:
     def _defects(self) -> tuple[str, ...]:
         """:func:`validate`'s messages on the network itself, found once."""
         errors = []
-        for k in np.flatnonzero(~(self.capacities > 0)):
-            link = self.links[k]
-            errors.append(f"nonpositive capacity: link {link.name} capacity = {link.capacity}")
+        caps = self.capacities.tolist()
+        for k in np.flatnonzero(~(self.capacities > 0)).tolist():
+            errors.append(f"nonpositive capacity: link {self.link_names[k]} capacity = {caps[k]}")
         no_out = self.out_degree == 0
         no_out[self.egress_nodes.start :] = False
         no_in = self.in_degree == 0
@@ -206,10 +286,15 @@ class LayeredNetwork:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayeredNetwork):
             return NotImplemented
-        return self.layer_sizes == other.layer_sizes and self.links == other.links
+        return (
+            self.layer_sizes == other.layer_sizes
+            and np.array_equal(self.link_src, other.link_src)
+            and np.array_equal(self.link_dst, other.link_dst)
+            and np.array_equal(self.capacities, other.capacities, equal_nan=True)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.layer_sizes, self.links))
+        return hash((self.layer_sizes, self.link_src.tobytes(), self.link_dst.tobytes()))
 
 
 class LayerPlan(NamedTuple):
@@ -307,7 +392,7 @@ class ServiceProfile(_RateProfile):
 class RateAssignment:
     """A transmission-rate vector ``g`` over the links of one network.
 
-    Stored as an array aligned with ``net.links``; absent links are simply
+    Stored as an array in the network's link order; absent links are simply
     not representable, which matches treating their rate as zero.
     """
 
@@ -320,10 +405,10 @@ class RateAssignment:
         finite = np.isfinite(arr)
         if not finite.all():
             k = int(np.argmin(finite))
-            raise ValueError(f"non-finite rate {arr[k]} on link {net.links[k].name}")
+            raise ValueError(f"non-finite rate {arr[k]} on link {net.link_names[k]}")
         if np.any(arr < 0):
             k = int(np.argmin(arr))
-            raise ValueError(f"negative rate on link {net.links[k].name}")
+            raise ValueError(f"negative rate on link {net.link_names[k]}")
         self.net = net
         self.values = arr.copy()
         self.values.flags.writeable = False
@@ -366,7 +451,7 @@ class RateAssignment:
 
     def to_dict(self) -> dict[str, float]:
         """File form: 1-based ``"l:i:j"`` keys."""
-        return {ln.name: float(v) for ln, v in zip(self.net.links, self.values)}
+        return dict(zip(self.net.link_names, self.values.tolist()))
 
     def __getitem__(self, key: tuple[int, int, int]) -> float:
         return float(self.values[self.net.link_index[tuple(key)]])
@@ -383,7 +468,7 @@ class RateAssignment:
         within = self.values <= self.net.capacities + tol
         if within.all():
             return []
-        return [self.net.links[int(k)].key for k in np.flatnonzero(~within)]
+        return list(zip(*self.net._key_columns()[:, ~within].tolist()))
 
     def __repr__(self) -> str:
         return f"RateAssignment({np.array2string(self.values, precision=4)})"
@@ -526,13 +611,26 @@ def full_connection(
         caps = [caps] * (len(sizes) - 1)
     if len(caps) != len(sizes) - 1:
         raise ValueError("need one capacity spec per adjacent layer pair")
-    links = []
-    for l in range(len(sizes) - 1):
-        block = np.broadcast_to(np.asarray(caps[l], dtype=float), (sizes[l], sizes[l + 1]))
-        for i in range(sizes[l]):
-            for j in range(sizes[l + 1]):
-                links.append(Link(l, i, j, float(block[i, j])))
-    return LayeredNetwork(sizes, links)
+    pairs = list(zip(sizes, sizes[1:]))
+    counts = [a * b for a, b in pairs]
+    capacities = np.empty(sum(counts))
+    lo = 0
+    for l, shape in enumerate(pairs):
+        block = np.asarray(caps[l], dtype=float)
+        try:
+            np.copyto(capacities[lo : lo + counts[l]].reshape(shape), block)
+        except ValueError:
+            raise ValueError(
+                f"capacity of layer pair ({l + 1}, {l + 2}) has shape {block.shape}; "
+                f"it needs shape {shape} or one that broadcasts to it"
+            ) from None
+        lo += counts[l]
+    # link k of layer pair l, counted from the pair's first link, joins
+    # node k // N_{l+1} to node k % N_{l+1}
+    layer = np.repeat(np.arange(len(pairs)), counts)
+    start = np.repeat(np.cumsum(counts) - counts, counts)  # per link: its pair's first link
+    src, dst = np.divmod(np.arange(layer.size) - start, np.array(sizes[1:])[layer])
+    return LayeredNetwork._from_arrays(sizes, layer, src, dst, capacities)
 
 
 def single_sink(num_sources: int, capacities=UNBOUNDED) -> LayeredNetwork:
@@ -549,16 +647,25 @@ def fan_in_tree(
     ``child_of`` has one row per non-egress layer.  The resulting undirected
     topology is a tree whenever every next-layer node is some node's child.
     """
-    sizes = [int(n) for n in layer_sizes]
+    sizes = _checked_sizes(layer_sizes)
     if len(child_of) != len(sizes) - 1:
         raise ValueError("need one child row per non-egress layer")
-    links = []
     for l, row in enumerate(child_of):
         if len(row) != sizes[l]:
             raise ValueError(f"child row {l} has {len(row)} entries, layer has {sizes[l]}")
-        for i, j in enumerate(row):
-            links.append(Link(l, i, int(j), float(capacity)))
-    return LayeredNetwork(sizes, links)
+    children = [
+        _integer(j, f"child_of[{l}][{i}]")
+        for l, row in enumerate(child_of)
+        for i, j in enumerate(row)
+    ]
+    layer = np.repeat(np.arange(len(sizes) - 1), sizes[:-1])
+    return LayeredNetwork._from_arrays(
+        sizes,
+        layer,
+        np.concatenate([np.arange(n) for n in sizes[:-1]]),
+        np.array(children, dtype=np.intp),
+        np.full(layer.size, float(capacity)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +679,8 @@ def network_to_doc(
     net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile
 ) -> dict:
     links = [
-        {
-            "l": link.layer + 1,
-            "i": link.src + 1,
-            "j": link.dst + 1,
-            "c": "unbounded" if link.unbounded else link.capacity,
-        }
-        for link in net.links
+        {"l": l, "i": i, "j": j, "c": "unbounded" if math.isinf(c) else c}
+        for l, i, j, c in zip(*(net._key_columns() + 1).tolist(), net.capacities.tolist())
     ]
     return {
         "layers": list(net.layer_sizes),
@@ -588,6 +690,12 @@ def network_to_doc(
     }
 
 
+def _json_int(value):
+    """An integral JSON number such as ``2.0`` as the int it names;
+    anything else as given."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def doc_to_network(doc: Mapping) -> tuple[LayeredNetwork, ArrivalProfile, ServiceProfile]:
     if not isinstance(doc, Mapping):
         raise NetworkFormatError(f"document must be a JSON object, got {type(doc).__name__}")
@@ -595,15 +703,16 @@ def doc_to_network(doc: Mapping) -> tuple[LayeredNetwork, ArrivalProfile, Servic
         if key not in doc:
             raise NetworkFormatError(f"missing field {key!r}")
     try:
-        links = []
-        for entry in doc["links"]:
+        keys, caps = [], []
+        for k, entry in enumerate(doc["links"], 1):
             cap = entry["c"]
-            if cap == "unbounded":
-                cap = UNBOUNDED
-            links.append(
-                Link(int(entry["l"]) - 1, int(entry["i"]) - 1, int(entry["j"]) - 1, float(cap))
-            )
-        net = LayeredNetwork(doc["layers"], links)
+            caps.append(UNBOUNDED if cap == "unbounded" else _number(cap, f"links[{k}].c"))
+            keys.append([_integer(_json_int(entry[f]), f"links[{k}].{f}") - 1 for f in "lij"])
+        net = LayeredNetwork._from_arrays(
+            _checked_sizes([_json_int(n) for n in doc["layers"]]),
+            *np.array(keys, dtype=np.intp).reshape(-1, 3).T,
+            np.array(caps, dtype=float),
+        )
         arr = ArrivalProfile(doc["lambda"])
         svc = ServiceProfile(doc["mu"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -263,7 +263,7 @@ def _cut_name(net: LayeredNetwork, k: int) -> str:
     if k < n0:
         return f"lambda[{k + 1}]"
     if k < n0 + net.num_links:
-        return net.links[k - n0].name
+        return net.link_names[k - n0]
     return f"mu[{k - n0 - net.num_links + 1}]"
 
 
@@ -342,7 +342,7 @@ def _constraint_names(
     coords = [net.node_coords(nid) for nid in range(net.num_nodes)]
     rows = []
     if objective.split_cap is not None:
-        rows += [f"split cap on link {link.name}" for link in net.links]
+        rows += [f"split cap on link {name}" for name in net.link_names]
     rows += [
         f"ingress ratio at layer 1 node {i + 1}" if l == 0
         else f"egress ratio at node {i + 1}" if l == net.num_layers - 1
@@ -351,8 +351,8 @@ def _constraint_names(
     ]
     cap_name = "capacity of" if objective.utilization_cap is None else "utilization cap on"
     bounds = [
-        f"forced zero on link {link.name}" if k in forced else f"{cap_name} link {link.name}"
-        for k, link in enumerate(net.links)
+        f"forced zero on link {name}" if k in forced else f"{cap_name} link {name}"
+        for k, name in enumerate(net.link_names)
     ]
     return rows, bounds
 

@@ -31,10 +31,10 @@ from .engine import QueueState, StaticPolicy, effective_flow
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
-    Link,
     RateAssignment,
     ServiceProfile,
     _require_network,
+    key_name,
     require_finite_positive,
 )
 
@@ -100,7 +100,7 @@ def check_min_delay_single_sink(
         raise ValueError("check applies to N x 1 single-hop networks only")
     bad = rates.capacity_violations(tol)
     if bad:
-        return CheckResult(False, f"capacity exceeded on link {Link(*bad[0]).name}")
+        return CheckResult(False, f"capacity exceeded on link {key_name(bad[0])}")
     g_tilde, _, _, _ = effective_flow(net, arr, rates.values)
     return _check_layered(net, arr, svc, g_tilde, None, tol)
 
@@ -244,10 +244,9 @@ def construct_rate_proportional(
     over = np.flatnonzero(values > net.capacities + 1e-9 * np.maximum(1.0, values))
     if over.size:
         k = int(over[0])
-        link = net.links[k]
         raise ValueError(
-            f"gamma infeasible against capacities: link {link.name} needs "
-            f"{values[k]:g} > capacity {link.capacity:g}"
+            f"gamma infeasible against capacities: link {net.link_names[k]} needs "
+            f"{values[k]:g} > capacity {net.capacities[k]:g}"
         )
     return RateAssignment(net, values)
 
@@ -287,8 +286,8 @@ def proportional_fill(weights, caps, budget: float) -> np.ndarray:
 def require_bounded(net: LayeredNetwork, what: str) -> None:
     """Reject a network with an unbounded link: ``what`` needs capacities."""
     if not net.bounded:
-        bad = next(link for link in net.links if link.unbounded)
-        raise ValueError(f"{what} undefined: link {bad.name} has unbounded capacity")
+        k = int(np.argmax(np.isinf(net.capacities)))
+        raise ValueError(f"{what} undefined: link {net.link_names[k]} has unbounded capacity")
 
 
 def max_link_rate_rates(net: LayeredNetwork) -> RateAssignment:
@@ -512,7 +511,7 @@ def tree_rate_proportional(
     assignment = RateAssignment(net, scale * subtree_lam[net.link_src])
     bad = assignment.capacity_violations()
     if bad:
-        raise ValueError(f"tree rates exceed capacity on link {Link(*bad[0]).name}")
+        raise ValueError(f"tree rates exceed capacity on link {key_name(bad[0])}")
     return assignment
 
 
