@@ -679,7 +679,7 @@ def network_to_doc(
     net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile
 ) -> dict:
     links = [
-        {"l": l, "i": i, "j": j, "c": "unbounded" if math.isinf(c) else c}
+        {"l": l, "i": i, "j": j, "c": "unbounded" if c == UNBOUNDED else c}
         for l, i, j, c in zip(*(net._key_columns() + 1).tolist(), net.capacities.tolist())
     ]
     return {
@@ -713,8 +713,9 @@ def doc_to_network(doc: Mapping) -> tuple[LayeredNetwork, ArrivalProfile, Servic
             *np.array(keys, dtype=np.intp).reshape(-1, 3).T,
             np.array(caps, dtype=float),
         )
-        arr = ArrivalProfile(doc["lambda"])
-        svc = ServiceProfile(doc["mu"])
+        lam, mu = ([_number(x, f"{key}[{k}]") for k, x in enumerate(doc[key], 1)]
+                   for key in ("lambda", "mu"))
+        arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"bad topology document: {exc}") from exc
     ensure_valid(net, arr, svc)

@@ -15,9 +15,10 @@ every objective when each node has one out-link) read it off the flow's
 rates.  The largest link utilization, and the largest node overload when
 every middle layer has gamma_l > 1, are found by Newton's method over
 max-flows that scale link or node-arc capacities with the value, each flow
-resuming the last.  Average utilization, and per-node overload under a
-middle gamma_l <= 1, are co-optimized over the conditions by LP, as is
-every objective under a split cap.
+resuming the last.  Average utilization, per-node overload under a middle
+gamma_l <= 1 and every objective under a split cap solve one LP shape over
+the conditions: a linear cost, plus a bound t on the largest utilization
+or node overload by epigraph rows.
 """
 from __future__ import annotations
 
@@ -528,28 +529,26 @@ def co_optimize(
     Newton's method finds t from t_lo (:func:`_least_overload`).  Neither
     solves an LP.
 
-    The other objectives then solve an LP over a system known to be
-    feasible, so an infeasible LP raises :class:`~fluidq.lp.SimplexError`.
-    ``avg_utilization`` minimizes the mean of g_k / c_k over the finite
-    links.  ``max_overload_rate`` under a middle gamma_l <= 1 keeps an
-    epigraph row only at middle nodes, with t = t_lo + t', t' >= 0.
+    The other objectives solve one LP shape: minimize a.g + t over the
+    gamma system plus epigraph rows R g - w t <= r, with 0 <= t <= t_cap,
+    at value offset + optimum.  ``avg_utilization`` (a_k = 1 / (n c_k) on
+    each of the n finite links) and the fixed-value objectives (a = 0)
+    have no epigraph row and no t column.
+    ``max_utilization`` has a row g_k - c_k t <= 0 per finite link, with
+    each g_k within its capacity and t <= rho in place of the utilization
+    cap; its t* = 0 comes out as t = 0.  ``max_overload_rate`` has a row
+    per middle node, growth - t <= t_lo, and offset t_lo.  Without a split
+    cap the LP runs on a system the max-flow found feasible, so an
+    infeasible LP raises :class:`~fluidq.lp.SimplexError`.
 
     A split cap (g_k <= beta * node inflow) is no flow bound, so with one
-    every objective solves an LP (the fixed-value ones the bare system at
-    zero cost), and an infeasible system names the constraints its phase 1
-    cannot satisfy.  There ``max_utilization`` is solved in Charnes-Cooper
-    form: with s = 1/t and h = g s, each link's epigraph row becomes the
-    bound h_k <= c_k, every finite capacity (times rho) becomes s >= 1/rho,
-    and the ratio and split-cap rows are homogenised in s = 1/rho + s'; the
-    LP maximizes s' and returns g = h / s at value 1 / s.  That LP is
-    unbounded exactly when the unbounded links alone can carry the demand;
-    the value is then 0, with the rates of one feasibility solve that holds
-    every finite link at 0, and an infeasible one raises
-    :class:`~fluidq.lp.SimplexError`.  The phase 1 is the gamma system's
-    for every objective (the cost does not enter it, and the
-    Charnes-Cooper one is the system scaled by 1/rho with s' at 0), and an
-    infeasible overload epigraph is solved again as the bare system, so
-    every objective given the same gamma names the same list.
+    every objective solves an LP, and an infeasible system names the
+    constraints that the phase 1 of the bare system (zero cost, no t
+    column) cannot satisfy.  An infeasible epigraph LP is solved again as
+    that system, so every objective given the same gamma names the same
+    list; a bare system that then turns out feasible raises
+    :class:`~fluidq.lp.SimplexError`.  No cost is negative, so no LP here
+    is unbounded: any status but optimal or infeasible raises it too.
 
     Every output is judged against its capacity, utilization-cap and
     forced-zero bounds and by the ratio check; a failure of either raises
@@ -635,67 +634,54 @@ def co_optimize(
             b_ub = np.zeros(m)
             b_ub[first] = beta * arr.rates[net.link_src[first]]
 
-        def solve_system(c=np.zeros(m), bounds=upper):
-            return lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq, upper=bounds)
+        def solve_system(c=np.zeros(m)):
+            return lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
 
         def widen(a, column):
             return np.column_stack((a, np.broadcast_to(column, len(a))))
 
-        # each objective solves the gamma system or its own LP over g and
-        # one auxiliary column, then reads the rates and the value off it;
-        # only a split-cap system can still turn out infeasible
-        feasible = flow
+        # each objective minimizes c.g + t over the gamma system (g within
+        # ``bounds``) and its epigraph rows R g - w t <= r, 0 <= t <= t_cap,
+        # at value offset + optimum; with no such row there is no t column
+        c, bounds, offset = np.zeros(m), upper, 0.0
+        epigraph, w, r, t_cap = np.zeros((0, m)), 0.0, 0.0, np.inf
         if fixed:
-            result = solve_system()
+            pass  # the value is read off g below, like the flow's rates
         elif kind == "avg_utilization":
-            c = np.zeros(m)
             c[finite] = 1.0 / (net.capacities[finite] * finite.size)
-            result = solve_system(c)
         elif kind == "max_utilization":
-            # Charnes-Cooper over (h, s'): maximize s', h_k <= c_k, and the
-            # rows homogenised in s = 1/rho + s'
-            result = lp.solve_lp(
-                np.append(np.zeros(m), -1.0), widen(a_ub, -b_ub), b_ub / rho,
-                widen(a_eq, -b_eq), b_eq / rho, upper=np.append(caps, np.inf),
-            )
-            if result.status == lp.UNBOUNDED:
-                # t* = 0: the unbounded links alone can carry the demand, so
-                # the system is feasible with every finite link at 0
-                result = solve_system(bounds=np.where(np.isfinite(caps), 0.0, caps))
-                feasible = True
+            # g_k <= c_k t on every finite link, and t <= rho caps them all
+            epigraph, w, bounds, t_cap = np.eye(m)[finite], net.capacities[finite], caps, rho
         else:  # max_overload_rate with middle nodes
-            # a middle node's growth (inflow - outflow) <= t_lo + t'
-            epigraph = incidence[n0:egress_lo]
+            # a middle node's growth (inflow - outflow) <= t_lo + t
+            epigraph, w, r, offset = incidence[n0:egress_lo], 1.0, t_lo, t_lo
+        if len(epigraph):
             result = lp.solve_lp(
-                np.append(np.zeros(m), 1.0),
-                np.vstack([widen(a_ub, 0.0), widen(epigraph, -1.0)]),
-                np.concatenate([b_ub, np.full(len(epigraph), t_lo)]),
-                widen(a_eq, 0.0), b_eq, upper=np.append(upper, np.inf),
+                np.append(c, 1.0),
+                np.vstack([widen(a_ub, 0.0), widen(epigraph, -w)]),
+                np.concatenate([b_ub, np.full(len(epigraph), r)]),
+                widen(a_eq, 0.0), b_eq, upper=np.append(bounds, t_cap),
             )
-            if result.status == lp.INFEASIBLE and not flow:
-                result = solve_system()
+        else:
+            result = solve_system(c)
 
-        if result.status == lp.INFEASIBLE and feasible:
+        # an infeasible epigraph LP is solved again as the bare system, so
+        # every objective given the same gamma names the same phase-1 list;
+        # only a split-cap system can still turn out infeasible
+        infeasible = result.status == lp.INFEASIBLE
+        if infeasible and len(epigraph) and not flow:
+            result = solve_system()
+        if infeasible and (flow or result.status != lp.INFEASIBLE):
             raise lp.SimplexError(f"{kind} LP is infeasible on a feasible gamma system")
-        if result.status == lp.INFEASIBLE:
+        if infeasible:
             row_names, bound_names = _constraint_names(net, objective, forced)
-            binding = [row_names[r] for r in result.infeasible_rows]
+            binding = [row_names[i] for i in result.infeasible_rows]
             binding += [bound_names[k] for k in result.infeasible_bounds]
             raise InfeasibleError("min-delay constraint system is infeasible", binding)
         if result.status != lp.OPTIMAL:
-            raise InfeasibleError(f"solver returned {result.status}")
-        g = result.x[:m]
-        if fixed:
-            pass  # read off g below, like the flow's rates
-        elif kind == "avg_utilization":
-            value = result.objective
-        elif kind == "max_utilization" and result.x.size > m:
-            s = 1.0 / rho + result.x[m]
-            g, value = g / s, 1.0 / s
-        elif kind == "max_utilization":  # t* = 0
-            value = 0.0
-        else:
-            value = t_lo + float(result.x[m])
+            # every cost is nonnegative, so these LPs are never unbounded
+            raise lp.SimplexError(f"{kind} LP returned {result.status}")
+        g, value = result.x[:m], offset + result.objective
 
     if fixed:
         growth = node_growth(net, arr, svc, g)

@@ -552,8 +552,7 @@ def test_every_objective_against_external_solver_on_random_instances():
     and a forced-zero link: the optimum matches HiGHS to 1e-6, and
     InfeasibleError is raised exactly when HiGHS finds no solution.  The
     later draws make most links unbounded, so that max_utilization reaches
-    t* = 0 (its Charnes-Cooper LP is unbounded), and 2-layer draws give
-    max_overload_rate no middle node."""
+    t* = 0, and 2-layer draws give max_overload_rate no middle node."""
     pytest.importorskip("scipy.optimize")
     from fluidq.optimize import OBJECTIVE_KINDS
 
@@ -661,6 +660,140 @@ def test_objectives_given_one_gamma_name_one_binding_list():
                 assert first, (trial, extra)
                 assert all(b == first for b in bindings.values()), (trial, gamma, extra, bindings)
     assert infeasible >= 40
+
+
+def _split_cap_system(net, arr, svc, gamma, spec):
+    """A split-cap gamma system written link by link, in the optimizer's
+    row order: one row g_k <= beta * (inflow of k's source node; lambda_i
+    in layer 1) per link, the ratio rows, and each link's capacity,
+    utilization-cap or forced-zero bound.  Returns the rows, the bounds
+    and their names."""
+    a_eq, b_eq = ratio_rows(net, arr, svc, gamma)
+    m, beta = net.num_links, spec.split_cap
+    a_ub, b_ub = np.eye(m), np.zeros(m)
+    for k, ln in enumerate(net.links):
+        if ln.layer == 0:
+            b_ub[k] = beta * arr.rates[ln.src]
+        else:
+            into = [j for j, x in enumerate(net.links) if x.layer == ln.layer - 1 and x.dst == ln.src]
+            a_ub[k, into] = -beta
+    forced = {net.link_index[key] for key in spec.forced_zero}
+    upper = net.capacities.copy()
+    upper[list(forced)] = 0.0
+    if spec.utilization_cap is not None:
+        upper = upper * spec.utilization_cap
+    last = net.num_layers - 1
+    rows = [f"split cap on link {name}" for name in net.link_names] + [
+        f"ingress ratio at layer 1 node {i + 1}" if l == 0
+        else f"egress ratio at node {i + 1}" if l == last
+        else f"ratio at layer {l + 1} node {i + 1}"
+        for l, size in enumerate(net.layer_sizes) for i in range(size)
+    ]
+    cap_name = "capacity of" if spec.utilization_cap is None else "utilization cap on"
+    bounds = [f"forced zero on link {name}" if k in forced else f"{cap_name} link {name}"
+              for k, name in enumerate(net.link_names)]
+    return (a_ub, b_ub, a_eq, b_eq, upper), rows, bounds
+
+
+def _read_off(kind, net, arr, svc, g):
+    """The value of rates ``g`` under objective ``kind``."""
+    growth = node_growth(net, arr, svc, g)
+    finite = np.isfinite(net.capacities)
+    if kind == "total_bandwidth":
+        return g.sum()
+    if kind == "max_layer_growth":
+        return max(growth[net.layer_nodes(l).start : net.layer_nodes(l).stop].sum()
+                   for l in range(net.num_layers))
+    if kind == "max_overload_rate":
+        return growth.max()
+    utilization = g[finite] / net.capacities[finite]
+    if kind == "avg_utilization":
+        return np.mean(utilization)
+    return np.max(utilization, initial=0.0)
+
+
+def test_split_cap_objectives_solve_one_lp_shape():
+    """Under a split cap every objective solves the gamma system by the
+    in-tree simplex, with epigraph rows and one t column only for
+    max_utilization (g_k <= c_k t on each finite link, t <= the
+    utilization cap) and max_overload_rate with middle nodes.  On seeded
+    draws (2-4 layers of 1-4 nodes, capacities 2-12, 30% with an unbounded
+    first layer): an infeasible system raises the bare system's phase-1
+    list for every objective; the objectives without epigraph rows return,
+    bit for bit, the rates of the bare system's LP at their own cost (the
+    mean utilization, or zero when gamma fixes the value); and the
+    epigraph objectives' values are within 1e-9 of HiGHS's epigraph LP."""
+    try:
+        import scipy.optimize  # noqa: F401
+    except ImportError:
+        highs = False
+    else:
+        highs = True
+    rng = np.random.default_rng(30)
+    seen = set()
+    for draw in range(16):
+        sizes = [int(v) for v in rng.integers(1, 5, size=int(rng.integers(2, 5)))]
+        caps = [rng.integers(2, 13, size=(a, b)).astype(float) for a, b in zip(sizes, sizes[1:])]
+        if rng.random() < 0.3:
+            caps[0][:] = np.inf
+        net = full_connection(sizes, caps)
+        lam = rng.integers(2, 9, size=sizes[0]).astype(float)
+        mu = rng.uniform(0.5, 3.0, size=sizes[-1])
+        arr, svc = ArrivalProfile(lam), ServiceProfile(mu)
+        finite = np.flatnonzero(np.isfinite(net.capacities))
+        forced = (net.links[int(rng.integers(net.num_links))].key,)
+        variants = (
+            {"split_cap": 0.6},
+            {"split_cap": 0.9, "utilization_cap": 0.8},
+            {"split_cap": 0.8, "forced_zero": forced},
+        )
+        for extra in variants:
+            for kind in OBJECTIVE_KINDS:
+                spec = ObjectiveSpec(kind, **extra)
+                if kind == "avg_utilization" and not finite.size:
+                    with pytest.raises(ValueError, match="finite capacity"):
+                        co_optimize(net, arr, svc, spec)
+                    continue
+                gamma = _default_gamma(kind, arr, svc, len(sizes))
+                system, rows, bounds = _split_cap_system(net, arr, svc, gamma, spec)
+                bare = lp.solve_lp(np.zeros(net.num_links), *system[:4], upper=system[4])
+                if bare.status == lp.INFEASIBLE:
+                    with pytest.raises(InfeasibleError) as exc:
+                        co_optimize(net, arr, svc, spec)
+                    assert exc.value.binding == (
+                        [rows[i] for i in bare.infeasible_rows]
+                        + [bounds[k] for k in bare.infeasible_bounds]
+                    ), (draw, kind, extra)
+                    seen.add("infeasible")
+                    continue
+                rates, value = co_optimize(net, arr, svc, spec)
+                fixed = _single_out_link(net) or kind in ("total_bandwidth", "max_layer_growth") or (
+                    kind == "max_overload_rate" and len(sizes) == 2
+                )
+                if fixed or kind == "max_utilization" and not finite.size:
+                    assert rates.values.tobytes() == bare.x.tobytes(), (draw, kind, extra)
+                    assert value == pytest.approx(
+                        _read_off(kind, net, arr, svc, bare.x), rel=1e-12, abs=1e-12
+                    )
+                    seen.add("no rows")
+                elif kind == "avg_utilization":
+                    c = np.zeros(net.num_links)
+                    c[finite] = 1.0 / (net.capacities[finite] * finite.size)
+                    result = lp.solve_lp(c, *system[:4], upper=system[4])
+                    assert rates.values.tobytes() == result.x.tobytes(), (draw, extra)
+                    assert value == result.objective
+                    seen.add("mean utilization")
+                else:
+                    assert value == pytest.approx(
+                        _read_off(kind, net, arr, svc, rates.values), rel=1e-9, abs=1e-12
+                    )
+                    if highs:
+                        status, best = _highs_co_optimum(kind, net, lam, mu, spec)
+                        assert status == 0
+                        assert value == pytest.approx(best, rel=1e-9, abs=1e-12), (draw, kind, extra)
+                    seen.add(kind)
+    assert seen == {"infeasible", "no rows", "mean utilization", "max_utilization",
+                    "max_overload_rate"}
 
 
 def _default_gamma(kind, arr, svc, layers):

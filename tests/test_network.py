@@ -177,6 +177,37 @@ def test_unbounded_capacity_is_structural(tmp_path):
     assert math.isinf(net.links[0].capacity)
 
 
+def test_negative_infinite_capacity_is_not_saved_as_unbounded(tmp_path):
+    """Only +inf is written as "unbounded": a -inf link survives a save and
+    load as the invalid link it is."""
+    net = full_connection([2, 1], [np.array([[-math.inf], [4.0]])])
+    path = tmp_path / "neg.json"
+    save(path, net, ArrivalProfile([1.0, 2.0]), ServiceProfile([2.0]))
+    with pytest.raises(ValidationError) as err:
+        load(path)
+    assert err.value.errors == ["nonpositive capacity: link 1:1:1 capacity = -inf"]
+
+
+@pytest.mark.parametrize("name, rates, bad", [
+    ("lambda", [True, 3.0], "lambda[1] must be a number, got True"),
+    ("lambda", [1.0, "3"], "lambda[2] must be a number, got '3'"),
+    ("mu", ["2"], "mu[1] must be a number, got '2'"),
+    ("mu", [False], "mu[1] must be a number, got False"),
+])
+def test_document_rates_must_be_numbers(name, rates, bad):
+    """lambda and mu entries are checked like link capacities: a boolean
+    or a numeric string is no rate."""
+    doc = {
+        "layers": [2, 1],
+        "links": [{"l": 1, "i": 1, "j": 1, "c": 4}, {"l": 1, "i": 2, "j": 1, "c": 4}],
+        "lambda": [1.0, 3.0],
+        "mu": [2.0],
+    }
+    doc[name] = rates
+    with pytest.raises(NetworkFormatError, match=rf"^bad topology document: {re.escape(bad)}$"):
+        doc_to_network(doc)
+
+
 def test_mutations_flip_exactly_the_violated_check(two_source_instance):
     """Each single-field corruption of a valid document trips validation
     with the matching message and nothing else."""

@@ -435,13 +435,13 @@ def _capture_lps(monkeypatch):
 @pytest.mark.parametrize("sizes", [(3, 2), (3, 4, 2), (2, 3, 3, 2)])
 @pytest.mark.parametrize("split_cap", [None, 0.9])
 def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, sizes, split_cap):
-    """Under a split cap max_utilization's LP has no epigraph row (its
-    links' epigraphs are bounds) and max_overload_rate has an epigraph row
-    only per middle node.  Without a split cap Newton's method over
-    max-flows solves both (the balanced-growth gamma of these overloaded
-    instances has every middle gamma_l > 1) and no LP runs.  Without
-    middle nodes gamma fixes max_overload_rate at t_lo: with a split cap
-    it solves the gamma system alone (no t' column and no epigraph row)."""
+    """Under a split cap max_utilization's LP has one epigraph row per
+    finite link and max_overload_rate one per middle node, each with one t
+    column.  Without a split cap Newton's method over max-flows solves
+    both (the balanced-growth gamma of these overloaded instances has
+    every middle gamma_l > 1) and no LP runs.  Without middle nodes gamma
+    fixes max_overload_rate at t_lo: with a split cap it solves the gamma
+    system alone (no t column and no epigraph row)."""
     net = full_connection(list(sizes), 6.0)
     arr = ArrivalProfile([4.0, 3.0, 5.0][: sizes[0]])
     svc = ServiceProfile([2.0, 1.5][: sizes[-1]])
@@ -449,7 +449,7 @@ def test_epigraph_objectives_pass_only_node_middle_and_split_rows(monkeypatch, s
     split_rows = m if split_cap else 0
     middle = nodes - sizes[0] - sizes[-1]
     problems = _capture_lps(monkeypatch)
-    for kind, width, ub_rows in (("max_utilization", m + 1, split_rows),
+    for kind, width, ub_rows in (("max_utilization", m + 1, split_rows + m),
                                  ("max_overload_rate", m + (middle > 0), split_rows + middle)):
         problems.clear()
         rates, value = co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=split_cap))
@@ -669,9 +669,10 @@ def test_lp_objectives_raise_simplex_error_when_the_lp_contradicts_the_flow(monk
     """The LP objectives run on a system the max-flow found feasible, so an
     infeasible LP is the solver's fault, not the input's.  max_utilization
     runs no LP without a split cap, nor does max_overload_rate when every
-    middle gamma_l > 1; with one, an unbounded Charnes-Cooper
-    LP proves the system feasible (t* = 0), so an infeasible solve of it
-    with every finite link at 0 is the solver's fault too."""
+    middle gamma_l > 1.  Under a split cap an infeasible epigraph LP is
+    solved again as the bare system, and a feasible answer to that second
+    solve contradicts the first; no LP here has a negative cost, so an
+    unbounded answer is the solver's fault too."""
     net = full_connection([2, 2, 2], 4.0)
     arr, svc = ArrivalProfile([4.0, 8.0]), ServiceProfile([4.0, 4.0])
     monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: lp.LPResult(lp.INFEASIBLE))
@@ -680,7 +681,12 @@ def test_lp_objectives_raise_simplex_error_when_the_lp_contradicts_the_flow(monk
     for kind, gamma in (("avg_utilization", None), ("max_overload_rate", tight)):
         with pytest.raises(lp.SimplexError, match=f"^{kind} LP is infeasible on a feasible"):
             co_optimize(net, arr, svc, ObjectiveSpec(kind), gamma)
-    answers = iter([lp.LPResult(lp.UNBOUNDED), lp.LPResult(lp.INFEASIBLE)])
+    feasible = lp.LPResult(lp.OPTIMAL, np.zeros(net.num_links), 0.0)
+    answers = iter([lp.LPResult(lp.INFEASIBLE), feasible])
     monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: next(answers))
     with pytest.raises(lp.SimplexError, match="^max_utilization LP is infeasible on a feasible"):
         co_optimize(net, arr, svc, ObjectiveSpec("max_utilization", split_cap=0.9))
+    monkeypatch.setattr(lp, "solve_lp", lambda *args, **kwargs: lp.LPResult(lp.UNBOUNDED))
+    for kind in ("avg_utilization", "max_utilization", "total_bandwidth"):
+        with pytest.raises(lp.SimplexError, match=f"^{kind} LP returned unbounded$"):
+            co_optimize(net, arr, svc, ObjectiveSpec(kind, split_cap=0.9))
