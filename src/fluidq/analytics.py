@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import TaggedRun
-from .engine import QueueState, Trajectory, effective_flow, effective_rates
+from .engine import QueueState, Trajectory, _fluid_segments, effective_flow, effective_rates
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
@@ -30,7 +30,6 @@ from .network import (
     _require_network,
     ensure_valid,
     key_name,
-    node_growth,
     require_finite_positive,
 )
 
@@ -145,12 +144,12 @@ def packet_delay(
 
     ``path`` lists one node index per layer.  ``source`` selects where the
     queue values come from: ``None`` assumes zero initial backlog (queues
-    grow linearly from time 0), a :class:`QueueState` extrapolates from the
-    given backlog at the set rates' :func:`~fluidq.network.node_growth`,
-    and a :class:`Trajectory` looks backlogs up at the packet's own arrival
-    instants; a backlog drains at the set egress total.  Returns
-    ``math.inf`` when the packet reaches a backlogged node with no egress
-    rate.
+    grow linearly from time 0), a :class:`QueueState` starts the exact
+    fluid run under the static rates at the given backlog and instant (the
+    packet enters no earlier), and a :class:`Trajectory` looks backlogs up
+    at the packet's own arrival instants; a backlog drains at the set
+    egress total.  Returns ``math.inf`` when the packet reaches a
+    backlogged node with no egress rate.
     """
     _require_network(net, rates)
     path = tuple(int(p) for p in path)
@@ -175,10 +174,16 @@ def packet_delay(
         def backlog(nid: int, at: float) -> float:
             return float(np.interp(at, times, source.queues[:, nid]))
     elif isinstance(source, QueueState):
-        growth = node_growth(net, arr, svc, rates.values)
+        if source.q.shape != (net.num_nodes,):
+            raise ValueError(
+                f"backlog has {source.q.size} entries, network has {net.num_nodes} nodes"
+            )
+        if not t >= source.t:
+            raise ValueError(f"packet enters at {t}, before the state's instant {source.t}")
+        segments = _fluid_segments(net, arr, svc, rates.values, source.q)
 
         def backlog(nid: int, at: float) -> float:
-            return max(0.0, float(source.q[nid] + growth[nid] * (at - source.t)))
+            return float(segments.backlogs(at - source.t)[nid])
     else:
         raise TypeError("source must be None, a QueueState, or a Trajectory")
 

@@ -9,6 +9,12 @@ egress links in proportion to their set rates.  Between queue-emptying
 events the dynamics are piecewise linear, so the scheme is exact there and
 first-order accurate across events.
 
+Under static rates (a bare :class:`RateAssignment` or a
+:class:`StaticPolicy`) a fluid run does not step at all: a node empties at
+most once, so the run is at most one linear segment per node and one more,
+each one :func:`effective_flow` pass (:func:`_fluid_segments`), and
+:func:`run` reads its rows off them at the step instants.
+
 A kernel owns a run's backlog vector and ships the link budgets of a
 :class:`~fluidq.network.LayerPlan`: one layer's links, or a run of
 consecutive layers' taken together.  Fluid runs use :class:`_FluidStep`,
@@ -17,21 +23,22 @@ integer-packet runs :class:`~fluidq.discrete._IntegerSim`; both expose
 ``settle``, so one pair of schedules serves both.
 
 :func:`_advance` runs one step: for a policy that reads the state and for
-:func:`step`, the layers of the network's plan move one at a time.  A
-static assignment (a bare :class:`RateAssignment` or a
-:class:`StaticPolicy`) ties the layers only through the inflow each
-passes downstream, so link layer l at step k and layer l + 1 at step
+:func:`step`, the layers of the network's plan move one at a time.  In an
+integer run a static assignment ties the layers only through the inflow
+each passes downstream, so link layer l at step k and layer l + 1 at step
 k - 1 can move together: :func:`_run_diagonals` advances it along the
 diagonals t = k + l (the hyperplane method of Lamport, "The Parallel
 Execution of DO Loops", CACM 1974), one ``send`` per diagonal, with the
 same bytes as the per-step schedule.  :func:`_run_steps` picks the
-schedule for :func:`run` and, chunk by chunk, for tagged runs.
+schedule for integer runs and dynamic fluid runs in :func:`run` and, chunk
+by chunk, for tagged runs.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,13 +148,15 @@ class Trajectory:
 
 
 def effective_flow(
-    net: LayeredNetwork, arr: ArrivalProfile, values: np.ndarray
+    net: LayeredNetwork, arr: ArrivalProfile, values: np.ndarray, held: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Layer-by-layer scaling of set rates by upstream supply.
 
     A node that would be asked to send more than it receives forwards its
     whole inflow, split across its egress links in proportion to the set
-    rates.  Returns ``(g_tilde, inflow, set_out, sinks)`` where ``inflow``
+    rates.  A node of the mask ``held`` (one flag per node: it holds
+    backlog) ships its set rates whatever its inflow.  Returns
+    ``(g_tilde, inflow, set_out, sinks)`` where ``inflow``
     counts external arrivals for ingress nodes and effective upstream flow
     elsewhere, ``set_out`` is each node's total set egress rate, and
     ``sinks`` lists nodes with positive inflow but zero egress rate, in a
@@ -165,6 +174,8 @@ def effective_flow(
         out_l = set_out[nodes]
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(out_l > 0, np.minimum(1.0, inflow[nodes] / out_l), 0.0)
+        if held is not None:  # a node without set rates has no link to scale
+            factor[held[nodes]] = 1.0
         g_tilde[plan.links] = values[plan.links] * factor[plan.src_local]
         inflow[plan.next_lo : plan.next_lo + plan.next_width] = np.bincount(
             plan.dst_local, weights=g_tilde[plan.links], minlength=plan.next_width
@@ -216,10 +227,91 @@ def _static_rates(policy) -> RateAssignment | None:
     return None
 
 
+class _Segments(NamedTuple):
+    """The exact fluid trajectory from a backlog under static set rates,
+    piecewise linear in time.  On segment j, from time ``start[j]`` (the
+    first is 0) to the next start, the backlogs are
+    ``q[j] + slope[j] * (t - start[j])``, the links carry ``flow[j]`` and
+    the egress nodes are served at ``served[j]``; the last segment lasts."""
+
+    start: np.ndarray
+    q: np.ndarray
+    slope: np.ndarray
+    flow: np.ndarray
+    served: np.ndarray
+
+    def backlogs(self, t):
+        """The backlogs at the instant ``t >= 0``, or one row per instant of
+        the sorted array ``t``."""
+        j = np.searchsorted(self.start, t, side="right") - 1
+        q = self.q[j] + (t - self.start[j])[..., None] * self.slope[j]
+        # a node that empties at a segment's end lands on -0 or a rounding below
+        return np.maximum(q, 0.0, out=q)
+
+
+def _fluid_segments(net, arr, svc, values, q0, until=math.inf) -> _Segments:
+    """The exact fluid run from the backlogs ``q0`` under the static set
+    rates ``values``, segment by segment until one reaches ``until``.
+
+    A node that holds backlog ships its set total (the egress layer: its
+    service rate), and an empty one forwards its inflow up to that total:
+    one :func:`effective_flow` pass on the mask of held nodes.  Every
+    inflow is then nonincreasing in time, so a node that empties stays
+    empty, and a segment ends at the first instant a draining node empties
+    (Chen & Mandelbaum, "Discrete flow networks: bottleneck analysis and
+    fluid approximations", Math. OR 1991).  A run has at most one segment
+    per node and one more; past that it raises :class:`EngineError`."""
+    cap = np.bincount(net.link_src, weights=values, minlength=net.num_nodes)
+    egress_lo = net.node_id(net.num_layers - 1, 0)
+    cap[egress_lo:] = svc.rates
+    q, t = np.array(q0, dtype=float), 0.0
+    parts = []
+    for _ in range(net.num_nodes + 1):
+        held = q > 0
+        flow, inflow, _, _ = effective_flow(net, arr, values, held)
+        out = np.where(held, cap, np.minimum(cap, inflow))
+        slope = inflow - out  # below zero only where a held node drains
+        parts.append((t, q, slope, flow, out[egress_lo:]))
+        empties_in = np.full(net.num_nodes, math.inf)
+        np.divide(q, -slope, out=empties_in, where=slope < 0)
+        span = empties_in.min()
+        if not t + span < until:
+            return _Segments(*(np.array(part) for part in zip(*parts)))
+        q = np.maximum(q + slope * span, 0.0)
+        q[empties_in <= span] = 0.0
+        t += span
+    raise EngineError(f"static fluid run not settled after {net.num_nodes + 1} segments")
+
+
+def _static_fluid_run(net, arr, svc, rates: RateAssignment, cfg: SimConfig) -> Trajectory:
+    """A fluid run under the static assignment ``rates``, its rows read off
+    the exact segments at the step instants k * dt.  Each row's mass is
+    checked against the initial mass plus lambda * t minus the service so
+    far, with :meth:`_FluidStep.settle`'s tolerance."""
+    dt, steps = cfg.resolved_dt(), cfg.num_steps()
+    q0 = cfg.initial_backlog(net)
+    horizon = steps * dt
+    segs = _fluid_segments(net, arr, svc, rates.values, q0, horizon)
+    times = dt * np.arange(steps + 1)
+    rows = segs.backlogs(times)
+    spans = np.diff(segs.start, append=horizon)
+    # the service so far is linear between the segment starts and the horizon
+    done = np.cumsum(np.append(0.0, spans * segs.served.sum(axis=1)))
+    mass = q0.sum() + arr.total * times
+    balance = mass - np.interp(times, np.append(segs.start, horizon), done) - rows.sum(axis=1)
+    bad = ~(np.abs(balance) <= 1e-9 * np.maximum(1.0, mass))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EngineError(f"mass balance violated at step {k - 1}: residual {balance[k]}")
+    applied = np.empty((steps, net.num_links))
+    applied[:] = rates.values
+    return Trajectory(dt, rows, applied, spans @ segs.flow, spans @ segs.served)
+
+
 class _FluidStep:
     """The fluid kernel of one run: it owns the backlogs ``q``, the running
-    link flow and the served totals, and gives :func:`_advance` and
-    :func:`_run_diagonals` the steps they schedule.
+    link flow and the served totals, and gives :func:`_advance` the steps
+    it schedules (a dynamic policy's run, and :func:`step`).
 
     Built once per run with the arrivals ``lambda * dt`` and the service
     budgets ``mu * dt``.  An assignment's per-link budgets ``values * dt``
@@ -370,10 +462,11 @@ def _run_steps(kernel, policy, checked, rows, applied, flows=None, start=0) -> N
     served totals after step k (row 0 is the caller's).
 
     A bare assignment or a :class:`StaticPolicy` is read once and checked
-    once, and the steps advance along diagonals (:func:`_run_diagonals`).
-    Any other policy is evaluated once per step on the recorded state at
-    the step start (before that step's arrivals), and each step is one
-    :func:`_advance`."""
+    once, and the steps advance along diagonals (:func:`_run_diagonals`);
+    :func:`run` brings only integer kernels here with one, since a static
+    fluid run is read off its exact segments.  Any other policy is
+    evaluated once per step on the recorded state at the step start
+    (before that step's arrivals), and each step is one :func:`_advance`."""
     net, dt = kernel.net, kernel.dt
     static = _static_rates(policy)
     if static is not None:
@@ -465,14 +558,22 @@ def run(
     remainders banked per link, and the rows are kept as integers until the
     trajectory is built.
 
-    The steps are :func:`_run_steps`: a bare assignment or a
-    :class:`StaticPolicy` advances along diagonals, any other policy one
-    :func:`_advance` per step.  Both schedules give the same trajectory to the bit,
-    and a mass-balance or negative-backlog error names the same step and
-    node; on the diagonal schedule, with L > 2 layers, the upstream layers
-    may have advanced up to L - 2 further steps when it is raised.
+    In fluid mode a bare assignment or a :class:`StaticPolicy` is not
+    stepped: its rows, link flow and service are read off the exact
+    piecewise-linear run (:func:`_fluid_segments`), and each row's mass is
+    checked against the arrivals and the service so far.  Every other run
+    steps through :func:`_run_steps`: a static assignment in integer mode
+    advances along diagonals, any other policy one :func:`_advance` per
+    step.  Both schedules give the same trajectory to the bit, and a
+    mass-balance or negative-backlog error names the same step and node;
+    on the diagonal schedule, with L > 2 layers, the upstream layers may
+    have advanced up to L - 2 further steps when it is raised.
     """
     ensure_valid(net, arr, svc)
+    checked = _CapacityCheck(net)
+    static = _static_rates(policy)
+    if static is not None and not cfg.discretize:
+        return _static_fluid_run(net, arr, svc, checked(static), cfg)
     if cfg.discretize:
         from .discrete import _IntegerSim
 
@@ -484,7 +585,7 @@ def run(
     rows = np.empty((steps + 1, net.num_nodes), dtype=kernel.q.dtype)
     rows[0] = kernel.q
     applied = np.empty((steps, net.num_links))
-    _run_steps(kernel, policy, _CapacityCheck(net), rows, applied)
+    _run_steps(kernel, policy, checked, rows, applied)
     return Trajectory(
         dt, rows.astype(float, copy=False), applied,
         kernel.link_flow.astype(float, copy=False),

@@ -28,7 +28,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 #: Sentinel for a link without a capacity limit.  Kept structural (checked
-#: with math.isinf) so that unlimited and limited capacity never blur.
+#: as ``== UNBOUNDED``, so +inf only) so that unlimited and limited capacity
+#: never blur; a -inf capacity is a nonpositive one, which validation rejects.
 UNBOUNDED = math.inf
 
 
@@ -64,7 +65,7 @@ class Link:
 
     @property
     def unbounded(self) -> bool:
-        return math.isinf(self.capacity)
+        return self.capacity == UNBOUNDED
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -170,7 +171,7 @@ class LayeredNetwork:
         self.num_links = int(layer.size)
         self.capacities = np.asarray(capacity, dtype=float)[order]
         #: every link has a finite capacity
-        self.bounded = not np.isinf(self.capacities).any()
+        self.bounded = not (self.capacities == UNBOUNDED).any()
 
         # the adjacency: each link's source and destination node ids, and
         # each node's out- and in-degree

@@ -33,6 +33,7 @@ from .network import (
     LayeredNetwork,
     RateAssignment,
     ServiceProfile,
+    UNBOUNDED,
     _require_network,
     key_name,
     require_finite_positive,
@@ -286,7 +287,7 @@ def proportional_fill(weights, caps, budget: float) -> np.ndarray:
 def require_bounded(net: LayeredNetwork, what: str) -> None:
     """Reject a network with an unbounded link: ``what`` needs capacities."""
     if not net.bounded:
-        k = int(np.argmax(np.isinf(net.capacities)))
+        k = int(np.argmax(net.capacities == UNBOUNDED))
         raise ValueError(f"{what} undefined: link {net.link_names[k]} has unbounded capacity")
 
 

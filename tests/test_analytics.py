@@ -57,6 +57,65 @@ def test_packet_delay_two_node_max_form():
     assert packet_delay(net, arr, svc, fast, (0, 0), 0.0, source=state) == pytest.approx(3.0)
 
 
+def test_packet_delay_from_a_state_sees_an_empty_upstream_node():
+    """Node 1 forwards its arrivals (5 < 10), so node 2 grows at 5 - 2 = 3
+    (not at 10 - 2): a packet entering at t = 1 waits 3/2 at node 2 and then
+    2.5/1 at egress, from a zero state as in the closed form and on a
+    trajectory."""
+    net = full_connection([1, 1, 1])
+    arr, svc = ArrivalProfile([5.0]), ServiceProfile([1.0])
+    rates = RateAssignment(net, [10.0, 2.0])
+    traj = run(net, arr, svc, rates, SimConfig(horizon=10.0, dt=0.01))
+    for source in (QueueState(np.zeros(3), 0.0), None, traj):
+        got = packet_delay(net, arr, svc, rates, (0, 0, 0), 1.0, source=source)
+        assert got == pytest.approx(4.0, rel=1e-12)
+
+
+class _Stepped:
+    """The static rates as a policy that ``run`` steps."""
+
+    def __init__(self, rates):
+        self.assignment = rates
+
+    def rates(self, state, net, arr, svc, dt):
+        return self.assignment
+
+
+def test_packet_delay_from_a_state_agrees_with_a_stepped_trajectory():
+    """Seeded backlogs that drain: the delay from a state (exact segments,
+    started at that state's instant) agrees with the one read off a stepped
+    trajectory within its interpolation error, O(dt)."""
+    rng = np.random.default_rng(31)
+    dt, emptied = 0.01, 0
+    for _ in range(6):
+        net = full_connection([3, 2, 2], float(rng.uniform(2, 4)))
+        arr = ArrivalProfile(rng.uniform(0.5, 2.0, size=3))
+        svc = ServiceProfile(rng.uniform(2.0, 4.0, size=2))
+        rates = RateAssignment(net, rng.uniform(0.5, 1.0, size=net.num_links) * net.capacities)
+        q0 = rng.uniform(0.0, 4.0, size=net.num_nodes)
+        traj = run(net, arr, svc, _Stepped(rates), SimConfig(horizon=8.0, dt=dt, q0=q0))
+        k = 50  # the state half a time unit in; every packet leaves by t = 6.5
+        state = QueueState(traj.queues[k], k * dt)
+        emptied += int(((traj.queues[k] > 0) & (traj.queues[k + 300] == 0)).sum())
+        for path in [(0, 0, 0), (1, 1, 0), (2, 0, 1)]:
+            for t in (state.t, 0.8, 1.7, 3.1):
+                exact = packet_delay(net, arr, svc, rates, path, t, source=state)
+                sampled = packet_delay(net, arr, svc, rates, path, t, source=traj)
+                assert exact == pytest.approx(sampled, abs=dt)
+    assert emptied >= 6
+
+
+def test_packet_delay_from_a_state_starts_at_its_instant():
+    net = full_connection([1, 1])
+    arr, svc = ArrivalProfile([1.0]), ServiceProfile([2.0])
+    rates = RateAssignment(net, [1.0])
+    state = QueueState(np.array([4.0, 2.0]), 1.0)
+    with pytest.raises(ValueError, match=r"^packet enters at 0\.5, before the state's instant 1\.0$"):
+        packet_delay(net, arr, svc, rates, (0, 0), 0.5, source=state)
+    with pytest.raises(ValueError, match="^backlog has 3 entries, network has 2 nodes$"):
+        packet_delay(net, arr, svc, rates, (0, 0), 1.0, source=QueueState(np.zeros(3), 0.0))
+
+
 def test_packet_delay_zero_when_everything_drains():
     net = full_connection([2, 2])
     arr, svc = ArrivalProfile([1.0, 1.0]), ServiceProfile([3.0, 3.0])

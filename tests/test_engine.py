@@ -164,10 +164,10 @@ def test_run_nonnegative_and_mass_conserving(two_source_instance):
 
 
 def test_static_rates_are_integrated_exactly_across_drain_events():
-    """With static rates the within-step clamp ships scarcity at the set-rate
-    proportions (the effective-rate fixed point), so step-boundary states are
-    exact even when queues drain mid-step: halving dt changes nothing beyond
-    float noise."""
+    """A static run's rows are read off the exact segments, so they are exact
+    even when queues drain between two rows: halving dt changes nothing
+    beyond float noise.  (The stepped engine's within-step clamp meets the
+    same states: see the drain-event battery below.)"""
     net = full_connection([2, 2])
     arr = ArrivalProfile([1.0, 2.0])
     svc = ServiceProfile([2.0, 3.0])
@@ -337,6 +337,7 @@ class _Fresh:
 
 
 KERNEL_CASES = ("full", "tree", "ragged", "q0", "opt-queue", "opt-queue-gamma", "alternating", "fresh")
+STATIC_CASES = ("full", "tree", "ragged", "q0")  # a StaticPolicy
 
 
 def _kernel_case(name, seed):
@@ -367,16 +368,30 @@ def _kernel_case(name, seed):
     return net, arr, svc, lambda: StaticPolicy(a), cfg
 
 
+def _assert_within_rounding(traj, want):
+    """A static fluid run, read off its exact segments, against a stepped
+    one: the backlogs, link flow and service of ``want`` (field -> array)
+    agree within 1e-12 of the largest backlog."""
+    tol = 1e-12 * max(1.0, float(want["queues"].max()))
+    for field, value in want.items():
+        assert np.max(np.abs(getattr(traj, field) - value), initial=0.0) <= tol, field
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_run_matches_reference_step_bit_for_bit(name, seed):
+    """Bit for bit under a dynamic policy; a static fluid run does not step,
+    so there only the applied rates are the same bytes."""
     net, arr, svc, make, cfg = _kernel_case(name, seed)
     traj = run(net, arr, svc, make(), cfg)
     queues, applied, link_flow, served = _reference_run(net, arr, svc, make(), cfg)
-    assert traj.queues.tobytes() == queues.tobytes()
     assert traj.rates.tobytes() == applied.tobytes()
-    assert traj.link_flow.tobytes() == link_flow.tobytes()
-    assert traj.served.tobytes() == served.tobytes()
+    want = {"queues": queues, "link_flow": link_flow, "served": served}
+    if name in STATIC_CASES:
+        _assert_within_rounding(traj, want)
+        return
+    for field, value in want.items():
+        assert getattr(traj, field).tobytes() == value.tobytes(), field
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -405,11 +420,18 @@ def _integer_config(cfg):
 
 
 def _assert_same_trajectory(net, arr, svc, assignment, cfg):
-    """A static run (wavefront) and a run handed a fresh equal-valued
-    assignment each step (per-step schedule) agree to the byte."""
+    """A static run and a run handed a fresh equal-valued assignment each
+    step (per-step schedule) agree: to the byte in integer mode (the
+    wavefront), and within rounding in fluid mode (the exact segments),
+    with the applied rates to the byte."""
     static = run(net, arr, svc, StaticPolicy(assignment), cfg)
     fresh = run(net, arr, svc, _Fresh(assignment), cfg)
-    for field in ("queues", "rates", "link_flow", "served"):
+    assert static.rates.tobytes() == fresh.rates.tobytes()
+    fields = ("queues", "link_flow", "served")
+    if not cfg.discretize:
+        _assert_within_rounding(static, {field: getattr(fresh, field) for field in fields})
+        return static
+    for field in fields:
         assert getattr(static, field).tobytes() == getattr(fresh, field).tobytes(), field
     return static
 
@@ -498,3 +520,85 @@ def test_queue_state_rejects_non_finite_and_negative_backlogs(bad):
     with pytest.raises(ValueError, match="^backlogs must be finite and nonnegative$"):
         QueueState(np.array([bad, 1.0]), 0.0)
     assert QueueState(np.array([0.0, 1.0]), 0.0).q.tolist() == [0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# static fluid runs read off exact segments
+
+
+def _draining_case(rng, family):
+    """A seeded instance with rates near capacity and backlogs that drain
+    within the horizon on most nodes."""
+    if family == "tree":
+        net = _random_fan_in_tree(rng, (6, 3, 2, 1), float(rng.uniform(2, 6)))
+    else:
+        net = full_connection(rng.integers(1, 5, size=3).tolist(), float(rng.uniform(1, 4)))
+    arr = ArrivalProfile(rng.uniform(0.2, 2, size=net.layer_sizes[0]))
+    svc = ServiceProfile(rng.uniform(2, 6, size=net.layer_sizes[-1]))
+    assignment = RateAssignment(net, rng.uniform(0.5, 1, size=net.num_links) * net.capacities)
+    cfg = SimConfig(horizon=4.0, dt=0.01, q0=rng.uniform(0, 6, size=net.num_nodes))
+    return net, arr, svc, assignment, cfg
+
+
+@pytest.mark.parametrize("family", ["full", "tree"])
+def test_static_fluid_run_follows_the_stepped_engine_across_drain_events(family):
+    """On seeded draws where backlogs drain, the run read off exact segments
+    agrees with the per-step schedule within 1e-9 of the largest backlog,
+    and no node empties twice."""
+    rng = np.random.default_rng([31, family == "tree"])
+    emptied = 0
+    for _ in range(8):
+        net, arr, svc, assignment, cfg = _draining_case(rng, family)
+        exact = run(net, arr, svc, StaticPolicy(assignment), cfg)
+        stepped = run(net, arr, svc, _Fresh(assignment), cfg)
+        tol = 1e-9 * max(1.0, float(stepped.queues.max()))
+        for field in ("queues", "link_flow", "served"):
+            assert np.max(np.abs(getattr(exact, field) - getattr(stepped, field))) <= tol, field
+        empty = exact.queues == 0
+        empties = ~empty[:-1] & empty[1:]
+        assert empties.sum(axis=0).max() <= 1
+        emptied += int(empties.sum())
+    assert emptied >= 20
+
+
+def test_static_fluid_run_from_zero_backlog_is_one_segment(monkeypatch):
+    """From zero backlog no node drains: one segment, so every backlog grows
+    linearly over the whole run."""
+    from fluidq import engine
+
+    seen = []
+    original = engine._fluid_segments
+
+    def recorded(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(engine, "_fluid_segments", recorded)
+    net, arr, svc, make, cfg = _kernel_case("full", 0)
+    traj = run(net, arr, svc, make(), cfg)
+    (segments,) = seen
+    assert segments.start.tolist() == [0.0]
+    assert np.allclose(traj.queues, traj.times[:, None] * segments.slope[0], rtol=1e-14, atol=0)
+
+
+def test_static_fluid_run_checks_each_rows_mass(monkeypatch):
+    """A segment whose backlogs do not match its service fails the mass
+    balance at the first row it reaches."""
+    from fluidq import engine
+
+    original = engine._fluid_segments
+
+    def corrupted(*args):
+        segments = original(*args)
+        slope = segments.slope.copy()
+        slope[-1, 0] += 1.0
+        return segments._replace(slope=slope)
+
+    monkeypatch.setattr(engine, "_fluid_segments", corrupted)
+    net, arr, svc, make, cfg = _kernel_case("full", 0)
+    with pytest.raises(EngineError, match=r"^mass balance violated at step 0: residual -0\.0499"):
+        run(net, arr, svc, make(), cfg)
+    # a bare assignment takes the same path; a dynamic policy steps
+    with pytest.raises(EngineError, match="mass balance"):
+        run(net, arr, svc, make().assignment, cfg)
+    run(net, arr, svc, _Fresh(make().assignment), cfg)

@@ -800,20 +800,22 @@ def _digest(traj) -> str:
 
 
 # (preset, mode, policy) -> digest of queues, rates, link flow and service,
-# recorded with the per-node policy loop and the fluid step it replaces
+# recorded with the per-node policy loop and the fluid step it replaces; the
+# fluid max and opt-static runs (static rates) are read off exact segments,
+# within 1.4e-14 of the largest backlog of the stepped runs first pinned here
 PINNED = {
     ("nsxnd", "fluid", "opt-queue"): "cc59b7a52a578c5c",
     ("nsxnd", "fluid", "bp"): "7b107d015d01352c",
-    ("nsxnd", "fluid", "max"): "d43553c5271d82fc",
-    ("nsxnd", "fluid", "opt-static"): "1f1c233a97a1ddda",
+    ("nsxnd", "fluid", "max"): "9c393be0e8fafe57",
+    ("nsxnd", "fluid", "opt-static"): "d87a1497882e1a16",
     ("nsxnd", "integer", "opt-queue"): "947e1509fbaf0554",
     ("nsxnd", "integer", "bp"): "52abdb99dad83a01",
     ("nsxnd", "integer", "max"): "a6a0eaf4678953e7",
     ("nsxnd", "integer", "opt-static"): "58fac2f6a2b98814",
     ("multistage-16x12x8x6", "fluid", "opt-queue"): "f11fe29819bb0229",
     ("multistage-16x12x8x6", "fluid", "bp"): "d72fadbb0f30cd4c",
-    ("multistage-16x12x8x6", "fluid", "max"): "678d40c04bfb3f18",
-    ("multistage-16x12x8x6", "fluid", "opt-static"): "f29e9c38a1c84401",
+    ("multistage-16x12x8x6", "fluid", "max"): "8f8a5ebc7691a3de",
+    ("multistage-16x12x8x6", "fluid", "opt-static"): "ae29823d9ce283a3",
     ("multistage-16x12x8x6", "integer", "opt-queue"): "772f579e48809eb2",
     ("multistage-16x12x8x6", "integer", "bp"): "3c8ca4c7e8cddcd8",
     ("multistage-16x12x8x6", "integer", "max"): "42c496b6c9c5685f",

@@ -297,6 +297,26 @@ def test_bounded_flag_tracks_unbounded_links():
     assert not single_sink(2).bounded
     assert not single_sink(2, [4.0, math.inf]).bounded
 
+
+def test_negative_infinite_capacity_is_not_unbounded():
+    """Only +inf means unbounded: a -inf link is a nonpositive one, and a
+    policy that needs capacities fails on its value, not on a missing
+    bound."""
+    from fluidq.policies import max_link_rate_rates
+
+    net = full_connection([2, 1], [np.array([[-math.inf], [4.0]])])
+    assert net.bounded
+    assert not net.links[0].unbounded
+    with pytest.raises(ValueError) as err:
+        max_link_rate_rates(net)
+    assert "unbounded capacity" not in str(err.value)
+    assert str(err.value) == "non-finite rate -inf on link 1:1:1"
+    # next to a +inf link, that one is named
+    net = full_connection([2, 1], [np.array([[-math.inf], [math.inf]])])
+    assert not net.bounded
+    with pytest.raises(ValueError, match="^max-link-rate undefined: link 1:2:1 has unbounded capacity$"):
+        max_link_rate_rates(net)
+
 @pytest.mark.parametrize("sizes", [(2, -1), (-2, 2), (0, 2)])
 def test_full_connection_rejects_nonpositive_layer_sizes_before_shaping_capacities(sizes):
     message = re.escape(f"layer sizes must be positive, got {sizes}")
