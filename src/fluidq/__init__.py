@@ -1,7 +1,6 @@
 """Queueing-delay minimization toolkit for overloaded layered networks."""
 
 from .analytics import (
-    AnalyticScopeError,
     DelayReport,
     analytic_report,
     empirical_report,

@@ -6,21 +6,27 @@ once set rates are replaced by their effective counterparts, so a packet
 entering a node at time ``tau`` leaves it at ``tau * inflow/outflow``.  The
 per-ingress average over an arrival window of length T is then
 ``(T/2) * (product of per-hop inflow/outflow ratios - 1)``, path-weighted
-by the per-hop splitting fractions.  Nonzero initial backlog (single-sink
-topologies only) adds the instants where queues empty: each source's delay
-is then linear between the points of one breakpoint grid, and its average
-is one trapezoid sum over that grid.
+by the per-hop splitting fractions.  From a nonzero initial backlog the
+exact fluid run is piecewise linear (``engine._fluid_segments``), so each
+node's delay is too: one backward pass over the layers composes them, and
+each ingress's average is one trapezoid sum over its knots.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discrete import TaggedRun
-from .engine import QueueState, Trajectory, _fluid_segments, effective_flow, effective_rates
+from .engine import (
+    QueueState,
+    Trajectory,
+    _fluid_segments,
+    _set_totals,
+    effective_flow,
+    effective_rates,
+)
 from .network import (
     ArrivalProfile,
     LayeredNetwork,
@@ -34,10 +40,6 @@ from .network import (
 )
 
 INFINITE_DELAY = math.inf
-
-
-class AnalyticScopeError(ValueError):
-    """The closed-form evaluator does not cover the requested case."""
 
 
 @dataclass(frozen=True)
@@ -143,13 +145,13 @@ def packet_delay(
     """Total queueing delay of a packet entering ``path[0]`` at time ``t``.
 
     ``path`` lists one node index per layer.  ``source`` selects where the
-    queue values come from: ``None`` assumes zero initial backlog (queues
-    grow linearly from time 0), a :class:`QueueState` starts the exact
-    fluid run under the static rates at the given backlog and instant (the
-    packet enters no earlier), and a :class:`Trajectory` looks backlogs up
-    at the packet's own arrival instants; a backlog drains at the set
-    egress total.  Returns ``math.inf`` when the packet reaches a
-    backlogged node with no egress rate.
+    queue values come from: a :class:`QueueState` starts the exact fluid
+    run under the static rates at the given backlog and instant (the packet
+    enters no earlier), ``None`` is the zero state at time 0, and a
+    :class:`Trajectory` looks backlogs up at the packet's own arrival
+    instants, which must not pass its end.  A backlogged node ships its set
+    total (at egress its service rate), so a packet waits its backlog over
+    that total; it returns ``math.inf`` at a path node whose set total is 0.
     """
     _require_network(net, rates)
     path = tuple(int(p) for p in path)
@@ -160,18 +162,13 @@ def packet_delay(
             raise ValueError(f"path uses nonexistent link {key_name((l, path[l], path[l + 1]))}")
 
     if source is None:
-        rho, _, _ = _node_ratios(net, arr, svc, rates.values)
-        factor = 1.0
-        for l, idx in enumerate(path):
-            factor *= rho[net.node_id(l, idx)]
-            if math.isinf(factor):
-                return INFINITE_DELAY
-        return t * (factor - 1.0)
-
+        source = QueueState(np.zeros(net.num_nodes), 0.0)
     if isinstance(source, Trajectory):
         times = source.times
 
         def backlog(nid: int, at: float) -> float:
+            if at > times[-1]:
+                raise ValueError(f"backlog wanted at {at}, past the trajectory's end {times[-1]}")
             return float(np.interp(at, times, source.queues[:, nid]))
     elif isinstance(source, QueueState):
         if source.q.shape != (net.num_nodes,):
@@ -187,21 +184,13 @@ def packet_delay(
     else:
         raise TypeError("source must be None, a QueueState, or a Trajectory")
 
-    set_out = np.bincount(net.link_src, weights=rates.values, minlength=net.num_nodes)
-    now = t
+    cap = _set_totals(net, svc, rates.values)
     total = 0.0
-    egress_layer = net.num_layers - 1
     for l, idx in enumerate(path):
         nid = net.node_id(l, idx)
-        serve = svc.rates[idx] if l == egress_layer else set_out[nid]
-        q_here = backlog(nid, now)
-        if q_here <= 0:
-            continue
-        if serve <= 0:
+        if not cap[nid] > 0:
             return INFINITE_DELAY
-        wait = q_here / serve
-        total += wait
-        now += wait
+        total += backlog(nid, t + total) / cap[nid]
     return total
 
 
@@ -217,12 +206,13 @@ def analytic_report(
     horizon: float,
     q0: np.ndarray | None = None,
 ) -> DelayReport:
-    """Exact time-averaged delay metrics for a static rate vector.
+    """Exact time-averaged delay metrics for a static rate vector, on any
+    layered topology.
 
-    Covers any layered topology with zero initial backlog; nonzero initial
-    backlog is supported for single-sink (N x 1) networks only, where the
-    piecewise-linear dynamics are integrated in closed form.  ``q0`` is a
-    per-node backlog vector, checked by :meth:`SimConfig.initial_backlog`.
+    With zero initial backlog each ingress's average is the factor product
+    of the module docstring; from a nonzero backlog ``q0`` (one entry per
+    node, checked by :meth:`SimConfig.initial_backlog`) it is integrated
+    over the exact piecewise-linear fluid run (:func:`_backlog_report`).
     The instance goes through :func:`ensure_valid` first.
     """
     ensure_valid(net, arr, svc)
@@ -231,12 +221,7 @@ def analytic_report(
     if q0 is not None:
         q0 = SimConfig(horizon, q0=q0).initial_backlog(net)
         if q0.any():
-            if not net.is_single_sink():
-                raise AnalyticScopeError(
-                    "analytic metrics with initial backlog cover single-sink "
-                    "networks only; use the tagged simulation instead"
-                )
-            return _single_sink_backlog_report(net, arr, svc, rates.values, q0, horizon)
+            return _backlog_report(net, arr, svc, rates.values, q0, horizon)
 
     rho, g_tilde, eff_out = _node_ratios(net, arr, svc, rates.values)
     differs = bool(np.max(np.abs(g_tilde - rates.values)) > 1e-12)
@@ -266,63 +251,52 @@ def analytic_report(
     return DelayReport.from_d_bar(d_bar, arr, "analytic", effective_differs=differs)
 
 
-def _piecewise_queue(q0: float, cuts: np.ndarray, slopes: np.ndarray):
-    """Evolve ``q' = slopes[k]`` on ``[cuts[k], cuts[k + 1]]`` with clamping
-    at zero; returns the knot times and backlogs, covering the cuts and
-    every instant the queue empties."""
-    times, backlogs = [cuts[0]], [q0]
-    q = q0
-    for a, b, slope in zip(cuts[:-1], cuts[1:], slopes):
-        end = q + slope * (b - a)
-        if end < 0 and q > 0:
-            times.append(a + q / -slope)
-            backlogs.append(0.0)
-        q = max(0.0, end)
-        times.append(b)
-        backlogs.append(q)
-    return np.array(times), np.array(backlogs)
+def _backlog_report(net, arr, svc, values, q0, horizon) -> DelayReport:
+    """Per-ingress average delays from the backlog ``q0``, on the exact fluid
+    segments of the static set rates ``values``.
 
+    A node n with set total c_n > 0 that holds backlog ships c_n, so a
+    fluid packet reaching it at t leaves at D_n(t) = t + q_n(t)/c_n, and it
+    splits over its out-links by the constant fractions values_k / c_n.
+    Its delay onward is then d_n(t) = q_n(t)/c_n + sum_k pi_k d_k(D_n(t)),
+    piecewise linear with knots at the segment starts and the D_n-preimages
+    of its children's knots.  Each node needs it only up to the last
+    instant a window packet reaches it, pushed forward from T through D;
+    a reached node with c_n = 0 holds its packets forever (inf).
+    """
+    segs = _fluid_segments(net, arr, svc, values, q0)
+    cap = _set_totals(net, svc, values)
 
-def _single_sink_backlog_report(net, arr, svc, values, q0, horizon) -> DelayReport:
-    n = net.layer_sizes[0]
-    lam = arr.rates
-    mu = float(svc.rates[0])
-    g = np.zeros(n)
-    g[net.link_src] = values
-    q0_s = q0[:n]
-    live = g > 0
+    def wait(nodes, t):
+        j = np.searchsorted(segs.start, t, side="right") - 1
+        q = segs.q[j, nodes] + (t - segs.start[j]) * segs.slope[j, nodes]
+        return np.maximum(q, 0.0) / cap[nodes]
 
-    # Ingress queues are linear until they drain at t*; after draining a
-    # source forwards its arrival rate.  The window's last packet waits
-    # ``wait`` at its source, so the sink queue is followed to T + max wait.
-    drains = lam < g
-    t_star = np.full(n, math.inf)
-    t_star[drains] = q0_s[drains] / (g - lam)[drains]
-    wait = np.maximum(0.0, q0_s[live] + (lam - g)[live] * horizon) / g[live]
-    t_end = horizon + wait.max(initial=0.0)
+    reach = np.full(net.num_nodes, -1.0)  # below 0: no window packet gets there
+    reach[: net.layer_sizes[0]] = horizon
+    for layer in net.plan:
+        src, dst = net.link_src[layer.links], net.link_dst[layer.links]
+        on = (values[layer.links] > 0) & (reach[src] >= 0)
+        src, dst = src[on], dst[on]
+        np.maximum.at(reach, dst, reach[src] + wait(src, reach[src]))
 
-    # Sink inflow is piecewise constant with breaks where sources drain.
-    breaks = np.unique(t_star[(t_star > 0) & (t_star < t_end)])
-    cuts = np.concatenate(([0.0], breaks, [t_end + 1.0]))
-    inflow = np.where(cuts[:-1, None] < t_star, g, lam).sum(axis=1)
-    knot_t, knot_q = _piecewise_queue(float(q0[n]), cuts, inflow - mu)
-
-    # A packet arriving at t leaves its source at tau(t) and then waits
-    # Q(tau)/mu, so its delay is linear between the points of one grid per
-    # live source: the drain instant min(t*, T), the preimages of the sink
-    # knots before it and the knots after it.  Clipping folds every other
-    # point onto one already there; the first knot (0) clips to 0 and the
-    # last (past the window) to T.
-    lam_l, g_l, q_l, t_star_l = (v[live, None] for v in (lam, g, q0_s, t_star))
-    drained = np.minimum(t_star_l, horizon)
-    pre = np.clip((knot_t - q_l / g_l) * g_l / lam_l, 0.0, drained)
-    post = np.clip(knot_t, drained, horizon)
-    grid = np.sort(np.hstack([pre, drained, post]), axis=1)
-    tau = np.where(grid < t_star_l, grid * lam_l / g_l + q_l / g_l, grid)
-    delay = (tau - grid) + np.interp(tau, knot_t, knot_q) / mu
-    area = (0.5 * (delay[:, :-1] + delay[:, 1:]) * np.diff(grid, axis=1)).sum(axis=1)
-    d_bar = np.full(n, INFINITE_DELAY)
-    d_bar[live] = area / horizon
+    knots, delay = [None] * net.num_nodes, [None] * net.num_nodes  # None: infinite
+    for n in np.flatnonzero(reach >= 0)[::-1]:
+        lo, hi = np.searchsorted(net.link_src, [n, n + 1])
+        kids = [(values[k] / cap[n], net.link_dst[k]) for k in range(lo, hi) if values[k] > 0]
+        if not cap[n] > 0 or any(delay[k] is None for _, k in kids):
+            continue
+        base = np.append(segs.start[segs.start < reach[n]], reach[n])
+        exits = base + wait(n, base)
+        # a child's knots outside [D_n(0), D_n(reach)] clip onto base's ends
+        pre = [np.interp(knots[k], exits, base) for _, k in kids]
+        knots[n] = t = np.unique(np.concatenate([base, *pre]))
+        ahead = wait(n, t)
+        delay[n] = ahead + sum(p * np.interp(t + ahead, knots[k], delay[k]) for p, k in kids)
+    d_bar = [
+        INFINITE_DELAY if d is None else np.trapezoid(d, t) / horizon
+        for t, d in zip(knots, delay[: net.layer_sizes[0]])
+    ]
     return DelayReport.from_d_bar(d_bar, arr, "analytic")
 
 
@@ -338,21 +312,3 @@ def empirical_report(tagged: TaggedRun, arr: ArrivalProfile) -> DelayReport:
         missing = int(np.argmin(counts))
         raise ValueError(f"no tagged packets departed from ingress {missing + 1}")
     return DelayReport.from_d_bar(tagged.origin_sum / counts, arr, "empirical")
-
-
-def reports_to_csv(rows, path) -> None:
-    """Write ``(instance_id, policy, DelayReport)`` rows; one d_bar column
-    per ingress node."""
-    rows = list(rows)
-    width = max(len(report.d_bar) for _, _, report in rows) if rows else 0
-    header = ["instance_id", "policy", "d_avg", "d_max"] + [
-        f"d_bar_{i + 1}" for i in range(width)
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for instance_id, policy, report in rows:
-            cells = [instance_id, policy, f"{report.d_avg:.9g}", f"{report.d_max:.9g}"]
-            cells += [f"{v:.9g}" for v in report.d_bar]
-            cells += [""] * (width - len(report.d_bar))
-            writer.writerow(cells)

@@ -249,6 +249,14 @@ class _Segments(NamedTuple):
         return np.maximum(q, 0.0, out=q)
 
 
+def _set_totals(net, svc, values) -> np.ndarray:
+    """Each node's set total: the sum of its out-link rates, and at egress
+    its service rate.  A node holding backlog ships exactly this."""
+    cap = np.bincount(net.link_src, weights=values, minlength=net.num_nodes)
+    cap[net.node_id(net.num_layers - 1, 0) :] = svc.rates
+    return cap
+
+
 def _fluid_segments(net, arr, svc, values, q0, until=math.inf) -> _Segments:
     """The exact fluid run from the backlogs ``q0`` under the static set
     rates ``values``, segment by segment until one reaches ``until``.
@@ -261,9 +269,8 @@ def _fluid_segments(net, arr, svc, values, q0, until=math.inf) -> _Segments:
     (Chen & Mandelbaum, "Discrete flow networks: bottleneck analysis and
     fluid approximations", Math. OR 1991).  A run has at most one segment
     per node and one more; past that it raises :class:`EngineError`."""
-    cap = np.bincount(net.link_src, weights=values, minlength=net.num_nodes)
+    cap = _set_totals(net, svc, values)
     egress_lo = net.node_id(net.num_layers - 1, 0)
-    cap[egress_lo:] = svc.rates
     q, t = np.array(q0, dtype=float), 0.0
     parts = []
     for _ in range(net.num_nodes + 1):

@@ -1,10 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from fluidq import (
-    AnalyticScopeError,
     ArrivalProfile,
     PacketSinkError,
     QueueState,
@@ -20,12 +20,14 @@ from fluidq import (
     empirical_report,
     fan_in_tree,
     full_connection,
+    load,
     packet_delay,
     path_weights,
     run,
     single_sink,
     tagged_run,
 )
+from fluidq.analytics import _backlog_report
 from fluidq.policies import initial_backlog_weights
 
 from conftest import single_sink_rates
@@ -69,6 +71,30 @@ def test_packet_delay_from_a_state_sees_an_empty_upstream_node():
     for source in (QueueState(np.zeros(3), 0.0), None, traj):
         got = packet_delay(net, arr, svc, rates, (0, 0, 0), 1.0, source=source)
         assert got == pytest.approx(4.0, rel=1e-12)
+
+
+def test_packet_delay_on_a_trajectory_stops_at_its_end():
+    """A packet entering at 1.9 is still queued when a horizon-2 trajectory
+    ends: the walk raises instead of holding the last row (4.85), and a
+    longer trajectory gives the closed form's 7.6."""
+    net = full_connection([1, 1, 1])
+    arr, svc = ArrivalProfile([5.0]), ServiceProfile([1.0])
+    rates = RateAssignment(net, [10.0, 2.0])
+    short = run(net, arr, svc, rates, SimConfig(horizon=2.0, dt=0.01))
+    with pytest.raises(ValueError, match=r"^backlog wanted at 4\.75, past the trajectory's end 2\.0$"):
+        packet_delay(net, arr, svc, rates, (0, 0, 0), 1.9, source=short)
+    long = run(net, arr, svc, rates, SimConfig(horizon=10.0, dt=0.01))
+    for source in (long, QueueState(np.zeros(3), 0.0), None):
+        assert packet_delay(net, arr, svc, rates, (0, 0, 0), 1.9, source=source) == pytest.approx(7.6)
+
+
+def test_packet_delay_infinite_at_a_node_without_rate_whatever_its_backlog():
+    net = full_connection([1, 1])
+    arr, svc = ArrivalProfile([1.0]), ServiceProfile([1.0])
+    rates = RateAssignment(net, [0.0])
+    traj = run(net, arr, svc, rates, SimConfig(horizon=1.0, dt=0.1))
+    for source in (None, QueueState(np.zeros(2), 0.0), traj):
+        assert packet_delay(net, arr, svc, rates, (0, 0), 0.0, source=source) == math.inf
 
 
 class _Stepped:
@@ -369,46 +395,108 @@ def test_backlog_report_matches_simulation():
     assert abs(report.d_max - empirical.d_max) <= 0.05 * empirical.d_max
 
 
+def _split_paths(net, rates, path, weight):
+    """The full paths that extend ``path``, each with its share of the
+    packets at ``path[0]``: the product of the set-rate splits
+    values_k / c_n.  At a node with no set rate a packet stays, so its
+    share goes on along node 0 of each later layer."""
+    layer = len(path) - 1
+    if layer == net.num_layers - 1:
+        yield path, weight
+        return
+    nid = net.node_id(layer, path[-1])
+    total = rates.node_egress(nid)
+    for j in range(net.layer_sizes[layer + 1]):
+        value = rates.values[net.link_index[(layer, path[-1], j)]]
+        if total > 0 and value > 0:
+            yield from _split_paths(net, rates, path + (j,), weight * value / total)
+        elif total == 0 and j == 0:
+            yield from _split_paths(net, rates, path + (j,), weight)
+
+
+_FULL_CONNECTIONS = {"two-layer": (2, 3), "three-layer": (3, 2, 2), "four-layer": (2, 3, 2, 2),
+                     "dead-middle": (2, 3, 2)}
+
+
 @pytest.mark.parametrize("case, seed", [
     ("draining", 1), ("growing", 2), ("unserved", 3), ("sink-only", 4),
+    ("two-layer", 5), ("three-layer", 6), ("four-layer", 7), ("dead-middle", 8),
 ])
 def test_backlog_report_matches_fluid_run_packet_by_packet(case, seed):
-    """The N x 1 backlog form against the fluid run: each ingress's delay
-    averaged over midpoint arrival instants of the window, each delay read
-    off the simulated backlogs by ``packet_delay``."""
+    """The backlog form against the fluid run: each ingress's delay averaged
+    over midpoint arrival instants of the window, each delay read off the
+    simulated backlogs by ``packet_delay`` and weighted per path by the
+    set-rate splits."""
     rng = np.random.default_rng(seed)
-    lam = rng.uniform(1.0, 6.0, size=3)
-    q0 = np.append(rng.uniform(5.0, 30.0, size=3), rng.uniform(0.0, 20.0))
-    mu, horizon = 0.7 * lam.sum(), 40.0
-    if case == "draining":  # every source empties inside the window
-        g = lam * rng.uniform(1.3, 2.0, size=3)
-        assert np.all(q0[:3] / (g - lam) < horizon)
-    elif case == "growing":
-        g = lam * rng.uniform(0.3, 0.8, size=3)
-    elif case == "unserved":  # infinite on both routes
-        g = lam * rng.uniform(0.5, 1.5, size=3)
-        g[1] = 0.0
-    else:  # the sink alone is backlogged, and empties inside the window
-        g = lam * rng.uniform(0.3, 0.6, size=3)
-        q0[:3] = 0.0
-        assert q0[3] / (mu - g.sum()) < horizon
-    net = single_sink(3)
-    arr, svc, rates = ArrivalProfile(lam), ServiceProfile([mu]), RateAssignment(net, g)
+    horizon = 40.0
+    if case in _FULL_CONNECTIONS:  # backlogs drain inside the run (checked below)
+        sizes = _FULL_CONNECTIONS[case]
+        net = full_connection(sizes)
+        lam = rng.uniform(1.0, 4.0, size=sizes[0])
+        values = rng.uniform(0.3, 2.0, size=net.num_links)
+        mu = rng.uniform(0.5, 3.0, size=sizes[-1])
+        q0 = rng.uniform(0.0, 15.0, size=net.num_nodes)
+        if case == "dead-middle":  # middle node 2 has no set rate; ingress 1 avoids it
+            values[net.link_index[(0, 0, 1)]] = 0.0
+            values[[net.link_index[(1, 1, j)] for j in range(sizes[2])]] = 0.0
+    else:
+        lam = rng.uniform(1.0, 6.0, size=3)
+        q0 = np.append(rng.uniform(5.0, 30.0, size=3), rng.uniform(0.0, 20.0))
+        mu = [0.7 * lam.sum()]
+        if case == "draining":  # every source empties inside the window
+            values = lam * rng.uniform(1.3, 2.0, size=3)
+            assert np.all(q0[:3] / (values - lam) < horizon)
+        elif case == "growing":
+            values = lam * rng.uniform(0.3, 0.8, size=3)
+        elif case == "unserved":  # infinite on both routes
+            values = lam * rng.uniform(0.5, 1.5, size=3)
+            values[1] = 0.0
+        else:  # the sink alone is backlogged, and empties inside the window
+            values = lam * rng.uniform(0.3, 0.6, size=3)
+            q0[:3] = 0.0
+            assert q0[3] / (mu[0] - values.sum()) < horizon
+        net = single_sink(3)
+    arr, svc, rates = ArrivalProfile(lam), ServiceProfile(mu), RateAssignment(net, values)
     analytic = analytic_report(net, arr, svc, rates, horizon, q0=q0).d_bar
 
-    # run until the window's last packet has left its source
-    served = g > 0
-    wait = np.maximum(q0[:3] + (lam - g) * horizon, 0.0)[served] / g[served]
-    traj = run(net, arr, svc, rates, SimConfig(horizon + wait.max() + 1.0, dt=0.02, q0=q0))
-    arrivals = (np.arange(400) + 0.5) * horizon / 400
+    # long enough for the window's last packet: packet_delay raises past the end
+    traj = run(net, arr, svc, rates, SimConfig(4 * horizon, dt=0.02, q0=q0))
+    if case in _FULL_CONNECTIONS:
+        assert ((q0 > 0) & (traj.queues.min(axis=0) == 0)).sum() >= 2
+    count = 200 if case in _FULL_CONNECTIONS else 400  # per path
+    arrivals = (np.arange(count) + 0.5) * horizon / count
     simulated = np.array([
-        np.mean([packet_delay(net, arr, svc, rates, (i, 0), t, source=traj) for t in arrivals])
-        for i in range(3)
+        sum(weight * np.mean([packet_delay(net, arr, svc, rates, path, t, source=traj)
+                              for t in arrivals])
+            for path, weight in _split_paths(net, rates, (i,), 1.0))
+        for i in range(net.layer_sizes[0])
     ])
     np.testing.assert_array_equal(np.isinf(simulated), np.isinf(analytic))
-    assert np.isinf(analytic).any() == (case == "unserved")
+    assert np.isinf(analytic).any() == (case in ("unserved", "dead-middle"))
     finite = np.isfinite(analytic)
     np.testing.assert_allclose(simulated[finite], analytic[finite], rtol=1e-5)
+
+
+def test_backlog_form_from_zero_backlog_is_the_factor_product():
+    """Called on a zero backlog, the backlog form gives the factor product of
+    the zero-backlog branch on seeded layered draws, stranded traffic (a
+    node with no set rate) included."""
+    rng = np.random.default_rng(32)
+    stranded = 0
+    for _ in range(40):
+        sizes = rng.integers(1, 5, size=int(rng.integers(2, 5))).tolist()
+        net = full_connection(sizes)
+        arr = ArrivalProfile(rng.uniform(0.5, 6.0, size=sizes[0]))
+        svc = ServiceProfile(rng.uniform(0.2, 3.0, size=sizes[-1]))
+        values = rng.uniform(0.1, 4.0, size=net.num_links) * (rng.random(net.num_links) > 0.15)
+        horizon = float(rng.uniform(5.0, 80.0))
+        product = analytic_report(net, arr, svc, RateAssignment(net, values), horizon).d_bar
+        composed = _backlog_report(net, arr, svc, values, np.zeros(net.num_nodes), horizon).d_bar
+        np.testing.assert_array_equal(np.isinf(composed), np.isinf(product))
+        finite = np.isfinite(product)
+        assert composed[finite] == pytest.approx(product[finite], rel=1e-12, abs=1e-12 * horizon)
+        stranded += int(np.isinf(product).any())
+    assert stranded >= 3
 
 
 def _backlog_instance():
@@ -465,25 +553,17 @@ def test_backlog_adjusted_weights_reject_q0_not_finite_and_nonnegative(q0):
         initial_backlog_weights(ArrivalProfile([4.0, 8.0]), q0, 10.0)
 
 
-def test_backlog_analytic_restricted_to_single_sink():
-    net = full_connection([2, 2])
-    arr, svc = ArrivalProfile([2.0, 2.0]), ServiceProfile([1.0, 1.0])
-    rates = RateAssignment(net, [0.5] * 4)
-    with pytest.raises(AnalyticScopeError):
-        analytic_report(net, arr, svc, rates, 10.0, q0=np.array([1.0, 0, 0, 0]))
-
-
-def test_reports_to_csv(tmp_path):
-    from fluidq.analytics import reports_to_csv
-
-    net = single_sink(2)
-    arr, svc = ArrivalProfile([8.0, 3.0]), ServiceProfile([2.0])
-    rep = analytic_report(net, arr, svc, single_sink_rates(net, [2.0, 0.75]), 200.0)
-    path = tmp_path / "reports.csv"
-    reports_to_csv([(0, "opt-static", rep)], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "instance_id,policy,d_avg,d_max,d_bar_1,d_bar_2"
-    assert lines[1].startswith("0,opt-static,450,450,")
+def test_backlog_analytic_on_four_layers():
+    """fourlayer.json under opt-static (every rate 1/3): each ingress ships 1
+    and grows at 1, every later node forwards 1, so a packet entering
+    ingress i at t waits q0_i + t there and the split means of the later
+    layers' backlogs (7/3, 2/3 and 2) after it."""
+    net, arr, svc = load(os.path.join(os.path.dirname(__file__), "data", "fourlayer.json"))
+    rates = RateAssignment(net, np.full(net.num_links, 1.0 / 3.0))
+    q0 = np.array([1, 0, 2, 4, 0, 3, 2, 0, 0, 1, 5, 0], dtype=float)
+    report = analytic_report(net, arr, svc, rates, 5.0, q0=q0)
+    np.testing.assert_allclose(report.d_bar, [8.5, 7.5, 9.5], rtol=1e-14)
+    assert (report.d_avg, report.d_max) == pytest.approx((8.5, 9.5), rel=1e-14)
 
 
 def test_tagged_run_reports_drain_extension(two_source_instance):

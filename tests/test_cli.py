@@ -369,14 +369,11 @@ def test_simulate_config_errors_exit_with_one_line(extra, message, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_simulate_report_outside_the_closed_form_exits_with_one_line(capsys):
-    # initial backlog on a multi-sink network: no closed form, checked before the run
-    q0 = ",".join(["1"] + ["0"] * 11)
-    with pytest.raises(SystemExit, match="^--report: analytic metrics with initial backlog "
-                                         "cover single-sink networks only; "):
-        main(["simulate", "--net", FOURLAYER, "--policy", "opt-static", "--horizon", "5",
-              "--q0", q0, "--report"])
-    assert capsys.readouterr().out == ""
+def test_simulate_report_from_a_backlog_on_four_layers(capsys):
+    # the closed form from a backlog off N x 1: d_bar = (8.5, 7.5, 9.5)
+    assert main(["simulate", "--net", FOURLAYER, "--policy", "opt-static", "--horizon", "5",
+                 "--q0", "1,0,2,4,0,3,2,0,0,1,5,0", "--report"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "analytic d_avg = 8.5, d_max = 9.5"
 
 
 @pytest.mark.parametrize("policy", ["opt-queue", "bp"])
