@@ -164,12 +164,14 @@ def packet_delay(
     if source is None:
         source = QueueState(np.zeros(net.num_nodes), 0.0)
     if isinstance(source, Trajectory):
-        times = source.times
+        times, queues = source.times, source.queues
 
         def backlog(nid: int, at: float) -> float:
             if at > times[-1]:
                 raise ValueError(f"backlog wanted at {at}, past the trajectory's end {times[-1]}")
-            return float(np.interp(at, times, source.queues[:, nid]))
+            # np.interp on the two rows around ``at``: the same operations
+            j = max(min(int(np.searchsorted(times, at, side="right")) - 1, times.size - 2), 0)
+            return float(np.interp(at, times[j : j + 2], queues[j : j + 2, nid]))
     elif isinstance(source, QueueState):
         if source.q.shape != (net.num_nodes,):
             raise ValueError(

@@ -5,14 +5,15 @@ running floor of rate * dt: each link and each server banks only the
 fractional remainder, so a backlogged link realizes its set rate exactly in
 the long run while never bursting above it.  :class:`_IntegerSim` is the
 integer kernel of :mod:`fluidq.engine`'s two schedules, with the fluid
-kernel's interface: :meth:`~_IntegerSim.demand` banks a plan's link
-budgets and returns their whole parts, :meth:`~_IntegerSim.send` grants
-them, and :meth:`~_IntegerSim.settle` checks each step's exact mass
-balance against the births :meth:`~_IntegerSim.arrive` kept for it and
-that no backlog is negative.  A source short of supply splits it across
-its out-links in proportion to their budgets (:func:`_allocate_each`),
-with the plan's source slots as segment ids and each link's offset from
-its source's first link as its rank, so no segment is rebuilt per step.
+kernel's interface: :meth:`~_IntegerSim.draw` banks a slice of one
+vector of arrival, link and service budgets and returns their whole parts,
+:meth:`~_IntegerSim.send` grants the links', and :meth:`~_IntegerSim.settle`
+checks each step's exact mass balance against the births
+:meth:`~_IntegerSim.arrive` kept for it and that no backlog is negative.
+A source short of supply splits it across its out-links in proportion to
+their budgets (:func:`_allocate_each`), with the plan's source slots as
+segment ids and each link's offset from its source's first link as its
+rank, so no segment is rebuilt per step.
 An untagged run is :func:`fluidq.engine.run`.
 
 A tagged run (:func:`tagged_run`) is that untagged run and one pass over
@@ -51,9 +52,10 @@ integer test, never a float threshold.  No packet is tagged after the
 horizon, and once nothing tagged is left above egress the rest of the run
 depends on the egress service alone: each egress node's tagged positions
 leave ahead of any later inflow.  The extension then runs only the
-service-bank recurrence of :meth:`_IntegerSim.serve`, per egress node on
-scalar floats with the same operations in the same order, so its caps are
-bit-identical; the policy, the arrivals and the transfers are skipped.
+recurrence of :meth:`_IntegerSim.draw` on the banks' service slice, per
+egress node on scalar floats with the same operations in the same order,
+so its caps are bit-identical; the policy, the arrivals and the transfers
+are skipped.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import EngineError, Trajectory, _CapacityCheck, _run_steps
+from .engine import EngineError, Trajectory, _CapacityCheck, _Kernel, _run_steps
 from .network import ArrivalProfile, LayeredNetwork, LayerPlan, ServiceProfile, SimConfig
 
 #: steps per chunk of a tagged run, and per block of its egress extension
@@ -117,9 +119,9 @@ def _allocate_each(amounts, totals, weights, seg, pos) -> np.ndarray:
     return np.minimum(base, amounts)
 
 
-class _IntegerSim:
-    """The integer kernel of one run, which owns the integral backlogs
-    ``q``, the running link flow and the served totals."""
+class _IntegerSim(_Kernel):
+    """The integer kernel of one run, with integral backlogs, link flow and
+    service.  Its banks are one vector laid out as its budgets."""
 
     def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile,
                  cfg: SimConfig):
@@ -128,55 +130,38 @@ class _IntegerSim:
                 "integer mode requires nonnegative arrival rates, service rates "
                 "and capacities"
             )
-        self.net, self.arr, self.svc = net, arr, svc
-        self.dt = cfg.resolved_dt()
-        self.arrival_budget = arr.rates * self.dt
-        self.service_budget = svc.rates * self.dt
         # integral even when tagged_run is handed a fluid-mode cfg
-        self.q = replace(cfg, discretize=True).initial_backlog(net).astype(np.int64)
+        q = replace(cfg, discretize=True).initial_backlog(net).astype(np.int64)
+        super().__init__(net, arr, svc, cfg.resolved_dt(), q)
+        self.bank = np.zeros_like(self.budget)
         self.mass = int(self.q.sum())
-        self.arrival_bank = np.zeros(net.layer_sizes[0])
-        self.link_bank = np.zeros(net.num_links)
-        self.service_bank = np.zeros(net.layer_sizes[-1])
-        self.egress_lo = net.node_id(net.num_layers - 1, 0)
-        self.link_flow = np.zeros(net.num_links, dtype=np.int64)
-        self.served_total = np.zeros(net.layer_sizes[-1], dtype=np.int64)
         self._births: deque[int] = deque()  # per step arrived, until settled
-        self._rates = None  # the assignment whose link budgets are cached
 
-    def budgets(self, rates) -> None:
-        if rates is not self._rates:
-            self._rates, self._budget = rates, rates.values * self.dt
+    def draw(self, part: slice) -> np.ndarray:
+        """Bank the budgets of ``part`` of the bank vector and return their
+        whole parts, which leave the banks: one step's packets."""
+        bank = self.bank[part]
+        bank += self.budget[part]
+        whole = np.floor(bank + 1e-12)
+        bank -= whole
+        return whole.astype(np.int64)
 
-    def demand(self, plan: LayerPlan) -> np.ndarray:
-        """Bank the budgets of ``plan``'s links and return their whole
-        parts, which leave the banks."""
-        bank = self.link_bank[plan.links]  # a slice, so a view of the banks
-        bank += self._budget[plan.links]
-        want = np.floor(bank + 1e-12).astype(np.int64)
-        bank -= want
-        return want
-
-    def arrive(self) -> None:
-        """Bring in one step's whole arrivals at the ingress layer."""
-        self.arrival_bank += self.arrival_budget
-        born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
-        self.arrival_bank -= born
-        self.q[: born.size] += born
-        self._births.append(int(born.sum()))
+    def arrive(self, born: np.ndarray) -> None:
+        super().arrive(born)
+        self._births.append(int(np.add.reduce(born)))
 
     def send(self, layer: LayerPlan, want: np.ndarray):
         """Grant the link budgets ``want`` of a layer, or of a run of layers
         taken together, against their sources' backlogs and take the
         packets off the sources; return the inflow per destination, for
         :meth:`land`, or None when no link has a budget."""
-        if not want.any():
+        if not np.logical_or.reduce(want):
             return None
         supply = self.q[layer.srcs]
         total_want = np.add.reduceat(want, layer.starts)
         short = total_want > supply
         grant, moved = want, total_want
-        if short.any():
+        if np.logical_or.reduce(short):
             # a short source sends its whole supply down a single out-link
             # and splits it in proportion to the budgets over several; its
             # links are one run of the plan, so its slot is their segment
@@ -201,26 +186,15 @@ class _IntegerSim:
         if inflow is not None:
             self.q[layer.next_lo : layer.next_lo + layer.next_width] += inflow
 
-    def serve(self) -> np.ndarray:
-        """Serve one step's whole budgets at the egress layer and return
-        the service per egress node."""
-        cap_f = self.service_bank + self.service_budget
-        cap = np.floor(cap_f + 1e-12).astype(np.int64)
-        self.service_bank = cap_f - cap
-        egress = self.q[self.egress_lo :]
-        serve = np.minimum(egress, cap)
-        egress -= serve
-        return serve
-
     def settle(self, k: int, served: np.ndarray, row: np.ndarray) -> None:
         """Mass balance and sign check of the backlogs ``row`` at the end
         of step ``k``, which took in the births :meth:`arrive` kept for it
         and served ``served``; count the service."""
-        self.mass += self._births.popleft() - int(served.sum())
-        residual = self.mass - int(row.sum())
+        self.mass += self._births.popleft() - int(np.add.reduce(served))
+        residual = self.mass - int(np.add.reduce(row))
         if not residual == 0:
             raise EngineError(f"mass balance violated at step {k}: residual {residual}")
-        if row.min() < 0:
+        if np.minimum.reduce(row) < 0:
             nid = int(np.argmin(row))
             l, i = self.net.node_coords(nid)
             raise EngineError(
@@ -450,11 +424,12 @@ class _Tags:
         Past the horizon with nothing tagged above egress, each egress node
         departs ahead of any later inflow, by its service bank recurrence
         alone, run per node on scalar floats with the operations of
-        :meth:`_IntegerSim.serve`.  The kernel is left as it was."""
+        :meth:`_IntegerSim.draw` on its service slice; the kernel is untouched."""
         egress, lo = self.curves[-1], sim.egress_lo
         target = egress.last_tagged()
+        bank, budget = sim.bank[sim.service], sim.budget[sim.service]
         state = {
-            int(n): [float(sim.service_bank[n]), float(sim.service_budget[n]),
+            int(n): [float(bank[n]), float(budget[n]),
                      int(sim.q[lo + n]), int(egress.done[n]), int(target[n])]
             for n in np.flatnonzero(target > egress.done)
         }
@@ -558,8 +533,7 @@ def tagged_run(
         rows = np.empty((size + 1, net.num_nodes), dtype=np.int64)
         flows = np.empty((size + 1, net.num_links + sim.served_total.size), dtype=np.int64)
         rows[0], flows[0] = sim.q, np.concatenate([sim.link_flow, sim.served_total])
-        applied = np.empty((size, net.num_links))
-        _run_steps(sim, policy, checked, rows, applied, flows, start=k)
+        applied = _run_steps(sim, policy, checked, rows, flows, start=k)
         per_step, class_steps = tags.consume(rows, flows, k)
         late = np.arange(k + 1, k + size + 1) >= steps
         if switch is None and not keep_trajectory:

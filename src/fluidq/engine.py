@@ -13,31 +13,34 @@ Under static rates (a bare :class:`RateAssignment` or a
 :class:`StaticPolicy`) a fluid run does not step at all: a node empties at
 most once, so the run is at most one linear segment per node and one more,
 each one :func:`effective_flow` pass (:func:`_fluid_segments`), and
-:func:`run` reads its rows off them at the step instants.
+:func:`run` reads its rows off them at the step instants; its rates are
+one read-only broadcast of the assignment.
 
-A kernel owns a run's backlog vector and ships the link budgets of a
-:class:`~fluidq.network.LayerPlan`: one layer's links, or a run of
-consecutive layers' taken together.  Fluid runs use :class:`_FluidStep`,
-integer-packet runs :class:`~fluidq.discrete._IntegerSim`; both expose
-``budgets``, ``demand``, ``arrive``, ``send``, ``land``, ``serve`` and
-``settle``, so one pair of schedules serves both.
-
-:func:`_advance` runs one step: for a policy that reads the state and for
-:func:`step`, the layers of the network's plan move one at a time.  In an
-integer run a static assignment ties the layers only through the inflow
-each passes downstream, so link layer l at step k and layer l + 1 at step
+A kernel (:class:`_Kernel`) owns a run's backlog vector and budgets, laid
+out [arrivals | links in link order | egress service], and ships the link
+budgets of a :class:`~fluidq.network.LayerPlan`: one layer's links, or a
+run of consecutive layers' taken together.  Its ``draw`` hands out a slice
+of the budgets: as they are in fluid runs (:class:`_FluidStep`), whole
+packets by one floor pass over the same slice of one bank vector in
+integer runs (:class:`~fluidq.discrete._IntegerSim`).  One pair of
+schedules serves both.  :func:`_advance` runs one step, one ``draw`` of
+the whole vector and then the layers of the network's plan one at a time:
+for a policy that reads the state and for :func:`step`.  In an integer
+run a static assignment ties the layers only through the inflow each
+passes downstream, so link layer l at step k and layer l + 1 at step
 k - 1 can move together: :func:`_run_diagonals` advances it along the
 diagonals t = k + l (the hyperplane method of Lamport, "The Parallel
-Execution of DO Loops", CACM 1974), one ``send`` per diagonal, with the
-same bytes as the per-step schedule.  :func:`_run_steps` picks the
-schedule for integer runs and dynamic fluid runs in :func:`run` and, chunk
-by chunk, for tagged runs.
+Execution of DO Loops", CACM 1974), one ``draw`` and one ``send`` per
+diagonal, with the same bytes as the per-step schedule.  :func:`_run_steps`
+picks the schedule for integer runs and dynamic fluid runs in :func:`run`
+and, chunk by chunk, for tagged runs.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -90,26 +93,21 @@ class QueueState:
         return state
 
 
+@dataclass(eq=False)
 class Trajectory:
     """Uniformly sampled solution of a run: queue states plus the rates
     applied on each step, with cumulative per-link flow and per-egress
-    service for conservation checks."""
+    service for conservation checks.  Under static rates ``rates`` is a
+    read-only :func:`numpy.broadcast_to` view of the one assignment, every
+    row the same vector, not a filled copy."""
 
-    def __init__(
-        self,
-        dt: float,
-        queues: np.ndarray,
-        rates: np.ndarray,
-        link_flow: np.ndarray,
-        served: np.ndarray,
-    ):
-        self.dt = dt
-        self.queues = queues
-        self.rates = rates
-        self.link_flow = link_flow
-        self.served = served
+    dt: float
+    queues: np.ndarray
+    rates: np.ndarray
+    link_flow: np.ndarray
+    served: np.ndarray
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.queues.shape[0])
 
@@ -160,28 +158,30 @@ def effective_flow(
     counts external arrivals for ingress nodes and effective upstream flow
     elsewhere, ``set_out`` is each node's total set egress rate, and
     ``sinks`` lists nodes with positive inflow but zero egress rate, in a
-    layer without links too.  Each per-node link sum is one ``bincount``.
+    layer without links too (one scan after the layers).  Each per-node
+    link sum is one ``bincount``.
     """
     values = np.asarray(values, dtype=float)
     inflow = np.zeros(net.num_nodes)
     inflow[: net.layer_sizes[0]] = arr.rates
     set_out = np.bincount(net.link_src, weights=values, minlength=net.num_nodes)
     g_tilde = np.zeros_like(values)
-    sinks: list[tuple[int, int]] = []
-    tol = 1e-12 * max(1.0, arr.total)
-    for l, plan in enumerate(net.plan):
+    sends = set_out > 0
+    factor = np.zeros(net.num_nodes)  # 0 where a node has no set rate
+    for plan in net.plan:
         nodes = slice(plan.lo, plan.lo + plan.width)
-        out_l = set_out[nodes]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(out_l > 0, np.minimum(1.0, inflow[nodes] / out_l), 0.0)
+        f = factor[nodes]
+        np.divide(inflow[nodes], set_out[nodes], out=f, where=sends[nodes])
+        np.minimum(f, 1.0, out=f)
         if held is not None:  # a node without set rates has no link to scale
-            factor[held[nodes]] = 1.0
-        g_tilde[plan.links] = values[plan.links] * factor[plan.src_local]
+            f[held[nodes]] = 1.0
+        np.multiply(values[plan.links], f[plan.src_local], out=g_tilde[plan.links])
         inflow[plan.next_lo : plan.next_lo + plan.next_width] = np.bincount(
             plan.dst_local, weights=g_tilde[plan.links], minlength=plan.next_width
         )
-        stuck = np.flatnonzero((inflow[nodes] > tol) & (out_l <= 0))
-        sinks += [(l, int(local)) for local in stuck]
+    above_egress = slice(0, net.node_id(net.num_layers - 1, 0))
+    stuck = (inflow[above_egress] > 1e-12 * max(1.0, arr.total)) & (set_out[above_egress] <= 0)
+    sinks = [net.node_coords(int(nid)) for nid in np.flatnonzero(stuck)]
     return g_tilde, inflow, set_out, sinks
 
 
@@ -242,11 +242,15 @@ class _Segments(NamedTuple):
 
     def backlogs(self, t):
         """The backlogs at the instant ``t >= 0``, or one row per instant of
-        the sorted array ``t``."""
-        j = np.searchsorted(self.start, t, side="right") - 1
-        q = self.q[j] + (t - self.start[j])[..., None] * self.slope[j]
+        the sorted array ``t``, one broadcast per segment's run of instants."""
+        at = np.asarray(t, dtype=float).reshape(-1)
+        cut = np.searchsorted(at, self.start).tolist()[1:] + [at.size]
+        q = np.empty((at.size, self.q.shape[1]))
+        for j, (a, b) in enumerate(zip([0] + cut, cut)):
+            np.multiply((at[a:b] - self.start[j])[:, None], self.slope[j], out=q[a:b])
+            q[a:b] += self.q[j]
         # a node that empties at a segment's end lands on -0 or a rounding below
-        return np.maximum(q, 0.0, out=q)
+        return np.maximum(q, 0.0, out=q).reshape(np.shape(t) + q.shape[1:])
 
 
 def _set_totals(net, svc, values) -> np.ndarray:
@@ -310,53 +314,69 @@ def _static_fluid_run(net, arr, svc, rates: RateAssignment, cfg: SimConfig) -> T
     if bad.any():
         k = int(np.argmax(bad))
         raise EngineError(f"mass balance violated at step {k - 1}: residual {balance[k]}")
-    applied = np.empty((steps, net.num_links))
-    applied[:] = rates.values
+    applied = np.broadcast_to(rates.values, (steps, net.num_links))
     return Trajectory(dt, rows, applied, spans @ segs.flow, spans @ segs.served)
 
 
-class _FluidStep:
-    """The fluid kernel of one run: it owns the backlogs ``q``, the running
-    link flow and the served totals, and gives :func:`_advance` the steps
-    it schedules (a dynamic policy's run, and :func:`step`).
+class _Kernel:
+    """What both kernels share: a run's backlogs ``q`` (float or integral),
+    running link flow, served totals and budgets per step, one vector laid
+    out [arrivals | links | egress service] (``service`` the last slice).
+    :meth:`budgets` fills the links' part with an assignment's ``values *
+    dt`` unless it is the previous step's object (its values are read-only)."""
 
-    Built once per run with the arrivals ``lambda * dt`` and the service
-    budgets ``mu * dt``.  An assignment's per-link budgets ``values * dt``
-    and their per-node sums are recomputed only when the assignment is not
-    the previous step's object (its values are read-only).  :meth:`send`
-    ships the links of one :class:`~fluidq.network.LayerPlan`, a layer or
-    a run of layers; a plan where no source is asked for more than it
-    holds ships every budget as it is, and only a short source has its
-    budgets scaled down to its supply."""
-
-    def __init__(
-        self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile, dt: float, q0
-    ):
-        self.net, self.arr, self.svc = net, arr, svc
-        self.dt = dt
-        self.q = np.array(q0, dtype=float)
-        self.link_flow = np.zeros(net.num_links)
-        self.served_total = np.zeros(net.layer_sizes[-1])
-        self.arrivals = arr.rates * dt
-        self.service = svc.rates * dt
-        self.injected = arr.total * dt
-        self.mass = self.q.sum()
+    def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile,
+                 dt: float, q: np.ndarray):
+        self.net, self.arr, self.svc, self.dt, self.q = net, arr, svc, dt, q
+        n0, m = net.layer_sizes[0], net.num_links
+        self.budget = np.concatenate((arr.rates * dt, np.zeros(m), svc.rates * dt))
+        self._want, self.service = self.budget[n0 : n0 + m], slice(n0 + m, None)
+        self.link_flow = np.zeros(m, q.dtype)
+        self.served_total = np.zeros(net.layer_sizes[-1], q.dtype)
         self.egress_lo = net.node_id(net.num_layers - 1, 0)
         self._rates = None
 
     def budgets(self, rates: RateAssignment) -> None:
         if rates is not self._rates:
-            self._want = rates.values * self.dt
+            self._rates = rates
+            np.multiply(rates.values, self.dt, out=self._want)
+
+    def arrive(self, born: np.ndarray) -> None:
+        """Bring in one step's arrivals ``born`` at the ingress layer."""
+        self.q[: born.size] += born
+
+    def serve(self, cap: np.ndarray) -> np.ndarray:
+        """Serve each egress backlog up to ``cap`` in place; return the service."""
+        egress = self.q[self.egress_lo :]
+        served = np.minimum(egress, cap)
+        egress -= served
+        return served
+
+
+class _FluidStep(_Kernel):
+    """The fluid kernel of one run, which gives :func:`_advance` the steps
+    it schedules (a dynamic policy's run, and :func:`step`).  :meth:`send`
+    ships the links of one :class:`~fluidq.network.LayerPlan`, a layer or a
+    run of layers; a plan where no source is asked for more than it holds
+    ships every budget as it is, and only a short source has its budgets
+    scaled down to its supply.  Backlogs and link flow change in place."""
+
+    def __init__(self, net: LayeredNetwork, arr: ArrivalProfile, svc: ServiceProfile,
+                 dt: float, q0):
+        super().__init__(net, arr, svc, dt, np.array(q0, dtype=float))
+        self.injected = arr.total * dt
+        self.mass = np.add.reduce(self.q)
+
+    def budgets(self, rates: RateAssignment) -> None:
+        if rates is not self._rates:
+            super().budgets(rates)
             self._desired = np.bincount(
                 self.net.link_src, weights=self._want, minlength=self.net.num_nodes
             )
-            self._rates = rates
 
-    def demand(self, plan) -> np.ndarray:
-        return self._want[plan.links]
-
-    def arrive(self) -> None:
-        self.q[: self.arrivals.size] += self.arrivals
+    def draw(self, part: slice) -> np.ndarray:
+        """The step budgets of ``part`` of the budget vector."""
+        return self.budget[part]
 
     def send(self, plan, want: np.ndarray) -> np.ndarray:
         """Ship the budgets ``want`` of ``plan``'s links out of their
@@ -366,7 +386,7 @@ class _FluidStep:
         desired = self._desired[nodes]
         avail = self.q[nodes]
         short = desired > avail
-        if short.any():
+        if np.logical_or.reduce(short):
             # desired > avail >= 0 makes every quotient finite and in [0, 1)
             scale = np.ones(plan.width)
             np.divide(avail, desired, out=scale, where=short)
@@ -374,7 +394,7 @@ class _FluidStep:
             shipped = np.bincount(plan.src_local, weights=x, minlength=plan.width)
         else:
             x, shipped = want, desired
-        self.q[nodes] = np.maximum(avail - shipped, 0.0)
+        np.maximum(np.subtract(avail, shipped, out=avail), 0.0, out=avail)
         self.link_flow[plan.links] += x
         return x
 
@@ -382,19 +402,11 @@ class _FluidStep:
         """Add the flows ``x`` of ``plan``'s links to their destinations."""
         np.add.at(self.q[plan.next_lo : plan.next_lo + plan.next_width], plan.dst_local, x)
 
-    def serve(self) -> np.ndarray:
-        """Serve the egress backlogs in place; return the service per
-        egress node."""
-        egress = self.q[self.egress_lo :]
-        served = np.minimum(egress, self.service)
-        egress -= served
-        return served
-
     def settle(self, k: int, served: np.ndarray, row: np.ndarray) -> None:
         """Check the mass balance of step ``k``, whose complete row of
         backlogs is ``row``, and count its service."""
-        total = row.sum()
-        balance = self.injected - served.sum() - (total - self.mass)
+        total = np.add.reduce(row)
+        balance = self.injected - np.add.reduce(served) - (total - self.mass)
         if not abs(balance) <= 1e-9 * max(1.0, self.mass + self.injected):
             raise EngineError(f"mass balance violated at step {k}: residual {balance}")
         self.mass = total
@@ -403,16 +415,19 @@ class _FluidStep:
 
 def _advance(kernel) -> np.ndarray:
     """One step of a kernel (:class:`_FluidStep` or the integer
-    :class:`~fluidq.discrete._IntegerSim`) under its current budgets: the
-    arrivals come in, each layer of the plan ships its links' budgets and
-    lands them before the next layer reads its supply, and the egress layer
-    is served.  Returns the service per egress node."""
+    :class:`~fluidq.discrete._IntegerSim`) under its current budgets: one
+    :meth:`draw` of the whole budget vector, then the arrivals come in,
+    each layer of the plan ships its links' budgets and lands them before
+    the next layer reads its supply, and the egress layer is served.
+    Returns the service per egress node."""
     net = kernel.net
-    kernel.arrive()
-    want = kernel.demand(net.plan_of(0, net.num_layers - 2))
+    n0, m = net.layer_sizes[0], net.num_links
+    whole = kernel.draw(slice(None))
+    kernel.arrive(whole[:n0])
+    want = whole[n0 : n0 + m]
     for layer in net.plan:
         kernel.land(layer, kernel.send(layer, want[layer.links]))
-    return kernel.serve()
+    return kernel.serve(whole[n0 + m :])
 
 
 def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray, flows=None, start=0) -> None:
@@ -424,15 +439,19 @@ def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray, flows=None, st
     whose row is then complete and goes to the kernel's ``settle``; the
     arrivals of step t come in; and one ``send`` moves every link layer l
     that has a step t - l, with each source's supply read before any flow
-    of the diagonal lands.  Node n of layer l at the end of step t - l is
-    cell ``(t + 1) * num_nodes + place[n]`` of the flattened rows, copied
-    between its shipment and the next inflow.  Each node's values and flows
-    meet the same operations in the same order as under :func:`_advance`,
-    so every row is the same to the bit.  With ``flows``, row k + 1 of it
-    gets the running link flow and then the served totals as they stand
-    after step k, by the same diagonal placement (a link takes its
-    source's layer)."""
+    of the diagonal lands.  Their budgets are one slice of the budget
+    vector (arrivals iff t < steps, the links of layers a..b, service iff
+    k >= 0), and one ``draw`` takes them.  Node n of layer l at the end of
+    step t - l is cell ``(t + 1) * num_nodes + place[n]`` of the flattened
+    rows, copied between its shipment and the next inflow.  Each node's
+    values and flows meet the same operations in the same order as under
+    :func:`_advance`, so every row is the same to the bit.  With ``flows``,
+    row k + 1 of it gets the running link flow and then the served totals
+    as they stand after step k, by the same diagonal placement (a link
+    takes its source's layer)."""
     steps, n, last = rows.shape[0] - 1, net.num_nodes, net.num_layers - 2
+    n0 = net.layer_sizes[0]
+    edge = [n0 + layer.links.start for layer in net.plan] + [n0 + net.num_links]  # bank slots
     place = np.arange(n) - np.repeat(np.arange(net.num_layers), net.layer_sizes) * n
     flat = rows.reshape(-1)
     if flows is not None:
@@ -442,18 +461,20 @@ def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray, flows=None, st
     lo = kernel.egress_lo
     for t in range(steps + last + 1):
         k = t - last - 1
+        a, b = max(0, t - steps + 1), min(t, last)
+        first = 0 if t < steps else edge[a]
+        whole = kernel.draw(slice(first, None if k >= 0 else edge[b + 1]))
         if k >= 0:
-            served = kernel.serve()
+            served = kernel.serve(whole[edge[-1] - first :])
             rows[k + 1, lo:] = kernel.q[lo:]
             kernel.settle(start + k, served, rows[k + 1])
             if flows is not None:
                 flows[k + 1, net.num_links :] = kernel.served_total
         if t < steps:
-            kernel.arrive()
-        a, b = max(0, t - steps + 1), min(t, last)
+            kernel.arrive(whole[:n0])
         if a <= b:
             span = net.plan_of(a, b)
-            x = kernel.send(span, kernel.demand(span))
+            x = kernel.send(span, whole[edge[a] - first : edge[b + 1] - first])
             nodes = slice(span.lo, span.lo + span.width)
             flat[(t + 1) * n + place[nodes]] = kernel.q[nodes]
             if flows is not None:
@@ -461,27 +482,30 @@ def _run_diagonals(kernel, net: LayeredNetwork, rows: np.ndarray, flows=None, st
             kernel.land(span, x)
 
 
-def _run_steps(kernel, policy, checked, rows, applied, flows=None, start=0) -> None:
-    """Steps ``start`` .. ``start + len(applied) - 1`` of a run from the
+def _run_steps(kernel, policy, checked, rows, flows=None, start=0) -> np.ndarray:
+    """Steps ``start`` .. ``start + len(rows) - 2`` of a run from the
     backlogs ``rows[0]``: fill the later rows with the backlogs after each
-    step and ``applied`` with each step's rates, checked by ``checked``.
-    With ``flows``, row k + 1 of it gets the running link flow and the
-    served totals after step k (row 0 is the caller's).
+    step and return each step's rates, checked by ``checked``.  With
+    ``flows``, row k + 1 of it gets the running link flow and the served
+    totals after step k (row 0 is the caller's).
 
-    A bare assignment or a :class:`StaticPolicy` is read once and checked
-    once, and the steps advance along diagonals (:func:`_run_diagonals`);
+    A bare assignment or a :class:`StaticPolicy` is read once, checked once
+    and returned as a read-only broadcast of its values, and the steps
+    advance along diagonals (:func:`_run_diagonals`);
     :func:`run` brings only integer kernels here with one, since a static
     fluid run is read off its exact segments.  Any other policy is
     evaluated once per step on the recorded state at the step start
     (before that step's arrivals), and each step is one :func:`_advance`."""
     net, dt = kernel.net, kernel.dt
+    steps = rows.shape[0] - 1
     static = _static_rates(policy)
     if static is not None:
-        applied[:] = checked(static).values
+        applied = np.broadcast_to(checked(static).values, (steps, net.num_links))
         kernel.budgets(static)
         _run_diagonals(kernel, net, rows, flows, start)
-        return
-    for i in range(applied.shape[0]):
+        return applied
+    applied = np.empty((steps, net.num_links))
+    for i in range(steps):
         k = start + i
         # lambda, mu > 0 and nonnegative rates keep every row nonnegative
         state = QueueState._trusted(rows[i].astype(float, copy=False), k * dt)
@@ -494,6 +518,7 @@ def _run_steps(kernel, policy, checked, rows, applied, flows=None, start=0) -> N
         if flows is not None:
             flows[i + 1, : net.num_links] = kernel.link_flow
             flows[i + 1, net.num_links :] = kernel.served_total
+    return applied
 
 
 def step(
@@ -587,14 +612,11 @@ def run(
         kernel = _IntegerSim(net, arr, svc, cfg)
     else:
         kernel = _FluidStep(net, arr, svc, cfg.resolved_dt(), cfg.initial_backlog(net))
-    dt = kernel.dt
-    steps = cfg.num_steps()
-    rows = np.empty((steps + 1, net.num_nodes), dtype=kernel.q.dtype)
+    rows = np.empty((cfg.num_steps() + 1, net.num_nodes), dtype=kernel.q.dtype)
     rows[0] = kernel.q
-    applied = np.empty((steps, net.num_links))
-    _run_steps(kernel, policy, checked, rows, applied)
+    applied = _run_steps(kernel, policy, checked, rows)
     return Trajectory(
-        dt, rows.astype(float, copy=False), applied,
+        kernel.dt, rows.astype(float, copy=False), applied,
         kernel.link_flow.astype(float, copy=False),
         kernel.served_total.astype(float, copy=False),
     )

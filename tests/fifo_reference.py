@@ -67,13 +67,9 @@ class FifoSim(_IntegerSim):
 
     # -- the kernel, with the tags carried along -------------------------------
 
-    def arrive(self):
-        self.arrival_bank += self.arrival_budget
-        born = np.floor(self.arrival_bank + 1e-12).astype(np.int64)
-        self.arrival_bank -= born
+    def arrive(self, born):
         self._tag_arrivals(self.k, born)
-        self.q[: born.size] += born
-        self._births.append(int(born.sum()))
+        super().arrive(born)
 
     def send(self, layer, want):
         before = self.link_flow[layer.links].copy()
@@ -231,14 +227,9 @@ class FifoSim(_IntegerSim):
     def drain(self, steps):
         """Serve the egress layer alone, for at most ``steps`` steps or until
         no tagged row is left; return the steps taken."""
-        egress = self.q[self.egress_lo :]
         n = 0
         while n < steps and self.fifo:  # every FIFO left is a tagged egress one
-            cap_f = self.service_bank + self.service_budget
-            cap = np.floor(cap_f + 1e-12).astype(np.int64)
-            self.service_bank = cap_f - cap
-            serve = np.minimum(egress, cap)
-            egress -= serve
+            serve = self.serve(self.draw(self.service))
             self._depart(serve)
             n += 1
         return n

@@ -344,8 +344,7 @@ def _pass(instance, steps=6, q0=(4.0, 1.0, 2.0), window=None):
         rows = np.empty((size + 1, net.num_nodes), np.int64)
         flows = np.empty((size + 1, net.num_links + 1), np.int64)
         rows[0], flows[0] = sim.q, np.concatenate([sim.link_flow, sim.served_total])
-        _run_steps(sim, rates, _CapacityCheck(net), rows, np.empty((size, net.num_links)),
-                   flows, start=at[0])
+        _run_steps(sim, rates, _CapacityCheck(net), rows, flows, start=at[0])
         if corrupt is not None:
             corrupt(rows, flows)
         tags.consume(rows, flows, at[0])
@@ -894,7 +893,7 @@ def test_one_chunk_of_the_whole_run_matches_single_steps(two_source_instance):
     rows = np.empty((steps + 1, net.num_nodes), np.int64)
     flows = np.empty((steps + 1, net.num_links + 1), np.int64)
     rows[0], flows[0] = sim.q, 0
-    _run_steps(sim, rates, _CapacityCheck(net), rows, np.empty((steps, net.num_links)), flows)
+    _run_steps(sim, rates, _CapacityCheck(net), rows, flows)
     results = []
     for size in (1, 7, steps):
         tags = _Tags(net, rows[0].copy(), 1.0, 12, 4.0)

@@ -447,6 +447,30 @@ def test_static_run_matches_per_step_schedule(name, seed, mode):
 
 
 @pytest.mark.parametrize("discretize", [False, True])
+def test_static_run_rates_are_a_read_only_view_of_the_assignment(discretize):
+    """Under a static policy or a bare assignment the trajectory's rates
+    are a read-only broadcast of the assignment: every row is its values,
+    with the bytes of a filled copy.  A dynamic run's rates stay its own
+    writeable array."""
+    net, arr, svc, make, cfg = _kernel_case("q0", 0)
+    if discretize:
+        cfg = _integer_config(cfg)
+    policy = make()
+    values = policy.assignment.values
+    for static in (policy, policy.assignment):
+        traj = run(net, arr, svc, static, cfg)
+        assert not traj.rates.flags.writeable
+        assert traj.rates.shape == (traj.num_steps, net.num_links)
+        assert all(np.array_equal(row, values) for row in traj.rates)
+        filled = np.empty((traj.num_steps, net.num_links))
+        filled[:] = values
+        assert traj.rates.tobytes() == filled.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            traj.rates[0, 0] = 0.0
+    assert run(net, arr, svc, _Fresh(policy.assignment), cfg).rates.flags.writeable
+
+
+@pytest.mark.parametrize("discretize", [False, True])
 def test_static_run_matches_per_step_schedule_across_a_layer_without_links(
     monkeypatch, discretize
 ):

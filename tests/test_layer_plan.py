@@ -820,10 +820,21 @@ PINNED = {
     ("multistage-16x12x8x6", "integer", "bp"): "3c8ca4c7e8cddcd8",
     ("multistage-16x12x8x6", "integer", "max"): "42c496b6c9c5685f",
     ("multistage-16x12x8x6", "integer", "opt-static"): "1304cc9f81894f92",
+    # dt 0.3 gives every arrival, link and service budget a fraction, so the
+    # banks carry remainders and each diagonal's bank slice is exercised
+    ("nsxnd", "integer-frac", "opt-queue"): "24c15c0d71d4ae34",
+    ("nsxnd", "integer-frac", "bp"): "42f0217f7ada933c",
+    ("nsxnd", "integer-frac", "max"): "4f94ef63fddf4b52",
+    ("nsxnd", "integer-frac", "opt-static"): "fff71bf4dc5ffc02",
+    ("multistage-16x12x8x6", "integer-frac", "opt-queue"): "371672f5e66173c0",
+    ("multistage-16x12x8x6", "integer-frac", "bp"): "b6cc3c2615b6c747",
+    ("multistage-16x12x8x6", "integer-frac", "max"): "b1a43407b4209ba0",
+    ("multistage-16x12x8x6", "integer-frac", "opt-static"): "ebf4cd6a0866c5d5",
 }
 MODES = {
     "fluid": SimConfig(horizon=0.6, dt=0.01),
     "integer": SimConfig(horizon=30.0, dt=1.0, discretize=True),
+    "integer-frac": SimConfig(horizon=9.0, dt=0.3, discretize=True),
 }
 
 
